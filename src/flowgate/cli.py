@@ -51,6 +51,7 @@ from flowgate.worlds import (
     GenerationError,
     WorldConfig,
     build_world,
+    check_trace,
     write_world,
 )
 
@@ -86,6 +87,7 @@ def _world_core(world_dir):
     trace = read_trace_csv(d / "trace.csv", flow_table,
                            config.horizon_windows, config.window_us)
     graph = ContentionGraph.from_dict(_load_json(d / "contention.json"))
+    check_trace(trace, graph)
     return config, trace, graph
 
 

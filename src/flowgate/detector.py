@@ -17,6 +17,7 @@ import json
 import math
 from collections import deque
 from dataclasses import asdict, dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -126,17 +127,6 @@ def evidence(z_vec, zeta: float, p: float) -> float:
     if p == 1.0:
         return zeta * sum(abs(z) for z in z_vec)
     return zeta * sum(abs(z) ** p for z in z_vec) ** (1.0 / p)
-
-
-def coupling_drive(g: float, weights_row, surrogate_lagged) -> float:
-    """I = g * sum_j w_ij * S_j at the lagged window (missing history = 0)."""
-    if g == 0.0:
-        return 0.0
-    acc = 0.0
-    for w, s in zip(weights_row, surrogate_lagged):
-        if w != 0.0:
-            acc += w * s
-    return g * acc
 
 
 def step(v: float, u: float, drive_e: float, drive_i: float,
@@ -263,11 +253,6 @@ def persistence_update(state: PersistenceState, alarm: bool, k: int, m: int) -> 
     return state.z
 
 
-def baseline_score(drive_e: float) -> float:
-    """Memoryless comparator: the evidence itself."""
-    return drive_e
-
-
 # ---------------------------------------------------------------------------
 # streaming session
 
@@ -332,10 +317,12 @@ class DetectorSession:
             if seed is None:
                 raise ValueError("noise_std > 0 requires a seed")
             self._rng = np.random.default_rng([seed, 0x0E15])
-        # surrogate history for delayed coupling, most recent last
-        self._lag = 1 + params.tau
-        self._hist: dict[int, deque] = {}
-        self._actionable: dict[int, list] = {}
+        # coupling reads S of 1 + tau windows ago, as vectors in graph order
+        # (flows absent from a window hold 0), most recent last
+        self._coupled = params.g != 0.0 and graph is not None
+        if self._coupled:
+            self._graph_pos = {f: i for i, f in enumerate(graph.flow_ids)}
+            self._s_hist = deque(maxlen=1 + params.tau)
 
     def flow_state(self, flow_id: int) -> _FlowState:
         st = self._flows.get(flow_id)
@@ -343,8 +330,6 @@ class DetectorSession:
             st = _FlowState(v=self.params.v_rest, u=0.0,
                             persistence=PersistenceState(self.m_persist))
             self._flows[flow_id] = st
-            self._hist[flow_id] = deque(maxlen=self._lag)
-            self._actionable[flow_id] = []
         return st
 
     def finalize(self) -> None:
@@ -369,33 +354,32 @@ class DetectorSession:
         burn = window < self.burn_in_windows
         min_bucket = 2 * self.w_min
         out = []
-        new_s: dict[int, float] = {}
-        for flow_id, bucket, x in rows:
+        drives = repeat(0.0)
+        if self._coupled:
+            rows = list(rows)
+            pos = np.array([self._graph_pos.get(r[0], -1) for r in rows],
+                           dtype=np.int64)
+            drives = self._coupling(pos).tolist()
+        for (flow_id, bucket, x), drive_i in zip(rows, drives):
             st = self.flow_state(flow_id)
             bucket_mature = (not burn
                              or self.normalizer.bucket_updates(bucket) >= min_bucket)
             z_vec = self.normalizer.score_and_update(bucket, x)
             e = evidence(z_vec, p.zeta, p.p)
-            if p.g != 0.0 and self.graph is not None:
-                drive_i = self._coupling(flow_id)
-            else:
-                drive_i = 0.0
             s_val = event_surrogate(st.v, p.k, p.theta)
             score = p.eta1 * s_val + p.eta2 * st.u
-            b_score = baseline_score(e)
             if burn:
                 alarm = False
                 actionable = False
                 if st.windows_seen >= self.w_min and bucket_mature:
                     st.burn_scores.append(score)
-                    st.burn_baseline.append(b_score)
+                    st.burn_baseline.append(e)
             else:
                 alarm = st.threshold is not None and score >= st.threshold
                 actionable = persistence_update(st.persistence, alarm,
                                                 self.k_persist, self.m_persist)
             out.append(ScoreRecord(flow_id, window, e, s_val, st.v, st.u,
-                                   score, alarm, actionable, b_score))
-            self._actionable[flow_id].append(actionable)
+                                   score, alarm, actionable, e))
             noise = 0.0
             if self._rng is not None:
                 noise = float(self._rng.normal(0.0, p.noise_std))
@@ -404,37 +388,26 @@ class DetectorSession:
                 raise FloatingPointError(
                     f"non-finite detector state for flow {flow_id} at window {window}")
             st.windows_seen += 1
-            new_s[flow_id] = s_val
         # barrier: surrogates become visible to neighbors from the next window
-        if p.g != 0.0 and self.graph is not None:
-            for f in self._hist:
-                self._hist[f].append(new_s.get(f, 0.0))
+        if self._coupled:
+            s_now = np.zeros(len(self._graph_pos) + 1)  # last: not in graph
+            s_now[pos] = [r.S for r in out]
+            self._s_hist.append(s_now[:-1])
         return out
 
-    def _coupling(self, flow_id: int) -> float:
-        W = self.graph.weights
-        fpos = self.graph.flow_pos
-        i = fpos.get(flow_id)
-        if i is None:
-            return 0.0
-        acc = 0.0
-        row = W[i]
-        for f, j in fpos.items():
-            w = row[j]
-            if w != 0.0:
-                h = self._hist.get(f)
-                if h is not None and len(h) == self._lag:
-                    acc += w * h[0]
-        return self.params.g * acc
+    def _coupling(self, pos: np.ndarray) -> np.ndarray:
+        """I = g * W @ S(t - 1 - tau) for rows at graph positions pos (-1:
+        not in the graph, drive 0); 0 until that much history exists."""
+        if len(self._s_hist) < self._s_hist.maxlen:
+            return np.zeros(pos.size)
+        drive = self.params.g * self.graph.matvec(self._s_hist[0])
+        return np.append(drive, 0.0)[pos]
 
     def thresholds(self) -> dict:
         return {
             f: {"detector": st.threshold, "baseline": st.baseline_threshold}
             for f, st in sorted(self._flows.items())
         }
-
-    def actionable_arrays(self) -> dict[int, np.ndarray]:
-        return {f: np.array(v, dtype=bool) for f, v in self._actionable.items()}
 
 
 def derive_flags(window_scores, threshold, k: int, m: int,

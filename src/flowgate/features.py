@@ -112,24 +112,25 @@ class FeatureTable:
                 yield self.row(fi, w)
 
 
-def windowize(trace, graph=None, micro_bins: int = 10) -> FeatureTable:
+def windowize(trace, graph, micro_bins: int = 10) -> FeatureTable:
     """Aggregate a trace into per-(flow, window) features.
 
     Every flow in the flow table gets a row for every window in [0, H); flows
     with no packets in a window get N=0, zero rates, and missing IAT fields.
-    The contention graph supplies interference weights; without it the
-    interference column is 0. Only packets of windows <= t influence rows at
-    window t (pure windowing, no lookahead).
+    The contention graph, which must hold exactly the flow table's flows,
+    supplies the cliques and interference weights. Only packets of windows
+    <= t influence rows at window t (pure windowing, no lookahead).
     """
     if micro_bins < 2:
         raise ValueError("micro_bins must be >= 2")
     flow_ids = sorted(trace.flow_table)
+    if graph.flow_ids != flow_ids:
+        raise ValueError("contention graph flow ids do not match the flow table")
     nf = len(flow_ids)
     H = trace.horizon_windows
     dt_s = trace.window_us * 1e-6
 
-    fpos = {f: i for i, f in enumerate(flow_ids)}
-    row = np.array([fpos[int(f)] for f in trace.flow_id], dtype=np.int64)
+    row = np.searchsorted(np.asarray(flow_ids, dtype=np.int64), trace.flow_id)
     win = trace.ts_us // trace.window_us
     code = row * H + win
 
@@ -162,60 +163,30 @@ def windowize(trace, graph=None, micro_bins: int = 10) -> FeatureTable:
         cv = np.where(mean_us > 0, np.sqrt(var_us) / np.where(mean_us > 0, mean_us, 1.0), 0.0)
     iat_cv[has] = cv[has]
 
-    # pacing: entropy of micro-bin occupancy inside the window
+    # pacing: entropy of micro-bin occupancy inside the window, summed over
+    # the occupied (flow, window, bin) cells only
     B = micro_bins
-    rel = trace.ts_us - win * trace.window_us
-    mbin = (rel * B) // trace.window_us
-    code3 = (row * H + win) * B + mbin
-    c3 = np.bincount(code3, minlength=nf * H * B).reshape(nf, H, B).astype(np.float64)
-    ntot = counts.astype(np.float64)[:, :, None]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p = np.where(c3 > 0, c3 / ntot, 1.0)
-        ent = -np.sum(np.where(c3 > 0, p * np.log(p), 0.0), axis=2)
+    mbin = ((trace.ts_us - win * trace.window_us) * B) // trace.window_us
+    occupied, n_in_bin = np.unique(code * B + mbin, return_counts=True)
+    cell = occupied // B
+    p = n_in_bin / counts.ravel()[cell]
+    ent = np.bincount(cell, weights=-p * np.log(p),
+                      minlength=nf * H).reshape(nf, H)
     pacing = np.zeros((nf, H))
     multi = counts > 1
     denom = np.log(np.minimum(B, counts[multi]).astype(np.float64))
     pacing[multi] = 1.0 - ent[multi] / denom
 
     # contention: clique byte totals and weighted neighbor rates
-    share = np.zeros((nf, H))
-    interference = np.zeros((nf, H))
-    clique_of = _clique_assignment(trace, flow_ids, graph)
-    if clique_of is not None:
-        ncq = int(clique_of.max()) + 1 if clique_of.size else 0
-        cq_bytes = np.zeros((ncq, H))
-        np.add.at(cq_bytes, clique_of, bts)
-        share = bts / np.maximum(1.0, cq_bytes[clique_of])
-    if graph is not None:
-        W = np.asarray(graph.weights, dtype=np.float64)
-        if list(graph.flow_ids) != flow_ids:
-            raise ValueError("contention graph flow ids do not match the flow table")
-        interference = W @ byte_rate
+    clique_ids = sorted(graph.cliques)
+    clique = np.searchsorted(clique_ids, [graph.clique_of[f] for f in flow_ids])
+    cq_bytes = np.zeros((len(clique_ids), H))
+    np.add.at(cq_bytes, clique, bts)
+    share = bts / np.maximum(1.0, cq_bytes[clique])
+    interference = graph.matvec(byte_rate)
 
     return FeatureTable(flow_ids, H, trace.window_us, counts, pkt_rate, byte_rate,
                         iat_mean, iat_cv, pacing, share, interference)
-
-
-def _clique_assignment(trace, flow_ids, graph):
-    """Clique index per table row, from the graph or from packet tags."""
-    if graph is not None:
-        return np.array([graph.clique_of[f] for f in flow_ids], dtype=np.int64)
-    if trace.n_packets == 0:
-        return None
-    assign = {}
-    for f, c in zip(trace.flow_id.tolist(), trace.clique_id.tolist()):
-        assign.setdefault(int(f), int(c))
-    if not assign:
-        return None
-    fallback = max(assign.values()) + 1
-    out = np.empty(len(flow_ids), dtype=np.int64)
-    for i, f in enumerate(flow_ids):
-        if f in assign:
-            out[i] = assign[f]
-        else:
-            out[i] = fallback  # packetless flows: isolated, share stays 0
-            fallback += 1
-    return out
 
 
 # ---------------------------------------------------------------------------

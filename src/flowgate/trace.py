@@ -163,7 +163,7 @@ class Trace:
     """Immutable packet trace backed by parallel int64 arrays.
 
     Packets are sorted by ts_us with ties keeping insertion order; the arrays
-    are the canonical representation and PacketRecord views are built lazily.
+    are the canonical representation (PacketRecord is an input form only).
     """
 
     __slots__ = ("ts_us", "flow_id", "len_bytes", "clique_id", "flow_table",
@@ -197,11 +197,6 @@ class Trace:
     @property
     def horizon_us(self) -> int:
         return self.horizon_windows * self.window_us
-
-    def iter_packets(self):
-        for i in range(self.n_packets):
-            yield PacketRecord(int(self.ts_us[i]), int(self.flow_id[i]),
-                               int(self.len_bytes[i]), int(self.clique_id[i]))
 
     def subset(self, mask) -> "Trace":
         """Sub-trace selected by boolean mask; shares the flow table."""

@@ -120,13 +120,12 @@ def replay(trace: Trace, capacity_bps: float,
     cq = trace.clique_id
     cap = float(capacity_bps)
 
-    benign_flows = {f for f, info in trace.flow_table.items() if info.label == BENIGN}
-
     for c in np.unique(cq):
         idx = np.flatnonzero(cq == c)
         _replay_clique(idx, ts, fid, ln, cap, schedule, dequeue, complete)
 
-    benign = np.array([int(f) in benign_flows for f in fid], dtype=bool)
+    benign = np.isin(fid, [f for f, info in trace.flow_table.items()
+                           if info.label == BENIGN])
     return QueueEventLog(fid, cq, ts, dequeue, complete, benign)
 
 

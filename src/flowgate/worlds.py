@@ -399,85 +399,97 @@ def _gen_overlay(kind: str, params: dict, rng, span_us: tuple[int, int],
 
 
 class ContentionGraph:
-    """Symmetric nonnegative within-clique weights with rho(W) in a band."""
+    """Symmetric nonnegative within-clique weights with rho(W) in a band.
 
-    def __init__(self, flow_ids, weights, cliques: dict[int, list[int]],
-                 spectral_radius: float, rho_band: tuple[float, float]):
-        self.flow_ids = [int(f) for f in flow_ids]
-        self.weights = np.asarray(weights, dtype=np.float64)
-        self.cliques = {int(c): [int(f) for f in fs] for c, fs in cliques.items()}
-        self.spectral_radius = float(spectral_radius)
+    W is block-diagonal by clique, so each clique keeps only its own c x c
+    block, indexed like its flow list. Graph order is ascending flow id.
+    """
+
+    def __init__(self, cliques: dict[int, list[int]], blocks: dict[int, object],
+                 rho_band: tuple[float, float]):
+        self.cliques = {int(c): [int(f) for f in fs]
+                        for c, fs in sorted(cliques.items())}
+        self.blocks = {c: np.asarray(blocks[c], dtype=np.float64).reshape(
+            len(fs), len(fs)) for c, fs in self.cliques.items()}
+        for c, w in self.blocks.items():
+            if not (np.array_equal(w, w.T) and np.all(w >= 0.0)):
+                raise ValueError(
+                    f"clique {c}: weights must be symmetric and nonnegative")
         self.rho_band = (float(rho_band[0]), float(rho_band[1]))
-        self.flow_pos = {f: i for i, f in enumerate(self.flow_ids)}
+        self.spectral_radius = spectral_radius(self.blocks.values())
         self.clique_of = {f: c for c, fs in self.cliques.items() for f in fs}
+        if len(self.clique_of) < sum(map(len, self.cliques.values())):
+            raise ValueError("a flow is listed twice in the cliques")
+        self.flow_ids = sorted(self.clique_of)
+        ids = np.asarray(self.flow_ids, dtype=np.int64)
+        self._index = [np.searchsorted(ids, fs) for fs in self.cliques.values()]
+
+    def matvec(self, x) -> np.ndarray:
+        """W @ x, with x indexed by flow in graph order (rows if 2-D)."""
+        x = np.asarray(x, dtype=np.float64)
+        out = np.zeros_like(x)
+        for idx, w in zip(self._index, self.blocks.values()):
+            out[idx] = w @ x[idx]
+        return out
 
     def to_dict(self) -> dict:
-        return {"flow_ids": self.flow_ids,
-                "weights": self.weights.tolist(),
-                "cliques": {str(c): fs for c, fs in sorted(self.cliques.items())},
+        return {"cliques": {str(c): {"flows": fs,
+                                     "weights": self.blocks[c].tolist()}
+                            for c, fs in self.cliques.items()},
                 "spectral_radius": self.spectral_radius,
                 "rho_band": list(self.rho_band)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ContentionGraph":
-        return cls(d["flow_ids"], d["weights"],
-                   {int(c): fs for c, fs in d["cliques"].items()},
-                   d["spectral_radius"], tuple(d["rho_band"]))
+        if "flow_ids" in d:
+            raise ValueError("contention.json holds a dense W from an older "
+                             "flowgate; run gen-world again")
+        cq = {int(c): b for c, b in d["cliques"].items()}
+        return cls({c: b["flows"] for c, b in cq.items()},
+                   {c: b["weights"] for c, b in cq.items()},
+                   tuple(d["rho_band"]))
 
 
-def spectral_radius_power(W, tol: float = 1e-8, max_iter: int = 10_000) -> float:
-    """Largest eigenvalue magnitude by power iteration (ones start vector)."""
-    W = np.asarray(W, dtype=np.float64)
-    n = W.shape[0]
-    if n == 0:
-        return 0.0
-    v = np.ones(n) / math.sqrt(n)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = W @ v
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        lam_new = float(v @ (W @ v))
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
-            return lam_new
-        lam = lam_new
-    return lam
+def spectral_radius(blocks) -> float:
+    """Exact rho(W) of a block-diagonal W with symmetric nonnegative blocks.
+
+    For such a block rho is its largest eigenvalue (Perron-Frobenius), and
+    the spectrum of W is the union of the blocks' spectra.
+    """
+    return max((float(np.linalg.eigvalsh(b)[-1]) for b in blocks if b.size),
+               default=0.0)
 
 
 def build_contention_graph(clique_of: dict[int, int],
                            rho_band: tuple[float, float],
                            rng) -> ContentionGraph:
-    flow_ids = sorted(clique_of)
-    pos = {f: i for i, f in enumerate(flow_ids)}
     cliques: dict[int, list[int]] = {}
-    for f in flow_ids:
+    for f in sorted(clique_of):
         cliques.setdefault(clique_of[f], []).append(f)
-    n = len(flow_ids)
-    W = np.zeros((n, n))
+    blocks = {}
     for cid in sorted(cliques):
-        members = cliques[cid]
-        for ai in range(len(members)):
-            for bi in range(ai + 1, len(members)):
-                w = rng.uniform(0.5, 1.0)
-                i, j = pos[members[ai]], pos[members[bi]]
-                W[i, j] = W[j, i] = w
+        # one uniform per member pair, row-major over the upper triangle
+        n = len(cliques[cid])
+        upper = np.triu_indices(n, 1)
+        w = np.zeros((n, n))
+        w[upper] = rng.uniform(0.5, 1.0, upper[0].size)
+        blocks[cid] = w + w.T
     lo, hi = rho_band
     target = 0.5 * (lo + hi)
-    rho_raw = spectral_radius_power(W)
+    rho_raw = spectral_radius(blocks.values())
     if rho_raw == 0.0:
         if target > 0.0:
             raise GenerationError(
                 f"cannot reach rho band [{lo}, {hi}]: all cliques are singletons")
-        rho = 0.0
     else:
-        W *= target / rho_raw
-        rho = spectral_radius_power(W)
-    if not (lo <= rho <= hi):
+        for w in blocks.values():
+            w *= target / rho_raw
+    graph = ContentionGraph(cliques, blocks, rho_band)
+    if not (lo <= graph.spectral_radius <= hi):
         raise GenerationError(
-            f"scaled spectral radius {rho:.6g} missed band [{lo}, {hi}]")
-    return ContentionGraph(flow_ids, W, cliques, rho, rho_band)
+            f"scaled spectral radius {graph.spectral_radius:.6g} missed band "
+            f"[{lo}, {hi}]")
+    return graph
 
 
 # ---------------------------------------------------------------------------
@@ -1030,6 +1042,32 @@ def write_world(out_dir, world: World) -> None:
         sort_keys=True) + "\n")
 
 
+def check_trace(trace: Trace, graph: ContentionGraph) -> None:
+    """Refuse a loaded trace that disagrees with its flow table or graph.
+
+    Every packet's flow must be in both, and its clique tag must be the
+    graph's clique for that flow: replay serves a packet by its tag, while
+    the features read the graph.
+    """
+    if sorted(trace.flow_table) != graph.flow_ids:
+        raise ValueError("flows.csv and contention.json list different flows")
+    ids = np.asarray(graph.flow_ids, dtype=np.int64)
+    cq = np.array([graph.clique_of[f] for f in graph.flow_ids], dtype=np.int64)
+    pos = np.searchsorted(ids, trace.flow_id).clip(0, ids.size - 1)
+    unknown = ids[pos] != trace.flow_id
+    if unknown.any():
+        f = int(trace.flow_id[unknown.argmax()])
+        raise ValueError(
+            f"trace.csv: flow {f} is not in flows.csv or contention.json")
+    wrong = cq[pos] != trace.clique_id
+    if wrong.any():
+        i = int(wrong.argmax())
+        raise ValueError(
+            f"trace.csv: flow {trace.flow_id[i]} is tagged clique "
+            f"{trace.clique_id[i]}, but contention.json puts it in clique "
+            f"{cq[pos[i]]}")
+
+
 def load_world(world_dir) -> World:
     d = Path(world_dir)
     config = WorldConfig.from_dict(json.loads((d / "config.json").read_text()))
@@ -1040,6 +1078,7 @@ def load_world(world_dir) -> World:
     manifest = read_manifest(d / "manifest.json")
     graph = ContentionGraph.from_dict(
         json.loads((d / "contention.json").read_text()))
+    check_trace(trace, graph)
     feas_doc = json.loads((d / "feasibility.json").read_text())
     feasibility = [FeasibilityOutcome.from_dict(x) for x in feas_doc["outcomes"]]
     refs_doc = json.loads((d / "references.json").read_text())

@@ -184,6 +184,37 @@ def test_corrupt_world_is_runtime_error(pipe, tmp_path):
                  "--out", str(tmp_path / "d")]) == 1
 
 
+def tampered_world(pipe, tmp_path, column: int, value: int):
+    """A copy of the pipeline's world with one field of the first packet in
+    trace.csv replaced; returns the copy and that packet's flow id."""
+    broken = tmp_path / "world_tampered"
+    shutil.copytree(pipe["world"], broken)
+    lines = (broken / "trace.csv").read_text().splitlines()
+    cells = lines[1].split(",")
+    cells[column] = str(value)
+    lines[1] = ",".join(cells)
+    (broken / "trace.csv").write_text("\n".join(lines) + "\n")
+    return broken, int(cells[1])
+
+
+def test_unknown_flow_in_trace_is_named(pipe, tmp_path, capsys):
+    broken, _ = tampered_world(pipe, tmp_path, 1, 999)
+    assert main(["detect", "--world", str(broken),
+                 "--out", str(tmp_path / "d")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "trace.csv" in err and "flow 999" in err
+
+
+def test_clique_tag_disagreeing_with_graph_is_refused(pipe, tmp_path, capsys):
+    broken, flow = tampered_world(pipe, tmp_path, 3, 7)
+    assert main(["replay", "--world", str(broken), "--mode", "base",
+                 "--out", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "trace.csv" in err and f"flow {flow} " in err and "clique 7" in err
+
+
 def test_quantile_precedence_flag_file_default(pipe, tmp_path, capsys):
     params = tmp_path / "params.json"
     params.write_text(json.dumps({"quantile": 0.95}))

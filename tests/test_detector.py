@@ -34,6 +34,7 @@ from flowgate.detector import (
     write_thresholds,
 )
 from flowgate.features import N_FEATURES
+from flowgate.worlds import ContentionGraph
 
 
 # ---------------------------------------------------------------------------
@@ -460,17 +461,9 @@ def test_session_noise_requires_seed_and_is_reproducible():
     assert [r.v for r in a] != [r.v for r in c]
 
 
-class _StubGraph:
-    def __init__(self, flow_ids, weights, rho):
-        self.flow_ids = list(flow_ids)
-        self.weights = np.asarray(weights, dtype=np.float64)
-        self.flow_pos = {f: i for i, f in enumerate(self.flow_ids)}
-        self.spectral_radius = rho
-        self.clique_of = {f: 0 for f in flow_ids}
-
-
 def test_session_coupling_lags_and_perturbs():
-    graph = _StubGraph([1, 2], [[0.0, 0.5], [0.5, 0.0]], rho=0.5)
+    graph = ContentionGraph({0: [1, 2]}, {0: [[0.0, 0.5], [0.5, 0.0]]},
+                            (0.4, 0.6))
     feeds = {1: lambda w: (1.0,) * N_FEATURES, 2: lambda w: (1.0,) * N_FEATURES}
     coupled = run_session(
         small_session(params=DetectorParams(g=0.2, lam=1.0), graph=graph),
@@ -481,6 +474,42 @@ def test_session_coupling_lags_and_perturbs():
     first_p = [r for r in plain if r.window == 0]
     assert [r.v for r in first_c] == [r.v for r in first_p]
     assert [r.v for r in coupled] != [r.v for r in plain]
+
+
+def test_session_coupling_matches_per_row_oracle():
+    # I_i(t) = g * sum_j w_ij S_j(t - 1 - tau), with S_j = 0 when flow j had
+    # no row at that window; flow 9 is outside the graph and gets no drive
+    W = [[0.0, 0.5, 0.25], [0.5, 0.0, 0.75], [0.25, 0.75, 0.0]]
+    graph = ContentionGraph({0: [1, 2, 3]}, {0: W}, (0.0, 1.5))
+    params = DetectorParams(g=0.3, tau=1, lam=1.0)
+    session = small_session(params=params, graph=graph)
+    idx = {1: 0, 2: 1, 3: 2}
+    records = []
+    for w in range(40):
+        rows = [(1, "sensor", (float(w % 5),) * N_FEATURES),
+                (9, "sensor", (float(w % 3),) * N_FEATURES)]
+        if w >= 6:
+            rows.insert(1, (2, "sensor", (float(w % 7),) * N_FEATURES))
+        if w % 4 != 1:
+            rows.append((3, "sensor", (float(w % 2),) * N_FEATURES))
+        records.extend(session.process_window(w, rows))
+    by = {(r.flow_id, r.window): r for r in records}
+    checked = 0
+    for (f, w), r in by.items():
+        nxt = by.get((f, w + 1))
+        if nxt is None:
+            continue
+        lag = 1 + params.tau
+        drive = 0.0
+        if f in idx and w >= lag:
+            drive = params.g * sum(
+                W[idx[f]][idx[j]] * by[(j, w - lag)].S
+                for j in idx if (j, w - lag) in by)
+        v_next, u_next = step(r.v, r.u, r.E, drive, params)
+        assert nxt.v == pytest.approx(v_next, rel=1e-12, abs=1e-15), (f, w)
+        assert nxt.u == pytest.approx(u_next, rel=1e-12, abs=1e-15), (f, w)
+        checked += 1
+    assert checked > 100
 
 
 def test_derive_flags_matches_session():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from flowgate.features import (
     write_features_csv,
 )
 from flowgate.trace import BENIGN, FlowInfo, FlowKey, Trace
+from flowgate.worlds import ContentionGraph
 
 
 def flow_table(n):
@@ -36,10 +38,17 @@ def trace_of(ts, fid, ln, cq=None, n_flows=None, H=4, window_us=250_000):
                  flow_table(n_flows), H, window_us)
 
 
+def one_clique(tr, W=None):
+    """All of the trace's flows in clique 0, zero weights unless given."""
+    n = len(tr.flow_table)
+    return ContentionGraph({0: sorted(tr.flow_table)},
+                           {0: np.zeros((n, n)) if W is None else W}, (0.0, 1.0))
+
+
 def test_windowize_hand_example():
     # two packets at 0 ms and 100 ms, 500 B each, in a 250 ms window
     tr = trace_of([0, 100_000], [0, 0], [500, 500])
-    tab = windowize(tr)
+    tab = windowize(tr, one_clique(tr))
     r = tab.row(0, 0)
     assert r.pkt_count == 2
     assert r.pkt_rate == pytest.approx(8.0)
@@ -60,7 +69,7 @@ def test_windowize_hand_example():
 def test_windowize_iat_is_within_window_only():
     # consecutive packets in different windows contribute no IAT
     tr = trace_of([240_000, 260_000], [0, 0], [500, 500])
-    tab = windowize(tr)
+    tab = windowize(tr, one_clique(tr))
     assert tab.row(0, 0).iat_mean_s is None
     assert tab.row(0, 1).iat_mean_s is None
 
@@ -69,7 +78,7 @@ def test_windowize_iat_cv():
     # IATs 100 ms and 300 ms: mean 0.2 s, population std 0.1 s, cv 0.5
     tr = trace_of([0, 100_000, 400_000], [0, 0, 0], [500, 500, 500],
                   H=4, window_us=500_000)
-    tab = windowize(tr)
+    tab = windowize(tr, one_clique(tr))
     r = tab.row(0, 0)
     assert r.iat_mean_s == pytest.approx(0.2)
     assert r.iat_cv == pytest.approx(0.5)
@@ -77,7 +86,7 @@ def test_windowize_iat_cv():
 
 def test_single_packet_window_has_missing_iat_and_zero_pacing():
     tr = trace_of([10], [0], [500])
-    r = windowize(tr).row(0, 0)
+    r = windowize(tr, one_clique(tr)).row(0, 0)
     assert r.pkt_count == 1
     assert r.iat_mean_s is None
     assert r.iat_cv is None
@@ -96,12 +105,53 @@ def test_pacing_index_frozen_examples():
 def test_pacing_index_in_windowized_table():
     # 4 packets all inside the first micro-bin of window 0 (B=10 -> bin 25 ms)
     tr = trace_of([0, 5_000, 10_000, 15_000], [0, 0, 0, 0], [100] * 4)
-    tab = windowize(tr, micro_bins=10)
+    tab = windowize(tr, one_clique(tr), micro_bins=10)
     assert tab.row(0, 0).pacing_index == pytest.approx(1.0)
     # 4 packets spread across 4 distinct micro-bins -> 0
     tr2 = trace_of([0, 30_000, 60_000, 90_000], [0, 0, 0, 0], [100] * 4)
-    tab2 = windowize(tr2, micro_bins=10)
+    tab2 = windowize(tr2, one_clique(tr2), micro_bins=10)
     assert tab2.row(0, 0).pacing_index == pytest.approx(0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 999_999), st.integers(0, 2)),
+                max_size=120),
+       st.integers(2, 12))
+def test_pacing_matches_per_cell_oracle(packets, B):
+    # the occupied-bin kernel against explicit bin counts for every cell
+    packets.sort()
+    ts = [t for t, _ in packets]
+    fid = [f for _, f in packets]
+    tr = trace_of(ts, fid, [100] * len(ts), n_flows=3)
+    tab = windowize(tr, one_clique(tr), micro_bins=B)
+    for fi in range(3):
+        for w in range(tr.horizon_windows):
+            bins = [0] * B
+            for t, f in packets:
+                if f == fi and t // tr.window_us == w:
+                    bins[(t - w * tr.window_us) * B // tr.window_us] += 1
+            expect = pacing_index_from_counts(bins, sum(bins))
+            assert tab.pacing[fi, w] == pytest.approx(expect, rel=1e-12,
+                                                      abs=1e-12)
+
+
+def test_windowize_memory_does_not_grow_with_micro_bins():
+    rng = np.random.default_rng(11)
+    n = 20_000
+    tr = trace_of(np.sort(rng.integers(0, 75_000_000, n)),
+                  rng.integers(0, 20, n), rng.integers(64, 1500, n),
+                  n_flows=20, H=300)
+    g = one_clique(tr)
+
+    def peak(micro_bins):
+        tracemalloc.start()
+        try:
+            windowize(tr, g, micro_bins=micro_bins)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(100) < 1.5 * peak(10)
 
 
 def test_contention_features_hand_example():
@@ -117,13 +167,6 @@ def test_contention_features_hand_example():
     assert share == 0.0
 
 
-class _StubGraph:
-    def __init__(self, flow_ids, weights, clique_of):
-        self.flow_ids = flow_ids
-        self.weights = weights
-        self.clique_of = clique_of
-
-
 def test_windowize_contention_columns():
     # flows 0,1 share clique 0 with w01 = w10 = 0.5; flow 1 sends 1000 B/s
     ts = [0, 0]
@@ -131,8 +174,7 @@ def test_windowize_contention_columns():
     ln = [500, 250]
     tr = trace_of(ts, fid, ln, n_flows=2)
     W = np.array([[0.0, 0.5], [0.5, 0.0]])
-    g = _StubGraph([0, 1], W, {0: 0, 1: 0})
-    tab = windowize(tr, graph=g)
+    tab = windowize(tr, one_clique(tr, W))
     r0 = tab.row(0, 0)
     assert r0.clique_rate_share == pytest.approx(500 / 750)
     assert r0.interference_index == pytest.approx(0.5 * (250 / 0.25))
@@ -149,10 +191,10 @@ def test_windowize_causality():
     fid = rng.integers(0, 3, n)
     ln = rng.integers(64, 1500, n)
     tr = trace_of(ts, fid, ln, n_flows=3)
-    full = windowize(tr)
+    full = windowize(tr, one_clique(tr))
     cut = 500_000  # keep windows 0..1
     tr2 = tr.subset(tr.ts_us < cut)
-    part = windowize(tr2)
+    part = windowize(tr2, one_clique(tr2))
     for arr in ("pkt_count", "byte_rate", "pacing", "share"):
         a = getattr(full, arr)[:, :2]
         b = getattr(part, arr)[:, :2]
@@ -161,7 +203,7 @@ def test_windowize_causality():
 
 def test_every_flow_gets_rows_even_without_packets():
     tr = trace_of([0], [0], [500], n_flows=3)
-    tab = windowize(tr)
+    tab = windowize(tr, one_clique(tr))
     rows = list(tab.iter_rows())
     assert len(rows) == 3 * 4
     # ordering is (window, flow)
@@ -170,7 +212,7 @@ def test_every_flow_gets_rows_even_without_packets():
 
 def test_features_csv_round_trip(tmp_path):
     tr = trace_of([0, 100_000, 400_000], [0, 1, 0], [500, 300, 700], n_flows=2)
-    tab = windowize(tr)
+    tab = windowize(tr, one_clique(tr))
     p = tmp_path / "features.csv"
     write_features_csv(p, tab)
     rows = read_features_csv(p)

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import wasserstein_distance
 
-from flowgate.trace import BENIGN, MALICIOUS, Budgets, FlowInfo, validate_trace
+from flowgate.trace import (BENIGN, MALICIOUS, Budgets, FlowInfo, Trace,
+                            validate_trace)
 from flowgate.worlds import (
     BenignFlowSpec,
     BenignIatReference,
@@ -21,11 +22,13 @@ from flowgate.worlds import (
     LocalInfeasibility,
     REF_CAP,
     WorldConfig,
+    _SALT_GRAPH,
     _gen_bulk,
     _largest_remainder,
     audit_budgets,
     build_contention_graph,
     build_world,
+    check_trace,
     clique_baseline_delay,
     enforce_contention,
     gen_benign_flow,
@@ -34,12 +37,13 @@ from flowgate.worlds import (
     pool_class_iats,
     project_iats,
     repair_sizes,
-    spectral_radius_power,
+    spectral_radius,
     w1_empirical,
     write_world,
 )
 
 LEN_BOUNDS = (64, 1500)
+REPO = Path(__file__).resolve().parents[1]
 
 
 # ---------------------------------------------------------------------------
@@ -151,21 +155,62 @@ def test_generator_rejects_bad_params():
 # contention graph
 
 
+def dense_weights(g):
+    """The full W assembled from the graph's blocks, in graph order."""
+    pos = {f: i for i, f in enumerate(g.flow_ids)}
+    W = np.zeros((len(pos), len(pos)))
+    for c, fs in g.cliques.items():
+        idx = [pos[f] for f in fs]
+        W[np.ix_(idx, idx)] = g.blocks[c]
+    return W
+
+
 def test_graph_shape_and_band():
     clique_of = {1: 0, 2: 0, 3: 0, 4: 1, 5: 1, 9: 2}
     g = build_contention_graph(clique_of, (0.4, 0.6),
                                np.random.default_rng(7))
-    W = g.weights
+    assert g.flow_ids == [1, 2, 3, 4, 5, 9]
+    assert g.cliques == {0: [1, 2, 3], 1: [4, 5], 2: [9]}
+    assert g.clique_of == clique_of
+    W = dense_weights(g)
     assert np.array_equal(W, W.T)
     assert np.all(np.diag(W) == 0.0)
     # zero across cliques
-    p = g.flow_pos
-    assert W[p[1], p[4]] == 0.0 and W[p[3], p[9]] == 0.0
-    assert W[p[1], p[2]] > 0.0
+    assert W[0, 3] == 0.0 and W[2, 5] == 0.0
+    assert W[0, 1] > 0.0
     assert 0.4 <= g.spectral_radius <= 0.6
-    # power iteration against a dense eigensolver
     assert g.spectral_radius == pytest.approx(
-        float(np.max(np.abs(np.linalg.eigvalsh(W)))), rel=1e-7)
+        float(np.max(np.abs(np.linalg.eigvalsh(W)))), rel=1e-12)
+    # one uniform per member pair, clique by clique, row-major, one scale
+    rng = np.random.default_rng(7)
+    draws = [rng.uniform(0.5, 1.0) for _ in range(3 + 1)]
+    upper = [W[0, 1], W[0, 2], W[1, 2], W[3, 4]]
+    assert np.allclose(np.divide(upper, draws), upper[0] / draws[0],
+                       rtol=1e-15, atol=0.0)
+    # the block kernel against the dense product
+    x = np.random.default_rng(1).uniform(0.0, 1e4, (6, 3))
+    assert np.allclose(g.matvec(x), W @ x, rtol=1e-14, atol=0.0)
+    assert np.allclose(g.matvec(x[:, 0]), W @ x[:, 0], rtol=1e-14, atol=0.0)
+
+
+def test_graph_rho_exact_on_demo_world():
+    cfg = WorldConfig.from_json(REPO / "configs" / "demo_world.json")
+    clique_of = {f.flow_id: f.clique_id for f in cfg.benign_flows}
+    clique_of.update({e.flow_id: e.clique_id for e in cfg.episodes})
+    # the graph build_world draws for world seed 1
+    g = build_contention_graph(clique_of, cfg.rho_band,
+                               np.random.default_rng([1, _SALT_GRAPH]))
+    stored = json.loads(json.dumps(g.to_dict()))["spectral_radius"]
+    exact = float(np.linalg.eigvalsh(dense_weights(g))[-1])
+    assert stored == pytest.approx(exact, rel=1e-12)
+
+
+def test_graph_json_grows_with_clique_blocks():
+    # 1,000 flows in cliques of 10: a dense W would be 10^6 numbers
+    g = build_contention_graph({f: f // 10 for f in range(1000)}, (0.4, 0.6),
+                               np.random.default_rng(3))
+    text = json.dumps(g.to_dict(), sort_keys=True, indent=2) + "\n"
+    assert len(text.encode()) < 500_000
 
 
 def test_graph_singleton_cliques_error_names_band():
@@ -179,22 +224,42 @@ def test_graph_zero_band_singletons_ok():
     g = build_contention_graph({1: 0, 2: 1}, (0.0, 0.0),
                                np.random.default_rng(9))
     assert g.spectral_radius == 0.0
-    assert np.all(g.weights == 0.0)
+    assert all(np.all(b == 0.0) for b in g.blocks.values())
 
 
 def test_graph_dict_round_trip():
     g = build_contention_graph({1: 0, 2: 0, 3: 1, 4: 1}, (0.3, 0.5),
                                np.random.default_rng(10))
-    g2 = type(g).from_dict(json.loads(json.dumps(g.to_dict())))
+    d = g.to_dict()
+    assert set(d) == {"cliques", "spectral_radius", "rho_band"}
+    assert set(d["cliques"]["0"]) == {"flows", "weights"}
+    g2 = type(g).from_dict(json.loads(json.dumps(d)))
     assert g2.flow_ids == g.flow_ids
-    assert np.array_equal(g2.weights, g.weights)
     assert g2.cliques == g.cliques
+    assert all(np.array_equal(g2.blocks[c], g.blocks[c]) for c in g.cliques)
     assert g2.spectral_radius == g.spectral_radius
+    # blocks that break the exact-rho premise, or a flow in two cliques
+    with pytest.raises(ValueError, match="symmetric and nonnegative"):
+        type(g)({0: [1, 2]}, {0: [[0.0, 1.0], [0.5, 0.0]]}, (0.3, 0.5))
+    with pytest.raises(ValueError, match="symmetric and nonnegative"):
+        type(g)({0: [1, 2]}, {0: [[0.0, -1.0], [-1.0, 0.0]]}, (0.3, 0.5))
+    with pytest.raises(ValueError, match="listed twice"):
+        type(g)({0: [1, 2], 1: [2]}, {0: np.zeros((2, 2)), 1: [[0.0]]},
+                (0.3, 0.5))
+    # a world written with a dense W is refused with a reason
+    with pytest.raises(ValueError, match="dense W"):
+        type(g).from_dict({"flow_ids": [1, 2], "weights": [[0, 1], [1, 0]],
+                           "cliques": {"0": [1, 2]}, "spectral_radius": 1.0,
+                           "rho_band": [0.3, 0.5]})
 
 
-def test_power_iteration_known_matrix():
-    W = np.array([[0.0, 2.0], [2.0, 0.0]])
-    assert spectral_radius_power(W) == pytest.approx(2.0, rel=1e-8)
+def test_spectral_radius_known_matrix():
+    assert spectral_radius([np.array([[0.0, 2.0], [2.0, 0.0]])]) == \
+        pytest.approx(2.0, rel=1e-12)
+    # the largest over the blocks; singleton and empty blocks add nothing
+    assert spectral_radius([np.ones((3, 3)), np.zeros((1, 1)),
+                            np.zeros((0, 0))]) == pytest.approx(3.0, rel=1e-12)
+    assert spectral_radius([]) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -571,10 +636,32 @@ def test_world_round_trip(demo_world, tmp_path):
     assert back.labels == demo_world.labels
     assert back.references == demo_world.references
     assert back.manifest == demo_world.manifest
-    assert np.array_equal(back.graph.weights, demo_world.graph.weights)
+    assert back.graph.to_dict() == demo_world.graph.to_dict()
     assert [o.to_dict() for o in back.feasibility] == \
         [o.to_dict() for o in demo_world.feasibility]
     assert back.config.to_dict() == demo_world.config.to_dict()
+
+
+def test_check_trace_names_the_flow(demo_world):
+    tr, g = demo_world.trace, demo_world.graph
+    check_trace(tr, g)
+
+    def with_first(flow_id, clique_id):
+        fid, cq = tr.flow_id.copy(), tr.clique_id.copy()
+        fid[0], cq[0] = flow_id, clique_id
+        return Trace(tr.ts_us, fid, tr.len_bytes, cq, tr.flow_table,
+                     tr.horizon_windows, tr.window_us)
+
+    with pytest.raises(ValueError, match="flow 999 is not in"):
+        check_trace(with_first(999, 0), g)
+    f = int(tr.flow_id[0])
+    with pytest.raises(ValueError, match=f"flow {f} is tagged clique 7"):
+        check_trace(with_first(f, 7), g)
+    table = dict(tr.flow_table)
+    table[999] = table[f]
+    with pytest.raises(ValueError, match="list different flows"):
+        check_trace(Trace(tr.ts_us, tr.flow_id, tr.len_bytes, tr.clique_id,
+                          table, tr.horizon_windows, tr.window_us), g)
 
 
 def test_world_no_episodes_all_benign():
