@@ -12,6 +12,14 @@ the change instant; already-tagged packets keep their tags.
 
 Delay of a packet is the wait until service start; the completion instant is
 also logged. Buffers are unbounded and the server is work-conserving.
+
+Kernel layout: one kernel serves every clique. For a clique's packets, in
+arrival order, it computes the tag increments len / (weight * capacity),
+with weights from WeightSchedule.weights, and the service times once, as
+numpy arrays; the heap loop then runs over plain Python floats and serves
+tag ties in arrival order. Precondition: arrival times are nondecreasing
+within each clique (worlds.check_trace refuses a trace.csv that is not
+sorted); otherwise the loop gives wrong delays without an error.
 """
 
 from __future__ import annotations
@@ -61,16 +69,24 @@ class WeightSchedule:
     def entries(self, flow_id: int) -> list[tuple[int, float]]:
         return self._entries.get(flow_id, [(0, self.default_weight)])
 
-    def weight_at(self, flow_id: int, t_us: int) -> float:
-        ent = self._entries.get(flow_id)
-        if ent is None:
-            return self.default_weight
-        w = ent[0][1]
-        for t0, wt in ent:
-            if t0 <= t_us:
-                w = wt
-            else:
-                break
+    def weights(self, flow_id, t_us) -> np.ndarray:
+        """Weight in force for each packet (flow_id[k], t_us[k]).
+
+        That is the last entry of the flow with from_us <= t_us, so of two
+        entries at one instant the later one holds (a time before 0 takes
+        the first entry).
+        """
+        flow_id = np.asarray(flow_id, dtype=np.int64)
+        t_us = np.asarray(t_us, dtype=np.int64)
+        w = np.full(t_us.shape, self.default_weight)
+        for f in np.unique(flow_id).tolist():
+            ent = self._entries.get(f)
+            if ent is None:
+                continue
+            m = flow_id == f
+            froms, ws = zip(*ent)
+            pos = np.searchsorted(froms, t_us[m], side="right") - 1
+            w[m] = np.asarray(ws)[pos.clip(0)]
         return w
 
     def flows(self) -> list[int]:
@@ -122,55 +138,50 @@ def replay(trace: Trace, capacity_bps: float,
 
     for c in np.unique(cq):
         idx = np.flatnonzero(cq == c)
-        _replay_clique(idx, ts, fid, ln, cap, schedule, dequeue, complete)
+        dequeue[idx], complete[idx] = _replay_clique(
+            ts[idx], fid[idx], ln[idx], cap, schedule)
 
     benign = np.isin(fid, [f for f, info in trace.flow_table.items()
                            if info.label == BENIGN])
     return QueueEventLog(fid, cq, ts, dequeue, complete, benign)
 
 
-def _replay_clique(idx, ts, fid, ln, cap, schedule, dequeue, complete) -> None:
-    n = idx.shape[0]
-    heap: list[tuple[float, int, int]] = []
+def _replay_clique(t, f, l, cap, schedule):
+    """SCFQ service of one clique's packets, given in arrival order.
+
+    Returns the (dequeue_us, complete_us) arrays aligned with the input.
+    """
+    inc_us = l / (schedule.weights(f, t) * cap)
+    svc_us = l * (1e6 / cap)  # service microseconds
+    dequeue = np.empty(t.shape)
+    # memoryviews read and write plain Python floats without a per-packet
+    # list of float objects; microseconds stay exact in doubles below 2**53
+    t, inc, svc = map(memoryview, (t.astype(np.float64), inc_us, svc_us))
+    out = memoryview(dequeue)
+    f = f.tolist()
+    n = len(f)
+    heap: list[tuple[float, int]] = []  # (tag, arrival rank): ties go FIFO
+    # local names: the loop below runs once per packet
+    push, pop = heapq.heappush, heapq.heappop
     last_finish: dict[int, float] = {}
-    # per-flow cursor into its weight schedule; arrivals are time-ordered per flow
-    sched_pos: dict[int, int] = {}
+    prev_finish = last_finish.get
     virtual = 0.0
     t_free = 0.0
     i = 0
-    seq = 0
-    us = 1e6 / cap  # service microseconds per byte
-
     while i < n or heap:
-        if not heap:
-            nxt = float(ts[idx[i]])
-            if nxt > t_free:
-                t_free = nxt
-        while i < n and ts[idx[i]] <= t_free:
-            j = int(idx[i])
-            f = int(fid[j])
-            ent = schedule._entries.get(f)
-            if ent is None:
-                w = schedule.default_weight
-            else:
-                p = sched_pos.get(f, 0)
-                t_arr = int(ts[j])
-                while p + 1 < len(ent) and ent[p + 1][0] <= t_arr:
-                    p += 1
-                sched_pos[f] = p
-                w = ent[p][1]
-            tag = max(virtual, last_finish.get(f, 0.0)) + ln[j] / (w * cap)
-            last_finish[f] = tag
-            heapq.heappush(heap, (tag, seq, j))
-            seq += 1
+        if not heap and t[i] > t_free:
+            t_free = t[i]
+        while i < n and t[i] <= t_free:
+            prev = prev_finish(f[i], 0.0)
+            tag = (virtual if virtual >= prev else prev) + inc[i]
+            last_finish[f[i]] = tag
+            push(heap, (tag, i))
             i += 1
-        if not heap:
-            continue
-        tag, _, j = heapq.heappop(heap)
-        virtual = tag
-        dequeue[j] = t_free
-        t_free = t_free + ln[j] * us
-        complete[j] = t_free
+        virtual, k = pop(heap)
+        out[k] = t_free
+        t_free += svc[k]
+    # t_free advanced by exactly these additions, so completions are exact
+    return dequeue, dequeue + svc_us
 
 
 def gate_controller(actionable: dict[int, np.ndarray], config: GateConfig,
@@ -253,14 +264,19 @@ def clique_mean_delay(log: QueueEventLog, clique_id: int) -> float:
 
 QUEUE_LOG_HEADER = "flow_id,clique_id,enqueue_us,dequeue_us,complete_us,benign"
 SCHEDULE_HEADER = "flow_id,from_us,weight"
+_WRITE_BLOCK = 1 << 12  # queue-log rows formatted per write
 
 
 def write_queue_log(path, log: QueueEventLog) -> None:
-    cols = np.column_stack([log.flow_id, log.clique_id, log.enqueue_us,
-                            log.dequeue_us, log.complete_us,
-                            log.benign.astype(np.int64)])
-    np.savetxt(path, cols, fmt=["%d", "%d", "%d", "%.17g", "%.17g", "%d"],
-               delimiter=",", header=QUEUE_LOG_HEADER, comments="")
+    row = "%d,%d,%d,%.17g,%.17g,%d\n"
+    cols = (log.flow_id, log.clique_id, log.enqueue_us, log.dequeue_us,
+            log.complete_us, log.benign)
+    with open(path, "w") as fh:
+        fh.write(QUEUE_LOG_HEADER + "\n")
+        # formatted in blocks, so memory does not grow with the log
+        for s in range(0, log.n, _WRITE_BLOCK):
+            rows = zip(*(c[s:s + _WRITE_BLOCK].tolist() for c in cols))
+            fh.write("".join([row % r for r in rows]))
 
 
 def read_queue_log(path) -> QueueEventLog:

@@ -1047,7 +1047,8 @@ def check_trace(trace: Trace, graph: ContentionGraph) -> None:
 
     Every packet's flow must be in both, and its clique tag must be the
     graph's clique for that flow: replay serves a packet by its tag, while
-    the features read the graph.
+    the features read the graph. Arrivals must be nondecreasing: replay
+    and the inter-arrival features read them in file order.
     """
     if sorted(trace.flow_table) != graph.flow_ids:
         raise ValueError("flows.csv and contention.json list different flows")
@@ -1066,6 +1067,12 @@ def check_trace(trace: Trace, graph: ContentionGraph) -> None:
             f"trace.csv: flow {trace.flow_id[i]} is tagged clique "
             f"{trace.clique_id[i]}, but contention.json puts it in clique "
             f"{cq[pos[i]]}")
+    back = np.flatnonzero(np.diff(trace.ts_us) < 0)
+    if back.size:
+        k = int(back[0]) + 1
+        raise ValueError(
+            f"trace.csv: packet {k} at ts {trace.ts_us[k]} precedes packet "
+            f"{k - 1} at ts {trace.ts_us[k - 1]}")
 
 
 def load_world(world_dir) -> World:

@@ -130,7 +130,8 @@ def test_criterion_1_calibration_fidelity():
 # criterion 2: budget enforcement confirmed by an independent audit
 
 
-def _audit_world(seed: int):
+def _audit_config(seed: int, horizon_windows: int = 400) -> WorldConfig:
+    """The budget-audit world; episode spans keep their share of the horizon."""
     flows = []
     fid = 1
     # three light cliques: bulk pairs plus one interactive, far below capacity
@@ -191,12 +192,18 @@ def _audit_world(seed: int):
     eps = []
     for j, (clique, kind, budgets, (ck, cp), op) in enumerate(specs):
         cls = "interactive" if ck == "interactive_burst" else "bulk"
-        eps.append(EpisodeSpec(100 + j, cls, clique, kind, 120, 320,
+        eps.append(EpisodeSpec(100 + j, cls, clique, kind,
+                               120 * horizon_windows // 400,
+                               320 * horizon_windows // 400,
                                budgets, ck, cp, op))
-    cfg = WorldConfig(world_id=f"audit-{seed}", seed=seed, horizon_windows=400,
-                      window_us=250_000, capacity_bps=125_000.0,
-                      benign_flows=flows, episodes=eps)
-    return build_world(cfg, seed)
+    return WorldConfig(world_id=f"audit-{seed}", seed=seed,
+                       horizon_windows=horizon_windows, window_us=250_000,
+                       capacity_bps=125_000.0, benign_flows=flows,
+                       episodes=eps)
+
+
+def _audit_world(seed: int):
+    return build_world(_audit_config(seed), seed)
 
 
 def test_criterion_2_budget_audit():

@@ -215,6 +215,22 @@ def test_clique_tag_disagreeing_with_graph_is_refused(pipe, tmp_path, capsys):
     assert "trace.csv" in err and f"flow {flow} " in err and "clique 7" in err
 
 
+def test_unsorted_trace_is_refused(pipe, tmp_path, capsys):
+    broken = tmp_path / "world_unsorted"
+    shutil.copytree(pipe["world"], broken)
+    lines = (broken / "trace.csv").read_text().splitlines()
+    ts = [int(line.split(",")[0]) for line in lines[1:]]
+    k = next(i for i in range(1, len(ts)) if ts[i] > ts[i - 1])
+    lines[k], lines[k + 1] = lines[k + 1], lines[k]  # packets k-1 and k
+    (broken / "trace.csv").write_text("\n".join(lines) + "\n")
+    for argv in (["replay", "--mode", "base", "--out", str(tmp_path / "r")],
+                 ["detect", "--out", str(tmp_path / "d")]):
+        assert main([*argv, "--world", str(broken)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"trace.csv: packet {k} at ts {ts[k - 1]} precedes" in err
+
+
 def test_quantile_precedence_flag_file_default(pipe, tmp_path, capsys):
     params = tmp_path / "params.json"
     params.write_text(json.dumps({"quantile": 0.95}))

@@ -1,3 +1,5 @@
+import heapq
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,8 @@ from flowgate.wfq import (
     write_queue_log,
     write_schedule,
 )
+from flowgate.worlds import build_world
+from test_acceptance import _audit_config
 
 
 def flow_table(n, labels=None):
@@ -201,7 +205,30 @@ def test_gate_controller_quiet_flow_untouched():
     cfg = GateConfig()
     sched = gate_controller({5: np.zeros(10, dtype=bool)}, cfg, window_us=250_000)
     assert sched.entries(5) == [(0, cfg.omega_0)]
-    assert sched.weight_at(5, 123456) == cfg.omega_0
+    assert sched.weights([5], [123456]).tolist() == [cfg.omega_0]
+
+
+def test_gate_controller_release_rounding_onto_next_start_ties():
+    # the first release, 499999.5 us, ceil-rounds onto the second span's
+    # start: two entries share from_us, and the later one holds from there
+    z = np.array([True, False, True, False, False, False])
+    cfg = GateConfig(omega_0=1.0, omega_minus=0.1, t_g_s=0.4999995)
+    sched = gate_controller({4: z}, cfg, window_us=250_000)
+    assert sched.entries(4) == [(0, 0.1), (500_000, 1.0), (500_000, 0.1),
+                                (1_000_000, 1.0)]
+    t = [0, 499_999, 500_000, 999_999, 1_000_000]
+    assert sched.weights(np.full(5, 4), t).tolist() == [0.1, 0.1, 0.1, 0.1,
+                                                        1.0]
+
+
+def test_weights_per_packet_lookup():
+    sched = WeightSchedule(default_weight=2.0)
+    sched.set_entries(1, [(0, 1.0), (10, 0.5), (10, 0.25), (20, 1.0)])
+    fid = np.array([1, 3, 1, 1, 1, 1, 3])
+    t = np.array([0, 5, 9, 10, 19, 20, 99])
+    assert sched.weights(fid, t).tolist() == [1.0, 2.0, 1.0, 0.25, 0.25,
+                                              1.0, 2.0]
+    assert sched.weights(fid[:0], t[:0]).shape == (0,)
 
 
 def test_gate_config_validation():
@@ -296,5 +323,130 @@ def test_schedule_round_trip(tmp_path):
     back = read_schedule(p)
     assert back.entries(2) == sched.entries(2)
     assert back.entries(9) == sched.entries(9)
-    assert back.weight_at(2, 600_000) == 0.05
-    assert back.weight_at(2, 400_000) == 1.0
+    assert back.weights([2, 2, 7], [600_000, 400_000, 0]).tolist() == [
+        0.05, 1.0, 1.0]
+
+
+# ---------------------------------------------------------------------------
+# differential oracle: the scalar heap loop that served every clique before
+# the array-prepared kernel; both must give bit-identical service instants
+
+
+def oracle_replay(trace, capacity_bps, schedule=None):
+    if schedule is None:
+        schedule = WeightSchedule()
+    n = trace.n_packets
+    dequeue = np.empty(n, dtype=np.float64)
+    complete = np.empty(n, dtype=np.float64)
+    cq = trace.clique_id
+    for c in np.unique(cq):
+        idx = np.flatnonzero(cq == c)
+        _replay_clique(idx, trace.ts_us, trace.flow_id, trace.len_bytes,
+                       float(capacity_bps), schedule, dequeue, complete)
+    return dequeue, complete
+
+
+def _replay_clique(idx, ts, fid, ln, cap, schedule, dequeue, complete) -> None:
+    n = idx.shape[0]
+    heap: list[tuple[float, int, int]] = []
+    last_finish: dict[int, float] = {}
+    # per-flow cursor into its weight schedule; arrivals are time-ordered per flow
+    sched_pos: dict[int, int] = {}
+    virtual = 0.0
+    t_free = 0.0
+    i = 0
+    seq = 0
+    us = 1e6 / cap  # service microseconds per byte
+
+    while i < n or heap:
+        if not heap:
+            nxt = float(ts[idx[i]])
+            if nxt > t_free:
+                t_free = nxt
+        while i < n and ts[idx[i]] <= t_free:
+            j = int(idx[i])
+            f = int(fid[j])
+            ent = schedule._entries.get(f)
+            if ent is None:
+                w = schedule.default_weight
+            else:
+                p = sched_pos.get(f, 0)
+                t_arr = int(ts[j])
+                while p + 1 < len(ent) and ent[p + 1][0] <= t_arr:
+                    p += 1
+                sched_pos[f] = p
+                w = ent[p][1]
+            tag = max(virtual, last_finish.get(f, 0.0)) + ln[j] / (w * cap)
+            last_finish[f] = tag
+            heapq.heappush(heap, (tag, seq, j))
+            seq += 1
+            i += 1
+        if not heap:
+            continue
+        tag, _, j = heapq.heappop(heap)
+        virtual = tag
+        dequeue[j] = t_free
+        t_free = t_free + ln[j] * us
+        complete[j] = t_free
+
+
+def assert_matches_oracle(trace, capacity_bps, schedule=None):
+    log = replay(trace, capacity_bps, schedule)
+    dequeue, complete = oracle_replay(trace, capacity_bps, schedule)
+    assert log.dequeue_us.tobytes() == dequeue.tobytes()
+    assert log.complete_us.tobytes() == complete.tobytes()
+
+
+LENGTHS = (64, 100, 128, 1500)
+# gaps of 0 give equal timestamps; gaps equal to sums of lengths put
+# arrivals exactly at completion instants when service is 1 us per byte
+GAPS = (0, 0, 1, 36, 64, 100, 128, 164, 228, 1500, 4000)
+
+
+@st.composite
+def replay_case(draw):
+    n_flows = draw(st.integers(1, 5))
+    clique_of = draw(st.lists(st.integers(0, 2), min_size=n_flows,
+                              max_size=n_flows))
+    packets = draw(st.lists(st.tuples(st.sampled_from(GAPS),
+                                      st.integers(0, n_flows - 1),
+                                      st.sampled_from(LENGTHS)),
+                            min_size=1, max_size=60))
+    ts = np.cumsum([g for g, _, _ in packets]).astype(np.int64)
+    fid = np.array([f for _, f, _ in packets], dtype=np.int64)
+    ln = np.array([l for _, _, l in packets], dtype=np.int64)
+    cq = np.array([clique_of[f] for f in fid], dtype=np.int64)
+    trace = Trace(ts, fid, ln, cq, flow_table(n_flows), 4000, 250_000)
+    capacity = draw(st.sampled_from([1e6, 40_000.0]))
+    schedule = WeightSchedule(default_weight=draw(st.sampled_from([1.0, 0.5])))
+    instants = sorted(set(ts.tolist()) | {1, 50})
+    weight = st.sampled_from([1.0, 0.05, 0.3, 3.0])
+    for f in range(n_flows):
+        if draw(st.booleans()):
+            # changes at arrival instants, possibly two at one instant
+            froms = sorted(draw(st.lists(st.sampled_from(instants),
+                                         max_size=4)))
+            schedule.set_entries(f, [(0, draw(weight))]
+                                 + [(t, draw(weight)) for t in froms])
+    return trace, capacity, schedule
+
+
+@settings(max_examples=300, deadline=None)
+@given(replay_case())
+def test_kernel_matches_scalar_oracle_bitwise(case):
+    trace, capacity, schedule = case
+    assert_matches_oracle(trace, capacity, schedule)
+
+
+def test_kernel_matches_oracle_on_audit_world():
+    world = build_world(_audit_config(1, horizon_windows=200), 1)
+    cfg = world.config
+    assert_matches_oracle(world.trace, cfg.capacity_bps)
+    # gate every episode flow over its labelled span
+    actionable = {}
+    for lab in world.labels:
+        z = np.zeros(cfg.horizon_windows, dtype=bool)
+        z[lab.start_window:lab.end_window + 1] = True
+        actionable[lab.flow_id] = z
+    sched = gate_controller(actionable, GateConfig(), cfg.window_us)
+    assert_matches_oracle(world.trace, cfg.capacity_bps, sched)

@@ -662,6 +662,16 @@ def test_check_trace_names_the_flow(demo_world):
     with pytest.raises(ValueError, match="list different flows"):
         check_trace(Trace(tr.ts_us, tr.flow_id, tr.len_bytes, tr.clique_id,
                           table, tr.horizon_windows, tr.window_us), g)
+    k = int(np.flatnonzero(np.diff(tr.ts_us))[0]) + 1
+    order = np.arange(tr.n_packets)
+    order[[k - 1, k]] = [k, k - 1]
+    swapped = Trace(tr.ts_us[order], tr.flow_id[order], tr.len_bytes[order],
+                    tr.clique_id[order], tr.flow_table, tr.horizon_windows,
+                    tr.window_us)
+    with pytest.raises(ValueError, match=(
+            f"trace.csv: packet {k} at ts {tr.ts_us[k - 1]} precedes "
+            f"packet {k - 1} at ts {tr.ts_us[k]}$")):
+        check_trace(swapped, g)
 
 
 def test_world_no_episodes_all_benign():
