@@ -134,35 +134,34 @@ def cmd_detect(args) -> int:
     burn_in = int(round(manifest.split[0] * config.horizon_windows))
     print(f"burn_in_windows={burn_in}")
 
-    session = DetectorSession(params, burn_in_windows=burn_in,
-                              quantile=quantile, k_persist=k, m_persist=m,
-                              w_min=w_min, graph=graph, seed=args.seed)
     table = windowize(trace, graph)
-    bucket_of = {f: trace.flow_table[f].device_class for f in table.flow_ids}
-    records = []
-    for w in range(table.horizon_windows):
-        rows = [(f, bucket_of[f], table.row(fi, w).vector())
-                for fi, f in enumerate(table.flow_ids)]
-        records.extend(session.process_window(w, rows))
+    session = DetectorSession(
+        params, table.flow_ids,
+        [trace.flow_table[f].device_class for f in table.flow_ids],
+        burn_in_windows=burn_in, quantile=quantile, k_persist=k, m_persist=m,
+        w_min=w_min, graph=graph, seed=args.seed)
+    scores = [session.process_window(w, table.x[w])
+              for w in range(table.horizon_windows)]
     session.finalize()
+    n_records = sum(len(w) for w in scores)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_scores_csv(out / "scores.csv", records)
+    write_scores_csv(out / "scores.csv", table.flow_ids, scores)
     write_thresholds(out / "thresholds.json", session)
     detect_manifest = {
         "world": manifest.to_dict(),
         "detector_params": params.to_dict(),
         "quantile": quantile, "k": k, "m": m, "w_min": w_min,
         "burn_in_windows": burn_in,
-        "n_records": len(records),
+        "n_records": n_records,
     }
     (out / "detect_manifest.json").write_text(
         json.dumps(detect_manifest, sort_keys=True, indent=2) + "\n")
     print(f"flows={len(table.flow_ids)}")
-    print(f"records={len(records)}")
-    print(f"alarms={sum(1 for r in records if r.a)}")
-    print(f"actionable={sum(1 for r in records if r.z)}")
+    print(f"records={n_records}")
+    print(f"alarms={sum(int(w.a.sum()) for w in scores)}")
+    print(f"actionable={sum(int(w.z.sum()) for w in scores)}")
     print(f"out={out}")
     return 0
 
@@ -243,10 +242,11 @@ def cmd_report(args) -> int:
 
     grace = thresholds_doc["m"]
     window_s = config.window_us * 1e-6
+    flows, buckets, stream = synthetic_feature_stream(args.bench_rows)
     timing = bench_scoring(
-        DetectorSession(DetectorParams(), burn_in_windows=40, quantile=0.99,
-                        w_min=10),
-        synthetic_feature_stream(args.bench_rows))
+        DetectorSession(DetectorParams(), flows, buckets, burn_in_windows=40,
+                        quantile=0.99, w_min=10),
+        stream)
     rep = compute_report(records, labels, thresholds_doc, feasibility,
                          base_log, gated_log, grace_windows=grace,
                          window_s=window_s, timing=timing)
@@ -268,10 +268,10 @@ def cmd_report(args) -> int:
 def cmd_bench(args) -> int:
     doc = _load_json(args.params) if args.params else {}
     params = DetectorParams.from_dict(doc.get("detector", {}))
-    session = DetectorSession(params, burn_in_windows=40, quantile=0.99,
-                              w_min=10)
-    mean, p90, mx = bench_scoring(session,
-                                  synthetic_feature_stream(args.rows))
+    flows, buckets, stream = synthetic_feature_stream(args.rows)
+    session = DetectorSession(params, flows, buckets, burn_in_windows=40,
+                              quantile=0.99, w_min=10)
+    mean, p90, mx = bench_scoring(session, stream)
     print(f"rows={args.rows}")
     print(f"mean_us_per_row={mean:.3f}")
     print(f"p90_us_per_row={p90:.3f}")

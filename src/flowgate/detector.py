@@ -9,6 +9,12 @@ turns alarms into the actionable flag that drives gating.
 Time indexing: the score at window t reads the state *before* the step that
 absorbs window t's evidence, so evidence influences scores from t+1 on. The
 memoryless baseline scores window t's evidence directly.
+
+Layout: the session is window-synchronous. Every step works on one window's
+arrays over a fixed, ordered set of flows (the rows of the window's feature
+matrix), and the dynamics, calibration and persistence functions below are
+elementwise kernels that serve one flow (scalars) and a window (arrays)
+alike.
 """
 
 from __future__ import annotations
@@ -16,14 +22,14 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import asdict, dataclass, field
-from itertools import repeat
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from flowgate.features import N_FEATURES, Normalizer, NormalizerConfig
+from flowgate.features import Normalizer, NormalizerConfig
+from flowgate.trace import write_csv
 
 W_MIN_DEFAULT = 50
 
@@ -88,8 +94,8 @@ class DetectorParams:
         return cls(**d)
 
 
-def f_sat(v: float, alpha: float, kappa: float) -> float:
-    """Saturating self-excitation alpha*v^2 / (1 + kappa*v^2)."""
+def f_sat(v, alpha: float, kappa: float):
+    """Saturating self-excitation alpha*v^2 / (1 + kappa*v^2), elementwise."""
     v2 = v * v
     return alpha * v2 / (1.0 + kappa * v2)
 
@@ -110,37 +116,61 @@ def f_sat_peak_slope(kappa: float, v_max: float) -> float:
     return slope(v_crit) if v_crit <= v_max else slope(v_max)
 
 
-def event_surrogate(v: float, k: float, theta: float) -> float:
-    """Logistic event surrogate S = 1 / (1 + exp(-k (v - theta)))."""
-    x = -k * (v - theta)
-    if x > 700.0:
-        return 0.0
-    return 1.0 / (1.0 + math.exp(x))
+def _each(fn, x):
+    """fn, a function of one float, applied to x: a float, or every element
+    of an array. Elementwise steps that need libm (numpy's SIMD exp and
+    power can differ from it by an ulp, which would move the scores' bytes)
+    or a branch go through here, so an array gives each element's scalar
+    result bit for bit."""
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(fn, x.ravel().tolist()), np.float64,
+                           x.size).reshape(x.shape)
+    return fn(x)
 
 
-def evidence(z_vec, zeta: float, p: float) -> float:
-    """Evidence drive: zeta * ||z||_p."""
+def _logistic(x: float) -> float:
+    return 0.0 if x > 700.0 else 1.0 / (1.0 + math.exp(x))
+
+
+def event_surrogate(v, k: float, theta: float):
+    """Logistic event surrogate S = 1 / (1 + exp(-k (v - theta))),
+    elementwise; 0 where -k (v - theta) > 700."""
+    return _each(_logistic, -k * (v - theta))
+
+
+def _sum_last(a: np.ndarray) -> np.ndarray:
+    """Sum over the last axis from left to right, as Python's sum adds; a
+    numpy reduction may add in pairs, which can move the last bit."""
+    total = np.zeros(a.shape[:-1])
+    for k in range(a.shape[-1]):
+        total = total + a[..., k]
+    return total
+
+
+def evidence(z, zeta: float, p: float):
+    """Evidence drive zeta * ||z||_p over the last axis of z: one row's
+    vector, or a window's (rows x features) matrix."""
+    a = np.abs(np.asarray(z, dtype=np.float64))
     if math.isinf(p):
-        return zeta * max((abs(z) for z in z_vec), default=0.0)
+        return zeta * a.max(axis=-1, initial=0.0)
     if p == 2.0:
-        return zeta * math.sqrt(sum(z * z for z in z_vec))
+        return zeta * np.sqrt(_sum_last(a * a))
     if p == 1.0:
-        return zeta * sum(abs(z) for z in z_vec)
-    return zeta * sum(abs(z) ** p for z in z_vec) ** (1.0 / p)
+        return zeta * _sum_last(a)
+    return zeta * _each(lambda t: t ** (1.0 / p),
+                        _sum_last(_each(lambda t: t ** p, a)))
 
 
-def step(v: float, u: float, drive_e: float, drive_i: float,
-         params: DetectorParams, noise: float = 0.0) -> tuple[float, float]:
-    """One Euler update of (v, u) under total drive A = E + I."""
+def step(v, u, drive_e, drive_i, params: DetectorParams, noise=0.0):
+    """One Euler update of (v, u) under total drive A = E + I, elementwise."""
     s = event_surrogate(v, params.k, params.theta)
     dv = (f_sat(v, params.alpha, params.kappa) + params.beta * v + params.gamma
           - u + drive_e + drive_i - params.lam * v
           - params.chi * (v - params.v_rest))
     v_next = v + params.dt * dv + noise - params.r * s
-    if v_next < 0.0:
-        v_next = 0.0
-    elif v_next > params.v_max:
-        v_next = params.v_max
+    v_max = params.v_max
+    v_next = _each(lambda t: 0.0 if t < 0.0 else v_max if t > v_max else t,
+                   v_next)
     u_next = u + params.dt * (params.a * params.b * v - (params.a + params.mu) * u)
     return v_next, u_next
 
@@ -220,37 +250,37 @@ def calibrate_threshold(scores, q: float) -> float:
     return xs[rank - 1]
 
 
-class PersistenceState:
-    """K-of-M alarm persistence with M-window all-clear hysteresis."""
+class Persistence:
+    """K-of-M alarm persistence with M-window all-clear hysteresis, for n
+    flows at once.
 
-    __slots__ = ("ring", "total", "clear_run", "z")
-
-    def __init__(self, m: int):
-        self.ring = deque(maxlen=m)
-        self.total = 0
-        self.clear_run = 0
-        self.z = False
-
-
-def persistence_update(state: PersistenceState, alarm: bool, k: int, m: int) -> bool:
-    """Feed one alarm; returns the updated actionable flag.
-
-    The flag sets when >= k of the last m alarms fired (absent history counts
-    zero) and, once set, clears only after m consecutive alarm-free windows.
+    A flow's flag sets when >= k of its last m alarms fired (absent history
+    counts zero) and, once set, clears only after m consecutive alarm-free
+    windows. The last m alarms live in an (m x n) ring; total counts them.
+    A set flag has seen an alarm, so "m clear windows in a row" is exactly
+    "no alarm left in the ring": a flag holds while total >= 1 and sets when
+    total >= k, and no separate clear-run counter is kept.
     """
-    if not (1 <= k <= m):
-        raise ValueError("need 1 <= k <= m")
-    if len(state.ring) == state.ring.maxlen:
-        state.total -= state.ring[0]
-    a = 1 if alarm else 0
-    state.ring.append(a)
-    state.total += a
-    state.clear_run = 0 if alarm else state.clear_run + 1
-    if state.total >= k:
-        state.z = True
-    elif state.z and state.clear_run >= m:
-        state.z = False
-    return state.z
+
+    def __init__(self, k: int, m: int, n: int):
+        if not (1 <= k <= m):
+            raise ValueError("need 1 <= k <= m")
+        self.k = k
+        self.m = m
+        self.ring = np.zeros((m, n), dtype=bool)
+        self.total = np.zeros(n, dtype=np.int64)
+        self.z = np.zeros(n, dtype=bool)
+        self._t = 0
+
+    def update(self, alarm: np.ndarray) -> np.ndarray:
+        """Feed one window's alarms; returns the updated actionable flags."""
+        oldest = self.ring[self._t % self.m]
+        self.total += alarm
+        self.total -= oldest
+        oldest[...] = alarm
+        self._t += 1
+        self.z = self.total >= np.where(self.z, 1, self.k)
+        return self.z
 
 
 # ---------------------------------------------------------------------------
@@ -270,67 +300,81 @@ class ScoreRecord(NamedTuple):
     baseline_s: float
 
 
-@dataclass
-class _FlowState:
-    v: float
-    u: float
-    windows_seen: int = 0
-    burn_scores: list = field(default_factory=list)
-    burn_baseline: list = field(default_factory=list)
-    threshold: float | None = None
-    baseline_threshold: float | None = None
-    persistence: PersistenceState | None = None
+@dataclass(frozen=True)
+class WindowScores:
+    """One window's per-flow columns, in the session's flow order: evidence
+    E (also the memoryless baseline's score), surrogate S, the pre-step
+    state v and u, score s, alarm a and actionable flag z."""
+
+    window: int
+    E: np.ndarray
+    S: np.ndarray
+    v: np.ndarray
+    u: np.ndarray
+    s: np.ndarray
+    a: np.ndarray
+    z: np.ndarray
+
+    def __len__(self) -> int:
+        return self.E.size
 
 
 class DetectorSession:
-    """Runs the full scoring pipeline over a (window, flow)-ordered stream.
+    """Runs the full scoring pipeline, one window of all flows at a time.
 
-    Rows are (flow_id, bucket, x) with x the raw 7-component feature vector
-    (None = missing component). Burn-in scores are collected once a flow has
-    seen w_min windows and its bucket has absorbed 2*w_min updates (the
-    normalizer warm-up stays out of the calibration set); thresholds freeze
-    at the burn-in boundary and new flows after it never alarm.
+    Built with the flow ids and their buckets, in the row order of the window
+    matrices fed to process_window; a graph, when given, must hold exactly
+    these flows in this order. Burn-in scores are collected once the session
+    has seen w_min windows and a flow's bucket has absorbed 2*w_min updates
+    (the normalizer warm-up stays out of the calibration set); thresholds
+    freeze at the burn-in boundary, and a flow with fewer than w_min
+    collected scores gets none and never alarms.
     """
 
-    def __init__(self, params: DetectorParams, burn_in_windows: int,
-                 quantile: float, k_persist: int = 3, m_persist: int = 8,
-                 w_min: int = W_MIN_DEFAULT,
+    def __init__(self, params: DetectorParams, flow_ids, buckets,
+                 burn_in_windows: int, quantile: float, k_persist: int = 3,
+                 m_persist: int = 8, w_min: int = W_MIN_DEFAULT,
                  normalizer_config: NormalizerConfig = NormalizerConfig(),
                  graph=None, seed: int | None = None):
         params.validate(rho=getattr(graph, "spectral_radius", 0.0) if graph else 0.0)
-        if not (1 <= k_persist <= m_persist):
-            raise ValueError("need 1 <= k <= m")
         if burn_in_windows < 0:
             raise ValueError("burn_in_windows must be nonnegative")
+        self.flow_ids = list(flow_ids)
+        buckets = list(buckets)
+        if len(buckets) != len(self.flow_ids):
+            raise ValueError("need one bucket per flow")
+        if graph is not None and graph.flow_ids != self.flow_ids:
+            raise ValueError("contention graph flow ids do not match the "
+                             "session's flows")
+        n = len(self.flow_ids)
+        self.persistence = Persistence(k_persist, m_persist, n)
         self.params = params
         self.burn_in_windows = burn_in_windows
         self.quantile = quantile
         self.k_persist = k_persist
         self.m_persist = m_persist
         self.w_min = w_min
-        self.normalizer = Normalizer(normalizer_config, N_FEATURES)
+        self.normalizer = Normalizer(buckets, normalizer_config)
         self.graph = graph
-        self._flows: dict[int, _FlowState] = {}
+        self.v = np.full(n, params.v_rest)
+        self.u = np.zeros(n)
+        self._windows_seen = 0
+        # burn-in score and evidence rows, with the mask of collected cells
+        self._burn_s: list[np.ndarray] = []
+        self._burn_e: list[np.ndarray] = []
+        self._burn_ok: list[np.ndarray] = []
+        self._threshold = np.full(n, np.nan)  # NaN: none, never alarms
+        self._baseline_threshold = np.full(n, np.nan)
         self._calibrated = False
         self._rng = None
         if params.noise_std > 0:
             if seed is None:
                 raise ValueError("noise_std > 0 requires a seed")
             self._rng = np.random.default_rng([seed, 0x0E15])
-        # coupling reads S of 1 + tau windows ago, as vectors in graph order
-        # (flows absent from a window hold 0), most recent last
+        # coupling reads S of 1 + tau windows ago, most recent last
         self._coupled = params.g != 0.0 and graph is not None
         if self._coupled:
-            self._graph_pos = {f: i for i, f in enumerate(graph.flow_ids)}
             self._s_hist = deque(maxlen=1 + params.tau)
-
-    def flow_state(self, flow_id: int) -> _FlowState:
-        st = self._flows.get(flow_id)
-        if st is None:
-            st = _FlowState(v=self.params.v_rest, u=0.0,
-                            persistence=PersistenceState(self.m_persist))
-            self._flows[flow_id] = st
-        return st
 
     def finalize(self) -> None:
         """Freeze calibration explicitly (no-op once past burn-in)."""
@@ -338,98 +382,70 @@ class DetectorSession:
             self._finalize_calibration()
 
     def _finalize_calibration(self) -> None:
-        for st in self._flows.values():
-            if len(st.burn_scores) >= self.w_min:
-                st.threshold = calibrate_threshold(st.burn_scores, self.quantile)
-                st.baseline_threshold = calibrate_threshold(st.burn_baseline,
-                                                            self.quantile)
+        if self._burn_ok:
+            ok = np.array(self._burn_ok)
+            scores = np.array(self._burn_s)
+            base = np.array(self._burn_e)
+            for i in np.flatnonzero(ok.sum(axis=0) >= self.w_min):
+                col = ok[:, i]
+                self._threshold[i] = calibrate_threshold(
+                    scores[col, i].tolist(), self.quantile)
+                self._baseline_threshold[i] = calibrate_threshold(
+                    base[col, i].tolist(), self.quantile)
         self.normalizer.enter_slow_phase()
         self._calibrated = True
 
-    def process_window(self, window: int, rows) -> list[ScoreRecord]:
-        """Score one window. Rows must arrive in a fixed flow order."""
+    def process_window(self, window: int, x: np.ndarray) -> WindowScores:
+        """Score one window: x is its (flows x 7) feature matrix in the
+        session's flow order, NaN marking a missing value."""
+        n = len(self.flow_ids)
+        if x.shape != (n, self.normalizer.n_features):
+            raise ValueError(f"window {window}: feature matrix of shape "
+                             f"{x.shape}, expected ({n}, "
+                             f"{self.normalizer.n_features})")
         if window >= self.burn_in_windows and not self._calibrated:
             self._finalize_calibration()
         p = self.params
-        burn = window < self.burn_in_windows
-        min_bucket = 2 * self.w_min
-        out = []
-        drives = repeat(0.0)
-        if self._coupled:
-            rows = list(rows)
-            pos = np.array([self._graph_pos.get(r[0], -1) for r in rows],
-                           dtype=np.int64)
-            drives = self._coupling(pos).tolist()
-        for (flow_id, bucket, x), drive_i in zip(rows, drives):
-            st = self.flow_state(flow_id)
-            bucket_mature = (not burn
-                             or self.normalizer.bucket_updates(bucket) >= min_bucket)
-            z_vec = self.normalizer.score_and_update(bucket, x)
-            e = evidence(z_vec, p.zeta, p.p)
-            s_val = event_surrogate(st.v, p.k, p.theta)
-            score = p.eta1 * s_val + p.eta2 * st.u
-            if burn:
-                alarm = False
-                actionable = False
-                if st.windows_seen >= self.w_min and bucket_mature:
-                    st.burn_scores.append(score)
-                    st.burn_baseline.append(e)
-            else:
-                alarm = st.threshold is not None and score >= st.threshold
-                actionable = persistence_update(st.persistence, alarm,
-                                                self.k_persist, self.m_persist)
-            out.append(ScoreRecord(flow_id, window, e, s_val, st.v, st.u,
-                                   score, alarm, actionable, e))
-            noise = 0.0
-            if self._rng is not None:
-                noise = float(self._rng.normal(0.0, p.noise_std))
-            st.v, st.u = step(st.v, st.u, e, drive_i, p, noise)
-            if not (math.isfinite(st.v) and math.isfinite(st.u)):
-                raise FloatingPointError(
-                    f"non-finite detector state for flow {flow_id} at window {window}")
-            st.windows_seen += 1
+        z, bucket_updates = self.normalizer.score_and_update(x)
+        e = evidence(z, p.zeta, p.p)
+        v, u = self.v, self.u
+        s_val = event_surrogate(v, p.k, p.theta)
+        score = p.eta1 * s_val + p.eta2 * u
+        if window < self.burn_in_windows:
+            alarm = actionable = np.zeros(n, dtype=bool)
+            if self._windows_seen >= self.w_min:
+                self._burn_s.append(score)
+                self._burn_e.append(e)
+                self._burn_ok.append(bucket_updates >= 2 * self.w_min)
+        else:
+            alarm = score >= self._threshold
+            actionable = self.persistence.update(alarm)
+        noise = 0.0
+        if self._rng is not None:
+            noise = self._rng.normal(0.0, p.noise_std, size=n)
+        drive_i = 0.0
+        if self._coupled and len(self._s_hist) == self._s_hist.maxlen:
+            drive_i = p.g * self.graph.matvec(self._s_hist[0])
+        self.v, self.u = step(v, u, e, drive_i, p, noise)
+        bad = ~(np.isfinite(self.v) & np.isfinite(self.u))
+        if bad.any():
+            raise FloatingPointError(
+                "non-finite detector state for flow "
+                f"{self.flow_ids[int(np.argmax(bad))]} at window {window}")
+        self._windows_seen += 1
         # barrier: surrogates become visible to neighbors from the next window
         if self._coupled:
-            s_now = np.zeros(len(self._graph_pos) + 1)  # last: not in graph
-            s_now[pos] = [r.S for r in out]
-            self._s_hist.append(s_now[:-1])
-        return out
-
-    def _coupling(self, pos: np.ndarray) -> np.ndarray:
-        """I = g * W @ S(t - 1 - tau) for rows at graph positions pos (-1:
-        not in the graph, drive 0); 0 until that much history exists."""
-        if len(self._s_hist) < self._s_hist.maxlen:
-            return np.zeros(pos.size)
-        drive = self.params.g * self.graph.matvec(self._s_hist[0])
-        return np.append(drive, 0.0)[pos]
+            self._s_hist.append(s_val)
+        return WindowScores(window, e, s_val, v, u, score, alarm, actionable)
 
     def thresholds(self) -> dict:
+        def opt(t):
+            return None if math.isnan(t) else t
         return {
-            f: {"detector": st.threshold, "baseline": st.baseline_threshold}
-            for f, st in sorted(self._flows.items())
+            f: {"detector": opt(d), "baseline": opt(b)}
+            for f, d, b in sorted(zip(self.flow_ids, self._threshold.tolist(),
+                                      self._baseline_threshold.tolist()))
         }
-
-
-def derive_flags(window_scores, threshold, k: int, m: int,
-                 burn_in_windows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Alarm and actionable streams from stored scores and a frozen threshold.
-
-    The same calibration/persistence path the live session uses; lets reports
-    rebuild the baseline's flags from the score CSV. window_scores is an
-    iterable of (window, score) in window order.
-    """
-    alarms, flags = [], []
-    state = PersistenceState(m)
-    for window, score in window_scores:
-        if window < burn_in_windows or threshold is None:
-            a = False
-            z = persistence_update(state, False, k, m) if window >= burn_in_windows else False
-        else:
-            a = score >= threshold
-            z = persistence_update(state, a, k, m)
-        alarms.append(a)
-        flags.append(z)
-    return np.array(alarms, dtype=bool), np.array(flags, dtype=bool)
 
 
 # ---------------------------------------------------------------------------
@@ -438,20 +454,33 @@ def derive_flags(window_scores, threshold, k: int, m: int,
 SCORES_HEADER = "flow_id,window,E,S,v,u,s,a,z,baseline_s"
 
 
-def write_scores_csv(path, records) -> None:
-    with open(path, "w") as fh:
-        fh.write(SCORES_HEADER + "\n")
-        for r in records:
-            fh.write(f"{r.flow_id},{r.window},{r.E!r},{r.S!r},{r.v!r},{r.u!r},"
-                     f"{r.s!r},{int(r.a)},{int(r.z)},{r.baseline_s!r}\n")
+def write_scores_csv(path, flow_ids, windows) -> None:
+    """One row per (window, flow), from a session's WindowScores in window
+    order; baseline_s repeats E."""
+    def col(name):
+        return np.concatenate([getattr(w, name) for w in windows]
+                              or [np.zeros(0)])
+
+    e = col("E")
+    write_csv(path, SCORES_HEADER, "%d,%d,%r,%r,%r,%r,%r,%d,%d,%r\n",
+              (np.tile(np.asarray(flow_ids, dtype=np.int64), len(windows)),
+               np.repeat([w.window for w in windows], len(flow_ids)),
+               e, col("S"), col("v"), col("u"), col("s"), col("a"), col("z"),
+               e))
 
 
 def read_scores_csv(path) -> list[ScoreRecord]:
     out = []
     with open(path) as fh:
-        next(fh)
-        for line in fh:
+        header = fh.readline().rstrip("\n")
+        if header != SCORES_HEADER:
+            raise ValueError(f"{path}: line 1: header {header!r} is not "
+                             f"{SCORES_HEADER!r}")
+        for lineno, line in enumerate(fh, start=2):
             t = line.rstrip("\n").split(",")
+            if len(t) != 10:
+                raise ValueError(f"{path}: line {lineno}: {len(t)} fields, "
+                                 "expected 10")
             out.append(ScoreRecord(int(t[0]), int(t[1]), float(t[2]), float(t[3]),
                                    float(t[4]), float(t[5]), float(t[6]),
                                    t[7] == "1", t[8] == "1", float(t[9])))

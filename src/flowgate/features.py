@@ -20,96 +20,32 @@ FEATURE_NAMES = ("pkt_rate", "byte_rate", "iat_mean", "iat_cv",
                  "pacing", "share", "interference")
 N_FEATURES = len(FEATURE_NAMES)
 
-FEATURES_HEADER = ("flow_id,window,N,pkt_rate,byte_rate,iat_mean,iat_cv,"
-                   "pacing,share,interference")
-
-
-@dataclass(frozen=True)
-class FlowWindowFeatures:
-    flow_id: int
-    window_idx: int
-    pkt_count: int
-    pkt_rate: float
-    byte_rate: float
-    iat_mean_s: float | None
-    iat_cv: float | None
-    pacing_index: float
-    clique_rate_share: float
-    interference_index: float
-
-    def vector(self) -> tuple:
-        """The 7-component feature vector; None marks missing entries."""
-        return (self.pkt_rate, self.byte_rate, self.iat_mean_s, self.iat_cv,
-                self.pacing_index, self.clique_rate_share, self.interference_index)
-
-
-def pacing_index_from_counts(counts, n_packets: int) -> float:
-    """Dispersion of micro-bin counts: 0 = spread out, towards 1 = bunched.
-
-    Defined as 1 - H / log(min(B, N)) with H the entropy of the occupied-bin
-    distribution; 0 when N <= 1 (no dispersion evidence).
-    """
-    if n_packets <= 1:
-        return 0.0
-    denom = math.log(min(len(counts), n_packets))
-    h = 0.0
-    for c in counts:
-        if c > 0:
-            p = c / n_packets
-            h -= p * math.log(p)
-    return 1.0 - h / denom
-
-
-def contention_features(flow_bytes: float, clique_bytes: float,
-                        neighbor_weights, neighbor_byte_rates) -> tuple[float, float]:
-    """(clique_rate_share, interference_index) for one flow-window."""
-    share = flow_bytes / max(1.0, clique_bytes)
-    interference = float(np.dot(neighbor_weights, neighbor_byte_rates))
-    return share, interference
-
 
 class FeatureTable:
-    """Dense (flow x window) feature arrays plus a row iterator.
+    """Per-(flow, window) features: one (window x flow x feature) matrix.
 
-    Rows iterate in (window, flow) order, the processing order of the
-    detection pipeline. Missing IAT stats are NaN in the arrays and None in
-    the row view.
+    x[w] is window w's (n_flows x 7) matrix in flow_ids order, the input of
+    one detector step; missing IAT stats are NaN. pkt_count is (flow x
+    window), and each feature is also a named (flow x window) view of x.
     """
 
-    def __init__(self, flow_ids, horizon_windows, window_us, pkt_count, pkt_rate,
-                 byte_rate, iat_mean, iat_cv, pacing, share, interference):
+    def __init__(self, flow_ids, horizon_windows, window_us, pkt_count,
+                 features):
         self.flow_ids = list(flow_ids)
         self.horizon_windows = int(horizon_windows)
         self.window_us = int(window_us)
         self.pkt_count = pkt_count
-        self.pkt_rate = pkt_rate
-        self.byte_rate = byte_rate
-        self.iat_mean = iat_mean
-        self.iat_cv = iat_cv
-        self.pacing = pacing
-        self.share = share
-        self.interference = interference
+        self.x = np.empty((self.horizon_windows, len(self.flow_ids),
+                           N_FEATURES))
+        for k, f in enumerate(features):
+            self.x[:, :, k] = f.T
+        (self.pkt_rate, self.byte_rate, self.iat_mean, self.iat_cv,
+         self.pacing, self.share, self.interference) = (
+            self.x[:, :, k].T for k in range(N_FEATURES))
 
-    def row(self, fi: int, w: int) -> FlowWindowFeatures:
-        im = self.iat_mean[fi, w]
-        ic = self.iat_cv[fi, w]
-        return FlowWindowFeatures(
-            flow_id=self.flow_ids[fi],
-            window_idx=w,
-            pkt_count=int(self.pkt_count[fi, w]),
-            pkt_rate=float(self.pkt_rate[fi, w]),
-            byte_rate=float(self.byte_rate[fi, w]),
-            iat_mean_s=None if math.isnan(im) else float(im),
-            iat_cv=None if math.isnan(ic) else float(ic),
-            pacing_index=float(self.pacing[fi, w]),
-            clique_rate_share=float(self.share[fi, w]),
-            interference_index=float(self.interference[fi, w]),
-        )
-
-    def iter_rows(self):
-        for w in range(self.horizon_windows):
-            for fi in range(len(self.flow_ids)):
-                yield self.row(fi, w)
+    def row(self, fi: int, w: int) -> np.ndarray:
+        """Flow fi's 7-vector at window w (a view into x)."""
+        return self.x[w, fi]
 
 
 def windowize(trace, graph, micro_bins: int = 10) -> FeatureTable:
@@ -185,8 +121,9 @@ def windowize(trace, graph, micro_bins: int = 10) -> FeatureTable:
     share = bts / np.maximum(1.0, cq_bytes[clique])
     interference = graph.matvec(byte_rate)
 
-    return FeatureTable(flow_ids, H, trace.window_us, counts, pkt_rate, byte_rate,
-                        iat_mean, iat_cv, pacing, share, interference)
+    return FeatureTable(flow_ids, H, trace.window_us, counts,
+                        (pkt_rate, byte_rate, iat_mean, iat_cv, pacing, share,
+                         interference))
 
 
 # ---------------------------------------------------------------------------
@@ -205,26 +142,25 @@ class NormalizerConfig:
 class Normalizer:
     """Per-bucket EMA mean/variance z-scoring with deferred updates.
 
-    Each bucket keeps running (m, q) per feature. A row is scored with the
-    state as-is and only then folded into the state, so the score at time t
-    never sees x_t. Missing components (None) score 0 and leave state alone.
+    Built with each row's bucket, in the row order of the window matrices it
+    is fed. Each bucket keeps running (m, q) per feature. A row is scored
+    with its bucket's state as-is and only then folded into it, so the score
+    at time t never sees x_t; rows of one bucket fold in row order within a
+    window. Missing components (NaN) score 0 and leave state alone.
     """
 
-    def __init__(self, config: NormalizerConfig = NormalizerConfig(),
+    def __init__(self, buckets, config: NormalizerConfig = NormalizerConfig(),
                  n_features: int = N_FEATURES):
         self.config = config
         self.n_features = n_features
         self.lambda_mean = config.lambda_mean
         self.lambda_var = config.lambda_var
-        self._m: dict[str, list] = {}
-        self._q: dict[str, list] = {}
-        self._seen: dict[str, list] = {}
-        self._updates: dict[str, int] = {}
+        code = {b: i for i, b in enumerate(dict.fromkeys(buckets))}
+        self._codes = [code[b] for b in buckets]
+        self._m = [[None] * n_features for _ in code]  # None: not seen yet
+        self._q = [[config.eps_var] * n_features for _ in code]
+        self._updates = [0] * len(code)  # rows that updated any component
         self._slow = False
-
-    def bucket_updates(self, bucket: str) -> int:
-        """Rows that updated at least one component of this bucket."""
-        return self._updates.get(bucket, 0)
 
     def enter_slow_phase(self) -> None:
         """Scale adaptation rates down once calibration is frozen."""
@@ -233,80 +169,38 @@ class Normalizer:
             self.lambda_var *= self.config.slow_factor
             self._slow = True
 
-    def score_and_update(self, bucket: str, x) -> list[float]:
-        m = self._m.get(bucket)
-        if m is None:
-            m = [0.0] * self.n_features
-            q = [self.config.eps_var] * self.n_features
-            seen = [False] * self.n_features
-            self._m[bucket] = m
-            self._q[bucket] = q
-            self._seen[bucket] = seen
-            self._updates[bucket] = 0
-        else:
-            q = self._q[bucket]
-            seen = self._seen[bucket]
+    def score_and_update(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """Score and fold one window's (rows x features) matrix.
+
+        Returns the clipped z-scores and, per row, the bucket's update count
+        before that row was folded in.
+        """
         eps = self.config.eps_var
         clip = self.config.clip
         lm = self.lambda_mean
         lv = self.lambda_var
-        z = [0.0] * self.n_features
-        touched = False
-        for k in range(self.n_features):
-            xk = x[k]
-            if xk is None:
-                continue
-            touched = True
-            if not seen[k]:
-                m[k] = xk
-                seen[k] = True
-            zk = (xk - m[k]) / math.sqrt(q[k] + eps)
-            if zk > clip:
-                zk = clip
-            elif zk < -clip:
-                zk = -clip
-            z[k] = zk
-            d = xk - m[k]
-            m[k] = m[k] + lm * d
-            q[k] = (1.0 - lv) * q[k] + lv * d * d
-        if touched:
-            self._updates[bucket] += 1
-        return z
-
-
-# ---------------------------------------------------------------------------
-# on-disk format
-
-
-def write_features_csv(path, table: FeatureTable) -> None:
-    def cell(v):
-        return "" if v is None else repr(v)
-
-    with open(path, "w") as fh:
-        fh.write(FEATURES_HEADER + "\n")
-        for r in table.iter_rows():
-            fh.write(f"{r.flow_id},{r.window_idx},{r.pkt_count},{r.pkt_rate!r},"
-                     f"{r.byte_rate!r},{cell(r.iat_mean_s)},{cell(r.iat_cv)},"
-                     f"{r.pacing_index!r},{r.clique_rate_share!r},"
-                     f"{r.interference_index!r}\n")
-
-
-def read_features_csv(path) -> list[FlowWindowFeatures]:
-    rows = []
-    with open(path) as fh:
-        next(fh)
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
-            rows.append(FlowWindowFeatures(
-                flow_id=int(parts[0]),
-                window_idx=int(parts[1]),
-                pkt_count=int(parts[2]),
-                pkt_rate=float(parts[3]),
-                byte_rate=float(parts[4]),
-                iat_mean_s=float(parts[5]) if parts[5] else None,
-                iat_cv=float(parts[6]) if parts[6] else None,
-                pacing_index=float(parts[7]),
-                clique_rate_share=float(parts[8]),
-                interference_index=float(parts[9]),
-            ))
-    return rows
+        keep = 1.0 - lv
+        nf = self.n_features
+        updates = self._updates
+        zs = []
+        counts = []
+        for b, xs in zip(self._codes, x.tolist()):
+            m, q = self._m[b], self._q[b]
+            counts.append(updates[b])
+            z = [0.0] * nf
+            touched = False
+            for k, xk in enumerate(xs):
+                if xk != xk:  # NaN: missing
+                    continue
+                touched = True
+                mk = xk if m[k] is None else m[k]  # first sighting: m = x
+                d = xk - mk
+                zk = d / math.sqrt(q[k] + eps)
+                z[k] = clip if zk > clip else -clip if zk < -clip else zk
+                m[k] = mk + lm * d
+                q[k] = keep * q[k] + lv * d * d
+            if touched:
+                updates[b] += 1
+            zs.append(z)
+        return (np.array(zs, dtype=np.float64).reshape(len(zs), nf),
+                np.array(counts, dtype=np.int64))

@@ -124,8 +124,8 @@ def bench_scoring(session, stream, batch_rows: int = 1000,
                   warmup_batches: int = 1) -> tuple[float, float, float]:
     """Wall-clock cost per scored row, in microseconds.
 
-    stream yields (window, rows) groups; timing is aggregated into batches of
-    batch_rows rows and the first warmup_batches batches are dropped. Returns
+    stream yields (window, x) pairs, x a window's feature matrix with one
+    row per flow; timing is aggregated into batches of batch_rows rows and the first warmup_batches batches are dropped. Returns
     (mean, p90, max) where mean is over all counted rows and the tail stats
     are nearest-rank over per-batch per-row values.
     """
@@ -133,11 +133,11 @@ def bench_scoring(session, stream, batch_rows: int = 1000,
     counts: list[int] = []
     acc_t = 0.0
     acc_n = 0
-    for window, rows in stream:
+    for window, x in stream:
         t0 = time.perf_counter()
-        session.process_window(window, rows)
+        session.process_window(window, x)
         acc_t += time.perf_counter() - t0
-        acc_n += len(rows)
+        acc_n += len(x)
         if acc_n >= batch_rows:
             times.append(acc_t)
             counts.append(acc_n)
@@ -153,20 +153,20 @@ def bench_scoring(session, stream, batch_rows: int = 1000,
 
 
 def synthetic_feature_stream(n_rows: int, n_flows: int = 50, seed: int = 0):
-    """Deterministic (window, rows) stream for benchmarking: n_flows flows
-    per window with mildly varying dense features."""
+    """Deterministic benchmark input: (flow_ids, buckets, stream), where
+    stream yields (window, x) with x an (n_flows x 7) matrix of mildly
+    varying dense features, until n_rows rows are out."""
     rng = np.random.default_rng(seed)
     n_windows = (n_rows + n_flows - 1) // n_flows
     flows = list(range(1, n_flows + 1))
-    buckets = ["a", "b", "c"]
+    buckets = [("a", "b", "c")[i % 3] for i in range(n_flows)]
     base = rng.uniform(0.5, 2.0, (n_flows, 7))
-    for w in range(n_windows):
-        jitter = rng.uniform(-0.1, 0.1, (n_flows, 7))
-        rows = []
-        for i, f in enumerate(flows):
-            x = tuple(float(v) for v in (base[i] + jitter[i]))
-            rows.append((f, buckets[i % len(buckets)], x))
-        yield w, rows
+
+    def stream():
+        for w in range(n_windows):
+            yield w, base + rng.uniform(-0.1, 0.1, (n_flows, 7))
+
+    return flows, buckets, stream()
 
 
 # ---------------------------------------------------------------------------

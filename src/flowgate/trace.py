@@ -281,11 +281,24 @@ def config_hash(config_dict: dict) -> str:
 TRACE_HEADER = "ts_us,flow_id,len_bytes,clique_id"
 
 
+_WRITE_BLOCK = 1 << 12  # rows formatted per write
+
+
+def write_csv(path, header: str, row: str, cols) -> None:
+    """Write equal-length columns as CSV lines formatted by `row` (one %
+    conversion per column, ending in a newline), in blocks of rows so that
+    memory does not grow with the file."""
+    n = len(cols[0])
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for s in range(0, n, _WRITE_BLOCK):
+            rows = zip(*(c[s:s + _WRITE_BLOCK].tolist() for c in cols))
+            fh.write("".join([row % r for r in rows]))
+
+
 def write_trace_csv(path, trace: Trace) -> None:
-    cols = np.column_stack([trace.ts_us, trace.flow_id,
-                            trace.len_bytes, trace.clique_id])
-    np.savetxt(path, cols, fmt="%d", delimiter=",",
-               header=TRACE_HEADER, comments="")
+    write_csv(path, TRACE_HEADER, "%d,%d,%d,%d\n",
+              (trace.ts_us, trace.flow_id, trace.len_bytes, trace.clique_id))
 
 
 def read_trace_csv(path, flow_table, horizon_windows, window_us) -> Trace:

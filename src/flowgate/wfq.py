@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from flowgate.trace import BENIGN, Trace
+from flowgate.trace import BENIGN, Trace, write_csv
 
 
 @dataclass(frozen=True)
@@ -264,19 +264,12 @@ def clique_mean_delay(log: QueueEventLog, clique_id: int) -> float:
 
 QUEUE_LOG_HEADER = "flow_id,clique_id,enqueue_us,dequeue_us,complete_us,benign"
 SCHEDULE_HEADER = "flow_id,from_us,weight"
-_WRITE_BLOCK = 1 << 12  # queue-log rows formatted per write
 
 
 def write_queue_log(path, log: QueueEventLog) -> None:
-    row = "%d,%d,%d,%.17g,%.17g,%d\n"
-    cols = (log.flow_id, log.clique_id, log.enqueue_us, log.dequeue_us,
-            log.complete_us, log.benign)
-    with open(path, "w") as fh:
-        fh.write(QUEUE_LOG_HEADER + "\n")
-        # formatted in blocks, so memory does not grow with the log
-        for s in range(0, log.n, _WRITE_BLOCK):
-            rows = zip(*(c[s:s + _WRITE_BLOCK].tolist() for c in cols))
-            fh.write("".join([row % r for r in rows]))
+    write_csv(path, QUEUE_LOG_HEADER, "%d,%d,%d,%.17g,%.17g,%d\n",
+              (log.flow_id, log.clique_id, log.enqueue_us, log.dequeue_us,
+               log.complete_us, log.benign))
 
 
 def read_queue_log(path) -> QueueEventLog:

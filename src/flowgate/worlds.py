@@ -974,6 +974,18 @@ def audit_budgets(world: World) -> list[dict]:
     trace = world.trace
     cfg = world.config
     refs = {r.flow_id: r for r in world.references}
+    benign = np.isin(trace.flow_id, np.array(
+        sorted(f for f, info in trace.flow_table.items()
+               if info.label == BENIGN), dtype=np.int64))
+    d_ben_of: dict[int, float] = {}  # episodes that share a clique share it
+
+    def clique_delay(m, cid):
+        return clique_baseline_delay(
+            ts=trace.ts_us[m], fid=trace.flow_id[m], ln=trace.len_bytes[m],
+            clique_id=cid, capacity_bps=cfg.capacity_bps,
+            window_us=trace.window_us, horizon_windows=trace.horizon_windows,
+            flow_table=trace.flow_table)
+
     out = []
     for label in world.labels:
         fid = label.flow_id
@@ -987,23 +999,10 @@ def audit_budgets(world: World) -> list[dict]:
         eps_ok = (not ds) or mean_d <= b.epsilon_s + W1_SLACK_S
 
         cid = world.graph.clique_of[fid]
-        in_clique = trace.clique_id == cid
-        benign_flows = {f for f, info in trace.flow_table.items()
-                        if info.label == BENIGN}
-        ben_mask = in_clique & np.isin(
-            trace.flow_id, np.array(sorted(benign_flows), dtype=np.int64))
-        atk_mask = ben_mask | mask
-        d_ben = clique_baseline_delay(
-            ts=trace.ts_us[ben_mask], fid=trace.flow_id[ben_mask],
-            ln=trace.len_bytes[ben_mask], clique_id=cid,
-            capacity_bps=cfg.capacity_bps, window_us=trace.window_us,
-            horizon_windows=trace.horizon_windows, flow_table=trace.flow_table)
-        d_atk = clique_baseline_delay(
-            ts=trace.ts_us[atk_mask], fid=trace.flow_id[atk_mask],
-            ln=trace.len_bytes[atk_mask], clique_id=cid,
-            capacity_bps=cfg.capacity_bps, window_us=trace.window_us,
-            horizon_windows=trace.horizon_windows, flow_table=trace.flow_table)
-        delta = d_atk - d_ben
+        ben_mask = (trace.clique_id == cid) & benign
+        if cid not in d_ben_of:
+            d_ben_of[cid] = clique_delay(ben_mask, cid)
+        delta = clique_delay(ben_mask | mask, cid) - d_ben_of[cid]
         dq_ok = delta <= b.delta_q_s + REPLAY_TICK_S
         out.append({
             "flow_id": fid,

@@ -14,12 +14,13 @@ from pathlib import Path
 
 import numpy as np
 
+from detector_oracle import derive_flags
 from flowgate.cli import main as cli_main
 from flowgate.detector import (
     DetectorParams,
     DetectorSession,
+    ScoreRecord,
     coupling_stability_margin,
-    derive_flags,
     fixed_point_residual,
     solve_fixed_point,
     step,
@@ -47,18 +48,25 @@ def _check(num: int, name: str, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num} {name}: {detail}"
 
 
+def _score_table(table, world, burn: int, quantile: float, w_min: int):
+    """A full detector pass over every window, as (window, flow) records."""
+    ses = DetectorSession(
+        DetectorParams(), table.flow_ids,
+        [world.trace.flow_table[f].device_class for f in table.flow_ids],
+        burn_in_windows=burn, quantile=quantile, w_min=w_min)
+    recs = []
+    for w in range(table.horizon_windows):
+        s = ses.process_window(w, table.x[w])
+        cols = zip(*(c.tolist() for c in (s.E, s.S, s.v, s.u, s.s, s.a, s.z)))
+        recs.extend(ScoreRecord(f, w, *c, c[0])
+                    for f, c in zip(table.flow_ids, cols))
+    return ses, recs
+
+
 def _score_world(world, burn: int, quantile: float, w_min: int):
     """Feature table plus a full detector pass over every window."""
     table = windowize(world.trace, world.graph)
-    bucket = {f: world.trace.flow_table[f].device_class for f in table.flow_ids}
-    ses = DetectorSession(DetectorParams(), burn_in_windows=burn,
-                          quantile=quantile, w_min=w_min)
-    recs = []
-    for w in range(table.horizon_windows):
-        rows = [(f, bucket[f], table.row(i, w).vector())
-                for i, f in enumerate(table.flow_ids)]
-        recs.extend(ses.process_window(w, rows))
-    return table, ses, recs
+    return (table, *_score_table(table, world, burn, quantile, w_min))
 
 
 # ---------------------------------------------------------------------------
@@ -98,16 +106,9 @@ def test_criterion_1_calibration_fidelity():
     burn = 6000
     world = _calibration_world()
     table = windowize(world.trace, world.graph)
-    bucket = {f: world.trace.flow_table[f].device_class for f in table.flow_ids}
     results = {}
     for q in (0.99, 0.999):
-        ses = DetectorSession(DetectorParams(), burn_in_windows=burn,
-                              quantile=q, w_min=50)
-        recs = []
-        for w in range(table.horizon_windows):
-            rows = [(f, bucket[f], table.row(i, w).vector())
-                    for i, f in enumerate(table.flow_ids)]
-            recs.extend(ses.process_window(w, rows))
+        ses, recs = _score_table(table, world, burn, q, w_min=50)
         th = ses.thresholds()
         eligible = sum(1 for r in recs
                        if r.window >= burn and th[r.flow_id]["detector"] is not None)
@@ -533,9 +534,10 @@ def test_criterion_6_gating_tail_impact():
 
 def test_criterion_7_scoring_cost():
     rows = 100_000
-    ses = DetectorSession(DetectorParams(), burn_in_windows=40,
+    flows, buckets, stream = synthetic_feature_stream(rows)
+    ses = DetectorSession(DetectorParams(), flows, buckets, burn_in_windows=40,
                           quantile=0.99, w_min=10)
-    mean_us, p90_us, max_us = bench_scoring(ses, synthetic_feature_stream(rows))
+    mean_us, p90_us, max_us = bench_scoring(ses, stream)
     ok = mean_us < 10.0
     _check(7, "scoring cost", ok,
            f"mean={mean_us:.2f}us/row < 10us over {rows} rows "

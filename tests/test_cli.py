@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from flowgate.cli import main
-from flowgate.detector import read_scores_csv, read_thresholds, write_scores_csv
+from flowgate.detector import read_thresholds
 from flowgate.trace import Budgets
 from flowgate.wfq import read_queue_log
 from flowgate.worlds import BenignFlowSpec, EpisodeSpec, WorldConfig
@@ -132,11 +132,19 @@ def test_detect_seed_is_inert_without_noise(pipe, tmp_path):
         (pipe["det"] / "scores.csv").read_bytes()
 
 
+def _rewrite_scores(pipe, tmp_path, name, edit):
+    """A copy of the pipeline's scores.csv with edit applied to its lines."""
+    lines = (pipe["det"] / "scores.csv").read_text().splitlines()
+    path = tmp_path / name
+    path.write_text("\n".join(edit(lines)) + "\n")
+    return path
+
+
 def test_gated_replay_with_no_actionable_matches_base(pipe, tmp_path):
-    records = read_scores_csv(pipe["det"] / "scores.csv")
-    quiet = [r._replace(z=False) for r in records]
-    scores = tmp_path / "quiet_scores.csv"
-    write_scores_csv(scores, quiet)
+    def quiet(lines):
+        rows = [ln.split(",") for ln in lines[1:]]
+        return lines[:1] + [",".join(r[:8] + ["0"] + r[9:]) for r in rows]
+    scores = _rewrite_scores(pipe, tmp_path, "quiet_scores.csv", quiet)
     out = tmp_path / "gated_quiet"
     assert main(["replay", "--world", str(pipe["world"]), "--mode", "gated",
                  "--scores", str(scores), "--out", str(out)]) == 0
@@ -229,6 +237,35 @@ def test_unsorted_trace_is_refused(pipe, tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert f"trace.csv: packet {k} at ts {ts[k - 1]} precedes" in err
+
+
+def test_scores_with_reordered_header_are_refused(pipe, tmp_path, capsys):
+    def reorder(lines):
+        return [lines[0].replace("E,S,v,u", "E,v,S,u")] + lines[1:]
+    scores = _rewrite_scores(pipe, tmp_path, "reordered.csv", reorder)
+    for argv in (["replay", "--world", str(pipe["world"]), "--mode", "gated",
+                  "--scores", str(scores), "--out", str(tmp_path / "g")],
+                 ["report", "--world", str(pipe["world"]),
+                  "--scores", str(scores),
+                  "--thresholds", str(pipe["det"] / "thresholds.json"),
+                  "--base-log", str(pipe["base"] / "queue_log.csv"),
+                  "--gated-log", str(pipe["gated"] / "queue_log.csv"),
+                  "--bench-rows", "4000", "--out", str(tmp_path / "r")]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: ")
+        assert f"{scores}: line 1: header" in err
+    assert not (tmp_path / "g" / "queue_log.csv").exists()
+    assert not (tmp_path / "r" / "report.json").exists()
+
+
+def test_scores_with_a_short_row_are_refused(pipe, tmp_path, capsys):
+    def truncate(lines):
+        return lines[:5] + [lines[5].rsplit(",", 1)[0]] + lines[6:]
+    scores = _rewrite_scores(pipe, tmp_path, "short.csv", truncate)
+    assert main(["replay", "--world", str(pipe["world"]), "--mode", "gated",
+                 "--scores", str(scores), "--out", str(tmp_path / "g")]) == 1
+    assert f"{scores}: line 6: 9 fields, expected 10" in capsys.readouterr().err
 
 
 def test_quantile_precedence_flag_file_default(pipe, tmp_path, capsys):

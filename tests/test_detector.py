@@ -1,7 +1,9 @@
 """Detector dynamics, calibration, and persistence tests.
 
 Hand-computed expectations are frozen as literals; heavier checks lean on
-scipy root finding and brute-force reference implementations.
+scipy root finding and brute-force reference implementations. The
+window-synchronous session is checked against the per-row session it
+replaced (tests/detector_oracle.py), bit for bit.
 """
 
 import math
@@ -12,20 +14,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+import detector_oracle as oracle
+from detector_oracle import derive_flags
 from flowgate.detector import (
     DetectorParams,
     DetectorSession,
-    PersistenceState,
+    Persistence,
     ScoreRecord,
+    WindowScores,
     calibrate_threshold,
     coupling_stability_margin,
-    derive_flags,
     event_surrogate,
     evidence,
     f_sat,
     f_sat_peak_slope,
     fixed_point_residual,
-    persistence_update,
     read_scores_csv,
     read_thresholds,
     solve_fixed_point,
@@ -259,6 +262,8 @@ def test_calibrate_threshold_rank_property(scores, q):
     assert sum(1 for s in scores if s > theta) <= n - rank
 
 
+
+
 # ---------------------------------------------------------------------------
 # persistence
 
@@ -283,8 +288,8 @@ def brute_force_flags(alarms, k, m):
 
 
 def run_persistence(alarms, k, m):
-    state = PersistenceState(m)
-    return [persistence_update(state, a, k, m) for a in alarms]
+    state = Persistence(k, m, 1)
+    return [bool(state.update(np.array([bool(a)]))[0]) for a in alarms]
 
 
 def test_persistence_alternating_example():
@@ -310,11 +315,10 @@ def test_persistence_short_history_counts_missing_as_clear():
 
 
 def test_persistence_rejects_bad_k():
-    state = PersistenceState(4)
     with pytest.raises(ValueError):
-        persistence_update(state, True, 5, 4)
+        Persistence(5, 4, 1)
     with pytest.raises(ValueError):
-        persistence_update(state, True, 0, 4)
+        Persistence(0, 4, 1)
 
 
 @settings(max_examples=300, deadline=None)
@@ -324,6 +328,21 @@ def test_persistence_rejects_bad_k():
 def test_persistence_matches_brute_force(alarms, k, extra):
     m = k + extra - 1
     assert run_persistence(alarms, k, m) == brute_force_flags(alarms, k, m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.booleans(), min_size=3, max_size=3),
+                min_size=1, max_size=40),
+       st.integers(min_value=1, max_value=4),
+       st.integers(min_value=1, max_value=4))
+def test_persistence_flows_are_independent(rows, k, extra):
+    # three flows stepped together flag exactly as each does alone
+    m = k + extra - 1
+    state = Persistence(k, m, 3)
+    together = [state.update(np.array(r)).tolist() for r in rows]
+    for i in range(3):
+        alone = run_persistence([r[i] for r in rows], k, m)
+        assert [t[i] for t in together] == alone
 
 
 # ---------------------------------------------------------------------------
@@ -349,37 +368,50 @@ def test_alarms_invariant_under_affine_transform(raw, q):
 # streaming session
 
 
-def constant_row(flow_id, value=100.0):
-    return (flow_id, "sensor", (value,) * N_FEATURES)
+def matrix(rows):
+    """Raw vectors (None = missing) as one window's matrix (NaN = missing)."""
+    return np.array([[np.nan if v is None else v for v in x] for x in rows],
+                    dtype=np.float64).reshape(len(rows), N_FEATURES)
 
 
-def run_session(session, feeds, n_windows):
-    """feeds: dict flow_id -> callable(window) returning the raw vector."""
-    records = []
-    for w in range(n_windows):
-        rows = [(f, "sensor", feeds[f](w)) for f in sorted(feeds)]
-        records.extend(session.process_window(w, rows))
-    return records
-
-
-def small_session(**kw):
-    args = dict(params=DetectorParams(), burn_in_windows=60, quantile=0.9,
-                k_persist=3, m_persist=8, w_min=5)
+def small_session(flows=(1,), buckets=None, **kw):
+    args = dict(params=DetectorParams(), flow_ids=list(flows),
+                buckets=buckets or ["sensor"] * len(flows),
+                burn_in_windows=60, quantile=0.9, k_persist=3, m_persist=8,
+                w_min=5)
     args.update(kw)
     return DetectorSession(**args)
 
 
+def run_session(session, feeds, n_windows, start=0):
+    """feeds: dict flow_id -> callable(window) returning the raw vector, one
+    per session flow; returns the windows' WindowScores."""
+    return [session.process_window(
+        w, matrix([feeds[f](w) for f in session.flow_ids]))
+        for w in range(start, start + n_windows)]
+
+
+def records(session, scores):
+    """WindowScores as (window, flow)-ordered ScoreRecords."""
+    return [ScoreRecord(f, w.window, w.E[i], w.S[i], w.v[i], w.u[i], w.s[i],
+                        bool(w.a[i]), bool(w.z[i]), w.E[i])
+            for w in scores for i, f in enumerate(session.flow_ids)]
+
+
 def test_session_flow_born_after_burn_in_never_alarms():
-    session = small_session()
-    records = []
-    for w in range(120):
-        rows = [(1, "sensor", (100.0,) * N_FEATURES)]
-        if w >= 70:
-            rows.append((2, "sensor", (1e9,) * N_FEATURES))
-        records.extend(session.process_window(w, rows))
+    # every flow has a row in every window; flow 2's values are missing until
+    # window 48, so its own bucket reaches 2 * w_min = 10 updates at window
+    # 58 and it collects 2 < w_min burn-in scores: no threshold, no alarms
+    session = small_session(flows=(1, 2), buckets=["sensor", "late"])
+    feeds = {1: lambda w: (100.0,) * N_FEATURES,
+             2: lambda w: (None if w < 48 else 5.0 + w % 3 if w < 70
+                           else 1e9 * (1 + w % 3),) * N_FEATURES}
+    recs = records(session, run_session(session, feeds, 120))
+    assert np.array(session._burn_ok)[:, 1].sum() == 2
+    assert session.thresholds()[1]["detector"] is not None
     assert session.thresholds()[2]["detector"] is None
-    late = [r for r in records if r.flow_id == 2]
-    assert late, "late flow still gets scored"
+    late = [r for r in recs if r.flow_id == 2 and r.window >= 70]
+    assert any(r.E > 1.0 for r in late), "late flow still gets scored"
     assert not any(r.a or r.z for r in late)
 
 
@@ -388,29 +420,29 @@ def test_session_collection_gate_and_threshold():
     # starts once both exceed 2*w_min = 10 windows
     session = small_session()
     run_session(session, {1: lambda w: (100.0,) * N_FEATURES}, 60)
-    st_flow = session._flows[1]
-    assert len(st_flow.burn_scores) == 60 - 10
-    session.process_window(60, [constant_row(1)])
+    collected = np.array(session._burn_ok)[:, 0]
+    scores = np.array(session._burn_s)[collected, 0].tolist()
+    evidence_ = np.array(session._burn_e)[collected, 0].tolist()
+    assert len(scores) == 60 - 10
+    session.process_window(60, matrix([(100.0,) * N_FEATURES]))
     thr = session.thresholds()[1]
-    assert thr["detector"] == pytest.approx(
-        calibrate_threshold(st_flow.burn_scores, 0.9), rel=0)
-    assert thr["baseline"] == pytest.approx(
-        calibrate_threshold(st_flow.burn_baseline, 0.9), rel=0)
+    assert thr["detector"] == calibrate_threshold(scores, 0.9)
+    assert thr["baseline"] == calibrate_threshold(evidence_, 0.9)
 
 
 def test_session_detects_sustained_anomaly_and_freezes_threshold():
     # a single burn-in spike pushes the q=1 threshold above the quiet score,
     # so only the sustained post-burn-in anomaly can reach it
     session = small_session(quantile=1.0)
-    def feed(w):
-        return (500.0 if w == 30 else 100.0,) * N_FEATURES
-    records = run_session(session, {1: feed}, 60)
-    assert not any(r.a for r in records)
+    recs = records(session, run_session(
+        session, {1: lambda w: (500.0 if w == 30 else 100.0,) * N_FEATURES},
+        60))
+    assert not any(r.a for r in recs)
     theta_before = None
     post = []
     for w in range(60, 90):
         x = (5000.0 if w >= 65 else 100.0,) * N_FEATURES
-        post.extend(session.process_window(w, [(1, "sensor", x)]))
+        post.extend(records(session, [session.process_window(w, matrix([x]))]))
         if w == 60:
             theta_before = session.thresholds()[1]["detector"]
     assert theta_before is not None
@@ -426,17 +458,23 @@ def test_session_evidence_lags_one_window():
     # the score at the anomaly window itself still reflects the quiet state
     session = small_session()
     run_session(session, {1: lambda w: (100.0,) * N_FEATURES}, 65)
-    rec_at = session.process_window(65, [(1, "sensor", (5000.0,) * N_FEATURES)])[0]
-    rec_next = session.process_window(66, [(1, "sensor", (5000.0,) * N_FEATURES)])[0]
-    assert rec_at.E > 1.0
-    assert rec_at.s == pytest.approx(event_surrogate(0.0, 4.0, 1.0), rel=1e-12)
-    assert rec_at.s < rec_next.s
+    loud = matrix([(5000.0,) * N_FEATURES])
+    rec_at = session.process_window(65, loud)
+    rec_next = session.process_window(66, loud)
+    assert len(rec_at) == 1
+    assert rec_at.E[0] > 1.0
+    assert rec_at.s[0] == pytest.approx(event_surrogate(0.0, 4.0, 1.0),
+                                        rel=1e-12)
+    assert rec_at.s[0] < rec_next.s[0]
 
 
-def test_session_baseline_column_equals_evidence():
+def test_session_baseline_column_equals_evidence(tmp_path):
     session = small_session()
-    records = run_session(session, {1: lambda w: (float(w % 7),) * N_FEATURES}, 80)
-    assert all(r.baseline_s == r.E for r in records)
+    scores = run_session(session,
+                         {1: lambda w: (float(w % 7),) * N_FEATURES}, 80)
+    path = tmp_path / "scores.csv"
+    write_scores_csv(path, session.flow_ids, scores)
+    assert all(r.baseline_s == r.E for r in read_scores_csv(path))
 
 
 def test_session_determinism():
@@ -444,32 +482,50 @@ def test_session_determinism():
         return {1: lambda w: (float(w % 11), float(w % 5), 1.0, 0.5,
                               0.2, 0.1, 3.0),
                 2: lambda w: (2.0, 4.0, None, None, 0.0, 0.5, 1.0)}
-    a = run_session(small_session(), feeds(), 100)
-    b = run_session(small_session(), feeds(), 100)
-    assert a == b
+    a = small_session(flows=(1, 2))
+    b = small_session(flows=(1, 2))
+    assert records(a, run_session(a, feeds(), 100)) == \
+        records(b, run_session(b, feeds(), 100))
 
 
 def test_session_noise_requires_seed_and_is_reproducible():
     with pytest.raises(ValueError):
         small_session(params=DetectorParams(noise_std=0.01))
-    a = run_session(small_session(params=DetectorParams(noise_std=0.01), seed=7),
-                    {1: lambda w: (1.0,) * N_FEATURES}, 40)
-    b = run_session(small_session(params=DetectorParams(noise_std=0.01), seed=7),
-                    {1: lambda w: (1.0,) * N_FEATURES}, 40)
-    c = run_session(small_session(), {1: lambda w: (1.0,) * N_FEATURES}, 40)
+
+    def run(**kw):
+        s = small_session(**kw)
+        return records(s, run_session(s, {1: lambda w: (1.0,) * N_FEATURES},
+                                      40))
+
+    a = run(params=DetectorParams(noise_std=0.01), seed=7)
+    b = run(params=DetectorParams(noise_std=0.01), seed=7)
+    c = run()
     assert a == b
     assert [r.v for r in a] != [r.v for r in c]
+
+
+def test_session_refuses_mismatched_flows():
+    graph = ContentionGraph({0: [1, 2]}, {0: [[0.0, 0.5], [0.5, 0.0]]},
+                            (0.4, 0.6))
+    with pytest.raises(ValueError, match="flow ids"):
+        small_session(flows=(1, 3), graph=graph)
+    with pytest.raises(ValueError, match="one bucket per flow"):
+        small_session(flows=(1, 2), buckets=["sensor"])
+    # a window matrix must hold one row per session flow
+    session = small_session(flows=(1, 2))
+    with pytest.raises(ValueError, match=r"window 0: .* expected \(2, 7\)"):
+        session.process_window(0, matrix([(1.0,) * N_FEATURES]))
 
 
 def test_session_coupling_lags_and_perturbs():
     graph = ContentionGraph({0: [1, 2]}, {0: [[0.0, 0.5], [0.5, 0.0]]},
                             (0.4, 0.6))
     feeds = {1: lambda w: (1.0,) * N_FEATURES, 2: lambda w: (1.0,) * N_FEATURES}
-    coupled = run_session(
-        small_session(params=DetectorParams(g=0.2, lam=1.0), graph=graph),
-        feeds, 30)
-    plain = run_session(
-        small_session(params=DetectorParams(g=0.0, lam=1.0)), feeds, 30)
+    sc = small_session(flows=(1, 2), params=DetectorParams(g=0.2, lam=1.0),
+                       graph=graph)
+    sp = small_session(flows=(1, 2), params=DetectorParams(g=0.0, lam=1.0))
+    coupled = records(sc, run_session(sc, feeds, 30))
+    plain = records(sp, run_session(sp, feeds, 30))
     first_c = [r for r in coupled if r.window == 0]
     first_p = [r for r in plain if r.window == 0]
     assert [r.v for r in first_c] == [r.v for r in first_p]
@@ -477,23 +533,20 @@ def test_session_coupling_lags_and_perturbs():
 
 
 def test_session_coupling_matches_per_row_oracle():
-    # I_i(t) = g * sum_j w_ij S_j(t - 1 - tau), with S_j = 0 when flow j had
-    # no row at that window; flow 9 is outside the graph and gets no drive
+    # I_i(t) = g * sum_j w_ij S_j(t - 1 - tau); every flow has a row in
+    # every window, some rows all missing, and flow 4 is alone in its clique
     W = [[0.0, 0.5, 0.25], [0.5, 0.0, 0.75], [0.25, 0.75, 0.0]]
-    graph = ContentionGraph({0: [1, 2, 3]}, {0: W}, (0.0, 1.5))
+    graph = ContentionGraph({0: [1, 2, 3], 1: [4]}, {0: W, 1: [[0.0]]},
+                            (0.0, 1.5))
     params = DetectorParams(g=0.3, tau=1, lam=1.0)
-    session = small_session(params=params, graph=graph)
+    session = small_session(flows=(1, 2, 3, 4), params=params, graph=graph)
     idx = {1: 0, 2: 1, 3: 2}
-    records = []
-    for w in range(40):
-        rows = [(1, "sensor", (float(w % 5),) * N_FEATURES),
-                (9, "sensor", (float(w % 3),) * N_FEATURES)]
-        if w >= 6:
-            rows.insert(1, (2, "sensor", (float(w % 7),) * N_FEATURES))
-        if w % 4 != 1:
-            rows.append((3, "sensor", (float(w % 2),) * N_FEATURES))
-        records.extend(session.process_window(w, rows))
-    by = {(r.flow_id, r.window): r for r in records}
+    feeds = {1: lambda w: (float(w % 5),) * N_FEATURES,
+             2: lambda w: (float(w % 7) if w >= 6 else None,) * N_FEATURES,
+             3: lambda w: (float(w % 2) if w % 4 != 1 else None,) * N_FEATURES,
+             4: lambda w: (float(w % 3),) * N_FEATURES}
+    by = {(r.flow_id, r.window): r
+          for r in records(session, run_session(session, feeds, 40))}
     checked = 0
     for (f, w), r in by.items():
         nxt = by.get((f, w + 1))
@@ -502,32 +555,33 @@ def test_session_coupling_matches_per_row_oracle():
         lag = 1 + params.tau
         drive = 0.0
         if f in idx and w >= lag:
-            drive = params.g * sum(
-                W[idx[f]][idx[j]] * by[(j, w - lag)].S
-                for j in idx if (j, w - lag) in by)
+            drive = params.g * sum(W[idx[f]][idx[j]] * by[(j, w - lag)].S
+                                   for j in idx)
         v_next, u_next = step(r.v, r.u, r.E, drive, params)
         assert nxt.v == pytest.approx(v_next, rel=1e-12, abs=1e-15), (f, w)
         assert nxt.u == pytest.approx(u_next, rel=1e-12, abs=1e-15), (f, w)
         checked += 1
-    assert checked > 100
+    assert checked == 4 * 39
 
 
 def test_derive_flags_matches_session():
     session = small_session()
     feed = {1: lambda w: ((100.0 + (37.0 * w * w + 11) % 61),) * N_FEATURES}
-    records = run_session(session, feed, 150)
+    recs = records(session, run_session(session, feed, 150))
     theta = session.thresholds()[1]["detector"]
-    pairs = [(r.window, r.s) for r in records]
+    pairs = [(r.window, r.s) for r in recs]
     a, z = derive_flags(pairs, theta, 3, 8, 60)
-    assert list(a) == [r.a for r in records]
-    assert list(z) == [r.z for r in records]
+    assert list(a) == [r.a for r in recs]
+    assert list(z) == [r.z for r in recs]
 
 
 def test_session_rejects_non_finite_state():
-    session = small_session()
-    session.process_window(0, [constant_row(1)])
-    with pytest.raises(FloatingPointError, match="flow 1 at window 1"):
-        session.process_window(1, [(1, "sensor", (math.nan,) * N_FEATURES)])
+    # +inf, since NaN marks a missing value. Flow 2's first value is +inf,
+    # so its z-score is inf - inf = NaN and its state goes non-finite
+    session = small_session(flows=(1, 2), buckets=["a", "b"])
+    with pytest.raises(FloatingPointError, match="flow 2 at window 0"):
+        session.process_window(0, matrix([(100.0,) * N_FEATURES,
+                                          (math.inf,) * N_FEATURES]))
 
 
 def test_session_finalize_freezes_mid_burn_in():
@@ -545,22 +599,141 @@ def test_derive_flags_none_threshold_all_clear():
 
 
 # ---------------------------------------------------------------------------
+# differential test against the per-row session
+
+
+@st.composite
+def detector_cases(draw):
+    n = draw(st.integers(1, 8))
+    flows = sorted(draw(st.sets(st.integers(1, 60), min_size=n, max_size=n)))
+    buckets = draw(st.lists(st.sampled_from("abc"), min_size=n, max_size=n))
+    n_windows = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.uniform(0.0, 10.0, (n_windows, n, N_FEATURES))
+    x[rng.random(x.shape) < 0.02] *= 300.0  # spikes
+    x[rng.random(x.shape) < draw(st.sampled_from([0.0, 0.2, 0.6]))] = np.nan
+    x[rng.random((n_windows, n)) < draw(st.sampled_from([0.0, 0.15]))] = np.nan
+    m = draw(st.integers(1, 5))
+    params = dict(p=draw(st.sampled_from([1.0, 2.0, 3.0, math.inf])),
+                  eta2=draw(st.sampled_from([0.0, 0.5])),
+                  r=draw(st.sampled_from([0.0, 0.3])),
+                  noise_std=draw(st.sampled_from([0.0, 0.05])))
+    graph = None
+    if draw(st.booleans()):
+        clique = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        cliques = {c: [f for f, cf in zip(flows, clique) if cf == c]
+                   for c in set(clique)}
+        blocks = {}
+        for c, fs in cliques.items():
+            w = np.triu(rng.uniform(0.0, 0.3, (len(fs), len(fs))), 1)
+            blocks[c] = w + w.T
+        graph = ContentionGraph(cliques, blocks, (0.0, 3.0))
+        params.update(lam=1.0, g=draw(st.sampled_from([0.0, 0.05, 0.2])),
+                      tau=draw(st.integers(0, 2)))
+    return dict(
+        flows=flows, buckets=buckets, x=x, graph=graph,
+        params=DetectorParams(**params),
+        burn=draw(st.integers(0, n_windows)), w_min=draw(st.integers(0, 6)),
+        quantile=draw(st.sampled_from([0.5, 0.9, 1.0])),
+        k=draw(st.integers(1, m)), m=m, seed=draw(st.integers(0, 1000)),
+        finalize_at=draw(st.none() | st.integers(0, n_windows - 1)))
+
+
+@settings(max_examples=250, deadline=None)
+@given(detector_cases())
+def test_session_matches_per_row_oracle_bitwise(case):
+    common = dict(burn_in_windows=case["burn"], quantile=case["quantile"],
+                  k_persist=case["k"], m_persist=case["m"],
+                  w_min=case["w_min"], graph=case["graph"], seed=case["seed"])
+    new = DetectorSession(case["params"], case["flows"], case["buckets"],
+                          **common)
+    old = oracle.DetectorSession(case["params"], **common)
+    for w, xw in enumerate(case["x"]):
+        if w == case["finalize_at"]:
+            new.finalize()
+            old.finalize()
+        got = new.process_window(w, xw)
+        want = old.process_window(w, [
+            (f, b, tuple(None if math.isnan(v) else v for v in row))
+            for f, b, row in zip(case["flows"], case["buckets"], xw.tolist())])
+        assert len(got) == len(want)
+        assert [r.flow_id for r in want] == case["flows"]
+        for name in "ESvusaz":
+            col = getattr(got, name)
+            ref = np.array([getattr(r, name) for r in want], dtype=col.dtype)
+            assert col.tobytes() == ref.tobytes(), (w, name)
+        assert [r.baseline_s for r in want] == [r.E for r in want]
+    assert repr(new.thresholds()) == repr(old.thresholds())
+
+
+def test_array_kernels_match_scalar_kernels_elementwise():
+    # one kernel: a window's arrays give each flow's scalar result
+    rng = np.random.default_rng(3)
+    p = DetectorParams(r=0.3)
+    v = np.concatenate([rng.uniform(-200.0, 12.0, 200), [0.0, 1.0, -175.0]])
+    u = rng.uniform(0.0, 5.0, v.size)
+    e = rng.uniform(0.0, 4.0, v.size)
+    s = event_surrogate(v, p.k, p.theta)
+    vn, un = step(v, u, e, 0.1, p)
+    z = rng.normal(0.0, 3.0, (v.size, N_FEATURES))
+    for pn in (1.0, 2.0, 3.0, math.inf):
+        ev = evidence(z, 0.25, pn)
+        for i in range(v.size):
+            assert ev[i] == oracle.evidence(z[i].tolist(), 0.25, pn)
+    for i in range(v.size):
+        assert s[i] == oracle.event_surrogate(float(v[i]), p.k, p.theta)
+        assert (vn[i], un[i]) == oracle.step(float(v[i]), float(u[i]),
+                                             float(e[i]), 0.1, p)
+
+
+# ---------------------------------------------------------------------------
 # serialization
 
 
 def test_scores_csv_round_trip(tmp_path):
-    records = [
-        ScoreRecord(1, 0, 0.5, 0.01798, 0.0, 0.0, 0.01798, False, False, 0.5),
-        ScoreRecord(2, 0, 1.25, 0.5, 1.0, 0.1, 0.5, True, False, 1.25),
-        ScoreRecord(1, 1, 1e-17, 0.9999999, 9.5, 3.3, 0.9999999, True, True, 1e-17),
+    f64 = np.array
+    windows = [
+        WindowScores(0, f64([0.5, 1.25]), f64([0.01798, 0.5]), f64([0.0, 1.0]),
+                     f64([0.0, 0.1]), f64([0.01798, 0.5]),
+                     f64([False, True]), f64([False, False])),
+        WindowScores(1, f64([1e-17, 2.0]), f64([0.9999999, 0.25]),
+                     f64([9.5, 0.0]), f64([3.3, 0.0]), f64([0.9999999, 0.25]),
+                     f64([True, False]), f64([True, False])),
     ]
     path = tmp_path / "scores.csv"
-    write_scores_csv(path, records)
-    assert read_scores_csv(path) == records
+    write_scores_csv(path, [1, 2], windows)
+    assert read_scores_csv(path) == [
+        ScoreRecord(1, 0, 0.5, 0.01798, 0.0, 0.0, 0.01798, False, False, 0.5),
+        ScoreRecord(2, 0, 1.25, 0.5, 1.0, 0.1, 0.5, True, False, 1.25),
+        ScoreRecord(1, 1, 1e-17, 0.9999999, 9.5, 3.3, 0.9999999, True, True,
+                    1e-17),
+        ScoreRecord(2, 1, 2.0, 0.25, 0.0, 0.0, 0.25, False, False, 2.0),
+    ]
+    assert path.read_text().splitlines()[3] == \
+        "1,1,1e-17,0.9999999,9.5,3.3,0.9999999,1,1,1e-17"
+
+
+def test_scores_csv_refuses_bad_header_and_short_rows(tmp_path):
+    path = tmp_path / "scores.csv"
+    write_scores_csv(path, [1], [WindowScores(
+        0, np.array([0.5]), np.array([0.5]), np.zeros(1), np.zeros(1),
+        np.array([0.5]), np.zeros(1, bool), np.zeros(1, bool))])
+    lines = path.read_text().splitlines()
+    swapped = lines[0].replace("S,v", "v,S")
+    (tmp_path / "hdr.csv").write_text("\n".join([swapped] + lines[1:]) + "\n")
+    with pytest.raises(ValueError, match=r"hdr\.csv: line 1: header"):
+        read_scores_csv(tmp_path / "hdr.csv")
+    (tmp_path / "short.csv").write_text(
+        "\n".join(lines + ["1,1,0.5"]) + "\n")
+    with pytest.raises(ValueError, match=r"short\.csv: line 3: 3 fields"):
+        read_scores_csv(tmp_path / "short.csv")
+    (tmp_path / "empty.csv").write_text("")
+    with pytest.raises(ValueError, match="line 1"):
+        read_scores_csv(tmp_path / "empty.csv")
 
 
 def test_thresholds_round_trip(tmp_path):
-    session = small_session()
+    session = small_session(flows=(1, 2))
     run_session(session, {1: lambda w: (100.0,) * N_FEATURES,
                           2: lambda w: (None,) * N_FEATURES}, 61)
     path = tmp_path / "thresholds.json"

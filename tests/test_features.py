@@ -9,17 +9,34 @@ from hypothesis import strategies as st
 from flowgate.features import (
     FEATURE_NAMES,
     N_FEATURES,
-    FeatureTable,
     Normalizer,
     NormalizerConfig,
-    contention_features,
-    pacing_index_from_counts,
-    read_features_csv,
     windowize,
-    write_features_csv,
 )
 from flowgate.trace import BENIGN, FlowInfo, FlowKey, Trace
 from flowgate.worlds import ContentionGraph
+
+
+def pacing_index_from_counts(counts, n_packets: int) -> float:
+    """Per-cell oracle of the pacing column: 1 - H / log(min(B, N)) with H
+    the entropy of the micro-bin counts; 0 when N <= 1."""
+    if n_packets <= 1:
+        return 0.0
+    denom = math.log(min(len(counts), n_packets))
+    h = 0.0
+    for c in counts:
+        if c > 0:
+            p = c / n_packets
+            h -= p * math.log(p)
+    return 1.0 - h / denom
+
+
+def contention_features(flow_bytes: float, clique_bytes: float,
+                        neighbor_weights, neighbor_byte_rates) -> tuple[float, float]:
+    """Per-cell oracle of (share, interference) for one flow-window."""
+    share = flow_bytes / max(1.0, clique_bytes)
+    interference = float(np.dot(neighbor_weights, neighbor_byte_rates))
+    return share, interference
 
 
 def flow_table(n):
@@ -49,29 +66,27 @@ def test_windowize_hand_example():
     # two packets at 0 ms and 100 ms, 500 B each, in a 250 ms window
     tr = trace_of([0, 100_000], [0, 0], [500, 500])
     tab = windowize(tr, one_clique(tr))
-    r = tab.row(0, 0)
-    assert r.pkt_count == 2
-    assert r.pkt_rate == pytest.approx(8.0)
-    assert r.byte_rate == pytest.approx(4000.0)
-    assert r.iat_mean_s == pytest.approx(0.1)
-    assert r.iat_cv == 0.0
+    assert tab.pkt_count[0, 0] == 2
+    assert tab.pkt_rate[0, 0] == pytest.approx(8.0)
+    assert tab.byte_rate[0, 0] == pytest.approx(4000.0)
+    assert tab.iat_mean[0, 0] == pytest.approx(0.1)
+    assert tab.iat_cv[0, 0] == 0.0
     # remaining windows are empty: zero rates, missing IATs
     for w in (1, 2, 3):
-        r = tab.row(0, w)
-        assert r.pkt_count == 0
-        assert r.pkt_rate == 0.0
-        assert r.byte_rate == 0.0
-        assert r.iat_mean_s is None
-        assert r.iat_cv is None
-        assert r.pacing_index == 0.0
+        assert tab.pkt_count[0, w] == 0
+        assert tab.pkt_rate[0, w] == 0.0
+        assert tab.byte_rate[0, w] == 0.0
+        assert math.isnan(tab.iat_mean[0, w])
+        assert math.isnan(tab.iat_cv[0, w])
+        assert tab.pacing[0, w] == 0.0
 
 
 def test_windowize_iat_is_within_window_only():
     # consecutive packets in different windows contribute no IAT
     tr = trace_of([240_000, 260_000], [0, 0], [500, 500])
     tab = windowize(tr, one_clique(tr))
-    assert tab.row(0, 0).iat_mean_s is None
-    assert tab.row(0, 1).iat_mean_s is None
+    assert math.isnan(tab.iat_mean[0, 0])
+    assert math.isnan(tab.iat_mean[0, 1])
 
 
 def test_windowize_iat_cv():
@@ -79,18 +94,17 @@ def test_windowize_iat_cv():
     tr = trace_of([0, 100_000, 400_000], [0, 0, 0], [500, 500, 500],
                   H=4, window_us=500_000)
     tab = windowize(tr, one_clique(tr))
-    r = tab.row(0, 0)
-    assert r.iat_mean_s == pytest.approx(0.2)
-    assert r.iat_cv == pytest.approx(0.5)
+    assert tab.iat_mean[0, 0] == pytest.approx(0.2)
+    assert tab.iat_cv[0, 0] == pytest.approx(0.5)
 
 
 def test_single_packet_window_has_missing_iat_and_zero_pacing():
     tr = trace_of([10], [0], [500])
-    r = windowize(tr, one_clique(tr)).row(0, 0)
-    assert r.pkt_count == 1
-    assert r.iat_mean_s is None
-    assert r.iat_cv is None
-    assert r.pacing_index == 0.0
+    tab = windowize(tr, one_clique(tr))
+    assert tab.pkt_count[0, 0] == 1
+    assert math.isnan(tab.iat_mean[0, 0])
+    assert math.isnan(tab.iat_cv[0, 0])
+    assert tab.pacing[0, 0] == 0.0
 
 
 def test_pacing_index_frozen_examples():
@@ -106,11 +120,11 @@ def test_pacing_index_in_windowized_table():
     # 4 packets all inside the first micro-bin of window 0 (B=10 -> bin 25 ms)
     tr = trace_of([0, 5_000, 10_000, 15_000], [0, 0, 0, 0], [100] * 4)
     tab = windowize(tr, one_clique(tr), micro_bins=10)
-    assert tab.row(0, 0).pacing_index == pytest.approx(1.0)
+    assert tab.pacing[0, 0] == pytest.approx(1.0)
     # 4 packets spread across 4 distinct micro-bins -> 0
     tr2 = trace_of([0, 30_000, 60_000, 90_000], [0, 0, 0, 0], [100] * 4)
     tab2 = windowize(tr2, one_clique(tr2), micro_bins=10)
-    assert tab2.row(0, 0).pacing_index == pytest.approx(0.0)
+    assert tab2.pacing[0, 0] == pytest.approx(0.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -175,12 +189,18 @@ def test_windowize_contention_columns():
     tr = trace_of(ts, fid, ln, n_flows=2)
     W = np.array([[0.0, 0.5], [0.5, 0.0]])
     tab = windowize(tr, one_clique(tr, W))
-    r0 = tab.row(0, 0)
-    assert r0.clique_rate_share == pytest.approx(500 / 750)
-    assert r0.interference_index == pytest.approx(0.5 * (250 / 0.25))
-    r1 = tab.row(1, 0)
-    assert r1.clique_rate_share == pytest.approx(250 / 750)
-    assert r1.interference_index == pytest.approx(0.5 * (500 / 0.25))
+    assert tab.share[0, 0] == pytest.approx(500 / 750)
+    assert tab.interference[0, 0] == pytest.approx(0.5 * (250 / 0.25))
+    assert tab.share[1, 0] == pytest.approx(250 / 750)
+    assert tab.interference[1, 0] == pytest.approx(0.5 * (500 / 0.25))
+    # the per-cell oracle agrees
+    for fi in range(2):
+        share, interference = contention_features(
+            tab.byte_rate[fi, 0] * 0.25, tab.byte_rate[:, 0].sum() * 0.25,
+            W[fi], tab.byte_rate[:, 0])
+        assert tab.share[fi, 0] == pytest.approx(share, rel=1e-12)
+        assert tab.interference[fi, 0] == pytest.approx(interference,
+                                                        rel=1e-12)
 
 
 def test_windowize_causality():
@@ -204,38 +224,34 @@ def test_windowize_causality():
 def test_every_flow_gets_rows_even_without_packets():
     tr = trace_of([0], [0], [500], n_flows=3)
     tab = windowize(tr, one_clique(tr))
-    rows = list(tab.iter_rows())
-    assert len(rows) == 3 * 4
-    # ordering is (window, flow)
-    assert [(r.window_idx, r.flow_id) for r in rows[:4]] == [(0, 0), (0, 1), (0, 2), (1, 0)]
-
-
-def test_features_csv_round_trip(tmp_path):
-    tr = trace_of([0, 100_000, 400_000], [0, 1, 0], [500, 300, 700], n_flows=2)
-    tab = windowize(tr, one_clique(tr))
-    p = tmp_path / "features.csv"
-    write_features_csv(p, tab)
-    rows = read_features_csv(p)
-    orig = list(tab.iter_rows())
-    assert len(rows) == len(orig)
-    for a, b in zip(rows, orig):
-        assert a == b
-    # missing cells are genuinely empty in the file
-    text = p.read_text().splitlines()
-    empty_iat = [ln for ln in text[1:] if ",,," in ln or ",," in ln]
-    assert empty_iat
+    # one (flows x features) matrix per window, rows in flow_ids order
+    assert tab.x.shape == (4, 3, N_FEATURES)
+    assert tab.flow_ids == [0, 1, 2]
+    for w in range(4):
+        for fi in range(3):
+            np.testing.assert_array_equal(tab.row(fi, w), [
+                tab.pkt_rate[fi, w], tab.byte_rate[fi, w], tab.iat_mean[fi, w],
+                tab.iat_cv[fi, w], tab.pacing[fi, w], tab.share[fi, w],
+                tab.interference[fi, w]])
+    assert tab.byte_rate[0, 0] == 2000.0 and not tab.byte_rate[1:].any()
 
 
 # ---------------------------------------------------------------------------
 # normalizer
 
 
+def one_row(norm, *x):
+    """Score a one-row window; returns its z list."""
+    z, _ = norm.score_and_update(np.array([x], dtype=np.float64))
+    return z[0].tolist()
+
+
 def test_normalizer_scores_before_updating():
-    norm = Normalizer(NormalizerConfig(), n_features=1)
-    z0 = norm.score_and_update("b", [5.0])
+    norm = Normalizer(["b"], NormalizerConfig(), n_features=1)
+    z0 = one_row(norm, 5.0)
     assert z0 == [0.0]  # first sighting: m initialized to x
     # second observation scored against the state built from the first only
-    z1 = norm.score_and_update("b", [6.0])
+    z1 = one_row(norm, 6.0)
     assert z1[0] == pytest.approx(norm.config.clip)  # q still ~eps: clipped
 
 
@@ -243,9 +259,9 @@ def test_normalizer_one_step_memory_oracle():
     # with lambda_mean = lambda_var = 1 the normalizer degenerates to
     # z_t = (x_t - x_{t-1}) / sqrt((x_{t-1} - x_{t-2})^2 + eps)
     cfg = NormalizerConfig(lambda_mean=1.0, lambda_var=1.0, eps_var=1e-6, clip=100.0)
-    norm = Normalizer(cfg, n_features=1)
+    norm = Normalizer(["b"], cfg, n_features=1)
     xs = [2.0, 5.0, 4.0, 4.5, 10.0]
-    zs = [norm.score_and_update("b", [x])[0] for x in xs]
+    zs = [one_row(norm, x)[0] for x in xs]
     assert zs[0] == 0.0
     for t in range(2, len(xs)):
         expect = (xs[t] - xs[t - 1]) / math.sqrt((xs[t - 1] - xs[t - 2]) ** 2 + 1e-6)
@@ -254,37 +270,50 @@ def test_normalizer_one_step_memory_oracle():
 
 
 def test_normalizer_missing_components_score_zero_and_skip_update():
-    norm = Normalizer(NormalizerConfig(), n_features=2)
-    norm.score_and_update("b", [1.0, 1.0])
-    before_m = list(norm._m["b"])
-    before_q = list(norm._q["b"])
-    z = norm.score_and_update("b", [None, None])
-    assert z == [0.0, 0.0]
-    assert norm._m["b"] == before_m
-    assert norm._q["b"] == before_q
+    norm = Normalizer(["b"], NormalizerConfig(), n_features=2)
+    one_row(norm, 1.0, 1.0)
+    before_m = list(norm._m[0])
+    before_q = list(norm._q[0])
+    z, counts = norm.score_and_update(np.array([[np.nan, np.nan]]))
+    assert z.tolist() == [[0.0, 0.0]]
+    assert norm._m[0] == before_m
+    assert norm._q[0] == before_q
+    # an all-missing row does not count as an update of its bucket
+    _, counts_after = norm.score_and_update(np.array([[1.0, 1.0]]))
+    assert counts.tolist() == counts_after.tolist() == [1]
 
 
 def test_normalizer_clip():
-    norm = Normalizer(NormalizerConfig(clip=8.0), n_features=1)
-    norm.score_and_update("b", [0.0])
-    z = norm.score_and_update("b", [1e9])
-    assert z == [8.0]
-    z = norm.score_and_update("b", [-1e9])
-    assert z == [-8.0]
+    norm = Normalizer(["b"], NormalizerConfig(clip=8.0), n_features=1)
+    one_row(norm, 0.0)
+    assert one_row(norm, 1e9) == [8.0]
+    assert one_row(norm, -1e9) == [-8.0]
 
 
 def test_normalizer_buckets_are_independent():
-    norm = Normalizer(NormalizerConfig(), n_features=1)
-    norm.score_and_update("a", [100.0])
-    z = norm.score_and_update("b", [0.0])
-    assert z == [0.0]
-    assert norm.bucket_updates("a") == 1
-    assert norm.bucket_updates("b") == 1
+    norm = Normalizer(["a", "b"], NormalizerConfig(), n_features=1)
+    z, counts = norm.score_and_update(np.array([[100.0], [0.0]]))
+    assert z.tolist() == [[0.0], [0.0]]
+    assert counts.tolist() == [0, 0]
+    _, counts = norm.score_and_update(np.array([[100.0], [0.0]]))
+    assert counts.tolist() == [1, 1]
+
+
+def test_normalizer_rows_of_a_bucket_fold_in_row_order():
+    # rows 0 and 2 share bucket "a": row 2 is scored against the state row 0
+    # just folded in, and each row reports its bucket's count before it
+    norm = Normalizer(["a", "b", "a"], NormalizerConfig(), n_features=1)
+    z, counts = norm.score_and_update(np.array([[5.0], [1.0], [6.0]]))
+    assert counts.tolist() == [0, 0, 1]
+    assert z[0, 0] == 0.0 and z[1, 0] == 0.0
+    assert z[2, 0] == pytest.approx(norm.config.clip)
+    _, counts = norm.score_and_update(np.array([[5.0], [1.0], [6.0]]))
+    assert counts.tolist() == [2, 1, 3]
 
 
 def test_normalizer_slow_phase_scales_once():
     cfg = NormalizerConfig(lambda_mean=0.05, lambda_var=0.01, slow_factor=0.2)
-    norm = Normalizer(cfg)
+    norm = Normalizer(["b"], cfg)
     norm.enter_slow_phase()
     norm.enter_slow_phase()
     assert norm.lambda_mean == pytest.approx(0.01)
@@ -295,10 +324,10 @@ def test_normalizer_slow_phase_scales_once():
 @given(st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=3, max_size=30))
 def test_normalizer_converges_on_constant_tail(xs):
     # after a long constant stream the z-score of that constant tends to 0
-    norm = Normalizer(NormalizerConfig(), n_features=1)
+    norm = Normalizer(["b"], NormalizerConfig(), n_features=1)
     for x in xs:
-        norm.score_and_update("b", [x])
+        one_row(norm, x)
     z = None
     for _ in range(400):
-        z = norm.score_and_update("b", [7.5])[0]
+        z = one_row(norm, 7.5)[0]
     assert abs(z) < 0.5

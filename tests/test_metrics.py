@@ -201,27 +201,30 @@ def test_queue_impact_reduced_delays_negative():
 # scoring cost
 
 
-def _bench_session():
-    return DetectorSession(DetectorParams(), burn_in_windows=40, quantile=0.99,
-                           w_min=10)
+def _bench(n_rows):
+    flows, buckets, stream = synthetic_feature_stream(n_rows)
+    return bench_scoring(
+        DetectorSession(DetectorParams(), flows, buckets, burn_in_windows=40,
+                        quantile=0.99, w_min=10), stream)
 
 
 def test_bench_ordering_and_positive():
-    mean, p90, mx = bench_scoring(_bench_session(),
-                                  synthetic_feature_stream(6000))
+    mean, p90, mx = _bench(6000)
     assert 0.0 < mean <= p90 <= mx
 
 
 def test_bench_too_short_raises():
     with pytest.raises(ValueError):
-        bench_scoring(_bench_session(), synthetic_feature_stream(500))
+        _bench(500)
 
 
 def test_synthetic_stream_shape():
     rows = 0
-    for w, batch in synthetic_feature_stream(1234, n_flows=7):
-        rows += len(batch)
-        assert all(len(x) == 7 for _, _, x in batch)
+    flows, buckets, stream = synthetic_feature_stream(1234, n_flows=7)
+    assert flows == list(range(1, 8)) and len(buckets) == 7
+    for w, x in stream:
+        rows += len(x)
+        assert x.shape == (7, 7)
     assert rows >= 1234
 
 

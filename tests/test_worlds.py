@@ -42,6 +42,8 @@ from flowgate.worlds import (
     write_world,
 )
 
+import flowgate.worlds as worlds_module
+
 LEN_BOUNDS = (64, 1500)
 REPO = Path(__file__).resolve().parents[1]
 
@@ -605,6 +607,43 @@ def test_world_feasible_episodes_pass_audit(demo_world):
     for entry in audit:
         if entry["feasible"]:
             assert entry["all_ok"], entry
+
+
+def test_audit_replays_each_clique_benign_traffic_once(monkeypatch):
+    # a third episode shares clique 0 with episode 100, so the benign-only
+    # replay of clique 0 serves both: 3 attack replays + 2 benign replays
+    cfg = _demo_config()
+    cfg.episodes.append(EpisodeSpec(
+        102, "telemetry", 0, "beaconing", 40, 360, Budgets(0, math.inf, math.inf),
+        "periodic_telemetry", {"period_s": 1.0, "jitter_frac": 0.05},
+        {"period_s": 4.0}))
+    world = build_world(cfg, 7)
+    trace = world.trace
+    calls = []
+
+    def counted(**kw):
+        calls.append(kw["clique_id"])
+        return clique_baseline_delay(**kw)
+
+    monkeypatch.setattr(worlds_module, "clique_baseline_delay", counted)
+    rows = audit_budgets(world)
+    cliques = {world.graph.clique_of[l.flow_id] for l in world.labels}
+    assert len(world.labels) == 3 and cliques == {0, 1}
+    assert len(calls) == len(world.labels) + len(cliques)
+
+    # every row as the per-episode replays give it
+    benign = [f for f, info in trace.flow_table.items() if info.label == BENIGN]
+    for row, label in zip(rows, world.labels):
+        cid = world.graph.clique_of[label.flow_id]
+        ben = (trace.clique_id == cid) & np.isin(trace.flow_id, benign)
+        d = [clique_baseline_delay(
+            ts=trace.ts_us[m], fid=trace.flow_id[m], ln=trace.len_bytes[m],
+            clique_id=cid, capacity_bps=cfg.capacity_bps,
+            window_us=trace.window_us, horizon_windows=trace.horizon_windows,
+            flow_table=trace.flow_table)
+            for m in (ben, ben | (trace.flow_id == label.flow_id))]
+        assert row["flow_id"] == label.flow_id
+        assert row["delay_delta_s"] == float(d[1] - d[0])
 
 
 def test_world_manifest(demo_world):
