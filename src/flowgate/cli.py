@@ -18,6 +18,7 @@ import numpy as np
 from flowgate.detector import (
     DetectorParams,
     DetectorSession,
+    Scores,
     read_scores_csv,
     read_thresholds,
     write_scores_csv,
@@ -140,14 +141,14 @@ def cmd_detect(args) -> int:
         [trace.flow_table[f].device_class for f in table.flow_ids],
         burn_in_windows=burn_in, quantile=quantile, k_persist=k, m_persist=m,
         w_min=w_min, graph=graph, seed=args.seed)
-    scores = [session.process_window(w, table.x[w])
-              for w in range(table.horizon_windows)]
+    scores = Scores.concat(session.process_window(w, table.x[w])
+                           for w in range(table.horizon_windows))
     session.finalize()
-    n_records = sum(len(w) for w in scores)
+    n_records = len(scores)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_scores_csv(out / "scores.csv", table.flow_ids, scores)
+    write_scores_csv(out / "scores.csv", scores)
     write_thresholds(out / "thresholds.json", session)
     detect_manifest = {
         "world": manifest.to_dict(),
@@ -160,8 +161,8 @@ def cmd_detect(args) -> int:
         json.dumps(detect_manifest, sort_keys=True, indent=2) + "\n")
     print(f"flows={len(table.flow_ids)}")
     print(f"records={n_records}")
-    print(f"alarms={sum(int(w.a.sum()) for w in scores)}")
-    print(f"actionable={sum(int(w.z.sum()) for w in scores)}")
+    print(f"alarms={int(scores.a.sum())}")
+    print(f"actionable={int(scores.z.sum())}")
     print(f"out={out}")
     return 0
 
@@ -190,14 +191,21 @@ def cmd_replay(args) -> int:
                                  file_doc.get("t_g_s"), 30.0)),
         )
         gc.validate()
-        records = read_scores_csv(args.scores)
-        actionable: dict[int, np.ndarray] = {}
-        for r in records:
-            z = actionable.setdefault(
-                r.flow_id, np.zeros(config.horizon_windows, dtype=bool))
-            if r.z:
-                z[r.window] = True
-        schedule = gate_controller(actionable, gc, config.window_us)
+        # each scored flow's flags by window; the reader refuses window < 0
+        scores = read_scores_csv(args.scores)
+        late = scores.window[scores.window >= config.horizon_windows]
+        if late.size:
+            raise ValueError(f"{args.scores}: window {late[0]} is outside "
+                             f"[0, {config.horizon_windows})")
+        flows, row = np.unique(scores.flow_id, return_inverse=True)
+        unknown = flows[~np.isin(flows, list(trace.flow_table))]
+        if unknown.size:
+            raise ValueError(f"{args.scores}: flow {unknown[0]} is not in "
+                             "flows.csv")
+        z = np.zeros((flows.size, config.horizon_windows), dtype=bool)
+        z[row[scores.z], scores.window[scores.z]] = True
+        schedule = gate_controller(dict(zip(flows.tolist(), z)), gc,
+                                   config.window_us)
         write_schedule(out / "schedule.csv", schedule)
         gate_doc = {"omega_0": gc.omega_0, "omega_minus": gc.omega_minus,
                     "t_g_s": gc.t_g_s}
@@ -233,10 +241,9 @@ def cmd_report(args) -> int:
     feasibility = [FeasibilityOutcome.from_dict(x)
                    for x in feas_doc["outcomes"]]
 
-    records = read_scores_csv(args.scores)
-    thresholds_path = args.thresholds or str(
-        Path(args.scores).parent / "thresholds.json")
-    thresholds_doc = read_thresholds(thresholds_path)
+    scores = read_scores_csv(args.scores)
+    thresholds_doc = read_thresholds(
+        args.thresholds or Path(args.scores).parent / "thresholds.json")
     base_log = read_queue_log(args.base_log)
     gated_log = read_queue_log(args.gated_log)
 
@@ -247,13 +254,13 @@ def cmd_report(args) -> int:
         DetectorSession(DetectorParams(), flows, buckets, burn_in_windows=40,
                         quantile=0.99, w_min=10),
         stream)
-    rep = compute_report(records, labels, thresholds_doc, feasibility,
+    rep = compute_report(scores, labels, thresholds_doc, feasibility,
                          base_log, gated_log, grace_windows=grace,
                          window_s=window_s, timing=timing)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_report(out / "report.json", rep, manifest)
-    write_episode_table(out / "episodes.csv", records, labels,
+    write_episode_table(out / "episodes.csv", scores, labels,
                         grace_windows=grace, window_s=window_s)
     for key, val in rep.to_dict().items():
         print(f"{key}={json.dumps(val)}")

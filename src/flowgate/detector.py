@@ -24,12 +24,11 @@ import math
 from collections import deque
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
 from flowgate.features import Normalizer, NormalizerConfig
-from flowgate.trace import write_csv
+from flowgate.trace import check_fields, read_csv, write_csv
 
 W_MIN_DEFAULT = 50
 
@@ -239,15 +238,16 @@ def coupling_stability_margin(params: DetectorParams,
 
 
 def calibrate_threshold(scores, q: float) -> float:
-    """Nearest-rank quantile: the ceil(q*N)-th smallest score."""
+    """Nearest-rank quantile: the ceil(q*N)-th smallest of N scores, as a
+    float (delay and timing percentiles call it with q = pct / 100)."""
     if not 0.0 < q <= 1.0:
         raise ValueError("q must be in (0, 1]")
-    xs = sorted(scores)
-    n = len(xs)
+    xs = np.sort(np.asarray(scores, dtype=np.float64))
+    n = xs.size
     if n == 0:
         raise ValueError("cannot calibrate on an empty score set")
     rank = min(n, max(1, math.ceil(q * n)))
-    return xs[rank - 1]
+    return float(xs[rank - 1])
 
 
 class Persistence:
@@ -287,26 +287,20 @@ class Persistence:
 # streaming session
 
 
-class ScoreRecord(NamedTuple):
-    flow_id: int
-    window: int
-    E: float
-    S: float
-    v: float
-    u: float
-    s: float
-    a: bool
-    z: bool
-    baseline_s: float
+# the columns of Scores and their dtypes, in field order
+_SCORE_DTYPES = (("flow_id", np.int64), ("window", np.int64),
+                 *((c, np.float64) for c in "ESvus"), ("a", bool), ("z", bool))
 
 
-@dataclass(frozen=True)
-class WindowScores:
-    """One window's per-flow columns, in the session's flow order: evidence
-    E (also the memoryless baseline's score), surrogate S, the pre-step
-    state v and u, score s, alarm a and actionable flag z."""
+@dataclass(frozen=True, eq=False)
+class Scores:
+    """Equal-length score columns, one row per (flow, window): the flow and
+    window (int64), the evidence E (also the memoryless baseline's score),
+    the surrogate S, the pre-step state v and u, the score s (float64), the
+    alarm a and the actionable flag z (bool)."""
 
-    window: int
+    flow_id: np.ndarray
+    window: np.ndarray
     E: np.ndarray
     S: np.ndarray
     v: np.ndarray
@@ -315,8 +309,20 @@ class WindowScores:
     a: np.ndarray
     z: np.ndarray
 
+    def __post_init__(self):
+        for name, dtype in _SCORE_DTYPES:
+            object.__setattr__(self, name,
+                               np.asarray(getattr(self, name), dtype=dtype))
+
     def __len__(self) -> int:
-        return self.E.size
+        return self.flow_id.size
+
+    @classmethod
+    def concat(cls, parts) -> "Scores":
+        """The rows of parts, stacked in order."""
+        parts = list(parts)
+        return cls(*(np.concatenate([getattr(p, name) for p in parts])
+                     if parts else () for name, _ in _SCORE_DTYPES))
 
 
 class DetectorSession:
@@ -340,6 +346,7 @@ class DetectorSession:
         if burn_in_windows < 0:
             raise ValueError("burn_in_windows must be nonnegative")
         self.flow_ids = list(flow_ids)
+        self._flow_col = np.asarray(self.flow_ids, dtype=np.int64)
         buckets = list(buckets)
         if len(buckets) != len(self.flow_ids):
             raise ValueError("need one bucket per flow")
@@ -388,14 +395,14 @@ class DetectorSession:
             base = np.array(self._burn_e)
             for i in np.flatnonzero(ok.sum(axis=0) >= self.w_min):
                 col = ok[:, i]
-                self._threshold[i] = calibrate_threshold(
-                    scores[col, i].tolist(), self.quantile)
+                self._threshold[i] = calibrate_threshold(scores[col, i],
+                                                         self.quantile)
                 self._baseline_threshold[i] = calibrate_threshold(
-                    base[col, i].tolist(), self.quantile)
+                    base[col, i], self.quantile)
         self.normalizer.enter_slow_phase()
         self._calibrated = True
 
-    def process_window(self, window: int, x: np.ndarray) -> WindowScores:
+    def process_window(self, window: int, x: np.ndarray) -> Scores:
         """Score one window: x is its (flows x 7) feature matrix in the
         session's flow order, NaN marking a missing value."""
         n = len(self.flow_ids)
@@ -436,7 +443,8 @@ class DetectorSession:
         # barrier: surrogates become visible to neighbors from the next window
         if self._coupled:
             self._s_hist.append(s_val)
-        return WindowScores(window, e, s_val, v, u, score, alarm, actionable)
+        return Scores(self._flow_col, np.full(n, window, dtype=np.int64), e,
+                      s_val, v, u, score, alarm, actionable)
 
     def thresholds(self) -> dict:
         def opt(t):
@@ -454,37 +462,20 @@ class DetectorSession:
 SCORES_HEADER = "flow_id,window,E,S,v,u,s,a,z,baseline_s"
 
 
-def write_scores_csv(path, flow_ids, windows) -> None:
-    """One row per (window, flow), from a session's WindowScores in window
-    order; baseline_s repeats E."""
-    def col(name):
-        return np.concatenate([getattr(w, name) for w in windows]
-                              or [np.zeros(0)])
-
-    e = col("E")
+def write_scores_csv(path, scores: Scores) -> None:
+    """One line per row of scores, in table order; baseline_s repeats E."""
     write_csv(path, SCORES_HEADER, "%d,%d,%r,%r,%r,%r,%r,%d,%d,%r\n",
-              (np.tile(np.asarray(flow_ids, dtype=np.int64), len(windows)),
-               np.repeat([w.window for w in windows], len(flow_ids)),
-               e, col("S"), col("v"), col("u"), col("s"), col("a"), col("z"),
-               e))
+              (scores.flow_id, scores.window, scores.E, scores.S, scores.v,
+               scores.u, scores.s, scores.a, scores.z, scores.E))
 
 
-def read_scores_csv(path) -> list[ScoreRecord]:
-    out = []
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n")
-        if header != SCORES_HEADER:
-            raise ValueError(f"{path}: line 1: header {header!r} is not "
-                             f"{SCORES_HEADER!r}")
-        for lineno, line in enumerate(fh, start=2):
-            t = line.rstrip("\n").split(",")
-            if len(t) != 10:
-                raise ValueError(f"{path}: line {lineno}: {len(t)} fields, "
-                                 "expected 10")
-            out.append(ScoreRecord(int(t[0]), int(t[1]), float(t[2]), float(t[3]),
-                                   float(t[4]), float(t[5]), float(t[6]),
-                                   t[7] == "1", t[8] == "1", float(t[9])))
-    return out
+def read_scores_csv(path) -> Scores:
+    """Load a scores CSV, refusing what read_csv refuses (ids are integers,
+    a and z flags) and a baseline_s other than E."""
+    raw = read_csv(path, SCORES_HEADER, n_ints=2, flags=(7, 8))
+    check_fields(path, SCORES_HEADER, raw, [9],
+                 (raw[:, 9] == raw[:, 2])[:, None], "is not E")
+    return Scores(*raw[:, :7].T, raw[:, 7] == 1, raw[:, 8] == 1)
 
 
 def write_thresholds(path, session: DetectorSession) -> None:

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from flowgate.detector import Scores, calibrate_threshold
 from flowgate.wfq import delay_percentile
 
 DEFAULT_GRACE_WINDOWS = 8  # persistence window length M
@@ -25,65 +26,51 @@ DEFAULT_GRACE_WINDOWS = 8  # persistence window length M
 # detection metrics
 
 
-def achieved_fpr(records, labels, burn_in_windows: int,
+def achieved_fpr(scores: Scores, labels, burn_in_windows: int,
                  thresholds: dict) -> tuple[float, float]:
     """False-positive rates over benign test pairs with a set threshold.
 
-    A pair is one (flow, window) record with window >= burn_in_windows,
-    flow not named by any episode label, and a non-null detector threshold.
+    A pair is one (flow, window) row with window >= burn_in_windows, flow
+    not named by any episode label, and a non-null detector threshold.
     Returns (alarm_rate, actionable_rate); raises if nothing is eligible.
     """
-    malicious = {l.flow_id for l in labels}
-    eligible = alarms = actionable = 0
-    for r in records:
-        if r.window < burn_in_windows or r.flow_id in malicious:
-            continue
-        th = thresholds.get(r.flow_id)
-        if th is None or th["detector"] is None:
-            continue
-        eligible += 1
-        alarms += r.a
-        actionable += r.z
+    rated = [f for f, th in thresholds.items() if th["detector"] is not None]
+    pairs = ((scores.window >= burn_in_windows)
+             & np.isin(scores.flow_id, rated)
+             & ~np.isin(scores.flow_id, [l.flow_id for l in labels]))
+    eligible = int(pairs.sum())
     if eligible == 0:
         raise ValueError("no eligible benign test pairs to rate")
-    return alarms / eligible, actionable / eligible
+    return (int(scores.a[pairs].sum()) / eligible,
+            int(scores.z[pairs].sum()) / eligible)
 
 
-def _z_windows_by_flow(records) -> dict[int, list[int]]:
-    out: dict[int, list[int]] = {}
-    for r in records:
-        if r.z:
-            out.setdefault(r.flow_id, []).append(r.window)
-    return out
+def _first_hit(scores: Scores, episode, grace_windows: int) -> int | None:
+    """The smallest window in [start, end + grace] at which the episode's
+    flow is actionable, or None."""
+    w = scores.window[scores.z & (scores.flow_id == episode.flow_id)]
+    w = w[(w >= episode.start_window)
+          & (w <= episode.end_window + grace_windows)]
+    return int(w.min()) if w.size else None
 
 
-def _first_hit(z_windows: dict, episode, grace_windows: int):
-    lo = episode.start_window
-    hi = episode.end_window + grace_windows
-    for w in z_windows.get(episode.flow_id, ()):
-        if lo <= w <= hi:
-            return w
-    return None
-
-
-def incident_recall(records, episodes, grace_windows: int =
+def incident_recall(scores: Scores, episodes, grace_windows: int =
                     DEFAULT_GRACE_WINDOWS) -> float:
     """Fraction of episodes whose flow goes actionable inside the episode
     span extended by grace_windows."""
     if not episodes:
         raise ValueError("incident_recall needs at least one episode")
-    zw = _z_windows_by_flow(records)
     hits = sum(1 for ep in episodes
-               if _first_hit(zw, ep, grace_windows) is not None)
+               if _first_hit(scores, ep, grace_windows) is not None)
     return hits / len(episodes)
 
 
-def time_to_detect(records, episode, grace_windows: int =
+def time_to_detect(scores: Scores, episode, grace_windows: int =
                    DEFAULT_GRACE_WINDOWS,
                    window_s: float = 0.25) -> float | None:
     """(first actionable window - start_window) * window_s, or None if the
     episode is never detected inside its grace-extended span."""
-    w = _first_hit(_z_windows_by_flow(records), episode, grace_windows)
+    w = _first_hit(scores, episode, grace_windows)
     if w is None:
         return None
     return (w - episode.start_window) * window_s
@@ -114,20 +101,15 @@ def queue_impact(base_log, gated_log) -> tuple[float, float]:
 # scoring cost
 
 
-def _nearest_rank(values: np.ndarray, pct: float) -> float:
-    v = np.sort(values)
-    rank = min(v.size, max(1, math.ceil(pct / 100.0 * v.size)))
-    return float(v[rank - 1])
-
-
 def bench_scoring(session, stream, batch_rows: int = 1000,
                   warmup_batches: int = 1) -> tuple[float, float, float]:
     """Wall-clock cost per scored row, in microseconds.
 
     stream yields (window, x) pairs, x a window's feature matrix with one
-    row per flow; timing is aggregated into batches of batch_rows rows and the first warmup_batches batches are dropped. Returns
-    (mean, p90, max) where mean is over all counted rows and the tail stats
-    are nearest-rank over per-batch per-row values.
+    row per flow; timing is aggregated into batches of batch_rows rows, and
+    the first warmup_batches batches are dropped. Returns (mean, p90, max)
+    where mean is over all counted rows and the tail stats are nearest-rank
+    over per-batch per-row values.
     """
     times: list[float] = []
     counts: list[int] = []
@@ -149,7 +131,8 @@ def bench_scoring(session, stream, batch_rows: int = 1000,
         raise ValueError("stream too short to benchmark after warm-up")
     per_row_us = np.array(times) / np.array(counts, dtype=np.float64) * 1e6
     mean_us = float(sum(times) / sum(counts) * 1e6)
-    return mean_us, _nearest_rank(per_row_us, 90.0), float(per_row_us.max())
+    return (mean_us, calibrate_threshold(per_row_us, 90.0 / 100.0),
+            float(per_row_us.max()))
 
 
 def synthetic_feature_stream(n_rows: int, n_flows: int = 50, seed: int = 0):
@@ -214,32 +197,8 @@ class MetricsReport:
                                   "max": num(self.max_us_per_row)},
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "MetricsReport":
-        def num(x):
-            return math.nan if x is None else float(x)
-        return cls(
-            achieved_fpr_alarm=float(d["achieved_fpr_alarm"]),
-            achieved_fpr_actionable=float(d["achieved_fpr_actionable"]),
-            incident_recall=(None if d["incident_recall"] is None
-                             else float(d["incident_recall"])),
-            ttd_s=[float(x) for x in d["ttd_s"]],
-            p99_delay_ms_base=num(d["p99_delay_ms"]["base"]),
-            p99_delay_ms_gated=num(d["p99_delay_ms"]["gated"]),
-            p999_delay_ms_base=num(d["p999_delay_ms"]["base"]),
-            p999_delay_ms_gated=num(d["p999_delay_ms"]["gated"]),
-            p999_collateral_ms_base=num(d["p999_collateral_ms"]["base"]),
-            p999_collateral_ms_gated=num(d["p999_collateral_ms"]["gated"]),
-            delta_p999_delay_ms=num(d["delta_p999_delay_ms"]),
-            delta_p999_collateral_ms=num(d["delta_p999_collateral_ms"]),
-            feasibility_rate=float(d["feasibility_rate"]),
-            mean_us_per_row=num(d["timing_us_per_row"]["mean"]),
-            p90_us_per_row=num(d["timing_us_per_row"]["p90"]),
-            max_us_per_row=num(d["timing_us_per_row"]["max"]),
-        )
 
-
-def compute_report(records, labels, thresholds_doc: dict, feasibility,
+def compute_report(scores: Scores, labels, thresholds_doc: dict, feasibility,
                    base_log, gated_log, grace_windows: int =
                    DEFAULT_GRACE_WINDOWS, window_s: float = 0.25,
                    timing=(math.nan, math.nan, math.nan)) -> MetricsReport:
@@ -248,13 +207,13 @@ def compute_report(records, labels, thresholds_doc: dict, feasibility,
     thresholds_doc is the parsed thresholds JSON (burn_in_windows plus the
     per-flow threshold map); timing is an optional bench_scoring result.
     """
-    fpr_a, fpr_z = achieved_fpr(records, labels,
+    fpr_a, fpr_z = achieved_fpr(scores, labels,
                                 thresholds_doc["burn_in_windows"],
                                 thresholds_doc["flows"])
     if labels:
-        recall = incident_recall(records, labels, grace_windows)
+        recall = incident_recall(scores, labels, grace_windows)
         ttds = [t for ep in labels
-                if (t := time_to_detect(records, ep, grace_windows,
+                if (t := time_to_detect(scores, ep, grace_windows,
                                         window_s)) is not None]
     else:
         recall = None
@@ -287,17 +246,12 @@ def write_report(path, report: MetricsReport, manifest) -> None:
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def read_report(path) -> tuple[MetricsReport, dict]:
-    doc = json.loads(Path(path).read_text())
-    return MetricsReport.from_dict(doc["metrics"]), doc["manifest"]
-
-
-def write_episode_table(path, records, labels, grace_windows: int =
+def write_episode_table(path, scores: Scores, labels, grace_windows: int =
                         DEFAULT_GRACE_WINDOWS, window_s: float = 0.25) -> None:
     """Per-episode CSV: episode_id,detected,ttd_s (empty ttd when missed)."""
     lines = ["episode_id,detected,ttd_s"]
     for ep in labels:
-        ttd = time_to_detect(records, ep, grace_windows, window_s)
+        ttd = time_to_detect(scores, ep, grace_windows, window_s)
         lines.append(f"{ep.flow_id},{int(ttd is not None)},"
                      f"{'' if ttd is None else repr(ttd)}")
     Path(path).write_text("\n".join(lines) + "\n")

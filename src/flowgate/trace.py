@@ -9,6 +9,7 @@ so validation and deterministic serialization live here.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import warnings
@@ -294,6 +295,60 @@ def write_csv(path, header: str, row: str, cols) -> None:
         for s in range(0, n, _WRITE_BLOCK):
             rows = zip(*(c[s:s + _WRITE_BLOCK].tolist() for c in cols))
             fh.write("".join([row % r for r in rows]))
+
+
+def read_csv(path, header: str, n_ints: int = 0, flags=()) -> np.ndarray:
+    """The rows of a CSV that write_csv wrote under `header`, as a float64
+    (rows x fields) array; empty lines are skipped. Refuses, naming the path
+    and line, another header, a line with another number of fields, a field
+    that is not finite, one of the first n_ints that is not an integer in
+    [0, 2**53) and one at an index in flags that is not 0 or 1; and, naming
+    the path, a field that is not a number."""
+    n = header.count(",") + 1
+    with open(path) as fh:
+        first = fh.readline().rstrip("\n")
+    if first != header:
+        raise ValueError(f"{path}: line 1: header {first!r} is not "
+                         f"{header!r}")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no rows
+            raw = np.loadtxt(path, dtype=np.float64, delimiter=",",
+                             skiprows=1, comments=None, ndmin=2)
+        if raw.size and raw.shape[1] != n:
+            raise ValueError(f"{raw.shape[1]} fields per row")
+    except ValueError as exc:  # a second pass names a short or long line
+        with open(path) as fh:
+            for lineno, line in enumerate(fh, start=1):
+                k = line.count(",") + 1
+                if lineno > 1 and line != "\n" and k != n:
+                    raise ValueError(f"{path}: line {lineno}: {k} fields, "
+                                     f"expected {n}") from None
+        raise ValueError(f"{path}: {exc}") from None
+    raw = raw.reshape(-1, n)
+    ints, bits = raw[:, :n_ints], raw[:, list(flags)]
+    check_fields(path, header, raw, range(n), np.isfinite(raw),
+                 "is not finite")
+    check_fields(path, header, raw, range(n_ints),
+                 (ints >= 0) & (ints < 2.0**53) & (np.floor(ints) == ints),
+                 "is not a nonnegative integer")
+    check_fields(path, header, raw, flags, (bits == 0) | (bits == 1),
+                 "is not 0 or 1")
+    return raw
+
+
+def check_fields(path, header: str, raw: np.ndarray, cols, ok: np.ndarray,
+                 what: str) -> None:
+    """Refuse the first field of read_csv's raw[:, cols] where ok is False,
+    naming the path, line, column and value."""
+    if not ok.all():
+        i, j = divmod(int(np.argmin(ok)), len(cols))
+        with open(path) as fh:  # row i's line; loadtxt skips empty lines
+            lineno = next(itertools.islice(
+                (k for k, line in enumerate(fh, 1) if k > 1 and line != "\n"),
+                i, None))
+        raise ValueError(f"{path}: line {lineno}: {header.split(',')[cols[j]]}"
+                         f" = {raw[i, cols[j]]:g} {what}")
 
 
 def write_trace_csv(path, trace: Trace) -> None:

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from flowgate.trace import BENIGN, Trace, write_csv
+from flowgate.detector import calibrate_threshold
+from flowgate.trace import BENIGN, Trace, read_csv, write_csv
 
 
 @dataclass(frozen=True)
@@ -244,11 +245,10 @@ def delay_percentile(log: QueueEventLog, pct: float,
         mask &= log.benign
     if clique_id is not None:
         mask &= log.clique_id == clique_id
-    d = np.sort(log.delays_us()[mask])
+    d = log.delays_us()[mask]
     if d.size == 0:
         raise ValueError("no packets match the filter")
-    rank = min(d.size, max(1, math.ceil(pct / 100.0 * d.size)))
-    return float(d[rank - 1])
+    return calibrate_threshold(d, pct / 100.0)
 
 
 def clique_mean_delay(log: QueueEventLog, clique_id: int) -> float:
@@ -273,12 +273,11 @@ def write_queue_log(path, log: QueueEventLog) -> None:
 
 
 def read_queue_log(path) -> QueueEventLog:
-    raw = np.loadtxt(path, dtype=np.float64, delimiter=",", skiprows=1, ndmin=2)
-    if raw.size == 0:
-        raw = raw.reshape(0, 6)
-    return QueueEventLog(raw[:, 0].astype(np.int64), raw[:, 1].astype(np.int64),
-                         raw[:, 2].astype(np.int64), raw[:, 3], raw[:, 4],
-                         raw[:, 5] != 0)
+    """Load a queue log, refusing what read_csv refuses (ids and enqueue_us
+    are integers, benign a flag)."""
+    raw = read_csv(path, QUEUE_LOG_HEADER, n_ints=3, flags=(5,))
+    return QueueEventLog(raw[:, 0], raw[:, 1], raw[:, 2], raw[:, 3],
+                         raw[:, 4], raw[:, 5] == 1)
 
 
 def write_schedule(path, schedule: WeightSchedule) -> None:
@@ -288,19 +287,3 @@ def write_schedule(path, schedule: WeightSchedule) -> None:
             lines.append(f"{f},{t},{w!r}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def read_schedule(path, default_weight: float = 1.0) -> WeightSchedule:
-    sched = WeightSchedule(default_weight=default_weight)
-    per_flow: dict[int, list[tuple[int, float]]] = {}
-    with open(path) as fh:
-        next(fh)
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            f, t, w = line.split(",")
-            per_flow.setdefault(int(f), []).append((int(t), float(w)))
-    for f, entries in per_flow.items():
-        sched.set_entries(f, entries)
-    return sched

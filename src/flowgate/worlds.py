@@ -1046,8 +1046,9 @@ def check_trace(trace: Trace, graph: ContentionGraph) -> None:
 
     Every packet's flow must be in both, and its clique tag must be the
     graph's clique for that flow: replay serves a packet by its tag, while
-    the features read the graph. Arrivals must be nondecreasing: replay
-    and the inter-arrival features read them in file order.
+    the features read the graph. Arrivals must be nondecreasing, as replay
+    and the inter-arrival features read them in file order, and in [0,
+    horizon_us), or windowize would count a packet in another flow's cell.
     """
     if sorted(trace.flow_table) != graph.flow_ids:
         raise ValueError("flows.csv and contention.json list different flows")
@@ -1066,6 +1067,12 @@ def check_trace(trace: Trace, graph: ContentionGraph) -> None:
             f"trace.csv: flow {trace.flow_id[i]} is tagged clique "
             f"{trace.clique_id[i]}, but contention.json puts it in clique "
             f"{cq[pos[i]]}")
+    outside = (trace.ts_us < 0) | (trace.ts_us >= trace.horizon_us)
+    if outside.any():
+        k = int(outside.argmax())
+        raise ValueError(
+            f"trace.csv: packet {k} of flow {trace.flow_id[k]} at ts "
+            f"{trace.ts_us[k]} is outside [0, {trace.horizon_us})")
     back = np.flatnonzero(np.diff(trace.ts_us) < 0)
     if back.size:
         k = int(back[0]) + 1

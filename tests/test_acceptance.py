@@ -19,7 +19,7 @@ from flowgate.cli import main as cli_main
 from flowgate.detector import (
     DetectorParams,
     DetectorSession,
-    ScoreRecord,
+    Scores,
     coupling_stability_margin,
     fixed_point_residual,
     solve_fixed_point,
@@ -49,18 +49,14 @@ def _check(num: int, name: str, ok: bool, detail: str) -> None:
 
 
 def _score_table(table, world, burn: int, quantile: float, w_min: int):
-    """A full detector pass over every window, as (window, flow) records."""
+    """A full detector pass over every window, as one (window, flow)-ordered
+    Scores table."""
     ses = DetectorSession(
         DetectorParams(), table.flow_ids,
         [world.trace.flow_table[f].device_class for f in table.flow_ids],
         burn_in_windows=burn, quantile=quantile, w_min=w_min)
-    recs = []
-    for w in range(table.horizon_windows):
-        s = ses.process_window(w, table.x[w])
-        cols = zip(*(c.tolist() for c in (s.E, s.S, s.v, s.u, s.s, s.a, s.z)))
-        recs.extend(ScoreRecord(f, w, *c, c[0])
-                    for f, c in zip(table.flow_ids, cols))
-    return ses, recs
+    return ses, Scores.concat(ses.process_window(w, table.x[w])
+                              for w in range(table.horizon_windows))
 
 
 def _score_world(world, burn: int, quantile: float, w_min: int):
@@ -108,11 +104,12 @@ def test_criterion_1_calibration_fidelity():
     table = windowize(world.trace, world.graph)
     results = {}
     for q in (0.99, 0.999):
-        ses, recs = _score_table(table, world, burn, q, w_min=50)
+        ses, scores = _score_table(table, world, burn, q, w_min=50)
         th = ses.thresholds()
-        eligible = sum(1 for r in recs
-                       if r.window >= burn and th[r.flow_id]["detector"] is not None)
-        fpr_alarm, _ = achieved_fpr(recs, world.labels, burn, th)
+        rated = [f for f, t in th.items() if t["detector"] is not None]
+        eligible = int(((scores.window >= burn)
+                        & np.isin(scores.flow_id, rated)).sum())
+        fpr_alarm, _ = achieved_fpr(scores, world.labels, burn, th)
         results[q] = (fpr_alarm, eligible)
     elapsed = time.perf_counter() - t0
     fpr99, elig = results[0.99]
@@ -433,31 +430,28 @@ def _slow_burn_world():
 def test_criterion_5_slow_burn_detection():
     burn, ep_start, ep_end = 2400, 2600, 3400
     world = _slow_burn_world()
-    _, ses, recs = _score_world(world, burn, quantile=0.999, w_min=50)
+    _, ses, scores = _score_world(world, burn, quantile=0.999, w_min=50)
     th = ses.thresholds()
     th_base = th[100]["baseline"]
-    ep = [r for r in recs if r.flow_id == 100]
-    e_ep = np.array([r.baseline_s for r in ep if ep_start <= r.window <= ep_end])
+    ep = scores.flow_id == 100
+    w = scores.window
+    # the memoryless baseline's score is the evidence E
+    e_ep = scores.E[ep & (ep_start <= w) & (w <= ep_end)]
     grace = ses.m_persist
-    detector_hit = any(r.z for r in ep
-                       if ep_start <= r.window <= ep_end + grace)
-    _, base_flags = derive_flags([(r.window, r.baseline_s) for r in ep],
+    detector_hit = bool(scores.z[ep & (ep_start <= w)
+                                 & (w <= ep_end + grace)].any())
+    _, base_flags = derive_flags(zip(w[ep].tolist(), scores.E[ep].tolist()),
                                  th_base, ses.k_persist, ses.m_persist, burn)
     baseline_hit = any(base_flags[ep_start:ep_end + grace + 1])
 
     # matched alarm-level false-positive rates on the benign flows
-    fa_det = fa_base = eligible = 0
-    for r in recs:
-        if r.flow_id == 100 or r.window < burn:
-            continue
-        tb = th[r.flow_id]["baseline"]
-        if tb is None or th[r.flow_id]["detector"] is None:
-            continue
-        eligible += 1
-        fa_det += int(r.a)
-        fa_base += int(r.baseline_s >= tb)
-    fpr_det = fa_det / eligible
-    fpr_base = fa_base / eligible
+    tb = {f: t["baseline"] for f, t in th.items() if f != 100
+          and t["baseline"] is not None and t["detector"] is not None}
+    rows = (w >= burn) & np.isin(scores.flow_id, list(tb))
+    base_th = np.array([tb[f] for f in scores.flow_id[rows].tolist()])
+    eligible = int(rows.sum())
+    fpr_det = int(scores.a[rows].sum()) / eligible
+    fpr_base = int((scores.E[rows] >= base_th).sum()) / eligible
 
     ok = (th_base is not None and e_ep.size > 0
           and float(e_ep.max()) < th_base
@@ -508,14 +502,14 @@ def _hog_world():
 def test_criterion_6_gating_tail_impact():
     horizon, burn, ep_start, ep_end = 1200, 720, 800, 829
     world = _hog_world()
-    table, ses, recs = _score_world(world, burn, quantile=0.999, w_min=50)
-    hog_flags = sorted(r.window for r in recs if r.flow_id == 100 and r.z)
-    flagged_in_time = bool(hog_flags) and ep_start <= hog_flags[0] <= ep_end + ses.m_persist
+    table, ses, scores = _score_world(world, burn, quantile=0.999, w_min=50)
+    hog_flags = np.sort(scores.window[(scores.flow_id == 100) & scores.z])
+    flagged_in_time = (bool(hog_flags.size)
+                       and ep_start <= hog_flags[0] <= ep_end + ses.m_persist)
 
     actionable = {f: np.zeros(horizon, dtype=bool) for f in table.flow_ids}
-    for r in recs:
-        if r.z:
-            actionable[r.flow_id][r.window] = True
+    for f, z in actionable.items():
+        z[scores.window[(scores.flow_id == f) & scores.z]] = True
     sched = gate_controller(actionable, GateConfig(1.0, 0.05, 30.0), 250_000)
     base = replay(world.trace, 40_000.0)
     gated = replay(world.trace, 40_000.0, schedule=sched)
@@ -525,7 +519,7 @@ def test_criterion_6_gating_tail_impact():
     _check(6, "gating tail impact", ok,
            f"delta p99.9 delay={d_all:+.2f}ms < 0, "
            f"delta p99.9 collateral={d_ben:+.2f}ms < 0, "
-           f"hog flagged at window {hog_flags[0] if hog_flags else None}")
+           f"hog flagged at window {hog_flags[0] if hog_flags.size else None}")
 
 
 # ---------------------------------------------------------------------------

@@ -294,3 +294,92 @@ def test_base_and_gated_logs_align_with_trace_order(pipe):
     assert (base.flow_id == gated.flow_id).all()
     assert (base.dequeue_us >= base.enqueue_us).all()
     assert (base.complete_us > base.dequeue_us).all()
+
+
+def _edit_row(lines, k, column, value):
+    """lines with field `column` of data row k (line k + 1) set to value."""
+    cells = lines[k + 1].split(",")
+    cells[column] = str(value)
+    return lines[:k + 1] + [",".join(cells)] + lines[k + 2:]
+
+
+@pytest.mark.parametrize("column, value, message", [
+    (1, 120, "window 120 is outside [0, 120)"),
+    (1, -1, "window = -1 is not a nonnegative integer"),
+    (0, 999, "flow 999 is not in flows.csv"),
+])
+def test_gated_replay_refuses_rows_outside_the_world(pipe, tmp_path, capsys,
+                                                     column, value, message):
+    # an actionable row at window 120 of a 120-window world, at window -1,
+    # or of a flow the world does not have
+    scores = _rewrite_scores(pipe, tmp_path, "outside.csv", lambda lines:
+                             _edit_row(_edit_row(lines, 3, 8, 1), 3, column,
+                                       value))
+    out = tmp_path / "g"
+    assert main(["replay", "--world", str(pipe["world"]), "--mode", "gated",
+                 "--scores", str(scores), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ValueError: {scores}: ")
+    assert message in err
+    assert not (out / "schedule.csv").exists()
+
+
+def test_trace_packet_at_the_horizon_is_refused(pipe, tmp_path, capsys):
+    broken = tmp_path / "world_late"
+    shutil.copytree(pipe["world"], broken)
+    lines = (broken / "trace.csv").read_text().splitlines()
+    cells = lines[-1].split(",")
+    cells[0] = str(120 * 250_000)
+    lines[-1] = ",".join(cells)
+    (broken / "trace.csv").write_text("\n".join(lines) + "\n")
+    assert main(["detect", "--world", str(broken),
+                 "--out", str(tmp_path / "d")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert (f"trace.csv: packet {len(lines) - 2} of flow {cells[1]} at ts "
+            "30000000 is outside [0, 30000000)") in err
+
+
+def _report(pipe, tmp_path, base=None, gated=None):
+    """report on the pipeline's artifacts, with either queue log replaced."""
+    return main(["report", "--world", str(pipe["world"]),
+                 "--scores", str(pipe["det"] / "scores.csv"),
+                 "--base-log", str(base or pipe["base"] / "queue_log.csv"),
+                 "--gated-log", str(gated or pipe["gated"] / "queue_log.csv"),
+                 "--bench-rows", "4000", "--out", str(tmp_path / "r")])
+
+
+def test_report_refuses_scores_passed_as_a_queue_log(pipe, tmp_path, capsys):
+    scores = pipe["det"] / "scores.csv"
+    assert _report(pipe, tmp_path, base=scores) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ValueError: {scores}: line 1: header")
+    assert not (tmp_path / "r" / "report.json").exists()
+
+
+CORRUPTIONS = {
+    "truncated last line": lambda lines: lines[:-1] + [lines[-1][:len(
+        lines[-1]) // 2]],
+    "nan field": lambda lines: _edit_row(lines, 2, 3, "nan"),
+    "reordered header": lambda lines: [",".join(reversed(
+        lines[0].split(",")))] + lines[1:],
+    "empty file": lambda lines: [],
+}
+
+
+@pytest.mark.parametrize("artifact", ["scores", "queue log"])
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_corrupt_scores_and_queue_logs_are_refused(pipe, tmp_path, capsys,
+                                                   artifact, corruption):
+    src = (pipe["det"] / "scores.csv" if artifact == "scores"
+           else pipe["gated"] / "queue_log.csv")
+    lines = CORRUPTIONS[corruption](src.read_text().splitlines())
+    bad = tmp_path / src.name
+    bad.write_text("".join(line + "\n" for line in lines))
+    if artifact == "scores":
+        rc = main(["replay", "--world", str(pipe["world"]), "--mode", "gated",
+                   "--scores", str(bad), "--out", str(tmp_path / "g")])
+    else:
+        rc = _report(pipe, tmp_path, gated=bad)
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: ValueError: {bad}: ")

@@ -7,6 +7,7 @@ replaced (tests/detector_oracle.py), bit for bit.
 """
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -20,8 +21,7 @@ from flowgate.detector import (
     DetectorParams,
     DetectorSession,
     Persistence,
-    ScoreRecord,
-    WindowScores,
+    Scores,
     calibrate_threshold,
     coupling_stability_margin,
     event_surrogate,
@@ -385,17 +385,22 @@ def small_session(flows=(1,), buckets=None, **kw):
 
 def run_session(session, feeds, n_windows, start=0):
     """feeds: dict flow_id -> callable(window) returning the raw vector, one
-    per session flow; returns the windows' WindowScores."""
+    per session flow; returns the windows' Scores, one per window."""
     return [session.process_window(
         w, matrix([feeds[f](w) for f in session.flow_ids]))
         for w in range(start, start + n_windows)]
 
 
 def records(session, scores):
-    """WindowScores as (window, flow)-ordered ScoreRecords."""
-    return [ScoreRecord(f, w.window, w.E[i], w.S[i], w.v[i], w.u[i], w.s[i],
-                        bool(w.a[i]), bool(w.z[i]), w.E[i])
-            for w in scores for i, f in enumerate(session.flow_ids)]
+    """One table of a session's per-window Scores, in (window, flow) order."""
+    table = Scores.concat(scores)
+    assert table.flow_id.tolist() == session.flow_ids * len(scores)
+    return table
+
+
+def columns(scores):
+    """Every column of a Scores table as bytes, for exact comparison."""
+    return [getattr(scores, f.name).tobytes() for f in fields(scores)]
 
 
 def test_session_flow_born_after_burn_in_never_alarms():
@@ -410,9 +415,9 @@ def test_session_flow_born_after_burn_in_never_alarms():
     assert np.array(session._burn_ok)[:, 1].sum() == 2
     assert session.thresholds()[1]["detector"] is not None
     assert session.thresholds()[2]["detector"] is None
-    late = [r for r in recs if r.flow_id == 2 and r.window >= 70]
-    assert any(r.E > 1.0 for r in late), "late flow still gets scored"
-    assert not any(r.a or r.z for r in late)
+    late = (recs.flow_id == 2) & (recs.window >= 70)
+    assert (recs.E[late] > 1.0).any(), "late flow still gets scored"
+    assert not (recs.a[late] | recs.z[late]).any()
 
 
 def test_session_collection_gate_and_threshold():
@@ -437,21 +442,21 @@ def test_session_detects_sustained_anomaly_and_freezes_threshold():
     recs = records(session, run_session(
         session, {1: lambda w: (500.0 if w == 30 else 100.0,) * N_FEATURES},
         60))
-    assert not any(r.a for r in recs)
+    assert not recs.a.any()
     theta_before = None
     post = []
     for w in range(60, 90):
         x = (5000.0 if w >= 65 else 100.0,) * N_FEATURES
-        post.extend(records(session, [session.process_window(w, matrix([x]))]))
+        post.append(session.process_window(w, matrix([x])))
         if w == 60:
             theta_before = session.thresholds()[1]["detector"]
+    post = records(session, post)
     assert theta_before is not None
     assert session.thresholds()[1]["detector"] == theta_before
-    quiet = [r for r in post if r.window < 66]
-    assert not any(r.a for r in quiet)
-    fired = [r for r in post if r.a]
-    assert fired and min(r.window for r in fired) <= 68
-    assert any(r.z for r in post)
+    assert not post.a[post.window < 66].any()
+    fired = post.window[post.a]
+    assert fired.size and fired.min() <= 68
+    assert post.z.any()
 
 
 def test_session_evidence_lags_one_window():
@@ -462,6 +467,7 @@ def test_session_evidence_lags_one_window():
     rec_at = session.process_window(65, loud)
     rec_next = session.process_window(66, loud)
     assert len(rec_at) == 1
+    assert (rec_at.flow_id.tolist(), rec_at.window.tolist()) == ([1], [65])
     assert rec_at.E[0] > 1.0
     assert rec_at.s[0] == pytest.approx(event_surrogate(0.0, 4.0, 1.0),
                                         rel=1e-12)
@@ -470,11 +476,14 @@ def test_session_evidence_lags_one_window():
 
 def test_session_baseline_column_equals_evidence(tmp_path):
     session = small_session()
-    scores = run_session(session,
-                         {1: lambda w: (float(w % 7),) * N_FEATURES}, 80)
+    scores = records(session, run_session(
+        session, {1: lambda w: (float(w % 7),) * N_FEATURES}, 80))
     path = tmp_path / "scores.csv"
-    write_scores_csv(path, session.flow_ids, scores)
-    assert all(r.baseline_s == r.E for r in read_scores_csv(path))
+    write_scores_csv(path, scores)
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert [r[9] for r in rows] == [r[2] for r in rows] == \
+        [repr(e) for e in scores.E.tolist()]
+    assert columns(read_scores_csv(path)) == columns(scores)
 
 
 def test_session_determinism():
@@ -484,8 +493,8 @@ def test_session_determinism():
                 2: lambda w: (2.0, 4.0, None, None, 0.0, 0.5, 1.0)}
     a = small_session(flows=(1, 2))
     b = small_session(flows=(1, 2))
-    assert records(a, run_session(a, feeds(), 100)) == \
-        records(b, run_session(b, feeds(), 100))
+    assert columns(records(a, run_session(a, feeds(), 100))) == \
+        columns(records(b, run_session(b, feeds(), 100)))
 
 
 def test_session_noise_requires_seed_and_is_reproducible():
@@ -500,8 +509,8 @@ def test_session_noise_requires_seed_and_is_reproducible():
     a = run(params=DetectorParams(noise_std=0.01), seed=7)
     b = run(params=DetectorParams(noise_std=0.01), seed=7)
     c = run()
-    assert a == b
-    assert [r.v for r in a] != [r.v for r in c]
+    assert columns(a) == columns(b)
+    assert not np.array_equal(a.v, c.v)
 
 
 def test_session_refuses_mismatched_flows():
@@ -526,10 +535,9 @@ def test_session_coupling_lags_and_perturbs():
     sp = small_session(flows=(1, 2), params=DetectorParams(g=0.0, lam=1.0))
     coupled = records(sc, run_session(sc, feeds, 30))
     plain = records(sp, run_session(sp, feeds, 30))
-    first_c = [r for r in coupled if r.window == 0]
-    first_p = [r for r in plain if r.window == 0]
-    assert [r.v for r in first_c] == [r.v for r in first_p]
-    assert [r.v for r in coupled] != [r.v for r in plain]
+    first = coupled.window == 0
+    assert np.array_equal(coupled.v[first], plain.v[first])
+    assert not np.array_equal(coupled.v, plain.v)
 
 
 def test_session_coupling_matches_per_row_oracle():
@@ -545,22 +553,23 @@ def test_session_coupling_matches_per_row_oracle():
              2: lambda w: (float(w % 7) if w >= 6 else None,) * N_FEATURES,
              3: lambda w: (float(w % 2) if w % 4 != 1 else None,) * N_FEATURES,
              4: lambda w: (float(w % 3),) * N_FEATURES}
-    by = {(r.flow_id, r.window): r
-          for r in records(session, run_session(session, feeds, 40))}
+    recs = records(session, run_session(session, feeds, 40))
+    # (windows x flows) views of the columns, flows in session order
+    E, S, v, u = (getattr(recs, c).reshape(40, 4) for c in "ESvu")
     checked = 0
-    for (f, w), r in by.items():
-        nxt = by.get((f, w + 1))
-        if nxt is None:
-            continue
-        lag = 1 + params.tau
-        drive = 0.0
-        if f in idx and w >= lag:
-            drive = params.g * sum(W[idx[f]][idx[j]] * by[(j, w - lag)].S
-                                   for j in idx)
-        v_next, u_next = step(r.v, r.u, r.E, drive, params)
-        assert nxt.v == pytest.approx(v_next, rel=1e-12, abs=1e-15), (f, w)
-        assert nxt.u == pytest.approx(u_next, rel=1e-12, abs=1e-15), (f, w)
-        checked += 1
+    for w in range(39):
+        for i, f in enumerate(session.flow_ids):
+            lag = 1 + params.tau
+            drive = 0.0
+            if f in idx and w >= lag:
+                drive = params.g * sum(W[idx[f]][idx[j]] * S[w - lag, idx[j]]
+                                       for j in idx)
+            v_next, u_next = step(v[w, i], u[w, i], E[w, i], drive, params)
+            assert v[w + 1, i] == pytest.approx(v_next, rel=1e-12,
+                                                abs=1e-15), (f, w)
+            assert u[w + 1, i] == pytest.approx(u_next, rel=1e-12,
+                                                abs=1e-15), (f, w)
+            checked += 1
     assert checked == 4 * 39
 
 
@@ -569,10 +578,10 @@ def test_derive_flags_matches_session():
     feed = {1: lambda w: ((100.0 + (37.0 * w * w + 11) % 61),) * N_FEATURES}
     recs = records(session, run_session(session, feed, 150))
     theta = session.thresholds()[1]["detector"]
-    pairs = [(r.window, r.s) for r in recs]
+    pairs = zip(recs.window.tolist(), recs.s.tolist())
     a, z = derive_flags(pairs, theta, 3, 8, 60)
-    assert list(a) == [r.a for r in recs]
-    assert list(z) == [r.z for r in recs]
+    assert np.array_equal(a, recs.a)
+    assert np.array_equal(z, recs.z)
 
 
 def test_session_rejects_non_finite_state():
@@ -658,6 +667,8 @@ def test_session_matches_per_row_oracle_bitwise(case):
             for f, b, row in zip(case["flows"], case["buckets"], xw.tolist())])
         assert len(got) == len(want)
         assert [r.flow_id for r in want] == case["flows"]
+        assert got.flow_id.tolist() == case["flows"]
+        assert got.window.tolist() == [w] * len(want)
         for name in "ESvusaz":
             col = getattr(got, name)
             ref = np.array([getattr(r, name) for r in want], dtype=col.dtype)
@@ -691,33 +702,32 @@ def test_array_kernels_match_scalar_kernels_elementwise():
 
 
 def test_scores_csv_round_trip(tmp_path):
-    f64 = np.array
-    windows = [
-        WindowScores(0, f64([0.5, 1.25]), f64([0.01798, 0.5]), f64([0.0, 1.0]),
-                     f64([0.0, 0.1]), f64([0.01798, 0.5]),
-                     f64([False, True]), f64([False, False])),
-        WindowScores(1, f64([1e-17, 2.0]), f64([0.9999999, 0.25]),
-                     f64([9.5, 0.0]), f64([3.3, 0.0]), f64([0.9999999, 0.25]),
-                     f64([True, False]), f64([True, False])),
-    ]
+    scores = Scores([1, 2, 1, 2], [0, 0, 1, 1], [0.5, 1.25, 1e-17, 2.0],
+                    [0.01798, 0.5, 0.9999999, 0.25], [0.0, 1.0, 9.5, 0.0],
+                    [0.0, 0.1, 3.3, 0.0], [0.01798, 0.5, 0.9999999, 0.25],
+                    [False, True, True, False], [False, False, True, False])
     path = tmp_path / "scores.csv"
-    write_scores_csv(path, [1, 2], windows)
-    assert read_scores_csv(path) == [
-        ScoreRecord(1, 0, 0.5, 0.01798, 0.0, 0.0, 0.01798, False, False, 0.5),
-        ScoreRecord(2, 0, 1.25, 0.5, 1.0, 0.1, 0.5, True, False, 1.25),
-        ScoreRecord(1, 1, 1e-17, 0.9999999, 9.5, 3.3, 0.9999999, True, True,
-                    1e-17),
-        ScoreRecord(2, 1, 2.0, 0.25, 0.0, 0.0, 0.25, False, False, 2.0),
-    ]
+    write_scores_csv(path, scores)
+    back = read_scores_csv(path)
+    assert len(back) == 4
+    assert columns(back) == columns(scores)
     assert path.read_text().splitlines()[3] == \
         "1,1,1e-17,0.9999999,9.5,3.3,0.9999999,1,1,1e-17"
 
 
+def test_scores_concat_stacks_rows_and_types_columns():
+    one = Scores([7], [3], [0.5], [0.5], [0.0], [0.0], [0.5], [1], [0])
+    two = Scores.concat([one, one])
+    assert len(two) == 2 and two.window.tolist() == [3, 3]
+    assert two.flow_id.dtype == np.int64 and two.a.dtype == bool
+    empty = Scores.concat([])
+    assert len(empty) == 0 and empty.E.dtype == np.float64
+
+
 def test_scores_csv_refuses_bad_header_and_short_rows(tmp_path):
     path = tmp_path / "scores.csv"
-    write_scores_csv(path, [1], [WindowScores(
-        0, np.array([0.5]), np.array([0.5]), np.zeros(1), np.zeros(1),
-        np.array([0.5]), np.zeros(1, bool), np.zeros(1, bool))])
+    write_scores_csv(path, Scores([1], [0], [0.5], [0.5], [0.0], [0.0],
+                                  [0.5], [False], [False]))
     lines = path.read_text().splitlines()
     swapped = lines[0].replace("S,v", "v,S")
     (tmp_path / "hdr.csv").write_text("\n".join([swapped] + lines[1:]) + "\n")
@@ -730,6 +740,43 @@ def test_scores_csv_refuses_bad_header_and_short_rows(tmp_path):
     (tmp_path / "empty.csv").write_text("")
     with pytest.raises(ValueError, match="line 1"):
         read_scores_csv(tmp_path / "empty.csv")
+
+
+@pytest.mark.parametrize("row, message", [
+    ("1,1,nan,0.5,0,0,0.5,0,0,nan", "line 3: E = nan is not finite"),
+    ("1,1,0.5,0.5,0,0,0.5,0,2,0.5", "line 3: z = 2 is not 0 or 1"),
+    ("1,1,0.5,0.5,0,0,0.5,0,0,0.25", "line 3: baseline_s = 0.25 is not E"),
+    ("1,-1,0.5,0.5,0,0,0.5,0,0,0.5",
+     "line 3: window = -1 is not a nonnegative integer"),
+    ("1.5,1,0.5,0.5,0,0,0.5,0,0,0.5",
+     "line 3: flow_id = 1.5 is not a nonnegative integer"),
+    ("1,1,0.5,0.5,0,0,abc,0,0,0.5", "could not convert string 'abc'"),
+])
+def test_scores_csv_refuses_values_the_writer_cannot_write(tmp_path, row,
+                                                           message):
+    path = tmp_path / "scores.csv"
+    write_scores_csv(path, Scores([1], [0], [0.5], [0.5], [0.0], [0.0],
+                                  [0.5], [False], [False]))
+    with open(path, "a") as fh:
+        fh.write(row + "\n")
+    with pytest.raises(ValueError) as exc:
+        read_scores_csv(path)
+    assert str(exc.value).startswith(f"{path}: ")
+    assert message in str(exc.value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 12).flatmap(lambda n: st.tuples(*(
+    [st.lists(st.integers(0, 2**53 - 1), min_size=n, max_size=n)] * 2
+    + [st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                min_size=n, max_size=n)] * 5
+    + [st.lists(st.booleans(), min_size=n, max_size=n)] * 2))))
+def test_scores_csv_write_read_write_is_byte_identical(tmp_path_factory,
+                                                       cols):
+    d = tmp_path_factory.mktemp("scores")
+    write_scores_csv(d / "a.csv", Scores(*cols))
+    write_scores_csv(d / "b.csv", read_scores_csv(d / "a.csv"))
+    assert (d / "a.csv").read_bytes() == (d / "b.csv").read_bytes()
 
 
 def test_thresholds_round_trip(tmp_path):

@@ -1,5 +1,6 @@
 """Tests for reported metrics: rates, delays, tails, and scoring cost."""
 
+import json
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from flowgate.detector import (
     DetectorParams,
     DetectorSession,
-    ScoreRecord,
+    Scores,
     calibrate_threshold,
 )
 from flowgate.metrics import (
@@ -21,7 +22,6 @@ from flowgate.metrics import (
     feasibility_rate,
     incident_recall,
     queue_impact,
-    read_report,
     synthetic_feature_stream,
     time_to_detect,
     write_episode_table,
@@ -33,8 +33,14 @@ from flowgate.worlds import FeasibilityOutcome
 
 
 def rec(flow_id, window, a=False, z=False):
+    """A one-row Scores table."""
     s = 1.0 if a else 0.1
-    return ScoreRecord(flow_id, window, 0.0, 0.0, 0.0, 0.0, s, a, z, 0.0)
+    return Scores([flow_id], [window], [0.0], [0.0], [0.0], [0.0], [s], [a],
+                  [z])
+
+
+def table(rows):
+    return Scores.concat(rows)
 
 
 def episode(flow_id, start, end, feasible=True):
@@ -52,36 +58,36 @@ THRESHOLDS = {1: {"detector": 0.5, "baseline": 0.5},
 
 
 def test_fpr_counts_test_pairs_only():
-    records = [
+    scores = table([
         rec(1, 0, a=True),            # burn-in, ignored
         rec(1, 10, a=True, z=True),   # counted
         rec(1, 11), rec(1, 12), rec(1, 13),
         rec(2, 10), rec(2, 11),       # counted, clean
         rec(3, 10, a=True),           # no threshold, ignored
         rec(9, 10, a=True, z=True),   # malicious, ignored
-    ]
+    ])
     labels = [episode(9, 5, 20)]
-    alarm, actionable = achieved_fpr(records, labels, 10, THRESHOLDS)
+    alarm, actionable = achieved_fpr(scores, labels, 10, THRESHOLDS)
     assert alarm == pytest.approx(1 / 6)
     assert actionable == pytest.approx(1 / 6)
 
 
 def test_fpr_no_alarms_is_zero():
-    records = [rec(1, w) for w in range(10, 20)]
-    assert achieved_fpr(records, [], 10, THRESHOLDS) == (0.0, 0.0)
+    scores = table(rec(1, w) for w in range(10, 20))
+    assert achieved_fpr(scores, [], 10, THRESHOLDS) == (0.0, 0.0)
 
 
 def test_fpr_all_alarmed_is_one():
-    records = [rec(1, w, a=True) for w in range(10, 20)]
-    alarm, actionable = achieved_fpr(records, [], 10, THRESHOLDS)
+    scores = table(rec(1, w, a=True) for w in range(10, 20))
+    alarm, actionable = achieved_fpr(scores, [], 10, THRESHOLDS)
     assert alarm == 1.0 and actionable == 0.0
 
 
 def test_fpr_zero_eligible_raises():
     with pytest.raises(ValueError):
-        achieved_fpr([rec(3, 10)], [], 10, THRESHOLDS)
+        achieved_fpr(rec(3, 10), [], 10, THRESHOLDS)
     with pytest.raises(ValueError):
-        achieved_fpr([rec(1, 5)], [], 10, THRESHOLDS)
+        achieved_fpr(rec(1, 5), [], 10, THRESHOLDS)
 
 
 def test_fpr_iid_scores_match_quantile():
@@ -90,10 +96,11 @@ def test_fpr_iid_scores_match_quantile():
     burn = rng.standard_normal(10_000)
     test = rng.standard_normal(10_000)
     th = calibrate_threshold(burn.tolist(), q)
-    records = [ScoreRecord(1, 10_000 + i, 0.0, 0.0, 0.0, 0.0, s, s >= th,
-                           False, 0.0)
-               for i, s in enumerate(test.tolist())]
-    alarm, _ = achieved_fpr(records, [], 10_000,
+    n = test.size
+    zero = np.zeros(n)
+    scores = Scores(np.ones(n), 10_000 + np.arange(n), zero, zero, zero,
+                     zero, test, test >= th, np.zeros(n, dtype=bool))
+    alarm, _ = achieved_fpr(scores, [], 10_000,
                             {1: {"detector": th, "baseline": th}})
     assert abs(alarm - 0.01) < 0.005
 
@@ -114,62 +121,63 @@ def test_fpr_burn_in_order_statistic_bound(seed, q):
 
 
 def test_recall_two_of_three():
-    records = [rec(1, 12, z=True), rec(2, 30, z=True), rec(3, 50)]
+    scores = table([rec(1, 12, z=True), rec(2, 30, z=True), rec(3, 50)])
     eps = [episode(1, 10, 20), episode(2, 25, 35), episode(3, 45, 55)]
-    assert incident_recall(records, eps) == pytest.approx(2 / 3)
+    assert incident_recall(scores, eps) == pytest.approx(2 / 3)
 
 
 def test_recall_grace_boundary():
-    records = [rec(1, 21, z=True)]
+    scores = rec(1, 21, z=True)
     eps = [episode(1, 10, 20)]
-    assert incident_recall(records, eps, grace_windows=0) == 0.0
-    assert incident_recall(records, eps, grace_windows=1) == 1.0
+    assert incident_recall(scores, eps, grace_windows=0) == 0.0
+    assert incident_recall(scores, eps, grace_windows=1) == 1.0
 
 
 def test_recall_twenty_of_twentyone():
-    records = [rec(f, 5, z=True) for f in range(20)]
+    scores = table(rec(f, 5, z=True) for f in range(20))
     eps = [episode(f, 0, 10) for f in range(21)]
-    assert round(incident_recall(records, eps), 3) == 0.952
+    assert round(incident_recall(scores, eps), 3) == 0.952
 
 
 def test_recall_empty_episodes_raises():
     with pytest.raises(ValueError):
-        incident_recall([], [])
+        incident_recall(table([]), [])
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_recall_monotone_in_grace(seed):
     rng = np.random.default_rng(seed)
-    records = [rec(int(f), int(w), z=bool(rng.integers(0, 2)))
-               for f in range(1, 4) for w in range(0, 40)]
+    scores = table(rec(int(f), int(w), z=bool(rng.integers(0, 2)))
+                    for f in range(1, 4) for w in range(0, 40))
     eps = [episode(1, 5, 10), episode(2, 12, 20), episode(3, 25, 30)]
-    rates = [incident_recall(records, eps, g) for g in range(0, 12, 2)]
+    rates = [incident_recall(scores, eps, g) for g in range(0, 12, 2)]
     assert all(a <= b for a, b in zip(rates, rates[1:]))
 
 
 def test_ttd_first_window_zero():
-    records = [rec(1, 10, z=True)]
-    assert time_to_detect(records, episode(1, 10, 20)) == 0.0
+    scores = rec(1, 10, z=True)
+    assert time_to_detect(scores, episode(1, 10, 20)) == 0.0
 
 
 def test_ttd_four_windows_quarter_second():
-    records = [rec(1, 14, z=True), rec(1, 15, z=True)]
-    assert time_to_detect(records, episode(1, 10, 20),
+    scores = table([rec(1, 14, z=True), rec(1, 15, z=True)])
+    assert time_to_detect(scores, episode(1, 10, 20),
                           window_s=0.25) == pytest.approx(1.0)
 
 
 def test_ttd_undetected_none():
-    assert time_to_detect([rec(1, 50, z=True)], episode(1, 10, 20)) is None
+    assert time_to_detect(rec(1, 50, z=True), episode(1, 10, 20)) is None
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_ttd_never_negative(seed):
     rng = np.random.default_rng(seed)
-    records = [rec(1, int(w), z=bool(rng.integers(0, 2))) for w in range(50)]
+    scores = table(rec(1, int(w), z=bool(rng.integers(0, 2)))
+                    for w in range(50))
     ep = episode(1, int(rng.integers(0, 30)), int(rng.integers(30, 45)))
-    t = time_to_detect(records, ep, grace_windows=int(rng.integers(0, 10)))
+    t = time_to_detect(scores, ep, grace_windows=int(rng.integers(0, 10)))
     assert t is None or t >= 0.0
 
 
@@ -248,17 +256,17 @@ def _thresholds_doc():
 
 
 def test_compute_report_fields_and_round_trip(tmp_path):
-    records = [rec(1, w) for w in range(10, 30)] \
-        + [rec(9, w, a=True, z=(w >= 18)) for w in range(15, 25)]
+    scores = table([rec(1, w) for w in range(10, 30)]
+                    + [rec(9, w, a=True, z=(w >= 18)) for w in range(15, 25)])
     labels = [episode(9, 15, 24)]
     feas = [FeasibilityOutcome(9, Budgets(0, math.inf, math.inf), True, 0,
                                0.0, 0.0)]
     base = _tiny_log(1e6)
     gated = _tiny_log(1e6)
-    rep = compute_report(records, labels, _thresholds_doc(), feas, base,
+    rep = compute_report(scores, labels, _thresholds_doc(), feas, base,
                          gated, grace_windows=8, window_s=0.25)
     assert rep.achieved_fpr_alarm == 0.0
-    assert rep.incident_recall == incident_recall(records, labels, 8)
+    assert rep.incident_recall == incident_recall(scores, labels, 8)
     assert rep.ttd_s == [pytest.approx(0.75)]
     assert rep.feasibility_rate == 1.0
     assert rep.delta_p999_delay_ms == 0.0
@@ -267,25 +275,24 @@ def test_compute_report_fields_and_round_trip(tmp_path):
     manifest = RunManifest("w", 1, "h", "timing+contention-v1",
                            (0.6, 0.2, 0.2))
     write_report(tmp_path / "report.json", rep, manifest)
-    back, m2 = read_report(tmp_path / "report.json")
-    assert m2 == manifest.to_dict()
-    assert back.to_dict() == rep.to_dict()
-    assert math.isnan(back.mean_us_per_row)
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert doc == {"manifest": manifest.to_dict(), "metrics": rep.to_dict()}
+    assert doc["metrics"]["timing_us_per_row"]["mean"] is None
 
 
 def test_compute_report_no_episodes():
-    records = [rec(1, w) for w in range(10, 20)]
+    scores = table(rec(1, w) for w in range(10, 20))
     log = _tiny_log(1e6)
-    rep = compute_report(records, [], _thresholds_doc(), [], log, log)
+    rep = compute_report(scores, [], _thresholds_doc(), [], log, log)
     assert rep.incident_recall is None
     assert rep.ttd_s == []
     assert rep.feasibility_rate == 1.0
 
 
 def test_episode_table(tmp_path):
-    records = [rec(1, 12, z=True)]
+    scores = rec(1, 12, z=True)
     labels = [episode(1, 10, 20), episode(2, 30, 40)]
-    write_episode_table(tmp_path / "eps.csv", records, labels,
+    write_episode_table(tmp_path / "eps.csv", scores, labels,
                         grace_windows=8, window_s=0.25)
     text = (tmp_path / "eps.csv").read_text().splitlines()
     assert text[0] == "episode_id,detected,ttd_s"

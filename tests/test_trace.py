@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowgate.detector import Scores, read_scores_csv, write_scores_csv
 from flowgate.trace import (
     BENIGN,
     MALICIOUS,
@@ -28,6 +30,7 @@ from flowgate.trace import (
     write_manifest,
     write_trace_csv,
 )
+from flowgate.wfq import QueueEventLog, read_queue_log, write_queue_log
 
 # Frozen reference: SHA-256 of the empty byte string.
 SHA256_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
@@ -153,3 +156,53 @@ def test_subset_keeps_metadata():
     assert sub.n_packets == 2
     assert sub.flow_table is tr.flow_table
     assert sub.window_us == tr.window_us
+
+
+# ---------------------------------------------------------------------------
+# the CSV readers refuse what their writers cannot have written
+
+
+def _write_scores(path, n):
+    f = np.arange(n, dtype=np.float64)
+    write_scores_csv(path, Scores(f, f, f / 7, f / 3, f, f, f / 3,
+                                  f % 2 == 1, f % 3 == 1))
+
+
+def _write_queue_log(path, n):
+    t = np.arange(n)
+    write_queue_log(path, QueueEventLog(t % 3, t % 2, t * 10, t * 10 + 0.5,
+                                        t * 10 + 2.25, t % 2 == 0))
+
+
+READERS = {"scores": (_write_scores, read_scores_csv),
+           "queue log": (_write_queue_log, read_queue_log)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(READERS)), st.integers(1, 5),
+       st.sampled_from(["truncated last line", "nan field", "reordered header",
+                        "empty file"]), st.data())
+def test_readers_refuse_corrupt_files(tmp_path_factory, reader, n, corruption,
+                                      data):
+    write, read = READERS[reader]
+    path = tmp_path_factory.mktemp("csv") / "artifact.csv"
+    write(path, n)
+    lines = path.read_text().splitlines()
+    read(path)  # the intact file reads
+    names = lines[0].split(",")
+    if corruption == "truncated last line":  # at least one field lost
+        cut = data.draw(st.integers(1, lines[-1].rindex(",")))
+        lines[-1] = lines[-1][:cut]
+    elif corruption == "nan field":
+        k = data.draw(st.integers(1, n))
+        cells = lines[k].split(",")
+        cells[data.draw(st.integers(0, len(names) - 1))] = "nan"
+        lines[k] = ",".join(cells)
+    elif corruption == "reordered header":
+        lines[0] = ",".join(data.draw(
+            st.permutations(names).filter(lambda p: p != names)))
+    else:
+        lines = []
+    path.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+        read(path)

@@ -14,7 +14,6 @@ from flowgate.wfq import (
     delay_percentile,
     gate_controller,
     read_queue_log,
-    read_schedule,
     replay,
     write_queue_log,
     write_schedule,
@@ -314,16 +313,17 @@ def test_queue_log_round_trip(tmp_path):
     assert np.array_equal(back.benign, log.benign)
 
 
-def test_schedule_round_trip(tmp_path):
+def test_schedule_csv_lists_every_entry(tmp_path):
+    # no command reads a schedule back: the file is the gate's record
     sched = WeightSchedule(default_weight=1.0)
     sched.set_entries(2, [(0, 1.0), (500_000, 0.05), (3_000_000, 1.0)])
     sched.set_entries(9, [(0, 1.0)])
     p = tmp_path / "sched.csv"
     write_schedule(p, sched)
-    back = read_schedule(p)
-    assert back.entries(2) == sched.entries(2)
-    assert back.entries(9) == sched.entries(9)
-    assert back.weights([2, 2, 7], [600_000, 400_000, 0]).tolist() == [
+    assert p.read_text().splitlines() == [
+        "flow_id,from_us,weight", "2,0,1.0", "2,500000,0.05", "2,3000000,1.0",
+        "9,0,1.0"]
+    assert sched.weights([2, 2, 7], [600_000, 400_000, 0]).tolist() == [
         0.05, 1.0, 1.0]
 
 

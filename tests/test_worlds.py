@@ -711,6 +711,16 @@ def test_check_trace_names_the_flow(demo_world):
             f"trace.csv: packet {k} at ts {tr.ts_us[k - 1]} precedes "
             f"packet {k - 1} at ts {tr.ts_us[k]}$")):
         check_trace(swapped, g)
+    # a packet at the horizon would land in the next flow's window 0
+    last = tr.n_packets - 1
+    ts = tr.ts_us.copy()
+    ts[last] = tr.horizon_us
+    late = Trace(ts, tr.flow_id, tr.len_bytes, tr.clique_id, tr.flow_table,
+                 tr.horizon_windows, tr.window_us)
+    with pytest.raises(ValueError, match=(
+            f"trace.csv: packet {last} of flow {tr.flow_id[last]} at ts "
+            f"{tr.horizon_us} is outside \\[0, {tr.horizon_us}\\)$")):
+        check_trace(late, g)
 
 
 def test_world_no_episodes_all_benign():
