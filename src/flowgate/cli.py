@@ -88,7 +88,7 @@ def _world_core(world_dir):
     trace = read_trace_csv(d / "trace.csv", flow_table,
                            config.horizon_windows, config.window_us)
     graph = ContentionGraph.from_dict(_load_json(d / "contention.json"))
-    check_trace(trace, graph)
+    check_trace(trace, graph, config.len_bounds)
     return config, trace, graph
 
 

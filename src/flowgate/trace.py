@@ -13,7 +13,7 @@ import itertools
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -217,50 +217,6 @@ class Trace:
                 and np.array_equal(self.clique_id, other.clique_id))
 
 
-@dataclass
-class ValidationReport:
-    issues: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.issues
-
-
-def validate_trace(trace: Trace, len_bounds: tuple[int, int]) -> ValidationReport:
-    """Structural checks: ordering, bounds, referential integrity.
-
-    Returns a report listing every violation found (empty means valid).
-    """
-    rep = ValidationReport()
-    lo, hi = len_bounds
-    ts, fid, ln, cq = trace.ts_us, trace.flow_id, trace.len_bytes, trace.clique_id
-
-    if trace.n_packets:
-        if np.any(np.diff(ts) < 0):
-            rep.issues.append("timestamps not sorted ascending")
-        if int(ts.min()) < 0:
-            rep.issues.append("negative timestamp")
-        if int(ts.max()) >= trace.horizon_us:
-            rep.issues.append("timestamp at or beyond horizon end")
-        if int(ln.min()) < lo or int(ln.max()) > hi:
-            rep.issues.append(f"len_bytes outside [{lo}, {hi}]")
-        known = set(trace.flow_table)
-        present = set(int(f) for f in np.unique(fid))
-        unknown = present - known
-        if unknown:
-            rep.issues.append(f"packets reference unknown flow ids {sorted(unknown)}")
-        # clique id must be constant per flow
-        for f in sorted(present & known):
-            cqs = np.unique(cq[fid == f])
-            if cqs.shape[0] > 1:
-                rep.issues.append(f"flow {f} appears in multiple cliques {cqs.tolist()}")
-    if trace.horizon_windows <= 0:
-        rep.issues.append("horizon_windows must be positive")
-    if trace.window_us <= 0:
-        rep.issues.append("window_us must be positive")
-    return rep
-
-
 def canonical_json(obj) -> bytes:
     """Stable JSON encoding: sorted keys, compact separators, no NaN/inf."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"),
@@ -305,11 +261,7 @@ def read_csv(path, header: str, n_ints: int = 0, flags=()) -> np.ndarray:
     [0, 2**53) and one at an index in flags that is not 0 or 1; and, naming
     the path, a field that is not a number."""
     n = header.count(",") + 1
-    with open(path) as fh:
-        first = fh.readline().rstrip("\n")
-    if first != header:
-        raise ValueError(f"{path}: line 1: header {first!r} is not "
-                         f"{header!r}")
+    check_header(path, header)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # no rows
@@ -337,6 +289,15 @@ def read_csv(path, header: str, n_ints: int = 0, flags=()) -> np.ndarray:
     return raw
 
 
+def check_header(path, header: str) -> None:
+    """Refuse a CSV whose first line is not `header`, naming the path."""
+    with open(path) as fh:
+        first = fh.readline().rstrip("\n")
+    if first != header:
+        raise ValueError(f"{path}: line 1: header {first!r} is not "
+                         f"{header!r}")
+
+
 def check_fields(path, header: str, raw: np.ndarray, cols, ok: np.ndarray,
                  what: str) -> None:
     """Refuse the first field of read_csv's raw[:, cols] where ok is False,
@@ -357,6 +318,7 @@ def write_trace_csv(path, trace: Trace) -> None:
 
 
 def read_trace_csv(path, flow_table, horizon_windows, window_us) -> Trace:
+    check_header(path, TRACE_HEADER)
     with warnings.catch_warnings():
         # a header-only trace (zero packets) is valid; loadtxt warns on it
         warnings.simplefilter("ignore", UserWarning)

@@ -81,23 +81,43 @@ class FloorUnreachable(Exception):
 # exact 1-D Wasserstein-1
 
 
-def w1_empirical(a, b) -> float:
-    """Exact W1 between the empirical distributions of two samples.
+def w1_empirical(sample_us, reference: BenignIatReference) -> float:
+    """Exact W1 in seconds between a whole-microsecond sample and a reference.
 
-    Integrates |F_a - F_b| over the merged support; equals the quantile
-    coupling integral, so for equal sizes it reduces to the mean absolute
-    difference of the sorted samples.
+    W1 on the line is the integral of |F_a - F_b| (Vallender, 1973). With m
+    sample and n reference points, I = integral of |n*A(x) - m*B(x)| dx over
+    microseconds is an integer, where A and B count the sample and reference
+    points <= x, and W1 = I / (m*n*10**6), rounded once.
+
+    Between consecutive sample points A is a constant i, so n*i - m*B(x)
+    changes sign at most once there, at reference point n*i // m. The
+    integral of B from the least point lo up to x is (x - lo)*B(x) minus the
+    excess over lo of the first B(x) reference points, read from the
+    reference's prefix sums. One searchsorted over the interval ends and the
+    sign changes thus gives I in int64. Measured from lo, every term stays
+    within m*n*(hi - lo); a sample for which that reaches 2**63 is refused.
     """
-    a = np.sort(np.asarray(a, dtype=np.float64))
-    b = np.sort(np.asarray(b, dtype=np.float64))
-    if a.size == 0 or b.size == 0:
-        raise ValueError("w1_empirical needs nonempty samples")
-    xs = np.sort(np.concatenate([a, b]))
-    if xs[0] == xs[-1]:
-        return 0.0
-    fa = np.searchsorted(a, xs, side="right") / a.size
-    fb = np.searchsorted(b, xs, side="right") / b.size
-    return float(np.sum(np.abs(fa[:-1] - fb[:-1]) * np.diff(xs)))
+    a = np.sort(np.asarray(sample_us, dtype=np.int64))
+    b, s0 = reference.sorted_iats_us, reference.prefix_us
+    m, n = a.size, b.size
+    if m == 0:
+        raise ValueError("w1_empirical needs a nonempty sample")
+    lo, hi = min(int(a[0]), int(b[0])), max(int(a[-1]), int(b[-1]))
+    if m * n * (hi - lo) >= 2**63:
+        raise ValueError(
+            f"w1_empirical: m={m} sample and n={n} reference points over a "
+            f"span of {hi - lo} us overflow int64")
+    edges = np.concatenate(([lo], a, [hi]))
+    left, right = edges[:-1], edges[1:]
+    i = np.arange(m + 1)
+    cut = np.clip(b[np.minimum(n * i // m, n - 1)], left, right)
+    x = np.concatenate((edges, cut))
+    k = np.searchsorted(b, x, side="right")
+    g = (x - lo) * k - s0[k] - k * (int(b[0]) - lo)  # integral of B from lo
+    g_edge, g_cut = g[:m + 2], g[m + 2:]
+    parts = (n * i * ((cut - left) - (right - cut))
+             + m * ((g_edge[1:] - g_cut) - (g_cut - g_edge[:-1])))
+    return int(parts.sum()) / (m * n * 1_000_000)
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +517,8 @@ def build_contention_graph(clique_of: dict[int, int],
 
 
 class BenignIatReference:
-    """Pooled positive IATs of a device class, for one malicious flow."""
+    """Pooled positive IATs of a device class, for one malicious flow, sorted,
+    with the prefix sums of their excess over the least one."""
 
     def __init__(self, flow_id: int, sorted_iats_us):
         self.flow_id = int(flow_id)
@@ -506,10 +527,13 @@ class BenignIatReference:
             raise GenerationError(f"empty IAT reference for flow {flow_id}")
         if int(self.sorted_iats_us.min()) <= 0:
             raise GenerationError("reference IATs must be positive")
-
-    @property
-    def sorted_iats_s(self) -> np.ndarray:
-        return self.sorted_iats_us.astype(np.float64) * 1e-6
+        b = self.sorted_iats_us
+        if np.any(np.diff(b) < 0):
+            raise GenerationError(f"IAT reference for flow {flow_id} is "
+                                  f"not sorted")
+        # wraps only if n * (b[-1] - b[0]) >= 2**63, and w1_empirical then
+        # refuses every sample before it reads these
+        self.prefix_us = np.concatenate(([0], np.cumsum(b - b[0])))
 
     def __eq__(self, other):
         return (isinstance(other, BenignIatReference)
@@ -553,11 +577,11 @@ def project_iats(ts_us, reference: BenignIatReference, epsilon_s: float,
     if n < 2:
         raise ValueError("projection needs at least two packets in the window")
     lo, hi = window_bounds
-    ref_s = reference.sorted_iats_s
     tol = epsilon_s + W1_SLACK_S
-    x = np.diff(ts).astype(np.float64)
-    if w1_empirical(x * 1e-6, ref_s) <= tol:
+    iats = np.diff(ts)
+    if w1_empirical(iats, reference) <= tol:
         return ts.copy()
+    x = iats.astype(np.float64)
     m = x.size
     nref = reference.sorted_iats_us.size
     u = (np.arange(1, m + 1) - 0.5) / m
@@ -581,8 +605,7 @@ def project_iats(ts_us, reference: BenignIatReference, epsilon_s: float,
         return iats
 
     def fits(iats) -> bool:
-        return iats is not None and \
-            w1_empirical(iats.astype(np.float64) * 1e-6, ref_s) <= tol
+        return iats is not None and w1_empirical(iats, reference) <= tol
 
     best = candidate(1.0)
     if not fits(best):
@@ -713,12 +736,10 @@ def window_distortions(ts_us, reference: BenignIatReference,
                        window_us: int) -> list[float]:
     """Per-window W1 (seconds) for windows holding at least two packets."""
     ts = np.asarray(ts_us, dtype=np.int64)
-    ref_s = reference.sorted_iats_s
     out = []
     for _, s, e in _window_slices(ts, window_us):
         if e - s >= 2:
-            out.append(w1_empirical(np.diff(ts[s:e]).astype(np.float64) * 1e-6,
-                                    ref_s))
+            out.append(w1_empirical(np.diff(ts[s:e]), reference))
     return out
 
 
@@ -1041,14 +1062,18 @@ def write_world(out_dir, world: World) -> None:
         sort_keys=True) + "\n")
 
 
-def check_trace(trace: Trace, graph: ContentionGraph) -> None:
-    """Refuse a loaded trace that disagrees with its flow table or graph.
+def check_trace(trace: Trace, graph: ContentionGraph,
+                len_bounds: tuple[int, int]) -> None:
+    """Refuse a loaded trace that disagrees with its flow table, graph or
+    config.
 
     Every packet's flow must be in both, and its clique tag must be the
     graph's clique for that flow: replay serves a packet by its tag, while
     the features read the graph. Arrivals must be nondecreasing, as replay
     and the inter-arrival features read them in file order, and in [0,
     horizon_us), or windowize would count a packet in another flow's cell.
+    Lengths must lie within the config's len_bounds, as generation keeps
+    them.
     """
     if sorted(trace.flow_table) != graph.flow_ids:
         raise ValueError("flows.csv and contention.json list different flows")
@@ -1073,6 +1098,13 @@ def check_trace(trace: Trace, graph: ContentionGraph) -> None:
         raise ValueError(
             f"trace.csv: packet {k} of flow {trace.flow_id[k]} at ts "
             f"{trace.ts_us[k]} is outside [0, {trace.horizon_us})")
+    lo, hi = len_bounds
+    ln = trace.len_bytes
+    if ln.size and not lo <= int(ln.min()) <= int(ln.max()) <= hi:
+        k = int(np.flatnonzero((ln < lo) | (ln > hi))[0])
+        raise ValueError(
+            f"trace.csv: packet {k} of flow {trace.flow_id[k]} has "
+            f"{trace.len_bytes[k]} bytes, outside [{lo}, {hi}]")
     back = np.flatnonzero(np.diff(trace.ts_us) < 0)
     if back.size:
         k = int(back[0]) + 1
@@ -1091,7 +1123,7 @@ def load_world(world_dir) -> World:
     manifest = read_manifest(d / "manifest.json")
     graph = ContentionGraph.from_dict(
         json.loads((d / "contention.json").read_text()))
-    check_trace(trace, graph)
+    check_trace(trace, graph, config.len_bounds)
     feas_doc = json.loads((d / "feasibility.json").read_text())
     feasibility = [FeasibilityOutcome.from_dict(x) for x in feas_doc["outcomes"]]
     refs_doc = json.loads((d / "references.json").read_text())

@@ -239,6 +239,29 @@ def test_unsorted_trace_is_refused(pipe, tmp_path, capsys):
         assert f"trace.csv: packet {k} at ts {ts[k - 1]} precedes" in err
 
 
+def test_trace_with_reordered_header_is_refused(pipe, tmp_path, capsys):
+    broken = tmp_path / "world_reordered"
+    shutil.copytree(pipe["world"], broken)
+    lines = (broken / "trace.csv").read_text().splitlines()
+    lines[0] = "len_bytes,clique_id,ts_us,flow_id"
+    (broken / "trace.csv").write_text("\n".join(lines) + "\n")
+    assert main(["replay", "--world", str(broken), "--mode", "base",
+                 "--out", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ValueError: {broken / 'trace.csv'}: "
+                          "line 1: header 'len_bytes,clique_id,ts_us,flow_id'")
+
+
+def test_packet_length_outside_bounds_is_refused(pipe, tmp_path, capsys):
+    broken, flow = tampered_world(pipe, tmp_path, 2, 1501)
+    assert main(["replay", "--world", str(broken), "--mode", "base",
+                 "--out", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert (f"trace.csv: packet 0 of flow {flow} has 1501 bytes, outside "
+            "[64, 1500]") in err
+
+
 def test_scores_with_reordered_header_are_refused(pipe, tmp_path, capsys):
     def reorder(lines):
         return [lines[0].replace("E,S,v,u", "E,v,S,u")] + lines[1:]

@@ -24,13 +24,13 @@ from flowgate.trace import (
     read_labels,
     read_manifest,
     read_trace_csv,
-    validate_trace,
     write_flow_table,
     write_labels,
     write_manifest,
     write_trace_csv,
 )
 from flowgate.wfq import QueueEventLog, read_queue_log, write_queue_log
+from trace_validation import validate_trace
 
 # Frozen reference: SHA-256 of the empty byte string.
 SHA256_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"

@@ -1,7 +1,9 @@
 """Tests for synthetic world generation and budget enforcement."""
 
+import bisect
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import wasserstein_distance
 
-from flowgate.trace import (BENIGN, MALICIOUS, Budgets, FlowInfo, Trace,
-                            validate_trace)
+from flowgate.trace import BENIGN, MALICIOUS, Budgets, FlowInfo, Trace
 from flowgate.worlds import (
     BenignFlowSpec,
     BenignIatReference,
@@ -43,6 +44,7 @@ from flowgate.worlds import (
 )
 
 import flowgate.worlds as worlds_module
+from trace_validation import validate_trace
 
 LEN_BOUNDS = (64, 1500)
 REPO = Path(__file__).resolve().parents[1]
@@ -52,48 +54,131 @@ REPO = Path(__file__).resolve().parents[1]
 # W1
 
 
+def ref_of(iats_us) -> BenignIatReference:
+    return BenignIatReference(0, np.sort(np.asarray(iats_us, dtype=np.int64)))
+
+
+def w1_merged_support(a, b) -> float:
+    """The float kernel that w1_empirical replaced, kept as its differential
+    oracle: integrates |F_a - F_b| over the merged, sorted support."""
+    a = np.sort(np.asarray(a, dtype=np.float64))
+    b = np.sort(np.asarray(b, dtype=np.float64))
+    if a.size == 0 or b.size == 0:
+        raise ValueError("w1_empirical needs nonempty samples")
+    xs = np.sort(np.concatenate([a, b]))
+    if xs[0] == xs[-1]:
+        return 0.0
+    fa = np.searchsorted(a, xs, side="right") / a.size
+    fb = np.searchsorted(b, xs, side="right") / b.size
+    return float(np.sum(np.abs(fa[:-1] - fb[:-1]) * np.diff(xs)))
+
+
+def w1_exact(a, b) -> Fraction:
+    """W1 in seconds as an exact rational: integral of |n*A - m*B| over the
+    merged support of two whole-microsecond samples, over m*n*10**6."""
+    a, b = sorted(a), sorted(b)
+    m, n = len(a), len(b)
+    xs = sorted(set(a) | set(b))
+    area = sum(
+        abs(n * bisect.bisect_right(a, x) - m * bisect.bisect_right(b, x))
+        * (x_next - x) for x, x_next in zip(xs, xs[1:]))
+    return Fraction(area, m * n * 10**6)
+
+
 def test_w1_frozen_pair():
-    assert w1_empirical([0.0, 2.0], [1.0, 3.0]) == 1.0
+    assert w1_empirical([0, 2], ref_of([1, 3])) == 1e-6
 
 
 def test_w1_identical_samples_zero():
-    a = [0.3, 1.7, 2.2, 9.0]
-    assert w1_empirical(a, a) == 0.0
+    a = [3, 17, 22, 90]
+    assert w1_empirical(a, ref_of(a)) == 0.0
 
 
 def test_w1_point_masses():
-    assert w1_empirical([1.0], [4.0]) == pytest.approx(3.0)
+    assert w1_empirical([1], ref_of([4])) == pytest.approx(3e-6)
 
 
 def test_w1_empty_raises():
     with pytest.raises(ValueError):
-        w1_empirical([], [1.0])
+        w1_empirical([], ref_of([1]))
 
 
-@given(st.lists(st.floats(0, 1e4), min_size=1, max_size=40),
-       st.lists(st.floats(0, 1e4), min_size=1, max_size=40))
+@given(st.lists(st.integers(0, 10**4), min_size=1, max_size=40),
+       st.lists(st.integers(1, 10**4), min_size=1, max_size=40))
 def test_w1_matches_scipy(a, b):
-    assert w1_empirical(a, b) == pytest.approx(wasserstein_distance(a, b),
-                                               rel=1e-9, abs=1e-12)
+    assert w1_empirical(a, ref_of(b)) == pytest.approx(
+        wasserstein_distance(a, b) * 1e-6, rel=1e-9, abs=1e-12)
 
 
-@given(st.lists(st.floats(0, 1e4), min_size=1, max_size=30),
-       st.lists(st.floats(0, 1e4), min_size=1, max_size=30),
-       st.lists(st.floats(0, 1e4), min_size=1, max_size=30))
+@given(st.lists(st.integers(1, 10**4), min_size=1, max_size=30),
+       st.lists(st.integers(1, 10**4), min_size=1, max_size=30),
+       st.lists(st.integers(1, 10**4), min_size=1, max_size=30))
 def test_w1_metric_properties(a, b, c):
-    ab = w1_empirical(a, b)
+    ab = w1_empirical(a, ref_of(b))
     assert ab >= 0.0
-    assert ab == pytest.approx(w1_empirical(b, a), rel=1e-12, abs=1e-12)
-    assert ab <= w1_empirical(a, c) + w1_empirical(c, b) + 1e-9
+    assert ab == pytest.approx(w1_empirical(b, ref_of(a)), rel=1e-12,
+                               abs=1e-12)
+    assert ab <= w1_empirical(a, ref_of(c)) + w1_empirical(c, ref_of(b)) + 1e-9
 
 
-@given(st.lists(st.floats(0, 1e4), min_size=1, max_size=25))
+@given(st.lists(st.integers(0, 10**4), min_size=1, max_size=25))
 def test_w1_equal_size_is_sorted_mean_gap(xs):
     n = len(xs)
     rng = np.random.default_rng(0)
-    ys = rng.uniform(0, 1e4, n)
-    expect = float(np.mean(np.abs(np.sort(xs) - np.sort(ys))))
-    assert w1_empirical(xs, ys) == pytest.approx(expect, rel=1e-9, abs=1e-9)
+    ys = rng.integers(1, 10**4, n)
+    expect = float(np.mean(np.abs(np.sort(xs) - np.sort(ys)))) * 1e-6
+    assert w1_empirical(xs, ref_of(ys)) == pytest.approx(expect, rel=1e-9,
+                                                         abs=1e-9)
+
+
+# Small value ranges force ties and repeated values; the wide ones reach
+# the reference sizes of real worlds.
+_iats = st.one_of(
+    st.lists(st.integers(0, 3), min_size=1, max_size=12),
+    st.lists(st.integers(0, 10**4), min_size=1, max_size=60),
+    st.lists(st.integers(0, 10**6), min_size=1, max_size=60),
+    st.integers(0, 10**6).flatmap(
+        lambda v: st.lists(st.just(v), min_size=1, max_size=8)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_iats, _iats, st.booleans())
+def test_w1_matches_merged_support_oracle(a, b, same):
+    """Ties, repeated values, m = 1, n = 1, all-equal samples and a sample
+    equal to its reference. The oracle rounds each support gap of the
+    seconds-scaled values, so its error is absolute on the scale of the
+    largest value; the kernel must agree to 1e-12 of the value beyond it."""
+    b = [v + 1 for v in (a if same else b)]  # reference IATs are positive
+    if same:
+        a = list(b)
+    got = w1_empirical(a, ref_of(b))
+    want = w1_merged_support(np.asarray(a) * 1e-6, np.asarray(b) * 1e-6)
+    scale = max(max(a), max(b)) * 1e-6
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-14 * scale)
+    if len(a) * len(b) <= 400:
+        assert got == float(w1_exact(a, b))
+
+
+def test_w1_refuses_int64_overflow():
+    """m * n * span >= 2**63 is refused, never wrapped."""
+    big = 2**62
+    with pytest.raises(ValueError, match=(
+            f"m=2 sample and n=2 reference points over a span of {big} us")):
+        w1_empirical(np.int64([0, 1]), ref_of([1, big]))
+    with pytest.raises(ValueError, match="overflow int64"):
+        w1_empirical(np.int64([0, big]), ref_of([big - 1, big]))
+    # huge values over a small span stay exact: coordinates start at the
+    # least point
+    assert w1_empirical(np.int64([big, big + 2]), ref_of([big + 1, big + 3])) \
+        == 1e-6
+    assert w1_empirical(np.int64([2**61]), ref_of([2**61 + 2**60])) \
+        == float(Fraction(2**60, 10**6))
+
+
+def test_reference_refuses_unsorted():
+    with pytest.raises(GenerationError, match="not sorted"):
+        BenignIatReference(1, [5, 3])
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +386,7 @@ def test_project_exact_match_equal_counts():
     assert out[0] == ts[0]
     assert out.size == ts.size
     assert sorted(np.diff(out).tolist()) == [1000, 2000, 3000, 4000, 5000]
-    assert w1_empirical(np.diff(out) * 1e-6, ref.sorted_iats_s) == 0.0
+    assert w1_empirical(np.diff(out), ref) == 0.0
 
 
 def test_project_noop_when_within_tolerance():
@@ -322,7 +407,7 @@ def test_project_meets_tolerance_and_bounds():
     assert out[0] == ts[0]
     assert np.all(np.diff(out) >= 1)
     assert out[-1] < 250_000
-    assert w1_empirical(np.diff(out) * 1e-6, ref.sorted_iats_s) <= eps + 1e-9
+    assert w1_empirical(np.diff(out), ref) <= eps + 1e-9
 
 
 def test_project_overflow_rescales_into_window():
@@ -332,7 +417,7 @@ def test_project_overflow_rescales_into_window():
     out = project_iats(ts, ref, 0.0003, (0, 1501))
     assert out[-1] <= 1500
     assert out[0] == 0 and out.size == 3
-    d = w1_empirical(np.diff(out) * 1e-6, ref.sorted_iats_s)
+    d = w1_empirical(np.diff(out), ref)
     assert d <= 0.0003 + 1e-9
 
 
@@ -367,7 +452,7 @@ def test_project_postconditions_random(seed, eps):
     assert out[0] == ts[0]
     assert np.all(np.diff(out) >= 1)
     assert int(out[-1]) < 250_000
-    assert w1_empirical(np.diff(out) * 1e-6, ref.sorted_iats_s) <= eps + 1e-9
+    assert w1_empirical(np.diff(out), ref) <= eps + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -683,7 +768,7 @@ def test_world_round_trip(demo_world, tmp_path):
 
 def test_check_trace_names_the_flow(demo_world):
     tr, g = demo_world.trace, demo_world.graph
-    check_trace(tr, g)
+    check_trace(tr, g, LEN_BOUNDS)
 
     def with_first(flow_id, clique_id):
         fid, cq = tr.flow_id.copy(), tr.clique_id.copy()
@@ -692,15 +777,16 @@ def test_check_trace_names_the_flow(demo_world):
                      tr.horizon_windows, tr.window_us)
 
     with pytest.raises(ValueError, match="flow 999 is not in"):
-        check_trace(with_first(999, 0), g)
+        check_trace(with_first(999, 0), g, LEN_BOUNDS)
     f = int(tr.flow_id[0])
     with pytest.raises(ValueError, match=f"flow {f} is tagged clique 7"):
-        check_trace(with_first(f, 7), g)
+        check_trace(with_first(f, 7), g, LEN_BOUNDS)
     table = dict(tr.flow_table)
     table[999] = table[f]
     with pytest.raises(ValueError, match="list different flows"):
         check_trace(Trace(tr.ts_us, tr.flow_id, tr.len_bytes, tr.clique_id,
-                          table, tr.horizon_windows, tr.window_us), g)
+                          table, tr.horizon_windows, tr.window_us), g,
+                    LEN_BOUNDS)
     k = int(np.flatnonzero(np.diff(tr.ts_us))[0]) + 1
     order = np.arange(tr.n_packets)
     order[[k - 1, k]] = [k, k - 1]
@@ -710,7 +796,7 @@ def test_check_trace_names_the_flow(demo_world):
     with pytest.raises(ValueError, match=(
             f"trace.csv: packet {k} at ts {tr.ts_us[k - 1]} precedes "
             f"packet {k - 1} at ts {tr.ts_us[k]}$")):
-        check_trace(swapped, g)
+        check_trace(swapped, g, LEN_BOUNDS)
     # a packet at the horizon would land in the next flow's window 0
     last = tr.n_packets - 1
     ts = tr.ts_us.copy()
@@ -720,7 +806,31 @@ def test_check_trace_names_the_flow(demo_world):
     with pytest.raises(ValueError, match=(
             f"trace.csv: packet {last} of flow {tr.flow_id[last]} at ts "
             f"{tr.horizon_us} is outside \\[0, {tr.horizon_us}\\)$")):
-        check_trace(late, g)
+        check_trace(late, g, LEN_BOUNDS)
+    for k, n_bytes in ((3, LEN_BOUNDS[0] - 1), (tr.n_packets - 1,
+                                               LEN_BOUNDS[1] + 1)):
+        ln = tr.len_bytes.copy()
+        ln[k] = n_bytes
+        bad = Trace(tr.ts_us, tr.flow_id, ln, tr.clique_id, tr.flow_table,
+                    tr.horizon_windows, tr.window_us)
+        with pytest.raises(ValueError, match=(
+                f"trace.csv: packet {k} of flow {tr.flow_id[k]} has "
+                f"{n_bytes} bytes, outside \\[64, 1500\\]$")):
+            check_trace(bad, g, LEN_BOUNDS)
+
+
+def test_load_world_refuses_length_outside_config_bounds(demo_world,
+                                                        tmp_path):
+    write_world(tmp_path / "w", demo_world)
+    path = tmp_path / "w" / "trace.csv"
+    lines = path.read_text().splitlines()
+    cells = lines[1].split(",")
+    cells[2] = str(LEN_BOUNDS[0] - 1)
+    lines[1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=(
+            f"packet 0 of flow {cells[1]} has 63 bytes, outside")):
+        load_world(tmp_path / "w")
 
 
 def test_world_no_episodes_all_benign():
