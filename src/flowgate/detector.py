@@ -174,51 +174,6 @@ def step(v, u, drive_e, drive_i, params: DetectorParams, noise=0.0):
     return v_next, u_next
 
 
-def fixed_point_residual(v: float, u: float, drive: float,
-                         params: DetectorParams) -> tuple[float, float]:
-    """Residuals of the steady-state equations (v-equation, u-relation)."""
-    rv = (f_sat(v, params.alpha, params.kappa) + params.beta * v + params.gamma
-          - u + drive - params.lam * v - params.chi * (v - params.v_rest))
-    ru = params.a * params.b * v - (params.a + params.mu) * u
-    return rv, ru
-
-
-def solve_fixed_point(params: DetectorParams, drive: float) -> tuple[float, float]:
-    """Interior fixed point (v*, u*) for constant total drive, by bisection.
-
-    Substitutes u* = a b v / (a + mu) and solves the scalar v-equation on
-    [0, v_max]. Raises if the root is not bracketed there.
-    """
-    ab_over = params.a * params.b / (params.a + params.mu)
-
-    def h(v):
-        return (f_sat(v, params.alpha, params.kappa) + params.beta * v + params.gamma
-                - ab_over * v + drive - params.lam * v
-                - params.chi * (v - params.v_rest))
-
-    lo, hi = 0.0, params.v_max
-    hlo, hhi = h(lo), h(hi)
-    if hlo == 0.0:
-        v = lo
-    elif hhi == 0.0:
-        v = hi
-    elif hlo * hhi > 0:
-        raise ValueError("fixed point not bracketed in [0, v_max]")
-    else:
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            hm = h(mid)
-            if hm == 0.0:
-                lo = hi = mid
-                break
-            if (hm > 0) == (hlo > 0):
-                lo = mid
-            else:
-                hi = mid
-        v = 0.5 * (lo + hi)
-    return v, ab_over * v
-
-
 def coupling_stability_margin(params: DetectorParams,
                               rho: float) -> tuple[float, float, bool]:
     """Linearized coupling-path bound vs local damping margin.

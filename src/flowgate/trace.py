@@ -12,6 +12,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -59,14 +60,6 @@ class FlowInfo:
     key: FlowKey
     device_class: str
     label: str  # BENIGN or MALICIOUS
-
-
-@dataclass(frozen=True)
-class PacketRecord:
-    ts_us: int
-    flow_id: int
-    len_bytes: int
-    clique_id: int
 
 
 @dataclass(frozen=True)
@@ -163,8 +156,7 @@ class RunManifest:
 class Trace:
     """Immutable packet trace backed by parallel int64 arrays.
 
-    Packets are sorted by ts_us with ties keeping insertion order; the arrays
-    are the canonical representation (PacketRecord is an input form only).
+    Packets are sorted by ts_us with ties keeping insertion order.
     """
 
     __slots__ = ("ts_us", "flow_id", "len_bytes", "clique_id", "flow_table",
@@ -181,16 +173,6 @@ class Trace:
         self.horizon_windows = int(horizon_windows)
         self.window_us = int(window_us)
 
-    @classmethod
-    def from_records(cls, records, flow_table, horizon_windows, window_us) -> "Trace":
-        ts = np.array([r.ts_us for r in records], dtype=np.int64)
-        fid = np.array([r.flow_id for r in records], dtype=np.int64)
-        ln = np.array([r.len_bytes for r in records], dtype=np.int64)
-        cq = np.array([r.clique_id for r in records], dtype=np.int64)
-        order = np.argsort(ts, kind="stable")
-        return cls(ts[order], fid[order], ln[order], cq[order],
-                   flow_table, horizon_windows, window_us)
-
     @property
     def n_packets(self) -> int:
         return int(self.ts_us.shape[0])
@@ -198,12 +180,6 @@ class Trace:
     @property
     def horizon_us(self) -> int:
         return self.horizon_windows * self.window_us
-
-    def subset(self, mask) -> "Trace":
-        """Sub-trace selected by boolean mask; shares the flow table."""
-        return Trace(self.ts_us[mask], self.flow_id[mask], self.len_bytes[mask],
-                     self.clique_id[mask], self.flow_table,
-                     self.horizon_windows, self.window_us)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Trace):
@@ -238,19 +214,94 @@ def config_hash(config_dict: dict) -> str:
 TRACE_HEADER = "ts_us,flow_id,len_bytes,clique_id"
 
 
-_WRITE_BLOCK = 1 << 12  # rows formatted per write
+_WRITE_BLOCK = 1 << 15  # rows formatted per write
+_CONVERSION = re.compile(r"%(d|r|\.17g)")
+# Below these magnitudes a whole float prints without an exponent: %r as
+# its digits and ".0", %.17g as its digits alone.
+_WHOLE_BELOW = {"r": 1e16, ".17g": 1e17}
 
 
 def write_csv(path, header: str, row: str, cols) -> None:
-    """Write equal-length columns as CSV lines formatted by `row` (one %
-    conversion per column, ending in a newline), in blocks of rows so that
-    memory does not grow with the file."""
+    """Write equal-length columns as CSV lines formatted by `row`, one %d,
+    %r or %.17g conversion per column between literal text, ending in a
+    newline. The bytes are those of `row % values` for each row; they are
+    made a column and a block of rows at a time, so that memory does not
+    grow with the file. Refuses another conversion or a column count that
+    does not match the row."""
+    parts = _CONVERSION.split(row)
+    literals, convs = parts[::2], parts[1::2]
+    if any("%" in lit for lit in literals):
+        raise ValueError(f"row {row!r}: only %d, %r and %.17g are supported")
+    cols = [np.asarray(c) for c in cols]
+    if len(cols) != len(convs) or len({c.shape for c in cols}) > 1:
+        raise ValueError(f"row {row!r}: {len(convs)} conversions for "
+                         f"{len(cols)} columns of shapes "
+                         f"{[c.shape for c in cols]}")
+    literals = [np.frombuffer(s.encode(), np.uint8) for s in literals]
     n = len(cols[0])
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
         for s in range(0, n, _WRITE_BLOCK):
-            rows = zip(*(c[s:s + _WRITE_BLOCK].tolist() for c in cols))
-            fh.write("".join([row % r for r in rows]))
+            k = min(n - s, _WRITE_BLOCK)
+            cells = {}  # columns with the same values are formatted once
+            parts = [np.broadcast_to(literals[0], (k, literals[0].size))]
+            for col, conv, lit in zip(cols, convs, literals[1:]):
+                block = col[s:s + k]
+                key = (conv, block.dtype.str, block.tobytes())
+                if key not in cells:
+                    cells[key] = _cell_bytes(block, conv)
+                parts += [cells[key], np.broadcast_to(lit, (k, lit.size))]
+            text = np.concatenate(parts, axis=1)
+            fh.write(text[text != 0])
+
+
+def _cell_bytes(col: np.ndarray, conv: str) -> np.ndarray:
+    """The text of `"%" + conv` applied to each value of col, as a
+    (rows x width) uint8 matrix padded with zero bytes anywhere in a row."""
+    if conv == "d" and col.dtype.kind in "biu":
+        neg = col < 0
+        mag = col.astype(np.uint64)
+        return np.concatenate([np.where(neg, 45, 0).astype(np.uint8)[:, None],
+                               _digits(np.where(neg, -mag, mag))], axis=1)
+    if conv == "d" or col.dtype != np.float64:
+        return _python_bytes(col, conv, np.ones(col.shape, dtype=bool))
+    mag = np.abs(col)
+    whole = (mag < _WHOLE_BELOW[conv]) & (np.floor(mag) == mag)
+    parts = []
+    if whole.any():
+        sign = np.signbit(col) & whole  # -0.0 prints its sign
+        parts += [np.where(sign, 45, 0).astype(np.uint8)[:, None],
+                  _digits(np.where(whole, mag, 0).astype(np.uint64))
+                  * whole[:, None]]
+        if conv == "r":
+            parts.append(np.outer(whole, np.array([46, 48], np.uint8)))
+    if not whole.all():
+        parts.append(_python_bytes(col, conv, ~whole))
+    return np.concatenate(parts, axis=1)
+
+
+def _digits(mag: np.ndarray) -> np.ndarray:
+    """The decimal digits of uint64 mag, right-aligned in a (rows x width)
+    uint8 matrix, with zero bytes for leading zeros."""
+    width = len(str(int(mag.max()))) if mag.size else 1
+    out = np.empty((width, mag.size), np.uint8)
+    for i in range(width - 1, -1, -1):
+        q = mag // 10
+        out[i] = mag - q * 10
+        out[i] += np.uint8(48) * (mag != 0)  # 0 once mag is spent: a lead
+        mag = q
+    out[-1] |= 48  # the units digit prints even for 0
+    return out.T
+
+
+def _python_bytes(col: np.ndarray, conv: str, rows: np.ndarray) -> np.ndarray:
+    """Python's own `"%" + conv` text of col's values in rows, as the
+    matrix of _cell_bytes, with zero rows elsewhere."""
+    fmt = repr if conv == "r" else ("%" + conv).__mod__
+    text = np.array(list(map(fmt, col[rows].tolist())), dtype="S")
+    out = np.zeros((col.size, max(text.itemsize, 1)), np.uint8)
+    out[rows] = text.view(np.uint8).reshape(text.size, text.itemsize)
+    return out
 
 
 def read_csv(path, header: str, n_ints: int = 0, flags=()) -> np.ndarray:

@@ -281,9 +281,8 @@ def read_queue_log(path) -> QueueEventLog:
 
 
 def write_schedule(path, schedule: WeightSchedule) -> None:
-    lines = [SCHEDULE_HEADER]
-    for f in schedule.flows():
-        for t, w in schedule.entries(f):
-            lines.append(f"{f},{t},{w!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = np.array([(f, t, w) for f in schedule.flows()
+                     for t, w in schedule.entries(f)],
+                    dtype=[("f", np.int64), ("t", np.int64), ("w", np.float64)])
+    write_csv(path, SCHEDULE_HEADER, "%d,%d,%r\n",
+              (rows["f"], rows["t"], rows["w"]))

@@ -578,8 +578,18 @@ def project_iats(ts_us, reference: BenignIatReference, epsilon_s: float,
         raise ValueError("projection needs at least two packets in the window")
     lo, hi = window_bounds
     tol = epsilon_s + W1_SLACK_S
+    verdicts = {}  # by IAT bytes: late bisection steps repeat candidates
+
+    def fits(iats) -> bool:
+        if iats is None:
+            return False
+        key = iats.tobytes()
+        if key not in verdicts:
+            verdicts[key] = w1_empirical(iats, reference) <= tol
+        return verdicts[key]
+
     iats = np.diff(ts)
-    if w1_empirical(iats, reference) <= tol:
+    if fits(iats):
         return ts.copy()
     x = iats.astype(np.float64)
     m = x.size
@@ -603,9 +613,6 @@ def project_iats(ts_us, reference: BenignIatReference, epsilon_s: float,
             if int(iats.sum()) > span:
                 return None
         return iats
-
-    def fits(iats) -> bool:
-        return iats is not None and w1_empirical(iats, reference) <= tol
 
     best = candidate(1.0)
     if not fits(best):

@@ -10,6 +10,7 @@ margins are stable across runs on any host.
 import json
 import math
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -19,10 +20,9 @@ from flowgate.cli import main as cli_main
 from flowgate.detector import (
     DetectorParams,
     DetectorSession,
+    Persistence,
     Scores,
     coupling_stability_margin,
-    fixed_point_residual,
-    solve_fixed_point,
     step,
 )
 from flowgate.features import windowize
@@ -41,6 +41,7 @@ from flowgate.worlds import (
     audit_budgets,
     build_world,
 )
+from support import fixed_point_residual, solve_fixed_point
 
 
 def _check(num: int, name: str, ok: bool, detail: str) -> None:
@@ -253,6 +254,17 @@ def _stable_params(rng) -> DetectorParams:
             return p
 
 
+def _stacked_params(sets) -> DetectorParams:
+    """One DetectorParams holding, for each field that differs across sets,
+    an array with one element per set: step() then advances every set at
+    once, each element's arithmetic that of the set stepped alone."""
+    fields = {}
+    for name in asdict(sets[0]):
+        values = [getattr(p, name) for p in sets]
+        fields[name] = values[0] if len(set(values)) == 1 else np.array(values)
+    return DetectorParams(**fields)
+
+
 def _persistence_oracle(alarms: np.ndarray, k: int, m: int, burn: int):
     """Sliding-window reimplementation of k-of-m with m-clear hysteresis."""
     a = alarms.copy()
@@ -270,6 +282,31 @@ def _persistence_oracle(alarms: np.ndarray, k: int, m: int, burn: int):
             on = False
         z[t] = on
     return a, z
+
+
+def _persistence_flags(sequences):
+    """The alarm and actionable streams of (k, m, burn, raw) sequences,
+    concatenated in sequence order: raw's alarms, with none and no
+    persistence before the burn-in. The sequences of one (k, m) run as the
+    columns of one Persistence, aligned at their burn-ins."""
+    k, m, burn, n = (np.array(c) for c in zip(
+        *((k, m, burn, raw.size) for k, m, burn, raw in sequences)))
+    start = np.cumsum(n) - n
+    alarms = np.concatenate([raw for *_, raw in sequences])
+    alarms &= np.arange(alarms.size) - np.repeat(start, n) >= np.repeat(burn, n)
+    flags = np.zeros_like(alarms)
+    for km in np.unique(np.stack([k, m], axis=1), axis=0):
+        idx = np.flatnonzero((k == km[0]) & (m == km[1]))
+        live = np.maximum(n[idx] - burn[idx], 0)  # windows after the burn-in
+        t = np.arange(live.max())[:, None]
+        valid = t < live
+        at = (start[idx] + burn[idx] + t)[valid]
+        a = np.zeros(valid.shape, dtype=bool)
+        a[valid] = alarms[at]
+        persistence = Persistence(int(km[0]), int(km[1]), idx.size)
+        z = np.array([persistence.update(row) for row in a])
+        flags[at] = z[valid]
+    return alarms, flags
 
 
 def test_criterion_3_detector_dynamics():
@@ -291,38 +328,39 @@ def test_criterion_3_detector_dynamics():
 
     # boundedness: a million random-drive Euler steps stay inside [0, v_max]
     rng = np.random.default_rng(0xB0)
-    steps_total = 0
-    bounded_ok = True
+    sets, de, di = [], [], []
     for _ in range(20):
-        p = _stable_params(rng)
-        v, u = p.v_rest, 0.0
-        de = rng.uniform(0.0, 8.0, 50_000)
-        di = rng.uniform(-0.5, 0.5, 50_000)
-        lo, hi = math.inf, -math.inf
-        for j in range(50_000):
-            v, u = step(v, u, float(de[j]), float(di[j]), p)
-            if v < lo:
-                lo = v
-            if v > hi:
-                hi = v
-        steps_total += 50_000
-        if lo < 0.0 or hi > p.v_max or not math.isfinite(u):
-            bounded_ok = False
+        sets.append(_stable_params(rng))
+        de.append(rng.uniform(0.0, 8.0, 50_000))
+        di.append(rng.uniform(-0.5, 0.5, 50_000))
+    p = _stacked_params(sets)
+    de, di = np.array(de).T, np.array(di).T
+    v, u = p.v_rest, np.zeros(len(sets))
+    lo, hi = np.full(len(sets), math.inf), np.full(len(sets), -math.inf)
+    for j in range(de.shape[0]):
+        v, u = step(v, u, de[j], di[j], p)
+        lo, hi = np.fmin(lo, v), np.fmax(hi, v)
+    steps_total = de.size
+    bounded_ok = bool(np.all(lo >= 0.0) and np.all(hi <= p.v_max)
+                      and np.all(np.isfinite(u)))
 
-    # persistence: replay flag derivation against a sliding-window oracle
+    # persistence: flag derivation against a sliding-window oracle
     rng = np.random.default_rng(0x9E)
-    mismatches = 0
+    sequences = []
     for _ in range(100_000):
         m = int(rng.integers(1, 9))
         k = int(rng.integers(1, m + 1))
         n = int(rng.integers(m, 3 * m + 8))
         burn = int(rng.integers(0, 4))
         raw = rng.random(n) < rng.uniform(0.15, 0.7)
-        scores = [(w, 1.0 if raw[w] else 0.0) for w in range(n)]
-        alarms, flags = derive_flags(scores, 0.5, k, m, burn)
-        oa, oz = _persistence_oracle(raw, k, m, burn)
-        if not (np.array_equal(alarms, oa) and np.array_equal(flags, oz)):
-            mismatches += 1
+        sequences.append((k, m, burn, raw))
+    alarms, flags = _persistence_flags(sequences)
+    oa, oz = (np.concatenate(c) for c in zip(
+        *(_persistence_oracle(raw, k, m, burn)
+          for k, m, burn, raw in sequences)))
+    start = np.cumsum([0] + [raw.size for *_, raw in sequences[:-1]])
+    mismatches = int(np.count_nonzero(np.add.reduceat(
+        (alarms != oa) | (flags != oz), start)))
     persist_ok = mismatches == 0
 
     elapsed = time.perf_counter() - t0

@@ -28,16 +28,15 @@ from flowgate.detector import (
     evidence,
     f_sat,
     f_sat_peak_slope,
-    fixed_point_residual,
     read_scores_csv,
     read_thresholds,
-    solve_fixed_point,
     step,
     write_scores_csv,
     write_thresholds,
 )
 from flowgate.features import N_FEATURES
 from flowgate.worlds import ContentionGraph
+from support import fixed_point_residual, solve_fixed_point
 
 
 # ---------------------------------------------------------------------------

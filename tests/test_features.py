@@ -15,6 +15,7 @@ from flowgate.features import (
 )
 from flowgate.trace import BENIGN, FlowInfo, FlowKey, Trace
 from flowgate.worlds import ContentionGraph
+from support import trace_subset
 
 
 def pacing_index_from_counts(counts, n_packets: int) -> float:
@@ -213,7 +214,7 @@ def test_windowize_causality():
     tr = trace_of(ts, fid, ln, n_flows=3)
     full = windowize(tr, one_clique(tr))
     cut = 500_000  # keep windows 0..1
-    tr2 = tr.subset(tr.ts_us < cut)
+    tr2 = trace_subset(tr, tr.ts_us < cut)
     part = windowize(tr2, one_clique(tr2))
     for arr in ("pkt_count", "byte_rate", "pacing", "share"):
         a = getattr(full, arr)[:, :2]

@@ -1,11 +1,13 @@
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flowgate.trace as trace_module
 from flowgate.detector import Scores, read_scores_csv, write_scores_csv
 from flowgate.trace import (
     BENIGN,
@@ -14,7 +16,6 @@ from flowgate.trace import (
     EpisodeLabel,
     FlowInfo,
     FlowKey,
-    PacketRecord,
     RunManifest,
     Trace,
     canonical_json,
@@ -22,14 +23,18 @@ from flowgate.trace import (
     manifest_hash,
     read_flow_table,
     read_labels,
+    read_csv,
     read_manifest,
     read_trace_csv,
+    write_csv,
     write_flow_table,
     write_labels,
     write_manifest,
     write_trace_csv,
 )
 from flowgate.wfq import QueueEventLog, read_queue_log, write_queue_log
+from support import (PacketRecord, trace_from_records, trace_subset,
+                     write_csv_rows)
 from trace_validation import validate_trace
 
 # Frozen reference: SHA-256 of the empty byte string.
@@ -70,7 +75,7 @@ def test_trace_sorted_on_construction():
         PacketRecord(100, 1, 200, 0),
         PacketRecord(100, 0, 300, 0),  # tie: keeps insertion order after sort
     ]
-    tr = Trace.from_records(recs, ft, horizon_windows=4, window_us=250_000)
+    tr = trace_from_records(recs, ft, horizon_windows=4, window_us=250_000)
     assert tr.ts_us.tolist() == [100, 100, 500]
     assert tr.flow_id.tolist() == [1, 0, 0]
     assert validate_trace(tr, (64, 1500)).ok
@@ -109,7 +114,7 @@ def test_validate_trace_flags():
 def test_trace_csv_round_trip(tmp_path_factory, rows):
     ft = make_flow_table()
     recs = [PacketRecord(ts, fid, ln, 0) for ts, fid, ln in rows]
-    tr = Trace.from_records(recs, ft, horizon_windows=4, window_us=250_000)
+    tr = trace_from_records(recs, ft, horizon_windows=4, window_us=250_000)
     p = tmp_path_factory.mktemp("t") / "trace.csv"
     write_trace_csv(p, tr)
     back = read_trace_csv(p, ft, 4, 250_000)
@@ -152,7 +157,7 @@ def test_subset_keeps_metadata():
     ft = make_flow_table()
     tr = Trace(np.array([10, 20, 30]), np.array([0, 1, 0]),
                np.array([100, 110, 120]), np.array([0, 0, 0]), ft, 4, 250_000)
-    sub = tr.subset(tr.flow_id == 0)
+    sub = trace_subset(tr, tr.flow_id == 0)
     assert sub.n_packets == 2
     assert sub.flow_table is tr.flow_table
     assert sub.window_us == tr.window_us
@@ -206,3 +211,98 @@ def test_readers_refuse_corrupt_files(tmp_path_factory, reader, n, corruption,
     path.write_text("".join(line + "\n" for line in lines))
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
         read(path)
+
+
+# ---------------------------------------------------------------------------
+# the column kernel writes the bytes of the row-at-a-time writer it replaced
+
+# signed zeros, subnormals, and whole values at and around the magnitudes
+# where %r (1e16) and %.17g (1e17) switch to an exponent
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 0.5,
+               -2.5, 1e15, 1e15 + 1, -1e15, 1e16 - 2, 1e16, 1e16 + 2, -1e16,
+               1e17 - 16, 1e17, 1e17 + 16, -1e17, 2.0**53 - 1, 2.0**53,
+               2.0**53 + 2, -(2.0**53 + 2), 1e300, math.inf, -math.inf,
+               math.nan]
+EDGE_INTS = [0, -1, 1, 9, 10, -10, 2**63 - 1, -2**63, 10**18, -10**18]
+
+FLOATS = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS),
+                   st.integers(-10**17, 10**17).map(float))
+
+
+def _column(conv, n):
+    ints = st.lists(st.one_of(st.integers(-2**63, 2**63 - 1),
+                              st.sampled_from(EDGE_INTS)),
+                    min_size=n, max_size=n).map(
+        lambda v: np.array(v, dtype=np.int64))
+    if conv == "d":
+        return st.one_of(ints, st.lists(st.booleans(), min_size=n,
+                                        max_size=n).map(
+            lambda v: np.array(v, dtype=bool)))
+    return st.one_of(st.lists(FLOATS, min_size=n, max_size=n).map(
+        lambda v: np.array(v, dtype=np.float64)), ints)
+
+
+def _kernel_and_oracle(d, row, cols):
+    write_csv(d / "kernel.csv", "a,b", row, cols)
+    write_csv_rows(d / "oracle.csv", "a,b", row, cols)
+    return (d / "kernel.csv").read_bytes(), (d / "oracle.csv").read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(["d", "r", ".17g"]), min_size=1, max_size=4),
+       st.integers(0, 12), st.integers(1, 5), st.booleans(), st.data())
+def test_write_csv_matches_row_oracle(tmp_path_factory, convs, n, block,
+                                      repeat_first, data):
+    cols = [data.draw(_column(conv, n)) for conv in convs]
+    if repeat_first:  # the same column twice is formatted once
+        convs, cols = convs + convs[:1], cols + cols[:1]
+    row = "".join(f"%{c}," for c in convs)[:-1] + "\n"
+    with mock.patch.object(trace_module, "_WRITE_BLOCK", block):
+        kernel, oracle = _kernel_and_oracle(
+            tmp_path_factory.mktemp("csv"), row, cols)
+    assert kernel == oracle
+
+
+def test_write_csv_matches_row_oracle_across_blocks(tmp_path):
+    n = 2 * trace_module._WRITE_BLOCK + 3
+    rng = np.random.default_rng(7)
+    t = rng.integers(0, 10**9, n)
+    cols = [t % 50, t, t * 8.0, t / 3, rng.random(n) < 0.5]
+    kernel, oracle = _kernel_and_oracle(tmp_path, "%d,%d,%.17g,%r,%d\n", cols)
+    assert kernel == oracle
+    assert kernel.count(b"\n") == n + 1
+
+
+def test_write_csv_of_empty_columns_is_the_header(tmp_path):
+    empty = np.zeros(0, dtype=np.int64)
+    kernel, oracle = _kernel_and_oracle(tmp_path, "%d,%r\n", [empty, empty])
+    assert kernel == oracle == b"a,b\n"
+
+
+@pytest.mark.parametrize("row, n_cols", [
+    ("%s\n", 1), ("%5d\n", 1), ("%.16g\n", 1), ("%x\n", 1), ("%f\n", 1),
+    ("%d%%\n", 1), ("%d,%d\n", 1), ("%d\n", 2)])
+def test_write_csv_refuses_other_conversions(tmp_path, row, n_cols):
+    with pytest.raises(ValueError, match="row"):
+        write_csv(tmp_path / "x.csv", "a", row, [np.arange(3)] * n_cols)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 12).flatmap(lambda n: st.tuples(*(
+    [st.lists(st.integers(0, 2**53 - 1), min_size=n, max_size=n)] * 3
+    + [st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                min_size=n, max_size=n)] * 2
+    + [st.lists(st.booleans(), min_size=n, max_size=n)]))))
+def test_queue_log_and_csv_round_trip(tmp_path_factory, cols):
+    d = tmp_path_factory.mktemp("log")
+    log = QueueEventLog(*cols)
+    write_queue_log(d / "a.csv", log)
+    back = read_queue_log(d / "a.csv")
+    for name in QueueEventLog.__slots__:
+        assert np.array_equal(getattr(back, name), getattr(log, name))
+    write_queue_log(d / "b.csv", back)
+    assert (d / "a.csv").read_bytes() == (d / "b.csv").read_bytes()
+    raw = read_csv(d / "a.csv", (d / "a.csv").read_text().split("\n")[0],
+                   n_ints=3, flags=(5,))
+    assert np.array_equal(raw, np.column_stack(
+        [np.asarray(c, dtype=np.float64) for c in cols]).reshape(-1, 6))

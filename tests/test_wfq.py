@@ -323,6 +323,8 @@ def test_schedule_csv_lists_every_entry(tmp_path):
     assert p.read_text().splitlines() == [
         "flow_id,from_us,weight", "2,0,1.0", "2,500000,0.05", "2,3000000,1.0",
         "9,0,1.0"]
+    write_schedule(p, WeightSchedule())
+    assert p.read_text() == "flow_id,from_us,weight\n"
     assert sched.weights([2, 2, 7], [600_000, 400_000, 0]).tolist() == [
         0.05, 1.0, 1.0]
 

@@ -455,6 +455,83 @@ def test_project_postconditions_random(seed, eps):
     assert w1_empirical(np.diff(out), ref) <= eps + 1e-9
 
 
+def project_iats_uncached(ts_us, reference, epsilon_s, window_bounds):
+    """project_iats before it kept W1 verdicts: the same bisection, scoring
+    every candidate it meets, repeated or not."""
+    ts = np.asarray(ts_us, dtype=np.int64)
+    lo, hi = window_bounds
+    tol = epsilon_s + worlds_module.W1_SLACK_S
+    if w1_empirical(np.diff(ts), reference) <= tol:
+        return ts.copy()
+    x = np.diff(ts).astype(np.float64)
+    m = x.size
+    nref = reference.sorted_iats_us.size
+    ranks = np.clip(np.ceil((np.arange(1, m + 1) - 0.5) / m * nref)
+                    .astype(np.int64), 1, nref) - 1
+    q = np.empty(m)
+    q[np.argsort(x, kind="stable")] = \
+        reference.sorted_iats_us[ranks].astype(np.float64)
+    span = hi - 1 - int(ts[0])
+
+    def candidate(tau):
+        y = x + tau * (q - x)
+        iats = np.maximum(1, np.rint(y)).astype(np.int64)
+        total = int(iats.sum())
+        if total > span:
+            if span < m:
+                return None
+            iats = np.maximum(1, np.rint(y * (span / total))).astype(np.int64)
+            if int(iats.sum()) > span:
+                return None
+        return iats
+
+    def fits(iats):
+        return iats is not None and w1_empirical(iats, reference) <= tol
+
+    best = candidate(1.0)
+    if not fits(best):
+        raise LocalInfeasibility(f"window [{lo}, {hi})")
+    t_lo, t_hi = 0.0, 1.0
+    for _ in range(40):
+        mid = 0.5 * (t_lo + t_hi)
+        cand = candidate(mid)
+        if fits(cand):
+            t_hi, best = mid, cand
+        else:
+            t_lo = mid
+    return np.concatenate([ts[:1], ts[0] + np.cumsum(best)])
+
+
+def test_project_scores_each_candidate_once(monkeypatch):
+    scored = []
+
+    def counted(sample_us, reference):
+        scored.append(sample_us.tobytes())
+        return w1_empirical(sample_us, reference)
+
+    ref = BenignIatReference(1, [5000, 10_000, 20_000, 40_000])
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        ts = np.unique(np.sort(rng.integers(0, 240_000, 12)).astype(np.int64))
+        try:
+            expect = project_iats_uncached(ts, ref, 0.004, (0, 250_000))
+        except LocalInfeasibility:
+            expect = None
+        scored.clear()
+        monkeypatch.setattr(worlds_module, "w1_empirical", counted)
+        try:
+            out = project_iats(ts, ref, 0.004, (0, 250_000))
+        except LocalInfeasibility:
+            out = None
+        monkeypatch.undo()
+        assert len(set(scored)) == len(scored)
+        assert (out is None) == (expect is None)
+        if seed == 1:  # this window bisects, and 23 of its 42 scores repeat
+            assert len(scored) == 19
+        if out is not None:
+            assert np.array_equal(out, expect)
+
+
 # ---------------------------------------------------------------------------
 # size repair
 
