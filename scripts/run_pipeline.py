@@ -29,7 +29,6 @@ def main(argv=None) -> int:
     ap.add_argument("--out", default="runs/demo", help="output directory")
     ap.add_argument("--quantile", type=float, default=None,
                     help="calibration quantile (detect default if omitted)")
-    ap.add_argument("--bench-rows", type=int, default=100_000)
     args = ap.parse_args(argv)
 
     out = Path(args.out)
@@ -56,7 +55,7 @@ def main(argv=None) -> int:
             "--scores", str(det / "scores.csv"),
             "--base-log", str(base / "queue_log.csv"),
             "--gated-log", str(gated / "queue_log.csv"),
-            "--bench-rows", str(args.bench_rows), "--out", str(rep)]):
+            "--out", str(rep)]):
         return 1
 
     doc = json.loads((rep / "report.json").read_text())
@@ -67,7 +66,9 @@ def main(argv=None) -> int:
     print(f"  incident recall: {metrics['incident_recall']}")
     print(f"  d p99.9 delay:   {metrics['delta_p999_delay_ms']:+.3f} ms")
     print(f"  d p99.9 collat:  {metrics['delta_p999_collateral_ms']:+.3f} ms")
-    print(f"  scoring cost:    {metrics['timing_us_per_row']['mean']:.2f} us/row")
+    cost = metrics["timing_us_per_row"]["mean"]
+    print("  scoring cost:    "
+          + ("n/a" if cost is None else f"{cost:.2f} us/row"))
     return 0
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from collections import deque
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -28,7 +29,14 @@ from pathlib import Path
 import numpy as np
 
 from flowgate.features import Normalizer, NormalizerConfig
-from flowgate.trace import check_fields, read_csv, write_csv
+from flowgate.trace import (
+    check_fields,
+    check_keys,
+    is_number,
+    load_json,
+    read_csv,
+    write_csv,
+)
 
 W_MIN_DEFAULT = 50
 
@@ -446,6 +454,36 @@ def write_thresholds(path, session: DetectorSession) -> None:
 
 
 def read_thresholds(path) -> dict:
-    raw = json.loads(Path(path).read_text())
-    raw["flows"] = {int(f): t for f, t in raw["flows"].items()}
+    """Load a thresholds JSON with its flow keys as ints, refusing, naming
+    the path and the key: a missing or unknown key, a quantile outside
+    (0, 1), k and m other than integers with 1 <= k <= m, a burn_in_windows
+    or w_min that is not a nonnegative integer, a flow key that is not an
+    integer, and a detector or baseline threshold that is neither a finite
+    number nor null."""
+    raw = load_json(path)
+    check_keys(path, raw, ("quantile", "k", "m", "burn_in_windows", "w_min",
+                           "flows"))
+    q = raw["quantile"]
+    if not (is_number(q) and 0.0 < q < 1.0):
+        raise ValueError(f"{path}: quantile = {q!r} is not in (0, 1)")
+    for key in ("k", "m", "burn_in_windows", "w_min"):
+        if not (is_number(raw[key], integer=True) and raw[key] >= 0):
+            raise ValueError(f"{path}: {key} = {raw[key]!r} is not a "
+                             "nonnegative integer")
+    if not 1 <= raw["k"] <= raw["m"]:
+        raise ValueError(f"{path}: k = {raw['k']} and m = {raw['m']} break "
+                         "1 <= k <= m")
+    if not isinstance(raw["flows"], dict):
+        raise ValueError(f"{path}: flows is not a JSON object")
+    flows = {}
+    for f, t in raw["flows"].items():
+        if not re.fullmatch(r"0|-?[1-9][0-9]*", f):
+            raise ValueError(f"{path}: flows key {f!r} is not an integer")
+        check_keys(path, t, ("detector", "baseline"), f"flows.{f}")
+        for side, value in t.items():
+            if value is not None and not is_number(value):
+                raise ValueError(f"{path}: flows.{f}.{side} = {value!r} is "
+                                 "neither a finite number nor null")
+        flows[int(f)] = t
+    raw["flows"] = flows
     return raw

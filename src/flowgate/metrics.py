@@ -4,6 +4,11 @@ Detection quality (achieved FPR at alarm and actionable level, incident
 recall, time-to-detect), queue outcomes (nearest-rank delay tails of base vs
 gated replays of the identical trace), world feasibility rate, and per-row
 scoring cost. Labels enter here and nowhere upstream.
+
+Scoring cost has one kernel, scoring_cost, over timed process_window calls.
+`detect` times its calls on the real trace and records the result in
+stage_stats.json beside the scores, which `report` reads back; bench_scoring
+times a session on a fixed synthetic stream for `flowgate bench`.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from flowgate.detector import Scores, calibrate_threshold
+from flowgate.trace import check_keys, is_number, load_json
 from flowgate.wfq import delay_percentile
 
 DEFAULT_GRACE_WINDOWS = 8  # persistence window length M
@@ -101,25 +107,24 @@ def queue_impact(base_log, gated_log) -> tuple[float, float]:
 # scoring cost
 
 
-def bench_scoring(session, stream, batch_rows: int = 1000,
-                  warmup_batches: int = 1) -> tuple[float, float, float]:
-    """Wall-clock cost per scored row, in microseconds.
+def scoring_cost(seconds, rows, batch_rows: int = 1000,
+                 warmup_batches: int = 1) -> tuple[float, float, float] | None:
+    """Wall-clock cost per scored row, in microseconds, from timed calls.
 
-    stream yields (window, x) pairs, x a window's feature matrix with one
-    row per flow; timing is aggregated into batches of batch_rows rows, and
-    the first warmup_batches batches are dropped. Returns (mean, p90, max)
-    where mean is over all counted rows and the tail stats are nearest-rank
-    over per-batch per-row values.
+    seconds[i] is how long call i took to score rows[i] rows. Calls are
+    summed in order into batches of at least batch_rows rows (a trailing
+    partial batch is dropped), and the first warmup_batches batches are
+    dropped. Returns (mean, p90, max), where mean is over all counted rows
+    and the tail stats are nearest-rank over per-batch per-row values, or
+    None when no batch is left to count.
     """
     times: list[float] = []
     counts: list[int] = []
     acc_t = 0.0
     acc_n = 0
-    for window, x in stream:
-        t0 = time.perf_counter()
-        session.process_window(window, x)
-        acc_t += time.perf_counter() - t0
-        acc_n += len(x)
+    for dt, n in zip(seconds, rows):
+        acc_t += dt
+        acc_n += n
         if acc_n >= batch_rows:
             times.append(acc_t)
             counts.append(acc_n)
@@ -128,11 +133,70 @@ def bench_scoring(session, stream, batch_rows: int = 1000,
     times = times[warmup_batches:]
     counts = counts[warmup_batches:]
     if not times:
-        raise ValueError("stream too short to benchmark after warm-up")
+        return None
     per_row_us = np.array(times) / np.array(counts, dtype=np.float64) * 1e6
     mean_us = float(sum(times) / sum(counts) * 1e6)
     return (mean_us, calibrate_threshold(per_row_us, 90.0 / 100.0),
             float(per_row_us.max()))
+
+
+def bench_scoring(session, stream, batch_rows: int = 1000,
+                  warmup_batches: int = 1) -> tuple[float, float, float]:
+    """scoring_cost of session.process_window over stream, which yields
+    (window, x) pairs, x a window's feature matrix with one row per flow;
+    raises if the stream is too short to count a batch after warm-up."""
+    seconds: list[float] = []
+    rows: list[int] = []
+    for window, x in stream:
+        t0 = time.perf_counter()
+        session.process_window(window, x)
+        seconds.append(time.perf_counter() - t0)
+        rows.append(len(x))
+    cost = scoring_cost(seconds, rows, batch_rows, warmup_batches)
+    if cost is None:
+        raise ValueError("stream too short to benchmark after warm-up")
+    return cost
+
+
+_COST_KEYS = ("mean_us_per_row", "p90_us_per_row", "max_us_per_row")
+
+
+def write_stage_stats(path, seconds, rows) -> None:
+    """Write stage_stats.json for timed scoring calls (call i took
+    seconds[i] to score rows[i] rows, one call per window): the row and
+    window counts and their scoring_cost, null when too few rows."""
+    cost = scoring_cost(seconds, rows) or (None, None, None)
+    doc = {"scoring": {"rows": sum(rows), "windows": len(rows),
+                       **dict(zip(_COST_KEYS, cost))}}
+    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+
+
+def read_stage_stats(path, scores: Scores) -> tuple[float, float, float]:
+    """The (mean, p90, max) scoring cost recorded in stage_stats.json for
+    scores, NaN where it is null or the file is absent.
+
+    Refuses, naming the path and the key, a missing or unknown key, a cost
+    that is neither a finite nonnegative number nor null, and row and
+    window counts other than those of scores.
+    """
+    if not Path(path).is_file():
+        return (math.nan, math.nan, math.nan)
+    doc = load_json(path)
+    check_keys(path, doc, ("scoring",))
+    stats = doc["scoring"]
+    check_keys(path, stats, ("rows", "windows", *_COST_KEYS), "scoring")
+    for key in _COST_KEYS:
+        value = stats[key]
+        if value is not None and not (is_number(value) and value >= 0):
+            raise ValueError(f"{path}: scoring.{key} = {value!r} is neither "
+                             "a finite nonnegative number nor null")
+    for key, found in (("rows", len(scores)),
+                       ("windows", np.unique(scores.window).size)):
+        if not is_number(stats[key], integer=True) or stats[key] != found:
+            raise ValueError(f"{path}: scoring.{key} = {stats[key]!r}, but "
+                             f"the scores hold {found} {key}")
+    return tuple(math.nan if stats[k] is None else stats[k]
+                 for k in _COST_KEYS)
 
 
 def synthetic_feature_stream(n_rows: int, n_flows: int = 50, seed: int = 0):
@@ -205,7 +269,9 @@ def compute_report(scores: Scores, labels, thresholds_doc: dict, feasibility,
     """Assemble every detection and queue metric from persisted artifacts.
 
     thresholds_doc is the parsed thresholds JSON (burn_in_windows plus the
-    per-flow threshold map); timing is an optional bench_scoring result.
+    per-flow threshold map); timing is the (mean, p90, max) per-row scoring
+    cost, as read_stage_stats returns it, copied into the report as is
+    (NaN reads as null).
     """
     fpr_a, fpr_z = achieved_fpr(scores, labels,
                                 thresholds_doc["burn_in_windows"],

@@ -363,6 +363,36 @@ def check_fields(path, header: str, raw: np.ndarray, cols, ok: np.ndarray,
                          f" = {raw[i, cols[j]]:g} {what}")
 
 
+def load_json(path):
+    """The parsed JSON document at path; a parse error names the path."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def check_keys(path, doc, keys, where: str = "") -> None:
+    """Refuse, naming the path and the key, a JSON object doc (found at the
+    dotted name `where`) that is not an object, lacks one of keys or has
+    another."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: {where or 'the document'} is not a JSON "
+                         "object")
+    missing = [k for k in keys if k not in doc]
+    unknown = sorted(set(doc) - set(keys))
+    for what, found in (("missing", missing), ("unknown", unknown)):
+        if found:
+            name = f"{where}.{found[0]}" if where else found[0]
+            raise ValueError(f"{path}: {what} key {name!r}")
+
+
+def is_number(value, integer: bool = False) -> bool:
+    """Whether a parsed JSON value is a finite number (an int when integer
+    is set); true and false are not numbers."""
+    return (isinstance(value, int if integer else (int, float))
+            and not isinstance(value, bool) and math.isfinite(value))
+
+
 def write_trace_csv(path, trace: Trace) -> None:
     write_csv(path, TRACE_HEADER, "%d,%d,%d,%d\n",
               (trace.ts_us, trace.flow_id, trace.len_bytes, trace.clique_id))

@@ -619,7 +619,7 @@ def _run_pipeline(cfg: Path, root: Path):
         ["report", "--world", str(world), "--scores", str(det / "scores.csv"),
          "--base-log", str(base / "queue_log.csv"),
          "--gated-log", str(gated / "queue_log.csv"),
-         "--bench-rows", "4000", "--out", str(rep)],
+         "--out", str(rep)],
     ]
     for argv in steps:
         assert cli_main(argv) == 0, argv

@@ -13,10 +13,21 @@ from pathlib import Path
 import pytest
 
 from flowgate.cli import main
-from flowgate.detector import read_thresholds
-from flowgate.trace import Budgets
+from flowgate.detector import (
+    DetectorParams,
+    DetectorSession,
+    Scores,
+    read_thresholds,
+)
+from flowgate.features import windowize
+from flowgate.trace import Budgets, Trace, read_flow_table, read_trace_csv
 from flowgate.wfq import read_queue_log
-from flowgate.worlds import BenignFlowSpec, EpisodeSpec, WorldConfig
+from flowgate.worlds import (
+    BenignFlowSpec,
+    ContentionGraph,
+    EpisodeSpec,
+    WorldConfig,
+)
 
 
 def tiny_config(path: Path, seed: int = 5) -> Path:
@@ -66,7 +77,7 @@ def pipe(tmp_path_factory):
                  "--scores", str(det / "scores.csv"),
                  "--base-log", str(base / "queue_log.csv"),
                  "--gated-log", str(gated / "queue_log.csv"),
-                 "--bench-rows", "4000", "--out", str(rep)]) == 0
+                 "--out", str(rep)]) == 0
     return {"root": root, "cfg": cfg, "world": world, "det": det,
             "base": base, "gated": gated, "rep": rep}
 
@@ -273,7 +284,7 @@ def test_scores_with_reordered_header_are_refused(pipe, tmp_path, capsys):
                   "--thresholds", str(pipe["det"] / "thresholds.json"),
                   "--base-log", str(pipe["base"] / "queue_log.csv"),
                   "--gated-log", str(pipe["gated"] / "queue_log.csv"),
-                  "--bench-rows", "4000", "--out", str(tmp_path / "r")]):
+                  "--out", str(tmp_path / "r")]):
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ValueError: ")
@@ -363,13 +374,14 @@ def test_trace_packet_at_the_horizon_is_refused(pipe, tmp_path, capsys):
             "30000000 is outside [0, 30000000)") in err
 
 
-def _report(pipe, tmp_path, base=None, gated=None):
-    """report on the pipeline's artifacts, with either queue log replaced."""
+def _report(pipe, tmp_path, base=None, gated=None, scores=None):
+    """report on the pipeline's artifacts, with either queue log or the
+    scores (and so the thresholds and stage stats beside them) replaced."""
     return main(["report", "--world", str(pipe["world"]),
-                 "--scores", str(pipe["det"] / "scores.csv"),
+                 "--scores", str(scores or pipe["det"] / "scores.csv"),
                  "--base-log", str(base or pipe["base"] / "queue_log.csv"),
                  "--gated-log", str(gated or pipe["gated"] / "queue_log.csv"),
-                 "--bench-rows", "4000", "--out", str(tmp_path / "r")])
+                 "--out", str(tmp_path / "r")])
 
 
 def test_report_refuses_scores_passed_as_a_queue_log(pipe, tmp_path, capsys):
@@ -406,3 +418,182 @@ def test_corrupt_scores_and_queue_logs_are_refused(pipe, tmp_path, capsys,
         rc = _report(pipe, tmp_path, gated=bad)
     assert rc == 1
     assert capsys.readouterr().err.startswith(f"error: ValueError: {bad}: ")
+
+
+# ---------------------------------------------------------------------------
+# scoring cost: measured by detect, read back by report
+
+
+def test_detect_writes_stage_stats(pipe):
+    doc = json.loads((pipe["det"] / "stage_stats.json").read_text())
+    # 6 flows x 120 windows is too short for a warm-up batch of 1000 rows
+    # plus one counted batch, so the cost is null
+    assert doc == {"scoring": {"rows": 6 * 120, "windows": 120,
+                               "mean_us_per_row": None,
+                               "p90_us_per_row": None,
+                               "max_us_per_row": None}}
+
+
+def test_report_does_not_rescore(pipe, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("report must not score")
+    monkeypatch.setattr("flowgate.cli.synthetic_feature_stream", refuse)
+    monkeypatch.setattr("flowgate.cli.DetectorSession", refuse)
+    assert _report(pipe, tmp_path) == 0
+    doc = json.loads((tmp_path / "r" / "report.json").read_text())
+    assert doc["metrics"]["timing_us_per_row"] == {
+        "mean": None, "p90": None, "max": None}
+
+
+def _det_copy(pipe, tmp_path, stage_stats=None):
+    """A copy of the pipeline's detect output; stage_stats, when given,
+    replaces the stage_stats.json document. Returns the copy's scores."""
+    det = tmp_path / "det"
+    shutil.copytree(pipe["det"], det)
+    if stage_stats is not None:
+        (det / "stage_stats.json").write_text(json.dumps(stage_stats))
+    return det / "scores.csv"
+
+
+def _stage_stats(**scoring):
+    return {"scoring": {"rows": 720, "windows": 120,
+                        "mean_us_per_row": 2.09, "p90_us_per_row": 2.5,
+                        "max_us_per_row": 7.125, **scoring}}
+
+
+def test_report_copies_stage_stats_verbatim(pipe, tmp_path):
+    scores = _det_copy(pipe, tmp_path, _stage_stats())
+    assert _report(pipe, tmp_path, scores=scores) == 0
+    doc = json.loads((tmp_path / "r" / "report.json").read_text())
+    assert doc["metrics"]["timing_us_per_row"] == {
+        "mean": 2.09, "p90": 2.5, "max": 7.125}
+
+
+def test_report_without_stage_stats_writes_nulls(pipe, tmp_path):
+    scores = _det_copy(pipe, tmp_path)
+    (scores.parent / "stage_stats.json").unlink()
+    assert _report(pipe, tmp_path, scores=scores) == 0
+    doc = json.loads((tmp_path / "r" / "report.json").read_text())
+    assert doc["metrics"]["timing_us_per_row"] == {
+        "mean": None, "p90": None, "max": None}
+
+
+@pytest.mark.parametrize("stats, message", [
+    (_stage_stats(rows=719), "scoring.rows = 719, but the scores hold 720"),
+    (_stage_stats(windows=121), "scoring.windows = 121, but the scores hold "
+                                "120"),
+    (_stage_stats(mean_us_per_row=math.nan), "scoring.mean_us_per_row = nan"),
+    (_stage_stats(mean_us_per_row=-1.0), "scoring.mean_us_per_row = -1.0"),
+    (_stage_stats(p90_us_per_row="2.5"), "scoring.p90_us_per_row = '2.5'"),
+    (_stage_stats(spans=[]), "unknown key 'scoring.spans'"),
+    ({**_stage_stats(), "spans": []}, "unknown key 'spans'"),
+    ({}, "missing key 'scoring'"),
+], ids=["rows off by one", "windows off by one", "nan mean",
+        "negative mean", "string p90", "unknown scoring key",
+        "unknown top-level key", "missing scoring"])
+def test_bad_stage_stats_are_refused(pipe, tmp_path, capsys, stats, message):
+    scores = _det_copy(pipe, tmp_path, stats)
+    assert _report(pipe, tmp_path, scores=scores) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"error: ValueError: {scores.parent / 'stage_stats.json'}: ")
+    assert message in err
+    assert not (tmp_path / "r" / "report.json").exists()
+
+
+def _edit_thresholds(doc):
+    """Named corruptions of a thresholds document, each with the text its
+    refusal must hold."""
+    flows = doc["flows"]
+    f = sorted(flows, key=int)[0]
+
+    def with_flow(entry):
+        return {**doc, "flows": {**flows, f: entry}}
+
+    return {
+        "missing key": ({k: v for k, v in doc.items() if k != "quantile"},
+                        "missing key 'quantile'"),
+        "unknown key": ({**doc, "extra": 1}, "unknown key 'extra'"),
+        "quantile 1": ({**doc, "quantile": 1.0}, "quantile = 1.0"),
+        "quantile 0": ({**doc, "quantile": 0}, "quantile = 0"),
+        "k above m": ({**doc, "k": 9}, "k = 9 and m = 8"),
+        "k zero": ({**doc, "k": 0}, "k = 0 and m = 8"),
+        "m not an integer": ({**doc, "m": 8.5}, "m = 8.5"),
+        "negative burn-in": ({**doc, "burn_in_windows": -1},
+                             "burn_in_windows = -1"),
+        "fractional burn-in": ({**doc, "burn_in_windows": 7.5},
+                               "burn_in_windows = 7.5"),
+        "flow key not an integer": (
+            {**doc, "flows": {**flows, "x1": flows[f]}},
+            "flows key 'x1' is not an integer"),
+        "nan detector threshold": (with_flow({**flows[f], "detector": math.nan}),
+                                   f"flows.{f}.detector = nan"),
+        "infinite baseline threshold": (
+            with_flow({**flows[f], "baseline": math.inf}),
+            f"flows.{f}.baseline = inf"),
+        "threshold key missing": (with_flow({"detector": None}),
+                                  f"missing key 'flows.{f}.baseline'"),
+        "flow missing": ({**doc, "flows": {k: v for k, v in flows.items()
+                                           if k != f}},
+                         f"flow {f} is scored but has no threshold"),
+        "extra flow": ({**doc, "flows": {**flows, "999": flows[f]}},
+                       "flow 999 has a threshold but no scores"),
+    }
+
+
+# the case names; any document on which every edit runs gives them
+THRESHOLD_CORRUPTIONS = sorted(_edit_thresholds({"flows": {"1": {}}}))
+
+
+@pytest.mark.parametrize("corruption", THRESHOLD_CORRUPTIONS)
+def test_corrupt_thresholds_are_refused(pipe, tmp_path, capsys, corruption):
+    scores = _det_copy(pipe, tmp_path)
+    path = scores.parent / "thresholds.json"
+    bad, message = _edit_thresholds(json.loads(path.read_text()))[corruption]
+    path.write_text(json.dumps(bad))
+    assert _report(pipe, tmp_path, scores=scores) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ValueError: {path}: ")
+    assert message in err
+    assert not (tmp_path / "r" / "report.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# causality: a window's scores never depend on later windows
+
+
+def _score_trace(trace, graph, burn_in):
+    table = windowize(trace, graph)
+    session = DetectorSession(
+        DetectorParams(), table.flow_ids,
+        [trace.flow_table[f].device_class for f in table.flow_ids],
+        burn_in_windows=burn_in, quantile=0.99, w_min=20, graph=graph)
+    return Scores.concat(session.process_window(w, table.x[w])
+                         for w in range(table.horizon_windows))
+
+
+@pytest.mark.parametrize("cut", [50, 100])  # before and after burn-in (72)
+def test_scores_before_a_cut_ignore_the_rest_of_the_trace(pipe, cut):
+    world = pipe["world"]
+    config = WorldConfig.from_dict(json.loads((world / "config.json")
+                                              .read_text()))
+    trace = read_trace_csv(world / "trace.csv",
+                           read_flow_table(world / "flows.csv"),
+                           config.horizon_windows, config.window_us)
+    graph = ContentionGraph.from_dict(json.loads((world / "contention.json")
+                                                 .read_text()))
+    burn_in = json.loads((pipe["det"] / "detect_manifest.json")
+                         .read_text())["burn_in_windows"]
+    keep = trace.ts_us < cut * config.window_us
+    cut_trace = Trace(trace.ts_us[keep], trace.flow_id[keep],
+                      trace.len_bytes[keep], trace.clique_id[keep],
+                      trace.flow_table, cut, config.window_us)
+    whole = _score_trace(trace, graph, burn_in)
+    part = _score_trace(cut_trace, graph, burn_in)
+    head = whole.window < cut
+    assert len(part) == int(head.sum()) > 0
+    if cut > burn_in:
+        assert part.a.any()  # the cut keeps windows that were rated
+    for name in ("flow_id", "window", "E", "S", "v", "u", "s", "a", "z"):
+        assert (getattr(part, name).tobytes()
+                == getattr(whole, name)[head].tobytes()), name

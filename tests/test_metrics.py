@@ -22,10 +22,13 @@ from flowgate.metrics import (
     feasibility_rate,
     incident_recall,
     queue_impact,
+    read_stage_stats,
+    scoring_cost,
     synthetic_feature_stream,
     time_to_detect,
     write_episode_table,
     write_report,
+    write_stage_stats,
 )
 from flowgate.trace import BENIGN, Budgets, EpisodeLabel, FlowInfo, RunManifest, Trace
 from flowgate.wfq import replay
@@ -224,6 +227,48 @@ def test_bench_ordering_and_positive():
 def test_bench_too_short_raises():
     with pytest.raises(ValueError):
         _bench(500)
+
+
+def test_scoring_cost_batches_drop_warm_up_and_take_nearest_rank():
+    # calls of 600 + 600 rows fill the warm-up batch; then two batches of
+    # 1000 rows; the trailing 400 rows are a partial batch and dropped
+    cost = scoring_cost([0.25, 0.5, 0.001, 0.001, 0.003, 0.0005],
+                        [600, 600, 500, 500, 1000, 400])
+    assert cost == ((0.002 + 0.003) / 2000 * 1e6,
+                    0.003 / 1000 * 1e6, 0.003 / 1000 * 1e6)
+    # ten counted batches: p90 is the 9th smallest, not the max
+    seconds = [1.0] + [k * 1e-3 for k in range(1, 11)]
+    mean, p90, mx = scoring_cost(seconds, [1000] * 11)
+    assert mean == sum(seconds[1:]) / 10_000 * 1e6
+    assert p90 == seconds[9] / 1000 * 1e6
+    assert mx == seconds[10] / 1000 * 1e6
+    assert scoring_cost(seconds, [1000] * 11, warmup_batches=0)[2] == \
+        1.0 / 1000 * 1e6
+
+
+def test_scoring_cost_of_a_short_run_is_none():
+    assert scoring_cost([], []) is None
+    assert scoring_cost([0.1, 0.1], [600, 600]) is None
+    assert scoring_cost([0.1] * 3, [600] * 3) is None  # 600 rows left over
+    assert scoring_cost([0.1] * 4, [600] * 4) is not None
+
+
+def test_stage_stats_round_trip(tmp_path):
+    seconds = [1e-4 * (1 + w % 7) for w in range(100)]
+    rows = [46] * 100
+    write_stage_stats(tmp_path / "stage_stats.json", seconds, rows)
+    doc = json.loads((tmp_path / "stage_stats.json").read_text())
+    cost = scoring_cost(seconds, rows)
+    assert doc == {"scoring": {"rows": 4600, "windows": 100,
+                               "mean_us_per_row": cost[0],
+                               "p90_us_per_row": cost[1],
+                               "max_us_per_row": cost[2]}}
+    window = np.repeat(np.arange(100), 46)
+    scores = Scores(np.tile(np.arange(46), 100), window,
+                    *([np.zeros(4600)] * 5), window < 0, window < 0)
+    assert read_stage_stats(tmp_path / "stage_stats.json", scores) == cost
+    assert all(map(math.isnan, read_stage_stats(tmp_path / "absent.json",
+                                                scores)))
 
 
 def test_synthetic_stream_shape():
