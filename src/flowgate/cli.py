@@ -36,6 +36,7 @@ from flowgate.metrics import (
     write_stage_stats,
 )
 from flowgate.trace import (
+    load_json,
     read_flow_table,
     read_labels,
     read_manifest,
@@ -51,11 +52,11 @@ from flowgate.wfq import (
 )
 from flowgate.worlds import (
     ContentionGraph,
-    FeasibilityOutcome,
     GenerationError,
     WorldConfig,
     build_world,
     check_trace,
+    read_feasibility,
     write_world,
 )
 
@@ -77,7 +78,8 @@ def _resolve(name, flag_value, file_value, default):
 
 
 def _load_json(path) -> dict:
-    return json.loads(Path(path).read_text())
+    """trace.load_json, under the name perfbench/tracing.py wraps."""
+    return load_json(path)
 
 
 def _world_core(world_dir):
@@ -246,9 +248,13 @@ def cmd_report(args) -> int:
     config = WorldConfig.from_dict(_load_json(d / "config.json"))
     manifest = read_manifest(d / "manifest.json")
     labels = read_labels(d / "labels.csv")
-    feas_doc = _load_json(d / "feasibility.json")
-    feasibility = [FeasibilityOutcome.from_dict(x)
-                   for x in feas_doc["outcomes"]]
+    feasibility = read_feasibility(d / "feasibility.json")
+    outcome_ids = sorted(o.flow_id for o in feasibility)
+    label_ids = sorted(label.flow_id for label in labels)
+    if outcome_ids != label_ids:
+        raise ValueError(f"{d / 'feasibility.json'}: outcome flows "
+                         f"{outcome_ids} are not the episodes {label_ids} "
+                         "of labels.csv")
 
     scores = read_scores_csv(args.scores)
     thresholds_path = (args.thresholds
@@ -385,8 +391,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except ArgumentContractError as exc:
         parser.error(str(exc))
-    except (OSError, ValueError, KeyError, GenerationError,
-            json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, GenerationError) as exc:
         return _fail(f"{type(exc).__name__}: {exc}")
 
 

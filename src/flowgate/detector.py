@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from flowgate.features import Normalizer, NormalizerConfig
+from flowgate.features import Normalizer
 from flowgate.trace import (
     check_fields,
     check_keys,
@@ -303,7 +303,6 @@ class DetectorSession:
     def __init__(self, params: DetectorParams, flow_ids, buckets,
                  burn_in_windows: int, quantile: float, k_persist: int = 3,
                  m_persist: int = 8, w_min: int = W_MIN_DEFAULT,
-                 normalizer_config: NormalizerConfig = NormalizerConfig(),
                  graph=None, seed: int | None = None):
         params.validate(rho=getattr(graph, "spectral_radius", 0.0) if graph else 0.0)
         if burn_in_windows < 0:
@@ -324,7 +323,7 @@ class DetectorSession:
         self.k_persist = k_persist
         self.m_persist = m_persist
         self.w_min = w_min
-        self.normalizer = Normalizer(buckets, normalizer_config)
+        self.normalizer = Normalizer(buckets)
         self.graph = graph
         self.v = np.full(n, params.v_rest)
         self.u = np.zeros(n)

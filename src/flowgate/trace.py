@@ -156,7 +156,8 @@ class RunManifest:
 class Trace:
     """Immutable packet trace backed by parallel int64 arrays.
 
-    Packets are sorted by ts_us with ties keeping insertion order.
+    Packets are sorted by ts_us; a world's trace breaks ties by flow id,
+    then by position (worlds.with_flows).
     """
 
     __slots__ = ("ts_us", "flow_id", "len_bytes", "clique_id", "flow_table",
@@ -191,6 +192,14 @@ class Trace:
                 and np.array_equal(self.flow_id, other.flow_id)
                 and np.array_equal(self.len_bytes, other.len_bytes)
                 and np.array_equal(self.clique_id, other.clique_id))
+
+
+def trace_subset(trace: Trace, mask) -> Trace:
+    """The packets selected by a boolean mask, in order; shares the flow
+    table."""
+    return Trace(trace.ts_us[mask], trace.flow_id[mask],
+                 trace.len_bytes[mask], trace.clique_id[mask],
+                 trace.flow_table, trace.horizon_windows, trace.window_us)
 
 
 def canonical_json(obj) -> bytes:
@@ -424,7 +433,7 @@ def write_flow_table(path, flow_table: dict[int, FlowInfo]) -> None:
 
 
 def read_flow_table(path) -> dict[int, FlowInfo]:
-    raw = json.loads(Path(path).read_text())
+    raw = load_json(path)
     return {
         int(fid): FlowInfo(FlowKey.from_dict(d["key"]), d["device_class"], d["label"])
         for fid, d in raw.items()
@@ -437,7 +446,7 @@ def write_labels(path, labels: list[EpisodeLabel]) -> None:
 
 
 def read_labels(path) -> list[EpisodeLabel]:
-    return [EpisodeLabel.from_dict(d) for d in json.loads(Path(path).read_text())]
+    return [EpisodeLabel.from_dict(d) for d in load_json(path)]
 
 
 def write_manifest(path, manifest: RunManifest) -> None:
@@ -445,4 +454,4 @@ def write_manifest(path, manifest: RunManifest) -> None:
 
 
 def read_manifest(path) -> RunManifest:
-    return RunManifest.from_dict(json.loads(Path(path).read_text()))
+    return RunManifest.from_dict(load_json(path))

@@ -38,11 +38,15 @@ from flowgate.trace import (
     PROTO_TCP,
     RunManifest,
     Trace,
+    check_keys,
     config_hash,
+    is_number,
+    load_json,
     read_flow_table,
     read_labels,
     read_manifest,
     read_trace_csv,
+    trace_subset,
     write_flow_table,
     write_labels,
     write_manifest,
@@ -262,7 +266,7 @@ class WorldConfig:
 
     @classmethod
     def from_json(cls, path) -> "WorldConfig":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return cls.from_dict(load_json(path))
 
     def to_json(self, path) -> None:
         Path(path).write_text(
@@ -710,33 +714,80 @@ class FeasibilityOutcome:
                    math.nan if dd is None else float(dd))
 
 
+def read_feasibility(path) -> list[FeasibilityOutcome]:
+    """Load a feasibility JSON, refusing, naming the path and the key: a
+    missing or unknown key at the top, in an outcome or in its budgets, an
+    i_max that is not a nonnegative integer, a flow_id that is not an
+    integer, a feasible that is not true or false, an iterations_used
+    outside [0, i_max], a final_distortion that is not a finite nonnegative
+    number, and a final_delay_delta that is neither finite nor null."""
+    doc = load_json(path)
+    check_keys(path, doc, ("i_max", "outcomes"))
+    i_max = doc["i_max"]
+    if not (is_number(i_max, integer=True) and i_max >= 0):
+        raise ValueError(f"{path}: i_max = {i_max!r} is not a nonnegative "
+                         "integer")
+    if not isinstance(doc["outcomes"], list):
+        raise ValueError(f"{path}: outcomes is not a JSON list")
+    for i, o in enumerate(doc["outcomes"]):
+        where = f"outcomes[{i}]"
+        check_keys(path, o, ("flow_id", "budgets", "feasible",
+                             "iterations_used", "final_distortion",
+                             "final_delay_delta"), where)
+        check_keys(path, o["budgets"], ("r_min_bytes", "epsilon_s",
+                                        "delta_q_s"), f"{where}.budgets")
+        its, dist, dd = (o["iterations_used"], o["final_distortion"],
+                         o["final_delay_delta"])
+        for key, ok, what in (
+                ("flow_id", is_number(o["flow_id"], integer=True),
+                 "is not an integer"),
+                ("feasible", isinstance(o["feasible"], bool),
+                 "is not true or false"),
+                ("iterations_used",
+                 is_number(its, integer=True) and 0 <= its <= i_max,
+                 f"is not an integer in [0, i_max = {i_max}]"),
+                ("final_distortion", is_number(dist) and dist >= 0,
+                 "is not a finite nonnegative number"),
+                ("final_delay_delta", dd is None or is_number(dd),
+                 "is neither a finite number nor null")):
+            if not ok:
+                raise ValueError(f"{path}: {where}.{key} = {o[key]!r} {what}")
+    return [FeasibilityOutcome.from_dict(o) for o in doc["outcomes"]]
+
+
+def with_flows(trace: Trace, flows) -> Trace:
+    """trace plus the packets of flows, each (flow_id, clique_id, ts_us,
+    len_bytes) with its packets in arrival order, all in trace order: by
+    arrival, ties by flow id, then by position."""
+    cols = [(trace.ts_us, trace.flow_id, trace.len_bytes, trace.clique_id)]
+    cols += [(ts, np.full(len(ts), f, dtype=np.int64), ln,
+              np.full(len(ts), c, dtype=np.int64)) for f, c, ts, ln in flows]
+    ts, fid, ln, cq = (np.concatenate(col) for col in zip(*cols))
+    order = np.lexsort((fid, ts))
+    return Trace(ts[order], fid[order], ln[order], cq[order],
+                 trace.flow_table, trace.horizon_windows, trace.window_us)
+
+
 @dataclass
 class CliqueContext:
     """Shared state for enforcing one episode against its clique."""
 
     clique_id: int
     flow_id: int
-    benign_ts: np.ndarray
-    benign_fid: np.ndarray
-    benign_len: np.ndarray
+    benign: Trace  # the clique's benign packets
     capacity_bps: float
-    window_us: int
-    horizon_windows: int
     reference: BenignIatReference
     len_bounds: tuple[int, int]
-    flow_table: dict
-    d_ben_s: float  # benign-only clique mean delay, cached
+    d_ben_s: float  # clique_baseline_delay(benign), cached
 
 
-def clique_baseline_delay(*, ts, fid, ln, clique_id, capacity_bps, window_us,
-                          horizon_windows, flow_table) -> float:
-    if np.asarray(ts).size == 0:
+def clique_baseline_delay(trace: Trace, capacity_bps: float) -> float:
+    """Mean queueing delay (s) of a one-clique trace under a no-gating
+    replay; 0 for no packets."""
+    if trace.n_packets == 0:
         return 0.0
-    trace = Trace(ts, fid, ln, np.full(np.asarray(ts).shape, clique_id,
-                                       dtype=np.int64),
-                  flow_table, horizon_windows, window_us)
     log = replay(trace, capacity_bps)
-    return clique_mean_delay(log, clique_id)
+    return clique_mean_delay(log, int(trace.clique_id[0]))
 
 
 def window_distortions(ts_us, reference: BenignIatReference,
@@ -768,7 +819,7 @@ def _window_slices(ts: np.ndarray, window_us: int):
 
 def _project_pass(ts, sizes, ctx: CliqueContext, budgets: Budgets):
     """One projection + size-repair sweep; returns (ts, sizes, proj_ok)."""
-    wus = ctx.window_us
+    wus = ctx.benign.window_us
     if not math.isinf(budgets.epsilon_s):
         pieces = []
         proj_ok = True
@@ -788,65 +839,40 @@ def _project_pass(ts, sizes, ctx: CliqueContext, budgets: Budgets):
     return ts, sizes, proj_ok
 
 
-def _attack_delta(ts, sizes, ctx: CliqueContext) -> float:
-    merged_ts = np.concatenate([ctx.benign_ts, ts])
-    merged_fid = np.concatenate(
-        [ctx.benign_fid, np.full(ts.shape, ctx.flow_id, dtype=np.int64)])
-    merged_len = np.concatenate([ctx.benign_len, sizes])
-    order = np.argsort(merged_ts, kind="stable")
-    d_atk = clique_baseline_delay(
-        ts=merged_ts[order], fid=merged_fid[order], ln=merged_len[order],
-        clique_id=ctx.clique_id, capacity_bps=ctx.capacity_bps,
-        window_us=ctx.window_us, horizon_windows=ctx.horizon_windows,
-        flow_table=ctx.flow_table)
-    return d_atk - ctx.d_ben_s
-
-
 def enforce_contention(ts_us, sizes, ctx: CliqueContext, budgets: Budgets,
-                       i_max: int = I_MAX_DEFAULT, rng=None):
+                       i_max: int, rng):
     """Drive one episode's packets through the three budgets.
 
-    Projects timing and repairs sizes, then alternates replayed delay checks
-    with 0.8x load thinning until the clique delay budget holds or i_max
-    thinnings have been spent. Returns the final packets either way; the
-    outcome records feasibility, iterations, and the final measured slack.
+    Each turn projects timing, repairs sizes and replays the episode with
+    its clique's benign packets; rng thins the load to 0.8x for the next
+    turn until the delay budget holds or i_max thinnings have been spent.
+    Returns the final packets either way; the outcome records feasibility,
+    iterations, and the final measured slack (NaN delay: floor unreachable).
     """
     ts = np.asarray(ts_us, dtype=np.int64)
     sizes = np.asarray(sizes, dtype=np.int64)
-
-    def outcome(feasible, its, dist, delta):
-        return FeasibilityOutcome(ctx.flow_id, budgets, feasible, its,
-                                  dist, delta)
-
-    try:
-        ts, sizes, proj_ok = _project_pass(ts, sizes, ctx, budgets)
-    except FloorUnreachable:
-        return ts, sizes, outcome(
-            False, 0, mean_distortion(ts, ctx.reference, ctx.window_us),
-            math.nan)
     iterations = 0
     while True:
-        delta = _attack_delta(ts, sizes, ctx)
-        dist = mean_distortion(ts, ctx.reference, ctx.window_us)
-        if proj_ok and delta <= budgets.delta_q_s + REPLAY_TICK_S:
-            return ts, sizes, outcome(True, iterations, dist, delta)
-        if iterations >= i_max:
-            return ts, sizes, outcome(False, iterations, dist, delta)
-        iterations += 1
-        keep = int(THIN_FACTOR * ts.size)
-        if keep < ts.size:
-            if keep == 0:
-                ts = ts[:0]
-                sizes = sizes[:0]
-            else:
-                sel = np.sort(rng.choice(ts.size, size=keep, replace=False))
-                ts, sizes = ts[sel], sizes[sel]
         try:
             ts, sizes, proj_ok = _project_pass(ts, sizes, ctx, budgets)
+            attack = with_flows(ctx.benign,
+                                [(ctx.flow_id, ctx.clique_id, ts, sizes)])
+            delta = clique_baseline_delay(attack, ctx.capacity_bps) \
+                - ctx.d_ben_s
+            feasible = proj_ok and delta <= budgets.delta_q_s + REPLAY_TICK_S
         except FloorUnreachable:
-            return ts, sizes, outcome(
-                False, iterations,
-                mean_distortion(ts, ctx.reference, ctx.window_us), math.nan)
+            delta, feasible = math.nan, False
+        if feasible or math.isnan(delta) or iterations >= i_max:
+            dist = mean_distortion(ts, ctx.reference, ctx.benign.window_us)
+            return ts, sizes, FeasibilityOutcome(
+                ctx.flow_id, budgets, feasible, iterations, dist, delta)
+        iterations += 1
+        keep = int(THIN_FACTOR * ts.size)
+        if 0 < keep < ts.size:
+            sel = np.sort(rng.choice(ts.size, size=keep, replace=False))
+            ts, sizes = ts[sel], sizes[sel]
+        elif keep == 0:
+            ts, sizes = ts[:0], sizes[:0]
 
 
 # ---------------------------------------------------------------------------
@@ -883,12 +909,12 @@ def build_world(config: WorldConfig, seed: int) -> World:
 
     flow_table: dict[int, FlowInfo] = {}
     clique_of: dict[int, int] = {}
-    packets: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    benign_flows = []  # (flow_id, clique_id, ts_us, len_bytes) per flow
 
     for spec in config.benign_flows:
         rng = np.random.default_rng([seed, spec.flow_id, _SALT_BENIGN])
         ts, ln = gen_benign_flow(spec.kind, spec.params, rng, horizon_us, bounds)
-        packets[spec.flow_id] = (ts, ln)
+        benign_flows.append((spec.flow_id, spec.clique_id, ts, ln))
         flow_table[spec.flow_id] = FlowInfo(
             _flow_key(spec.flow_id, spec.clique_id), spec.device_class, BENIGN)
         clique_of[spec.flow_id] = spec.clique_id
@@ -903,40 +929,18 @@ def build_world(config: WorldConfig, seed: int) -> World:
     class_pools: dict[str, np.ndarray] = {}
     for cls_name in sorted({e.device_class for e in config.episodes}):
         pool = pool_class_iats(
-            [packets[f.flow_id][0] for f in config.benign_flows
+            [flow[2] for flow, f in zip(benign_flows, config.benign_flows)
              if f.device_class == cls_name])
         if pool.size == 0:
             raise GenerationError(
                 f"device class {cls_name!r} yields no benign IATs to reference")
         class_pools[cls_name] = pool
 
-    # benign-only clique arrays and baseline delays, shared across episodes
-    clique_benign: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    clique_dben: dict[int, float] = {}
-
-    def benign_of(cid: int):
-        if cid not in clique_benign:
-            members = [f.flow_id for f in config.benign_flows
-                       if f.clique_id == cid]
-            if members:
-                ts = np.concatenate([packets[f][0] for f in members])
-                fid = np.concatenate(
-                    [np.full(packets[f][0].shape, f, dtype=np.int64)
-                     for f in members])
-                ln = np.concatenate([packets[f][1] for f in members])
-                order = np.argsort(ts, kind="stable")
-                ts, fid, ln = ts[order], fid[order], ln[order]
-            else:
-                ts = np.empty(0, np.int64)
-                fid = np.empty(0, np.int64)
-                ln = np.empty(0, np.int64)
-            clique_benign[cid] = (ts, fid, ln)
-            clique_dben[cid] = clique_baseline_delay(
-                ts=ts, fid=fid, ln=ln, clique_id=cid,
-                capacity_bps=config.capacity_bps, window_us=config.window_us,
-                horizon_windows=config.horizon_windows, flow_table=flow_table)
-        return clique_benign[cid], clique_dben[cid]
-
+    no_packets = Trace(*[np.empty(0, np.int64)] * 4, flow_table,
+                       config.horizon_windows, config.window_us)
+    episode_flows = []
+    # each clique's benign packets and baseline delay, shared by its episodes
+    clique_benign: dict[int, tuple[Trace, float]] = {}
     labels: list[EpisodeLabel] = []
     references: list[BenignIatReference] = []
     feasibility: list[FeasibilityOutcome] = []
@@ -956,31 +960,22 @@ def build_world(config: WorldConfig, seed: int) -> World:
 
         reference = BenignIatReference(ep.flow_id, class_pools[ep.device_class])
         references.append(reference)
-        (bts, bfid, bln), d_ben = benign_of(ep.clique_id)
-        ctx = CliqueContext(
-            clique_id=ep.clique_id, flow_id=ep.flow_id,
-            benign_ts=bts, benign_fid=bfid, benign_len=bln,
-            capacity_bps=config.capacity_bps, window_us=config.window_us,
-            horizon_windows=config.horizon_windows, reference=reference,
-            len_bounds=bounds, flow_table=flow_table, d_ben_s=d_ben)
+        if ep.clique_id not in clique_benign:
+            ben = with_flows(no_packets, [f for f in benign_flows
+                                          if f[1] == ep.clique_id])
+            clique_benign[ep.clique_id] = ben, clique_baseline_delay(
+                ben, config.capacity_bps)
+        ben, d_ben = clique_benign[ep.clique_id]
+        ctx = CliqueContext(ep.clique_id, ep.flow_id, ben, config.capacity_bps,
+                            reference, bounds, d_ben)
         ts, ln, out = enforce_contention(
             ts, ln, ctx, ep.budgets, config.i_max,
             np.random.default_rng([seed, ep.flow_id, _SALT_THIN]))
-        packets[ep.flow_id] = (ts, ln)
+        episode_flows.append((ep.flow_id, ep.clique_id, ts, ln))
         feasibility.append(out)
         labels.append(EpisodeLabel(ep.flow_id, ep.start_window, ep.end_window,
                                    ep.kind, ep.budgets, out.feasible))
-
-    all_ids = sorted(packets)
-    ts = np.concatenate([packets[f][0] for f in all_ids])
-    fid = np.concatenate([np.full(packets[f][0].shape, f, dtype=np.int64)
-                          for f in all_ids])
-    ln = np.concatenate([packets[f][1] for f in all_ids])
-    cq = np.concatenate([np.full(packets[f][0].shape, clique_of[f],
-                                 dtype=np.int64) for f in all_ids])
-    order = np.argsort(ts, kind="stable")
-    trace = Trace(ts[order], fid[order], ln[order], cq[order], flow_table,
-                  config.horizon_windows, config.window_us)
+    trace = with_flows(no_packets, benign_flows + episode_flows)
 
     manifest = RunManifest(
         world_id=config.world_id, seed=seed, config_hash=config.hash(),
@@ -1000,37 +995,30 @@ def audit_budgets(world: World) -> list[dict]:
     tick. Entries carry measured values so failures are diagnosable.
     """
     trace = world.trace
-    cfg = world.config
+    cap = world.config.capacity_bps
     refs = {r.flow_id: r for r in world.references}
     benign = np.isin(trace.flow_id, np.array(
         sorted(f for f, info in trace.flow_table.items()
                if info.label == BENIGN), dtype=np.int64))
     d_ben_of: dict[int, float] = {}  # episodes that share a clique share it
 
-    def clique_delay(m, cid):
-        return clique_baseline_delay(
-            ts=trace.ts_us[m], fid=trace.flow_id[m], ln=trace.len_bytes[m],
-            clique_id=cid, capacity_bps=cfg.capacity_bps,
-            window_us=trace.window_us, horizon_windows=trace.horizon_windows,
-            flow_table=trace.flow_table)
-
     out = []
     for label in world.labels:
         fid = label.flow_id
         mask = trace.flow_id == fid
-        ts = trace.ts_us[mask]
         ln = trace.len_bytes[mask]
         b = label.budgets
         floor_ok = int(ln.sum()) >= b.r_min_bytes
-        ds = window_distortions(ts, refs[fid], trace.window_us)
-        mean_d = float(np.mean(ds)) if ds else 0.0
-        eps_ok = (not ds) or mean_d <= b.epsilon_s + W1_SLACK_S
+        mean_d = mean_distortion(trace.ts_us[mask], refs[fid], trace.window_us)
+        eps_ok = mean_d <= b.epsilon_s + W1_SLACK_S
 
         cid = world.graph.clique_of[fid]
         ben_mask = (trace.clique_id == cid) & benign
         if cid not in d_ben_of:
-            d_ben_of[cid] = clique_delay(ben_mask, cid)
-        delta = clique_delay(ben_mask | mask, cid) - d_ben_of[cid]
+            d_ben_of[cid] = clique_baseline_delay(
+                trace_subset(trace, ben_mask), cap)
+        delta = clique_baseline_delay(
+            trace_subset(trace, ben_mask | mask), cap) - d_ben_of[cid]
         dq_ok = delta <= b.delta_q_s + REPLAY_TICK_S
         out.append({
             "flow_id": fid,
@@ -1122,18 +1110,16 @@ def check_trace(trace: Trace, graph: ContentionGraph,
 
 def load_world(world_dir) -> World:
     d = Path(world_dir)
-    config = WorldConfig.from_dict(json.loads((d / "config.json").read_text()))
+    config = WorldConfig.from_json(d / "config.json")
     flow_table = read_flow_table(d / "flows.csv")
     trace = read_trace_csv(d / "trace.csv", flow_table,
                            config.horizon_windows, config.window_us)
     labels = read_labels(d / "labels.csv")
     manifest = read_manifest(d / "manifest.json")
-    graph = ContentionGraph.from_dict(
-        json.loads((d / "contention.json").read_text()))
+    graph = ContentionGraph.from_dict(load_json(d / "contention.json"))
     check_trace(trace, graph, config.len_bounds)
-    feas_doc = json.loads((d / "feasibility.json").read_text())
-    feasibility = [FeasibilityOutcome.from_dict(x) for x in feas_doc["outcomes"]]
-    refs_doc = json.loads((d / "references.json").read_text())
+    feasibility = read_feasibility(d / "feasibility.json")
+    refs_doc = load_json(d / "references.json")
     references = [BenignIatReference(int(f), v)
                   for f, v in sorted(refs_doc.items(), key=lambda kv: int(kv[0]))]
     return World(trace, graph, labels, references, manifest, feasibility,

@@ -3,8 +3,8 @@
 - `write_csv_rows` is the row-at-a-time writer that the column kernel
   `flowgate.trace.write_csv` replaced, kept unchanged as its differential
   oracle: one Python `row % values` per row.
-- `PacketRecord`, `trace_from_records` and `trace_subset` build traces from
-  packet records and cut them by a mask.
+- `PacketRecord` and `trace_from_records` build traces from packet
+  records.
 - `solve_fixed_point` and `fixed_point_residual` give the detector's steady
   state under a constant drive.
 """
@@ -51,13 +51,6 @@ def trace_from_records(records, flow_table, horizon_windows,
     order = np.argsort(ts, kind="stable")
     return Trace(ts[order], fid[order], ln[order], cq[order],
                  flow_table, horizon_windows, window_us)
-
-
-def trace_subset(trace: Trace, mask) -> Trace:
-    """Sub-trace selected by boolean mask; shares the flow table."""
-    return Trace(trace.ts_us[mask], trace.flow_id[mask],
-                 trace.len_bytes[mask], trace.clique_id[mask],
-                 trace.flow_table, trace.horizon_windows, trace.window_us)
 
 
 def fixed_point_residual(v: float, u: float, drive: float,

@@ -27,6 +27,7 @@ from flowgate.worlds import (
     ContentionGraph,
     EpisodeSpec,
     WorldConfig,
+    load_world,
 )
 
 
@@ -374,10 +375,11 @@ def test_trace_packet_at_the_horizon_is_refused(pipe, tmp_path, capsys):
             "30000000 is outside [0, 30000000)") in err
 
 
-def _report(pipe, tmp_path, base=None, gated=None, scores=None):
-    """report on the pipeline's artifacts, with either queue log or the
-    scores (and so the thresholds and stage stats beside them) replaced."""
-    return main(["report", "--world", str(pipe["world"]),
+def _report(pipe, tmp_path, base=None, gated=None, scores=None, world=None):
+    """report on the pipeline's artifacts, with the world, either queue log
+    or the scores (and so the thresholds and stage stats beside them)
+    replaced."""
+    return main(["report", "--world", str(world or pipe["world"]),
                  "--scores", str(scores or pipe["det"] / "scores.csv"),
                  "--base-log", str(base or pipe["base"] / "queue_log.csv"),
                  "--gated-log", str(gated or pipe["gated"] / "queue_log.csv"),
@@ -552,6 +554,125 @@ def test_corrupt_thresholds_are_refused(pipe, tmp_path, capsys, corruption):
     bad, message = _edit_thresholds(json.loads(path.read_text()))[corruption]
     path.write_text(json.dumps(bad))
     assert _report(pipe, tmp_path, scores=scores) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ValueError: {path}: ")
+    assert message in err
+    assert not (tmp_path / "r" / "report.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# world JSON artifacts
+
+
+def _world_copy(pipe, tmp_path):
+    world = tmp_path / "world_copy"
+    shutil.copytree(pipe["world"], world)
+    return world
+
+
+# every JSON artifact of a world (flows.csv and labels.csv hold JSON) and
+# the commands that read it; load_world reads them all
+WORLD_JSON_READERS = {
+    "config.json": ("detect", "replay", "report"),
+    "contention.json": ("detect", "replay"),
+    "feasibility.json": ("report",),
+    "flows.csv": ("detect", "replay"),
+    "labels.csv": ("report",),
+    "manifest.json": ("detect", "report"),
+    "references.json": (),
+}
+
+
+@pytest.mark.parametrize("artifact, reader", [
+    (artifact, reader) for artifact, readers in WORLD_JSON_READERS.items()
+    for reader in (*readers, "load_world")])
+def test_truncated_world_json_is_named(pipe, tmp_path, capsys, artifact,
+                                       reader):
+    world = _world_copy(pipe, tmp_path)
+    path = world / artifact
+    text = path.read_text()
+    path.write_text(text[:len(text) // 2])
+    if reader == "load_world":
+        with pytest.raises(ValueError) as exc:
+            load_world(world)
+        assert str(exc.value).startswith(f"{path}: ")
+        return
+    rc = {"detect": lambda: main(["detect", "--world", str(world),
+                                  "--out", str(tmp_path / "d")]),
+          "replay": lambda: main(["replay", "--world", str(world), "--mode",
+                                  "base", "--out", str(tmp_path / "b")]),
+          "report": lambda: _report(pipe, tmp_path, world=world)}[reader]()
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: ValueError: {path}: ")
+
+
+def _edit_feasibility(doc):
+    """Named corruptions of a feasibility document, each with the text its
+    refusal must hold."""
+    o = doc["outcomes"][0]
+    i_max = doc["i_max"]
+
+    def with_outcome(**entry):
+        return {**doc, "outcomes": [{**o, **entry}, *doc["outcomes"][1:]]}
+
+    return {
+        "missing key": ({"outcomes": doc["outcomes"]}, "missing key 'i_max'"),
+        "unknown key": ({**doc, "extra": 1}, "unknown key 'extra'"),
+        "negative i_max": ({**doc, "i_max": -1}, "i_max = -1"),
+        "outcomes not a list": ({**doc, "outcomes": {}},
+                                "outcomes is not a JSON list"),
+        "missing outcome key": (
+            {**doc, "outcomes": [{k: v for k, v in o.items()
+                                  if k != "feasible"}]},
+            "missing key 'outcomes[0].feasible'"),
+        "unknown outcome key": (with_outcome(extra=1),
+                                "unknown key 'outcomes[0].extra'"),
+        "missing budgets key": (
+            with_outcome(budgets={k: v for k, v in o["budgets"].items()
+                                  if k != "epsilon_s"}),
+            "missing key 'outcomes[0].budgets.epsilon_s'"),
+        "unknown budgets key": (
+            with_outcome(budgets={**o["budgets"], "extra": 1}),
+            "unknown key 'outcomes[0].budgets.extra'"),
+        "fractional flow id": (with_outcome(flow_id=o["flow_id"] + 0.5),
+                               f"outcomes[0].flow_id = {o['flow_id']}.5"),
+        "string flow id": (with_outcome(flow_id=str(o["flow_id"])),
+                           f"outcomes[0].flow_id = '{o['flow_id']}'"),
+        "feasible not a bool": (with_outcome(feasible=1),
+                                "outcomes[0].feasible = 1"),
+        "negative iterations": (with_outcome(iterations_used=-1),
+                                "outcomes[0].iterations_used = -1"),
+        "iterations above i_max": (
+            with_outcome(iterations_used=i_max + 1),
+            f"outcomes[0].iterations_used = {i_max + 1}"),
+        "nan distortion": (with_outcome(final_distortion=math.nan),
+                           "outcomes[0].final_distortion = nan"),
+        "negative distortion": (with_outcome(final_distortion=-0.5),
+                                "outcomes[0].final_distortion = -0.5"),
+        "infinite delay delta": (with_outcome(final_delay_delta=math.inf),
+                                 "outcomes[0].final_delay_delta = inf"),
+        "string delay delta": (with_outcome(final_delay_delta="0"),
+                               "outcomes[0].final_delay_delta = '0'"),
+        "outcome for an unlabelled flow": (
+            {**doc, "outcomes": [*doc["outcomes"], {**o, "flow_id": 999}]},
+            "are not the episodes"),
+        "labelled flow without an outcome": ({**doc, "outcomes": []},
+                                             "are not the episodes"),
+    }
+
+
+# the case names; any document on which every edit runs gives them
+FEASIBILITY_CORRUPTIONS = sorted(_edit_feasibility(
+    {"i_max": 0, "outcomes": [{"flow_id": 0, "budgets": {}}]}))
+
+
+@pytest.mark.parametrize("corruption", FEASIBILITY_CORRUPTIONS)
+def test_corrupt_feasibility_is_refused(pipe, tmp_path, capsys, corruption):
+    world = _world_copy(pipe, tmp_path)
+    path = world / "feasibility.json"
+    bad, message = _edit_feasibility(json.loads(path.read_text()))[corruption]
+    path.write_text(json.dumps(bad))
+    assert _report(pipe, tmp_path, world=world) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: ValueError: {path}: ")
     assert message in err

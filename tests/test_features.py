@@ -13,9 +13,8 @@ from flowgate.features import (
     NormalizerConfig,
     windowize,
 )
-from flowgate.trace import BENIGN, FlowInfo, FlowKey, Trace
+from flowgate.trace import BENIGN, FlowInfo, FlowKey, Trace, trace_subset
 from flowgate.worlds import ContentionGraph
-from support import trace_subset
 
 
 def pacing_index_from_counts(counts, n_packets: int) -> float:

@@ -26,6 +26,7 @@ from flowgate.trace import (
     read_csv,
     read_manifest,
     read_trace_csv,
+    trace_subset,
     write_csv,
     write_flow_table,
     write_labels,
@@ -33,8 +34,7 @@ from flowgate.trace import (
     write_trace_csv,
 )
 from flowgate.wfq import QueueEventLog, read_queue_log, write_queue_log
-from support import (PacketRecord, trace_from_records, trace_subset,
-                     write_csv_rows)
+from support import PacketRecord, trace_from_records, write_csv_rows
 from trace_validation import validate_trace
 
 # Frozen reference: SHA-256 of the empty byte string.

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import wasserstein_distance
 
-from flowgate.trace import BENIGN, MALICIOUS, Budgets, FlowInfo, Trace
+from flowgate.trace import (BENIGN, MALICIOUS, Budgets, FlowInfo, Trace,
+                            trace_subset)
 from flowgate.worlds import (
     BenignFlowSpec,
     BenignIatReference,
@@ -40,10 +41,12 @@ from flowgate.worlds import (
     repair_sizes,
     spectral_radius,
     w1_empirical,
+    with_flows,
     write_world,
 )
 
 import flowgate.worlds as worlds_module
+from test_acceptance import _audit_config
 from trace_validation import validate_trace
 
 LEN_BOUNDS = (64, 1500)
@@ -612,24 +615,21 @@ def _bulk_ctx(benign_rate, seed, horizon_windows=200, capacity=125_000.0):
     ts, ln = _gen_bulk({"rate_bps": benign_rate, "pkt_len": 600,
                         "jitter_frac": 0.1},
                        np.random.default_rng(seed), horizon, LEN_BOUNDS)
-    fid = np.full(ts.shape, 1, dtype=np.int64)
     ft = {1: FlowInfo(None, "bulk", BENIGN)}
-    d_ben = clique_baseline_delay(ts=ts, fid=fid, ln=ln, clique_id=0,
-                                  capacity_bps=capacity, window_us=wus,
-                                  horizon_windows=horizon_windows,
-                                  flow_table=ft)
+    benign = Trace(ts, np.full(ts.shape, 1), ln, np.zeros(ts.shape), ft,
+                   horizon_windows, wus)
     ref = BenignIatReference(100, np.sort(np.diff(ts)))
-    return CliqueContext(0, 100, ts, fid, ln, capacity, wus, horizon_windows,
-                         ref, LEN_BOUNDS, ft, d_ben)
+    return CliqueContext(0, 100, benign, capacity, ref, LEN_BOUNDS,
+                         clique_baseline_delay(benign, capacity))
 
 
 def test_enforce_unconstrained_zero_iterations():
     ctx = _bulk_ctx(50_000.0, 1)
     ats, aln = _gen_bulk({"rate_bps": 30_000.0, "pkt_len": 600},
-                         np.random.default_rng(2), ctx.horizon_windows * 250_000,
+                         np.random.default_rng(2), ctx.benign.horizon_us,
                          LEN_BOUNDS)
     b = Budgets(r_min_bytes=0, epsilon_s=math.inf, delta_q_s=math.inf)
-    ts, ln, out = enforce_contention(ats, aln, ctx, b, 16)
+    ts, ln, out = enforce_contention(ats, aln, ctx, b, 16, None)
     assert out.feasible and out.iterations_used == 0
     assert np.array_equal(ts, ats) and np.array_equal(ln, aln)
     assert math.isfinite(out.final_delay_delta)
@@ -639,11 +639,11 @@ def test_enforce_empty_flow_feasible_iff_zero_floor():
     ctx = _bulk_ctx(50_000.0, 1)
     empty = np.empty(0, np.int64)
     _, _, ok = enforce_contention(
-        empty, empty, ctx, Budgets(0, math.inf, math.inf), 16)
+        empty, empty, ctx, Budgets(0, math.inf, math.inf), 16, None)
     assert ok.feasible and ok.iterations_used == 0
     assert ok.final_delay_delta == 0.0
     _, _, bad = enforce_contention(
-        empty, empty, ctx, Budgets(1, math.inf, math.inf), 16)
+        empty, empty, ctx, Budgets(1, math.inf, math.inf), 16, None)
     assert not bad.feasible
 
 
@@ -651,7 +651,7 @@ def test_enforce_thins_until_delay_budget_holds():
     ctx = _bulk_ctx(50_000.0, 1)
     ats, aln = _gen_bulk({"rate_bps": 100_000.0, "pkt_len": 600,
                           "jitter_frac": 0.1},
-                         np.random.default_rng(2), ctx.horizon_windows * 250_000,
+                         np.random.default_rng(2), ctx.benign.horizon_us,
                          LEN_BOUNDS)
     b = Budgets(r_min_bytes=0, epsilon_s=math.inf, delta_q_s=0.02)
     ts, ln, out = enforce_contention(ats, aln, ctx, b, 16,
@@ -665,7 +665,7 @@ def test_enforce_thins_until_delay_budget_holds():
 def test_enforce_saturated_clique_infeasible():
     ctx = _bulk_ctx(130_000.0, 4)
     ats, aln = _gen_bulk({"rate_bps": 20_000.0, "pkt_len": 600},
-                         np.random.default_rng(5), ctx.horizon_windows * 250_000,
+                         np.random.default_rng(5), ctx.benign.horizon_us,
                          LEN_BOUNDS)
     b = Budgets(r_min_bytes=0, epsilon_s=math.inf, delta_q_s=0.0)
     _, _, out = enforce_contention(ats, aln, ctx, b, 16,
@@ -679,7 +679,7 @@ def test_enforce_projection_and_floor_together():
     ctx = _bulk_ctx(50_000.0, 7)
     rng = np.random.default_rng(8)
     # bursty proposal: clumps that need warping toward the bulk reference
-    ats = np.sort(rng.integers(0, ctx.horizon_windows * 250_000, 3000))
+    ats = np.sort(rng.integers(0, ctx.benign.horizon_us, 3000))
     ats = np.unique(ats).astype(np.int64)
     aln = np.full(ats.shape, 64, dtype=np.int64)
     b = Budgets(r_min_bytes=400_000, epsilon_s=0.01, delta_q_s=math.inf)
@@ -701,6 +701,39 @@ def test_outcome_dict_round_trip_with_nan_delta():
     assert o2.flow_id == 5 and not o2.feasible and o2.iterations_used == 3
     assert math.isnan(o2.final_delay_delta)
     assert o2.budgets == o.budgets
+
+
+def _trace_order(flows, flow_table):
+    """The oracle of trace order: the flows' packets concatenated in flow
+    id order, then stably sorted by arrival."""
+    flows = sorted(flows, key=lambda flow: flow[0])
+    ts = np.concatenate([np.empty(0, np.int64)] + [f[2] for f in flows])
+    fid = np.concatenate([np.empty(0, np.int64)]
+                         + [np.full(len(f[2]), f[0]) for f in flows])
+    ln = np.concatenate([np.empty(0, np.int64)] + [f[3] for f in flows])
+    cq = np.concatenate([np.empty(0, np.int64)]
+                        + [np.full(len(f[2]), f[1]) for f in flows])
+    order = np.argsort(ts, kind="stable")
+    return Trace(ts[order], fid[order], ln[order], cq[order], flow_table,
+                 2, 4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 7), max_size=8), max_size=6),
+       st.lists(st.integers(0, 99), min_size=6, max_size=6, unique=True),
+       st.integers(0, 6))
+def test_with_flows_is_a_stable_sort_of_the_id_ordered_packets(
+        arrivals, ids, split):
+    # arrivals in [0, 8) force ties across flows and within a flow; the
+    # lengths number the packets, so any reordering of a tie shows
+    flows, n = [], 0
+    for f, ts in zip(ids, arrivals):
+        ts = np.sort(np.asarray(ts, dtype=np.int64))
+        flows.append((f, f % 3, ts, np.arange(n, n + ts.size)))
+        n += ts.size
+    ft = {f: FlowInfo(None, "c", BENIGN) for f in ids}
+    base = _trace_order(flows[:split], ft)
+    assert with_flows(base, flows[split:]) == _trace_order(flows, ft)
 
 
 # ---------------------------------------------------------------------------
@@ -771,6 +804,29 @@ def test_world_feasible_episodes_pass_audit(demo_world):
             assert entry["all_ok"], entry
 
 
+@pytest.fixture(scope="module")
+def criterion_2_world():
+    return build_world(_audit_config(101), 101)
+
+
+@pytest.mark.parametrize("world_fixture", ["demo_world", "criterion_2_world"])
+def test_planner_final_slack_is_the_audit_measurement(request, world_fixture):
+    # the planner and the audit replay the same trace-ordered packets, so
+    # the planner's last measurement is the audit's, bit for bit
+    world = request.getfixturevalue(world_fixture)
+    rows = audit_budgets(world)
+    assert [r["flow_id"] for r in rows] == [o.flow_id for o in world.feasibility]
+    for row, o in zip(rows, world.feasibility):
+        assert o.final_distortion == row["mean_distortion_s"]
+        if math.isnan(o.final_delay_delta):
+            # only an unreachable floor skips the replay
+            count = np.count_nonzero(world.trace.flow_id == o.flow_id)
+            assert count * LEN_BOUNDS[1] < o.budgets.r_min_bytes
+            assert not o.feasible and not row["floor_ok"]
+        else:
+            assert o.final_delay_delta == row["delay_delta_s"]
+
+
 def test_audit_replays_each_clique_benign_traffic_once(monkeypatch):
     # a third episode shares clique 0 with episode 100, so the benign-only
     # replay of clique 0 serves both: 3 attack replays + 2 benign replays
@@ -783,9 +839,9 @@ def test_audit_replays_each_clique_benign_traffic_once(monkeypatch):
     trace = world.trace
     calls = []
 
-    def counted(**kw):
-        calls.append(kw["clique_id"])
-        return clique_baseline_delay(**kw)
+    def counted(trace, capacity_bps):
+        calls.append(int(trace.clique_id[0]))
+        return clique_baseline_delay(trace, capacity_bps)
 
     monkeypatch.setattr(worlds_module, "clique_baseline_delay", counted)
     rows = audit_budgets(world)
@@ -798,12 +854,8 @@ def test_audit_replays_each_clique_benign_traffic_once(monkeypatch):
     for row, label in zip(rows, world.labels):
         cid = world.graph.clique_of[label.flow_id]
         ben = (trace.clique_id == cid) & np.isin(trace.flow_id, benign)
-        d = [clique_baseline_delay(
-            ts=trace.ts_us[m], fid=trace.flow_id[m], ln=trace.len_bytes[m],
-            clique_id=cid, capacity_bps=cfg.capacity_bps,
-            window_us=trace.window_us, horizon_windows=trace.horizon_windows,
-            flow_table=trace.flow_table)
-            for m in (ben, ben | (trace.flow_id == label.flow_id))]
+        d = [clique_baseline_delay(trace_subset(trace, m), cfg.capacity_bps)
+             for m in (ben, ben | (trace.flow_id == label.flow_id))]
         assert row["flow_id"] == label.flow_id
         assert row["delay_delta_s"] == float(d[1] - d[0])
 
