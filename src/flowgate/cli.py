@@ -12,11 +12,13 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from flowgate.detector import (
+    W_MIN_DEFAULT,
     DetectorParams,
     DetectorSession,
     Scores,
@@ -36,11 +38,14 @@ from flowgate.metrics import (
     write_stage_stats,
 )
 from flowgate.trace import (
+    from_json,
     load_json,
     read_flow_table,
     read_labels,
     read_manifest,
     read_trace_csv,
+    to_json,
+    write_json,
 )
 from flowgate.wfq import (
     GateConfig,
@@ -53,9 +58,10 @@ from flowgate.wfq import (
 from flowgate.worlds import (
     ContentionGraph,
     GenerationError,
-    WorldConfig,
     build_world,
+    check_manifest,
     check_trace,
+    config_from_json,
     read_feasibility,
     write_world,
 )
@@ -66,13 +72,11 @@ def _fail(msg: str) -> int:
     return 1
 
 
-def _resolve(name, flag_value, file_value, default):
+def _resolve(name, flag_value, value):
+    """flag_value if the flag was given, else value: the config file's,
+    which from_json fills with the default where the file sets none."""
     if flag_value is not None:
         value = flag_value
-    elif file_value is not None:
-        value = file_value
-    else:
-        value = default
     print(f"{name}={value}")
     return value
 
@@ -82,19 +86,44 @@ def _load_json(path) -> dict:
     return load_json(path)
 
 
+@dataclass
+class ParamsFile:
+    """The --params JSON of detect and bench."""
+
+    detector: DetectorParams = field(default_factory=DetectorParams)
+    quantile: float = 0.99
+    k: int = 3
+    m: int = 8
+    w_min: int = W_MIN_DEFAULT
+
+
+def _read_params(path) -> ParamsFile:
+    return from_json(ParamsFile, _load_json(path), path) if path \
+        else ParamsFile()
+
+
+def _config_and_manifest(d: Path):
+    """A world's config and manifest, refusing a manifest bound to another
+    config."""
+    config = config_from_json(_load_json(d / "config.json"), d / "config.json")
+    manifest = read_manifest(d / "manifest.json")
+    check_manifest(d / "manifest.json", manifest, config)
+    return config, manifest
+
+
 def _world_core(world_dir):
-    """Detection-side world artifacts: config, flow table, trace, graph.
+    """Detection-side world artifacts: config, manifest, trace, graph.
 
     Deliberately never touches labels.csv or feasibility.json.
     """
     d = Path(world_dir)
-    config = WorldConfig.from_dict(_load_json(d / "config.json"))
+    config, manifest = _config_and_manifest(d)
     flow_table = read_flow_table(d / "flows.csv")
     trace = read_trace_csv(d / "trace.csv", flow_table,
                            config.horizon_windows, config.window_us)
     graph = ContentionGraph.from_dict(_load_json(d / "contention.json"))
     check_trace(trace, graph, config.len_bounds)
-    return config, trace, graph
+    return config, manifest, trace, graph
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +131,8 @@ def _world_core(world_dir):
 
 
 def cmd_gen_world(args) -> int:
-    config = WorldConfig.from_json(args.config)
-    seed = _resolve("seed", args.seed, config.seed, None)
+    config = config_from_json(_load_json(args.config), args.config)
+    seed = _resolve("seed", args.seed, config.seed)
     world = build_world(config, seed)
     out = Path(args.out)
     write_world(out, world)
@@ -122,16 +151,14 @@ def cmd_gen_world(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    config, trace, graph = _world_core(args.world)
-    manifest = read_manifest(Path(args.world) / "manifest.json")
+    config, manifest, trace, graph = _world_core(args.world)
 
-    doc = _load_json(args.params) if args.params else {}
-    params = DetectorParams.from_dict(doc.get("detector", {}))
-    quantile = float(_resolve("quantile", args.quantile,
-                              doc.get("quantile"), 0.99))
-    k = int(_resolve("k", args.k, doc.get("k"), 3))
-    m = int(_resolve("m", args.m, doc.get("m"), 8))
-    w_min = int(_resolve("w_min", args.w_min, doc.get("w_min"), 50))
+    file = _read_params(args.params)
+    params = file.detector
+    quantile = _resolve("quantile", args.quantile, file.quantile)
+    k = _resolve("k", args.k, file.k)
+    m = _resolve("m", args.m, file.m)
+    w_min = _resolve("w_min", args.w_min, file.w_min)
     if not (0.0 < quantile < 1.0):
         raise ArgumentContractError("quantile must be in (0, 1)")
     if not (1 <= k <= m):
@@ -162,14 +189,13 @@ def cmd_detect(args) -> int:
     write_stage_stats(out / "stage_stats.json", seconds,
                       [len(part) for part in parts])
     detect_manifest = {
-        "world": manifest.to_dict(),
-        "detector_params": params.to_dict(),
+        "world": to_json(manifest),
+        "detector_params": to_json(params),
         "quantile": quantile, "k": k, "m": m, "w_min": w_min,
         "burn_in_windows": burn_in,
         "n_records": n_records,
     }
-    (out / "detect_manifest.json").write_text(
-        json.dumps(detect_manifest, sort_keys=True, indent=2) + "\n")
+    write_json(out / "detect_manifest.json", detect_manifest)
     print(f"flows={len(table.flow_ids)}")
     print(f"records={n_records}")
     print(f"alarms={int(scores.a.sum())}")
@@ -185,21 +211,20 @@ def cmd_detect(args) -> int:
 def cmd_replay(args) -> int:
     if args.mode == "gated" and not args.scores:
         raise ArgumentContractError("--scores is required when --mode=gated")
-    config, trace, _ = _world_core(args.world)
+    config, _, trace, _ = _world_core(args.world)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     schedule = None
     gate_doc = {}
     if args.mode == "gated":
-        file_doc = _load_json(args.gate_config) if args.gate_config else {}
+        gc = from_json(GateConfig, _load_json(args.gate_config),
+                       args.gate_config) if args.gate_config else GateConfig()
         gc = GateConfig(
-            omega_0=float(_resolve("omega_0", args.omega_0,
-                                   file_doc.get("omega_0"), 1.0)),
-            omega_minus=float(_resolve("omega_minus", args.omega_minus,
-                                       file_doc.get("omega_minus"), 0.05)),
-            t_g_s=float(_resolve("t_g_s", args.t_g,
-                                 file_doc.get("t_g_s"), 30.0)),
+            omega_0=_resolve("omega_0", args.omega_0, gc.omega_0),
+            omega_minus=_resolve("omega_minus", args.omega_minus,
+                                 gc.omega_minus),
+            t_g_s=_resolve("t_g_s", args.t_g, gc.t_g_s),
         )
         gc.validate()
         # each scored flow's flags by window; the reader refuses window < 0
@@ -218,8 +243,7 @@ def cmd_replay(args) -> int:
         schedule = gate_controller(dict(zip(flows.tolist(), z)), gc,
                                    config.window_us)
         write_schedule(out / "schedule.csv", schedule)
-        gate_doc = {"omega_0": gc.omega_0, "omega_minus": gc.omega_minus,
-                    "t_g_s": gc.t_g_s}
+        gate_doc = to_json(gc)
 
     log = replay(trace, config.capacity_bps, schedule)
     write_queue_log(out / "queue_log.csv", log)
@@ -231,8 +255,7 @@ def cmd_replay(args) -> int:
         "gate": gate_doc,
         "packets": log.n,
     }
-    (out / "replay_manifest.json").write_text(
-        json.dumps(replay_manifest, sort_keys=True, indent=2) + "\n")
+    write_json(out / "replay_manifest.json", replay_manifest)
     print(f"mode={args.mode}")
     print(f"packets={log.n}")
     print(f"out={out}")
@@ -245,8 +268,7 @@ def cmd_replay(args) -> int:
 
 def cmd_report(args) -> int:
     d = Path(args.world)
-    config = WorldConfig.from_dict(_load_json(d / "config.json"))
-    manifest = read_manifest(d / "manifest.json")
+    config, manifest = _config_and_manifest(d)
     labels = read_labels(d / "labels.csv")
     feasibility = read_feasibility(d / "feasibility.json")
     outcome_ids = sorted(o.flow_id for o in feasibility)
@@ -294,8 +316,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    doc = _load_json(args.params) if args.params else {}
-    params = DetectorParams.from_dict(doc.get("detector", {}))
+    params = _read_params(args.params).detector
     flows, buckets, stream = synthetic_feature_stream(args.rows)
     session = DetectorSession(params, flows, buckets, burn_in_windows=40,
                               quantile=0.99, w_min=10)

@@ -19,23 +19,22 @@ alike.
 
 from __future__ import annotations
 
-import json
 import math
-import re
 from collections import deque
-from dataclasses import asdict, dataclass
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
 from flowgate.features import Normalizer
 from flowgate.trace import (
+    INT_KEY,
     check_fields,
     check_keys,
     is_number,
     load_json,
     read_csv,
     write_csv,
+    write_json,
 )
 
 W_MIN_DEFAULT = 50
@@ -92,13 +91,6 @@ class DetectorParams:
             if not ok:
                 raise ValueError(
                     f"coupling bound {bound:.6g} not below damping margin {margin:.6g}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DetectorParams":
-        return cls(**d)
 
 
 def f_sat(v, alpha: float, kappa: float):
@@ -449,7 +441,7 @@ def write_thresholds(path, session: DetectorSession) -> None:
         "w_min": session.w_min,
         "flows": {str(f): t for f, t in session.thresholds().items()},
     }
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    write_json(path, payload)
 
 
 def read_thresholds(path) -> dict:
@@ -476,7 +468,7 @@ def read_thresholds(path) -> dict:
         raise ValueError(f"{path}: flows is not a JSON object")
     flows = {}
     for f, t in raw["flows"].items():
-        if not re.fullmatch(r"0|-?[1-9][0-9]*", f):
+        if not INT_KEY.fullmatch(f):
             raise ValueError(f"{path}: flows key {f!r} is not an integer")
         check_keys(path, t, ("detector", "baseline"), f"flows.{f}")
         for side, value in t.items():

@@ -13,7 +13,6 @@ times a session on a fixed synthetic stream for `flowgate bench`.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -22,7 +21,13 @@ from pathlib import Path
 import numpy as np
 
 from flowgate.detector import Scores, calibrate_threshold
-from flowgate.trace import check_keys, is_number, load_json
+from flowgate.trace import (
+    check_keys,
+    is_number,
+    load_json,
+    to_json,
+    write_json,
+)
 from flowgate.wfq import delay_percentile
 
 DEFAULT_GRACE_WINDOWS = 8  # persistence window length M
@@ -168,7 +173,7 @@ def write_stage_stats(path, seconds, rows) -> None:
     cost = scoring_cost(seconds, rows) or (None, None, None)
     doc = {"scoring": {"rows": sum(rows), "windows": len(rows),
                        **dict(zip(_COST_KEYS, cost))}}
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    write_json(path, doc)
 
 
 def read_stage_stats(path, scores: Scores) -> tuple[float, float, float]:
@@ -308,8 +313,8 @@ def compute_report(scores: Scores, labels, thresholds_doc: dict, feasibility,
 
 
 def write_report(path, report: MetricsReport, manifest) -> None:
-    doc = {"manifest": manifest.to_dict(), "metrics": report.to_dict()}
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    write_json(path, {"manifest": to_json(manifest),
+                      "metrics": report.to_dict()})
 
 
 def write_episode_table(path, scores: Scores, labels, grace_windows: int =

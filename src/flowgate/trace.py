@@ -8,13 +8,15 @@ so validation and deterministic serialization live here.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
 import math
 import re
+import typing
 import warnings
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,20 +42,6 @@ class FlowKey:
     dst_port: int
     proto: int
 
-    def to_dict(self) -> dict:
-        return {
-            "src_ip": self.src_ip,
-            "dst_ip": self.dst_ip,
-            "src_port": self.src_port,
-            "dst_port": self.dst_port,
-            "proto": self.proto,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FlowKey":
-        return cls(d["src_ip"], d["dst_ip"], int(d["src_port"]),
-                   int(d["dst_port"]), int(d["proto"]))
-
 
 @dataclass(frozen=True)
 class FlowInfo:
@@ -64,28 +52,12 @@ class FlowInfo:
 
 @dataclass(frozen=True)
 class Budgets:
-    """Evasion budget triple. Unconstrained entries are +inf."""
+    """Evasion budget triple. Unconstrained entries are +inf (null in
+    JSON)."""
 
     r_min_bytes: int
-    epsilon_s: float
-    delta_q_s: float
-
-    def to_dict(self) -> dict:
-        return {
-            "r_min_bytes": self.r_min_bytes,
-            "epsilon_s": None if math.isinf(self.epsilon_s) else self.epsilon_s,
-            "delta_q_s": None if math.isinf(self.delta_q_s) else self.delta_q_s,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Budgets":
-        eps = d.get("epsilon_s")
-        dq = d.get("delta_q_s")
-        return cls(
-            r_min_bytes=int(d["r_min_bytes"]),
-            epsilon_s=math.inf if eps is None else float(eps),
-            delta_q_s=math.inf if dq is None else float(dq),
-        )
+    epsilon_s: float = field(metadata={"null": math.inf})
+    delta_q_s: float = field(metadata={"null": math.inf})
 
 
 @dataclass(frozen=True)
@@ -96,27 +68,6 @@ class EpisodeLabel:
     kind: str
     budgets: Budgets
     feasible: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "flow_id": self.flow_id,
-            "start_window": self.start_window,
-            "end_window": self.end_window,
-            "kind": self.kind,
-            "budgets": self.budgets.to_dict(),
-            "feasible": self.feasible,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EpisodeLabel":
-        return cls(
-            flow_id=int(d["flow_id"]),
-            start_window=int(d["start_window"]),
-            end_window=int(d["end_window"]),
-            kind=d["kind"],
-            budgets=Budgets.from_dict(d["budgets"]),
-            feasible=bool(d["feasible"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -129,28 +80,12 @@ class RunManifest:
     tool_version: str = TOOL_VERSION
     digest: str = "sha256"
 
-    def to_dict(self) -> dict:
-        return {
-            "world_id": self.world_id,
-            "seed": self.seed,
-            "config_hash": self.config_hash,
-            "feature_contract": self.feature_contract,
-            "split": list(self.split),
-            "tool_version": self.tool_version,
-            "digest": self.digest,
-        }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunManifest":
-        return cls(
-            world_id=d["world_id"],
-            seed=int(d["seed"]),
-            config_hash=d["config_hash"],
-            feature_contract=d["feature_contract"],
-            split=tuple(float(x) for x in d["split"]),
-            tool_version=d.get("tool_version", TOOL_VERSION),
-            digest=d.get("digest", "sha256"),
-        )
+def split_ok(split) -> bool:
+    """Whether a train/validation/test split is three positive fractions
+    summing to 1."""
+    return (len(split) == 3 and all(s > 0 for s in split)
+            and abs(sum(split) - 1.0) <= 1e-9)
 
 
 class Trace:
@@ -380,15 +315,21 @@ def load_json(path):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def check_keys(path, doc, keys, where: str = "") -> None:
+def write_json(path, doc) -> None:
+    """Write a JSON document with sorted keys, indented by two, ending in a
+    newline."""
+    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+
+
+def check_keys(path, doc, keys, where: str = "", optional=()) -> None:
     """Refuse, naming the path and the key, a JSON object doc (found at the
-    dotted name `where`) that is not an object, lacks one of keys or has
-    another."""
+    dotted name `where`) that is not an object, lacks one of keys or has a
+    key in neither keys nor optional."""
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: {where or 'the document'} is not a JSON "
                          "object")
     missing = [k for k in keys if k not in doc]
-    unknown = sorted(set(doc) - set(keys))
+    unknown = sorted(set(doc) - set(keys) - set(optional))
     for what, found in (("missing", missing), ("unknown", unknown)):
         if found:
             name = f"{where}.{found[0]}" if where else found[0]
@@ -396,10 +337,116 @@ def check_keys(path, doc, keys, where: str = "") -> None:
 
 
 def is_number(value, integer: bool = False) -> bool:
-    """Whether a parsed JSON value is a finite number (an int when integer
-    is set); true and false are not numbers."""
-    return (isinstance(value, int if integer else (int, float))
-            and not isinstance(value, bool) and math.isfinite(value))
+    """Whether a parsed JSON value is a finite number within the float range
+    (an int when integer is set); true and false are not numbers."""
+    if isinstance(value, bool) or not isinstance(
+            value, int if integer else (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def to_json(obj):
+    """The JSON document of a record, as from_json reads it back.
+
+    A dataclass becomes an object of its fields, and a field that equals
+    its "null" metadata sentinel (math.inf for an unconstrained budget)
+    becomes null; a tuple or list becomes a list, and a dict an object with
+    string keys.
+    """
+    if is_dataclass(obj):
+        return {f.name: None if _is_null(getattr(obj, f.name), f)
+                else to_json(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, (list, tuple)):
+        return [to_json(x) for x in obj]
+    if isinstance(obj, dict):
+        return {str(k): to_json(v) for k, v in obj.items()}
+    return obj
+
+
+def from_json(cls, doc, path, where: str = ""):
+    """The value of type cls that the parsed JSON document doc (found at the
+    dotted name `where`) holds, as to_json writes it.
+
+    cls is a dataclass, bool, int, float, str, a fixed-length tuple[...],
+    list[T], dict[int, T] (integer-string keys) or a free-form dict. A
+    dataclass field with a default may be absent, and one with a "null"
+    sentinel may be null. Refuses, naming the path and the key, a missing
+    or unknown key, a bool given as a number, a number that is not finite,
+    a non-integer for an int and any other value of another type. An int
+    given for a float is stored as a float.
+    """
+    return _decode(cls, doc, path, where, None)
+
+
+_SCALARS = {bool: (lambda v: isinstance(v, bool), "true or false"),
+            int: (functools.partial(is_number, integer=True), "an integer"),
+            float: (is_number, "a finite number"),
+            str: (lambda v: isinstance(v, str), "a string")}
+INT_KEY = re.compile(r"0|-?[1-9][0-9]*")  # a JSON object key for an int
+
+
+def _is_null(value, f) -> bool:
+    """Whether value is the "null" sentinel of dataclass field f (NaN
+    included)."""
+    null = f.metadata.get("null")
+    return null is not None and (
+        value == null or (math.isnan(null) and math.isnan(value)))
+
+
+@functools.cache
+def _schema(cls) -> tuple:
+    """(name, type, required, null sentinel) of each field of dataclass
+    cls, its type hints resolved on first use."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, hints[f.name],
+                  f.default is MISSING and f.default_factory is MISSING,
+                  f.metadata.get("null")) for f in fields(cls))
+
+
+def _decode(tp, doc, path, where: str, null):
+    if doc is None and null is not None:
+        return null
+    name = where or "the document"
+    if is_dataclass(tp):
+        schema = _schema(tp)
+        check_keys(path, doc, [n for n, _, req, _ in schema if req], where,
+                   [n for n, _, req, _ in schema if not req])
+        return tp(**{n: _decode(t, doc[n], path,
+                                f"{where}.{n}" if where else n, sentinel)
+                     for n, t, _, sentinel in schema if n in doc})
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is list:
+        if not isinstance(doc, list):
+            raise ValueError(f"{path}: {name} is not a JSON list")
+        return [_decode(args[0], x, path, f"{where}[{i}]", None)
+                for i, x in enumerate(doc)]
+    if origin is tuple:
+        if not (isinstance(doc, list) and len(doc) == len(args)):
+            raise ValueError(f"{path}: {name} = {doc!r} is not a JSON list "
+                             f"of {len(args)}")
+        return tuple(_decode(t, x, path, f"{where}[{i}]", None)
+                     for i, (t, x) in enumerate(zip(args, doc)))
+    if dict in (tp, origin):
+        if not isinstance(doc, dict):
+            raise ValueError(f"{path}: {name} is not a JSON object")
+        if not args:
+            return dict(doc)
+        out = {}
+        for k, v in doc.items():
+            if not INT_KEY.fullmatch(k):
+                raise ValueError(f"{path}: key {k!r} of {name} is not an "
+                                 "integer")
+            out[int(k)] = _decode(args[1], v, path,
+                                  f"{where}.{k}" if where else k, None)
+        return out
+    ok, what = _SCALARS[tp]
+    if not ok(doc):
+        raise ValueError(f"{path}: {name} = {doc!r} is " + (
+            f"neither {what} nor null" if null is not None else f"not {what}"))
+    return float(doc) if tp is float else doc
 
 
 def write_trace_csv(path, trace: Trace) -> None:
@@ -420,38 +467,38 @@ def read_trace_csv(path, flow_table, horizon_windows, window_us) -> Trace:
                  flow_table, horizon_windows, window_us)
 
 
-def write_flow_table(path, flow_table: dict[int, FlowInfo]) -> None:
-    out = {
-        str(fid): {
-            "key": info.key.to_dict(),
-            "device_class": info.device_class,
-            "label": info.label,
-        }
-        for fid, info in flow_table.items()
-    }
-    Path(path).write_text(json.dumps(out, sort_keys=True, indent=2) + "\n")
-
-
 def read_flow_table(path) -> dict[int, FlowInfo]:
-    raw = load_json(path)
-    return {
-        int(fid): FlowInfo(FlowKey.from_dict(d["key"]), d["device_class"], d["label"])
-        for fid, d in raw.items()
-    }
-
-
-def write_labels(path, labels: list[EpisodeLabel]) -> None:
-    Path(path).write_text(
-        json.dumps([lab.to_dict() for lab in labels], sort_keys=True, indent=2) + "\n")
+    """Load a flow table, refusing, naming the path and the key, what
+    from_json refuses and a label other than benign or malicious."""
+    table = from_json(dict[int, FlowInfo], load_json(path), path)
+    for fid, info in table.items():
+        if info.label not in (BENIGN, MALICIOUS):
+            raise ValueError(f"{path}: {fid}.label = {info.label!r} is not "
+                             f"{BENIGN!r} or {MALICIOUS!r}")
+    return table
 
 
 def read_labels(path) -> list[EpisodeLabel]:
-    return [EpisodeLabel.from_dict(d) for d in load_json(path)]
-
-
-def write_manifest(path, manifest: RunManifest) -> None:
-    Path(path).write_text(json.dumps(manifest.to_dict(), sort_keys=True, indent=2) + "\n")
+    """Load episode labels, refusing, naming the path and the key, what
+    from_json refuses, an unknown kind and a window span other than
+    0 <= start_window <= end_window."""
+    labels = from_json(list[EpisodeLabel], load_json(path), path)
+    for i, lab in enumerate(labels):
+        if lab.kind not in EPISODE_KINDS:
+            raise ValueError(f"{path}: [{i}].kind = {lab.kind!r} is not one "
+                             f"of {', '.join(EPISODE_KINDS)}")
+        if not 0 <= lab.start_window <= lab.end_window:
+            raise ValueError(f"{path}: [{i}] spans windows "
+                             f"{lab.start_window} to {lab.end_window}")
+    return labels
 
 
 def read_manifest(path) -> RunManifest:
-    return RunManifest.from_dict(load_json(path))
+    """Load a run manifest, refusing, naming the path and the key, what
+    from_json refuses and a split that is not three positive fractions
+    summing to 1."""
+    manifest = from_json(RunManifest, load_json(path), path)
+    if not split_ok(manifest.split):
+        raise ValueError(f"{path}: split = {list(manifest.split)} is not "
+                         "three positive fractions summing to 1")
+    return manifest

@@ -40,16 +40,16 @@ from flowgate.trace import (
     Trace,
     check_keys,
     config_hash,
-    is_number,
+    from_json,
     load_json,
     read_flow_table,
     read_labels,
     read_manifest,
     read_trace_csv,
+    split_ok,
+    to_json,
     trace_subset,
-    write_flow_table,
-    write_labels,
-    write_manifest,
+    write_json,
     write_trace_csv,
 )
 from flowgate.wfq import clique_mean_delay, replay
@@ -136,16 +136,6 @@ class BenignFlowSpec:
     kind: str
     params: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {"flow_id": self.flow_id, "device_class": self.device_class,
-                "clique_id": self.clique_id, "kind": self.kind,
-                "params": dict(self.params)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BenignFlowSpec":
-        return cls(int(d["flow_id"]), d["device_class"], int(d["clique_id"]),
-                   d["kind"], dict(d.get("params", {})))
-
 
 @dataclass
 class EpisodeSpec:
@@ -162,22 +152,6 @@ class EpisodeSpec:
     cover_kind: str
     cover_params: dict = field(default_factory=dict)
     overlay_params: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"flow_id": self.flow_id, "device_class": self.device_class,
-                "clique_id": self.clique_id, "kind": self.kind,
-                "start_window": self.start_window, "end_window": self.end_window,
-                "budgets": self.budgets.to_dict(), "cover_kind": self.cover_kind,
-                "cover_params": dict(self.cover_params),
-                "overlay_params": dict(self.overlay_params)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EpisodeSpec":
-        return cls(int(d["flow_id"]), d["device_class"], int(d["clique_id"]),
-                   d["kind"], int(d["start_window"]), int(d["end_window"]),
-                   Budgets.from_dict(d["budgets"]), d["cover_kind"],
-                   dict(d.get("cover_params", {})),
-                   dict(d.get("overlay_params", {})))
 
 
 @dataclass
@@ -205,8 +179,7 @@ class WorldConfig:
         rlo, rhi = self.rho_band
         if not (0 <= rlo <= rhi):
             raise ValueError("need 0 <= rho_lo <= rho_hi")
-        if len(self.split) != 3 or any(s <= 0 for s in self.split) \
-                or abs(sum(self.split) - 1.0) > 1e-9:
+        if not split_ok(self.split):
             raise ValueError("split must be three positive fractions summing to 1")
         if self.i_max < 0:
             raise ValueError("i_max must be nonnegative")
@@ -235,45 +208,31 @@ class WorldConfig:
                     f"episode flow {e.flow_id} mimics class {e.device_class!r} "
                     "with no benign flows to pool a reference from")
 
-    def to_dict(self) -> dict:
-        return {
-            "world_id": self.world_id, "seed": self.seed,
-            "horizon_windows": self.horizon_windows, "window_us": self.window_us,
-            "capacity_bps": self.capacity_bps,
-            "benign_flows": [f.to_dict() for f in self.benign_flows],
-            "episodes": [e.to_dict() for e in self.episodes],
-            "len_bounds": list(self.len_bounds),
-            "rho_band": list(self.rho_band),
-            "split": list(self.split),
-            "i_max": self.i_max,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "WorldConfig":
-        return cls(
-            world_id=d["world_id"], seed=int(d["seed"]),
-            horizon_windows=int(d["horizon_windows"]),
-            window_us=int(d["window_us"]),
-            capacity_bps=float(d["capacity_bps"]),
-            benign_flows=[BenignFlowSpec.from_dict(x)
-                          for x in d.get("benign_flows", [])],
-            episodes=[EpisodeSpec.from_dict(x) for x in d.get("episodes", [])],
-            len_bounds=tuple(int(x) for x in d.get("len_bounds", (64, 1500))),
-            rho_band=tuple(float(x) for x in d.get("rho_band", (0.4, 0.6))),
-            split=tuple(float(x) for x in d.get("split", (0.6, 0.2, 0.2))),
-            i_max=int(d.get("i_max", I_MAX_DEFAULT)),
-        )
-
-    @classmethod
-    def from_json(cls, path) -> "WorldConfig":
-        return cls.from_dict(load_json(path))
-
-    def to_json(self, path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n")
-
     def hash(self) -> str:
-        return config_hash(self.to_dict())
+        return config_hash(to_json(self))
+
+
+def config_from_json(doc, path) -> WorldConfig:
+    """The config a parsed config.json holds, refusing, naming the path,
+    what from_json or WorldConfig.validate refuses."""
+    config = from_json(WorldConfig, doc, path)
+    try:
+        config.validate()
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return config
+
+
+def check_manifest(path, manifest: RunManifest, config: WorldConfig) -> None:
+    """Refuse a world manifest whose config_hash is not its config's, naming
+    both hashes, or whose split, which sets detect's burn-in, is not the
+    config's."""
+    if manifest.config_hash != config.hash():
+        raise ValueError(f"{path}: config_hash {manifest.config_hash} is not "
+                         f"{config.hash()}, the hash of config.json")
+    if manifest.split != config.split:
+        raise ValueError(f"{path}: split = {list(manifest.split)} is not "
+                         f"config.json's split {list(config.split)}")
 
 
 # ---------------------------------------------------------------------------
@@ -657,11 +616,7 @@ def repair_sizes(ts_us, sizes, r_min_bytes: int, bounds: tuple[int, int],
             f"{n} packets at len_max {hi} cannot reach floor {r_min_bytes}")
     deficit = r_min_bytes - total
     head = (hi - sizes).astype(np.int64)
-    win = ts // window_us
-    # ts sorted, so windows are contiguous slices
-    cuts = np.flatnonzero(np.diff(win)) + 1
-    starts = np.concatenate([[0], cuts])
-    ends = np.concatenate([cuts, [n]])
+    starts, ends = _window_runs(ts, window_us)
     win_head = np.add.reduceat(head, starts)
     win_add = _largest_remainder(deficit, win_head)
     for wi in np.flatnonzero(win_add):
@@ -692,67 +647,33 @@ class FeasibilityOutcome:
     feasible: bool
     iterations_used: int
     final_distortion: float
-    final_delay_delta: float
-
-    def to_dict(self) -> dict:
-        return {
-            "flow_id": self.flow_id,
-            "budgets": self.budgets.to_dict(),
-            "feasible": self.feasible,
-            "iterations_used": self.iterations_used,
-            "final_distortion": self.final_distortion,
-            "final_delay_delta": (None if math.isnan(self.final_delay_delta)
-                                  else self.final_delay_delta),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FeasibilityOutcome":
-        dd = d["final_delay_delta"]
-        return cls(int(d["flow_id"]), Budgets.from_dict(d["budgets"]),
-                   bool(d["feasible"]), int(d["iterations_used"]),
-                   float(d["final_distortion"]),
-                   math.nan if dd is None else float(dd))
+    final_delay_delta: float = field(metadata={"null": math.nan})
 
 
 def read_feasibility(path) -> list[FeasibilityOutcome]:
-    """Load a feasibility JSON, refusing, naming the path and the key: a
-    missing or unknown key at the top, in an outcome or in its budgets, an
-    i_max that is not a nonnegative integer, a flow_id that is not an
-    integer, a feasible that is not true or false, an iterations_used
-    outside [0, i_max], a final_distortion that is not a finite nonnegative
-    number, and a final_delay_delta that is neither finite nor null."""
+    """Load a feasibility JSON, refusing, naming the path and the key, what
+    from_json refuses (a missing or unknown key at the top, in an outcome
+    or in its budgets, a value of another type, a number that is not
+    finite), an i_max below 0, an iterations_used outside [0, i_max] and a
+    negative final_distortion."""
     doc = load_json(path)
     check_keys(path, doc, ("i_max", "outcomes"))
-    i_max = doc["i_max"]
-    if not (is_number(i_max, integer=True) and i_max >= 0):
-        raise ValueError(f"{path}: i_max = {i_max!r} is not a nonnegative "
+    i_max = from_json(int, doc["i_max"], path, "i_max")
+    if i_max < 0:
+        raise ValueError(f"{path}: i_max = {i_max} is not a nonnegative "
                          "integer")
-    if not isinstance(doc["outcomes"], list):
-        raise ValueError(f"{path}: outcomes is not a JSON list")
-    for i, o in enumerate(doc["outcomes"]):
-        where = f"outcomes[{i}]"
-        check_keys(path, o, ("flow_id", "budgets", "feasible",
-                             "iterations_used", "final_distortion",
-                             "final_delay_delta"), where)
-        check_keys(path, o["budgets"], ("r_min_bytes", "epsilon_s",
-                                        "delta_q_s"), f"{where}.budgets")
-        its, dist, dd = (o["iterations_used"], o["final_distortion"],
-                         o["final_delay_delta"])
+    outcomes = from_json(list[FeasibilityOutcome], doc["outcomes"], path,
+                         "outcomes")
+    for i, o in enumerate(outcomes):
         for key, ok, what in (
-                ("flow_id", is_number(o["flow_id"], integer=True),
-                 "is not an integer"),
-                ("feasible", isinstance(o["feasible"], bool),
-                 "is not true or false"),
-                ("iterations_used",
-                 is_number(its, integer=True) and 0 <= its <= i_max,
+                ("iterations_used", 0 <= o.iterations_used <= i_max,
                  f"is not an integer in [0, i_max = {i_max}]"),
-                ("final_distortion", is_number(dist) and dist >= 0,
-                 "is not a finite nonnegative number"),
-                ("final_delay_delta", dd is None or is_number(dd),
-                 "is neither a finite number nor null")):
+                ("final_distortion", o.final_distortion >= 0,
+                 "is not a finite nonnegative number")):
             if not ok:
-                raise ValueError(f"{path}: {where}.{key} = {o[key]!r} {what}")
-    return [FeasibilityOutcome.from_dict(o) for o in doc["outcomes"]]
+                raise ValueError(f"{path}: outcomes[{i}].{key} = "
+                                 f"{getattr(o, key)!r} {what}")
+    return outcomes
 
 
 def with_flows(trace: Trace, flows) -> Trace:
@@ -806,15 +727,19 @@ def mean_distortion(ts_us, reference, window_us: int) -> float:
     return float(np.mean(ds)) if ds else 0.0
 
 
+def _window_runs(ts: np.ndarray, window_us: int):
+    """The start and end index arrays of the runs of sorted ts that share a
+    window."""
+    cuts = np.flatnonzero(np.diff(ts // window_us)) + 1
+    return np.concatenate([[0], cuts]), np.concatenate([cuts, [ts.size]])
+
+
 def _window_slices(ts: np.ndarray, window_us: int):
+    """(window, start, end) of each run of sorted ts that shares a window."""
     if ts.size == 0:
         return
-    w = ts // window_us
-    cuts = np.flatnonzero(np.diff(w)) + 1
-    starts = np.concatenate([[0], cuts])
-    ends = np.concatenate([cuts, [ts.size]])
-    for s, e in zip(starts, ends):
-        yield int(w[s]), int(s), int(e)
+    for s, e in zip(*_window_runs(ts, window_us)):
+        yield int(ts[s]) // window_us, int(s), int(e)
 
 
 def _project_pass(ts, sizes, ctx: CliqueContext, budgets: Budgets):
@@ -1042,16 +967,13 @@ def write_world(out_dir, world: World) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_trace_csv(out / "trace.csv", world.trace)
-    write_flow_table(out / "flows.csv", world.trace.flow_table)
-    write_labels(out / "labels.csv", world.labels)
-    write_manifest(out / "manifest.json", world.manifest)
-    world.config.to_json(out / "config.json")
-    (out / "contention.json").write_text(
-        json.dumps(world.graph.to_dict(), sort_keys=True, indent=2) + "\n")
-    (out / "feasibility.json").write_text(json.dumps(
-        {"i_max": world.config.i_max,
-         "outcomes": [o.to_dict() for o in world.feasibility]},
-        sort_keys=True, indent=2) + "\n")
+    write_json(out / "flows.csv", to_json(world.trace.flow_table))
+    write_json(out / "labels.csv", to_json(world.labels))
+    write_json(out / "manifest.json", to_json(world.manifest))
+    write_json(out / "config.json", to_json(world.config))
+    write_json(out / "contention.json", world.graph.to_dict())
+    write_json(out / "feasibility.json", {
+        "i_max": world.config.i_max, "outcomes": to_json(world.feasibility)})
     (out / "references.json").write_text(json.dumps(
         {str(r.flow_id): r.sorted_iats_us.tolist() for r in world.references},
         sort_keys=True) + "\n")
@@ -1110,12 +1032,13 @@ def check_trace(trace: Trace, graph: ContentionGraph,
 
 def load_world(world_dir) -> World:
     d = Path(world_dir)
-    config = WorldConfig.from_json(d / "config.json")
+    config = config_from_json(load_json(d / "config.json"), d / "config.json")
     flow_table = read_flow_table(d / "flows.csv")
     trace = read_trace_csv(d / "trace.csv", flow_table,
                            config.horizon_windows, config.window_us)
     labels = read_labels(d / "labels.csv")
     manifest = read_manifest(d / "manifest.json")
+    check_manifest(d / "manifest.json", manifest, config)
     graph = ContentionGraph.from_dict(load_json(d / "contention.json"))
     check_trace(trace, graph, config.len_bounds)
     feasibility = read_feasibility(d / "feasibility.json")

@@ -32,7 +32,15 @@ from flowgate.metrics import (
     queue_impact,
     synthetic_feature_stream,
 )
-from flowgate.trace import BENIGN, Budgets, FlowInfo, FlowKey, Trace
+from flowgate.trace import (
+    BENIGN,
+    Budgets,
+    FlowInfo,
+    FlowKey,
+    Trace,
+    to_json,
+    write_json,
+)
 from flowgate.wfq import GateConfig, WeightSchedule, gate_controller, replay
 from flowgate.worlds import (
     BenignFlowSpec,
@@ -603,7 +611,7 @@ def _pipeline_config(path: Path) -> Path:
     cfg = WorldConfig(world_id="determinism", seed=5, horizon_windows=120,
                       window_us=250_000, capacity_bps=125_000.0,
                       benign_flows=flows, episodes=episodes)
-    cfg.to_json(path)
+    write_json(path, to_json(cfg))
     return path
 
 

@@ -20,7 +20,15 @@ from flowgate.detector import (
     read_thresholds,
 )
 from flowgate.features import windowize
-from flowgate.trace import Budgets, Trace, read_flow_table, read_trace_csv
+from flowgate.trace import (
+    Budgets,
+    Trace,
+    from_json,
+    read_flow_table,
+    read_trace_csv,
+    to_json,
+    write_json,
+)
 from flowgate.wfq import read_queue_log
 from flowgate.worlds import (
     BenignFlowSpec,
@@ -54,7 +62,7 @@ def tiny_config(path: Path, seed: int = 5) -> Path:
     cfg = WorldConfig(world_id="cli-tiny", seed=seed, horizon_windows=120,
                       window_us=250_000, capacity_bps=125_000.0,
                       benign_flows=flows, episodes=episodes)
-    cfg.to_json(path)
+    write_json(path, to_json(cfg))
     return path
 
 
@@ -578,9 +586,28 @@ WORLD_JSON_READERS = {
     "feasibility.json": ("report",),
     "flows.csv": ("detect", "replay"),
     "labels.csv": ("report",),
-    "manifest.json": ("detect", "report"),
+    "manifest.json": ("detect", "replay", "report"),
     "references.json": (),
 }
+
+
+def _refusal(pipe, tmp_path, capsys, world, reader) -> str:
+    """The error with which reader, a command or load_world, refuses the
+    world, as "<type>: <message>"; a command must exit 1 with an error:
+    line."""
+    if reader == "load_world":
+        with pytest.raises(ValueError) as exc:
+            load_world(world)
+        return f"ValueError: {exc.value}"
+    rc = {"detect": lambda: main(["detect", "--world", str(world),
+                                  "--out", str(tmp_path / "d")]),
+          "replay": lambda: main(["replay", "--world", str(world), "--mode",
+                                  "base", "--out", str(tmp_path / "b")]),
+          "report": lambda: _report(pipe, tmp_path, world=world)}[reader]()
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    return err[len("error: "):]
 
 
 @pytest.mark.parametrize("artifact, reader", [
@@ -592,18 +619,214 @@ def test_truncated_world_json_is_named(pipe, tmp_path, capsys, artifact,
     path = world / artifact
     text = path.read_text()
     path.write_text(text[:len(text) // 2])
-    if reader == "load_world":
-        with pytest.raises(ValueError) as exc:
-            load_world(world)
-        assert str(exc.value).startswith(f"{path}: ")
-        return
-    rc = {"detect": lambda: main(["detect", "--world", str(world),
-                                  "--out", str(tmp_path / "d")]),
-          "replay": lambda: main(["replay", "--world", str(world), "--mode",
-                                  "base", "--out", str(tmp_path / "b")]),
-          "report": lambda: _report(pipe, tmp_path, world=world)}[reader]()
-    assert rc == 1
-    assert capsys.readouterr().err.startswith(f"error: ValueError: {path}: ")
+    assert _refusal(pipe, tmp_path, capsys, world, reader).startswith(
+        f"ValueError: {path}: ")
+
+
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+def _edit_config(doc):
+    """Named corruptions of a config document, each with the text its
+    refusal must hold."""
+    e = doc["episodes"][0]
+    return {
+        "missing key": (_without(doc, "window_us"), "missing key 'window_us'"),
+        "unknown key": ({**doc, "extra": 1}, "unknown key 'extra'"),
+        "string for an int": ({**doc, "horizon_windows": "120"},
+                              "horizon_windows = '120' is not an integer"),
+        "bool for an int": ({**doc, "seed": True},
+                            "seed = True is not an integer"),
+        "missing budgets key": (
+            {**doc, "episodes": [{**e, "budgets": _without(e["budgets"],
+                                                           "r_min_bytes")}]},
+            "missing key 'episodes[0].budgets.r_min_bytes'"),
+        "split not summing to 1": (
+            {**doc, "split": [0.5, 0.2, 0.2]},
+            "split must be three positive fractions summing to 1"),
+    }
+
+
+def _edit_manifest(doc):
+    """Named corruptions of a world manifest, as _edit_config's."""
+    other = "0" * 64
+    return {
+        "missing key": (_without(doc, "config_hash"),
+                        "missing key 'config_hash'"),
+        "unknown key": ({**doc, "extra": 1}, "unknown key 'extra'"),
+        "string for an int": ({**doc, "seed": "5"},
+                              "seed = '5' is not an integer"),
+        "negative split": ({**doc, "split": [2.0, -1, 0]},
+                           "split = [2.0, -1.0, 0.0] is not three positive "
+                           "fractions summing to 1"),
+        "short split": ({**doc, "split": [0.5, 0.5]},
+                        "split = [0.5, 0.5] is not a JSON list of 3"),
+        "split of another config": (
+            {**doc, "split": [0.5, 0.25, 0.25]},
+            f"split = [0.5, 0.25, 0.25] is not config.json's split "
+            f"{doc['split']}"),
+        "hash of another config": (
+            {**doc, "config_hash": other},
+            f"config_hash {other} is not {doc['config_hash']}, the hash of "
+            "config.json"),
+    }
+
+
+def _edit_flows(doc):
+    """Named corruptions of a flow table, as _edit_config's."""
+    f = sorted(doc, key=int)[0]
+    entry = doc[f]
+
+    def with_key(**key):
+        return {**doc, f: {**entry, "key": {**entry["key"], **key}}}
+
+    return {
+        "missing key": ({**doc, f: _without(entry, "label")},
+                        f"missing key '{f}.label'"),
+        "unknown key": (with_key(extra=1), f"unknown key '{f}.key.extra'"),
+        "string for an int": (with_key(src_port="1"),
+                              f"{f}.key.src_port = '1' is not an integer"),
+        "misspelt label": ({**doc, f: {**entry, "label": "bening"}},
+                           f"{f}.label = 'bening' is not 'benign' or "
+                           "'malicious'"),
+        "flow id not an integer": ({**doc, "x1": entry},
+                                   "key 'x1' of the document is not an "
+                                   "integer"),
+    }
+
+
+def _edit_labels(doc):
+    """Named corruptions of the episode labels, as _edit_config's."""
+    lab = doc[0]
+
+    def with_label(entry):
+        return [entry, *doc[1:]]
+
+    return {
+        "missing key": (with_label(_without(lab, "feasible")),
+                        "missing key '[0].feasible'"),
+        "unknown key": (with_label({**lab, "extra": 1}),
+                        "unknown key '[0].extra'"),
+        "string for a bool": (with_label({**lab, "feasible": "false"}),
+                              "[0].feasible = 'false' is not true or false"),
+        "string for an int": (
+            with_label({**lab, "budgets": {**lab["budgets"],
+                                           "r_min_bytes": "7"}}),
+            "[0].budgets.r_min_bytes = '7' is not an integer"),
+        "unknown kind": (with_label({**lab, "kind": "exfil"}),
+                         "[0].kind = 'exfil' is not one of"),
+    }
+
+
+WORLD_JSON_EDITS = {"config.json": _edit_config,
+                    "manifest.json": _edit_manifest,
+                    "flows.csv": _edit_flows,
+                    "labels.csv": _edit_labels}
+# the cases; any document on which every edit runs gives their names
+WORLD_JSON_CORRUPTIONS = [
+    (artifact, corruption, reader)
+    for artifact, dummy in (
+        ("config.json", {"episodes": [{"budgets": {}}]}),
+        ("manifest.json", {"config_hash": "", "split": []}),
+        ("flows.csv", {"1": {"key": {}}}),
+        ("labels.csv", [{"budgets": {}}]))
+    for corruption in sorted(WORLD_JSON_EDITS[artifact](dummy))
+    for reader in (*WORLD_JSON_READERS[artifact], "load_world")]
+
+
+@pytest.mark.parametrize("artifact, corruption, reader",
+                         WORLD_JSON_CORRUPTIONS)
+def test_corrupt_world_json_is_refused(pipe, tmp_path, capsys, artifact,
+                                       corruption, reader):
+    world = _world_copy(pipe, tmp_path)
+    path = world / artifact
+    bad, message = WORLD_JSON_EDITS[artifact](
+        json.loads(path.read_text()))[corruption]
+    path.write_text(json.dumps(bad))
+    err = _refusal(pipe, tmp_path, capsys, world, reader)
+    assert err.startswith(f"ValueError: {path}: ")
+    assert message in err
+
+
+@pytest.mark.parametrize("reader", ["detect", "replay", "report",
+                                    "load_world"])
+def test_manifest_of_another_config_is_refused(pipe, tmp_path, capsys,
+                                               reader):
+    world = _world_copy(pipe, tmp_path)
+    recorded = json.loads((world / "manifest.json").read_text())
+    doc = json.loads((world / "config.json").read_text())
+    doc["world_id"] = "elsewhere"
+    (world / "config.json").write_text(json.dumps(doc))
+    edited = from_json(WorldConfig, doc, "config.json").hash()
+    assert edited != recorded["config_hash"]
+    err = _refusal(pipe, tmp_path, capsys, world, reader)
+    assert err.startswith(
+        f"ValueError: {world / 'manifest.json'}: config_hash "
+        f"{recorded['config_hash']} is not {edited}, the hash of config.json")
+
+
+@pytest.mark.parametrize("command", ["detect", "bench"])
+@pytest.mark.parametrize("doc, message", [
+    ({"detector": {"alpah": 2}}, "unknown key 'detector.alpah'"),
+    ({"quantiles": 0.9}, "unknown key 'quantiles'"),
+    ({"k": 2.5}, "k = 2.5 is not an integer"),
+    ({"quantile": "0.9"}, "quantile = '0.9' is not a finite number"),
+    ({"detector": {"tau": True}}, "detector.tau = True is not an integer"),
+    ({"detector": []}, "detector is not a JSON object"),
+], ids=["misspelt detector key", "unknown key", "fractional k",
+        "string quantile", "bool tau", "detector not an object"])
+def test_bad_params_file_is_refused(pipe, tmp_path, capsys, command, doc,
+                                    message):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(doc))
+    argv = {"detect": ["detect", "--world", str(pipe["world"]),
+                       "--out", str(tmp_path / "d")],
+            "bench": ["bench"]}[command]
+    assert main(argv + ["--params", str(params)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ValueError: {params}: ")
+    assert message in err
+    assert not (tmp_path / "d" / "scores.csv").exists()
+
+
+def _gated(pipe, tmp_path, *flags):
+    return main(["replay", "--world", str(pipe["world"]), "--mode", "gated",
+                 "--scores", str(pipe["det"] / "scores.csv"),
+                 "--out", str(tmp_path / "g"), *flags])
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"omega0": 0.5}, "unknown key 'omega0'"),
+    ({"omega_0": "1"}, "omega_0 = '1' is not a finite number"),
+    ({"t_g_s": None}, "t_g_s = None is not a finite number"),
+    ({"omega_minus": True}, "omega_minus = True is not a finite number"),
+    ([0.5], "the document is not a JSON object"),
+], ids=["misspelt key", "string weight", "null hold", "bool weight",
+        "not an object"])
+def test_bad_gate_config_is_refused(pipe, tmp_path, capsys, doc, message):
+    gate = tmp_path / "gate.json"
+    gate.write_text(json.dumps(doc))
+    assert _gated(pipe, tmp_path, "--gate-config", str(gate)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ValueError: {gate}: ")
+    assert message in err
+    assert not (tmp_path / "g" / "queue_log.csv").exists()
+
+
+def test_gate_config_precedence_flag_file_default(pipe, tmp_path, capsys):
+    gate = tmp_path / "gate.json"
+    gate.write_text(json.dumps({"omega_minus": 0.1}))
+    assert _gated(pipe, tmp_path, "--gate-config", str(gate),
+                  "--omega-minus", "0.2") == 0
+    assert "omega_minus=0.2\n" in capsys.readouterr().out
+    assert _gated(pipe, tmp_path, "--gate-config", str(gate)) == 0
+    out = capsys.readouterr().out
+    assert "omega_0=1.0\n" in out and "omega_minus=0.1\n" in out
+    doc = json.loads((tmp_path / "g" / "replay_manifest.json").read_text())
+    assert doc["gate"] == {"omega_0": 1.0, "omega_minus": 0.1, "t_g_s": 30.0}
+    assert _gated(pipe, tmp_path) == 0
+    assert "omega_minus=0.05\n" in capsys.readouterr().out
 
 
 def _edit_feasibility(doc):
@@ -696,8 +919,8 @@ def _score_trace(trace, graph, burn_in):
 @pytest.mark.parametrize("cut", [50, 100])  # before and after burn-in (72)
 def test_scores_before_a_cut_ignore_the_rest_of_the_trace(pipe, cut):
     world = pipe["world"]
-    config = WorldConfig.from_dict(json.loads((world / "config.json")
-                                              .read_text()))
+    config = from_json(WorldConfig, json.loads((world / "config.json")
+                                               .read_text()), "config.json")
     trace = read_trace_csv(world / "trace.csv",
                            read_flow_table(world / "flows.csv"),
                            config.horizon_windows, config.window_us)

@@ -35,6 +35,7 @@ from flowgate.detector import (
     write_thresholds,
 )
 from flowgate.features import N_FEATURES
+from flowgate.trace import from_json, to_json
 from flowgate.worlds import ContentionGraph
 from support import fixed_point_residual, solve_fixed_point
 
@@ -226,7 +227,7 @@ def test_validate_rejects_bad_params():
 
 def test_params_dict_round_trip():
     p = DetectorParams(g=0.1, lam=2.0, noise_std=0.01)
-    assert DetectorParams.from_dict(p.to_dict()) == p
+    assert from_json(DetectorParams, to_json(p), "params") == p
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,15 @@ from flowgate.metrics import (
     write_report,
     write_stage_stats,
 )
-from flowgate.trace import BENIGN, Budgets, EpisodeLabel, FlowInfo, RunManifest, Trace
+from flowgate.trace import (
+    BENIGN,
+    Budgets,
+    EpisodeLabel,
+    FlowInfo,
+    RunManifest,
+    Trace,
+    to_json,
+)
 from flowgate.wfq import replay
 from flowgate.worlds import FeasibilityOutcome
 
@@ -321,7 +329,7 @@ def test_compute_report_fields_and_round_trip(tmp_path):
                            (0.6, 0.2, 0.2))
     write_report(tmp_path / "report.json", rep, manifest)
     doc = json.loads((tmp_path / "report.json").read_text())
-    assert doc == {"manifest": manifest.to_dict(), "metrics": rep.to_dict()}
+    assert doc == {"manifest": to_json(manifest), "metrics": rep.to_dict()}
     assert doc["metrics"]["timing_us_per_row"]["mean"] is None
 
 

@@ -1,5 +1,7 @@
+import json
 import math
 import re
+from dataclasses import fields
 from unittest import mock
 
 import numpy as np
@@ -8,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flowgate.trace as trace_module
-from flowgate.detector import Scores, read_scores_csv, write_scores_csv
+from flowgate.cli import ParamsFile
+from flowgate.detector import (
+    DetectorParams,
+    Scores,
+    read_scores_csv,
+    write_scores_csv,
+)
 from flowgate.trace import (
     BENIGN,
     MALICIOUS,
@@ -20,20 +28,31 @@ from flowgate.trace import (
     Trace,
     canonical_json,
     config_hash,
+    from_json,
     manifest_hash,
     read_flow_table,
     read_labels,
     read_csv,
     read_manifest,
     read_trace_csv,
+    to_json,
     trace_subset,
     write_csv,
-    write_flow_table,
-    write_labels,
-    write_manifest,
+    write_json,
     write_trace_csv,
 )
-from flowgate.wfq import QueueEventLog, read_queue_log, write_queue_log
+from flowgate.wfq import (
+    GateConfig,
+    QueueEventLog,
+    read_queue_log,
+    write_queue_log,
+)
+from flowgate.worlds import (
+    BenignFlowSpec,
+    EpisodeSpec,
+    FeasibilityOutcome,
+    WorldConfig,
+)
 from support import PacketRecord, trace_from_records, write_csv_rows
 from trace_validation import validate_trace
 
@@ -128,7 +147,7 @@ def test_flow_table_round_trip(tmp_path):
                     MALICIOUS),
     }
     p = tmp_path / "flows.json"
-    write_flow_table(p, ft)
+    write_json(p, to_json(ft))
     assert read_flow_table(p) == ft
 
 
@@ -140,7 +159,7 @@ def test_labels_round_trip_with_inf_budgets(tmp_path):
                      Budgets(0, math.inf, math.inf), True),
     ]
     p = tmp_path / "labels.json"
-    write_labels(p, labels)
+    write_json(p, to_json(labels))
     back = read_labels(p)
     assert back == labels
     assert math.isinf(back[1].budgets.epsilon_s)
@@ -149,8 +168,125 @@ def test_labels_round_trip_with_inf_budgets(tmp_path):
 def test_manifest_round_trip(tmp_path):
     m = RunManifest("w0", 42, "a" * 64, "timing+contention-v1", (0.6, 0.1, 0.3))
     p = tmp_path / "manifest.json"
-    write_manifest(p, m)
+    write_json(p, to_json(m))
     assert read_manifest(p) == m
+
+
+# ---------------------------------------------------------------------------
+# the typed JSON codec: every record reads back as written, or is refused
+
+_INTS = st.integers(-2**63, 2**63)
+_FLOATS = (st.floats(allow_nan=False, allow_infinity=False)
+           | st.integers(-2**53, 2**53).map(float))  # int-valued floats
+_TEXT = st.text(max_size=6)
+_FREE = st.dictionaries(_TEXT, st.none() | st.booleans() | _INTS | _FLOATS
+                        | _TEXT | st.lists(_INTS, max_size=3), max_size=3)
+_BUDGETS = st.builds(Budgets, _INTS, _FLOATS | st.just(math.inf),
+                     _FLOATS | st.just(math.inf))
+_FLOW_INFO = st.builds(FlowInfo, st.builds(FlowKey, _TEXT, _TEXT, _INTS,
+                                           _INTS, _INTS), _TEXT, _TEXT)
+_DETECTOR = st.builds(DetectorParams, **{
+    f.name: _INTS if f.type == "int" else _FLOATS
+    for f in fields(DetectorParams)})
+RECORDS = {
+    "flow table": (dict[int, FlowInfo], st.dictionaries(_INTS, _FLOW_INFO,
+                                                        max_size=3)),
+    "labels": (list[EpisodeLabel], st.lists(st.builds(
+        EpisodeLabel, _INTS, _INTS, _INTS, _TEXT, _BUDGETS, st.booleans()),
+        max_size=3)),
+    "manifest": (RunManifest, st.builds(
+        RunManifest, _TEXT, _INTS, _TEXT, _TEXT,
+        st.tuples(_FLOATS, _FLOATS, _FLOATS), _TEXT, _TEXT)),
+    "config": (WorldConfig, st.builds(
+        WorldConfig, _TEXT, _INTS, _INTS, _INTS, _FLOATS,
+        st.lists(st.builds(BenignFlowSpec, _INTS, _TEXT, _INTS, _TEXT, _FREE),
+                 max_size=2),
+        st.lists(st.builds(EpisodeSpec, _INTS, _TEXT, _INTS, _TEXT, _INTS,
+                           _INTS, _BUDGETS, _TEXT, _FREE, _FREE), max_size=2),
+        st.tuples(_INTS, _INTS), st.tuples(_FLOATS, _FLOATS),
+        st.tuples(_FLOATS, _FLOATS, _FLOATS), _INTS)),
+    "feasibility": (list[FeasibilityOutcome], st.lists(st.builds(
+        FeasibilityOutcome, _INTS, _BUDGETS, st.booleans(), _INTS, _FLOATS,
+        _FLOATS | st.just(math.nan)), max_size=3)),
+    "detector params": (DetectorParams, _DETECTOR),
+    "gate config": (GateConfig, st.builds(GateConfig, _FLOATS, _FLOATS,
+                                          _FLOATS)),
+    "params file": (ParamsFile, st.builds(ParamsFile, _DETECTOR, _FLOATS,
+                                          _INTS, _INTS, _INTS)),
+}
+
+
+@pytest.mark.parametrize("record", sorted(RECORDS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_codec_round_trip(record, data):
+    cls, strategy = RECORDS[record]
+    x = data.draw(strategy)
+    back = from_json(cls, json.loads(json.dumps(to_json(x))), "doc")
+    # repr, not ==: it tells 1 from 1.0, and the NaN sentinel from itself
+    assert repr(back) == repr(x)
+
+
+@pytest.mark.parametrize("record, message", [
+    (Budgets(0, -math.inf, 1.0),
+     "epsilon_s = -inf is neither a finite number nor null"),
+    (Budgets(0, math.nan, 1.0),
+     "epsilon_s = nan is neither a finite number nor null"),
+    (FeasibilityOutcome(1, Budgets(0, 1.0, 1.0), True, 0, math.nan, 0.0),
+     "final_distortion = nan is not a finite number"),
+    (FeasibilityOutcome(1, Budgets(0, 1.0, 1.0), True, 0, 0.0, math.inf),
+     "final_delay_delta = inf is neither a finite number nor null"),
+    (GateConfig(omega_0=math.inf), "omega_0 = inf is not a finite number"),
+], ids=["-inf budget", "nan budget", "nan distortion", "inf delay delta",
+        "inf weight"])
+def test_codec_refuses_a_non_finite_value_it_cannot_write(record, message):
+    doc = json.loads(json.dumps(to_json(record)))
+    with pytest.raises(ValueError, match=f"^doc: {re.escape(message)}$"):
+        from_json(type(record), doc, "doc")
+
+
+@pytest.mark.parametrize("cls, doc, message", [
+    (FlowKey, {"src_ip": "a", "dst_ip": "b", "src_port": 1, "dst_port": 2},
+     "missing key 'proto'"),
+    (GateConfig, {"omega_0": 1.0, "omega0": 1.0}, "unknown key 'omega0'"),
+    (Budgets, {"r_min_bytes": True, "epsilon_s": None, "delta_q_s": None},
+     "r_min_bytes = True is not an integer"),
+    (Budgets, {"r_min_bytes": 7.0, "epsilon_s": None, "delta_q_s": None},
+     "r_min_bytes = 7.0 is not an integer"),
+    (GateConfig, {"t_g_s": False}, "t_g_s = False is not a finite number"),
+    (FlowInfo, {"key": [], "device_class": "a", "label": BENIGN},
+     "key is not a JSON object"),
+    (RunManifest, {"world_id": "w", "seed": 1, "config_hash": "h",
+                   "feature_contract": "c", "split": [1.0]},
+     "split = [1.0] is not a JSON list of 3"),
+    (list[EpisodeLabel], {}, "the document is not a JSON list"),
+    (dict[int, FlowInfo], {"01": {}}, "key '01' of the document is not an "
+                                      "integer"),
+    (BenignFlowSpec, {"flow_id": 1, "device_class": "a", "clique_id": 0,
+                      "kind": "k", "params": [1]}, "params is not a JSON "
+                                                   "object"),
+    (EpisodeLabel, {"flow_id": 1, "start_window": 0, "end_window": 1,
+                    "kind": 7, "budgets": {}, "feasible": True},
+     "kind = 7 is not a string"),
+    (GateConfig, {"t_g_s": 10**400}, f"t_g_s = {10**400} is not a finite "
+                                     "number"),
+], ids=["missing key", "unknown key", "bool for an int",
+        "float for an int", "bool for a float", "object not an object",
+        "short tuple", "list not a list", "key not an integer",
+        "free-form dict not an object", "int for a str",
+        "int beyond the float range"])
+def test_codec_refusals_name_the_key(cls, doc, message):
+    with pytest.raises(ValueError, match=f"^doc: {re.escape(message)}$"):
+        from_json(cls, doc, "doc")
+
+
+def test_codec_stores_a_json_int_as_a_float():
+    cfg = from_json(WorldConfig, {"world_id": "w", "seed": 1,
+                                  "horizon_windows": 4, "window_us": 10,
+                                  "capacity_bps": 1250000}, "doc")
+    assert repr(cfg.capacity_bps) == "1250000.0"
+    assert cfg.split == (0.6, 0.2, 0.2) and cfg.benign_flows == []
+    assert to_json(cfg)["capacity_bps"] == 1250000.0
 
 
 def test_subset_keeps_metadata():

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from scipy.stats import wasserstein_distance
 
 from flowgate.trace import (BENIGN, MALICIOUS, Budgets, FlowInfo, Trace,
-                            trace_subset)
+                            from_json, load_json, to_json, trace_subset,
+                            write_json)
 from flowgate.worlds import (
     BenignFlowSpec,
     BenignIatReference,
@@ -284,7 +285,8 @@ def test_graph_shape_and_band():
 
 
 def test_graph_rho_exact_on_demo_world():
-    cfg = WorldConfig.from_json(REPO / "configs" / "demo_world.json")
+    path = REPO / "configs" / "demo_world.json"
+    cfg = from_json(WorldConfig, load_json(path), path)
     clique_of = {f.flow_id: f.clique_id for f in cfg.benign_flows}
     clique_of.update({e.flow_id: e.clique_id for e in cfg.episodes})
     # the graph build_world draws for world seed 1
@@ -696,8 +698,8 @@ def test_outcome_dict_round_trip_with_nan_delta():
     from flowgate.worlds import FeasibilityOutcome
     o = FeasibilityOutcome(5, Budgets(10, 0.5, math.inf), False, 3, 0.1,
                            math.nan)
-    d = json.loads(json.dumps(o.to_dict()))
-    o2 = FeasibilityOutcome.from_dict(d)
+    d = json.loads(json.dumps(to_json(o)))
+    o2 = from_json(FeasibilityOutcome, d, "outcome")
     assert o2.flow_id == 5 and not o2.feasible and o2.iterations_used == 3
     assert math.isnan(o2.final_delay_delta)
     assert o2.budgets == o.budgets
@@ -890,9 +892,8 @@ def test_world_round_trip(demo_world, tmp_path):
     assert back.references == demo_world.references
     assert back.manifest == demo_world.manifest
     assert back.graph.to_dict() == demo_world.graph.to_dict()
-    assert [o.to_dict() for o in back.feasibility] == \
-        [o.to_dict() for o in demo_world.feasibility]
-    assert back.config.to_dict() == demo_world.config.to_dict()
+    assert to_json(back.feasibility) == to_json(demo_world.feasibility)
+    assert to_json(back.config) == to_json(demo_world.config)
 
 
 def test_check_trace_names_the_flow(demo_world):
@@ -992,8 +993,8 @@ def test_config_validation_errors():
 
 def test_config_json_round_trip(tmp_path):
     cfg = _demo_config()
-    cfg.to_json(tmp_path / "c.json")
-    back = WorldConfig.from_json(tmp_path / "c.json")
-    assert back.to_dict() == cfg.to_dict()
+    write_json(tmp_path / "c.json", to_json(cfg))
+    back = from_json(WorldConfig, load_json(tmp_path / "c.json"), "c.json")
+    assert to_json(back) == to_json(cfg)
     assert back.hash() == cfg.hash()
     assert back.episodes[1].budgets.epsilon_s == math.inf
