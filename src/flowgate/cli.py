@@ -2,8 +2,10 @@
 
 Every command prints its resolved knobs as key=value lines (precedence:
 explicit flag, then config file, then built-in default) and writes a manifest
-next to its outputs. Detection and replay never open the labels file; labels
-enter only through the report command.
+next to its outputs. A world is read through worlds.load_head plus
+load_traffic (detect, replay) or load_outcomes (report), so detection and
+replay never open the labels file; labels enter only through the report
+command.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -38,12 +40,9 @@ from flowgate.metrics import (
     write_stage_stats,
 )
 from flowgate.trace import (
+    RunManifest,
     from_json,
     load_json,
-    read_flow_table,
-    read_labels,
-    read_manifest,
-    read_trace_csv,
     to_json,
     write_json,
 )
@@ -56,14 +55,22 @@ from flowgate.wfq import (
     write_schedule,
 )
 from flowgate.worlds import (
-    ContentionGraph,
     GenerationError,
     build_world,
-    check_manifest,
-    check_trace,
     config_from_json,
-    read_feasibility,
+    load_head,
+    load_outcomes,
+    load_traffic,
     write_world,
+)
+
+# Not called here: perfbench/tracing.py wraps these names in this module and
+# resolves each one when it installs its spans.
+from flowgate.trace import (  # noqa: F401
+    read_flow_table,
+    read_labels,
+    read_manifest,
+    read_trace_csv,
 )
 
 
@@ -102,28 +109,33 @@ def _read_params(path) -> ParamsFile:
         else ParamsFile()
 
 
-def _config_and_manifest(d: Path):
-    """A world's config and manifest, refusing a manifest bound to another
-    config."""
-    config = config_from_json(_load_json(d / "config.json"), d / "config.json")
-    manifest = read_manifest(d / "manifest.json")
-    check_manifest(d / "manifest.json", manifest, config)
-    return config, manifest
+@dataclass
+class DetectManifest:
+    """detect_manifest.json: the world scored and the resolved knobs."""
+
+    world: RunManifest
+    detector_params: DetectorParams
+    quantile: float
+    k: int
+    m: int
+    w_min: int
+    burn_in_windows: int
+    n_records: int
 
 
-def _world_core(world_dir):
-    """Detection-side world artifacts: config, manifest, trace, graph.
-
-    Deliberately never touches labels.csv or feasibility.json.
-    """
-    d = Path(world_dir)
-    config, manifest = _config_and_manifest(d)
-    flow_table = read_flow_table(d / "flows.csv")
-    trace = read_trace_csv(d / "trace.csv", flow_table,
-                           config.horizon_windows, config.window_us)
-    graph = ContentionGraph.from_dict(_load_json(d / "contention.json"))
-    check_trace(trace, graph, config.len_bounds)
-    return config, manifest, trace, graph
+def _check_scored_world(scores_path, manifest: RunManifest) -> None:
+    """Refuse scores whose detect_manifest.json, when one lies beside them,
+    records a world other than the one whose manifest is given, naming the
+    first key that differs."""
+    path = Path(scores_path).parent / "detect_manifest.json"
+    if not path.is_file():
+        return
+    scored = from_json(DetectManifest, _load_json(path), path).world
+    for f in fields(RunManifest):
+        mine, theirs = getattr(scored, f.name), getattr(manifest, f.name)
+        if mine != theirs:
+            raise ValueError(f"{path}: world.{f.name} = {mine!r} is not "
+                             f"manifest.json's {f.name} {theirs!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +163,8 @@ def cmd_gen_world(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    config, manifest, trace, graph = _world_core(args.world)
+    config, manifest = load_head(args.world)
+    trace, graph = load_traffic(args.world, config)
 
     file = _read_params(args.params)
     params = file.detector
@@ -188,14 +201,8 @@ def cmd_detect(args) -> int:
     write_thresholds(out / "thresholds.json", session)
     write_stage_stats(out / "stage_stats.json", seconds,
                       [len(part) for part in parts])
-    detect_manifest = {
-        "world": to_json(manifest),
-        "detector_params": to_json(params),
-        "quantile": quantile, "k": k, "m": m, "w_min": w_min,
-        "burn_in_windows": burn_in,
-        "n_records": n_records,
-    }
-    write_json(out / "detect_manifest.json", detect_manifest)
+    write_json(out / "detect_manifest.json", to_json(DetectManifest(
+        manifest, params, quantile, k, m, w_min, burn_in, n_records)))
     print(f"flows={len(table.flow_ids)}")
     print(f"records={n_records}")
     print(f"alarms={int(scores.a.sum())}")
@@ -211,7 +218,8 @@ def cmd_detect(args) -> int:
 def cmd_replay(args) -> int:
     if args.mode == "gated" and not args.scores:
         raise ArgumentContractError("--scores is required when --mode=gated")
-    config, _, trace, _ = _world_core(args.world)
+    config, manifest = load_head(args.world)
+    trace, _ = load_traffic(args.world, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -227,6 +235,7 @@ def cmd_replay(args) -> int:
             t_g_s=_resolve("t_g_s", args.t_g, gc.t_g_s),
         )
         gc.validate()
+        _check_scored_world(args.scores, manifest)
         # each scored flow's flags by window; the reader refuses window < 0
         scores = read_scores_csv(args.scores)
         late = scores.window[scores.window >= config.horizon_windows]
@@ -267,17 +276,9 @@ def cmd_replay(args) -> int:
 
 
 def cmd_report(args) -> int:
-    d = Path(args.world)
-    config, manifest = _config_and_manifest(d)
-    labels = read_labels(d / "labels.csv")
-    feasibility = read_feasibility(d / "feasibility.json")
-    outcome_ids = sorted(o.flow_id for o in feasibility)
-    label_ids = sorted(label.flow_id for label in labels)
-    if outcome_ids != label_ids:
-        raise ValueError(f"{d / 'feasibility.json'}: outcome flows "
-                         f"{outcome_ids} are not the episodes {label_ids} "
-                         "of labels.csv")
-
+    config, manifest = load_head(args.world)
+    labels, feasibility = load_outcomes(args.world, config)
+    _check_scored_world(args.scores, manifest)
     scores = read_scores_csv(args.scores)
     thresholds_path = (args.thresholds
                        or Path(args.scores).parent / "thresholds.json")
@@ -305,7 +306,7 @@ def cmd_report(args) -> int:
     write_report(out / "report.json", rep, manifest)
     write_episode_table(out / "episodes.csv", scores, labels,
                         grace_windows=grace, window_s=window_s)
-    for key, val in rep.to_dict().items():
+    for key, val in to_json(rep).items():
         print(f"{key}={json.dumps(val)}")
     print(f"out={out}")
     return 0

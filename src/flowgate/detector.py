@@ -21,18 +21,17 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from flowgate.features import Normalizer
 from flowgate.trace import (
-    INT_KEY,
     check_fields,
-    check_keys,
-    is_number,
+    from_json,
     load_json,
     read_csv,
+    to_json,
     write_csv,
     write_json,
 )
@@ -444,37 +443,39 @@ def write_thresholds(path, session: DetectorSession) -> None:
     write_json(path, payload)
 
 
+@dataclass
+class _FlowThresholds:
+    detector: float = field(metadata={"null": math.nan})
+    baseline: float = field(metadata={"null": math.nan})
+
+
+@dataclass
+class _ThresholdsFile:
+    quantile: float
+    k: int
+    m: int
+    burn_in_windows: int
+    w_min: int
+    flows: dict[int, _FlowThresholds]
+
+
 def read_thresholds(path) -> dict:
-    """Load a thresholds JSON with its flow keys as ints, refusing, naming
-    the path and the key: a missing or unknown key, a quantile outside
-    (0, 1), k and m other than integers with 1 <= k <= m, a burn_in_windows
-    or w_min that is not a nonnegative integer, a flow key that is not an
-    integer, and a detector or baseline threshold that is neither a finite
-    number nor null."""
-    raw = load_json(path)
-    check_keys(path, raw, ("quantile", "k", "m", "burn_in_windows", "w_min",
-                           "flows"))
-    q = raw["quantile"]
-    if not (is_number(q) and 0.0 < q < 1.0):
-        raise ValueError(f"{path}: quantile = {q!r} is not in (0, 1)")
-    for key in ("k", "m", "burn_in_windows", "w_min"):
-        if not (is_number(raw[key], integer=True) and raw[key] >= 0):
-            raise ValueError(f"{path}: {key} = {raw[key]!r} is not a "
+    """Load a thresholds JSON as its document with flow keys as ints,
+    refusing, naming the path and the key, what from_json refuses (a
+    missing or unknown key, a flow key that is not an integer, a threshold
+    that is neither a finite number nor null), a quantile outside (0, 1),
+    k and m with 1 <= k <= m broken, and a negative burn_in_windows or
+    w_min."""
+    doc = from_json(_ThresholdsFile, load_json(path), path)
+    if not 0.0 < doc.quantile < 1.0:
+        raise ValueError(f"{path}: quantile = {doc.quantile!r} is not in "
+                         "(0, 1)")
+    for key in ("burn_in_windows", "w_min"):
+        if getattr(doc, key) < 0:
+            raise ValueError(f"{path}: {key} = {getattr(doc, key)} is not a "
                              "nonnegative integer")
-    if not 1 <= raw["k"] <= raw["m"]:
-        raise ValueError(f"{path}: k = {raw['k']} and m = {raw['m']} break "
+    if not 1 <= doc.k <= doc.m:
+        raise ValueError(f"{path}: k = {doc.k} and m = {doc.m} break "
                          "1 <= k <= m")
-    if not isinstance(raw["flows"], dict):
-        raise ValueError(f"{path}: flows is not a JSON object")
-    flows = {}
-    for f, t in raw["flows"].items():
-        if not INT_KEY.fullmatch(f):
-            raise ValueError(f"{path}: flows key {f!r} is not an integer")
-        check_keys(path, t, ("detector", "baseline"), f"flows.{f}")
-        for side, value in t.items():
-            if value is not None and not is_number(value):
-                raise ValueError(f"{path}: flows.{f}.{side} = {value!r} is "
-                                 "neither a finite number nor null")
-        flows[int(f)] = t
-    raw["flows"] = flows
-    return raw
+    return {**to_json(doc),
+            "flows": {f: to_json(t) for f, t in doc.flows.items()}}

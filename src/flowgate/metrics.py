@@ -15,15 +15,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from flowgate.detector import Scores, calibrate_threshold
 from flowgate.trace import (
-    check_keys,
-    is_number,
+    from_json,
     load_json,
     to_json,
     write_json,
@@ -163,45 +162,57 @@ def bench_scoring(session, stream, batch_rows: int = 1000,
     return cost
 
 
-_COST_KEYS = ("mean_us_per_row", "p90_us_per_row", "max_us_per_row")
+NAN_NULL = {"null": math.nan}  # a float field whose NaN is JSON null
+
+
+@dataclass
+class ScoringStats:
+    """stage_stats.json's "scoring": detect's timed process_window calls and
+    their per-row cost in us (NaN when too few rows)."""
+
+    rows: int
+    windows: int
+    mean_us_per_row: float = field(metadata=NAN_NULL)
+    p90_us_per_row: float = field(metadata=NAN_NULL)
+    max_us_per_row: float = field(metadata=NAN_NULL)
+
+
+@dataclass
+class StageStats:
+    scoring: ScoringStats
 
 
 def write_stage_stats(path, seconds, rows) -> None:
     """Write stage_stats.json for timed scoring calls (call i took
     seconds[i] to score rows[i] rows, one call per window): the row and
     window counts and their scoring_cost, null when too few rows."""
-    cost = scoring_cost(seconds, rows) or (None, None, None)
-    doc = {"scoring": {"rows": sum(rows), "windows": len(rows),
-                       **dict(zip(_COST_KEYS, cost))}}
-    write_json(path, doc)
+    cost = scoring_cost(seconds, rows) or (math.nan,) * 3
+    write_json(path, to_json(StageStats(ScoringStats(sum(rows), len(rows),
+                                                     *cost))))
 
 
 def read_stage_stats(path, scores: Scores) -> tuple[float, float, float]:
     """The (mean, p90, max) scoring cost recorded in stage_stats.json for
-    scores, NaN where it is null or the file is absent.
-
-    Refuses, naming the path and the key, a missing or unknown key, a cost
-    that is neither a finite nonnegative number nor null, and row and
-    window counts other than those of scores.
-    """
+    scores, NaN where it is null or the file is absent. Refuses, naming the
+    path and the key, what from_json refuses, a negative cost, and row and
+    window counts other than those of scores."""
     if not Path(path).is_file():
         return (math.nan, math.nan, math.nan)
-    doc = load_json(path)
-    check_keys(path, doc, ("scoring",))
-    stats = doc["scoring"]
-    check_keys(path, stats, ("rows", "windows", *_COST_KEYS), "scoring")
-    for key in _COST_KEYS:
-        value = stats[key]
-        if value is not None and not (is_number(value) and value >= 0):
-            raise ValueError(f"{path}: scoring.{key} = {value!r} is neither "
-                             "a finite nonnegative number nor null")
+    stats = from_json(StageStats, load_json(path), path).scoring
+    cost = (stats.mean_us_per_row, stats.p90_us_per_row,
+            stats.max_us_per_row)
+    for f in fields(ScoringStats)[2:]:
+        if getattr(stats, f.name) < 0:
+            raise ValueError(f"{path}: scoring.{f.name} = "
+                             f"{getattr(stats, f.name)!r} is not a finite "
+                             "nonnegative number")
     for key, found in (("rows", len(scores)),
                        ("windows", np.unique(scores.window).size)):
-        if not is_number(stats[key], integer=True) or stats[key] != found:
-            raise ValueError(f"{path}: scoring.{key} = {stats[key]!r}, but "
-                             f"the scores hold {found} {key}")
-    return tuple(math.nan if stats[k] is None else stats[k]
-                 for k in _COST_KEYS)
+        if getattr(stats, key) != found:
+            raise ValueError(f"{path}: scoring.{key} = "
+                             f"{getattr(stats, key)!r}, but the scores hold "
+                             f"{found} {key}")
+    return cost
 
 
 def synthetic_feature_stream(n_rows: int, n_flows: int = 50, seed: int = 0):
@@ -226,45 +237,33 @@ def synthetic_feature_stream(n_rows: int, n_flows: int = 50, seed: int = 0):
 
 
 @dataclass
+class BaseGated:
+    base: float = field(metadata=NAN_NULL)
+    gated: float = field(metadata=NAN_NULL)
+
+
+@dataclass
+class RowCost:
+    mean: float = field(metadata=NAN_NULL)
+    p90: float = field(metadata=NAN_NULL)
+    max: float = field(metadata=NAN_NULL)
+
+
+@dataclass
 class MetricsReport:
+    """report.json's "metrics", in the order report prints them."""
+
     achieved_fpr_alarm: float
     achieved_fpr_actionable: float
     incident_recall: float | None
-    ttd_s: list[float] = field(default_factory=list)
-    p99_delay_ms_base: float = math.nan
-    p99_delay_ms_gated: float = math.nan
-    p999_delay_ms_base: float = math.nan
-    p999_delay_ms_gated: float = math.nan
-    p999_collateral_ms_base: float = math.nan
-    p999_collateral_ms_gated: float = math.nan
-    delta_p999_delay_ms: float = math.nan
-    delta_p999_collateral_ms: float = math.nan
-    feasibility_rate: float = 1.0
-    mean_us_per_row: float = math.nan
-    p90_us_per_row: float = math.nan
-    max_us_per_row: float = math.nan
-
-    def to_dict(self) -> dict:
-        def num(x):
-            return None if (isinstance(x, float) and math.isnan(x)) else x
-        return {
-            "achieved_fpr_alarm": self.achieved_fpr_alarm,
-            "achieved_fpr_actionable": self.achieved_fpr_actionable,
-            "incident_recall": self.incident_recall,
-            "ttd_s": list(self.ttd_s),
-            "p99_delay_ms": {"base": num(self.p99_delay_ms_base),
-                             "gated": num(self.p99_delay_ms_gated)},
-            "p999_delay_ms": {"base": num(self.p999_delay_ms_base),
-                              "gated": num(self.p999_delay_ms_gated)},
-            "p999_collateral_ms": {"base": num(self.p999_collateral_ms_base),
-                                   "gated": num(self.p999_collateral_ms_gated)},
-            "delta_p999_delay_ms": num(self.delta_p999_delay_ms),
-            "delta_p999_collateral_ms": num(self.delta_p999_collateral_ms),
-            "feasibility_rate": self.feasibility_rate,
-            "timing_us_per_row": {"mean": num(self.mean_us_per_row),
-                                  "p90": num(self.p90_us_per_row),
-                                  "max": num(self.max_us_per_row)},
-        }
+    ttd_s: list[float]
+    p99_delay_ms: BaseGated
+    p999_delay_ms: BaseGated
+    p999_collateral_ms: BaseGated
+    delta_p999_delay_ms: float = field(metadata=NAN_NULL)
+    delta_p999_collateral_ms: float = field(metadata=NAN_NULL)
+    feasibility_rate: float
+    timing_us_per_row: RowCost
 
 
 def compute_report(scores: Scores, labels, thresholds_doc: dict, feasibility,
@@ -290,31 +289,29 @@ def compute_report(scores: Scores, labels, thresholds_doc: dict, feasibility,
         recall = None
         ttds = []
     d999, c999 = queue_impact(base_log, gated_log)
+
+    def tail(q, benign_only=False):
+        return BaseGated(*(delay_percentile(log, q, benign_only) * 1e-3
+                           for log in (base_log, gated_log)))
+
     return MetricsReport(
         achieved_fpr_alarm=fpr_a,
         achieved_fpr_actionable=fpr_z,
         incident_recall=recall,
         ttd_s=ttds,
-        p99_delay_ms_base=delay_percentile(base_log, 99.0) * 1e-3,
-        p99_delay_ms_gated=delay_percentile(gated_log, 99.0) * 1e-3,
-        p999_delay_ms_base=delay_percentile(base_log, 99.9) * 1e-3,
-        p999_delay_ms_gated=delay_percentile(gated_log, 99.9) * 1e-3,
-        p999_collateral_ms_base=delay_percentile(base_log, 99.9,
-                                                 benign_only=True) * 1e-3,
-        p999_collateral_ms_gated=delay_percentile(gated_log, 99.9,
-                                                  benign_only=True) * 1e-3,
+        p99_delay_ms=tail(99.0),
+        p999_delay_ms=tail(99.9),
+        p999_collateral_ms=tail(99.9, benign_only=True),
         delta_p999_delay_ms=d999,
         delta_p999_collateral_ms=c999,
         feasibility_rate=feasibility_rate(feasibility),
-        mean_us_per_row=timing[0],
-        p90_us_per_row=timing[1],
-        max_us_per_row=timing[2],
+        timing_us_per_row=RowCost(*timing),
     )
 
 
 def write_report(path, report: MetricsReport, manifest) -> None:
     write_json(path, {"manifest": to_json(manifest),
-                      "metrics": report.to_dict()})
+                      "metrics": to_json(report)})
 
 
 def write_episode_table(path, scores: Scores, labels, grace_windows: int =

@@ -321,21 +321,6 @@ def write_json(path, doc) -> None:
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def check_keys(path, doc, keys, where: str = "", optional=()) -> None:
-    """Refuse, naming the path and the key, a JSON object doc (found at the
-    dotted name `where`) that is not an object, lacks one of keys or has a
-    key in neither keys nor optional."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: {where or 'the document'} is not a JSON "
-                         "object")
-    missing = [k for k in keys if k not in doc]
-    unknown = sorted(set(doc) - set(keys) - set(optional))
-    for what, found in (("missing", missing), ("unknown", unknown)):
-        if found:
-            name = f"{where}.{found[0]}" if where else found[0]
-            raise ValueError(f"{path}: {what} key {name!r}")
-
-
 def is_number(value, integer: bool = False) -> bool:
     """Whether a parsed JSON value is a finite number within the float range
     (an int when integer is set); true and false are not numbers."""
@@ -371,12 +356,12 @@ def from_json(cls, doc, path, where: str = ""):
     dotted name `where`) holds, as to_json writes it.
 
     cls is a dataclass, bool, int, float, str, a fixed-length tuple[...],
-    list[T], dict[int, T] (integer-string keys) or a free-form dict. A
-    dataclass field with a default may be absent, and one with a "null"
-    sentinel may be null. Refuses, naming the path and the key, a missing
-    or unknown key, a bool given as a number, a number that is not finite,
-    a non-integer for an int and any other value of another type. An int
-    given for a float is stored as a float.
+    list[T], dict[int, T] (integer-string keys) or a free-form dict or
+    list (values left unchecked). A dataclass field with a default may be
+    absent, and one with a "null" sentinel may be null. Refuses, naming the
+    path and the key, a missing or unknown key, a bool given as a number, a
+    number that is not finite, a non-integer for an int and any other value
+    of another type. An int given for a float is stored as a float.
     """
     return _decode(cls, doc, path, where, None)
 
@@ -410,19 +395,26 @@ def _decode(tp, doc, path, where: str, null):
     if doc is None and null is not None:
         return null
     name = where or "the document"
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    is_object = is_dataclass(tp) or dict in (tp, origin)
+    if is_object and not isinstance(doc, dict):
+        raise ValueError(f"{path}: {name} is not a JSON object")
     if is_dataclass(tp):
         schema = _schema(tp)
-        check_keys(path, doc, [n for n, _, req, _ in schema if req], where,
-                   [n for n, _, req, _ in schema if not req])
+        missing = [n for n, _, req, _ in schema if req and n not in doc]
+        unknown = sorted(set(doc) - {n for n, *_ in schema})
+        for what, found in (("missing", missing), ("unknown", unknown)):
+            if found:
+                key = f"{where}.{found[0]}" if where else found[0]
+                raise ValueError(f"{path}: {what} key {key!r}")
         return tp(**{n: _decode(t, doc[n], path,
                                 f"{where}.{n}" if where else n, sentinel)
                      for n, t, _, sentinel in schema if n in doc})
-    origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin is list:
+    if list in (tp, origin):
         if not isinstance(doc, list):
             raise ValueError(f"{path}: {name} is not a JSON list")
         return [_decode(args[0], x, path, f"{where}[{i}]", None)
-                for i, x in enumerate(doc)]
+                for i, x in enumerate(doc)] if args else doc
     if origin is tuple:
         if not (isinstance(doc, list) and len(doc) == len(args)):
             raise ValueError(f"{path}: {name} = {doc!r} is not a JSON list "
@@ -430,15 +422,14 @@ def _decode(tp, doc, path, where: str, null):
         return tuple(_decode(t, x, path, f"{where}[{i}]", None)
                      for i, (t, x) in enumerate(zip(args, doc)))
     if dict in (tp, origin):
-        if not isinstance(doc, dict):
-            raise ValueError(f"{path}: {name} is not a JSON object")
         if not args:
             return dict(doc)
         out = {}
         for k, v in doc.items():
             if not INT_KEY.fullmatch(k):
-                raise ValueError(f"{path}: key {k!r} of {name} is not an "
-                                 "integer")
+                raise ValueError(f"{path}: {where} key {k!r} is not an "
+                                 "integer" if where else f"{path}: key "
+                                 f"{k!r} of the document is not an integer")
             out[int(k)] = _decode(args[1], v, path,
                                   f"{where}.{k}" if where else k, None)
         return out

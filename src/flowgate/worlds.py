@@ -38,7 +38,6 @@ from flowgate.trace import (
     PROTO_TCP,
     RunManifest,
     Trace,
-    check_keys,
     config_hash,
     from_json,
     load_json,
@@ -223,18 +222,6 @@ def config_from_json(doc, path) -> WorldConfig:
     return config
 
 
-def check_manifest(path, manifest: RunManifest, config: WorldConfig) -> None:
-    """Refuse a world manifest whose config_hash is not its config's, naming
-    both hashes, or whose split, which sets detect's burn-in, is not the
-    config's."""
-    if manifest.config_hash != config.hash():
-        raise ValueError(f"{path}: config_hash {manifest.config_hash} is not "
-                         f"{config.hash()}, the hash of config.json")
-    if manifest.split != config.split:
-        raise ValueError(f"{path}: split = {list(manifest.split)} is not "
-                         f"config.json's split {list(config.split)}")
-
-
 # ---------------------------------------------------------------------------
 # benign generators
 
@@ -396,13 +383,16 @@ class ContentionGraph:
             len(fs), len(fs)) for c, fs in self.cliques.items()}
         for c, w in self.blocks.items():
             if not (np.array_equal(w, w.T) and np.all(w >= 0.0)):
-                raise ValueError(
-                    f"clique {c}: weights must be symmetric and nonnegative")
+                raise ValueError(f"cliques.{c}.weights must be symmetric and "
+                                 "nonnegative")
         self.rho_band = (float(rho_band[0]), float(rho_band[1]))
         self.spectral_radius = spectral_radius(self.blocks.values())
         self.clique_of = {f: c for c, fs in self.cliques.items() for f in fs}
         if len(self.clique_of) < sum(map(len, self.cliques.values())):
-            raise ValueError("a flow is listed twice in the cliques")
+            c, f = next((c, f) for c, fs in self.cliques.items() for f in fs
+                        if self.clique_of[f] != c or fs.count(f) > 1)
+            raise ValueError(f"cliques.{c}.flows: flow {f} is listed twice "
+                             "in the cliques")
         self.flow_ids = sorted(self.clique_of)
         ids = np.asarray(self.flow_ids, dtype=np.int64)
         self._index = [np.searchsorted(ids, fs) for fs in self.cliques.values()]
@@ -416,21 +406,46 @@ class ContentionGraph:
         return out
 
     def to_dict(self) -> dict:
-        return {"cliques": {str(c): {"flows": fs,
-                                     "weights": self.blocks[c].tolist()}
-                            for c, fs in self.cliques.items()},
-                "spectral_radius": self.spectral_radius,
-                "rho_band": list(self.rho_band)}
+        blocks = {c: _CliqueBlock(fs, self.blocks[c].tolist())
+                  for c, fs in self.cliques.items()}
+        return to_json(_GraphFile(blocks, self.spectral_radius,
+                                  self.rho_band))
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ContentionGraph":
-        if "flow_ids" in d:
-            raise ValueError("contention.json holds a dense W from an older "
+    def from_dict(cls, d, path="contention.json") -> "ContentionGraph":
+        """The graph a parsed contention.json holds, refusing, naming the
+        path and the key, what from_json or the constructor refuses, a
+        weight block that is not c x c for its c flows and a dense W."""
+        if isinstance(d, dict) and "flow_ids" in d:
+            raise ValueError(f"{path}: flow_ids holds a dense W from an older "
                              "flowgate; run gen-world again")
-        cq = {int(c): b for c, b in d["cliques"].items()}
-        return cls({c: b["flows"] for c, b in cq.items()},
-                   {c: b["weights"] for c, b in cq.items()},
-                   tuple(d["rho_band"]))
+        doc = from_json(_GraphFile, d, path)
+        for c, b in doc.cliques.items():
+            if {len(b.weights), *map(len, b.weights)} != {len(b.flows)}:
+                n = len(b.flows)
+                raise ValueError(f"{path}: cliques.{c}.weights is not a "
+                                 f"{n} x {n} block for the clique's {n} flows")
+        try:
+            return cls({c: b.flows for c, b in doc.cliques.items()},
+                       {c: b.weights for c, b in doc.cliques.items()},
+                       doc.rho_band)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+@dataclass
+class _CliqueBlock:
+    flows: list[int]
+    weights: list[list[float]]  # c x c, indexed like flows
+
+
+@dataclass
+class _GraphFile:
+    """contention.json; spectral_radius is recomputed from the blocks."""
+
+    cliques: dict[int, _CliqueBlock]
+    spectral_radius: float
+    rho_band: tuple[float, float]
 
 
 def spectral_radius(blocks) -> float:
@@ -650,30 +665,29 @@ class FeasibilityOutcome:
     final_delay_delta: float = field(metadata={"null": math.nan})
 
 
-def read_feasibility(path) -> list[FeasibilityOutcome]:
-    """Load a feasibility JSON, refusing, naming the path and the key, what
-    from_json refuses (a missing or unknown key at the top, in an outcome
-    or in its budgets, a value of another type, a number that is not
-    finite), an i_max below 0, an iterations_used outside [0, i_max] and a
-    negative final_distortion."""
-    doc = load_json(path)
-    check_keys(path, doc, ("i_max", "outcomes"))
-    i_max = from_json(int, doc["i_max"], path, "i_max")
-    if i_max < 0:
-        raise ValueError(f"{path}: i_max = {i_max} is not a nonnegative "
-                         "integer")
-    outcomes = from_json(list[FeasibilityOutcome], doc["outcomes"], path,
-                         "outcomes")
-    for i, o in enumerate(outcomes):
-        for key, ok, what in (
-                ("iterations_used", 0 <= o.iterations_used <= i_max,
-                 f"is not an integer in [0, i_max = {i_max}]"),
-                ("final_distortion", o.final_distortion >= 0,
-                 "is not a finite nonnegative number")):
-            if not ok:
-                raise ValueError(f"{path}: outcomes[{i}].{key} = "
-                                 f"{getattr(o, key)!r} {what}")
-    return outcomes
+@dataclass
+class _FeasibilityFile:
+    i_max: int
+    outcomes: list[FeasibilityOutcome]
+
+
+def read_feasibility(path, i_max: int) -> list[FeasibilityOutcome]:
+    """Load the feasibility JSON of a world whose config has this i_max,
+    refusing, naming the path and the key, what from_json refuses, another
+    i_max, an iterations_used outside [0, i_max] and a negative
+    final_distortion."""
+    doc = from_json(_FeasibilityFile, load_json(path), path)
+    if doc.i_max != i_max:
+        raise ValueError(f"{path}: i_max = {doc.i_max} is not config.json's "
+                         f"i_max {i_max}")
+    for i, o in enumerate(doc.outcomes):
+        if not 0 <= o.iterations_used <= i_max:
+            raise ValueError(f"{path}: outcomes[{i}].iterations_used = "
+                             f"{o.iterations_used} is not in [0, {i_max}]")
+        if o.final_distortion < 0:
+            raise ValueError(f"{path}: outcomes[{i}].final_distortion = "
+                             f"{o.final_distortion!r} is negative")
+    return doc.outcomes
 
 
 def with_flows(trace: Trace, flows) -> Trace:
@@ -972,8 +986,8 @@ def write_world(out_dir, world: World) -> None:
     write_json(out / "manifest.json", to_json(world.manifest))
     write_json(out / "config.json", to_json(world.config))
     write_json(out / "contention.json", world.graph.to_dict())
-    write_json(out / "feasibility.json", {
-        "i_max": world.config.i_max, "outcomes": to_json(world.feasibility)})
+    write_json(out / "feasibility.json", to_json(_FeasibilityFile(
+        world.config.i_max, world.feasibility)))
     (out / "references.json").write_text(json.dumps(
         {str(r.flow_id): r.sorted_iats_us.tolist() for r in world.references},
         sort_keys=True) + "\n")
@@ -1030,20 +1044,86 @@ def check_trace(trace: Trace, graph: ContentionGraph,
             f"{k - 1} at ts {trace.ts_us[k - 1]}")
 
 
-def load_world(world_dir) -> World:
+# Each stage reads only its view of a world: detect and replay the head and
+# the traffic, report the head and the outcomes, load_world everything.
+
+
+def load_head(world_dir) -> tuple[WorldConfig, RunManifest]:
+    """A world's config and manifest, refusing a manifest whose config_hash
+    is not its config's, naming both hashes, or whose split, which sets
+    detect's burn-in, is not the config's."""
     d = Path(world_dir)
     config = config_from_json(load_json(d / "config.json"), d / "config.json")
-    flow_table = read_flow_table(d / "flows.csv")
-    trace = read_trace_csv(d / "trace.csv", flow_table,
-                           config.horizon_windows, config.window_us)
-    labels = read_labels(d / "labels.csv")
     manifest = read_manifest(d / "manifest.json")
-    check_manifest(d / "manifest.json", manifest, config)
-    graph = ContentionGraph.from_dict(load_json(d / "contention.json"))
+    if manifest.config_hash != config.hash():
+        raise ValueError(f"{d / 'manifest.json'}: config_hash "
+                         f"{manifest.config_hash} is not {config.hash()}, the "
+                         "hash of config.json")
+    if manifest.split != config.split:
+        raise ValueError(f"{d / 'manifest.json'}: split = "
+                         f"{list(manifest.split)} is not config.json's split "
+                         f"{list(config.split)}")
+    return config, manifest
+
+
+def load_traffic(world_dir, config: WorldConfig) -> tuple[Trace,
+                                                          ContentionGraph]:
+    """A world's trace and contention graph, checked by check_trace."""
+    d = Path(world_dir)
+    trace = read_trace_csv(d / "trace.csv", read_flow_table(d / "flows.csv"),
+                           config.horizon_windows, config.window_us)
+    graph = ContentionGraph.from_dict(load_json(d / "contention.json"),
+                                      d / "contention.json")
     check_trace(trace, graph, config.len_bounds)
-    feasibility = read_feasibility(d / "feasibility.json")
-    refs_doc = load_json(d / "references.json")
-    references = [BenignIatReference(int(f), v)
-                  for f, v in sorted(refs_doc.items(), key=lambda kv: int(kv[0]))]
+    return trace, graph
+
+
+def load_outcomes(world_dir, config: WorldConfig) -> tuple[
+        list[EpisodeLabel], list[FeasibilityOutcome]]:
+    """A world's episode labels and their feasibility outcomes."""
+    d = Path(world_dir)
+    labels = read_labels(d / "labels.csv")
+    feasibility = read_feasibility(d / "feasibility.json", config.i_max)
+    check_episode_flows(d / "feasibility.json", "outcome",
+                        [o.flow_id for o in feasibility], labels)
+    return labels, feasibility
+
+
+def check_episode_flows(path, what: str, flow_ids, labels) -> None:
+    """Refuse a per-episode file whose flows are not the labelled ones."""
+    found, episodes = sorted(flow_ids), sorted(e.flow_id for e in labels)
+    if found != episodes:
+        raise ValueError(f"{path}: {what} flows {found} are not the episodes "
+                         f"{episodes} of labels.csv")
+
+
+def read_references(path) -> list[BenignIatReference]:
+    """Load references.json, {"<flow id>": [IATs in us]}, in flow order,
+    refusing, naming the path and the key, a value that is not a list of
+    integers and what BenignIatReference refuses. The IATs (tens of
+    thousands per world) are checked as arrays, not through the codec."""
+    references = []
+    for f, iats in sorted(from_json(dict[int, list], load_json(path),
+                                    path).items()):
+        if not set(map(type, iats)) <= {int}:  # bool is not int here
+            i = next(i for i, x in enumerate(iats) if type(x) is not int)
+            raise ValueError(f"{path}: {f}[{i}] = {iats[i]!r} is not an "
+                             "integer")
+        try:
+            references.append(BenignIatReference(f, np.array(iats, np.int64)))
+        except (GenerationError, OverflowError) as exc:
+            raise ValueError(f"{path}: {f}: {exc}") from None
+    return references
+
+
+def load_world(world_dir) -> World:
+    """Every file of a world, with every cross-file check."""
+    d = Path(world_dir)
+    config, manifest = load_head(d)
+    trace, graph = load_traffic(d, config)
+    labels, feasibility = load_outcomes(d, config)
+    references = read_references(d / "references.json")
+    check_episode_flows(d / "references.json", "reference",
+                        [r.flow_id for r in references], labels)
     return World(trace, graph, labels, references, manifest, feasibility,
                  config)

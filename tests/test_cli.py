@@ -133,15 +133,63 @@ def test_gen_world_deterministic_across_runs(pipe, tmp_path):
         assert (out2 / name).read_bytes() == (pipe["world"] / name).read_bytes()
 
 
+def _same_outputs(out: Path, expected: Path) -> None:
+    """out holds exactly the files of expected, byte for byte."""
+    assert sorted(f.name for f in out.iterdir()) == \
+        sorted(f.name for f in expected.iterdir())
+    for f in expected.iterdir():
+        assert (out / f.name).read_bytes() == f.read_bytes(), f.name
+
+
 def test_detect_ignores_labels_file(pipe, tmp_path):
+    # detect and replay read the world's head and traffic only: without the
+    # labels, the feasibility outcomes and the IAT references they write
+    # the same bytes
     blind = tmp_path / "world_blind"
     shutil.copytree(pipe["world"], blind)
-    (blind / "labels.csv").unlink()
-    out = tmp_path / "det_blind"
-    assert main(["detect", "--world", str(blind), "--w-min", "20",
-                 "--out", str(out)]) == 0
-    assert (out / "scores.csv").read_bytes() == \
-        (pipe["det"] / "scores.csv").read_bytes()
+    for name in ("labels.csv", "feasibility.json", "references.json"):
+        (blind / name).unlink()
+    for stage, argv in (
+            ("det", ["detect", "--w-min", "20"]),
+            ("base", ["replay", "--mode", "base"]),
+            ("gated", ["replay", "--mode", "gated",
+                       "--scores", str(pipe["det"] / "scores.csv")])):
+        out = tmp_path / f"{stage}_blind"
+        assert main([*argv, "--world", str(blind), "--out", str(out)]) == 0
+        _same_outputs(out, pipe[stage])
+
+
+def test_report_ignores_trace_and_references(pipe, tmp_path):
+    # report reads the world's head and outcomes only
+    blind = tmp_path / "world_blind"
+    shutil.copytree(pipe["world"], blind)
+    for name in ("trace.csv", "references.json"):
+        (blind / name).unlink()
+    assert _report(pipe, tmp_path, world=blind) == 0
+    _same_outputs(tmp_path / "r", pipe["rep"])
+
+
+@pytest.mark.parametrize("command", ["replay", "report"])
+def test_scores_of_another_world_are_refused(pipe, tmp_path, capsys,
+                                             command):
+    # the pipeline's scores (world seed 5) against world seed 6 of the same
+    # config: detect_manifest.json beside the scores names the seed
+    other = tmp_path / "world_seed6"
+    assert main(["gen-world", "--config", str(pipe["cfg"]), "--seed", "6",
+                 "--out", str(other)]) == 0
+    capsys.readouterr()
+    if command == "replay":
+        rc = main(["replay", "--world", str(other), "--mode", "gated",
+                   "--scores", str(pipe["det"] / "scores.csv"),
+                   "--out", str(tmp_path / "g")])
+    else:
+        rc = _report(pipe, tmp_path, world=other)
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: ValueError: {pipe['det'] / 'detect_manifest.json'}: "
+        "world.seed = 5 is not manifest.json's seed 6")
+    assert not (tmp_path / "g" / "queue_log.csv").exists()
+    assert not (tmp_path / "r" / "report.json").exists()
 
 
 def test_detect_seed_is_inert_without_noise(pipe, tmp_path):
@@ -719,10 +767,62 @@ def _edit_labels(doc):
     }
 
 
+def _edit_contention(doc):
+    """Named corruptions of a contention graph, as _edit_config's."""
+    c = sorted(doc["cliques"], key=int)[0]
+    w = doc["cliques"][c]["weights"]
+
+    def with_weights(weights):
+        return {**doc, "cliques": {**doc["cliques"], c: {
+            **doc["cliques"][c], "weights": weights}}}
+
+    return {
+        "missing cliques": (_without(doc, "cliques"),
+                            "missing key 'cliques'"),
+        "string weight": (with_weights([["x", *w[0][1:]], *w[1:]]),
+                          f"cliques.{c}.weights[0][0] = 'x' is not a finite "
+                          "number"),
+        "ragged block": (with_weights([w[0][:-1], *w[1:]]),
+                         f"cliques.{c}.weights is not a {len(w)} x {len(w)} "
+                         "block"),
+    }
+
+
+def _edit_references(doc):
+    """Named corruptions of the IAT references, as _edit_config's."""
+    f = sorted(doc, key=int)[0]
+    iats = doc[f]
+    return {
+        "string value": ({**doc, f: [5, "x"]},
+                         f"{f}[1] = 'x' is not an integer"),
+        "true as a value": ({**doc, f: [True, *iats[1:]]},
+                            f"{f}[0] = True is not an integer"),
+        "not a list": ({**doc, f: 5}, f"{f} is not a JSON list"),
+        "unsorted": ({**doc, f: iats[::-1]},
+                     f"{f}: IAT reference for flow {f} is not sorted"),
+        "flow not an episode": ({**doc, "999": iats},
+                                f"reference flows [{f}, 999] are not the "
+                                f"episodes [{f}] of labels.csv"),
+    }
+
+
+def _edit_feasibility_i_max(doc):
+    """A feasibility document written for another config's i_max, as
+    _edit_config's; _edit_feasibility holds the report-only cases."""
+    o = doc["outcomes"][0]
+    return {"i_max of another config": (
+        {"i_max": 99, "outcomes": [{**o, "iterations_used": 50},
+                                   *doc["outcomes"][1:]]},
+        f"i_max = 99 is not config.json's i_max {doc['i_max']}")}
+
+
 WORLD_JSON_EDITS = {"config.json": _edit_config,
                     "manifest.json": _edit_manifest,
                     "flows.csv": _edit_flows,
-                    "labels.csv": _edit_labels}
+                    "labels.csv": _edit_labels,
+                    "contention.json": _edit_contention,
+                    "references.json": _edit_references,
+                    "feasibility.json": _edit_feasibility_i_max}
 # the cases; any document on which every edit runs gives their names
 WORLD_JSON_CORRUPTIONS = [
     (artifact, corruption, reader)
@@ -730,7 +830,10 @@ WORLD_JSON_CORRUPTIONS = [
         ("config.json", {"episodes": [{"budgets": {}}]}),
         ("manifest.json", {"config_hash": "", "split": []}),
         ("flows.csv", {"1": {"key": {}}}),
-        ("labels.csv", [{"budgets": {}}]))
+        ("labels.csv", [{"budgets": {}}]),
+        ("contention.json", {"cliques": {"0": {"weights": [[0.0]]}}}),
+        ("references.json", {"1": [1]}),
+        ("feasibility.json", {"i_max": 0, "outcomes": [{}]}))
     for corruption in sorted(WORLD_JSON_EDITS[artifact](dummy))
     for reader in (*WORLD_JSON_READERS[artifact], "load_world")]
 

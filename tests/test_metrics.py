@@ -323,13 +323,20 @@ def test_compute_report_fields_and_round_trip(tmp_path):
     assert rep.ttd_s == [pytest.approx(0.75)]
     assert rep.feasibility_rate == 1.0
     assert rep.delta_p999_delay_ms == 0.0
-    assert math.isnan(rep.mean_us_per_row)
+    assert math.isnan(rep.timing_us_per_row.mean)
 
     manifest = RunManifest("w", 1, "h", "timing+contention-v1",
                            (0.6, 0.2, 0.2))
     write_report(tmp_path / "report.json", rep, manifest)
     doc = json.loads((tmp_path / "report.json").read_text())
-    assert doc == {"manifest": to_json(manifest), "metrics": rep.to_dict()}
+    assert doc == {"manifest": to_json(manifest), "metrics": to_json(rep)}
+    # report prints the metrics as key=value lines in this order
+    assert list(to_json(rep)) == [
+        "achieved_fpr_alarm", "achieved_fpr_actionable", "incident_recall",
+        "ttd_s", "p99_delay_ms", "p999_delay_ms", "p999_collateral_ms",
+        "delta_p999_delay_ms", "delta_p999_collateral_ms",
+        "feasibility_rate", "timing_us_per_row"]
+    assert list(to_json(rep)["timing_us_per_row"]) == ["mean", "p90", "max"]
     assert doc["metrics"]["timing_us_per_row"]["mean"] is None
 
 
