@@ -123,19 +123,31 @@ class DetectManifest:
     n_records: int
 
 
-def _check_scored_world(scores_path, manifest: RunManifest) -> None:
-    """Refuse scores whose detect_manifest.json, when one lies beside them,
-    records a world other than the one whose manifest is given, naming the
-    first key that differs."""
-    path = Path(scores_path).parent / "detect_manifest.json"
+@dataclass
+class ReplayManifest:
+    """replay_manifest.json: the world replayed, the mode and the gate."""
+
+    world: RunManifest
+    mode: str
+    capacity_bps: float
+    gate: dict
+    packets: int
+
+
+def _recorded_world(artifact, name: str, cls, manifest: RunManifest):
+    """The manifest `name` beside the artifact, read as cls, or None when
+    there is none. Refuses one whose `world` is not the world whose
+    manifest is given, naming the first key that differs."""
+    path = Path(artifact).parent / name
     if not path.is_file():
-        return
-    scored = from_json(DetectManifest, _load_json(path), path).world
+        return None
+    doc = from_json(cls, _load_json(path), path)
     for f in fields(RunManifest):
-        mine, theirs = getattr(scored, f.name), getattr(manifest, f.name)
+        mine, theirs = getattr(doc.world, f.name), getattr(manifest, f.name)
         if mine != theirs:
             raise ValueError(f"{path}: world.{f.name} = {mine!r} is not "
                              f"manifest.json's {f.name} {theirs!r}")
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +247,8 @@ def cmd_replay(args) -> int:
             t_g_s=_resolve("t_g_s", args.t_g, gc.t_g_s),
         )
         gc.validate()
-        _check_scored_world(args.scores, manifest)
+        _recorded_world(args.scores, "detect_manifest.json", DetectManifest,
+                        manifest)
         # each scored flow's flags by window; the reader refuses window < 0
         scores = read_scores_csv(args.scores)
         late = scores.window[scores.window >= config.horizon_windows]
@@ -256,15 +269,8 @@ def cmd_replay(args) -> int:
 
     log = replay(trace, config.capacity_bps, schedule)
     write_queue_log(out / "queue_log.csv", log)
-    replay_manifest = {
-        "world_id": config.world_id,
-        "config_hash": config.hash(),
-        "mode": args.mode,
-        "capacity_bps": config.capacity_bps,
-        "gate": gate_doc,
-        "packets": log.n,
-    }
-    write_json(out / "replay_manifest.json", replay_manifest)
+    write_json(out / "replay_manifest.json", to_json(ReplayManifest(
+        manifest, args.mode, config.capacity_bps, gate_doc, log.n)))
     print(f"mode={args.mode}")
     print(f"packets={log.n}")
     print(f"out={out}")
@@ -278,7 +284,15 @@ def cmd_replay(args) -> int:
 def cmd_report(args) -> int:
     config, manifest = load_head(args.world)
     labels, feasibility = load_outcomes(args.world, config)
-    _check_scored_world(args.scores, manifest)
+    _recorded_world(args.scores, "detect_manifest.json", DetectManifest,
+                    manifest)
+    for mode, log in (("base", args.base_log), ("gated", args.gated_log)):
+        replayed = _recorded_world(log, "replay_manifest.json",
+                                   ReplayManifest, manifest)
+        if replayed is not None and replayed.mode != mode:
+            raise ValueError(
+                f"{Path(log).parent / 'replay_manifest.json'}: mode = "
+                f"{replayed.mode!r} is not {mode!r}, as --{mode}-log needs")
     scores = read_scores_csv(args.scores)
     thresholds_path = (args.thresholds
                        or Path(args.scores).parent / "thresholds.json")

@@ -13,6 +13,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import re
 import typing
 import warnings
@@ -165,13 +166,23 @@ _CONVERSION = re.compile(r"%(d|r|\.17g)")
 _WHOLE_BELOW = {"r": 1e16, ".17g": 1e17}
 
 
+def twin_path(path) -> Path:
+    """The binary twin that write_csv writes beside the CSV at path."""
+    return Path(f"{path}.cols")
+
+
 def write_csv(path, header: str, row: str, cols) -> None:
     """Write equal-length columns as CSV lines formatted by `row`, one %d,
     %r or %.17g conversion per column between literal text, ending in a
     newline. The bytes are those of `row % values` for each row; they are
     made a column and a block of rows at a time, so that memory does not
     grow with the file. Refuses another conversion or a column count that
-    does not match the row."""
+    does not match the row.
+
+    When the row is its conversions joined by commas under a header of as
+    many fields, and every column's text is a number, the twin
+    `<path>.cols` is written too: the sha256 of the CSV's bytes, then each
+    column as an np.save record of the values its text reads back as."""
     parts = _CONVERSION.split(row)
     literals, convs = parts[::2], parts[1::2]
     if any("%" in lit for lit in literals):
@@ -181,10 +192,14 @@ def write_csv(path, header: str, row: str, cols) -> None:
         raise ValueError(f"row {row!r}: {len(convs)} conversions for "
                          f"{len(cols)} columns of shapes "
                          f"{[c.shape for c in cols]}")
+    twin = _twin_columns(header, literals, convs, cols)
     literals = [np.frombuffer(s.encode(), np.uint8) for s in literals]
     n = len(cols[0])
+    digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        fh.write(header.encode() + b"\n")
+        text = header.encode() + b"\n"
+        digest.update(text)
+        fh.write(text)
         for s in range(0, n, _WRITE_BLOCK):
             k = min(n - s, _WRITE_BLOCK)
             cells = {}  # columns with the same values are formatted once
@@ -196,7 +211,37 @@ def write_csv(path, header: str, row: str, cols) -> None:
                     cells[key] = _cell_bytes(block, conv)
                 parts += [cells[key], np.broadcast_to(lit, (k, lit.size))]
             text = np.concatenate(parts, axis=1)
-            fh.write(text[text != 0])
+            text = text[text != 0]
+            digest.update(text)
+            fh.write(text)
+    if twin is not None:
+        with open(twin_path(path), "wb") as fh:
+            fh.write(digest.digest())
+            for col in twin:
+                np.save(fh, col, allow_pickle=False)
+
+
+def _twin_columns(header: str, literals, convs, cols):
+    """The twin's columns, each 1-D column as its text reads back: under %d
+    an integer or bool column as it is and a float one truncated as "%d"
+    prints it, under %r and %.17g as float64. None when a line is not the
+    conversions joined by commas under a header of as many fields, or a
+    column is not numbers (or is bools under %r, which prints True)."""
+    if (literals != ["", *[","] * (len(convs) - 1), "\n"]
+            or header.count(",") != len(convs) - 1):
+        return None
+    out = []
+    for col, conv in zip(cols, convs):
+        kind = col.dtype.kind
+        if (col.ndim != 1 or kind not in "biuf" or col.dtype.itemsize > 8
+                or (kind, conv) == ("b", "r")):
+            return None
+        if conv != "d":
+            col = col.astype(np.float64, copy=False)
+        elif kind == "f":  # "%d" % -0.5 is "0", not "-0"
+            col = np.trunc(col.astype(np.float64, copy=False)) + 0.0
+        out.append(np.ascontiguousarray(col))
+    return out
 
 
 def _cell_bytes(col: np.ndarray, conv: str) -> np.ndarray:
@@ -254,9 +299,37 @@ def read_csv(path, header: str, n_ints: int = 0, flags=()) -> np.ndarray:
     and line, another header, a line with another number of fields, a field
     that is not finite, one of the first n_ints that is not an integer in
     [0, 2**53) and one at an index in flags that is not 0 or 1; and, naming
-    the path, a field that is not a number."""
+    the path, a field that is not a number.
+
+    The values come from the CSV's twin when it holds the CSV's sha256
+    (see twin_columns), one column at a time, else from the text."""
     n = header.count(",") + 1
     check_header(path, header)
+    raw = None
+    try:
+        for j, col in enumerate(twin_columns(path, n, "biuf")):
+            if raw is None:
+                raw = np.empty((col.size, n))
+            raw[:, j] = col
+    except NoTwin:
+        raw = None
+    if raw is None:
+        raw = _parse_csv(path, n)
+    check_fields(path, header, raw, range(n), np.isfinite(raw),
+                 "is not finite")
+    ok = np.empty((len(raw), n_ints), dtype=bool)
+    for j, col in enumerate(raw[:, :n_ints].T):  # one column of temporaries
+        ok[:, j] = (col >= 0) & (col < 2.0**53) & (np.floor(col) == col)
+    check_fields(path, header, raw, range(n_ints), ok,
+                 "is not a nonnegative integer")
+    bits = raw[:, list(flags)]
+    check_fields(path, header, raw, flags, (bits == 0) | (bits == 1),
+                 "is not 0 or 1")
+    return raw
+
+
+def _parse_csv(path, n: int) -> np.ndarray:
+    """The CSV's rows of n fields, parsed as float64 text."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # no rows
@@ -272,16 +345,56 @@ def read_csv(path, header: str, n_ints: int = 0, flags=()) -> np.ndarray:
                     raise ValueError(f"{path}: line {lineno}: {k} fields, "
                                      f"expected {n}") from None
         raise ValueError(f"{path}: {exc}") from None
-    raw = raw.reshape(-1, n)
-    ints, bits = raw[:, :n_ints], raw[:, list(flags)]
-    check_fields(path, header, raw, range(n), np.isfinite(raw),
-                 "is not finite")
-    check_fields(path, header, raw, range(n_ints),
-                 (ints >= 0) & (ints < 2.0**53) & (np.floor(ints) == ints),
-                 "is not a nonnegative integer")
-    check_fields(path, header, raw, flags, (bits == 0) | (bits == 1),
-                 "is not 0 or 1")
-    return raw
+    return raw.reshape(-1, n)
+
+
+class NoTwin(Exception):
+    """A CSV's twin is absent, stale or malformed: read the text instead."""
+
+
+def twin_columns(path, n: int, kinds: str):
+    """Yield the n columns that the twin beside the CSV at path holds.
+
+    Raises NoTwin, possibly after yielding some columns, unless the twin
+    starts with the sha256 of the CSV's bytes and then holds exactly n
+    np.save (version 1.0) records of 1-D arrays of one length whose dtype
+    kinds are in kinds. Nothing is unpickled, and no record is allocated
+    beyond the bytes the twin holds."""
+    try:
+        fh = open(twin_path(path), "rb")
+    except OSError:
+        raise NoTwin from None
+    with fh:
+        if fh.read(32) != _file_sha256(path):
+            raise NoTwin
+        size, rows = os.fstat(fh.fileno()).st_size, None
+        for _ in range(n):
+            try:
+                if np.lib.format.read_magic(fh) != (1, 0):
+                    raise NoTwin
+                shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
+            except ValueError:
+                raise NoTwin from None
+            if (len(shape) != 1 or dtype.kind not in kinds
+                    or (rows is not None and shape[0] != rows)
+                    or not 0 <= shape[0] * dtype.itemsize
+                    <= size - fh.tell()):
+                raise NoTwin
+            rows = shape[0]
+            col = np.empty(rows, dtype)
+            fh.readinto(col)
+            yield col
+        if fh.read(1):
+            raise NoTwin
+
+
+def _file_sha256(path) -> bytes:
+    """The sha256 of a file's bytes, read a MiB at a time."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return digest.digest()
 
 
 def check_header(path, header: str) -> None:
@@ -446,16 +559,21 @@ def write_trace_csv(path, trace: Trace) -> None:
 
 
 def read_trace_csv(path, flow_table, horizon_windows, window_us) -> Trace:
+    """Load a trace CSV: the int64 columns of its twin when it holds the
+    CSV's sha256 (see twin_columns), else the parsed text."""
     check_header(path, TRACE_HEADER)
-    with warnings.catch_warnings():
-        # a header-only trace (zero packets) is valid; loadtxt warns on it
-        warnings.simplefilter("ignore", UserWarning)
-        raw = np.loadtxt(path, dtype=np.int64, delimiter=",", skiprows=1,
-                         ndmin=2)
-    if raw.size == 0:
-        raw = raw.reshape(0, 4)
-    return Trace(raw[:, 0], raw[:, 1], raw[:, 2], raw[:, 3],
-                 flow_table, horizon_windows, window_us)
+    try:
+        cols = list(twin_columns(path, 4, "i"))
+    except NoTwin:
+        with warnings.catch_warnings():
+            # a header-only trace (zero packets) is valid; loadtxt warns on it
+            warnings.simplefilter("ignore", UserWarning)
+            raw = np.loadtxt(path, dtype=np.int64, delimiter=",", skiprows=1,
+                             ndmin=2)
+        if raw.size == 0:
+            raw = raw.reshape(0, 4)
+        cols = raw[:, 0], raw[:, 1], raw[:, 2], raw[:, 3]
+    return Trace(*cols, flow_table, horizon_windows, window_us)
 
 
 def read_flow_table(path) -> dict[int, FlowInfo]:

@@ -368,6 +368,12 @@ def _gen_overlay(kind: str, params: dict, rng, span_us: tuple[int, int],
 # contention graph
 
 
+# A stored spectral radius may differ from the one recomputed from its
+# blocks by this much, relatively: eigvalsh may differ in the last bits
+# between LAPACK builds, far below it.
+RHO_RTOL = 1e-9
+
+
 class ContentionGraph:
     """Symmetric nonnegative within-clique weights with rho(W) in a band.
 
@@ -415,7 +421,8 @@ class ContentionGraph:
     def from_dict(cls, d, path="contention.json") -> "ContentionGraph":
         """The graph a parsed contention.json holds, refusing, naming the
         path and the key, what from_json or the constructor refuses, a
-        weight block that is not c x c for its c flows and a dense W."""
+        weight block that is not c x c for its c flows, a dense W and a
+        spectral_radius that is not rho of the blocks within RHO_RTOL."""
         if isinstance(d, dict) and "flow_ids" in d:
             raise ValueError(f"{path}: flow_ids holds a dense W from an older "
                              "flowgate; run gen-world again")
@@ -426,11 +433,18 @@ class ContentionGraph:
                 raise ValueError(f"{path}: cliques.{c}.weights is not a "
                                  f"{n} x {n} block for the clique's {n} flows")
         try:
-            return cls({c: b.flows for c, b in doc.cliques.items()},
-                       {c: b.weights for c, b in doc.cliques.items()},
-                       doc.rho_band)
+            graph = cls({c: b.flows for c, b in doc.cliques.items()},
+                        {c: b.weights for c, b in doc.cliques.items()},
+                        doc.rho_band)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
+        if not math.isclose(doc.spectral_radius, graph.spectral_radius,
+                            rel_tol=RHO_RTOL):
+            raise ValueError(f"{path}: spectral_radius = "
+                             f"{doc.spectral_radius!r} is not rho of the "
+                             f"blocks, {graph.spectral_radius!r} (relative "
+                             f"tolerance {RHO_RTOL:g})")
+        return graph
 
 
 @dataclass
@@ -441,7 +455,7 @@ class _CliqueBlock:
 
 @dataclass
 class _GraphFile:
-    """contention.json; spectral_radius is recomputed from the blocks."""
+    """contention.json; spectral_radius must be rho of the blocks."""
 
     cliques: dict[int, _CliqueBlock]
     spectral_radius: float

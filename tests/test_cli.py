@@ -192,6 +192,45 @@ def test_scores_of_another_world_are_refused(pipe, tmp_path, capsys,
     assert not (tmp_path / "r" / "report.json").exists()
 
 
+def test_replay_manifest_records_the_world(pipe):
+    world = json.loads((pipe["world"] / "manifest.json").read_text())
+    for mode in ("base", "gated"):
+        doc = json.loads((pipe[mode] / "replay_manifest.json").read_text())
+        assert doc["world"] == world
+        assert doc["mode"] == mode
+
+
+def test_queue_logs_of_another_world_are_refused(pipe, tmp_path, capsys):
+    # world seed 6 with its own scores, given the queue logs of world seed 5
+    other = tmp_path / "world_seed6"
+    assert main(["gen-world", "--config", str(pipe["cfg"]), "--seed", "6",
+                 "--out", str(other)]) == 0
+    assert main(["detect", "--world", str(other), "--w-min", "20",
+                 "--out", str(tmp_path / "det6")]) == 0
+    capsys.readouterr()
+    assert _report(pipe, tmp_path, world=other,
+                   scores=tmp_path / "det6" / "scores.csv") == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: ValueError: {pipe['base'] / 'replay_manifest.json'}: "
+        "world.seed = 5 is not manifest.json's seed 6")
+    assert not (tmp_path / "r" / "report.json").exists()
+
+
+def test_swapped_queue_logs_are_refused(pipe, tmp_path, capsys):
+    base, gated = (pipe[m] / "queue_log.csv" for m in ("base", "gated"))
+    assert _report(pipe, tmp_path, base=gated, gated=base) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: ValueError: {pipe['gated'] / 'replay_manifest.json'}: "
+        "mode = 'gated' is not 'base'")
+    assert not (tmp_path / "r" / "report.json").exists()
+    # logs without a replay manifest beside them are not checked
+    for m in ("base", "gated"):
+        (tmp_path / m).mkdir()
+        shutil.copy(pipe[m] / "queue_log.csv", tmp_path / m)
+    assert _report(pipe, tmp_path, base=tmp_path / "gated" / "queue_log.csv",
+                   gated=tmp_path / "base" / "queue_log.csv") == 0
+
+
 def test_detect_seed_is_inert_without_noise(pipe, tmp_path):
     out = tmp_path / "det_seeded"
     assert main(["detect", "--world", str(pipe["world"]), "--seed", "99",
@@ -785,6 +824,10 @@ def _edit_contention(doc):
         "ragged block": (with_weights([w[0][:-1], *w[1:]]),
                          f"cliques.{c}.weights is not a {len(w)} x {len(w)} "
                          "block"),
+        "stored rho of other blocks": (
+            {**doc, "spectral_radius": 99.0},
+            "contention.json: spectral_radius = 99.0 is not rho of the "
+            "blocks"),
     }
 
 

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import fields
 from unittest import mock
 
@@ -9,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flowgate.detector as detector_module
 import flowgate.trace as trace_module
+import flowgate.wfq as wfq_module
 from flowgate.cli import ParamsFile
 from flowgate.detector import (
     DetectorParams,
@@ -20,10 +24,12 @@ from flowgate.detector import (
 from flowgate.trace import (
     BENIGN,
     MALICIOUS,
+    TRACE_HEADER,
     Budgets,
     EpisodeLabel,
     FlowInfo,
     FlowKey,
+    NoTwin,
     RunManifest,
     Trace,
     canonical_json,
@@ -37,6 +43,8 @@ from flowgate.trace import (
     read_trace_csv,
     to_json,
     trace_subset,
+    twin_columns,
+    twin_path,
     write_csv,
     write_json,
     write_trace_csv,
@@ -44,8 +52,10 @@ from flowgate.trace import (
 from flowgate.wfq import (
     GateConfig,
     QueueEventLog,
+    WeightSchedule,
     read_queue_log,
     write_queue_log,
+    write_schedule,
 )
 from flowgate.worlds import (
     BenignFlowSpec,
@@ -442,3 +452,250 @@ def test_queue_log_and_csv_round_trip(tmp_path_factory, cols):
                    n_ints=3, flags=(5,))
     assert np.array_equal(raw, np.column_stack(
         [np.asarray(c, dtype=np.float64) for c in cols]).reshape(-1, 6))
+
+
+# ---------------------------------------------------------------------------
+# the binary twin reads as the text parse, and is used only when it is bound
+# to the CSV's bytes
+
+def _format_of(module, write, obj):
+    """The (header, row) that a writer passes to write_csv."""
+    with mock.patch.object(module, "write_csv") as spy:
+        write("unused.csv", obj)
+    return spy.call_args.args[1:3]
+
+
+_NONE = np.zeros(0)
+WRITER_FORMATS = {
+    "scores": _format_of(detector_module, write_scores_csv,
+                         Scores(*[_NONE] * 9)),
+    "trace": _format_of(trace_module, write_trace_csv,
+                        Trace(_NONE, _NONE, _NONE, _NONE, {}, 1, 1)),
+    "queue log": _format_of(wfq_module, write_queue_log,
+                            QueueEventLog(*[_NONE] * 6)),
+    "schedule": _format_of(wfq_module, write_schedule, WeightSchedule()),
+}
+
+
+def _twin_column(conv, n):
+    """_column's draws, plus finite floats under %d (printed truncated)."""
+    if conv != "d":
+        return _column(conv, n)
+    floats = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.sampled_from([x for x in EDGE_FLOATS
+                                        if math.isfinite(x)]))
+    return st.one_of(_column(conv, n), st.lists(
+        floats, min_size=n, max_size=n).map(
+        lambda v: np.array(v, dtype=np.float64)))
+
+
+def _outcome(read, path):
+    """What read(path) gives: its arrays' dtypes and bytes, or its refusal."""
+    try:
+        arrays = read(path)
+    except ValueError as exc:
+        return "refused", str(exc)
+    return "read", [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+def _via_twin(read, path):
+    """_outcome with the text parser disabled."""
+    with mock.patch.object(np, "loadtxt",
+                           side_effect=AssertionError("text parsed")):
+        return _outcome(read, path)
+
+
+def _via_text(read, path):
+    """_outcome with the twin moved away, so that the text is parsed."""
+    aside = path.with_name("aside")
+    twin_path(path).rename(aside)
+    try:
+        return _outcome(read, path)
+    finally:
+        aside.rename(twin_path(path))
+
+
+def _read_trace_columns(path):
+    tr = read_trace_csv(path, {}, 1, 1)
+    return [tr.ts_us, tr.flow_id, tr.len_bytes, tr.clique_id]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(WRITER_FORMATS)), st.integers(0, 6), st.data())
+def test_twin_reads_as_the_text_parse(tmp_path_factory, writer, n, data):
+    header, row = WRITER_FORMATS[writer]
+    cols = [data.draw(_twin_column(conv, n))
+            for conv in trace_module._CONVERSION.findall(row)]
+    path = tmp_path_factory.mktemp("twin") / "a.csv"
+    write_csv(path, header, row, cols)
+    assert twin_path(path).is_file()
+    readers = [lambda p: [read_csv(p, header)]]
+    if writer == "trace" and all(c.dtype == np.int64 for c in cols):
+        readers.append(_read_trace_columns)
+    for read in readers:
+        assert _via_twin(read, path) == _via_text(read, path)
+
+
+def test_no_twin_where_the_text_reads_otherwise(tmp_path):
+    ints = np.arange(3)
+    for header, row, cols in (
+            ("a,b", "%d;%d\n", [ints, ints]),  # not comma-separated
+            ("a,b,c", "%d,%d\n", [ints, ints]),  # header of other fields
+            ("a", "%r\n", [ints > 0]),  # bools print as True and False
+            ("a", "%r\n", [ints.astype(np.complex128)])):
+        path = tmp_path / "x.csv"
+        twin_path(path).unlink(missing_ok=True)
+        write_csv(path, header, row, cols)
+        assert not twin_path(path).exists(), row
+
+
+def test_trace_read_takes_only_integer_text_from_the_twin(tmp_path):
+    # under %.17g the twin holds float64, as 10**17 prints as 1e+17, which
+    # is not the text of an int64
+    path = tmp_path / "trace.csv"
+    ints = np.array([10**17, 5], dtype=np.int64)
+    write_csv(path, TRACE_HEADER, "%.17g,%d,%d,%d\n", [ints] * 4)
+    assert [c.dtype for c in _twin_records(path)] == [np.float64] + [
+        np.int64] * 3
+    with pytest.raises(ValueError):
+        read_trace_csv(path, {}, 1, 1)
+
+
+def _csv_sha256(path):
+    return hashlib.sha256(path.read_bytes()).digest()
+
+
+def _bound_twin(path, *records, **save):
+    """Replace path's twin with the CSV's sha256 and these records."""
+    with open(twin_path(path), "wb") as fh:
+        fh.write(_csv_sha256(path))
+        for rec in records:
+            np.save(fh, rec, **save)
+
+
+def _swap_rows(path, n, data):
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1], lines[2] = lines[2], lines[1]
+    path.write_text("".join(lines))
+
+
+def _nan_field(path, n, data):
+    lines = path.read_text().splitlines(keepends=True)
+    cells = lines[-1].split(",")
+    cells[data.draw(st.integers(0, len(cells) - 2))] = "nan"
+    lines[-1] = ",".join(cells)
+    path.write_text("".join(lines))
+
+
+def _other_twin(path, n, data):
+    other = path.with_name("other.csv")
+    write, _ = READERS[path.stem]
+    write(other, n + 1)
+    twin_path(other).replace(twin_path(path))
+
+
+def _cut_twin(path, n, data):
+    twin = twin_path(path).read_bytes()
+    twin_path(path).write_bytes(twin[:data.draw(st.integers(0,
+                                                            len(twin) - 1))])
+
+
+def _twin_records(path):
+    """The n columns of path's intact twin."""
+    n = path.read_text().split("\n")[0].count(",") + 1
+    return list(twin_columns(path, n, "biuf"))
+
+
+def _object_twin(path, n, data):
+    cols = _twin_records(path)
+    _bound_twin(path, *[c.astype(object) for c in cols], allow_pickle=True)
+
+
+def _extra_record(path, n, data):
+    cols = _twin_records(path)
+    _bound_twin(path, *cols, cols[0])
+
+
+def _matrix_record(path, n, data):
+    cols = _twin_records(path)
+    _bound_twin(path, cols[0][:, None], *cols[1:])
+
+
+def _short_column(path, n, data):
+    cols = _twin_records(path)
+    _bound_twin(path, *cols[:-1], cols[-1][:-1])
+
+
+def _string_column(path, n, data):
+    cols = _twin_records(path)
+    _bound_twin(path, cols[0].astype("S24"), *cols[1:])
+
+
+TWIN_FAULTS = {"edited CSV: rows swapped": _swap_rows,
+               "edited CSV: a field made nan": _nan_field,
+               "twin of another CSV": _other_twin,
+               "twin cut short": _cut_twin,
+               "twin of object arrays": _object_twin,
+               "twin with an extra record": _extra_record,
+               "twin with a 2-D record": _matrix_record,
+               "twin with a short column": _short_column,
+               "twin with a string column": _string_column}
+
+
+def _columns_of(loaded):
+    """The arrays of a read scores file or queue log."""
+    return [getattr(loaded, f) for f in (
+        QueueEventLog.__slots__ if isinstance(loaded, QueueEventLog)
+        else [f.name for f in fields(loaded)])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(READERS)), st.sampled_from(sorted(TWIN_FAULTS)),
+       st.integers(2, 5), st.data())
+def test_a_stale_or_malformed_twin_falls_back_to_the_text(
+        tmp_path_factory, reader, fault, n, data):
+    write, read = READERS[reader]
+    path = tmp_path_factory.mktemp("twin") / f"{reader}.csv"
+    write(path, n)
+
+    def columns(p):
+        return _columns_of(read(p))
+
+    intact = _via_twin(columns, path)
+    assert intact[0] == "read"
+    TWIN_FAULTS[fault](path, n, data)
+    with mock.patch("pickle.load", side_effect=AssertionError("unpickled")):
+        got = _outcome(columns, path)
+    assert got == _via_text(columns, path)
+    if fault.startswith("edited"):
+        assert got != intact
+    with pytest.raises(NoTwin):
+        _twin_records(path)
+
+
+def test_twin_read_of_a_queue_log_peaks_at_the_log_plus_one_column(tmp_path):
+    # a demo world's queue log has about 270k rows
+    n = 270_000
+    rng = np.random.default_rng(5)
+    t = np.cumsum(rng.integers(0, 40, n))
+    wait = rng.random(n) * 1e4
+    log = QueueEventLog(t % 46, t % 5, t, t + wait, t + wait + 97.5,
+                        rng.random(n) < 0.9)
+    path = tmp_path / "queue_log.csv"
+    write_queue_log(path, log)
+    with mock.patch.object(np, "loadtxt",
+                           side_effect=AssertionError("text parsed")):
+        tracemalloc.start()
+        try:
+            back = read_queue_log(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    held = {}  # the buffers the returned log keeps alive
+    for name in QueueEventLog.__slots__:
+        a = getattr(back, name)
+        base = a if a.base is None else a.base
+        held[id(base)] = base.nbytes
+    assert peak <= sum(held.values()) + n * 8
+    for name in QueueEventLog.__slots__:
+        assert np.array_equal(getattr(back, name), getattr(log, name))

@@ -19,11 +19,13 @@ from flowgate.worlds import (
     BenignFlowSpec,
     BenignIatReference,
     CliqueContext,
+    ContentionGraph,
     EpisodeSpec,
     FloorUnreachable,
     GenerationError,
     LocalInfeasibility,
     REF_CAP,
+    RHO_RTOL,
     WorldConfig,
     _SALT_GRAPH,
     _gen_bulk,
@@ -343,6 +345,24 @@ def test_graph_dict_round_trip():
         type(g).from_dict({"flow_ids": [1, 2], "weights": [[0, 1], [1, 0]],
                            "cliques": {"0": [1, 2]}, "spectral_radius": 1.0,
                            "rho_band": [0.3, 0.5]})
+
+
+def test_stored_spectral_radius_must_be_rho_of_the_blocks():
+    g = build_contention_graph({1: 0, 2: 0, 3: 0, 4: 1, 5: 1}, (0.4, 0.6),
+                               np.random.default_rng(11))
+    d = json.loads(json.dumps(g.to_dict()))
+    with pytest.raises(ValueError, match=r"^contention\.json: "
+                       r"spectral_radius = 99\.0 is not rho of the blocks"):
+        ContentionGraph.from_dict({**d, "spectral_radius": 99.0})
+    # another machine's eigvalsh may differ in the last bits
+    rho = d["spectral_radius"]
+    for stored in (np.nextafter(rho, np.inf), np.nextafter(rho, -np.inf),
+                   rho * (1 + 0.5 * RHO_RTOL)):
+        back = ContentionGraph.from_dict({**d, "spectral_radius": stored})
+        assert back.spectral_radius == g.spectral_radius
+    with pytest.raises(ValueError, match="spectral_radius"):
+        ContentionGraph.from_dict({**d,
+                                   "spectral_radius": rho * (1 + 2 * RHO_RTOL)})
 
 
 def test_spectral_radius_known_matrix():
