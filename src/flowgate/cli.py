@@ -309,6 +309,7 @@ def cmd_report(args) -> int:
                               scores)
     base_log = read_queue_log(args.base_log)
     gated_log = read_queue_log(args.gated_log)
+    _check_same_packets(args.base_log, base_log, args.gated_log, gated_log)
 
     grace = thresholds_doc["m"]
     window_s = config.window_us * 1e-6
@@ -324,6 +325,27 @@ def cmd_report(args) -> int:
         print(f"{key}={json.dumps(val)}")
     print(f"out={out}")
     return 0
+
+
+def _check_same_packets(base_path, base, gated_path, gated) -> None:
+    """Refuse a base and a gated queue log that do not list the same
+    packets in the same order, naming the first line that differs: the
+    delay deltas of the report compare like with like only then."""
+    n = min(base.n, gated.n)
+    columns = ("flow_id", "clique_id", "enqueue_us", "benign")
+    first = [np.flatnonzero(getattr(base, c)[:n] != getattr(gated, c)[:n])
+             for c in columns]
+    k = min((int(d[0]) for d in first if d.size), default=n)
+    if k == n == base.n == gated.n:
+        return
+    if k == n:
+        what = f"it is in one log only: {base.n} rows against {gated.n}"
+    else:
+        what = ", ".join(f"{c} {int(getattr(base, c)[k])} against "
+                         f"{int(getattr(gated, c)[k])}" for c, d in
+                         zip(columns, first) if d.size and d[0] == k)
+    raise ValueError(f"{base_path} and {gated_path} do not replay the same "
+                     f"packets: line {k + 2} differs ({what})")
 
 
 # ---------------------------------------------------------------------------

@@ -99,7 +99,8 @@ def feasibility_rate(outcomes) -> float:
 
 def queue_impact(base_log, gated_log) -> tuple[float, float]:
     """(delta p99.9 delay, delta p99.9 benign-only delay), gated minus base,
-    in milliseconds. Both logs must replay the identical trace."""
+    in milliseconds. Both logs must replay the identical trace (the report
+    command refuses two that do not)."""
     d = (delay_percentile(gated_log, 99.9)
          - delay_percentile(base_log, 99.9)) * 1e-3
     c = (delay_percentile(gated_log, 99.9, benign_only=True)

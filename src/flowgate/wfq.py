@@ -17,15 +17,24 @@ Kernel layout: one kernel serves every clique. For a clique's packets, in
 arrival order, it computes the tag increments len / (weight * capacity),
 with weights from WeightSchedule.weights, and the service times once, as
 numpy arrays; the heap loop then runs over plain Python floats and serves
-tag ties in arrival order. Precondition: arrival times are nondecreasing
-within each clique (worlds.check_trace refuses a trace.csv that is not
-sorted); otherwise the loop gives wrong delays without an error.
+tag ties in arrival order. A packet that finds the heap empty, with no
+other arrival by the time the server frees, is served at once without the
+heap, which would pop that same packet. Cliques are independent servers,
+so replay deals them into one share per CPU it may run on, largest clique
+first: this process serves one share and a forked child serves each other
+one, writing its dequeue instants into a shared anonymous mapping. Outputs
+do not depend on the share count. Precondition: arrival times are
+nondecreasing within each clique (worlds.check_trace refuses a trace.csv
+that is not sorted); otherwise the loop gives wrong delays without an
+error.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import mmap
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,43 +130,98 @@ def replay(trace: Trace, capacity_bps: float,
     """Replay a trace through one WFQ server per clique.
 
     capacity_bps is in bytes per second. Returns a log whose rows align with
-    the trace's packet order.
+    the trace's packet order. The cliques are served in shares, one per
+    CPU this process may run on (see _serve_shares).
     """
     if capacity_bps <= 0:
         raise ValueError("capacity must be positive")
     if schedule is None:
         schedule = WeightSchedule()
-    n = trace.n_packets
-    dequeue = np.empty(n, dtype=np.float64)
-    complete = np.empty(n, dtype=np.float64)
-
     ts = trace.ts_us
     fid = trace.flow_id
     ln = trace.len_bytes
     cq = trace.clique_id
     cap = float(capacity_bps)
 
-    for c in np.unique(cq):
-        idx = np.flatnonzero(cq == c)
-        dequeue[idx], complete[idx] = _replay_clique(
-            ts[idx], fid[idx], ln[idx], cap, schedule)
+    cliques = [np.flatnonzero(cq == c) for c in np.unique(cq)]
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else 1)
+    n_shares = max(1, min(cpus, len(cliques)))
+    # a shared anonymous mapping, so that a forked share's writes reach it
+    dequeue = (np.frombuffer(mmap.mmap(-1, 8 * trace.n_packets), np.float64)
+               if n_shares > 1 else np.empty(trace.n_packets))
 
+    def serve(share):
+        for idx in share:
+            dequeue[idx] = _replay_clique(ts[idx], fid[idx], ln[idx], cap,
+                                          schedule)
+
+    if not _serve_shares(_lpt_shares(cliques, n_shares), serve):
+        serve(cliques)  # in clique order: raises what a serial replay raises
+    # the kernel advanced t_free by these same additions, so completions
+    # are exact
+    complete = dequeue + ln * (1e6 / cap)
     benign = np.isin(fid, [f for f, info in trace.flow_table.items()
                            if info.label == BENIGN])
     return QueueEventLog(fid, cq, ts, dequeue, complete, benign)
 
 
-def _replay_clique(t, f, l, cap, schedule):
+def _lpt_shares(cliques: list[np.ndarray], n_shares: int) -> list[list]:
+    """Cliques dealt into n_shares shares, largest first, each to the share
+    with the fewest packets so far (LPT). Share 0 holds the largest clique."""
+    shares: list[list] = [[] for _ in range(n_shares)]
+    load = [0] * n_shares
+    for idx in sorted(cliques, key=len, reverse=True):
+        k = load.index(min(load))
+        shares[k].append(idx)
+        load[k] += len(idx)
+    return shares
+
+
+def _serve_shares(shares: list[list], serve) -> bool:
+    """serve(share) for every share, at once: shares[0] in this process and
+    each other one in a forked child. False if any share failed.
+
+    A child leaves only through os._exit, so it runs no exit handler and
+    flushes no inherited stdio buffer. Every child is reaped before this
+    returns or raises.
+    """
+    pids = []
+    served = True
+    try:
+        for share in shares[1:]:
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    serve(share)
+                    code = 0
+                finally:
+                    os._exit(code)
+            pids.append(pid)
+        serve(shares[0])
+    except Exception:
+        served = False
+    finally:
+        for pid in pids:
+            if os.waitpid(pid, 0)[1] != 0:
+                served = False
+    return served
+
+
+def _replay_clique(t, f, l, cap, schedule) -> np.ndarray:
     """SCFQ service of one clique's packets, given in arrival order.
 
-    Returns the (dequeue_us, complete_us) arrays aligned with the input.
+    Returns the dequeue instants aligned with the input.
     """
     inc_us = l / (schedule.weights(f, t) * cap)
     svc_us = l * (1e6 / cap)  # service microseconds
     dequeue = np.empty(t.shape)
     # memoryviews read and write plain Python floats without a per-packet
-    # list of float objects; microseconds stay exact in doubles below 2**53
-    t, inc, svc = map(memoryview, (t.astype(np.float64), inc_us, svc_us))
+    # list of float objects; microseconds stay exact in doubles below 2**53.
+    # The +inf after the last arrival ends every scan for arrivals.
+    t, inc, svc = map(memoryview, (np.append(t.astype(np.float64), np.inf),
+                                   inc_us, svc_us))
     out = memoryview(dequeue)
     f = f.tolist()
     n = len(f)
@@ -170,9 +234,19 @@ def _replay_clique(t, f, l, cap, schedule):
     t_free = 0.0
     i = 0
     while i < n or heap:
-        if not heap and t[i] > t_free:
-            t_free = t[i]
-        while i < n and t[i] <= t_free:
+        if not heap:
+            if t[i] > t_free:
+                t_free = t[i]
+            if t[i + 1] > t_free:
+                # packet i waits alone: the heap would pop it at once
+                prev = prev_finish(f[i], 0.0)
+                virtual = (virtual if virtual >= prev else prev) + inc[i]
+                last_finish[f[i]] = virtual
+                out[i] = t_free
+                t_free += svc[i]
+                i += 1
+                continue
+        while t[i] <= t_free:
             prev = prev_finish(f[i], 0.0)
             tag = (virtual if virtual >= prev else prev) + inc[i]
             last_finish[f[i]] = tag
@@ -181,8 +255,7 @@ def _replay_clique(t, f, l, cap, schedule):
         virtual, k = pop(heap)
         out[k] = t_free
         t_free += svc[k]
-    # t_free advanced by exactly these additions, so completions are exact
-    return dequeue, dequeue + svc_us
+    return dequeue
 
 
 def gate_controller(actionable: dict[int, np.ndarray], config: GateConfig,

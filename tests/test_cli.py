@@ -7,7 +7,10 @@ determinism, label blindness) drive main() directly.
 
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -229,6 +232,83 @@ def test_swapped_queue_logs_are_refused(pipe, tmp_path, capsys):
         shutil.copy(pipe[m] / "queue_log.csv", tmp_path / m)
     assert _report(pipe, tmp_path, base=tmp_path / "gated" / "queue_log.csv",
                    gated=tmp_path / "base" / "queue_log.csv") == 0
+
+
+def _bare_log(pipe, tmp_path, world, mode, edit=None):
+    """A copy of a queue log with no replay manifest beside it, its text
+    lines passed through edit."""
+    out = tmp_path / f"{world.name}_{mode}"
+    out.mkdir()
+    lines = (pipe[mode] if world == pipe["world"] else world.parent / mode
+             ).joinpath("queue_log.csv").read_text().splitlines()
+    (out / "queue_log.csv").write_text(
+        "".join(line + "\n" for line in (edit or list)(lines)))
+    return out / "queue_log.csv"
+
+
+def test_queue_logs_of_other_packets_are_refused(pipe, tmp_path, capsys):
+    # the base log of world seed 6, without its replay manifest, against
+    # the gated log of world seed 5
+    other = tmp_path / "seed6" / "world"
+    assert main(["gen-world", "--config", str(pipe["cfg"]), "--seed", "6",
+                 "--out", str(other)]) == 0
+    assert main(["replay", "--world", str(other), "--mode", "base",
+                 "--out", str(other.parent / "base")]) == 0
+    base = _bare_log(pipe, tmp_path, other, "base")
+    gated = pipe["gated"] / "queue_log.csv"
+    capsys.readouterr()
+    assert _report(pipe, tmp_path, base=base) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ValueError: {base} and {gated} do not "
+                          "replay the same packets: line ")
+    assert not (tmp_path / "r" / "report.json").exists()
+
+
+@pytest.mark.parametrize("case", ["last row missing", "benign flipped",
+                                  "flow and time edited"])
+def test_queue_logs_that_differ_in_a_packet_are_refused(pipe, tmp_path,
+                                                        capsys, case):
+    gated = pipe["gated"] / "queue_log.csv"
+    lines = gated.read_text().splitlines()
+    rows = len(lines) - 1
+    f, _, e, _, _, b = lines[5].split(",")  # line 6, the same in both logs
+    edit, line, what = {
+        "last row missing": (lambda ls: ls[:-1], rows + 1,
+                             f"it is in one log only: {rows - 1} rows "
+                             f"against {rows}"),
+        "benign flipped": (lambda ls: _edit_row(ls, 4, 5, 1 - int(b)), 6,
+                           f"benign {1 - int(b)} against {b}"),
+        "flow and time edited": (
+            lambda ls: _edit_row(_edit_row(ls, 4, 0, 9), 4, 2, 7), 6,
+            f"flow_id 9 against {f}, enqueue_us 7 against {e}"),
+    }[case]
+    base = _bare_log(pipe, tmp_path, pipe["world"], "base", edit)
+    assert _report(pipe, tmp_path, base=base) == 1
+    assert capsys.readouterr().err == (
+        f"error: ValueError: {base} and {gated} do not replay the same "
+        f"packets: line {line} differs ({what})\n")
+
+
+def test_replay_output_is_printed_once(pipe, tmp_path):
+    # stdout to a pipe is block-buffered, so the gate's lines are still in
+    # the buffer when the shares fork; a child must not flush them
+    code = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1, 2}; "
+            "from flowgate.cli import main; sys.exit(main(sys.argv[1:]))")
+    out = tmp_path / "g"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).parents[1] / "src"), env.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "replay", "--world", str(pipe["world"]),
+         "--mode", "gated", "--scores", str(pipe["det"] / "scores.csv"),
+         "--out", str(out)], stdout=subprocess.PIPE, env=env, check=True,
+        text=True)
+    packets = len((pipe["gated"] / "queue_log.csv").read_text().splitlines())
+    assert proc.stdout.splitlines() == [
+        "omega_0=1.0", "omega_minus=0.05", "t_g_s=30.0", "mode=gated",
+        f"packets={packets - 1}", f"out={out}"]
+    assert (out / "queue_log.csv").read_bytes() == (
+        pipe["gated"] / "queue_log.csv").read_bytes()
 
 
 def test_detect_seed_is_inert_without_noise(pipe, tmp_path):

@@ -1,10 +1,12 @@
 import heapq
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowgate import wfq
 from flowgate.trace import BENIGN, MALICIOUS, FlowInfo, FlowKey, Trace
 from flowgate.wfq import (
     GateConfig,
@@ -419,7 +421,9 @@ def replay_case(draw):
     ln = np.array([l for _, _, l in packets], dtype=np.int64)
     cq = np.array([clique_of[f] for f in fid], dtype=np.int64)
     trace = Trace(ts, fid, ln, cq, flow_table(n_flows), 4000, 250_000)
-    capacity = draw(st.sampled_from([1e6, 40_000.0]))
+    # 1e6 / capacity is a whole number of microseconds per byte for the
+    # first two and not for the last two
+    capacity = draw(st.sampled_from([1e6, 40_000.0, 300_000.0, 700_000.0]))
     schedule = WeightSchedule(default_weight=draw(st.sampled_from([1.0, 0.5])))
     instants = sorted(set(ts.tolist()) | {1, 50})
     weight = st.sampled_from([1.0, 0.05, 0.3, 3.0])
@@ -440,15 +444,125 @@ def test_kernel_matches_scalar_oracle_bitwise(case):
     assert_matches_oracle(trace, capacity, schedule)
 
 
-def test_kernel_matches_oracle_on_audit_world():
+@pytest.fixture(scope="module")
+def audit_world():
+    """The audit world and a schedule that gates every episode flow over
+    its labelled span."""
     world = build_world(_audit_config(1, horizon_windows=200), 1)
     cfg = world.config
-    assert_matches_oracle(world.trace, cfg.capacity_bps)
-    # gate every episode flow over its labelled span
     actionable = {}
     for lab in world.labels:
         z = np.zeros(cfg.horizon_windows, dtype=bool)
         z[lab.start_window:lab.end_window + 1] = True
         actionable[lab.flow_id] = z
-    sched = gate_controller(actionable, GateConfig(), cfg.window_us)
-    assert_matches_oracle(world.trace, cfg.capacity_bps, sched)
+    return world, gate_controller(actionable, GateConfig(), cfg.window_us)
+
+
+def test_kernel_matches_oracle_on_audit_world(audit_world):
+    world, sched = audit_world
+    assert_matches_oracle(world.trace, world.config.capacity_bps)
+    assert_matches_oracle(world.trace, world.config.capacity_bps, sched)
+
+
+# ---------------------------------------------------------------------------
+# shares: cliques served in forked children, one share per CPU
+
+
+def cpus(monkeypatch, n):
+    """Let replay see n CPUs, and count the children it forks."""
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def log_bytes(log):
+    return [getattr(log, name).tobytes() for name in QueueEventLog.__slots__]
+
+
+@pytest.mark.parametrize("gated", [False, True])
+def test_one_cpu_forks_nothing_and_matches_the_shares(monkeypatch,
+                                                      audit_world, gated):
+    world, sched = audit_world
+    schedule = sched if gated else None
+    n_cliques = np.unique(world.trace.clique_id).size
+    assert n_cliques > 3
+    forks = cpus(monkeypatch, 3)
+    shared = replay(world.trace, world.config.capacity_bps, schedule)
+    assert len(forks) == 2
+    forks = cpus(monkeypatch, 1)
+    serial = replay(world.trace, world.config.capacity_bps, schedule)
+    assert forks == []
+    assert log_bytes(shared) == log_bytes(serial)
+    assert_no_child_left()
+
+
+def test_shares_are_balanced_largest_first():
+    cliques = [np.arange(n) for n in (90_054, 10_375, 56_602, 56_601,
+                                      56_601)]
+    shares = wfq._lpt_shares(cliques, 2)
+    assert [[len(idx) for idx in share] for share in shares] == [
+        [90_054, 56_601], [56_602, 56_601, 10_375]]
+    assert wfq._lpt_shares(cliques[:1], 1) == [cliques[:1]]
+
+
+def three_cliques():
+    # clique 2 holds the most packets, so the parent serves it and the
+    # children serve cliques 0 and 1
+    ts = np.arange(12, dtype=np.int64) * 100
+    cq = np.array([2, 0, 2, 1, 2, 0, 2, 1, 2, 2, 2, 2])
+    return Trace(ts, cq.copy(), np.full(12, 500), cq, flow_table(3), 4000,
+                 250_000)
+
+
+def failing_kernel(monkeypatch, bad_cliques, only_in_children=False):
+    """Make the kernel raise on the cliques (= flows here) named."""
+    kernel = wfq._replay_clique
+    parent = os.getpid()
+
+    def kernel_or_error(t, f, *args):
+        if int(f[0]) in bad_cliques and not (only_in_children
+                                             and os.getpid() == parent):
+            raise ValueError(f"clique {int(f[0])} failed")
+        return kernel(t, f, *args)
+
+    monkeypatch.setattr(wfq, "_replay_clique", kernel_or_error)
+
+
+@pytest.mark.parametrize("bad", [{1}, {0, 2}, {1, 2}])
+def test_error_in_a_share_is_the_serial_error(monkeypatch, bad):
+    trace = three_cliques()
+    failing_kernel(monkeypatch, bad)
+    cpus(monkeypatch, 1)
+    with pytest.raises(ValueError) as serial:
+        replay(trace, 100_000)
+    forks = cpus(monkeypatch, 3)
+    with pytest.raises(ValueError) as shared:
+        replay(trace, 100_000)
+    assert len(forks) == 2
+    assert str(shared.value) == str(serial.value) == (
+        f"clique {min(bad)} failed")
+    assert_no_child_left()
+
+
+def test_share_of_a_dead_child_is_served_again(monkeypatch):
+    trace = three_cliques()
+    expected = log_bytes(replay(trace, 100_000))
+    failing_kernel(monkeypatch, {0, 1}, only_in_children=True)
+    forks = cpus(monkeypatch, 3)
+    assert log_bytes(replay(trace, 100_000)) == expected
+    assert len(forks) == 2
+    assert_no_child_left()
