@@ -249,21 +249,16 @@ def cmd_replay(args) -> int:
         gc.validate()
         _recorded_world(args.scores, "detect_manifest.json", DetectManifest,
                         manifest)
-        # each scored flow's flags by window; the reader refuses window < 0
-        scores = read_scores_csv(args.scores)
+        scores = read_scores_csv(args.scores)  # refuses window < 0
         late = scores.window[scores.window >= config.horizon_windows]
         if late.size:
             raise ValueError(f"{args.scores}: window {late[0]} is outside "
                              f"[0, {config.horizon_windows})")
-        flows, row = np.unique(scores.flow_id, return_inverse=True)
-        unknown = flows[~np.isin(flows, list(trace.flow_table))]
+        unknown = np.setdiff1d(scores.flow_id, list(trace.flow_table))
         if unknown.size:
             raise ValueError(f"{args.scores}: flow {unknown[0]} is not in "
                              "flows.csv")
-        z = np.zeros((flows.size, config.horizon_windows), dtype=bool)
-        z[row[scores.z], scores.window[scores.z]] = True
-        schedule = gate_controller(dict(zip(flows.tolist(), z)), gc,
-                                   config.window_us)
+        schedule = gate_controller(scores, gc, config.window_us)
         write_schedule(out / "schedule.csv", schedule)
         gate_doc = to_json(gc)
 

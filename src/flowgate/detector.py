@@ -13,8 +13,7 @@ memoryless baseline scores window t's evidence directly.
 Layout: the session is window-synchronous. Every step works on one window's
 arrays over a fixed, ordered set of flows (the rows of the window's feature
 matrix), and the dynamics, calibration and persistence functions below are
-elementwise kernels that serve one flow (scalars) and a window (arrays)
-alike.
+elementwise kernels over those arrays.
 """
 
 from __future__ import annotations
@@ -27,13 +26,15 @@ import numpy as np
 
 from flowgate.features import Normalizer
 from flowgate.trace import (
-    check_fields,
+    Table,
+    column,
     from_json,
     load_json,
-    read_csv,
+    read_table,
+    row_line,
     to_json,
-    write_csv,
     write_json,
+    write_table,
 )
 
 W_MIN_DEFAULT = 50
@@ -115,15 +116,14 @@ def f_sat_peak_slope(kappa: float, v_max: float) -> float:
 
 
 def _each(fn, x):
-    """fn, a function of one float, applied to x: a float, or every element
-    of an array. Elementwise steps that need libm (numpy's SIMD exp and
-    power can differ from it by an ulp, which would move the scores' bytes)
-    or a branch go through here, so an array gives each element's scalar
-    result bit for bit."""
-    if isinstance(x, np.ndarray):
-        return np.fromiter(map(fn, x.ravel().tolist()), np.float64,
-                           x.size).reshape(x.shape)
-    return fn(x)
+    """fn, a function of one float, applied to every element of the array
+    x. Elementwise steps that need libm (numpy's SIMD exp and power can
+    differ from it by an ulp, which would move the scores' bytes) or a
+    branch go through here, so each element is its scalar result bit for
+    bit."""
+    x = np.asarray(x)
+    return np.fromiter(map(fn, x.ravel().tolist()), np.float64,
+                       x.size).reshape(x.shape)
 
 
 def _logistic(x: float) -> float:
@@ -241,42 +241,28 @@ class Persistence:
 # streaming session
 
 
-# the columns of Scores and their dtypes, in field order
-_SCORE_DTYPES = (("flow_id", np.int64), ("window", np.int64),
-                 *((c, np.float64) for c in "ESvus"), ("a", bool), ("z", bool))
-
-
 @dataclass(frozen=True, eq=False)
-class Scores:
-    """Equal-length score columns, one row per (flow, window): the flow and
-    window (int64), the evidence E (also the memoryless baseline's score),
-    the surrogate S, the pre-step state v and u, the score s (float64), the
-    alarm a and the actionable flag z (bool)."""
+class Scores(Table):
+    """scores.csv: one row per (flow, window), with the flow and window,
+    the evidence E, the surrogate S, the pre-step state v and u, the score
+    s, the alarm a, the actionable flag z, and baseline_s, the memoryless
+    baseline's score, which is E (and is E when not given)."""
 
-    flow_id: np.ndarray
-    window: np.ndarray
-    E: np.ndarray
-    S: np.ndarray
-    v: np.ndarray
-    u: np.ndarray
-    s: np.ndarray
-    a: np.ndarray
-    z: np.ndarray
+    flow_id: np.ndarray = column("d", np.int64)
+    window: np.ndarray = column("d", np.int64)
+    E: np.ndarray = column("r", np.float64)
+    S: np.ndarray = column("r", np.float64)
+    v: np.ndarray = column("r", np.float64)
+    u: np.ndarray = column("r", np.float64)
+    s: np.ndarray = column("r", np.float64)
+    a: np.ndarray = column("d", bool)
+    z: np.ndarray = column("d", bool)
+    baseline_s: np.ndarray = column("r", np.float64, default=None)
 
     def __post_init__(self):
-        for name, dtype in _SCORE_DTYPES:
-            object.__setattr__(self, name,
-                               np.asarray(getattr(self, name), dtype=dtype))
-
-    def __len__(self) -> int:
-        return self.flow_id.size
-
-    @classmethod
-    def concat(cls, parts) -> "Scores":
-        """The rows of parts, stacked in order."""
-        parts = list(parts)
-        return cls(*(np.concatenate([getattr(p, name) for p in parts])
-                     if parts else () for name, _ in _SCORE_DTYPES))
+        if self.baseline_s is None:
+            object.__setattr__(self, "baseline_s", self.E)
+        super().__post_init__()
 
 
 class DetectorSession:
@@ -412,23 +398,30 @@ class DetectorSession:
 # ---------------------------------------------------------------------------
 # on-disk formats
 
-SCORES_HEADER = "flow_id,window,E,S,v,u,s,a,z,baseline_s"
-
-
 def write_scores_csv(path, scores: Scores) -> None:
-    """One line per row of scores, in table order; baseline_s repeats E."""
-    write_csv(path, SCORES_HEADER, "%d,%d,%r,%r,%r,%r,%r,%d,%d,%r\n",
-              (scores.flow_id, scores.window, scores.E, scores.S, scores.v,
-               scores.u, scores.s, scores.a, scores.z, scores.E))
+    """One line per row of scores, in table order."""
+    write_table(path, scores)
 
 
 def read_scores_csv(path) -> Scores:
-    """Load a scores CSV, refusing what read_csv refuses (ids are integers,
-    a and z flags) and a baseline_s other than E."""
-    raw = read_csv(path, SCORES_HEADER, n_ints=2, flags=(7, 8))
-    check_fields(path, SCORES_HEADER, raw, [9],
-                 (raw[:, 9] == raw[:, 2])[:, None], "is not E")
-    return Scores(*raw[:, :7].T, raw[:, 7] == 1, raw[:, 8] == 1)
+    """Load a scores CSV, refusing, naming the path and the lines, what
+    read_table refuses, a baseline_s other than E and a (flow, window) pair
+    that an earlier line holds."""
+    scores = read_table(Scores, path)
+    same = scores.baseline_s == scores.E
+    if not same.all():
+        i = int(np.argmin(same))
+        raise ValueError(f"{path}: line {row_line(path, i)}: baseline_s = "
+                         f"{scores.baseline_s[i]:g} is not E")
+    order = np.lexsort((scores.window, scores.flow_id))  # ties by row
+    f, w = scores.flow_id[order], scores.window[order]
+    repeat = np.flatnonzero((f[1:] == f[:-1]) & (w[1:] == w[:-1]))
+    if repeat.size:  # the earliest repeating row, and the row it repeats
+        k = repeat[np.argmin(order[repeat + 1])]
+        raise ValueError(
+            f"{path}: line {row_line(path, int(order[k + 1]))}: flow {f[k]} "
+            f"at window {w[k]} repeats line {row_line(path, int(order[k]))}")
+    return scores
 
 
 def write_thresholds(path, session: DetectorSession) -> None:

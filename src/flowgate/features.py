@@ -25,23 +25,14 @@ class FeatureTable:
     """Per-(flow, window) features: one (window x flow x feature) matrix.
 
     x[w] is window w's (n_flows x 7) matrix in flow_ids order, the input of
-    one detector step; missing IAT stats are NaN. pkt_count is (flow x
-    window), and each feature is also a named (flow x window) view of x.
+    one detector step, with the features in FEATURE_NAMES order; missing
+    IAT stats are NaN.
     """
 
-    def __init__(self, flow_ids, horizon_windows, window_us, pkt_count,
-                 features):
+    def __init__(self, flow_ids, features):
         self.flow_ids = list(flow_ids)
-        self.horizon_windows = int(horizon_windows)
-        self.window_us = int(window_us)
-        self.pkt_count = pkt_count
-        self.x = np.empty((self.horizon_windows, len(self.flow_ids),
-                           N_FEATURES))
-        for k, f in enumerate(features):
-            self.x[:, :, k] = f.T
-        (self.pkt_rate, self.byte_rate, self.iat_mean, self.iat_cv,
-         self.pacing, self.share, self.interference) = (
-            self.x[:, :, k].T for k in range(N_FEATURES))
+        self.x = np.stack([f.T for f in features], axis=-1)
+        self.horizon_windows = len(self.x)
 
     def row(self, fi: int, w: int) -> np.ndarray:
         """Flow fi's 7-vector at window w (a view into x)."""
@@ -121,9 +112,8 @@ def windowize(trace, graph, micro_bins: int = 10) -> FeatureTable:
     share = bts / np.maximum(1.0, cq_bytes[clique])
     interference = graph.matvec(byte_rate)
 
-    return FeatureTable(flow_ids, H, trace.window_us, counts,
-                        (pkt_rate, byte_rate, iat_mean, iat_cv, pacing, share,
-                         interference))
+    return FeatureTable(flow_ids, (pkt_rate, byte_rate, iat_mean, iat_cv,
+                                   pacing, share, interference))
 
 
 # ---------------------------------------------------------------------------

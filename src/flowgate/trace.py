@@ -13,11 +13,19 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import os
 import re
 import typing
 import warnings
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import (
+    MISSING,
+    dataclass,
+    field,
+    fields,
+    is_dataclass,
+    replace,
+)
 from pathlib import Path
 
 import numpy as np
@@ -89,53 +97,95 @@ def split_ok(split) -> bool:
             and abs(sum(split) - 1.0) <= 1e-9)
 
 
-class Trace:
-    """Immutable packet trace backed by parallel int64 arrays.
+# ---------------------------------------------------------------------------
+# Tables: the one declaration of every CSV artifact
+
+
+def column(conv: str, dtype, **kw):
+    """A Table field: a numpy column of dtype, written to CSV under the
+    field's name as "%" + conv. The conversion is d for an integer or bool
+    dtype and r or .17g for a float one, so that the text reads back as
+    the column."""
+    dtype = np.dtype(dtype)
+    if conv not in {"i": ("d",), "b": ("d",), "f": ("r", ".17g")}.get(
+            dtype.kind, ()):
+        raise ValueError(f"column %{conv} of {dtype}: only %d of integers "
+                         "or bools and %r or %.17g of floats are supported")
+    return field(**kw, metadata={"column": (conv, dtype)})
+
+
+@functools.cache
+def table_columns(cls) -> tuple:
+    """(name, conversion, dtype) of each column of Table cls, in field
+    order."""
+    return tuple((f.name, *f.metadata["column"]) for f in fields(cls)
+                 if "column" in f.metadata)
+
+
+@dataclass(frozen=True, eq=False)
+class Table:
+    """Equal-length numpy columns, the fields made with column(), stored as
+    their dtypes; other fields ride along. write_table and read_table read
+    a CSV's header, row format, twin and value checks off the columns."""
+
+    def __post_init__(self):
+        shapes = set()
+        for name, _, dtype in table_columns(type(self)):
+            col = np.asarray(getattr(self, name), dtype=dtype)
+            object.__setattr__(self, name, col)
+            shapes.add(col.shape)
+        if len(shapes) != 1 or len(shapes.pop()) != 1:
+            raise ValueError(f"{type(self).__name__}: columns are not 1-D "
+                             "of one length")
+
+    def __len__(self) -> int:
+        return len(getattr(self, table_columns(type(self))[0][0]))
+
+    def __eq__(self, other) -> bool:
+        cols = {name for name, *_ in table_columns(type(self))}
+        return type(other) is type(self) and all(
+            (np.array_equal if f.name in cols else operator.eq)(
+                getattr(self, f.name), getattr(other, f.name))
+            for f in fields(self))
+
+    def take(self, rows):
+        """The rows a boolean mask or an index array selects, in order."""
+        return replace(self, **{name: getattr(self, name)[rows]
+                                for name, *_ in table_columns(type(self))})
+
+    @classmethod
+    def concat(cls, parts):
+        """The rows of parts in order, with the first part's other fields."""
+        parts = list(parts)
+        cols = {name: np.concatenate([getattr(p, name) for p in parts])
+                if parts else () for name, *_ in table_columns(cls)}
+        return replace(parts[0], **cols) if parts else cls(**cols)
+
+
+@dataclass(frozen=True, eq=False)
+class Trace(Table):
+    """Immutable packet trace: trace.csv's int64 columns, with the flow
+    table, horizon and window along.
 
     Packets are sorted by ts_us; a world's trace breaks ties by flow id,
     then by position (worlds.with_flows).
     """
 
-    __slots__ = ("ts_us", "flow_id", "len_bytes", "clique_id", "flow_table",
-                 "horizon_windows", "window_us")
-
-    def __init__(self, ts_us, flow_id, len_bytes, clique_id,
-                 flow_table: dict[int, FlowInfo],
-                 horizon_windows: int, window_us: int):
-        self.ts_us = np.asarray(ts_us, dtype=np.int64)
-        self.flow_id = np.asarray(flow_id, dtype=np.int64)
-        self.len_bytes = np.asarray(len_bytes, dtype=np.int64)
-        self.clique_id = np.asarray(clique_id, dtype=np.int64)
-        self.flow_table = flow_table
-        self.horizon_windows = int(horizon_windows)
-        self.window_us = int(window_us)
+    ts_us: np.ndarray = column("d", np.int64)
+    flow_id: np.ndarray = column("d", np.int64)
+    len_bytes: np.ndarray = column("d", np.int64)
+    clique_id: np.ndarray = column("d", np.int64)
+    flow_table: dict[int, FlowInfo]
+    horizon_windows: int
+    window_us: int
 
     @property
     def n_packets(self) -> int:
-        return int(self.ts_us.shape[0])
+        return len(self)
 
     @property
     def horizon_us(self) -> int:
         return self.horizon_windows * self.window_us
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Trace):
-            return NotImplemented
-        return (self.horizon_windows == other.horizon_windows
-                and self.window_us == other.window_us
-                and self.flow_table == other.flow_table
-                and np.array_equal(self.ts_us, other.ts_us)
-                and np.array_equal(self.flow_id, other.flow_id)
-                and np.array_equal(self.len_bytes, other.len_bytes)
-                and np.array_equal(self.clique_id, other.clique_id))
-
-
-def trace_subset(trace: Trace, mask) -> Trace:
-    """The packets selected by a boolean mask, in order; shares the flow
-    table."""
-    return Trace(trace.ts_us[mask], trace.flow_id[mask],
-                 trace.len_bytes[mask], trace.clique_id[mask],
-                 trace.flow_table, trace.horizon_windows, trace.window_us)
 
 
 def canonical_json(obj) -> bytes:
@@ -156,104 +206,62 @@ def config_hash(config_dict: dict) -> str:
 # ---------------------------------------------------------------------------
 # On-disk formats
 
-TRACE_HEADER = "ts_us,flow_id,len_bytes,clique_id"
-
-
 _WRITE_BLOCK = 1 << 15  # rows formatted per write
-_CONVERSION = re.compile(r"%(d|r|\.17g)")
 # Below these magnitudes a whole float prints without an exponent: %r as
 # its digits and ".0", %.17g as its digits alone.
 _WHOLE_BELOW = {"r": 1e16, ".17g": 1e17}
 
 
 def twin_path(path) -> Path:
-    """The binary twin that write_csv writes beside the CSV at path."""
+    """The binary twin that write_table writes beside the CSV at path."""
     return Path(f"{path}.cols")
 
 
-def write_csv(path, header: str, row: str, cols) -> None:
-    """Write equal-length columns as CSV lines formatted by `row`, one %d,
-    %r or %.17g conversion per column between literal text, ending in a
-    newline. The bytes are those of `row % values` for each row; they are
-    made a column and a block of rows at a time, so that memory does not
-    grow with the file. Refuses another conversion or a column count that
-    does not match the row.
-
-    When the row is its conversions joined by commas under a header of as
-    many fields, and every column's text is a number, the twin
-    `<path>.cols` is written too: the sha256 of the CSV's bytes, then each
-    column as an np.save record of the values its text reads back as."""
-    parts = _CONVERSION.split(row)
-    literals, convs = parts[::2], parts[1::2]
-    if any("%" in lit for lit in literals):
-        raise ValueError(f"row {row!r}: only %d, %r and %.17g are supported")
-    cols = [np.asarray(c) for c in cols]
-    if len(cols) != len(convs) or len({c.shape for c in cols}) > 1:
-        raise ValueError(f"row {row!r}: {len(convs)} conversions for "
-                         f"{len(cols)} columns of shapes "
-                         f"{[c.shape for c in cols]}")
-    twin = _twin_columns(header, literals, convs, cols)
-    literals = [np.frombuffer(s.encode(), np.uint8) for s in literals]
-    n = len(cols[0])
+def write_table(path, table: Table) -> None:
+    """Write a table to the CSV at path: a header of its column names, then
+    one line per row, its columns in their conversions joined by commas.
+    The bytes are those of `row % values` for each row; they are made a
+    column and a block of rows at a time, so that memory does not grow with
+    the file. The twin `<path>.cols` follows: the sha256 of the CSV's
+    bytes, then each column as an np.save record."""
+    spec = table_columns(type(table))
+    cols = [getattr(table, name) for name, *_ in spec]
+    seps = [np.frombuffer(b",", np.uint8)] * (len(spec) - 1) + [
+        np.frombuffer(b"\n", np.uint8)]
+    n = len(table)
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        text = header.encode() + b"\n"
+        text = ",".join(name for name, *_ in spec).encode() + b"\n"
         digest.update(text)
         fh.write(text)
         for s in range(0, n, _WRITE_BLOCK):
             k = min(n - s, _WRITE_BLOCK)
             cells = {}  # columns with the same values are formatted once
-            parts = [np.broadcast_to(literals[0], (k, literals[0].size))]
-            for col, conv, lit in zip(cols, convs, literals[1:]):
+            parts = []
+            for col, (_, conv, _), sep in zip(cols, spec, seps):
                 block = col[s:s + k]
                 key = (conv, block.dtype.str, block.tobytes())
                 if key not in cells:
                     cells[key] = _cell_bytes(block, conv)
-                parts += [cells[key], np.broadcast_to(lit, (k, lit.size))]
+                parts += [cells[key], np.broadcast_to(sep, (k, 1))]
             text = np.concatenate(parts, axis=1)
             text = text[text != 0]
             digest.update(text)
             fh.write(text)
-    if twin is not None:
-        with open(twin_path(path), "wb") as fh:
-            fh.write(digest.digest())
-            for col in twin:
-                np.save(fh, col, allow_pickle=False)
-
-
-def _twin_columns(header: str, literals, convs, cols):
-    """The twin's columns, each 1-D column as its text reads back: under %d
-    an integer or bool column as it is and a float one truncated as "%d"
-    prints it, under %r and %.17g as float64. None when a line is not the
-    conversions joined by commas under a header of as many fields, or a
-    column is not numbers (or is bools under %r, which prints True)."""
-    if (literals != ["", *[","] * (len(convs) - 1), "\n"]
-            or header.count(",") != len(convs) - 1):
-        return None
-    out = []
-    for col, conv in zip(cols, convs):
-        kind = col.dtype.kind
-        if (col.ndim != 1 or kind not in "biuf" or col.dtype.itemsize > 8
-                or (kind, conv) == ("b", "r")):
-            return None
-        if conv != "d":
-            col = col.astype(np.float64, copy=False)
-        elif kind == "f":  # "%d" % -0.5 is "0", not "-0"
-            col = np.trunc(col.astype(np.float64, copy=False)) + 0.0
-        out.append(np.ascontiguousarray(col))
-    return out
+    with open(twin_path(path), "wb") as fh:
+        fh.write(digest.digest())
+        for col in cols:
+            np.save(fh, col, allow_pickle=False)
 
 
 def _cell_bytes(col: np.ndarray, conv: str) -> np.ndarray:
     """The text of `"%" + conv` applied to each value of col, as a
     (rows x width) uint8 matrix padded with zero bytes anywhere in a row."""
-    if conv == "d" and col.dtype.kind in "biu":
+    if conv == "d":
         neg = col < 0
         mag = col.astype(np.uint64)
         return np.concatenate([np.where(neg, 45, 0).astype(np.uint8)[:, None],
                                _digits(np.where(neg, -mag, mag))], axis=1)
-    if conv == "d" or col.dtype != np.float64:
-        return _python_bytes(col, conv, np.ones(col.shape, dtype=bool))
     mag = np.abs(col)
     whole = (mag < _WHOLE_BELOW[conv]) & (np.floor(mag) == mag)
     parts = []
@@ -293,73 +301,102 @@ def _python_bytes(col: np.ndarray, conv: str, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def read_csv(path, header: str, n_ints: int = 0, flags=()) -> np.ndarray:
-    """The rows of a CSV that write_csv wrote under `header`, as a float64
-    (rows x fields) array; empty lines are skipped. Refuses, naming the path
-    and line, another header, a line with another number of fields, a field
-    that is not finite, one of the first n_ints that is not an integer in
-    [0, 2**53) and one at an index in flags that is not 0 or 1; and, naming
-    the path, a field that is not a number.
-
-    The values come from the CSV's twin when it holds the CSV's sha256
-    (see twin_columns), one column at a time, else from the text."""
-    n = header.count(",") + 1
-    check_header(path, header)
-    raw = None
+def read_table(cls, path, **riders):
+    """The Table cls that write_table wrote to the CSV at path, with the
+    other fields given as riders. The columns come from the twin when it is
+    bound to the CSV (twin_columns), else from one text parse (int64 when
+    every column is an integer, else float64) that skips empty lines.
+    Refuses, naming the path and the line, another header, a line with
+    another number of fields or a field that does not parse, and the first
+    value of the first column holding one that write_table cannot have
+    written: a float that is not finite, an integer outside [0, 2**53) or
+    a bool other than 0 or 1."""
+    spec = table_columns(cls)
+    header = ",".join(name for name, *_ in spec)
+    with open(path) as fh:
+        first = fh.readline().rstrip("\n")
+    if first != header:
+        raise ValueError(f"{path}: line 1: header {first!r} is not "
+                         f"{header!r}")
     try:
-        for j, col in enumerate(twin_columns(path, n, "biuf")):
-            if raw is None:
-                raw = np.empty((col.size, n))
-            raw[:, j] = col
+        cols = list(twin_columns(path, [dtype for *_, dtype in spec]))
     except NoTwin:
-        raw = None
-    if raw is None:
-        raw = _parse_csv(path, n)
-    check_fields(path, header, raw, range(n), np.isfinite(raw),
-                 "is not finite")
-    ok = np.empty((len(raw), n_ints), dtype=bool)
-    for j, col in enumerate(raw[:, :n_ints].T):  # one column of temporaries
-        ok[:, j] = (col >= 0) & (col < 2.0**53) & (np.floor(col) == col)
-    check_fields(path, header, raw, range(n_ints), ok,
-                 "is not a nonnegative integer")
-    bits = raw[:, list(flags)]
-    check_fields(path, header, raw, flags, (bits == 0) | (bits == 1),
-                 "is not 0 or 1")
-    return raw
+        cols = _parse_text(path, spec)
+    return cls(**{name: _checked(path, name, col, dtype)
+                  for (name, _, dtype), col in zip(spec, cols)}, **riders)
 
 
-def _parse_csv(path, n: int) -> np.ndarray:
-    """The CSV's rows of n fields, parsed as float64 text."""
+def _parse_text(path, spec) -> list[np.ndarray]:
+    """The columns of the CSV at path, parsed from its text."""
+    n = len(spec)
+    dtype = np.dtype(np.int64 if all(d.kind == "i" for *_, d in spec)
+                     else np.float64)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # no rows
-            raw = np.loadtxt(path, dtype=np.float64, delimiter=",",
-                             skiprows=1, comments=None, ndmin=2)
+            raw = np.loadtxt(path, dtype=dtype, delimiter=",", skiprows=1,
+                             comments=None, ndmin=2)
         if raw.size and raw.shape[1] != n:
             raise ValueError(f"{raw.shape[1]} fields per row")
-    except ValueError as exc:  # a second pass names a short or long line
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                k = line.count(",") + 1
-                if lineno > 1 and line != "\n" and k != n:
-                    raise ValueError(f"{path}: line {lineno}: {k} fields, "
-                                     f"expected {n}") from None
+    except ValueError as exc:  # a second pass names the line
+        for lineno, line in _data_lines(path):
+            cells = line.rstrip("\n").split(",")
+            if len(cells) != n:
+                raise ValueError(f"{path}: line {lineno}: {len(cells)} "
+                                 f"fields, expected {n}") from None
+            for (name, *_), cell in zip(spec, cells):
+                try:
+                    dtype.type(cell)
+                except (ValueError, OverflowError):
+                    raise ValueError(
+                        f"{path}: line {lineno}: {name}: could not convert "
+                        f"string {cell!r} to {dtype}") from None
         raise ValueError(f"{path}: {exc}") from None
-    return raw.reshape(-1, n)
+    return list(raw.reshape(-1, n).T)
+
+
+def _checked(path, name: str, col: np.ndarray, dtype) -> np.ndarray:
+    """Column `name` of the CSV at path as dtype. Refuses, naming the line
+    and the value, its first value that write_table cannot have written."""
+    if dtype.kind == "f":
+        ok, what = np.isfinite(col), "is not finite"
+    elif dtype.kind == "b":
+        ok, what = (col == 0) | (col == 1), "is not 0 or 1"
+    else:  # an integer column, parsed as int64 or float64
+        ok, what = (col >= 0) & (col < 2**53), "is not a nonnegative integer"
+        if col.dtype.kind == "f":
+            ok &= np.floor(col) == col
+    if not np.all(ok):
+        i = int(np.argmin(ok))
+        raise ValueError(f"{path}: line {row_line(path, i)}: {name} = "
+                         f"{col[i].item():g} {what}")
+    return col.astype(dtype, copy=False)
+
+
+def _data_lines(path):
+    """(line number, line) of each CSV line that the text parse reads."""
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if lineno > 1 and line != "\n":
+                yield lineno, line
+
+
+def row_line(path, row: int) -> int:
+    """The line of the CSV at path that holds data row `row` (from 0)."""
+    return next(itertools.islice(_data_lines(path), row, None))[0]
 
 
 class NoTwin(Exception):
     """A CSV's twin is absent, stale or malformed: read the text instead."""
 
 
-def twin_columns(path, n: int, kinds: str):
-    """Yield the n columns that the twin beside the CSV at path holds.
-
-    Raises NoTwin, possibly after yielding some columns, unless the twin
-    starts with the sha256 of the CSV's bytes and then holds exactly n
-    np.save (version 1.0) records of 1-D arrays of one length whose dtype
-    kinds are in kinds. Nothing is unpickled, and no record is allocated
-    beyond the bytes the twin holds."""
+def twin_columns(path, dtypes):
+    """Yield the columns of the twin beside the CSV at path, one per dtype.
+    Raises NoTwin, possibly after yielding some, unless the twin holds the
+    sha256 of the CSV's bytes, then exactly one np.save (version 1.0)
+    record per dtype: a 1-D array of that dtype, all of one length.
+    Nothing is unpickled, and no record is allocated beyond the bytes the
+    twin holds."""
     try:
         fh = open(twin_path(path), "rb")
     except OSError:
@@ -368,14 +405,14 @@ def twin_columns(path, n: int, kinds: str):
         if fh.read(32) != _file_sha256(path):
             raise NoTwin
         size, rows = os.fstat(fh.fileno()).st_size, None
-        for _ in range(n):
+        for expected in dtypes:
             try:
                 if np.lib.format.read_magic(fh) != (1, 0):
                     raise NoTwin
                 shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
             except ValueError:
                 raise NoTwin from None
-            if (len(shape) != 1 or dtype.kind not in kinds
+            if (len(shape) != 1 or dtype != expected
                     or (rows is not None and shape[0] != rows)
                     or not 0 <= shape[0] * dtype.itemsize
                     <= size - fh.tell()):
@@ -395,29 +432,6 @@ def _file_sha256(path) -> bytes:
         while chunk := fh.read(1 << 20):
             digest.update(chunk)
     return digest.digest()
-
-
-def check_header(path, header: str) -> None:
-    """Refuse a CSV whose first line is not `header`, naming the path."""
-    with open(path) as fh:
-        first = fh.readline().rstrip("\n")
-    if first != header:
-        raise ValueError(f"{path}: line 1: header {first!r} is not "
-                         f"{header!r}")
-
-
-def check_fields(path, header: str, raw: np.ndarray, cols, ok: np.ndarray,
-                 what: str) -> None:
-    """Refuse the first field of read_csv's raw[:, cols] where ok is False,
-    naming the path, line, column and value."""
-    if not ok.all():
-        i, j = divmod(int(np.argmin(ok)), len(cols))
-        with open(path) as fh:  # row i's line; loadtxt skips empty lines
-            lineno = next(itertools.islice(
-                (k for k, line in enumerate(fh, 1) if k > 1 and line != "\n"),
-                i, None))
-        raise ValueError(f"{path}: line {lineno}: {header.split(',')[cols[j]]}"
-                         f" = {raw[i, cols[j]]:g} {what}")
 
 
 def load_json(path):
@@ -554,26 +568,14 @@ def _decode(tp, doc, path, where: str, null):
 
 
 def write_trace_csv(path, trace: Trace) -> None:
-    write_csv(path, TRACE_HEADER, "%d,%d,%d,%d\n",
-              (trace.ts_us, trace.flow_id, trace.len_bytes, trace.clique_id))
+    write_table(path, trace)
 
 
 def read_trace_csv(path, flow_table, horizon_windows, window_us) -> Trace:
-    """Load a trace CSV: the int64 columns of its twin when it holds the
-    CSV's sha256 (see twin_columns), else the parsed text."""
-    check_header(path, TRACE_HEADER)
-    try:
-        cols = list(twin_columns(path, 4, "i"))
-    except NoTwin:
-        with warnings.catch_warnings():
-            # a header-only trace (zero packets) is valid; loadtxt warns on it
-            warnings.simplefilter("ignore", UserWarning)
-            raw = np.loadtxt(path, dtype=np.int64, delimiter=",", skiprows=1,
-                             ndmin=2)
-        if raw.size == 0:
-            raw = raw.reshape(0, 4)
-        cols = raw[:, 0], raw[:, 1], raw[:, 2], raw[:, 3]
-    return Trace(*cols, flow_table, horizon_windows, window_us)
+    """Load a trace CSV (read_table), with the world's flow table, horizon
+    and window."""
+    return read_table(Trace, path, flow_table=flow_table,
+                      horizon_windows=horizon_windows, window_us=window_us)
 
 
 def read_flow_table(path) -> dict[int, FlowInfo]:

@@ -15,7 +15,7 @@ also logged. Buffers are unbounded and the server is work-conserving.
 
 Kernel layout: one kernel serves every clique. For a clique's packets, in
 arrival order, it computes the tag increments len / (weight * capacity),
-with weights from WeightSchedule.weights, and the service times once, as
+with the weights a Schedule sets, and the service times once, as
 numpy arrays; the heap loop then runs over plain Python floats and serves
 tag ties in arrival order. A packet that finds the heap empty, with no
 other arrival by the time the server frees, is served at once without the
@@ -40,7 +40,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from flowgate.detector import calibrate_threshold
-from flowgate.trace import BENIGN, Trace, read_csv, write_csv
+from flowgate.trace import (
+    BENIGN,
+    Table,
+    Trace,
+    column,
+    read_table,
+    write_table,
+)
 
 
 @dataclass(frozen=True)
@@ -52,81 +59,61 @@ class GateConfig:
     t_g_s: float = 30.0
 
     def validate(self) -> None:
-        if not (0.0 < self.omega_minus < self.omega_0):
-            raise ValueError("need 0 < omega_minus < omega_0")
-        if self.t_g_s < 0:
-            raise ValueError("t_g_s must be nonnegative")
+        if not 0.0 < self.omega_minus < self.omega_0 < math.inf:
+            raise ValueError("need 0 < omega_minus < omega_0 < inf")
+        if not 0 <= self.t_g_s < math.inf:
+            raise ValueError("t_g_s must be finite and nonnegative")
 
 
-class WeightSchedule:
-    """Per-flow piecewise-constant weights over microsecond time."""
+@dataclass(frozen=True, eq=False)
+class Schedule(Table):
+    """Per-flow piecewise-constant weights (schedule.csv): each row sets
+    its flow's weight from from_us on. Rows are sorted by flow, then
+    from_us, a flow's first at 0; a flow without rows has default_weight."""
 
-    def __init__(self, default_weight: float = 1.0):
-        self.default_weight = float(default_weight)
-        self._entries: dict[int, list[tuple[int, float]]] = {}
-
-    def set_entries(self, flow_id: int, entries: list[tuple[int, float]]) -> None:
-        """Entries are (from_us, weight), sorted, first at 0."""
-        if not entries or entries[0][0] != 0:
-            raise ValueError("schedule for a flow must start at t=0")
-        froms = [e[0] for e in entries]
-        if froms != sorted(froms):
-            raise ValueError("schedule entries must be sorted by from_us")
-        if any(w <= 0 for _, w in entries):
-            raise ValueError("weights must be positive")
-        self._entries[flow_id] = [(int(t), float(w)) for t, w in entries]
-
-    def entries(self, flow_id: int) -> list[tuple[int, float]]:
-        return self._entries.get(flow_id, [(0, self.default_weight)])
+    flow_id: np.ndarray = column("d", np.int64)
+    from_us: np.ndarray = column("d", np.int64)
+    weight: np.ndarray = column("r", np.float64)
+    default_weight: float = 1.0
 
     def weights(self, flow_id, t_us) -> np.ndarray:
-        """Weight in force for each packet (flow_id[k], t_us[k]).
-
-        That is the last entry of the flow with from_us <= t_us, so of two
-        entries at one instant the later one holds (a time before 0 takes
-        the first entry).
-        """
-        flow_id = np.asarray(flow_id, dtype=np.int64)
-        t_us = np.asarray(t_us, dtype=np.int64)
+        """Weight in force for each packet (flow_id[k], t_us[k]): that of
+        the flow's last row with from_us <= t_us, so of two rows at one
+        instant the later one holds (before 0, the first row's)."""
+        flow_id, t_us = np.asarray(flow_id), np.asarray(t_us)
         w = np.full(t_us.shape, self.default_weight)
         for f in np.unique(flow_id).tolist():
-            ent = self._entries.get(f)
-            if ent is None:
-                continue
-            m = flow_id == f
-            froms, ws = zip(*ent)
-            pos = np.searchsorted(froms, t_us[m], side="right") - 1
-            w[m] = np.asarray(ws)[pos.clip(0)]
+            a, b = np.searchsorted(self.flow_id, [f, f + 1])  # f's rows
+            if a < b:
+                m = flow_id == f
+                pos = np.searchsorted(self.from_us[a:b], t_us[m],
+                                      side="right") - 1
+                w[m] = self.weight[a:b][pos.clip(0)]
         return w
 
-    def flows(self) -> list[int]:
-        return sorted(self._entries)
 
+@dataclass(frozen=True, eq=False)
+class QueueEventLog(Table):
+    """Per-packet service log (queue_log.csv), aligned with the replayed
+    trace's packet order."""
 
-class QueueEventLog:
-    """Per-packet service log, aligned with the replayed trace's packet order."""
-
-    __slots__ = ("flow_id", "clique_id", "enqueue_us", "dequeue_us",
-                 "complete_us", "benign")
-
-    def __init__(self, flow_id, clique_id, enqueue_us, dequeue_us, complete_us, benign):
-        self.flow_id = np.asarray(flow_id, dtype=np.int64)
-        self.clique_id = np.asarray(clique_id, dtype=np.int64)
-        self.enqueue_us = np.asarray(enqueue_us, dtype=np.int64)
-        self.dequeue_us = np.asarray(dequeue_us, dtype=np.float64)
-        self.complete_us = np.asarray(complete_us, dtype=np.float64)
-        self.benign = np.asarray(benign, dtype=bool)
+    flow_id: np.ndarray = column("d", np.int64)
+    clique_id: np.ndarray = column("d", np.int64)
+    enqueue_us: np.ndarray = column("d", np.int64)
+    dequeue_us: np.ndarray = column(".17g", np.float64)
+    complete_us: np.ndarray = column(".17g", np.float64)
+    benign: np.ndarray = column("d", bool)
 
     @property
     def n(self) -> int:
-        return int(self.flow_id.shape[0])
+        return len(self)
 
     def delays_us(self) -> np.ndarray:
         return self.dequeue_us - self.enqueue_us
 
 
 def replay(trace: Trace, capacity_bps: float,
-           schedule: WeightSchedule | None = None) -> QueueEventLog:
+           schedule: Schedule | None = None) -> QueueEventLog:
     """Replay a trace through one WFQ server per clique.
 
     capacity_bps is in bytes per second. Returns a log whose rows align with
@@ -136,7 +123,7 @@ def replay(trace: Trace, capacity_bps: float,
     if capacity_bps <= 0:
         raise ValueError("capacity must be positive")
     if schedule is None:
-        schedule = WeightSchedule()
+        schedule = Schedule((), (), ())
     ts = trace.ts_us
     fid = trace.flow_id
     ln = trace.len_bytes
@@ -258,67 +245,58 @@ def _replay_clique(t, f, l, cap, schedule) -> np.ndarray:
     return dequeue
 
 
-def gate_controller(actionable: dict[int, np.ndarray], config: GateConfig,
-                    window_us: int) -> WeightSchedule:
-    """Turn per-flow actionable flags into a weight schedule.
-
-    actionable maps flow_id to a boolean array indexed by window. The gate
-    drops the flow's weight to omega_minus at the start of the first flagged
-    window and holds it until max(flag-clear time, activation + t_g);
-    re-activation restarts the quarantine clock, overlapping spans merge.
-    """
+def gate_controller(scores, config: GateConfig,
+                    window_us: int) -> Schedule:
+    """The weight schedule of every scored flow, from the flow_id, window
+    and z columns of scores. The gate drops a flow's weight to omega_minus
+    at the start of each run of consecutive flagged windows (a window
+    without a row is not flagged) and holds it until max(flag-clear time,
+    activation + t_g), rounded up to a whole microsecond; re-activation
+    restarts the quarantine clock, and overlapping spans merge."""
     config.validate()
-    sched = WeightSchedule(default_weight=config.omega_0)
-    t_g_us = config.t_g_s * 1e6
-    for flow_id in sorted(actionable):
-        z = np.asarray(actionable[flow_id], dtype=bool)
-        spans = []
-        for start_w, end_w in _runs(z):
-            start_us = start_w * window_us
-            clear_us = (end_w + 1) * window_us
-            release_us = max(float(clear_us), start_us + t_g_us)
-            spans.append((start_us, release_us))
-        merged = []
-        for s, e in spans:
-            if merged and s <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], e))
-            else:
-                merged.append((s, e))
-        entries = [(0, config.omega_0)]
-        for s, e in merged:
-            if s == 0:
-                entries[0] = (0, config.omega_minus)
-            else:
-                entries.append((int(s), config.omega_minus))
-            entries.append((int(math.ceil(e)), config.omega_0))
-        sched.set_entries(flow_id, entries)
-    return sched
-
-
-def _runs(z: np.ndarray):
-    """Maximal runs of True as (start, end) inclusive window indices."""
-    if z.size == 0:
-        return
-    padded = np.concatenate([[False], z, [False]])
-    d = np.diff(padded.astype(np.int8))
-    starts = np.flatnonzero(d == 1)
-    ends = np.flatnonzero(d == -1) - 1
-    for s, e in zip(starts, ends):
-        yield int(s), int(e)
+    flows = np.unique(scores.flow_id)
+    f, w = scores.flow_id[scores.z], scores.window[scores.z]
+    order = np.lexsort((w, f))
+    f, w = f[order], w[order]
+    # where runs of flagged windows start; the row before a start ends one
+    run = np.ones(f.size, dtype=bool)
+    run[1:] = (f[1:] != f[:-1]) | (w[1:] > w[:-1] + 1)
+    last = np.flatnonzero(np.roll(run, -1))
+    f, start = f[run], w[run] * window_us
+    release = np.maximum((w[last] + 1) * window_us,
+                         start + config.t_g_s * 1e6)
+    # a flow's releases never decrease, so a run merges into the span
+    # before it when it starts by that span's last release
+    span = np.ones(f.size, dtype=bool)
+    span[1:] = (f[1:] != f[:-1]) | (start[1:] > release[:-1])
+    last = np.flatnonzero(np.roll(span, -1))
+    f, start = f[span], start[span]
+    end = np.ceil(release[last]).astype(np.int64)
+    # each flow's row at 0, each span's end, then each later span's start:
+    # sorted stably, a start at the instant of the end before it comes last
+    late = start > 0
+    fid = np.concatenate([flows, f, f[late]])
+    from_us = np.concatenate([np.zeros(flows.size, np.int64), end,
+                              start[late]])
+    weight = np.concatenate([
+        np.where(np.isin(flows, f[~late]), config.omega_minus,
+                 config.omega_0),
+        np.full(f.size, config.omega_0),
+        np.full(int(late.sum()), config.omega_minus)])
+    rows = np.lexsort((from_us, fid))
+    return Schedule(fid[rows], from_us[rows], weight[rows],
+                    default_weight=config.omega_0)
 
 
 def delay_percentile(log: QueueEventLog, pct: float,
-                     benign_only: bool = False,
-                     clique_id: int | None = None) -> float:
-    """Nearest-rank percentile of per-packet delay (microseconds)."""
+                     benign_only: bool = False) -> float:
+    """Nearest-rank percentile of per-packet delay (microseconds), over the
+    benign packets only when benign_only is set."""
     if not (0.0 < pct <= 100.0):
         raise ValueError("pct must be in (0, 100]")
-    mask = np.ones(log.n, dtype=bool)
+    d = log.delays_us()
     if benign_only:
-        mask &= log.benign
-    if clique_id is not None:
-        mask &= log.clique_id == clique_id
-    d = log.delays_us()[mask]
+        d = d[log.benign]
     if d.size == 0:
         raise ValueError("no packets match the filter")
     return calibrate_threshold(d, pct / 100.0)
@@ -335,27 +313,14 @@ def clique_mean_delay(log: QueueEventLog, clique_id: int) -> float:
 # ---------------------------------------------------------------------------
 # On-disk formats
 
-QUEUE_LOG_HEADER = "flow_id,clique_id,enqueue_us,dequeue_us,complete_us,benign"
-SCHEDULE_HEADER = "flow_id,from_us,weight"
-
-
 def write_queue_log(path, log: QueueEventLog) -> None:
-    write_csv(path, QUEUE_LOG_HEADER, "%d,%d,%d,%.17g,%.17g,%d\n",
-              (log.flow_id, log.clique_id, log.enqueue_us, log.dequeue_us,
-               log.complete_us, log.benign))
+    write_table(path, log)
 
 
 def read_queue_log(path) -> QueueEventLog:
-    """Load a queue log, refusing what read_csv refuses (ids and enqueue_us
-    are integers, benign a flag)."""
-    raw = read_csv(path, QUEUE_LOG_HEADER, n_ints=3, flags=(5,))
-    return QueueEventLog(raw[:, 0], raw[:, 1], raw[:, 2], raw[:, 3],
-                         raw[:, 4], raw[:, 5] == 1)
+    """Load a queue log, refusing what read_table refuses."""
+    return read_table(QueueEventLog, path)
 
 
-def write_schedule(path, schedule: WeightSchedule) -> None:
-    rows = np.array([(f, t, w) for f in schedule.flows()
-                     for t, w in schedule.entries(f)],
-                    dtype=[("f", np.int64), ("t", np.int64), ("w", np.float64)])
-    write_csv(path, SCHEDULE_HEADER, "%d,%d,%r\n",
-              (rows["f"], rows["t"], rows["w"]))
+def write_schedule(path, schedule: Schedule) -> None:
+    write_table(path, schedule)

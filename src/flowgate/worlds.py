@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +47,6 @@ from flowgate.trace import (
     read_trace_csv,
     split_ok,
     to_json,
-    trace_subset,
     write_json,
     write_trace_csv,
 )
@@ -708,13 +707,10 @@ def with_flows(trace: Trace, flows) -> Trace:
     """trace plus the packets of flows, each (flow_id, clique_id, ts_us,
     len_bytes) with its packets in arrival order, all in trace order: by
     arrival, ties by flow id, then by position."""
-    cols = [(trace.ts_us, trace.flow_id, trace.len_bytes, trace.clique_id)]
-    cols += [(ts, np.full(len(ts), f, dtype=np.int64), ln,
-              np.full(len(ts), c, dtype=np.int64)) for f, c, ts, ln in flows]
-    ts, fid, ln, cq = (np.concatenate(col) for col in zip(*cols))
-    order = np.lexsort((fid, ts))
-    return Trace(ts[order], fid[order], ln[order], cq[order],
-                 trace.flow_table, trace.horizon_windows, trace.window_us)
+    out = Trace.concat([trace, *(
+        replace(trace, ts_us=ts, flow_id=np.full(len(ts), f), len_bytes=ln,
+                clique_id=np.full(len(ts), c)) for f, c, ts, ln in flows)])
+    return out.take(np.lexsort((out.flow_id, out.ts_us)))
 
 
 @dataclass
@@ -968,10 +964,9 @@ def audit_budgets(world: World) -> list[dict]:
         cid = world.graph.clique_of[fid]
         ben_mask = (trace.clique_id == cid) & benign
         if cid not in d_ben_of:
-            d_ben_of[cid] = clique_baseline_delay(
-                trace_subset(trace, ben_mask), cap)
+            d_ben_of[cid] = clique_baseline_delay(trace.take(ben_mask), cap)
         delta = clique_baseline_delay(
-            trace_subset(trace, ben_mask | mask), cap) - d_ben_of[cid]
+            trace.take(ben_mask | mask), cap) - d_ben_of[cid]
         dq_ok = delta <= b.delta_q_s + REPLAY_TICK_S
         out.append({
             "flow_id": fid,

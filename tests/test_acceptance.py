@@ -41,7 +41,7 @@ from flowgate.trace import (
     to_json,
     write_json,
 )
-from flowgate.wfq import GateConfig, WeightSchedule, gate_controller, replay
+from flowgate.wfq import GateConfig, Schedule, gate_controller, replay
 from flowgate.worlds import (
     BenignFlowSpec,
     EpisodeSpec,
@@ -418,9 +418,8 @@ def test_criterion_4_scheduler_invariants():
     equal_ok = drift <= L
 
     # 3:1 weights: byte share while both are backlogged is 3:1 within 2%
-    sched = WeightSchedule()
-    sched.set_entries(0, [(0, 3.0)])
-    log3 = replay(_backlogged([2000, 2000], [1000, 1000]), C, schedule=sched)
+    log3 = replay(_backlogged([2000, 2000], [1000, 1000]), C,
+                  schedule=Schedule([0], [0], [3.0]))
     t_cut = float(np.sort(log3.complete_us)[999])
     done = log3.complete_us <= t_cut
     b0 = float(np.sum(done & (log3.flow_id == 0)))
@@ -546,17 +545,14 @@ def _hog_world():
 
 
 def test_criterion_6_gating_tail_impact():
-    horizon, burn, ep_start, ep_end = 1200, 720, 800, 829
+    burn, ep_start, ep_end = 720, 800, 829
     world = _hog_world()
     table, ses, scores = _score_world(world, burn, quantile=0.999, w_min=50)
     hog_flags = np.sort(scores.window[(scores.flow_id == 100) & scores.z])
     flagged_in_time = (bool(hog_flags.size)
                        and ep_start <= hog_flags[0] <= ep_end + ses.m_persist)
 
-    actionable = {f: np.zeros(horizon, dtype=bool) for f in table.flow_ids}
-    for f, z in actionable.items():
-        z[scores.window[(scores.flow_id == f) & scores.z]] = True
-    sched = gate_controller(actionable, GateConfig(1.0, 0.05, 30.0), 250_000)
+    sched = gate_controller(scores, GateConfig(1.0, 0.05, 30.0), 250_000)
     base = replay(world.trace, 40_000.0)
     gated = replay(world.trace, 40_000.0, schedule=sched)
     d_all, d_ben = queue_impact(base, gated)

@@ -13,6 +13,10 @@ from pathlib import Path
 
 import pytest
 
+from flowgate.detector import Scores, read_scores_csv, write_scores_csv
+from flowgate.trace import BENIGN, FlowInfo, FlowKey, Trace
+from flowgate.wfq import replay
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
@@ -47,3 +51,18 @@ def test_methods_resolve(mod, cls, attr):
     (mod, cls, attr) for mod, cls, attr, _ in tracing.CLASSMETHOD_SPANS])
 def test_classmethods_resolve(mod, cls, attr):
     assert isinstance(_class(mod, cls).__dict__[attr], classmethod)
+
+
+def test_work_counters_read_real_tables(tmp_path):
+    # the tracer counts a span's work off its result: packets of a Trace,
+    # the rows of a QueueEventLog (its n) and of a Scores table (len)
+    flows = {0: FlowInfo(FlowKey("a", "b", 1, 2, 6), "bulk_stream", BENIGN)}
+    trace = Trace([0, 10, 20], [0, 0, 0], [100, 100, 100], [0, 0, 0], flows,
+                  1, 250_000)
+    zero = [0.0, 0.0]
+    write_scores_csv(tmp_path / "scores.csv", Scores(
+        [0, 0], [0, 1], zero, zero, zero, zero, zero, [0, 0], [0, 0]))
+    scores = read_scores_csv(tmp_path / "scores.csv")
+    assert tracing._packets((), trace) == 3
+    assert tracing._replayed((), replay(trace, 1e6)) == 3
+    assert tracing._rows_out((), scores) == 2

@@ -439,6 +439,24 @@ def test_trace_with_reordered_header_is_refused(pipe, tmp_path, capsys):
                           "line 1: header 'len_bytes,clique_id,ts_us,flow_id'")
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda cells: [cells[0], "1.5", *cells[2:]],
+     "line 3: flow_id: could not convert string '1.5' to int64"),
+    (lambda cells: cells[:3], "line 3: 3 fields, expected 4"),
+], ids=["non-integer", "short line"])
+def test_trace_text_errors_name_the_line(pipe, tmp_path, capsys, edit,
+                                         message):
+    broken = tmp_path / "world_text"
+    shutil.copytree(pipe["world"], broken)
+    lines = (broken / "trace.csv").read_text().splitlines()
+    lines[2] = ",".join(edit(lines[2].split(",")))
+    (broken / "trace.csv").write_text("\n".join(lines) + "\n")
+    assert main(["detect", "--world", str(broken),
+                 "--out", str(tmp_path / "d")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: ValueError: {broken / 'trace.csv'}: {message}\n")
+
+
 def test_packet_length_outside_bounds_is_refused(pipe, tmp_path, capsys):
     broken, flow = tampered_world(pipe, tmp_path, 2, 1501)
     assert main(["replay", "--world", str(broken), "--mode", "base",
@@ -476,6 +494,29 @@ def test_scores_with_a_short_row_are_refused(pipe, tmp_path, capsys):
     assert main(["replay", "--world", str(pipe["world"]), "--mode", "gated",
                  "--scores", str(scores), "--out", str(tmp_path / "g")]) == 1
     assert f"{scores}: line 6: 9 fields, expected 10" in capsys.readouterr().err
+
+
+def test_scores_with_a_repeated_flow_window_pair_are_refused(pipe, tmp_path,
+                                                            capsys):
+    # no stage_stats.json lies beside the copy, so no row count catches it
+    scores = _rewrite_scores(pipe, tmp_path, "repeated.csv",
+                             lambda lines: lines + lines[5:9])
+    n = len((pipe["det"] / "scores.csv").read_text().splitlines())
+    flow, window = scores.read_text().splitlines()[5].split(",")[:2]
+    for argv in (["replay", "--world", str(pipe["world"]), "--mode", "gated",
+                  "--scores", str(scores), "--out", str(tmp_path / "g")],
+                 ["report", "--world", str(pipe["world"]),
+                  "--scores", str(scores),
+                  "--thresholds", str(pipe["det"] / "thresholds.json"),
+                  "--base-log", str(pipe["base"] / "queue_log.csv"),
+                  "--gated-log", str(pipe["gated"] / "queue_log.csv"),
+                  "--out", str(tmp_path / "r")]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: ValueError: {scores}: line {n + 1}: flow {flow} at "
+            f"window {window} repeats line 6\n")
+    assert not (tmp_path / "g" / "schedule.csv").exists()
+    assert not (tmp_path / "r" / "report.json").exists()
 
 
 def test_quantile_precedence_flag_file_default(pipe, tmp_path, capsys):

@@ -7,6 +7,7 @@ replaced (tests/detector_oracle.py), bit for bit.
 """
 
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -742,6 +743,18 @@ def test_scores_csv_refuses_bad_header_and_short_rows(tmp_path):
         read_scores_csv(tmp_path / "empty.csv")
 
 
+def test_scores_csv_names_the_first_repeat_and_the_line_it_repeats(
+        tmp_path):
+    path = tmp_path / "scores.csv"
+    f = np.array([1, 2, 2, 1, 1])
+    zero = np.zeros(5)
+    write_scores_csv(path, Scores(f, [0, 0, 1, 0, 0], zero, zero, zero, zero,
+                                  zero, f < 0, f < 0))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: line 5: flow 1 at window 0 repeats line 2")):
+        read_scores_csv(path)
+
+
 @pytest.mark.parametrize("row, message", [
     ("1,1,nan,0.5,0,0,0.5,0,0,nan", "line 3: E = nan is not finite"),
     ("1,1,0.5,0.5,0,0,0.5,0,2,0.5", "line 3: z = 2 is not 0 or 1"),
@@ -767,7 +780,10 @@ def test_scores_csv_refuses_values_the_writer_cannot_write(tmp_path, row,
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 12).flatmap(lambda n: st.tuples(*(
-    [st.lists(st.integers(0, 2**53 - 1), min_size=n, max_size=n)] * 2
+    # windows distinct, so that no (flow, window) pair repeats
+    [st.lists(st.integers(0, 2**53 - 1), min_size=n, max_size=n),
+     st.lists(st.integers(0, 2**53 - 1), min_size=n, max_size=n,
+              unique=True)]
     + [st.lists(st.floats(allow_nan=False, allow_infinity=False),
                 min_size=n, max_size=n)] * 5
     + [st.lists(st.booleans(), min_size=n, max_size=n)] * 2))))

@@ -13,8 +13,13 @@ from flowgate.features import (
     NormalizerConfig,
     windowize,
 )
-from flowgate.trace import BENIGN, FlowInfo, FlowKey, Trace, trace_subset
+from flowgate.trace import BENIGN, FlowInfo, FlowKey, Trace
 from flowgate.worlds import ContentionGraph
+
+
+def feature(tab, name):
+    """Feature `name` of a FeatureTable as a (flow x window) view of x."""
+    return tab.x[:, :, FEATURE_NAMES.index(name)].T
 
 
 def pacing_index_from_counts(counts, n_packets: int) -> float:
@@ -66,27 +71,25 @@ def test_windowize_hand_example():
     # two packets at 0 ms and 100 ms, 500 B each, in a 250 ms window
     tr = trace_of([0, 100_000], [0, 0], [500, 500])
     tab = windowize(tr, one_clique(tr))
-    assert tab.pkt_count[0, 0] == 2
-    assert tab.pkt_rate[0, 0] == pytest.approx(8.0)
-    assert tab.byte_rate[0, 0] == pytest.approx(4000.0)
-    assert tab.iat_mean[0, 0] == pytest.approx(0.1)
-    assert tab.iat_cv[0, 0] == 0.0
+    assert feature(tab, "pkt_rate")[0, 0] == pytest.approx(8.0)
+    assert feature(tab, "byte_rate")[0, 0] == pytest.approx(4000.0)
+    assert feature(tab, "iat_mean")[0, 0] == pytest.approx(0.1)
+    assert feature(tab, "iat_cv")[0, 0] == 0.0
     # remaining windows are empty: zero rates, missing IATs
     for w in (1, 2, 3):
-        assert tab.pkt_count[0, w] == 0
-        assert tab.pkt_rate[0, w] == 0.0
-        assert tab.byte_rate[0, w] == 0.0
-        assert math.isnan(tab.iat_mean[0, w])
-        assert math.isnan(tab.iat_cv[0, w])
-        assert tab.pacing[0, w] == 0.0
+        assert feature(tab, "pkt_rate")[0, w] == 0.0
+        assert feature(tab, "byte_rate")[0, w] == 0.0
+        assert math.isnan(feature(tab, "iat_mean")[0, w])
+        assert math.isnan(feature(tab, "iat_cv")[0, w])
+        assert feature(tab, "pacing")[0, w] == 0.0
 
 
 def test_windowize_iat_is_within_window_only():
     # consecutive packets in different windows contribute no IAT
     tr = trace_of([240_000, 260_000], [0, 0], [500, 500])
     tab = windowize(tr, one_clique(tr))
-    assert math.isnan(tab.iat_mean[0, 0])
-    assert math.isnan(tab.iat_mean[0, 1])
+    assert math.isnan(feature(tab, "iat_mean")[0, 0])
+    assert math.isnan(feature(tab, "iat_mean")[0, 1])
 
 
 def test_windowize_iat_cv():
@@ -94,17 +97,17 @@ def test_windowize_iat_cv():
     tr = trace_of([0, 100_000, 400_000], [0, 0, 0], [500, 500, 500],
                   H=4, window_us=500_000)
     tab = windowize(tr, one_clique(tr))
-    assert tab.iat_mean[0, 0] == pytest.approx(0.2)
-    assert tab.iat_cv[0, 0] == pytest.approx(0.5)
+    assert feature(tab, "iat_mean")[0, 0] == pytest.approx(0.2)
+    assert feature(tab, "iat_cv")[0, 0] == pytest.approx(0.5)
 
 
 def test_single_packet_window_has_missing_iat_and_zero_pacing():
     tr = trace_of([10], [0], [500])
     tab = windowize(tr, one_clique(tr))
-    assert tab.pkt_count[0, 0] == 1
-    assert math.isnan(tab.iat_mean[0, 0])
-    assert math.isnan(tab.iat_cv[0, 0])
-    assert tab.pacing[0, 0] == 0.0
+    assert feature(tab, "pkt_rate")[0, 0] == 4.0  # one packet in 0.25 s
+    assert math.isnan(feature(tab, "iat_mean")[0, 0])
+    assert math.isnan(feature(tab, "iat_cv")[0, 0])
+    assert feature(tab, "pacing")[0, 0] == 0.0
 
 
 def test_pacing_index_frozen_examples():
@@ -120,11 +123,11 @@ def test_pacing_index_in_windowized_table():
     # 4 packets all inside the first micro-bin of window 0 (B=10 -> bin 25 ms)
     tr = trace_of([0, 5_000, 10_000, 15_000], [0, 0, 0, 0], [100] * 4)
     tab = windowize(tr, one_clique(tr), micro_bins=10)
-    assert tab.pacing[0, 0] == pytest.approx(1.0)
+    assert feature(tab, "pacing")[0, 0] == pytest.approx(1.0)
     # 4 packets spread across 4 distinct micro-bins -> 0
     tr2 = trace_of([0, 30_000, 60_000, 90_000], [0, 0, 0, 0], [100] * 4)
     tab2 = windowize(tr2, one_clique(tr2), micro_bins=10)
-    assert tab2.pacing[0, 0] == pytest.approx(0.0)
+    assert feature(tab2, "pacing")[0, 0] == pytest.approx(0.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -145,8 +148,8 @@ def test_pacing_matches_per_cell_oracle(packets, B):
                 if f == fi and t // tr.window_us == w:
                     bins[(t - w * tr.window_us) * B // tr.window_us] += 1
             expect = pacing_index_from_counts(bins, sum(bins))
-            assert tab.pacing[fi, w] == pytest.approx(expect, rel=1e-12,
-                                                      abs=1e-12)
+            assert feature(tab, "pacing")[fi, w] == pytest.approx(
+                expect, rel=1e-12, abs=1e-12)
 
 
 def test_windowize_memory_does_not_grow_with_micro_bins():
@@ -189,18 +192,19 @@ def test_windowize_contention_columns():
     tr = trace_of(ts, fid, ln, n_flows=2)
     W = np.array([[0.0, 0.5], [0.5, 0.0]])
     tab = windowize(tr, one_clique(tr, W))
-    assert tab.share[0, 0] == pytest.approx(500 / 750)
-    assert tab.interference[0, 0] == pytest.approx(0.5 * (250 / 0.25))
-    assert tab.share[1, 0] == pytest.approx(250 / 750)
-    assert tab.interference[1, 0] == pytest.approx(0.5 * (500 / 0.25))
+    share, interference = feature(tab, "share"), feature(tab, "interference")
+    byte_rate = feature(tab, "byte_rate")
+    assert share[0, 0] == pytest.approx(500 / 750)
+    assert interference[0, 0] == pytest.approx(0.5 * (250 / 0.25))
+    assert share[1, 0] == pytest.approx(250 / 750)
+    assert interference[1, 0] == pytest.approx(0.5 * (500 / 0.25))
     # the per-cell oracle agrees
     for fi in range(2):
-        share, interference = contention_features(
-            tab.byte_rate[fi, 0] * 0.25, tab.byte_rate[:, 0].sum() * 0.25,
-            W[fi], tab.byte_rate[:, 0])
-        assert tab.share[fi, 0] == pytest.approx(share, rel=1e-12)
-        assert tab.interference[fi, 0] == pytest.approx(interference,
-                                                        rel=1e-12)
+        expect = contention_features(
+            byte_rate[fi, 0] * 0.25, byte_rate[:, 0].sum() * 0.25, W[fi],
+            byte_rate[:, 0])
+        assert (share[fi, 0], interference[fi, 0]) == pytest.approx(
+            expect, rel=1e-12)
 
 
 def test_windowize_causality():
@@ -213,11 +217,11 @@ def test_windowize_causality():
     tr = trace_of(ts, fid, ln, n_flows=3)
     full = windowize(tr, one_clique(tr))
     cut = 500_000  # keep windows 0..1
-    tr2 = trace_subset(tr, tr.ts_us < cut)
+    tr2 = tr.take(tr.ts_us < cut)
     part = windowize(tr2, one_clique(tr2))
-    for arr in ("pkt_count", "byte_rate", "pacing", "share"):
-        a = getattr(full, arr)[:, :2]
-        b = getattr(part, arr)[:, :2]
+    for arr in ("pkt_rate", "byte_rate", "pacing", "share"):
+        a = feature(full, arr)[:, :2]
+        b = feature(part, arr)[:, :2]
         assert np.allclose(a, b, equal_nan=True)
 
 
@@ -230,10 +234,9 @@ def test_every_flow_gets_rows_even_without_packets():
     for w in range(4):
         for fi in range(3):
             np.testing.assert_array_equal(tab.row(fi, w), [
-                tab.pkt_rate[fi, w], tab.byte_rate[fi, w], tab.iat_mean[fi, w],
-                tab.iat_cv[fi, w], tab.pacing[fi, w], tab.share[fi, w],
-                tab.interference[fi, w]])
-    assert tab.byte_rate[0, 0] == 2000.0 and not tab.byte_rate[1:].any()
+                feature(tab, name)[fi, w] for name in FEATURE_NAMES])
+    byte_rate = feature(tab, "byte_rate")
+    assert byte_rate[0, 0] == 2000.0 and not byte_rate[1:].any()
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import json
 import math
 import re
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, make_dataclass
 from unittest import mock
 
 import numpy as np
@@ -11,9 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import flowgate.detector as detector_module
 import flowgate.trace as trace_module
-import flowgate.wfq as wfq_module
 from flowgate.cli import ParamsFile
 from flowgate.detector import (
     DetectorParams,
@@ -24,38 +22,38 @@ from flowgate.detector import (
 from flowgate.trace import (
     BENIGN,
     MALICIOUS,
-    TRACE_HEADER,
     Budgets,
     EpisodeLabel,
     FlowInfo,
     FlowKey,
     NoTwin,
     RunManifest,
+    Table,
     Trace,
     canonical_json,
+    column,
     config_hash,
     from_json,
     manifest_hash,
     read_flow_table,
     read_labels,
-    read_csv,
     read_manifest,
+    read_table,
     read_trace_csv,
+    table_columns,
     to_json,
-    trace_subset,
     twin_columns,
     twin_path,
-    write_csv,
     write_json,
+    write_table,
     write_trace_csv,
 )
 from flowgate.wfq import (
     GateConfig,
     QueueEventLog,
-    WeightSchedule,
+    Schedule,
     read_queue_log,
     write_queue_log,
-    write_schedule,
 )
 from flowgate.worlds import (
     BenignFlowSpec,
@@ -303,7 +301,7 @@ def test_subset_keeps_metadata():
     ft = make_flow_table()
     tr = Trace(np.array([10, 20, 30]), np.array([0, 1, 0]),
                np.array([100, 110, 120]), np.array([0, 0, 0]), ft, 4, 250_000)
-    sub = trace_subset(tr, tr.flow_id == 0)
+    sub = tr.take(tr.flow_id == 0)
     assert sub.n_packets == 2
     assert sub.flow_table is tr.flow_table
     assert sub.window_us == tr.window_us
@@ -376,21 +374,33 @@ FLOATS = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS),
 
 
 def _column(conv, n):
-    ints = st.lists(st.one_of(st.integers(-2**63, 2**63 - 1),
-                              st.sampled_from(EDGE_INTS)),
-                    min_size=n, max_size=n).map(
-        lambda v: np.array(v, dtype=np.int64))
-    if conv == "d":
-        return st.one_of(ints, st.lists(st.booleans(), min_size=n,
-                                        max_size=n).map(
+    """n values for a column under conv: ints or bools under %d, floats
+    under %r and %.17g."""
+    if conv != "d":
+        return st.lists(FLOATS, min_size=n, max_size=n).map(
+            lambda v: np.array(v, dtype=np.float64))
+    return st.one_of(
+        st.lists(st.one_of(st.integers(-2**63, 2**63 - 1),
+                           st.sampled_from(EDGE_INTS)),
+                 min_size=n, max_size=n).map(
+            lambda v: np.array(v, dtype=np.int64)),
+        st.lists(st.booleans(), min_size=n, max_size=n).map(
             lambda v: np.array(v, dtype=bool)))
-    return st.one_of(st.lists(FLOATS, min_size=n, max_size=n).map(
-        lambda v: np.array(v, dtype=np.float64)), ints)
 
 
-def _kernel_and_oracle(d, row, cols):
-    write_csv(d / "kernel.csv", "a,b", row, cols)
-    write_csv_rows(d / "oracle.csv", "a,b", row, cols)
+def table_class(convs, dtypes):
+    """A Table of columns a, b, ..., one per conversion and dtype."""
+    return make_dataclass("Columns", [
+        (chr(ord("a") + j), np.ndarray, column(conv, dtype))
+        for j, (conv, dtype) in enumerate(zip(convs, dtypes))],
+        bases=(Table,), frozen=True, eq=False)
+
+
+def _kernel_and_oracle(d, convs, cols):
+    table = table_class(convs, [c.dtype for c in cols])(*cols)
+    write_table(d / "kernel.csv", table)
+    write_csv_rows(d / "oracle.csv", ",".join(f.name for f in fields(table)),
+                   ",".join("%" + c for c in convs) + "\n", cols)
     return (d / "kernel.csv").read_bytes(), (d / "oracle.csv").read_bytes()
 
 
@@ -402,10 +412,9 @@ def test_write_csv_matches_row_oracle(tmp_path_factory, convs, n, block,
     cols = [data.draw(_column(conv, n)) for conv in convs]
     if repeat_first:  # the same column twice is formatted once
         convs, cols = convs + convs[:1], cols + cols[:1]
-    row = "".join(f"%{c}," for c in convs)[:-1] + "\n"
     with mock.patch.object(trace_module, "_WRITE_BLOCK", block):
         kernel, oracle = _kernel_and_oracle(
-            tmp_path_factory.mktemp("csv"), row, cols)
+            tmp_path_factory.mktemp("csv"), convs, cols)
     assert kernel == oracle
 
 
@@ -414,23 +423,27 @@ def test_write_csv_matches_row_oracle_across_blocks(tmp_path):
     rng = np.random.default_rng(7)
     t = rng.integers(0, 10**9, n)
     cols = [t % 50, t, t * 8.0, t / 3, rng.random(n) < 0.5]
-    kernel, oracle = _kernel_and_oracle(tmp_path, "%d,%d,%.17g,%r,%d\n", cols)
+    kernel, oracle = _kernel_and_oracle(tmp_path, ["d", "d", ".17g", "r", "d"],
+                                        cols)
     assert kernel == oracle
     assert kernel.count(b"\n") == n + 1
 
 
 def test_write_csv_of_empty_columns_is_the_header(tmp_path):
-    empty = np.zeros(0, dtype=np.int64)
-    kernel, oracle = _kernel_and_oracle(tmp_path, "%d,%r\n", [empty, empty])
+    kernel, oracle = _kernel_and_oracle(tmp_path, ["d", "r"], [
+        np.zeros(0, dtype=np.int64), np.zeros(0)])
     assert kernel == oracle == b"a,b\n"
 
 
 @pytest.mark.parametrize("row, n_cols", [
     ("%s\n", 1), ("%5d\n", 1), ("%.16g\n", 1), ("%x\n", 1), ("%f\n", 1),
     ("%d%%\n", 1), ("%d,%d\n", 1), ("%d\n", 2)])
-def test_write_csv_refuses_other_conversions(tmp_path, row, n_cols):
-    with pytest.raises(ValueError, match="row"):
-        write_csv(tmp_path / "x.csv", "a", row, [np.arange(3)] * n_cols)
+def test_write_csv_refuses_other_conversions(row, n_cols):
+    # a row is declared as a Table of one column per conversion: another
+    # conversion is refused, and so is another number of columns
+    convs = [c[1:] for c in row[:-1].split(",")]
+    with pytest.raises((ValueError, TypeError)):
+        table_class(convs, [np.int64] * len(convs))(*[np.arange(3)] * n_cols)
 
 
 @settings(max_examples=60, deadline=None)
@@ -444,49 +457,35 @@ def test_queue_log_and_csv_round_trip(tmp_path_factory, cols):
     log = QueueEventLog(*cols)
     write_queue_log(d / "a.csv", log)
     back = read_queue_log(d / "a.csv")
-    for name in QueueEventLog.__slots__:
-        assert np.array_equal(getattr(back, name), getattr(log, name))
+    assert back == log
     write_queue_log(d / "b.csv", back)
     assert (d / "a.csv").read_bytes() == (d / "b.csv").read_bytes()
-    raw = read_csv(d / "a.csv", (d / "a.csv").read_text().split("\n")[0],
-                   n_ints=3, flags=(5,))
-    assert np.array_equal(raw, np.column_stack(
-        [np.asarray(c, dtype=np.float64) for c in cols]).reshape(-1, 6))
+    twin_path(d / "a.csv").unlink()  # the text parse reads the same log
+    assert read_queue_log(d / "a.csv") == back
 
 
 # ---------------------------------------------------------------------------
 # the binary twin reads as the text parse, and is used only when it is bound
 # to the CSV's bytes
 
-def _format_of(module, write, obj):
-    """The (header, row) that a writer passes to write_csv."""
-    with mock.patch.object(module, "write_csv") as spy:
-        write("unused.csv", obj)
-    return spy.call_args.args[1:3]
+# each CSV artifact's Table, and the other fields its reader gives it
+TABLES = {"scores": (Scores, {}),
+          "trace": (Trace, {"flow_table": {}, "horizon_windows": 1,
+                            "window_us": 1}),
+          "queue log": (QueueEventLog, {}),
+          "schedule": (Schedule, {})}
 
 
-_NONE = np.zeros(0)
-WRITER_FORMATS = {
-    "scores": _format_of(detector_module, write_scores_csv,
-                         Scores(*[_NONE] * 9)),
-    "trace": _format_of(trace_module, write_trace_csv,
-                        Trace(_NONE, _NONE, _NONE, _NONE, {}, 1, 1)),
-    "queue log": _format_of(wfq_module, write_queue_log,
-                            QueueEventLog(*[_NONE] * 6)),
-    "schedule": _format_of(wfq_module, write_schedule, WeightSchedule()),
-}
-
-
-def _twin_column(conv, n):
-    """_column's draws, plus finite floats under %d (printed truncated)."""
-    if conv != "d":
-        return _column(conv, n)
-    floats = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
-                       st.sampled_from([x for x in EDGE_FLOATS
-                                        if math.isfinite(x)]))
-    return st.one_of(_column(conv, n), st.lists(
-        floats, min_size=n, max_size=n).map(
-        lambda v: np.array(v, dtype=np.float64)))
+def _values(dtype, n):
+    """n values of a column of dtype: mostly what write_table can write
+    and read back, with negative, huge and non-finite ones mixed in."""
+    value = {"i": st.one_of(st.integers(0, 2**53 - 1),
+                            st.sampled_from(EDGE_INTS)),
+             "f": st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                            st.sampled_from(EDGE_FLOATS)),
+             "b": st.booleans()}[dtype.kind]
+    return st.lists(value, min_size=n, max_size=n).map(
+        lambda v: np.array(v, dtype=dtype))
 
 
 def _outcome(read, path):
@@ -515,50 +514,42 @@ def _via_text(read, path):
         aside.rename(twin_path(path))
 
 
-def _read_trace_columns(path):
-    tr = read_trace_csv(path, {}, 1, 1)
-    return [tr.ts_us, tr.flow_id, tr.len_bytes, tr.clique_id]
-
-
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(sorted(WRITER_FORMATS)), st.integers(0, 6), st.data())
-def test_twin_reads_as_the_text_parse(tmp_path_factory, writer, n, data):
-    header, row = WRITER_FORMATS[writer]
-    cols = [data.draw(_twin_column(conv, n))
-            for conv in trace_module._CONVERSION.findall(row)]
+@given(st.sampled_from(sorted(TABLES)), st.integers(0, 6), st.data())
+def test_twin_reads_as_the_text_parse(tmp_path_factory, table, n, data):
+    cls, riders = TABLES[table]
+    cols = {name: data.draw(_values(dtype, n))
+            for name, _, dtype in table_columns(cls)}
     path = tmp_path_factory.mktemp("twin") / "a.csv"
-    write_csv(path, header, row, cols)
+    write_table(path, cls(**cols, **riders))
     assert twin_path(path).is_file()
-    readers = [lambda p: [read_csv(p, header)]]
-    if writer == "trace" and all(c.dtype == np.int64 for c in cols):
-        readers.append(_read_trace_columns)
-    for read in readers:
-        assert _via_twin(read, path) == _via_text(read, path)
+
+    def read(p):
+        return _columns_of(read_table(cls, p, **riders))
+
+    assert _via_twin(read, path) == _via_text(read, path)
 
 
-def test_no_twin_where_the_text_reads_otherwise(tmp_path):
-    ints = np.arange(3)
-    for header, row, cols in (
-            ("a,b", "%d;%d\n", [ints, ints]),  # not comma-separated
-            ("a,b,c", "%d,%d\n", [ints, ints]),  # header of other fields
-            ("a", "%r\n", [ints > 0]),  # bools print as True and False
-            ("a", "%r\n", [ints.astype(np.complex128)])):
-        path = tmp_path / "x.csv"
-        twin_path(path).unlink(missing_ok=True)
-        write_csv(path, header, row, cols)
-        assert not twin_path(path).exists(), row
+def test_no_twin_where_the_text_reads_otherwise():
+    # a declared column's text reads back as its dtype, so its twin record
+    # reads as the text; a column whose text would not is refused
+    for conv, dtype in (("r", bool), ("d", np.float64), (".17g", np.int64),
+                        ("r", np.complex128), ("d", "S8")):
+        with pytest.raises(ValueError, match="column"):
+            column(conv, dtype)
 
 
 def test_trace_read_takes_only_integer_text_from_the_twin(tmp_path):
-    # under %.17g the twin holds float64, as 10**17 prints as 1e+17, which
-    # is not the text of an int64
+    # a twin bound to the trace's bytes whose ts_us record is float64 is not
+    # the twin of a Trace: the text is parsed instead
     path = tmp_path / "trace.csv"
-    ints = np.array([10**17, 5], dtype=np.int64)
-    write_csv(path, TRACE_HEADER, "%.17g,%d,%d,%d\n", [ints] * 4)
-    assert [c.dtype for c in _twin_records(path)] == [np.float64] + [
-        np.int64] * 3
-    with pytest.raises(ValueError):
-        read_trace_csv(path, {}, 1, 1)
+    trace = Trace([10, 20], [1, 2], [64, 64], [0, 0], {}, 1, 1)
+    write_trace_csv(path, trace)
+    cols = list(twin_columns(path, [np.dtype(np.int64)] * 4))
+    _bound_twin(path, cols[0].astype(np.float64), *cols[1:])
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as parse:
+        assert read_trace_csv(path, {}, 1, 1) == trace
+    assert parse.call_count == 1
 
 
 def _csv_sha256(path):
@@ -601,9 +592,10 @@ def _cut_twin(path, n, data):
 
 
 def _twin_records(path):
-    """The n columns of path's intact twin."""
-    n = path.read_text().split("\n")[0].count(",") + 1
-    return list(twin_columns(path, n, "biuf"))
+    """The columns of the intact twin of path, a scores file or a queue
+    log named after its reader."""
+    cls = {"scores": Scores, "queue log": QueueEventLog}[path.stem]
+    return list(twin_columns(path, [d for *_, d in table_columns(cls)]))
 
 
 def _object_twin(path, n, data):
@@ -643,10 +635,8 @@ TWIN_FAULTS = {"edited CSV: rows swapped": _swap_rows,
 
 
 def _columns_of(loaded):
-    """The arrays of a read scores file or queue log."""
-    return [getattr(loaded, f) for f in (
-        QueueEventLog.__slots__ if isinstance(loaded, QueueEventLog)
-        else [f.name for f in fields(loaded)])]
+    """The columns of a read Table."""
+    return [getattr(loaded, name) for name, *_ in table_columns(type(loaded))]
 
 
 @settings(max_examples=150, deadline=None)
@@ -692,10 +682,8 @@ def test_twin_read_of_a_queue_log_peaks_at_the_log_plus_one_column(tmp_path):
         finally:
             tracemalloc.stop()
     held = {}  # the buffers the returned log keeps alive
-    for name in QueueEventLog.__slots__:
-        a = getattr(back, name)
+    for a in _columns_of(back):
         base = a if a.base is None else a.base
         held[id(base)] = base.nbytes
     assert peak <= sum(held.values()) + n * 8
-    for name in QueueEventLog.__slots__:
-        assert np.array_equal(getattr(back, name), getattr(log, name))
+    assert back == log

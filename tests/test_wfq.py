@@ -1,5 +1,7 @@
 import heapq
+import math
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowgate import wfq
+from flowgate.detector import Scores
 from flowgate.trace import BENIGN, MALICIOUS, FlowInfo, FlowKey, Trace
 from flowgate.wfq import (
     GateConfig,
     QueueEventLog,
-    WeightSchedule,
+    Schedule,
     clique_mean_delay,
     delay_percentile,
     gate_controller,
@@ -21,6 +24,9 @@ from flowgate.wfq import (
     write_schedule,
 )
 from flowgate.worlds import build_world
+from gate_oracle import WeightSchedule, as_table, dense_flags, entries, flags
+from gate_oracle import gate_controller as oracle_gate
+from support import write_csv_rows
 from test_acceptance import _audit_config
 
 
@@ -94,9 +100,7 @@ def test_equal_weight_fairness_vs_gps_oracle():
 def test_three_to_one_weight_share_within_two_percent():
     L, C = 1000, 1_000_000
     tr = backlogged_trace([1200, 1200], [L, L])
-    sched = WeightSchedule(default_weight=1.0)
-    sched.set_entries(0, [(0, 3.0)])
-    log = replay(tr, C, sched)
+    log = replay(tr, C, Schedule([0], [0], [3.0]))
     order = np.argsort(log.complete_us, kind="stable")[:1000]
     served = {0: 0, 1: 0}
     for j in order:
@@ -109,9 +113,8 @@ def test_weight_change_applies_to_later_tags_only():
     # flow 0 is demoted mid-backlog; its pre-change packets keep old tags
     L, C = 1000, 100_000  # 10 ms per packet
     tr = backlogged_trace([200, 200], [L, L])
-    sched = WeightSchedule(default_weight=1.0)
-    sched.set_entries(0, [(0, 1.0), (1, 0.01)])  # all packets tagged at t=0 keep w=1
-    log = replay(tr, C, sched)
+    # all packets tagged at t=0 keep w=1
+    log = replay(tr, C, Schedule([0, 0], [0, 1], [1.0, 0.01]))
     served0 = np.sum(log.flow_id[np.argsort(log.dequeue_us)[:400]] == 0)
     assert served0 >= 199  # near-equal split: old tags unaffected by the change
 
@@ -121,9 +124,7 @@ def test_weight_change_applies_to_later_tags_only():
     fid = np.concatenate([np.tile([1, 0], 100), np.zeros(200, dtype=np.int64)])
     tr2 = Trace(ts, fid, np.full(400, L), np.zeros(400, dtype=np.int64),
                 flow_table(2), 4000, 250_000)
-    sched2 = WeightSchedule(default_weight=1.0)
-    sched2.set_entries(0, [(0, 1.0), (5, 0.01)])
-    log2 = replay(tr2, C, sched2)
+    log2 = replay(tr2, C, Schedule([0, 0], [0, 5], [1.0, 0.01]))
     # flow 0's late (demoted) packets all finish after flow 1's backlog
     late0 = log2.dequeue_us[200:][fid[200:] == 0]
     flow1 = log2.dequeue_us[log2.flow_id == 1]
@@ -189,8 +190,8 @@ def test_gate_controller_span_matches_hand_example():
     z = np.zeros(40, dtype=bool)
     z[10:14] = True
     cfg = GateConfig(omega_0=1.0, omega_minus=0.1, t_g_s=2.0)
-    sched = gate_controller({7: z}, cfg, window_us=250_000)
-    assert sched.entries(7) == [(0, 1.0), (2_500_000, 0.1), (4_500_000, 1.0)]
+    sched = gate_controller(flags({7: z}), cfg, window_us=250_000)
+    assert entries(sched, 7) == [(0, 1.0), (2_500_000, 0.1), (4_500_000, 1.0)]
 
 
 def test_gate_controller_reactivation_merges_and_restarts_clock():
@@ -198,14 +199,15 @@ def test_gate_controller_reactivation_merges_and_restarts_clock():
     z[10:14] = True
     z[16:18] = True  # starts at 4.0 s, inside the first quarantine tail
     cfg = GateConfig(omega_0=1.0, omega_minus=0.1, t_g_s=2.0)
-    sched = gate_controller({3: z}, cfg, window_us=250_000)
-    assert sched.entries(3) == [(0, 1.0), (2_500_000, 0.1), (6_000_000, 1.0)]
+    sched = gate_controller(flags({3: z}), cfg, window_us=250_000)
+    assert entries(sched, 3) == [(0, 1.0), (2_500_000, 0.1), (6_000_000, 1.0)]
 
 
 def test_gate_controller_quiet_flow_untouched():
     cfg = GateConfig()
-    sched = gate_controller({5: np.zeros(10, dtype=bool)}, cfg, window_us=250_000)
-    assert sched.entries(5) == [(0, cfg.omega_0)]
+    sched = gate_controller(flags({5: np.zeros(10, dtype=bool)}), cfg,
+                            window_us=250_000)
+    assert entries(sched, 5) == [(0, cfg.omega_0)]
     assert sched.weights([5], [123456]).tolist() == [cfg.omega_0]
 
 
@@ -214,17 +216,69 @@ def test_gate_controller_release_rounding_onto_next_start_ties():
     # start: two entries share from_us, and the later one holds from there
     z = np.array([True, False, True, False, False, False])
     cfg = GateConfig(omega_0=1.0, omega_minus=0.1, t_g_s=0.4999995)
-    sched = gate_controller({4: z}, cfg, window_us=250_000)
-    assert sched.entries(4) == [(0, 0.1), (500_000, 1.0), (500_000, 0.1),
-                                (1_000_000, 1.0)]
+    sched = gate_controller(flags({4: z}), cfg, window_us=250_000)
+    assert entries(sched, 4) == [(0, 0.1), (500_000, 1.0), (500_000, 0.1),
+                                 (1_000_000, 1.0)]
     t = [0, 499_999, 500_000, 999_999, 1_000_000]
     assert sched.weights(np.full(5, 4), t).tolist() == [0.1, 0.1, 0.1, 0.1,
                                                         1.0]
 
 
+@st.composite
+def gate_case(draw):
+    """Scores of a few flows over a short horizon, some windows missing, in
+    any row order, and a gate whose t_g_s * 1e6 may be non-integral, so
+    that a release can round up onto the next span's start."""
+    horizon = draw(st.integers(1, 30))
+    window_us = draw(st.sampled_from([250_000, 1000, 7]))
+    rows = []
+    for f in draw(st.lists(st.integers(0, 60), max_size=4, unique=True)):
+        windows = draw(st.lists(st.integers(0, horizon - 1), unique=True))
+        rows += [(f, w, draw(st.booleans())) for w in windows]
+    rows = draw(st.permutations(rows))
+    fid, window, z = (np.array(c, dtype=t) for c, t in zip(
+        zip(*rows) if rows else ((), (), ()), (np.int64, np.int64, bool)))
+    zero = np.zeros(fid.size)
+    scores = Scores(fid, window, zero, zero, zero, zero, zero, z, z)
+    # half a microsecond short of k windows: a release that rounds up onto
+    # the start k windows after the span's own
+    t_g_s = draw(st.one_of(st.sampled_from([0.0, 0.4999995, 2.0, 30.0]),
+                           st.integers(1, 4).map(
+                               lambda k: (k * window_us - 0.5) * 1e-6),
+                           st.floats(0.0, 5.0)))
+    cfg = GateConfig(omega_0=draw(st.sampled_from([1.0, 2.5])),
+                     omega_minus=draw(st.sampled_from([0.05, 0.3])),
+                     t_g_s=t_g_s)
+    return scores, horizon, window_us, cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(gate_case(), st.data())
+def test_gate_matches_the_dense_oracle(tmp_path_factory, case, data):
+    scores, horizon, window_us, cfg = case
+    new = gate_controller(scores, cfg, window_us)
+    old = oracle_gate(dense_flags(scores, horizon), cfg, window_us)
+    d = tmp_path_factory.mktemp("gate")
+    write_schedule(d / "new.csv", new)
+    rows = [(f, t, w) for f in old.flows() for t, w in old.entries(f)]
+    write_csv_rows(d / "old.csv", "flow_id,from_us,weight", "%d,%d,%r\n",
+                   [np.array(c, dtype=t) for c, t in zip(
+                       zip(*rows) if rows else ((), (), ()),
+                       (np.int64, np.int64, np.float64))])
+    assert (d / "new.csv").read_bytes() == (d / "old.csv").read_bytes()
+    flows = sorted(set(scores.flow_id.tolist()) | {61})  # 61: not scored
+    n = data.draw(st.integers(0, 30))
+    f = np.array(data.draw(st.lists(st.sampled_from(flows), min_size=n,
+                                    max_size=n)), dtype=np.int64)
+    t = np.array(data.draw(st.lists(st.integers(
+        0, horizon * window_us + int(cfg.t_g_s * 2e6)), min_size=n,
+        max_size=n)), dtype=np.int64)
+    assert new.weights(f, t).tobytes() == old.weights(f, t).tobytes()
+
+
 def test_weights_per_packet_lookup():
-    sched = WeightSchedule(default_weight=2.0)
-    sched.set_entries(1, [(0, 1.0), (10, 0.5), (10, 0.25), (20, 1.0)])
+    sched = Schedule([1] * 4, [0, 10, 10, 20], [1.0, 0.5, 0.25, 1.0],
+                     default_weight=2.0)
     fid = np.array([1, 3, 1, 1, 1, 1, 3])
     t = np.array([0, 5, 9, 10, 19, 20, 99])
     assert sched.weights(fid, t).tolist() == [1.0, 2.0, 1.0, 0.25, 0.25,
@@ -237,6 +291,11 @@ def test_gate_config_validation():
         GateConfig(omega_0=1.0, omega_minus=1.5).validate()
     with pytest.raises(ValueError):
         GateConfig(omega_0=1.0, omega_minus=0.0).validate()
+    with pytest.raises(ValueError, match="omega_0 < inf"):
+        GateConfig(omega_0=math.inf).validate()
+    for t_g_s in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="t_g_s"):
+            GateConfig(t_g_s=t_g_s).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +328,9 @@ def test_delay_percentile_filters():
     log = make_log([10, 20, 30, 40], benign=benign, clique=clique)
     assert delay_percentile(log, 100.0) == 40.0
     assert delay_percentile(log, 100.0, benign_only=True) == 20.0
-    assert delay_percentile(log, 100.0, clique_id=0) == 30.0
-    assert delay_percentile(log, 100.0, benign_only=True, clique_id=0) == 10.0
+    clique0 = log.take(log.clique_id == 0)
+    assert delay_percentile(clique0, 100.0) == 30.0
+    assert delay_percentile(clique0, 100.0, benign_only=True) == 10.0
     with pytest.raises(ValueError):
         delay_percentile(make_log([]), 50.0)
 
@@ -317,15 +377,14 @@ def test_queue_log_round_trip(tmp_path):
 
 def test_schedule_csv_lists_every_entry(tmp_path):
     # no command reads a schedule back: the file is the gate's record
-    sched = WeightSchedule(default_weight=1.0)
-    sched.set_entries(2, [(0, 1.0), (500_000, 0.05), (3_000_000, 1.0)])
-    sched.set_entries(9, [(0, 1.0)])
+    sched = Schedule([2, 2, 2, 9], [0, 500_000, 3_000_000, 0],
+                     [1.0, 0.05, 1.0, 1.0])
     p = tmp_path / "sched.csv"
     write_schedule(p, sched)
     assert p.read_text().splitlines() == [
         "flow_id,from_us,weight", "2,0,1.0", "2,500000,0.05", "2,3000000,1.0",
         "9,0,1.0"]
-    write_schedule(p, WeightSchedule())
+    write_schedule(p, Schedule((), (), ()))
     assert p.read_text() == "flow_id,from_us,weight\n"
     assert sched.weights([2, 2, 7], [600_000, 400_000, 0]).tolist() == [
         0.05, 1.0, 1.0]
@@ -395,7 +454,8 @@ def _replay_clique(idx, ts, fid, ln, cap, schedule, dequeue, complete) -> None:
 
 
 def assert_matches_oracle(trace, capacity_bps, schedule=None):
-    log = replay(trace, capacity_bps, schedule)
+    log = replay(trace, capacity_bps,
+                 None if schedule is None else as_table(schedule))
     dequeue, complete = oracle_replay(trace, capacity_bps, schedule)
     assert log.dequeue_us.tobytes() == dequeue.tobytes()
     assert log.complete_us.tobytes() == complete.tobytes()
@@ -455,7 +515,7 @@ def audit_world():
         z = np.zeros(cfg.horizon_windows, dtype=bool)
         z[lab.start_window:lab.end_window + 1] = True
         actionable[lab.flow_id] = z
-    return world, gate_controller(actionable, GateConfig(), cfg.window_us)
+    return world, oracle_gate(actionable, GateConfig(), cfg.window_us)
 
 
 def test_kernel_matches_oracle_on_audit_world(audit_world):
@@ -490,14 +550,14 @@ def assert_no_child_left():
 
 
 def log_bytes(log):
-    return [getattr(log, name).tobytes() for name in QueueEventLog.__slots__]
+    return [getattr(log, f.name).tobytes() for f in fields(QueueEventLog)]
 
 
 @pytest.mark.parametrize("gated", [False, True])
 def test_one_cpu_forks_nothing_and_matches_the_shares(monkeypatch,
                                                       audit_world, gated):
     world, sched = audit_world
-    schedule = sched if gated else None
+    schedule = as_table(sched) if gated else None
     n_cliques = np.unique(world.trace.clique_id).size
     assert n_cliques > 3
     forks = cpus(monkeypatch, 3)

@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 from scipy.stats import wasserstein_distance
 
 from flowgate.trace import (BENIGN, MALICIOUS, Budgets, FlowInfo, Trace,
-                            from_json, load_json, to_json, trace_subset,
-                            write_json)
+                            from_json, load_json, to_json, write_json)
 from flowgate.worlds import (
     BenignFlowSpec,
     BenignIatReference,
@@ -876,7 +875,7 @@ def test_audit_replays_each_clique_benign_traffic_once(monkeypatch):
     for row, label in zip(rows, world.labels):
         cid = world.graph.clique_of[label.flow_id]
         ben = (trace.clique_id == cid) & np.isin(trace.flow_id, benign)
-        d = [clique_baseline_delay(trace_subset(trace, m), cfg.capacity_bps)
+        d = [clique_baseline_delay(trace.take(m), cfg.capacity_bps)
              for m in (ben, ben | (trace.flow_id == label.flow_id))]
         assert row["flow_id"] == label.flow_id
         assert row["delay_delta_s"] == float(d[1] - d[0])
