@@ -41,6 +41,7 @@ from flowgate.metrics import (
 )
 from flowgate.trace import (
     RunManifest,
+    TableStream,
     from_json,
     load_json,
     to_json,
@@ -198,24 +199,28 @@ def cmd_detect(args) -> int:
         [trace.flow_table[f].device_class for f in table.flow_ids],
         burn_in_windows=burn_in, quantile=quantile, k_persist=k, m_persist=m,
         w_min=w_min, graph=graph, seed=args.seed)
-    parts, seconds = [], []
-    for w in range(table.horizon_windows):
-        t0 = time.perf_counter()
-        parts.append(session.process_window(w, table.x[w]))
-        seconds.append(time.perf_counter() - t0)
-    scores = Scores.concat(parts)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / "scores.csv"
+    n_flows, seconds = len(table.flow_ids), []
+    # a forked child formats scores.csv while the windows are scored
+    with TableStream(path, Scores,
+                     n_flows * table.horizon_windows) as stream:
+        for w in range(table.horizon_windows):
+            t0 = time.perf_counter()
+            part = session.process_window(w, table.x[w])
+            seconds.append(time.perf_counter() - t0)
+            stream.publish(part)
+        scores = write_scores_csv(path, stream)
     session.finalize()
     n_records = len(scores)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_scores_csv(out / "scores.csv", scores)
     write_thresholds(out / "thresholds.json", session)
     write_stage_stats(out / "stage_stats.json", seconds,
-                      [len(part) for part in parts])
+                      [n_flows] * len(seconds))
     write_json(out / "detect_manifest.json", to_json(DetectManifest(
         manifest, params, quantile, k, m, w_min, burn_in, n_records)))
-    print(f"flows={len(table.flow_ids)}")
+    print(f"flows={n_flows}")
     print(f"records={n_records}")
     print(f"alarms={int(scores.a.sum())}")
     print(f"actionable={int(scores.z.sum())}")
@@ -444,7 +449,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except ArgumentContractError as exc:
         parser.error(str(exc))
-    except (OSError, ValueError, KeyError, GenerationError) as exc:
+    except (OSError, ValueError, KeyError, FloatingPointError,
+            GenerationError) as exc:
         return _fail(f"{type(exc).__name__}: {exc}")
 
 

@@ -27,6 +27,7 @@ import numpy as np
 from flowgate.features import Normalizer
 from flowgate.trace import (
     Table,
+    TableStream,
     column,
     from_json,
     load_json,
@@ -118,9 +119,8 @@ def f_sat_peak_slope(kappa: float, v_max: float) -> float:
 def _each(fn, x):
     """fn, a function of one float, applied to every element of the array
     x. Elementwise steps that need libm (numpy's SIMD exp and power can
-    differ from it by an ulp, which would move the scores' bytes) or a
-    branch go through here, so each element is its scalar result bit for
-    bit."""
+    differ from it by an ulp, which would move the scores' bytes) go
+    through here, so each element is its scalar result bit for bit."""
     x = np.asarray(x)
     return np.fromiter(map(fn, x.ravel().tolist()), np.float64,
                        x.size).reshape(x.shape)
@@ -159,16 +159,19 @@ def evidence(z, zeta: float, p: float):
                         _sum_last(_each(lambda t: t ** p, a)))
 
 
-def step(v, u, drive_e, drive_i, params: DetectorParams, noise=0.0):
-    """One Euler update of (v, u) under total drive A = E + I, elementwise."""
-    s = event_surrogate(v, params.k, params.theta)
+def step(v, u, drive_e, drive_i, params: DetectorParams, noise=0.0, s=None):
+    """One Euler update of (v, u) under total drive A = E + I, elementwise.
+    s is the event surrogate of v, computed here unless given."""
+    if s is None:
+        s = event_surrogate(v, params.k, params.theta)
     dv = (f_sat(v, params.alpha, params.kappa) + params.beta * v + params.gamma
           - u + drive_e + drive_i - params.lam * v
           - params.chi * (v - params.v_rest))
     v_next = v + params.dt * dv + noise - params.r * s
     v_max = params.v_max
-    v_next = _each(lambda t: 0.0 if t < 0.0 else v_max if t > v_max else t,
-                   v_next)
+    # NaN and -0.0 pass through, as they do a scalar clamp
+    v_next = np.where(v_next < 0.0, 0.0,
+                      np.where(v_next > v_max, v_max, v_next))
     u_next = u + params.dt * (params.a * params.b * v - (params.a + params.mu) * u)
     return v_next, u_next
 
@@ -372,7 +375,7 @@ class DetectorSession:
         drive_i = 0.0
         if self._coupled and len(self._s_hist) == self._s_hist.maxlen:
             drive_i = p.g * self.graph.matvec(self._s_hist[0])
-        self.v, self.u = step(v, u, e, drive_i, p, noise)
+        self.v, self.u = step(v, u, e, drive_i, p, noise, s_val)
         bad = ~(np.isfinite(self.v) & np.isfinite(self.u))
         if bad.any():
             raise FloatingPointError(
@@ -398,9 +401,14 @@ class DetectorSession:
 # ---------------------------------------------------------------------------
 # on-disk formats
 
-def write_scores_csv(path, scores: Scores) -> None:
-    """One line per row of scores, in table order."""
+def write_scores_csv(path, scores: Scores | TableStream) -> Scores:
+    """Write scores to the CSV at path, one line per row in table order,
+    and its twin, and return them: a Scores table through write_table, or
+    the rows of a TableStream of Scores at path, which it closes."""
+    if isinstance(scores, TableStream):
+        return scores.close()
     write_table(path, scores)
+    return scores
 
 
 def read_scores_csv(path) -> Scores:

@@ -73,11 +73,14 @@ def windowize(trace, graph, micro_bins: int = 10) -> FeatureTable:
     same = (srow[1:] == srow[:-1]) & (swin[1:] == swin[:-1])
     iat_us = (sts[1:] - sts[:-1])[same].astype(np.float64)
     pair_code = (srow[1:] * H + swin[1:])[same]
+    # per-packet arrays go once used: together they set detect's peak RSS
+    del order, srow, sts, swin, same
     iat_cnt = np.bincount(pair_code, minlength=nf * H).reshape(nf, H)
     iat_sum = np.bincount(pair_code, weights=iat_us,
                           minlength=nf * H).reshape(nf, H).astype(np.float64)
     iat_sq = np.bincount(pair_code, weights=iat_us * iat_us,
                          minlength=nf * H).reshape(nf, H).astype(np.float64)
+    del iat_us, pair_code
 
     iat_mean = np.full((nf, H), np.nan)
     iat_cv = np.full((nf, H), np.nan)

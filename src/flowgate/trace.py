@@ -13,6 +13,7 @@ import hashlib
 import itertools
 import json
 import math
+import mmap
 import operator
 import os
 import re
@@ -29,6 +30,8 @@ from dataclasses import (
 from pathlib import Path
 
 import numpy as np
+
+from flowgate.forks import Children, cpus
 
 TOOL_VERSION = "0.1.0"
 
@@ -219,39 +222,169 @@ def twin_path(path) -> Path:
 
 def write_table(path, table: Table) -> None:
     """Write a table to the CSV at path: a header of its column names, then
-    one line per row, its columns in their conversions joined by commas.
-    The bytes are those of `row % values` for each row; they are made a
-    column and a block of rows at a time, so that memory does not grow with
-    the file. The twin `<path>.cols` follows: the sha256 of the CSV's
-    bytes, then each column as an np.save record."""
-    spec = table_columns(type(table))
-    cols = [getattr(table, name) for name, *_ in spec]
-    seps = [np.frombuffer(b",", np.uint8)] * (len(spec) - 1) + [
-        np.frombuffer(b"\n", np.uint8)]
-    n = len(table)
-    digest = hashlib.sha256()
-    with open(path, "wb") as fh:
-        text = ",".join(name for name, *_ in spec).encode() + b"\n"
-        digest.update(text)
-        fh.write(text)
-        for s in range(0, n, _WRITE_BLOCK):
-            k = min(n - s, _WRITE_BLOCK)
+    one line per row, its columns in their conversions joined by commas
+    (_CsvText). The CSV is written under a temporary name beside path and
+    then moved into place, so that path never holds part of a table; the
+    twin `<path>.cols` follows: the sha256 of the CSV's bytes, then each
+    column as an np.save record."""
+    tmp = _temp_path(path)
+    try:
+        with open(tmp, "wb") as fh:
+            text = _CsvText(fh, table)
+            text.rows(0, len(table))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+    _write_twin(path, text.digest.digest(), text.cols)
+
+
+def _temp_path(path) -> Path:
+    """Where a CSV is written before it is moved to path."""
+    return Path(f"{path}.tmp")
+
+
+def _write_twin(path, digest: bytes, cols) -> None:
+    with open(twin_path(path), "wb") as fh:
+        fh.write(digest)
+        for col in cols:
+            np.save(fh, col, allow_pickle=False)
+
+
+class _CsvText:
+    """The CSV text of a table, written to the open file fh as it is asked
+    for, header first, with the sha256 of every byte written. The bytes of
+    a row are those of `row % values`; they are made a column and a block
+    of rows at a time, so that memory does not grow with the file, and do
+    not depend on how the rows are split into calls."""
+
+    def __init__(self, fh, table: Table):
+        spec = table_columns(type(table))
+        self.fh = fh
+        self.digest = hashlib.sha256()
+        self.cols = [getattr(table, name) for name, *_ in spec]
+        self.convs = [conv for _, conv, _ in spec]
+        self.seps = [np.frombuffer(b",", np.uint8)] * (len(spec) - 1) + [
+            np.frombuffer(b"\n", np.uint8)]
+        self._put(",".join(name for name, *_ in spec).encode() + b"\n")
+
+    def _put(self, text) -> None:
+        self.digest.update(text)
+        self.fh.write(text)
+
+    def rows(self, start: int, stop: int) -> None:
+        """Write rows start to stop - 1."""
+        for s in range(start, stop, _WRITE_BLOCK):
+            k = min(stop - s, _WRITE_BLOCK)
             cells = {}  # columns with the same values are formatted once
             parts = []
-            for col, (_, conv, _), sep in zip(cols, spec, seps):
+            for col, conv, sep in zip(self.cols, self.convs, self.seps):
                 block = col[s:s + k]
                 key = (conv, block.dtype.str, block.tobytes())
                 if key not in cells:
                     cells[key] = _cell_bytes(block, conv)
                 parts += [cells[key], np.broadcast_to(sep, (k, 1))]
             text = np.concatenate(parts, axis=1)
-            text = text[text != 0]
-            digest.update(text)
-            fh.write(text)
-    with open(twin_path(path), "wb") as fh:
-        fh.write(digest.digest())
-        for col in cols:
-            np.save(fh, col, allow_pickle=False)
+            self._put(text[text != 0])
+
+
+class TableStream:
+    """A table of cls with n_rows rows, published a part at a time and
+    written to the CSV at path, as write_table writes it, by a forked child
+    while this process keeps working.
+
+    The columns live in one shared anonymous mapping, which is the table
+    the stream returns. publish() copies a part's rows in after those
+    already published and sends the new row count down a pipe. The child
+    formats every row published whenever it wakes (_CsvText) into the
+    temporary file beside path, and at the pipe's end leaves the text's
+    sha256 in the mapping. close() reaps it, moves the file into place and
+    writes the twin from that digest. With one CPU nothing is forked, and
+    when the child fails close() writes the same bytes through write_table.
+
+    Use in a with block: leaving it without close(), as an exception while
+    publishing does, reaps the child and removes the temporary file.
+    """
+
+    def __init__(self, path, cls, n_rows: int):
+        self.path = Path(path)
+        spec = table_columns(cls)
+        sizes = [-(-n_rows * dtype.itemsize // 8) * 8 for *_, dtype in spec]
+        shared = mmap.mmap(-1, 32 + sum(sizes))
+        self._digest = np.frombuffer(shared, np.uint8, 32)
+        offsets = itertools.accumulate(sizes, initial=32)
+        self.table = cls(**{name: np.frombuffer(shared, dtype, n_rows, at)
+                            for (name, _, dtype), at in zip(spec, offsets)})
+        self._names = [name for name, *_ in spec]
+        self._published = 0
+        self._children = Children()
+        self._pipe = None  # while a child writes the CSV
+        if cpus() > 1:
+            r, w = os.pipe()
+            if self._children.fork(functools.partial(self._write, r, w)):
+                self._pipe = w
+            else:
+                os.close(w)
+            os.close(r)
+
+    def __enter__(self) -> TableStream:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._end_pipe()
+        self._children.reap()
+        _temp_path(self.path).unlink(missing_ok=True)
+
+    def publish(self, part: Table) -> None:
+        """Append the rows of part, a table of cls."""
+        a, b = self._published, self._published + len(part)
+        for name in self._names:
+            getattr(self.table, name)[a:b] = getattr(part, name)
+        self._published = b
+        if self._pipe is not None:
+            try:
+                os.write(self._pipe, b.to_bytes(8, "little"))
+            except OSError:  # the child is gone: close() writes the CSV
+                self._end_pipe()
+
+    def close(self) -> Table:
+        """Write the CSV and its twin once every row is published, and
+        return the table."""
+        if self._published != len(self.table):
+            raise ValueError(f"{self.path}: {self._published} of "
+                             f"{len(self.table)} rows published")
+        writing = self._pipe is not None
+        self._end_pipe()
+        if self._children.reap() and writing:
+            os.replace(_temp_path(self.path), self.path)
+            _write_twin(self.path, self._digest.tobytes(),
+                        [getattr(self.table, name) for name in self._names])
+        else:
+            write_table(self.path, self.table)
+        return self.table
+
+    def _end_pipe(self) -> None:
+        """Close the pipe's end: the child writes what is published and
+        exits."""
+        if self._pipe is not None:
+            os.close(self._pipe)
+            self._pipe = None
+
+    def _write(self, r: int, w: int) -> None:
+        """The child: format the rows published down the pipe read at r."""
+        os.close(w)
+        done, pending = 0, b""
+        with open(_temp_path(self.path), "wb") as fh:
+            text = _CsvText(fh, self.table)
+            while chunk := os.read(r, 1 << 16):
+                pending += chunk
+                whole = len(pending) - len(pending) % 8
+                if whole:
+                    published = int.from_bytes(pending[whole - 8:whole],
+                                                "little")
+                    pending = pending[whole:]
+                    text.rows(done, published)
+                    done = published
+        self._digest[:] = np.frombuffer(text.digest.digest(), np.uint8)
 
 
 def _cell_bytes(col: np.ndarray, conv: str) -> np.ndarray:

@@ -34,12 +34,13 @@ from __future__ import annotations
 import heapq
 import math
 import mmap
-import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from flowgate.detector import calibrate_threshold
+from flowgate.forks import Children, cpus
 from flowgate.trace import (
     BENIGN,
     Table,
@@ -131,9 +132,7 @@ def replay(trace: Trace, capacity_bps: float,
     cap = float(capacity_bps)
 
     cliques = [np.flatnonzero(cq == c) for c in np.unique(cq)]
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else 1)
-    n_shares = max(1, min(cpus, len(cliques)))
+    n_shares = max(1, min(cpus(), len(cliques)))
     # a shared anonymous mapping, so that a forked share's writes reach it
     dequeue = (np.frombuffer(mmap.mmap(-1, 8 * trace.n_packets), np.float64)
                if n_shares > 1 else np.empty(trace.n_packets))
@@ -167,33 +166,15 @@ def _lpt_shares(cliques: list[np.ndarray], n_shares: int) -> list[list]:
 
 def _serve_shares(shares: list[list], serve) -> bool:
     """serve(share) for every share, at once: shares[0] in this process and
-    each other one in a forked child. False if any share failed.
-
-    A child leaves only through os._exit, so it runs no exit handler and
-    flushes no inherited stdio buffer. Every child is reaped before this
-    returns or raises.
-    """
-    pids = []
-    served = True
-    try:
-        for share in shares[1:]:
-            pid = os.fork()
-            if pid == 0:
-                code = 1
-                try:
-                    serve(share)
-                    code = 0
-                finally:
-                    os._exit(code)
-            pids.append(pid)
-        serve(shares[0])
-    except Exception:
-        served = False
-    finally:
-        for pid in pids:
-            if os.waitpid(pid, 0)[1] != 0:
-                served = False
-    return served
+    each other one in a forked child (forks.Children). False if any share
+    failed."""
+    with Children() as children:
+        forked = [children.fork(partial(serve, share)) for share in shares[1:]]
+        try:
+            serve(shares[0])
+        except Exception:
+            return False
+        return children.reap() and all(forked)
 
 
 def _replay_clique(t, f, l, cap, schedule) -> np.ndarray:

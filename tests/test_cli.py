@@ -311,6 +311,44 @@ def test_replay_output_is_printed_once(pipe, tmp_path):
         pipe["gated"] / "queue_log.csv").read_bytes()
 
 
+def test_detect_output_is_printed_once(pipe, tmp_path):
+    # the knob lines are in stdout's buffer when the scores writer forks
+    code = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
+            "from flowgate.cli import main; sys.exit(main(sys.argv[1:]))")
+    out = tmp_path / "d"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).parents[1] / "src"), env.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "detect", "--world", str(pipe["world"]),
+         "--w-min", "20", "--out", str(out)], stdout=subprocess.PIPE,
+        env=env, check=True, text=True)
+    lines = proc.stdout.splitlines()
+    assert [line.split("=")[0] for line in lines] == [
+        "quantile", "k", "m", "w_min", "burn_in_windows", "flows", "records",
+        "alarms", "actionable", "out"]
+    assert lines[-1] == f"out={out}"
+    for name in ("scores.csv", "scores.csv.cols", "thresholds.json"):
+        assert (out / name).read_bytes() == (pipe["det"] / name).read_bytes()
+
+
+def test_non_finite_detector_state_is_an_error(pipe, tmp_path, capsys,
+                                               monkeypatch):
+    # a forked scores writer is running when the state overflows at window 0
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"detector": {"a": 1e308, "b": 10.0}}))
+    out = tmp_path / "d"
+    assert main(["detect", "--world", str(pipe["world"]), "--params",
+                 str(params), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: FloatingPointError: non-finite detector state for flow 1 at "
+        "window 0")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert list(out.iterdir()) == []
+
+
 def test_detect_seed_is_inert_without_noise(pipe, tmp_path):
     out = tmp_path / "det_seeded"
     assert main(["detect", "--world", str(pipe["world"]), "--seed", "99",
