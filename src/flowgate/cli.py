@@ -16,11 +16,12 @@ import sys
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
 from flowgate.detector import (
-    W_MIN_DEFAULT,
+    Calibration,
     DetectorParams,
     DetectorSession,
     Scores,
@@ -35,6 +36,7 @@ from flowgate.metrics import (
     compute_report,
     read_stage_stats,
     synthetic_feature_stream,
+    time_to_detect,
     write_episode_table,
     write_report,
     write_stage_stats,
@@ -95,14 +97,10 @@ def _load_json(path) -> dict:
 
 
 @dataclass
-class ParamsFile:
+class ParamsFile(Calibration):
     """The --params JSON of detect and bench."""
 
     detector: DetectorParams = field(default_factory=DetectorParams)
-    quantile: float = 0.99
-    k: int = 3
-    m: int = 8
-    w_min: int = W_MIN_DEFAULT
 
 
 def _read_params(path) -> ParamsFile:
@@ -110,16 +108,14 @@ def _read_params(path) -> ParamsFile:
         else ParamsFile()
 
 
-@dataclass
-class DetectManifest:
+@dataclass(kw_only=True)
+class DetectManifest(Calibration):
     """detect_manifest.json: the world scored and the resolved knobs."""
+
+    every_key_required: ClassVar[bool] = True
 
     world: RunManifest
     detector_params: DetectorParams
-    quantile: float
-    k: int
-    m: int
-    w_min: int
     burn_in_windows: int
     n_records: int
 
@@ -143,12 +139,21 @@ def _recorded_world(artifact, name: str, cls, manifest: RunManifest):
     if not path.is_file():
         return None
     doc = from_json(cls, _load_json(path), path)
-    for f in fields(RunManifest):
-        mine, theirs = getattr(doc.world, f.name), getattr(manifest, f.name)
-        if mine != theirs:
-            raise ValueError(f"{path}: world.{f.name} = {mine!r} is not "
-                             f"manifest.json's {f.name} {theirs!r}")
+    _refuse_difference(path, doc.world, "manifest.json", manifest,
+                       [f.name for f in fields(RunManifest)], "world.")
     return doc
+
+
+def _refuse_difference(path, doc, other: str, recorded, names,
+                       prefix: str = "") -> None:
+    """Refuse the record doc, read from path, when one of the keys names
+    holds another value than in the record the file `other` holds, naming
+    the first such key."""
+    for name in names:
+        mine, theirs = getattr(doc, name), getattr(recorded, name)
+        if mine != theirs:
+            raise ValueError(f"{path}: {prefix}{name} = {mine!r} is not "
+                             f"{other}'s {name} {theirs!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -181,14 +186,13 @@ def cmd_detect(args) -> int:
 
     file = _read_params(args.params)
     params = file.detector
-    quantile = _resolve("quantile", args.quantile, file.quantile)
-    k = _resolve("k", args.k, file.k)
-    m = _resolve("m", args.m, file.m)
-    w_min = _resolve("w_min", args.w_min, file.w_min)
-    if not (0.0 < quantile < 1.0):
-        raise ArgumentContractError("quantile must be in (0, 1)")
-    if not (1 <= k <= m):
-        raise ArgumentContractError("need 1 <= k <= m")
+    calibration = Calibration(**{
+        f.name: _resolve(f.name, getattr(args, f.name), getattr(file, f.name))
+        for f in fields(Calibration)})
+    try:
+        calibration.check()
+    except ValueError as exc:
+        raise ArgumentContractError(str(exc)) from None
 
     burn_in = int(round(manifest.split[0] * config.horizon_windows))
     print(f"burn_in_windows={burn_in}")
@@ -197,8 +201,7 @@ def cmd_detect(args) -> int:
     session = DetectorSession(
         params, table.flow_ids,
         [trace.flow_table[f].device_class for f in table.flow_ids],
-        burn_in_windows=burn_in, quantile=quantile, k_persist=k, m_persist=m,
-        w_min=w_min, graph=graph, seed=args.seed)
+        burn_in, calibration, graph=graph, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "scores.csv"
@@ -219,7 +222,8 @@ def cmd_detect(args) -> int:
     write_stage_stats(out / "stage_stats.json", seconds,
                       [n_flows] * len(seconds))
     write_json(out / "detect_manifest.json", to_json(DetectManifest(
-        manifest, params, quantile, k, m, w_min, burn_in, n_records)))
+        **vars(calibration), world=manifest, detector_params=params,
+        burn_in_windows=burn_in, n_records=n_records)))
     print(f"flows={n_flows}")
     print(f"records={n_records}")
     print(f"alarms={int(scores.a.sum())}")
@@ -284,8 +288,8 @@ def cmd_replay(args) -> int:
 def cmd_report(args) -> int:
     config, manifest = load_head(args.world)
     labels, feasibility = load_outcomes(args.world, config)
-    _recorded_world(args.scores, "detect_manifest.json", DetectManifest,
-                    manifest)
+    detected = _recorded_world(args.scores, "detect_manifest.json",
+                               DetectManifest, manifest)
     for mode, log in (("base", args.base_log), ("gated", args.gated_log)):
         replayed = _recorded_world(log, "replay_manifest.json",
                                    ReplayManifest, manifest)
@@ -296,14 +300,18 @@ def cmd_report(args) -> int:
     scores = read_scores_csv(args.scores)
     thresholds_path = (args.thresholds
                        or Path(args.scores).parent / "thresholds.json")
-    thresholds_doc = read_thresholds(thresholds_path)
-    extra = set(thresholds_doc["flows"]).symmetric_difference(
+    thresholds = read_thresholds(thresholds_path)
+    if detected is not None:
+        _refuse_difference(
+            thresholds_path, thresholds, "detect_manifest.json", detected,
+            [f.name for f in fields(Calibration)] + ["burn_in_windows"])
+    extra = set(thresholds.flows).symmetric_difference(
         np.unique(scores.flow_id).tolist())
     if extra:
         f = min(extra)
         raise ValueError(
             f"{thresholds_path}: flow {f} " + (
-                "has a threshold but no scores" if f in thresholds_doc["flows"]
+                "has a threshold but no scores" if f in thresholds.flows
                 else "is scored but has no threshold"))
     timing = read_stage_stats(Path(args.scores).parent / "stage_stats.json",
                               scores)
@@ -311,16 +319,14 @@ def cmd_report(args) -> int:
     gated_log = read_queue_log(args.gated_log)
     _check_same_packets(args.base_log, base_log, args.gated_log, gated_log)
 
-    grace = thresholds_doc["m"]
-    window_s = config.window_us * 1e-6
-    rep = compute_report(scores, labels, thresholds_doc, feasibility,
-                         base_log, gated_log, grace_windows=grace,
-                         window_s=window_s, timing=timing)
+    ttds = time_to_detect(scores, labels, thresholds.m,
+                          config.window_us * 1e-6)
+    rep = compute_report(scores, labels, ttds, thresholds, feasibility,
+                         base_log, gated_log, timing=timing)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_report(out / "report.json", rep, manifest)
-    write_episode_table(out / "episodes.csv", scores, labels,
-                        grace_windows=grace, window_s=window_s)
+    write_episode_table(out / "episodes.csv", labels, ttds)
     for key, val in to_json(rep).items():
         print(f"{key}={json.dumps(val)}")
     print(f"out={out}")
@@ -355,8 +361,8 @@ def _check_same_packets(base_path, base, gated_path, gated) -> None:
 def cmd_bench(args) -> int:
     params = _read_params(args.params).detector
     flows, buckets, stream = synthetic_feature_stream(args.rows)
-    session = DetectorSession(params, flows, buckets, burn_in_windows=40,
-                              quantile=0.99, w_min=10)
+    session = DetectorSession(params, flows, buckets, 40,
+                              Calibration(w_min=10))
     mean, p90, mx = bench_scoring(session, stream)
     print(f"rows={args.rows}")
     print(f"mean_us_per_row={mean:.3f}")

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -37,8 +38,6 @@ from flowgate.trace import (
     write_json,
     write_table,
 )
-
-W_MIN_DEFAULT = 50
 
 
 @dataclass
@@ -207,6 +206,55 @@ def calibrate_threshold(scores, q: float) -> float:
     return float(xs[rank - 1])
 
 
+@dataclass
+class Calibration:
+    """How a session calibrates and persists alarms: the burn-in quantile
+    of each flow's threshold, the K-of-M persistence rule (k of the last m
+    windows; m is also the grace that recall gives an episode's end), and
+    w_min, the burn-in windows a flow must have seen before its scores are
+    collected and the scores it needs for a threshold. The --params file,
+    detect_manifest.json and thresholds.json each extend this record."""
+
+    quantile: float = 0.99
+    k: int = 3
+    m: int = 8
+    w_min: int = 50
+
+    def check(self, path=None) -> None:
+        """Refuse, naming the key (and the path, when given), a quantile
+        outside (0, 1), a negative w_min and k and m with 1 <= k <= m
+        broken."""
+        if not 0.0 < self.quantile < 1.0:
+            problem = f"quantile = {self.quantile!r} is not in (0, 1)"
+        elif self.w_min < 0:
+            problem = f"w_min = {self.w_min} is not a nonnegative integer"
+        elif not 1 <= self.k <= self.m:
+            problem = f"k = {self.k} and m = {self.m} break 1 <= k <= m"
+        else:
+            return
+        raise ValueError(f"{path}: {problem}" if path else problem)
+
+
+@dataclass
+class FlowThresholds:
+    """A flow's frozen alarm thresholds on the detector's score s and on
+    the memoryless baseline's score E; NaN (null in JSON) for none."""
+
+    detector: float = field(metadata={"null": math.nan})
+    baseline: float = field(metadata={"null": math.nan})
+
+
+@dataclass(kw_only=True)
+class Thresholds(Calibration):
+    """thresholds.json: the calibration a detect run used, its burn-in
+    length and each flow's thresholds. Every key must be present."""
+
+    every_key_required: ClassVar[bool] = True
+
+    burn_in_windows: int
+    flows: dict[int, FlowThresholds]
+
+
 class Persistence:
     """K-of-M alarm persistence with M-window all-clear hysteresis, for n
     flows at once.
@@ -220,8 +268,7 @@ class Persistence:
     """
 
     def __init__(self, k: int, m: int, n: int):
-        if not (1 <= k <= m):
-            raise ValueError("need 1 <= k <= m")
+        Calibration(k=k, m=m).check()
         self.k = k
         self.m = m
         self.ring = np.zeros((m, n), dtype=bool)
@@ -277,12 +324,13 @@ class DetectorSession:
     has seen w_min windows and a flow's bucket has absorbed 2*w_min updates
     (the normalizer warm-up stays out of the calibration set); thresholds
     freeze at the burn-in boundary, and a flow with fewer than w_min
-    collected scores gets none and never alarms.
+    collected scores gets none and never alarms. Of the calibration only k
+    and m are checked (by Persistence): the kernels also take a quantile of
+    1, the burn-in maximum, which Calibration.check refuses.
     """
 
     def __init__(self, params: DetectorParams, flow_ids, buckets,
-                 burn_in_windows: int, quantile: float, k_persist: int = 3,
-                 m_persist: int = 8, w_min: int = W_MIN_DEFAULT,
+                 burn_in_windows: int, calibration: Calibration,
                  graph=None, seed: int | None = None):
         params.validate(rho=getattr(graph, "spectral_radius", 0.0) if graph else 0.0)
         if burn_in_windows < 0:
@@ -296,13 +344,10 @@ class DetectorSession:
             raise ValueError("contention graph flow ids do not match the "
                              "session's flows")
         n = len(self.flow_ids)
-        self.persistence = Persistence(k_persist, m_persist, n)
+        self.persistence = Persistence(calibration.k, calibration.m, n)
         self.params = params
         self.burn_in_windows = burn_in_windows
-        self.quantile = quantile
-        self.k_persist = k_persist
-        self.m_persist = m_persist
-        self.w_min = w_min
+        self.calibration = calibration
         self.normalizer = Normalizer(buckets)
         self.graph = graph
         self.v = np.full(n, params.v_rest)
@@ -335,12 +380,12 @@ class DetectorSession:
             ok = np.array(self._burn_ok)
             scores = np.array(self._burn_s)
             base = np.array(self._burn_e)
-            for i in np.flatnonzero(ok.sum(axis=0) >= self.w_min):
+            q = self.calibration.quantile
+            for i in np.flatnonzero(ok.sum(axis=0) >= self.calibration.w_min):
                 col = ok[:, i]
-                self._threshold[i] = calibrate_threshold(scores[col, i],
-                                                         self.quantile)
+                self._threshold[i] = calibrate_threshold(scores[col, i], q)
                 self._baseline_threshold[i] = calibrate_threshold(
-                    base[col, i], self.quantile)
+                    base[col, i], q)
         self.normalizer.enter_slow_phase()
         self._calibrated = True
 
@@ -362,10 +407,11 @@ class DetectorSession:
         score = p.eta1 * s_val + p.eta2 * u
         if window < self.burn_in_windows:
             alarm = actionable = np.zeros(n, dtype=bool)
-            if self._windows_seen >= self.w_min:
+            w_min = self.calibration.w_min
+            if self._windows_seen >= w_min:
                 self._burn_s.append(score)
                 self._burn_e.append(e)
-                self._burn_ok.append(bucket_updates >= 2 * self.w_min)
+                self._burn_ok.append(bucket_updates >= 2 * w_min)
         else:
             alarm = score >= self._threshold
             actionable = self.persistence.update(alarm)
@@ -375,7 +421,9 @@ class DetectorSession:
         drive_i = 0.0
         if self._coupled and len(self._s_hist) == self._s_hist.maxlen:
             drive_i = p.g * self.graph.matvec(self._s_hist[0])
-        self.v, self.u = step(v, u, e, drive_i, p, noise, s_val)
+        # an overflow is refused below, as the error the caller sees
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.v, self.u = step(v, u, e, drive_i, p, noise, s_val)
         bad = ~(np.isfinite(self.v) & np.isfinite(self.u))
         if bad.any():
             raise FloatingPointError(
@@ -388,14 +436,14 @@ class DetectorSession:
         return Scores(self._flow_col, np.full(n, window, dtype=np.int64), e,
                       s_val, v, u, score, alarm, actionable)
 
-    def thresholds(self) -> dict:
-        def opt(t):
-            return None if math.isnan(t) else t
-        return {
-            f: {"detector": opt(d), "baseline": opt(b)}
-            for f, d, b in sorted(zip(self.flow_ids, self._threshold.tolist(),
-                                      self._baseline_threshold.tolist()))
-        }
+    def thresholds(self) -> Thresholds:
+        """The calibration, the burn-in length and each flow's thresholds
+        (NaN until they freeze, and for a flow that gets none)."""
+        return Thresholds(
+            **vars(self.calibration), burn_in_windows=self.burn_in_windows,
+            flows={f: FlowThresholds(d, b) for f, d, b in sorted(zip(
+                self.flow_ids, self._threshold.tolist(),
+                self._baseline_threshold.tolist()))})
 
 
 # ---------------------------------------------------------------------------
@@ -433,50 +481,17 @@ def read_scores_csv(path) -> Scores:
 
 
 def write_thresholds(path, session: DetectorSession) -> None:
-    payload = {
-        "quantile": session.quantile,
-        "k": session.k_persist,
-        "m": session.m_persist,
-        "burn_in_windows": session.burn_in_windows,
-        "w_min": session.w_min,
-        "flows": {str(f): t for f, t in session.thresholds().items()},
-    }
-    write_json(path, payload)
+    write_json(path, to_json(session.thresholds()))
 
 
-@dataclass
-class _FlowThresholds:
-    detector: float = field(metadata={"null": math.nan})
-    baseline: float = field(metadata={"null": math.nan})
-
-
-@dataclass
-class _ThresholdsFile:
-    quantile: float
-    k: int
-    m: int
-    burn_in_windows: int
-    w_min: int
-    flows: dict[int, _FlowThresholds]
-
-
-def read_thresholds(path) -> dict:
-    """Load a thresholds JSON as its document with flow keys as ints,
-    refusing, naming the path and the key, what from_json refuses (a
-    missing or unknown key, a flow key that is not an integer, a threshold
-    that is neither a finite number nor null), a quantile outside (0, 1),
-    k and m with 1 <= k <= m broken, and a negative burn_in_windows or
-    w_min."""
-    doc = from_json(_ThresholdsFile, load_json(path), path)
-    if not 0.0 < doc.quantile < 1.0:
-        raise ValueError(f"{path}: quantile = {doc.quantile!r} is not in "
-                         "(0, 1)")
-    for key in ("burn_in_windows", "w_min"):
-        if getattr(doc, key) < 0:
-            raise ValueError(f"{path}: {key} = {getattr(doc, key)} is not a "
-                             "nonnegative integer")
-    if not 1 <= doc.k <= doc.m:
-        raise ValueError(f"{path}: k = {doc.k} and m = {doc.m} break "
-                         "1 <= k <= m")
-    return {**to_json(doc),
-            "flows": {f: to_json(t) for f, t in doc.flows.items()}}
+def read_thresholds(path) -> Thresholds:
+    """Load a thresholds JSON, refusing, naming the path and the key, what
+    from_json refuses (a missing or unknown key, a flow key that is not an
+    integer, a threshold that is neither a finite number nor null), what
+    Calibration.check refuses and a negative burn_in_windows."""
+    doc = from_json(Thresholds, load_json(path), path)
+    doc.check(path)
+    if doc.burn_in_windows < 0:
+        raise ValueError(f"{path}: burn_in_windows = {doc.burn_in_windows} "
+                         "is not a nonnegative integer")
+    return doc

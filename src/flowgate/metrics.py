@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from flowgate.detector import Scores, calibrate_threshold
+from flowgate.detector import Scores, Thresholds, calibrate_threshold
 from flowgate.trace import (
     from_json,
     load_json,
@@ -29,23 +29,23 @@ from flowgate.trace import (
 )
 from flowgate.wfq import delay_percentile
 
-DEFAULT_GRACE_WINDOWS = 8  # persistence window length M
-
 
 # ---------------------------------------------------------------------------
 # detection metrics
 
 
-def achieved_fpr(scores: Scores, labels, burn_in_windows: int,
-                 thresholds: dict) -> tuple[float, float]:
+def achieved_fpr(scores: Scores, labels,
+                 thresholds: Thresholds) -> tuple[float, float]:
     """False-positive rates over benign test pairs with a set threshold.
 
-    A pair is one (flow, window) row with window >= burn_in_windows, flow
-    not named by any episode label, and a non-null detector threshold.
-    Returns (alarm_rate, actionable_rate); raises if nothing is eligible.
+    A pair is one (flow, window) row with window >= the thresholds'
+    burn_in_windows, flow not named by any episode label, and a detector
+    threshold that is not NaN. Returns (alarm_rate, actionable_rate);
+    raises if nothing is eligible.
     """
-    rated = [f for f, th in thresholds.items() if th["detector"] is not None]
-    pairs = ((scores.window >= burn_in_windows)
+    rated = [f for f, th in thresholds.flows.items()
+             if not math.isnan(th.detector)]
+    pairs = ((scores.window >= thresholds.burn_in_windows)
              & np.isin(scores.flow_id, rated)
              & ~np.isin(scores.flow_id, [l.flow_id for l in labels]))
     eligible = int(pairs.sum())
@@ -55,35 +55,27 @@ def achieved_fpr(scores: Scores, labels, burn_in_windows: int,
             int(scores.z[pairs].sum()) / eligible)
 
 
-def _first_hit(scores: Scores, episode, grace_windows: int) -> int | None:
-    """The smallest window in [start, end + grace] at which the episode's
-    flow is actionable, or None."""
-    w = scores.window[scores.z & (scores.flow_id == episode.flow_id)]
-    w = w[(w >= episode.start_window)
-          & (w <= episode.end_window + grace_windows)]
-    return int(w.min()) if w.size else None
+def time_to_detect(scores: Scores, episodes, grace_windows: int,
+                   window_s: float) -> list[float | None]:
+    """Each episode's (w - start_window) * window_s, where w is the first
+    window in [start_window, end_window + grace_windows] at which its flow
+    is actionable, or None when there is none (the episode is missed)."""
+    hit_flow, hit_window = scores.flow_id[scores.z], scores.window[scores.z]
+    out = []
+    for ep in episodes:
+        w = hit_window[(hit_flow == ep.flow_id)
+                       & (hit_window >= ep.start_window)
+                       & (hit_window <= ep.end_window + grace_windows)]
+        out.append((int(w.min()) - ep.start_window) * window_s if w.size
+                   else None)
+    return out
 
 
-def incident_recall(scores: Scores, episodes, grace_windows: int =
-                    DEFAULT_GRACE_WINDOWS) -> float:
-    """Fraction of episodes whose flow goes actionable inside the episode
-    span extended by grace_windows."""
-    if not episodes:
+def incident_recall(ttds) -> float:
+    """Fraction of episodes detected, from each one's time_to_detect."""
+    if not ttds:
         raise ValueError("incident_recall needs at least one episode")
-    hits = sum(1 for ep in episodes
-               if _first_hit(scores, ep, grace_windows) is not None)
-    return hits / len(episodes)
-
-
-def time_to_detect(scores: Scores, episode, grace_windows: int =
-                   DEFAULT_GRACE_WINDOWS,
-                   window_s: float = 0.25) -> float | None:
-    """(first actionable window - start_window) * window_s, or None if the
-    episode is never detected inside its grace-extended span."""
-    w = _first_hit(scores, episode, grace_windows)
-    if w is None:
-        return None
-    return (w - episode.start_window) * window_s
+    return sum(t is not None for t in ttds) / len(ttds)
 
 
 def feasibility_rate(outcomes) -> float:
@@ -91,21 +83,6 @@ def feasibility_rate(outcomes) -> float:
     if not outcomes:
         return 1.0
     return sum(1 for o in outcomes if o.feasible) / len(outcomes)
-
-
-# ---------------------------------------------------------------------------
-# queue metrics
-
-
-def queue_impact(base_log, gated_log) -> tuple[float, float]:
-    """(delta p99.9 delay, delta p99.9 benign-only delay), gated minus base,
-    in milliseconds. Both logs must replay the identical trace (the report
-    command refuses two that do not)."""
-    d = (delay_percentile(gated_log, 99.9)
-         - delay_percentile(base_log, 99.9)) * 1e-3
-    c = (delay_percentile(gated_log, 99.9, benign_only=True)
-         - delay_percentile(base_log, 99.9, benign_only=True)) * 1e-3
-    return d, c
 
 
 # ---------------------------------------------------------------------------
@@ -267,44 +244,33 @@ class MetricsReport:
     timing_us_per_row: RowCost
 
 
-def compute_report(scores: Scores, labels, thresholds_doc: dict, feasibility,
-                   base_log, gated_log, grace_windows: int =
-                   DEFAULT_GRACE_WINDOWS, window_s: float = 0.25,
+def compute_report(scores: Scores, labels, ttds, thresholds: Thresholds,
+                   feasibility, base_log, gated_log,
                    timing=(math.nan, math.nan, math.nan)) -> MetricsReport:
     """Assemble every detection and queue metric from persisted artifacts.
 
-    thresholds_doc is the parsed thresholds JSON (burn_in_windows plus the
-    per-flow threshold map); timing is the (mean, p90, max) per-row scoring
-    cost, as read_stage_stats returns it, copied into the report as is
-    (NaN reads as null).
+    ttds is each label's time_to_detect; thresholds is the detect run's, as
+    read_thresholds returns it; timing is the (mean, p90, max) per-row
+    scoring cost, as read_stage_stats returns it, copied into the report as
+    is (NaN reads as null). The two p99.9 deltas are gated minus base of
+    the tails, in milliseconds; both logs must replay the identical trace
+    (the report command refuses two that do not).
     """
-    fpr_a, fpr_z = achieved_fpr(scores, labels,
-                                thresholds_doc["burn_in_windows"],
-                                thresholds_doc["flows"])
-    if labels:
-        recall = incident_recall(scores, labels, grace_windows)
-        ttds = [t for ep in labels
-                if (t := time_to_detect(scores, ep, grace_windows,
-                                        window_s)) is not None]
-    else:
-        recall = None
-        ttds = []
-    d999, c999 = queue_impact(base_log, gated_log)
-
-    def tail(q, benign_only=False):
-        return BaseGated(*(delay_percentile(log, q, benign_only) * 1e-3
-                           for log in (base_log, gated_log)))
-
+    fpr_a, fpr_z = achieved_fpr(scores, labels, thresholds)
+    # (base, gated) tails in us: p99, p99.9 and benign-only p99.9
+    (b99, g99), (b999, g999), (bc, gc) = (
+        [delay_percentile(log, q, benign) for log in (base_log, gated_log)]
+        for q, benign in ((99.0, False), (99.9, False), (99.9, True)))
     return MetricsReport(
         achieved_fpr_alarm=fpr_a,
         achieved_fpr_actionable=fpr_z,
-        incident_recall=recall,
-        ttd_s=ttds,
-        p99_delay_ms=tail(99.0),
-        p999_delay_ms=tail(99.9),
-        p999_collateral_ms=tail(99.9, benign_only=True),
-        delta_p999_delay_ms=d999,
-        delta_p999_collateral_ms=c999,
+        incident_recall=incident_recall(ttds) if labels else None,
+        ttd_s=[t for t in ttds if t is not None],
+        p99_delay_ms=BaseGated(b99 * 1e-3, g99 * 1e-3),
+        p999_delay_ms=BaseGated(b999 * 1e-3, g999 * 1e-3),
+        p999_collateral_ms=BaseGated(bc * 1e-3, gc * 1e-3),
+        delta_p999_delay_ms=(g999 - b999) * 1e-3,
+        delta_p999_collateral_ms=(gc - bc) * 1e-3,
         feasibility_rate=feasibility_rate(feasibility),
         timing_us_per_row=RowCost(*timing),
     )
@@ -315,12 +281,10 @@ def write_report(path, report: MetricsReport, manifest) -> None:
                       "metrics": to_json(report)})
 
 
-def write_episode_table(path, scores: Scores, labels, grace_windows: int =
-                        DEFAULT_GRACE_WINDOWS, window_s: float = 0.25) -> None:
-    """Per-episode CSV: episode_id,detected,ttd_s (empty ttd when missed)."""
-    lines = ["episode_id,detected,ttd_s"]
-    for ep in labels:
-        ttd = time_to_detect(scores, ep, grace_windows, window_s)
-        lines.append(f"{ep.flow_id},{int(ttd is not None)},"
-                     f"{'' if ttd is None else repr(ttd)}")
+def write_episode_table(path, labels, ttds) -> None:
+    """Per-episode CSV: episode_id,detected,ttd_s, from each label's
+    time_to_detect (an empty ttd when missed)."""
+    lines = ["episode_id,detected,ttd_s"] + [
+        f"{ep.flow_id},{int(t is not None)},{'' if t is None else repr(t)}"
+        for ep, t in zip(labels, ttds)]
     Path(path).write_text("\n".join(lines) + "\n")

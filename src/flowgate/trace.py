@@ -618,10 +618,12 @@ def from_json(cls, doc, path, where: str = ""):
     cls is a dataclass, bool, int, float, str, a fixed-length tuple[...],
     list[T], dict[int, T] (integer-string keys) or a free-form dict or
     list (values left unchecked). A dataclass field with a default may be
-    absent, and one with a "null" sentinel may be null. Refuses, naming the
-    path and the key, a missing or unknown key, a bool given as a number, a
-    number that is not finite, a non-integer for an int and any other value
-    of another type. An int given for a float is stored as a float.
+    absent, unless the class sets every_key_required (a record the program
+    writes whole), and one with a "null" sentinel may be null. Refuses,
+    naming the path and the key, a missing or unknown key, a bool given as
+    a number, a number that is not finite, a non-integer for an int and any
+    other value of another type. An int given for a float is stored as a
+    float.
     """
     return _decode(cls, doc, path, where, None)
 
@@ -646,8 +648,9 @@ def _schema(cls) -> tuple:
     """(name, type, required, null sentinel) of each field of dataclass
     cls, its type hints resolved on first use."""
     hints = typing.get_type_hints(cls)
-    return tuple((f.name, hints[f.name],
-                  f.default is MISSING and f.default_factory is MISSING,
+    every = getattr(cls, "every_key_required", False)
+    return tuple((f.name, hints[f.name], every or (
+                  f.default is MISSING and f.default_factory is MISSING),
                   f.metadata.get("null")) for f in fields(cls))
 
 

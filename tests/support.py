@@ -7,16 +7,23 @@
   records.
 - `solve_fixed_point` and `fixed_point_residual` give the detector's steady
   state under a constant drive.
+- `thresholds_by_flow` gives a session's per-flow thresholds in the shape
+  the per-row oracle's session returns them.
+- `queue_impact` is the report's two p99.9 deltas as they were computed
+  before the report derived them from its tails: each percentile sorted
+  again.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from flowgate.detector import DetectorParams, f_sat
+from flowgate.detector import DetectorParams, Thresholds, f_sat
 from flowgate.trace import Trace
+from flowgate.wfq import delay_percentile
 
 _WRITE_BLOCK = 1 << 12  # rows formatted per write
 
@@ -96,3 +103,22 @@ def solve_fixed_point(params: DetectorParams, drive: float) -> tuple[float, floa
                 hi = mid
         v = 0.5 * (lo + hi)
     return v, ab_over * v
+
+
+def thresholds_by_flow(thresholds: Thresholds) -> dict:
+    """{flow: {"detector": t, "baseline": t}}, None where a threshold is
+    NaN, as detector_oracle.DetectorSession.thresholds returns it."""
+    def opt(t):
+        return None if math.isnan(t) else t
+    return {f: {"detector": opt(t.detector), "baseline": opt(t.baseline)}
+            for f, t in thresholds.flows.items()}
+
+
+def queue_impact(base_log, gated_log) -> tuple[float, float]:
+    """(delta p99.9 delay, delta p99.9 benign-only delay), gated minus base,
+    in milliseconds. Both logs must replay the identical trace."""
+    d = (delay_percentile(gated_log, 99.9)
+         - delay_percentile(base_log, 99.9)) * 1e-3
+    c = (delay_percentile(gated_log, 99.9, benign_only=True)
+         - delay_percentile(base_log, 99.9, benign_only=True)) * 1e-3
+    return d, c

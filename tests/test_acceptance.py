@@ -18,6 +18,7 @@ import numpy as np
 from detector_oracle import derive_flags
 from flowgate.cli import main as cli_main
 from flowgate.detector import (
+    Calibration,
     DetectorParams,
     DetectorSession,
     Persistence,
@@ -29,7 +30,6 @@ from flowgate.features import windowize
 from flowgate.metrics import (
     achieved_fpr,
     bench_scoring,
-    queue_impact,
     synthetic_feature_stream,
 )
 from flowgate.trace import (
@@ -49,7 +49,12 @@ from flowgate.worlds import (
     audit_budgets,
     build_world,
 )
-from support import fixed_point_residual, solve_fixed_point
+from support import (
+    fixed_point_residual,
+    queue_impact,
+    solve_fixed_point,
+    thresholds_by_flow,
+)
 
 
 def _check(num: int, name: str, ok: bool, detail: str) -> None:
@@ -63,7 +68,7 @@ def _score_table(table, world, burn: int, quantile: float, w_min: int):
     ses = DetectorSession(
         DetectorParams(), table.flow_ids,
         [world.trace.flow_table[f].device_class for f in table.flow_ids],
-        burn_in_windows=burn, quantile=quantile, w_min=w_min)
+        burn, Calibration(quantile, w_min=w_min))
     return ses, Scores.concat(ses.process_window(w, table.x[w])
                               for w in range(table.horizon_windows))
 
@@ -114,11 +119,11 @@ def test_criterion_1_calibration_fidelity():
     results = {}
     for q in (0.99, 0.999):
         ses, scores = _score_table(table, world, burn, q, w_min=50)
-        th = ses.thresholds()
+        th = thresholds_by_flow(ses.thresholds())
         rated = [f for f, t in th.items() if t["detector"] is not None]
         eligible = int(((scores.window >= burn)
                         & np.isin(scores.flow_id, rated)).sum())
-        fpr_alarm, _ = achieved_fpr(scores, world.labels, burn, th)
+        fpr_alarm, _ = achieved_fpr(scores, world.labels, ses.thresholds())
         results[q] = (fpr_alarm, eligible)
     elapsed = time.perf_counter() - t0
     fpr99, elig = results[0.99]
@@ -476,17 +481,18 @@ def test_criterion_5_slow_burn_detection():
     burn, ep_start, ep_end = 2400, 2600, 3400
     world = _slow_burn_world()
     _, ses, scores = _score_world(world, burn, quantile=0.999, w_min=50)
-    th = ses.thresholds()
+    th = thresholds_by_flow(ses.thresholds())
     th_base = th[100]["baseline"]
     ep = scores.flow_id == 100
     w = scores.window
     # the memoryless baseline's score is the evidence E
     e_ep = scores.E[ep & (ep_start <= w) & (w <= ep_end)]
-    grace = ses.m_persist
+    grace = ses.calibration.m
     detector_hit = bool(scores.z[ep & (ep_start <= w)
                                  & (w <= ep_end + grace)].any())
     _, base_flags = derive_flags(zip(w[ep].tolist(), scores.E[ep].tolist()),
-                                 th_base, ses.k_persist, ses.m_persist, burn)
+                                 th_base, ses.calibration.k,
+                                 ses.calibration.m, burn)
     baseline_hit = any(base_flags[ep_start:ep_end + grace + 1])
 
     # matched alarm-level false-positive rates on the benign flows
@@ -550,7 +556,8 @@ def test_criterion_6_gating_tail_impact():
     table, ses, scores = _score_world(world, burn, quantile=0.999, w_min=50)
     hog_flags = np.sort(scores.window[(scores.flow_id == 100) & scores.z])
     flagged_in_time = (bool(hog_flags.size)
-                       and ep_start <= hog_flags[0] <= ep_end + ses.m_persist)
+                       and ep_start <= hog_flags[0]
+                       <= ep_end + ses.calibration.m)
 
     sched = gate_controller(scores, GateConfig(1.0, 0.05, 30.0), 250_000)
     base = replay(world.trace, 40_000.0)
@@ -571,8 +578,8 @@ def test_criterion_6_gating_tail_impact():
 def test_criterion_7_scoring_cost():
     rows = 100_000
     flows, buckets, stream = synthetic_feature_stream(rows)
-    ses = DetectorSession(DetectorParams(), flows, buckets, burn_in_windows=40,
-                          quantile=0.99, w_min=10)
+    ses = DetectorSession(DetectorParams(), flows, buckets, 40,
+                          Calibration(w_min=10))
     mean_us, p90_us, max_us = bench_scoring(ses, stream)
     ok = mean_us < 10.0
     _check(7, "scoring cost", ok,

@@ -11,12 +11,14 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 from flowgate.cli import main
 from flowgate.detector import (
+    Calibration,
     DetectorParams,
     DetectorSession,
     Scores,
@@ -125,7 +127,7 @@ def test_detect_manifest_has_no_timing_and_burn_in_from_split(pipe):
     assert doc["burn_in_windows"] == 72
     assert "timestamp" not in json.dumps(doc).lower()
     th = read_thresholds(pipe["det"] / "thresholds.json")
-    assert th["quantile"] == 0.99 and th["k"] == 3 and th["m"] == 8
+    assert th.quantile == 0.99 and th.k == 3 and th.m == 8
 
 
 def test_gen_world_deterministic_across_runs(pipe, tmp_path):
@@ -339,11 +341,15 @@ def test_non_finite_detector_state_is_an_error(pipe, tmp_path, capsys,
     params = tmp_path / "params.json"
     params.write_text(json.dumps({"detector": {"a": 1e308, "b": 10.0}}))
     out = tmp_path / "d"
-    assert main(["detect", "--world", str(pipe["world"]), "--params",
-                 str(params), "--out", str(out)]) == 1
-    assert capsys.readouterr().err.splitlines()[-1] == (
+    with warnings.catch_warnings():  # the overflow itself is not reported
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["detect", "--world", str(pipe["world"]), "--params",
+                     str(params), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == (
         "error: FloatingPointError: non-finite detector state for flow 1 at "
         "window 0")
+    assert "RuntimeWarning" not in err
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert list(out.iterdir()) == []
@@ -384,18 +390,63 @@ def test_gated_replay_requires_scores(pipe, tmp_path):
     assert exc.value.code == 2
 
 
-def test_detect_rejects_bad_quantile(pipe, tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["detect", "--world", str(pipe["world"]), "--quantile", "1.5",
-              "--out", str(tmp_path / "d")])
-    assert exc.value.code == 2
+# calibrations that Calibration.check refuses, each with the text its
+# refusal must hold
+BAD_CALIBRATIONS = {
+    "quantile 0": ({"quantile": 0.0}, "quantile = 0.0 is not in (0, 1)"),
+    "quantile 1": ({"quantile": 1.0}, "quantile = 1.0 is not in (0, 1)"),
+    "quantile 1.5": ({"quantile": 1.5}, "quantile = 1.5 is not in (0, 1)"),
+    "k zero": ({"k": 0}, "k = 0 and m = 8 break 1 <= k <= m"),
+    "k above m": ({"k": 9, "m": 8}, "k = 9 and m = 8 break 1 <= k <= m"),
+    "w_min -1": ({"w_min": -1}, "w_min = -1 is not a nonnegative integer"),
+    "w_min -5": ({"w_min": -5}, "w_min = -5 is not a nonnegative integer"),
+}
 
 
-def test_detect_rejects_k_above_m(pipe, tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["detect", "--world", str(pipe["world"]), "--k", "9", "--m", "8",
-              "--out", str(tmp_path / "d")])
-    assert exc.value.code == 2
+@pytest.mark.parametrize("case", sorted(BAD_CALIBRATIONS))
+def test_bad_calibration_is_refused(pipe, tmp_path, capsys, case):
+    knobs, message = BAD_CALIBRATIONS[case]
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(knobs))
+    flags = [a for key, value in knobs.items()
+             for a in (f"--{key.replace('_', '-')}", str(value))]
+    # detect: exit 2 before anything is written, by flag and by --params
+    for how in (flags, ["--params", str(params)]):
+        out = tmp_path / "d"
+        with pytest.raises(SystemExit) as exc:
+            main(["detect", "--world", str(pipe["world"]), *how,
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "scores.csv").exists()
+        assert not (out / "thresholds.json").exists()
+    # report: exit 1 on a thresholds.json that holds it
+    scores = _det_copy(pipe, tmp_path)
+    path = scores.parent / "thresholds.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), **knobs}))
+    assert _report(pipe, tmp_path, scores=scores) == 1
+    assert capsys.readouterr().err == f"error: ValueError: {path}: {message}\n"
+    assert not (tmp_path / "r" / "report.json").exists()
+
+
+def test_report_refuses_thresholds_of_another_detect_run(pipe, tmp_path,
+                                                         capsys):
+    other = tmp_path / "other"
+    assert main(["detect", "--world", str(pipe["world"]), "--quantile", "0.9",
+                 "--k", "2", "--m", "4", "--w-min", "20",
+                 "--out", str(other)]) == 0
+    capsys.readouterr()
+    thresholds = other / "thresholds.json"
+    assert main(["report", "--world", str(pipe["world"]),
+                 "--scores", str(pipe["det"] / "scores.csv"),
+                 "--thresholds", str(thresholds),
+                 "--base-log", str(pipe["base"] / "queue_log.csv"),
+                 "--gated-log", str(pipe["gated"] / "queue_log.csv"),
+                 "--out", str(tmp_path / "r")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: ValueError: {thresholds}: quantile = 0.9 is not "
+        "detect_manifest.json's quantile 0.99\n")
+    assert not (tmp_path / "r" / "report.json").exists()
 
 
 def test_bench_rejects_small_row_count():
@@ -1216,7 +1267,7 @@ def _score_trace(trace, graph, burn_in):
     session = DetectorSession(
         DetectorParams(), table.flow_ids,
         [trace.flow_table[f].device_class for f in table.flow_ids],
-        burn_in_windows=burn_in, quantile=0.99, w_min=20, graph=graph)
+        burn_in, Calibration(w_min=20), graph=graph)
     return Scores.concat(session.process_window(w, table.x[w])
                          for w in range(table.horizon_windows))
 

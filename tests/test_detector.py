@@ -19,6 +19,7 @@ from scipy.optimize import brentq
 import detector_oracle as oracle
 from detector_oracle import derive_flags
 from flowgate.detector import (
+    Calibration,
     DetectorParams,
     DetectorSession,
     Persistence,
@@ -38,7 +39,11 @@ from flowgate.detector import (
 from flowgate.features import N_FEATURES
 from flowgate.trace import from_json, to_json
 from flowgate.worlds import ContentionGraph
-from support import fixed_point_residual, solve_fixed_point
+from support import (
+    fixed_point_residual,
+    solve_fixed_point,
+    thresholds_by_flow,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -375,11 +380,11 @@ def matrix(rows):
                     dtype=np.float64).reshape(len(rows), N_FEATURES)
 
 
-def small_session(flows=(1,), buckets=None, **kw):
+def small_session(flows=(1,), buckets=None, quantile=0.9, **kw):
     args = dict(params=DetectorParams(), flow_ids=list(flows),
                 buckets=buckets or ["sensor"] * len(flows),
-                burn_in_windows=60, quantile=0.9, k_persist=3, m_persist=8,
-                w_min=5)
+                burn_in_windows=60,
+                calibration=Calibration(quantile, k=3, m=8, w_min=5))
     args.update(kw)
     return DetectorSession(**args)
 
@@ -414,8 +419,8 @@ def test_session_flow_born_after_burn_in_never_alarms():
                            else 1e9 * (1 + w % 3),) * N_FEATURES}
     recs = records(session, run_session(session, feeds, 120))
     assert np.array(session._burn_ok)[:, 1].sum() == 2
-    assert session.thresholds()[1]["detector"] is not None
-    assert session.thresholds()[2]["detector"] is None
+    assert not math.isnan(session.thresholds().flows[1].detector)
+    assert math.isnan(session.thresholds().flows[2].detector)
     late = (recs.flow_id == 2) & (recs.window >= 70)
     assert (recs.E[late] > 1.0).any(), "late flow still gets scored"
     assert not (recs.a[late] | recs.z[late]).any()
@@ -431,9 +436,9 @@ def test_session_collection_gate_and_threshold():
     evidence_ = np.array(session._burn_e)[collected, 0].tolist()
     assert len(scores) == 60 - 10
     session.process_window(60, matrix([(100.0,) * N_FEATURES]))
-    thr = session.thresholds()[1]
-    assert thr["detector"] == calibrate_threshold(scores, 0.9)
-    assert thr["baseline"] == calibrate_threshold(evidence_, 0.9)
+    thr = session.thresholds().flows[1]
+    assert thr.detector == calibrate_threshold(scores, 0.9)
+    assert thr.baseline == calibrate_threshold(evidence_, 0.9)
 
 
 def test_session_detects_sustained_anomaly_and_freezes_threshold():
@@ -450,10 +455,10 @@ def test_session_detects_sustained_anomaly_and_freezes_threshold():
         x = (5000.0 if w >= 65 else 100.0,) * N_FEATURES
         post.append(session.process_window(w, matrix([x])))
         if w == 60:
-            theta_before = session.thresholds()[1]["detector"]
+            theta_before = session.thresholds().flows[1].detector
     post = records(session, post)
     assert theta_before is not None
-    assert session.thresholds()[1]["detector"] == theta_before
+    assert session.thresholds().flows[1].detector == theta_before
     assert not post.a[post.window < 66].any()
     fired = post.window[post.a]
     assert fired.size and fired.min() <= 68
@@ -578,7 +583,7 @@ def test_derive_flags_matches_session():
     session = small_session()
     feed = {1: lambda w: ((100.0 + (37.0 * w * w + 11) % 61),) * N_FEATURES}
     recs = records(session, run_session(session, feed, 150))
-    theta = session.thresholds()[1]["detector"]
+    theta = session.thresholds().flows[1].detector
     pairs = zip(recs.window.tolist(), recs.s.tolist())
     a, z = derive_flags(pairs, theta, 3, 8, 60)
     assert np.array_equal(a, recs.a)
@@ -597,9 +602,9 @@ def test_session_rejects_non_finite_state():
 def test_session_finalize_freezes_mid_burn_in():
     session = small_session()
     run_session(session, {1: lambda w: (100.0,) * N_FEATURES}, 30)
-    assert session.thresholds()[1]["detector"] is None
+    assert math.isnan(session.thresholds().flows[1].detector)
     session.finalize()
-    assert session.thresholds()[1]["detector"] is not None
+    assert not math.isnan(session.thresholds().flows[1].detector)
 
 
 def test_derive_flags_none_threshold_all_clear():
@@ -652,12 +657,12 @@ def detector_cases(draw):
 @settings(max_examples=250, deadline=None)
 @given(detector_cases())
 def test_session_matches_per_row_oracle_bitwise(case):
-    common = dict(burn_in_windows=case["burn"], quantile=case["quantile"],
-                  k_persist=case["k"], m_persist=case["m"],
-                  w_min=case["w_min"], graph=case["graph"], seed=case["seed"])
+    common = dict(graph=case["graph"], seed=case["seed"])
+    knobs = (case["quantile"], case["k"], case["m"], case["w_min"])
     new = DetectorSession(case["params"], case["flows"], case["buckets"],
-                          **common)
-    old = oracle.DetectorSession(case["params"], **common)
+                          case["burn"], Calibration(*knobs), **common)
+    old = oracle.DetectorSession(case["params"], case["burn"], *knobs,
+                                 **common)
     for w, xw in enumerate(case["x"]):
         if w == case["finalize_at"]:
             new.finalize()
@@ -675,7 +680,8 @@ def test_session_matches_per_row_oracle_bitwise(case):
             ref = np.array([getattr(r, name) for r in want], dtype=col.dtype)
             assert col.tobytes() == ref.tobytes(), (w, name)
         assert [r.baseline_s for r in want] == [r.E for r in want]
-    assert repr(new.thresholds()) == repr(old.thresholds())
+    assert repr(thresholds_by_flow(new.thresholds())) == \
+        repr(old.thresholds())
 
 
 def test_array_kernels_match_scalar_kernels_elementwise():
@@ -802,9 +808,9 @@ def test_thresholds_round_trip(tmp_path):
     path = tmp_path / "thresholds.json"
     write_thresholds(path, session)
     loaded = read_thresholds(path)
-    assert loaded["quantile"] == 0.9
-    assert loaded["k"] == 3 and loaded["m"] == 8
-    assert loaded["flows"][1]["detector"] == session.thresholds()[1]["detector"]
+    assert loaded.quantile == 0.9
+    assert loaded.k == 3 and loaded.m == 8
+    assert loaded == session.thresholds()
     # the all-missing flow scores flat at the resting surrogate
-    assert loaded["flows"][2]["detector"] == pytest.approx(
+    assert loaded.flows[2].detector == pytest.approx(
         event_surrogate(0.0, 4.0, 1.0), rel=1e-12)

@@ -9,9 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowgate.detector import (
+    Calibration,
     DetectorParams,
     DetectorSession,
+    FlowThresholds,
     Scores,
+    Thresholds,
     calibrate_threshold,
 )
 from flowgate.metrics import (
@@ -21,7 +24,6 @@ from flowgate.metrics import (
     compute_report,
     feasibility_rate,
     incident_recall,
-    queue_impact,
     read_stage_stats,
     scoring_cost,
     synthetic_feature_stream,
@@ -41,6 +43,7 @@ from flowgate.trace import (
 )
 from flowgate.wfq import replay
 from flowgate.worlds import FeasibilityOutcome
+from support import queue_impact
 
 
 def rec(flow_id, window, a=False, z=False):
@@ -59,9 +62,10 @@ def episode(flow_id, start, end, feasible=True):
                         Budgets(0, math.inf, math.inf), feasible)
 
 
-THRESHOLDS = {1: {"detector": 0.5, "baseline": 0.5},
-              2: {"detector": 0.5, "baseline": 0.5},
-              3: {"detector": None, "baseline": None}}
+THRESHOLDS = Thresholds(
+    quantile=0.99, k=3, m=8, w_min=5, burn_in_windows=10,
+    flows={1: FlowThresholds(0.5, 0.5), 2: FlowThresholds(0.5, 0.5),
+           3: FlowThresholds(math.nan, math.nan)})
 
 
 # ---------------------------------------------------------------------------
@@ -78,27 +82,27 @@ def test_fpr_counts_test_pairs_only():
         rec(9, 10, a=True, z=True),   # malicious, ignored
     ])
     labels = [episode(9, 5, 20)]
-    alarm, actionable = achieved_fpr(scores, labels, 10, THRESHOLDS)
+    alarm, actionable = achieved_fpr(scores, labels, THRESHOLDS)
     assert alarm == pytest.approx(1 / 6)
     assert actionable == pytest.approx(1 / 6)
 
 
 def test_fpr_no_alarms_is_zero():
     scores = table(rec(1, w) for w in range(10, 20))
-    assert achieved_fpr(scores, [], 10, THRESHOLDS) == (0.0, 0.0)
+    assert achieved_fpr(scores, [], THRESHOLDS) == (0.0, 0.0)
 
 
 def test_fpr_all_alarmed_is_one():
     scores = table(rec(1, w, a=True) for w in range(10, 20))
-    alarm, actionable = achieved_fpr(scores, [], 10, THRESHOLDS)
+    alarm, actionable = achieved_fpr(scores, [], THRESHOLDS)
     assert alarm == 1.0 and actionable == 0.0
 
 
 def test_fpr_zero_eligible_raises():
     with pytest.raises(ValueError):
-        achieved_fpr(rec(3, 10), [], 10, THRESHOLDS)
+        achieved_fpr(rec(3, 10), [], THRESHOLDS)
     with pytest.raises(ValueError):
-        achieved_fpr(rec(1, 5), [], 10, THRESHOLDS)
+        achieved_fpr(rec(1, 5), [], THRESHOLDS)
 
 
 def test_fpr_iid_scores_match_quantile():
@@ -111,8 +115,8 @@ def test_fpr_iid_scores_match_quantile():
     zero = np.zeros(n)
     scores = Scores(np.ones(n), 10_000 + np.arange(n), zero, zero, zero,
                      zero, test, test >= th, np.zeros(n, dtype=bool))
-    alarm, _ = achieved_fpr(scores, [], 10_000,
-                            {1: {"detector": th, "baseline": th}})
+    alarm, _ = achieved_fpr(scores, [], Thresholds(
+        burn_in_windows=10_000, flows={1: FlowThresholds(th, th)}))
     assert abs(alarm - 0.01) < 0.005
 
 
@@ -131,28 +135,33 @@ def test_fpr_burn_in_order_statistic_bound(seed, q):
 # recall and time-to-detect
 
 
+def recall(scores, episodes, grace_windows=8):
+    return incident_recall(time_to_detect(scores, episodes, grace_windows,
+                                          0.25))
+
+
 def test_recall_two_of_three():
     scores = table([rec(1, 12, z=True), rec(2, 30, z=True), rec(3, 50)])
     eps = [episode(1, 10, 20), episode(2, 25, 35), episode(3, 45, 55)]
-    assert incident_recall(scores, eps) == pytest.approx(2 / 3)
+    assert recall(scores, eps) == pytest.approx(2 / 3)
 
 
 def test_recall_grace_boundary():
     scores = rec(1, 21, z=True)
     eps = [episode(1, 10, 20)]
-    assert incident_recall(scores, eps, grace_windows=0) == 0.0
-    assert incident_recall(scores, eps, grace_windows=1) == 1.0
+    assert recall(scores, eps, grace_windows=0) == 0.0
+    assert recall(scores, eps, grace_windows=1) == 1.0
 
 
 def test_recall_twenty_of_twentyone():
     scores = table(rec(f, 5, z=True) for f in range(20))
     eps = [episode(f, 0, 10) for f in range(21)]
-    assert round(incident_recall(scores, eps), 3) == 0.952
+    assert round(recall(scores, eps), 3) == 0.952
 
 
 def test_recall_empty_episodes_raises():
     with pytest.raises(ValueError):
-        incident_recall(table([]), [])
+        incident_recall([])
 
 
 @settings(max_examples=40, deadline=None)
@@ -162,23 +171,24 @@ def test_recall_monotone_in_grace(seed):
     scores = table(rec(int(f), int(w), z=bool(rng.integers(0, 2)))
                     for f in range(1, 4) for w in range(0, 40))
     eps = [episode(1, 5, 10), episode(2, 12, 20), episode(3, 25, 30)]
-    rates = [incident_recall(scores, eps, g) for g in range(0, 12, 2)]
+    rates = [recall(scores, eps, g) for g in range(0, 12, 2)]
     assert all(a <= b for a, b in zip(rates, rates[1:]))
 
 
 def test_ttd_first_window_zero():
     scores = rec(1, 10, z=True)
-    assert time_to_detect(scores, episode(1, 10, 20)) == 0.0
+    assert time_to_detect(scores, [episode(1, 10, 20)], 8, 0.25) == [0.0]
 
 
 def test_ttd_four_windows_quarter_second():
     scores = table([rec(1, 14, z=True), rec(1, 15, z=True)])
-    assert time_to_detect(scores, episode(1, 10, 20),
-                          window_s=0.25) == pytest.approx(1.0)
+    assert time_to_detect(scores, [episode(1, 10, 20)], 8,
+                          0.25) == [pytest.approx(1.0)]
 
 
 def test_ttd_undetected_none():
-    assert time_to_detect(rec(1, 50, z=True), episode(1, 10, 20)) is None
+    assert time_to_detect(rec(1, 50, z=True), [episode(1, 10, 20)], 8,
+                          0.25) == [None]
 
 
 @settings(max_examples=40, deadline=None)
@@ -188,7 +198,7 @@ def test_ttd_never_negative(seed):
     scores = table(rec(1, int(w), z=bool(rng.integers(0, 2)))
                     for w in range(50))
     ep = episode(1, int(rng.integers(0, 30)), int(rng.integers(30, 45)))
-    t = time_to_detect(scores, ep, grace_windows=int(rng.integers(0, 10)))
+    [t] = time_to_detect(scores, [ep], int(rng.integers(0, 10)), 0.25)
     assert t is None or t >= 0.0
 
 
@@ -204,15 +214,25 @@ def _tiny_log(capacity):
     return replay(trace, capacity)
 
 
+def _deltas(base, gated):
+    """The report's two p99.9 deltas, which it derives from its tails: the
+    same numbers as each percentile sorted again."""
+    rep = compute_report(table(rec(1, w) for w in range(10, 20)), [], [],
+                         THRESHOLDS, [], base, gated)
+    deltas = (rep.delta_p999_delay_ms, rep.delta_p999_collateral_ms)
+    assert deltas == queue_impact(base, gated)
+    return deltas
+
+
 def test_queue_impact_identical_logs_zero():
     log = _tiny_log(1e6)
-    assert queue_impact(log, log) == (0.0, 0.0)
+    assert _deltas(log, log) == (0.0, 0.0)
 
 
 def test_queue_impact_reduced_delays_negative():
     base = _tiny_log(1e6)
     better = _tiny_log(2e6)
-    d, c = queue_impact(base, better)
+    d, c = _deltas(base, better)
     assert d < 0.0 and c < 0.0
 
 
@@ -223,8 +243,8 @@ def test_queue_impact_reduced_delays_negative():
 def _bench(n_rows):
     flows, buckets, stream = synthetic_feature_stream(n_rows)
     return bench_scoring(
-        DetectorSession(DetectorParams(), flows, buckets, burn_in_windows=40,
-                        quantile=0.99, w_min=10), stream)
+        DetectorSession(DetectorParams(), flows, buckets, 40,
+                        Calibration(w_min=10)), stream)
 
 
 def test_bench_ordering_and_positive():
@@ -303,11 +323,6 @@ def test_feasibility_rate():
 # report assembly
 
 
-def _thresholds_doc():
-    return {"quantile": 0.99, "k": 3, "m": 8, "burn_in_windows": 10,
-            "w_min": 5, "flows": THRESHOLDS}
-
-
 def test_compute_report_fields_and_round_trip(tmp_path):
     scores = table([rec(1, w) for w in range(10, 30)]
                     + [rec(9, w, a=True, z=(w >= 18)) for w in range(15, 25)])
@@ -316,10 +331,11 @@ def test_compute_report_fields_and_round_trip(tmp_path):
                                0.0, 0.0)]
     base = _tiny_log(1e6)
     gated = _tiny_log(1e6)
-    rep = compute_report(scores, labels, _thresholds_doc(), feas, base,
-                         gated, grace_windows=8, window_s=0.25)
+    rep = compute_report(scores, labels,
+                         time_to_detect(scores, labels, 8, 0.25), THRESHOLDS,
+                         feas, base, gated)
     assert rep.achieved_fpr_alarm == 0.0
-    assert rep.incident_recall == incident_recall(scores, labels, 8)
+    assert rep.incident_recall == 1.0
     assert rep.ttd_s == [pytest.approx(0.75)]
     assert rep.feasibility_rate == 1.0
     assert rep.delta_p999_delay_ms == 0.0
@@ -343,7 +359,7 @@ def test_compute_report_fields_and_round_trip(tmp_path):
 def test_compute_report_no_episodes():
     scores = table(rec(1, w) for w in range(10, 20))
     log = _tiny_log(1e6)
-    rep = compute_report(scores, [], _thresholds_doc(), [], log, log)
+    rep = compute_report(scores, [], [], THRESHOLDS, [], log, log)
     assert rep.incident_recall is None
     assert rep.ttd_s == []
     assert rep.feasibility_rate == 1.0
@@ -352,8 +368,8 @@ def test_compute_report_no_episodes():
 def test_episode_table(tmp_path):
     scores = rec(1, 12, z=True)
     labels = [episode(1, 10, 20), episode(2, 30, 40)]
-    write_episode_table(tmp_path / "eps.csv", scores, labels,
-                        grace_windows=8, window_s=0.25)
+    write_episode_table(tmp_path / "eps.csv", labels,
+                        time_to_detect(scores, labels, 8, 0.25))
     text = (tmp_path / "eps.csv").read_text().splitlines()
     assert text[0] == "episode_id,detected,ttd_s"
     assert text[1] == "1,1,0.5"

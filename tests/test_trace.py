@@ -15,7 +15,9 @@ import flowgate.trace as trace_module
 from flowgate.cli import ParamsFile
 from flowgate.detector import (
     DetectorParams,
+    FlowThresholds,
     Scores,
+    Thresholds,
     read_scores_csv,
     write_scores_csv,
 )
@@ -219,8 +221,14 @@ RECORDS = {
     "detector params": (DetectorParams, _DETECTOR),
     "gate config": (GateConfig, st.builds(GateConfig, _FLOATS, _FLOATS,
                                           _FLOATS)),
-    "params file": (ParamsFile, st.builds(ParamsFile, _DETECTOR, _FLOATS,
-                                          _INTS, _INTS, _INTS)),
+    "params file": (ParamsFile, st.builds(
+        ParamsFile, detector=_DETECTOR, quantile=_FLOATS, k=_INTS, m=_INTS,
+        w_min=_INTS)),
+    "thresholds": (Thresholds, st.builds(
+        Thresholds, quantile=_FLOATS, k=_INTS, m=_INTS, w_min=_INTS,
+        burn_in_windows=_INTS, flows=st.dictionaries(_INTS, st.builds(
+            FlowThresholds, *[_FLOATS | st.just(math.nan)] * 2),
+            max_size=3))),
 }
 
 
