@@ -16,12 +16,12 @@ import sys
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import ClassVar
 
 import numpy as np
 
 from flowgate.detector import (
     Calibration,
+    DetectManifest,
     DetectorParams,
     DetectorSession,
     Scores,
@@ -46,6 +46,7 @@ from flowgate.trace import (
     TableStream,
     from_json,
     load_json,
+    row_line,
     to_json,
     write_json,
 )
@@ -60,6 +61,8 @@ from flowgate.wfq import (
 from flowgate.worlds import (
     GenerationError,
     build_world,
+    check_config_flows,
+    check_same,
     config_from_json,
     load_head,
     load_outcomes,
@@ -103,23 +106,6 @@ class ParamsFile(Calibration):
     detector: DetectorParams = field(default_factory=DetectorParams)
 
 
-def _read_params(path) -> ParamsFile:
-    return from_json(ParamsFile, _load_json(path), path) if path \
-        else ParamsFile()
-
-
-@dataclass(kw_only=True)
-class DetectManifest(Calibration):
-    """detect_manifest.json: the world scored and the resolved knobs."""
-
-    every_key_required: ClassVar[bool] = True
-
-    world: RunManifest
-    detector_params: DetectorParams
-    burn_in_windows: int
-    n_records: int
-
-
 @dataclass
 class ReplayManifest:
     """replay_manifest.json: the world replayed, the mode and the gate."""
@@ -131,29 +117,43 @@ class ReplayManifest:
     packets: int
 
 
-def _recorded_world(artifact, name: str, cls, manifest: RunManifest):
-    """The manifest `name` beside the artifact, read as cls, or None when
-    there is none. Refuses one whose `world` is not the world whose
-    manifest is given, naming the first key that differs."""
+def _recorded_world(artifact, name: str, read, manifest: RunManifest):
+    """The record `name` that must lie beside the artifact, as read(path)
+    returns it, and its path, refusing one whose `world` is not the given
+    world manifest, naming the path and the first key that differs."""
     path = Path(artifact).parent / name
-    if not path.is_file():
-        return None
-    doc = from_json(cls, _load_json(path), path)
-    _refuse_difference(path, doc.world, "manifest.json", manifest,
-                       [f.name for f in fields(RunManifest)], "world.")
-    return doc
+    doc = read(path)
+    check_same(path, "world.", doc.world, manifest,
+               [f.name for f in fields(RunManifest)], "manifest.json")
+    return doc, path
 
 
-def _refuse_difference(path, doc, other: str, recorded, names,
-                       prefix: str = "") -> None:
-    """Refuse the record doc, read from path, when one of the keys names
-    holds another value than in the record the file `other` holds, naming
-    the first such key."""
-    for name in names:
-        mine, theirs = getattr(doc, name), getattr(recorded, name)
-        if mine != theirs:
-            raise ValueError(f"{path}: {prefix}{name} = {mine!r} is not "
-                             f"{other}'s {name} {theirs!r}")
+def _load_scores(path, config, manifest: RunManifest):
+    """The scores at path and their detect run's record beside them,
+    refusing, naming the file, what _recorded_world and read_scores_csv
+    refuse, other than n_records rows, and rows or record flows other than
+    one for each of config.json's flows at each window in [0, horizon)."""
+    record, record_path = _recorded_world(path, "detect_manifest.json",
+                                          read_thresholds, manifest)
+    check_config_flows(record_path, record.flows, config)
+    scores = read_scores_csv(path)
+    if len(scores) != record.n_records:
+        raise ValueError(f"{path}: {len(scores)} rows, but {record_path} "
+                         f"records n_records = {record.n_records}")
+    # the record's flows, which check_config_flows found to be the config's
+    flows, horizon = list(record.flows), config.horizon_windows
+    bad = (scores.window >= horizon) | ~np.isin(scores.flow_id, flows)
+    if bad.any():
+        i = int(np.argmax(bad))
+        f, w = scores.flow_id[i], scores.window[i]
+        raise ValueError(f"{path}: line {row_line(path, i)}: " + (
+            f"window {w} is outside [0, {horizon})" if w >= horizon
+            else f"flow {f} is not in config.json"))
+    # the rows are distinct (read_scores_csv): all pairs if as many
+    if len(scores) != len(flows) * horizon:
+        raise ValueError(f"{path}: {len(scores)} rows, not one for each of "
+                         f"config.json's {len(flows)} flows at each window")
+    return scores, record
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +163,10 @@ def _refuse_difference(path, doc, other: str, recorded, names,
 def cmd_gen_world(args) -> int:
     config = config_from_json(_load_json(args.config), args.config)
     seed = _resolve("seed", args.seed, config.seed)
-    world = build_world(config, seed)
+    try:
+        world = build_world(config, seed)
+    except ValueError as exc:  # names the flow whose params are refused
+        raise ValueError(f"{args.config}: {exc}") from None
     out = Path(args.out)
     write_world(out, world)
     n_feasible = sum(1 for o in world.feasibility if o.feasible)
@@ -184,7 +187,8 @@ def cmd_detect(args) -> int:
     config, manifest = load_head(args.world)
     trace, graph = load_traffic(args.world, config)
 
-    file = _read_params(args.params)
+    file = from_json(ParamsFile, _load_json(args.params), args.params) \
+        if args.params else ParamsFile()
     params = file.detector
     calibration = Calibration(**{
         f.name: _resolve(f.name, getattr(args, f.name), getattr(file, f.name))
@@ -218,12 +222,12 @@ def cmd_detect(args) -> int:
     session.finalize()
     n_records = len(scores)
 
-    write_thresholds(out / "thresholds.json", session)
     write_stage_stats(out / "stage_stats.json", seconds,
                       [n_flows] * len(seconds))
-    write_json(out / "detect_manifest.json", to_json(DetectManifest(
+    write_thresholds(out / "detect_manifest.json", DetectManifest(
         **vars(calibration), world=manifest, detector_params=params,
-        burn_in_windows=burn_in, n_records=n_records)))
+        burn_in_windows=burn_in, n_records=n_records,
+        flows=session.thresholds()))
     print(f"flows={n_flows}")
     print(f"records={n_records}")
     print(f"alarms={int(scores.a.sum())}")
@@ -241,8 +245,6 @@ def cmd_replay(args) -> int:
         raise ArgumentContractError("--scores is required when --mode=gated")
     config, manifest = load_head(args.world)
     trace, _ = load_traffic(args.world, config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     schedule = None
     gate_doc = {}
@@ -256,21 +258,14 @@ def cmd_replay(args) -> int:
             t_g_s=_resolve("t_g_s", args.t_g, gc.t_g_s),
         )
         gc.validate()
-        _recorded_world(args.scores, "detect_manifest.json", DetectManifest,
-                        manifest)
-        scores = read_scores_csv(args.scores)  # refuses window < 0
-        late = scores.window[scores.window >= config.horizon_windows]
-        if late.size:
-            raise ValueError(f"{args.scores}: window {late[0]} is outside "
-                             f"[0, {config.horizon_windows})")
-        unknown = np.setdiff1d(scores.flow_id, list(trace.flow_table))
-        if unknown.size:
-            raise ValueError(f"{args.scores}: flow {unknown[0]} is not in "
-                             "flows.csv")
+        scores, _ = _load_scores(args.scores, config, manifest)
         schedule = gate_controller(scores, gc, config.window_us)
-        write_schedule(out / "schedule.csv", schedule)
         gate_doc = to_json(gc)
 
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    if schedule is not None:
+        write_schedule(out / "schedule.csv", schedule)
     log = replay(trace, config.capacity_bps, schedule)
     write_queue_log(out / "queue_log.csv", log)
     write_json(out / "replay_manifest.json", to_json(ReplayManifest(
@@ -288,40 +283,16 @@ def cmd_replay(args) -> int:
 def cmd_report(args) -> int:
     config, manifest = load_head(args.world)
     labels, feasibility = load_outcomes(args.world, config)
-    detected = _recorded_world(args.scores, "detect_manifest.json",
-                               DetectManifest, manifest)
-    for mode, log in (("base", args.base_log), ("gated", args.gated_log)):
-        replayed = _recorded_world(log, "replay_manifest.json",
-                                   ReplayManifest, manifest)
-        if replayed is not None and replayed.mode != mode:
-            raise ValueError(
-                f"{Path(log).parent / 'replay_manifest.json'}: mode = "
-                f"{replayed.mode!r} is not {mode!r}, as --{mode}-log needs")
-    scores = read_scores_csv(args.scores)
-    thresholds_path = (args.thresholds
-                       or Path(args.scores).parent / "thresholds.json")
-    thresholds = read_thresholds(thresholds_path)
-    if detected is not None:
-        _refuse_difference(
-            thresholds_path, thresholds, "detect_manifest.json", detected,
-            [f.name for f in fields(Calibration)] + ["burn_in_windows"])
-    extra = set(thresholds.flows).symmetric_difference(
-        np.unique(scores.flow_id).tolist())
-    if extra:
-        f = min(extra)
-        raise ValueError(
-            f"{thresholds_path}: flow {f} " + (
-                "has a threshold but no scores" if f in thresholds.flows
-                else "is scored but has no threshold"))
+    scores, detected = _load_scores(args.scores, config, manifest)
     timing = read_stage_stats(Path(args.scores).parent / "stage_stats.json",
                               scores)
-    base_log = read_queue_log(args.base_log)
-    gated_log = read_queue_log(args.gated_log)
+    base_log = _load_queue_log(args.base_log, "base", manifest)
+    gated_log = _load_queue_log(args.gated_log, "gated", manifest)
     _check_same_packets(args.base_log, base_log, args.gated_log, gated_log)
 
-    ttds = time_to_detect(scores, labels, thresholds.m,
+    ttds = time_to_detect(scores, labels, detected.m,
                           config.window_us * 1e-6)
-    rep = compute_report(scores, labels, ttds, thresholds, feasibility,
+    rep = compute_report(scores, labels, ttds, detected, feasibility,
                          base_log, gated_log, timing=timing)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -331,6 +302,23 @@ def cmd_report(args) -> int:
         print(f"{key}={json.dumps(val)}")
     print(f"out={out}")
     return 0
+
+
+def _load_queue_log(path, mode: str, manifest: RunManifest):
+    """The queue log at path, refusing, naming the file, what
+    _recorded_world and read_queue_log refuse, a replay manifest of another
+    mode and other than the manifest's packets rows."""
+    replayed, record_path = _recorded_world(
+        path, "replay_manifest.json",
+        lambda p: from_json(ReplayManifest, _load_json(p), p), manifest)
+    if replayed.mode != mode:
+        raise ValueError(f"{record_path}: mode = {replayed.mode!r} is not "
+                         f"{mode!r}, as --{mode}-log needs")
+    log = read_queue_log(path)
+    if log.n != replayed.packets:
+        raise ValueError(f"{path}: {log.n} rows, but {record_path} records "
+                         f"packets = {replayed.packets}")
+    return log
 
 
 def _check_same_packets(base_path, base, gated_path, gated) -> None:
@@ -359,7 +347,12 @@ def _check_same_packets(base_path, base, gated_path, gated) -> None:
 
 
 def cmd_bench(args) -> int:
-    params = _read_params(args.params).detector
+    doc = _load_json(args.params) if args.params else {}
+    params = from_json(ParamsFile, doc, args.params).detector
+    fixed = [f.name for f in fields(Calibration) if f.name in doc]
+    if fixed:
+        raise ValueError(f"{args.params}: {fixed[0]} = {doc[fixed[0]]!r} is "
+                         "not read: bench scores under a fixed calibration")
     flows, buckets, stream = synthetic_feature_stream(args.rows)
     session = DetectorSession(params, flows, buckets, 40,
                               Calibration(w_min=10))
@@ -426,8 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     rep = sub.add_parser("report", help="compute metrics from artifacts")
     rep.add_argument("--world", required=True)
     rep.add_argument("--scores", required=True)
-    rep.add_argument("--thresholds", default=None,
-                     help="defaults to thresholds.json beside the scores")
     rep.add_argument("--base-log", required=True)
     rep.add_argument("--gated-log", required=True)
     rep.add_argument("--bench-rows", type=int, default=None,

@@ -27,6 +27,7 @@ import numpy as np
 
 from flowgate.features import Normalizer
 from flowgate.trace import (
+    RunManifest,
     Table,
     TableStream,
     column,
@@ -212,8 +213,8 @@ class Calibration:
     of each flow's threshold, the K-of-M persistence rule (k of the last m
     windows; m is also the grace that recall gives an episode's end), and
     w_min, the burn-in windows a flow must have seen before its scores are
-    collected and the scores it needs for a threshold. The --params file,
-    detect_manifest.json and thresholds.json each extend this record."""
+    collected and the scores it needs for a threshold. The --params file
+    and detect_manifest.json each extend this record."""
 
     quantile: float = 0.99
     k: int = 3
@@ -245,13 +246,16 @@ class FlowThresholds:
 
 
 @dataclass(kw_only=True)
-class Thresholds(Calibration):
-    """thresholds.json: the calibration a detect run used, its burn-in
-    length and each flow's thresholds. Every key must be present."""
+class DetectManifest(Calibration):
+    """detect_manifest.json, a detect run's one record: its world, knobs,
+    burn-in, rows written and flow thresholds, every key required."""
 
     every_key_required: ClassVar[bool] = True
 
+    world: RunManifest
+    detector_params: DetectorParams
     burn_in_windows: int
+    n_records: int
     flows: dict[int, FlowThresholds]
 
 
@@ -436,14 +440,11 @@ class DetectorSession:
         return Scores(self._flow_col, np.full(n, window, dtype=np.int64), e,
                       s_val, v, u, score, alarm, actionable)
 
-    def thresholds(self) -> Thresholds:
-        """The calibration, the burn-in length and each flow's thresholds
-        (NaN until they freeze, and for a flow that gets none)."""
-        return Thresholds(
-            **vars(self.calibration), burn_in_windows=self.burn_in_windows,
-            flows={f: FlowThresholds(d, b) for f, d, b in sorted(zip(
-                self.flow_ids, self._threshold.tolist(),
-                self._baseline_threshold.tolist()))})
+    def thresholds(self) -> dict[int, FlowThresholds]:
+        """Each flow's thresholds by id: NaN until frozen, and when none."""
+        return {f: FlowThresholds(d, b) for f, d, b in sorted(zip(
+            self.flow_ids, self._threshold.tolist(),
+            self._baseline_threshold.tolist()))}
 
 
 # ---------------------------------------------------------------------------
@@ -480,16 +481,16 @@ def read_scores_csv(path) -> Scores:
     return scores
 
 
-def write_thresholds(path, session: DetectorSession) -> None:
-    write_json(path, to_json(session.thresholds()))
+def write_thresholds(path, record: DetectManifest) -> None:
+    write_json(path, to_json(record))
 
 
-def read_thresholds(path) -> Thresholds:
-    """Load a thresholds JSON, refusing, naming the path and the key, what
-    from_json refuses (a missing or unknown key, a flow key that is not an
-    integer, a threshold that is neither a finite number nor null), what
-    Calibration.check refuses and a negative burn_in_windows."""
-    doc = from_json(Thresholds, load_json(path), path)
+def read_thresholds(path) -> DetectManifest:
+    """Load a detect run's record, refusing, naming the path and the key,
+    what from_json refuses (a missing or unknown key, a flow key that is
+    not an integer, a threshold that is neither a finite number nor null),
+    what Calibration.check refuses and a negative burn_in_windows."""
+    doc = from_json(DetectManifest, load_json(path), path)
     doc.check(path)
     if doc.burn_in_windows < 0:
         raise ValueError(f"{path}: burn_in_windows = {doc.burn_in_windows} "

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -237,9 +238,35 @@ def gen_benign_flow(kind: str, params: dict, rng, horizon_us: int,
     raise ValueError(f"unknown benign kind {kind!r}")
 
 
+_REQUIRED = object()
+
+
+def _param(params: dict, key: str, cast=float, default=_REQUIRED):
+    """params[key] as cast, or default when the key is absent and one is
+    given, refusing, naming the key, a missing key and a value that cast
+    refuses."""
+    if key not in params and default is _REQUIRED:
+        raise ValueError(f"missing key {key!r}")
+    value = params.get(key, default)
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{key} = {value!r} is not a number") from None
+
+
+@contextmanager
+def _flow_params(flow_id: int, name: str):
+    """Prefix a generator's refusal with the flow and the name of the
+    params object it read."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"flow {flow_id}: {name}: {exc}") from None
+
+
 def _size_range(params, len_bounds, lo_key, hi_key, lo_def, hi_def):
-    lo = int(params.get(lo_key, lo_def))
-    hi = int(params.get(hi_key, hi_def))
+    lo = _param(params, lo_key, int, lo_def)
+    hi = _param(params, hi_key, int, hi_def)
     if not (len_bounds[0] <= lo <= hi <= len_bounds[1]):
         raise ValueError(f"size range [{lo}, {hi}] outside len bounds {len_bounds}")
     return lo, hi
@@ -254,10 +281,10 @@ def _finish(ts_f, sizes, horizon_us):
 
 
 def _gen_periodic(params, rng, horizon_us, len_bounds):
-    period_us = float(params["period_s"]) * 1e6
+    period_us = _param(params, "period_s") * 1e6
     if period_us <= 0:
         raise ValueError("period_s must be positive")
-    jf = float(params.get("jitter_frac", 0.0))
+    jf = _param(params, "jitter_frac", float, 0.0)
     if not (0.0 <= jf <= 0.5):
         raise ValueError("jitter_frac must be in [0, 0.5]")
     s_lo, s_hi = _size_range(params, len_bounds, "size_min", "size_max", 80, 220)
@@ -272,13 +299,13 @@ def _gen_periodic(params, rng, horizon_us, len_bounds):
 
 
 def _gen_bulk(params, rng, horizon_us, len_bounds):
-    rate = float(params["rate_bps"])
-    pkt_len = int(params.get("pkt_len", 600))
+    rate = _param(params, "rate_bps")
+    pkt_len = _param(params, "pkt_len", int, 600)
     if rate <= 0:
         raise ValueError("rate_bps must be positive")
     if not (len_bounds[0] <= pkt_len <= len_bounds[1]):
         raise ValueError(f"pkt_len {pkt_len} outside len bounds {len_bounds}")
-    jf = float(params.get("jitter_frac", 0.1))
+    jf = _param(params, "jitter_frac", float, 0.1)
     if not (0.0 <= jf <= 0.5):
         raise ValueError("jitter_frac must be in [0, 0.5]")
     iat_us = pkt_len / rate * 1e6
@@ -293,13 +320,13 @@ def _gen_bulk(params, rng, horizon_us, len_bounds):
 
 
 def _gen_interactive(params, rng, horizon_us, len_bounds):
-    cycle_us = float(params["cycle_s"]) * 1e6
-    off = float(params["off_fraction"])
+    cycle_us = _param(params, "cycle_s") * 1e6
+    off = _param(params, "off_fraction")
     if cycle_us <= 0:
         raise ValueError("cycle_s must be positive")
     if not (0.0 <= off <= 1.0):
         raise ValueError("off_fraction must be in [0, 1]")
-    iat_us = float(params.get("iat_s", 0.05)) * 1e6
+    iat_us = _param(params, "iat_s", float, 0.05) * 1e6
     if iat_us <= 0:
         raise ValueError("iat_s must be positive")
     s_lo, s_hi = _size_range(params, len_bounds, "size_min", "size_max", 100, 400)
@@ -326,19 +353,19 @@ def _gen_overlay(kind: str, params: dict, rng, span_us: tuple[int, int],
     t0, t1 = span_us
     span = t1 - t0
     if kind == "exfiltration":
-        ts, ln = _gen_bulk({"rate_bps": params["rate_bps"],
+        ts, ln = _gen_bulk({"rate_bps": _param(params, "rate_bps"),
                             "pkt_len": params.get("pkt_len", 600),
                             "jitter_frac": params.get("jitter_frac", 0.1)},
                            rng, span, len_bounds)
     elif kind == "beaconing":
-        ts, ln = _gen_periodic({"period_s": params["period_s"],
+        ts, ln = _gen_periodic({"period_s": _param(params, "period_s"),
                                 "jitter_frac": params.get("jitter_frac", 0.05),
                                 "size_min": params.get("size_min", 80),
                                 "size_max": params.get("size_max", 160)},
                                rng, span, len_bounds)
     elif kind == "scan":
-        rate = float(params.get("rate_pps", 50.0))
-        pkt_len = int(params.get("pkt_len", 64))
+        rate = _param(params, "rate_pps", float, 50.0)
+        pkt_len = _param(params, "pkt_len", int, 64)
         if not (len_bounds[0] <= pkt_len <= len_bounds[1]):
             raise ValueError(f"pkt_len {pkt_len} outside len bounds {len_bounds}")
         iats = rng.exponential(1e6 / rate, max(1, int(rate * span * 1e-6)))
@@ -346,10 +373,10 @@ def _gen_overlay(kind: str, params: dict, rng, span_us: tuple[int, int],
         ts_f = ts_f[ts_f < span]
         ts, ln = _finish(ts_f, np.full(ts_f.size, pkt_len), span)
     elif kind == "evasive_c2":
-        every_us = float(params.get("burst_every_s", 5.0)) * 1e6
-        burst = int(params.get("burst_pkts", 12))
-        intra_us = float(params.get("intra_iat_s", 0.002)) * 1e6
-        pkt_len = int(params.get("pkt_len", 200))
+        every_us = _param(params, "burst_every_s", float, 5.0) * 1e6
+        burst = _param(params, "burst_pkts", int, 12)
+        intra_us = _param(params, "intra_iat_s", float, 0.002) * 1e6
+        pkt_len = _param(params, "pkt_len", int, 200)
         if not (len_bounds[0] <= pkt_len <= len_bounds[1]):
             raise ValueError(f"pkt_len {pkt_len} outside len bounds {len_bounds}")
         phase = rng.uniform(0.0, every_us)
@@ -862,7 +889,9 @@ def build_world(config: WorldConfig, seed: int) -> World:
 
     for spec in config.benign_flows:
         rng = np.random.default_rng([seed, spec.flow_id, _SALT_BENIGN])
-        ts, ln = gen_benign_flow(spec.kind, spec.params, rng, horizon_us, bounds)
+        with _flow_params(spec.flow_id, "params"):
+            ts, ln = gen_benign_flow(spec.kind, spec.params, rng, horizon_us,
+                                     bounds)
         benign_flows.append((spec.flow_id, spec.clique_id, ts, ln))
         flow_table[spec.flow_id] = FlowInfo(
             _flow_key(spec.flow_id, spec.clique_id), spec.device_class, BENIGN)
@@ -896,12 +925,14 @@ def build_world(config: WorldConfig, seed: int) -> World:
 
     for ep in sorted(config.episodes, key=lambda e: e.flow_id):
         rng_ep = np.random.default_rng([seed, ep.flow_id, _SALT_EPISODE])
-        cover_ts, cover_ln = gen_benign_flow(
-            ep.cover_kind, ep.cover_params, rng_ep, horizon_us, bounds)
+        with _flow_params(ep.flow_id, "cover_params"):
+            cover_ts, cover_ln = gen_benign_flow(
+                ep.cover_kind, ep.cover_params, rng_ep, horizon_us, bounds)
         span = (ep.start_window * config.window_us,
                 (ep.end_window + 1) * config.window_us)
-        over_ts, over_ln = _gen_overlay(ep.kind, ep.overlay_params, rng_ep,
-                                        span, bounds)
+        with _flow_params(ep.flow_id, "overlay_params"):
+            over_ts, over_ln = _gen_overlay(ep.kind, ep.overlay_params,
+                                            rng_ep, span, bounds)
         ts = np.concatenate([cover_ts, over_ts])
         ln = np.concatenate([cover_ln, over_ln])
         order = np.argsort(ts, kind="stable")
@@ -1077,9 +1108,12 @@ def load_head(world_dir) -> tuple[WorldConfig, RunManifest]:
 
 def load_traffic(world_dir, config: WorldConfig) -> tuple[Trace,
                                                           ContentionGraph]:
-    """A world's trace and contention graph, checked by check_trace."""
+    """A world's trace and contention graph, checked by check_flow_table
+    and check_trace."""
     d = Path(world_dir)
-    trace = read_trace_csv(d / "trace.csv", read_flow_table(d / "flows.csv"),
+    flow_table = read_flow_table(d / "flows.csv")
+    check_flow_table(d / "flows.csv", flow_table, config)
+    trace = read_trace_csv(d / "trace.csv", flow_table,
                            config.horizon_windows, config.window_us)
     graph = ContentionGraph.from_dict(load_json(d / "contention.json"),
                                       d / "contention.json")
@@ -1089,13 +1123,66 @@ def load_traffic(world_dir, config: WorldConfig) -> tuple[Trace,
 
 def load_outcomes(world_dir, config: WorldConfig) -> tuple[
         list[EpisodeLabel], list[FeasibilityOutcome]]:
-    """A world's episode labels and their feasibility outcomes."""
+    """A world's episode labels, checked by check_labels, and their
+    feasibility outcomes."""
     d = Path(world_dir)
     labels = read_labels(d / "labels.csv")
+    check_labels(d / "labels.csv", labels, config)
     feasibility = read_feasibility(d / "feasibility.json", config.i_max)
     check_episode_flows(d / "feasibility.json", "outcome",
                         [o.flow_id for o in feasibility], labels)
     return labels, feasibility
+
+
+def check_same(path, where: str, found, recorded, names, other: str) -> None:
+    """Refuse the record found, read from path at the dotted name where,
+    when one of the fields names holds another value than in the record
+    that the file `other` holds, naming the first such key."""
+    for name in names:
+        mine, theirs = getattr(found, name), getattr(recorded, name)
+        if mine != theirs:
+            raise ValueError(f"{path}: {where}{name} = {mine!r} is not "
+                             f"{other}'s {name} {theirs!r}")
+
+
+def check_config_flows(path, flow_ids, config: WorldConfig) -> None:
+    """Refuse a file at path keyed by the flows flow_ids (a dict or a set)
+    when they are not config.json's, naming the first flow in one of the
+    two but not the other."""
+    other = sorted(set(flow_ids).symmetric_difference(
+        [f.flow_id for f in config.benign_flows + config.episodes]))
+    if other:
+        raise ValueError(f"{path}: flow {other[0]} " + (
+            "is not in config.json" if other[0] in flow_ids
+            else "of config.json is missing"))
+
+
+def check_flow_table(path, flow_table: dict[int, FlowInfo],
+                     config: WorldConfig) -> None:
+    """Refuse a flow table whose flows, device classes or labels are not
+    config.json's: a benign flow's label is benign, an episode's
+    malicious."""
+    check_config_flows(path, flow_table, config)
+    for spec, label in ([(f, BENIGN) for f in config.benign_flows]
+                        + [(e, MALICIOUS) for e in config.episodes]):
+        info = flow_table[spec.flow_id]
+        check_same(path, f"{spec.flow_id}.", info,
+                   replace(info, device_class=spec.device_class, label=label),
+                   ("device_class", "label"), "config.json")
+
+
+def check_labels(path, labels, config: WorldConfig) -> None:
+    """Refuse episode labels whose flows, window spans, kinds or budgets
+    are not those of config.json's episodes."""
+    episodes = {e.flow_id: e for e in config.episodes}
+    found = sorted(lab.flow_id for lab in labels)
+    if found != sorted(episodes):
+        raise ValueError(f"{path}: episode flows {found} are not "
+                         f"config.json's {sorted(episodes)}")
+    for i, lab in enumerate(labels):
+        check_same(path, f"[{i}].", lab, episodes[lab.flow_id],
+                   ("start_window", "end_window", "kind", "budgets"),
+                   "config.json")
 
 
 def check_episode_flows(path, what: str, flow_ids, labels) -> None:

@@ -8,7 +8,8 @@
 - `solve_fixed_point` and `fixed_point_residual` give the detector's steady
   state under a constant drive.
 - `thresholds_by_flow` gives a session's per-flow thresholds in the shape
-  the per-row oracle's session returns them.
+  the per-row oracle's session returns them, and `detect_record` the
+  record `detect` would write for a session.
 - `queue_impact` is the report's two p99.9 deltas as they were computed
   before the report derived them from its tails: each percentile sorted
   again.
@@ -21,7 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from flowgate.detector import DetectorParams, Thresholds, f_sat
+from flowgate.detector import (
+    DetectManifest,
+    DetectorParams,
+    FlowThresholds,
+    f_sat,
+)
 from flowgate.trace import Trace
 from flowgate.wfq import delay_percentile
 
@@ -105,13 +111,23 @@ def solve_fixed_point(params: DetectorParams, drive: float) -> tuple[float, floa
     return v, ab_over * v
 
 
-def thresholds_by_flow(thresholds: Thresholds) -> dict:
+def thresholds_by_flow(thresholds: dict[int, FlowThresholds]) -> dict:
     """{flow: {"detector": t, "baseline": t}}, None where a threshold is
     NaN, as detector_oracle.DetectorSession.thresholds returns it."""
     def opt(t):
         return None if math.isnan(t) else t
     return {f: {"detector": opt(t.detector), "baseline": opt(t.baseline)}
-            for f, t in thresholds.flows.items()}
+            for f, t in thresholds.items()}
+
+
+def detect_record(session, world, n_records: int = 0) -> DetectManifest:
+    """The detect_manifest.json record of a session that scored world, a
+    world's RunManifest."""
+    return DetectManifest(
+        **vars(session.calibration), world=world,
+        detector_params=session.params,
+        burn_in_windows=session.burn_in_windows, n_records=n_records,
+        flows=session.thresholds())
 
 
 def queue_impact(base_log, gated_log) -> tuple[float, float]:

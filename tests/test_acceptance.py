@@ -53,6 +53,7 @@ from support import (
     fixed_point_residual,
     queue_impact,
     solve_fixed_point,
+    detect_record,
     thresholds_by_flow,
 )
 
@@ -123,7 +124,8 @@ def test_criterion_1_calibration_fidelity():
         rated = [f for f, t in th.items() if t["detector"] is not None]
         eligible = int(((scores.window >= burn)
                         & np.isin(scores.flow_id, rated)).sum())
-        fpr_alarm, _ = achieved_fpr(scores, world.labels, ses.thresholds())
+        fpr_alarm, _ = achieved_fpr(scores, world.labels,
+                                    detect_record(ses, world.manifest))
         results[q] = (fpr_alarm, eligible)
     elapsed = time.perf_counter() - t0
     fpr99, elig = results[0.99]

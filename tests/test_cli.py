@@ -101,8 +101,9 @@ def test_pipeline_writes_expected_artifacts(pipe):
                  "config.json", "contention.json", "feasibility.json",
                  "references.json"):
         assert (pipe["world"] / name).exists(), name
-    for name in ("scores.csv", "thresholds.json", "detect_manifest.json"):
-        assert (pipe["det"] / name).exists(), name
+    assert sorted(f.name for f in pipe["det"].iterdir()) == [
+        "detect_manifest.json", "scores.csv", "scores.csv.cols",
+        "stage_stats.json"]
     assert (pipe["base"] / "queue_log.csv").exists()
     assert not (pipe["base"] / "schedule.csv").exists()
     assert (pipe["gated"] / "schedule.csv").exists()
@@ -126,8 +127,9 @@ def test_detect_manifest_has_no_timing_and_burn_in_from_split(pipe):
     doc = json.loads((pipe["det"] / "detect_manifest.json").read_text())
     assert doc["burn_in_windows"] == 72
     assert "timestamp" not in json.dumps(doc).lower()
-    th = read_thresholds(pipe["det"] / "thresholds.json")
-    assert th.quantile == 0.99 and th.k == 3 and th.m == 8
+    record = read_thresholds(pipe["det"] / "detect_manifest.json")
+    assert record.quantile == 0.99 and record.k == 3 and record.m == 8
+    assert sorted(record.flows) == [1, 2, 3, 4, 5, 100]
 
 
 def test_gen_world_deterministic_across_runs(pipe, tmp_path):
@@ -228,35 +230,34 @@ def test_swapped_queue_logs_are_refused(pipe, tmp_path, capsys):
         f"error: ValueError: {pipe['gated'] / 'replay_manifest.json'}: "
         "mode = 'gated' is not 'base'")
     assert not (tmp_path / "r" / "report.json").exists()
-    # logs without a replay manifest beside them are not checked
-    for m in ("base", "gated"):
-        (tmp_path / m).mkdir()
-        shutil.copy(pipe[m] / "queue_log.csv", tmp_path / m)
-    assert _report(pipe, tmp_path, base=tmp_path / "gated" / "queue_log.csv",
-                   gated=tmp_path / "base" / "queue_log.csv") == 0
 
 
-def _bare_log(pipe, tmp_path, world, mode, edit=None):
-    """A copy of a queue log with no replay manifest beside it, its text
-    lines passed through edit."""
+def _log_copy(pipe, tmp_path, world, mode, edit=None):
+    """A copy of a queue log, its text lines passed through edit, beside
+    the pipeline's replay manifest of that mode with packets set to the
+    copy's rows: a log of the pipeline's world as far as the manifest
+    tells."""
     out = tmp_path / f"{world.name}_{mode}"
     out.mkdir()
     lines = (pipe[mode] if world == pipe["world"] else world.parent / mode
              ).joinpath("queue_log.csv").read_text().splitlines()
-    (out / "queue_log.csv").write_text(
-        "".join(line + "\n" for line in (edit or list)(lines)))
+    lines = (edit or list)(lines)
+    (out / "queue_log.csv").write_text("".join(line + "\n" for line in lines))
+    doc = json.loads((pipe[mode] / "replay_manifest.json").read_text())
+    write_json(out / "replay_manifest.json",
+               {**doc, "packets": len(lines) - 1})
     return out / "queue_log.csv"
 
 
 def test_queue_logs_of_other_packets_are_refused(pipe, tmp_path, capsys):
-    # the base log of world seed 6, without its replay manifest, against
-    # the gated log of world seed 5
+    # the base log of world seed 6, beside a manifest of world seed 5,
+    # against the gated log of world seed 5
     other = tmp_path / "seed6" / "world"
     assert main(["gen-world", "--config", str(pipe["cfg"]), "--seed", "6",
                  "--out", str(other)]) == 0
     assert main(["replay", "--world", str(other), "--mode", "base",
                  "--out", str(other.parent / "base")]) == 0
-    base = _bare_log(pipe, tmp_path, other, "base")
+    base = _log_copy(pipe, tmp_path, other, "base")
     gated = pipe["gated"] / "queue_log.csv"
     capsys.readouterr()
     assert _report(pipe, tmp_path, base=base) == 1
@@ -284,7 +285,7 @@ def test_queue_logs_that_differ_in_a_packet_are_refused(pipe, tmp_path,
             lambda ls: _edit_row(_edit_row(ls, 4, 0, 9), 4, 2, 7), 6,
             f"flow_id 9 against {f}, enqueue_us 7 against {e}"),
     }[case]
-    base = _bare_log(pipe, tmp_path, pipe["world"], "base", edit)
+    base = _log_copy(pipe, tmp_path, pipe["world"], "base", edit)
     assert _report(pipe, tmp_path, base=base) == 1
     assert capsys.readouterr().err == (
         f"error: ValueError: {base} and {gated} do not replay the same "
@@ -330,7 +331,7 @@ def test_detect_output_is_printed_once(pipe, tmp_path):
         "quantile", "k", "m", "w_min", "burn_in_windows", "flows", "records",
         "alarms", "actionable", "out"]
     assert lines[-1] == f"out={out}"
-    for name in ("scores.csv", "scores.csv.cols", "thresholds.json"):
+    for name in ("scores.csv", "scores.csv.cols", "detect_manifest.json"):
         assert (out / name).read_bytes() == (pipe["det"] / name).read_bytes()
 
 
@@ -364,10 +365,12 @@ def test_detect_seed_is_inert_without_noise(pipe, tmp_path):
 
 
 def _rewrite_scores(pipe, tmp_path, name, edit):
-    """A copy of the pipeline's scores.csv with edit applied to its lines."""
+    """A copy of the pipeline's scores.csv with edit applied to its lines,
+    beside a copy of the pipeline's detect_manifest.json."""
     lines = (pipe["det"] / "scores.csv").read_text().splitlines()
     path = tmp_path / name
     path.write_text("\n".join(edit(lines)) + "\n")
+    shutil.copy(pipe["det"] / "detect_manifest.json", tmp_path)
     return path
 
 
@@ -419,10 +422,10 @@ def test_bad_calibration_is_refused(pipe, tmp_path, capsys, case):
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
         assert not (out / "scores.csv").exists()
-        assert not (out / "thresholds.json").exists()
-    # report: exit 1 on a thresholds.json that holds it
+        assert not (out / "detect_manifest.json").exists()
+    # report: exit 1 on a detect_manifest.json that holds it
     scores = _det_copy(pipe, tmp_path)
-    path = scores.parent / "thresholds.json"
+    path = scores.parent / "detect_manifest.json"
     path.write_text(json.dumps({**json.loads(path.read_text()), **knobs}))
     assert _report(pipe, tmp_path, scores=scores) == 1
     assert capsys.readouterr().err == f"error: ValueError: {path}: {message}\n"
@@ -431,22 +434,67 @@ def test_bad_calibration_is_refused(pipe, tmp_path, capsys, case):
 
 def test_report_refuses_thresholds_of_another_detect_run(pipe, tmp_path,
                                                          capsys):
+    # report reads thresholds only from the record beside the scores: there
+    # is no flag to give another run's
     other = tmp_path / "other"
     assert main(["detect", "--world", str(pipe["world"]), "--quantile", "0.9",
                  "--k", "2", "--m", "4", "--w-min", "20",
                  "--out", str(other)]) == 0
     capsys.readouterr()
-    thresholds = other / "thresholds.json"
-    assert main(["report", "--world", str(pipe["world"]),
-                 "--scores", str(pipe["det"] / "scores.csv"),
-                 "--thresholds", str(thresholds),
-                 "--base-log", str(pipe["base"] / "queue_log.csv"),
-                 "--gated-log", str(pipe["gated"] / "queue_log.csv"),
-                 "--out", str(tmp_path / "r")]) == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--world", str(pipe["world"]),
+              "--scores", str(pipe["det"] / "scores.csv"),
+              "--thresholds", str(other / "detect_manifest.json"),
+              "--base-log", str(pipe["base"] / "queue_log.csv"),
+              "--gated-log", str(pipe["gated"] / "queue_log.csv"),
+              "--out", str(tmp_path / "r")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --thresholds" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"w_min": -5, "quantile": 7}, "quantile = 7"),
+    ({"detector": {}, "k": 2}, "k = 2"),
+    ({"m": 8}, "m = 8"),
+    ({"w_min": 10}, "w_min = 10"),
+], ids=["bad quantile and w_min", "k", "m", "w_min"])
+def test_bench_refuses_calibration_keys(tmp_path, capsys, doc, key):
+    # bench scores under a fixed calibration, so a calibration key in its
+    # --params file would be ignored
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(doc))
+    assert main(["bench", "--params", str(params)]) == 1
     assert capsys.readouterr().err == (
-        f"error: ValueError: {thresholds}: quantile = 0.9 is not "
-        "detect_manifest.json's quantile 0.99\n")
-    assert not (tmp_path / "r" / "report.json").exists()
+        f"error: ValueError: {params}: {key} is not read: bench scores "
+        "under a fixed calibration\n")
+
+
+@pytest.mark.parametrize("flow, params, edit, message", [
+    (3, "params", lambda p: _without(p, "cycle_s"), "missing key 'cycle_s'"),
+    (4, "params", lambda p: {**p, "period_s": 0.0},
+     "period_s must be positive"),
+    (1, "params", lambda p: {**p, "jitter_frac": "x"},
+     "jitter_frac = 'x' is not a number"),
+    (100, "cover_params", lambda p: _without(p, "rate_bps"),
+     "missing key 'rate_bps'"),
+    (100, "overlay_params", lambda p: _without(p, "rate_bps"),
+     "missing key 'rate_bps'"),
+], ids=["missing key", "generator refusal", "string value",
+        "episode cover", "episode overlay"])
+def test_generator_errors_name_the_flow_and_key(tmp_path, capsys, flow,
+                                                params, edit, message):
+    cfg = tiny_config(tmp_path / "config.json")
+    doc = json.loads(cfg.read_text())
+    for spec in doc["benign_flows"] + doc["episodes"]:
+        if spec["flow_id"] == flow:
+            spec[params] = edit(spec[params])
+    cfg.write_text(json.dumps(doc))
+    assert main(["gen-world", "--config", str(cfg),
+                 "--out", str(tmp_path / "w")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: ValueError: {cfg}: flow {flow}: {params}: {message}\n")
+    assert not (tmp_path / "w").exists()
 
 
 def test_bench_rejects_small_row_count():
@@ -564,7 +612,6 @@ def test_scores_with_reordered_header_are_refused(pipe, tmp_path, capsys):
                   "--scores", str(scores), "--out", str(tmp_path / "g")],
                  ["report", "--world", str(pipe["world"]),
                   "--scores", str(scores),
-                  "--thresholds", str(pipe["det"] / "thresholds.json"),
                   "--base-log", str(pipe["base"] / "queue_log.csv"),
                   "--gated-log", str(pipe["gated"] / "queue_log.csv"),
                   "--out", str(tmp_path / "r")]):
@@ -596,7 +643,6 @@ def test_scores_with_a_repeated_flow_window_pair_are_refused(pipe, tmp_path,
                   "--scores", str(scores), "--out", str(tmp_path / "g")],
                  ["report", "--world", str(pipe["world"]),
                   "--scores", str(scores),
-                  "--thresholds", str(pipe["det"] / "thresholds.json"),
                   "--base-log", str(pipe["base"] / "queue_log.csv"),
                   "--gated-log", str(pipe["gated"] / "queue_log.csv"),
                   "--out", str(tmp_path / "r")]):
@@ -646,7 +692,7 @@ def _edit_row(lines, k, column, value):
 @pytest.mark.parametrize("column, value, message", [
     (1, 120, "window 120 is outside [0, 120)"),
     (1, -1, "window = -1 is not a nonnegative integer"),
-    (0, 999, "flow 999 is not in flows.csv"),
+    (0, 999, "flow 999 is not in config.json"),
 ])
 def test_gated_replay_refuses_rows_outside_the_world(pipe, tmp_path, capsys,
                                                      column, value, message):
@@ -692,7 +738,9 @@ def _report(pipe, tmp_path, base=None, gated=None, scores=None, world=None):
 
 
 def test_report_refuses_scores_passed_as_a_queue_log(pipe, tmp_path, capsys):
-    scores = pipe["det"] / "scores.csv"
+    # beside a base replay manifest, so that the log's reader sees it
+    shutil.copy(pipe["base"] / "replay_manifest.json", tmp_path)
+    scores = shutil.copy(pipe["det"] / "scores.csv", tmp_path)
     assert _report(pipe, tmp_path, base=scores) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: ValueError: {scores}: line 1: header")
@@ -718,6 +766,9 @@ def test_corrupt_scores_and_queue_logs_are_refused(pipe, tmp_path, capsys,
     lines = CORRUPTIONS[corruption](src.read_text().splitlines())
     bad = tmp_path / src.name
     bad.write_text("".join(line + "\n" for line in lines))
+    for record in ("detect_manifest.json", "replay_manifest.json"):
+        if (src.parent / record).exists():
+            shutil.copy(src.parent / record, tmp_path)
     if artifact == "scores":
         rc = main(["replay", "--world", str(pipe["world"]), "--mode", "gated",
                    "--scores", str(bad), "--out", str(tmp_path / "g")])
@@ -725,6 +776,95 @@ def test_corrupt_scores_and_queue_logs_are_refused(pipe, tmp_path, capsys,
         rc = _report(pipe, tmp_path, gated=bad)
     assert rc == 1
     assert capsys.readouterr().err.startswith(f"error: ValueError: {bad}: ")
+
+
+# ---------------------------------------------------------------------------
+# the record beside each stage output: one loader for replay and report
+
+
+def _bad_scores(pipe, tmp_path, case):
+    """A copy of the pipeline's detect output, without its stage_stats.json
+    (telemetry, which no reader needs), broken as case names. Returns the
+    copy's scores and the error that every reader of them must print."""
+    det = tmp_path / "det"
+    shutil.copytree(pipe["det"], det)
+    (det / "stage_stats.json").unlink()
+    scores, record = det / "scores.csv", det / "detect_manifest.json"
+    lines = scores.read_text().splitlines()
+    n = len(lines) - 1
+
+    def edit(column, value):
+        scores.write_text("\n".join(_edit_row(lines, 3, column, value))
+                          + "\n")
+
+    if case == "no detect_manifest.json":
+        record.unlink()
+        return scores, ("FileNotFoundError: [Errno 2] No such file or "
+                        f"directory: '{record}'")
+    if case == "rows missing beside their own record":
+        scores.write_text("\n".join(lines[:-100]) + "\n")
+        return scores, (f"ValueError: {scores}: {n - 100} rows, but "
+                        f"{record} records n_records = {n}")
+    if case == "window at or past the horizon":
+        edit(1, 5000)
+        return scores, (f"ValueError: {scores}: line 5: window 5000 is "
+                        "outside [0, 120)")
+    if case == "flow not in config.json":
+        edit(0, 999)
+        return scores, (f"ValueError: {scores}: line 5: flow 999 is not in "
+                        "config.json")
+    assert case == "record of another world"
+    doc = json.loads(record.read_text())
+    write_json(record, {**doc, "world": {**doc["world"], "seed": 6}})
+    return scores, (f"ValueError: {record}: world.seed = 6 is not "
+                    "manifest.json's seed 5")
+
+
+def _bad_log(pipe, tmp_path, case):
+    """A copy of the pipeline's base queue log broken as case names, and
+    the error report must print for it."""
+    base = tmp_path / "base"
+    shutil.copytree(pipe["base"], base)
+    log, record = base / "queue_log.csv", base / "replay_manifest.json"
+    if case == "queue log without replay_manifest.json":
+        record.unlink()
+        return log, ("FileNotFoundError: [Errno 2] No such file or "
+                     f"directory: '{record}'")
+    assert case == "replay manifest of other packets"
+    doc = json.loads(record.read_text())
+    write_json(record, {**doc, "packets": doc["packets"] + 1})
+    return log, (f"ValueError: {log}: {doc['packets']} rows, but {record} "
+                 f"records packets = {doc['packets'] + 1}")
+
+
+BAD_SCORES = ["no detect_manifest.json",
+              "rows missing beside their own record",
+              "window at or past the horizon", "flow not in config.json",
+              "record of another world"]
+BAD_LOGS = ["queue log without replay_manifest.json",
+            "replay manifest of other packets"]
+
+
+@pytest.mark.parametrize("case", BAD_SCORES + BAD_LOGS)
+def test_bad_stage_outputs_are_refused_alike(pipe, tmp_path, capsys, case):
+    # every reader of a bad stage output exits 1 with the same error and
+    # writes nothing
+    if case in BAD_LOGS:
+        log, message = _bad_log(pipe, tmp_path, case)
+        runs = {"r": lambda: _report(pipe, tmp_path, base=log)}
+    else:
+        scores, message = _bad_scores(pipe, tmp_path, case)
+        runs = {"g": lambda: _gated_with(pipe, tmp_path, scores),
+                "r": lambda: _report(pipe, tmp_path, scores=scores)}
+    for out, run in runs.items():
+        assert run() == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / out).exists()
+
+
+def _gated_with(pipe, tmp_path, scores):
+    return main(["replay", "--world", str(pipe["world"]), "--mode", "gated",
+                 "--scores", str(scores), "--out", str(tmp_path / "g")])
 
 
 # ---------------------------------------------------------------------------
@@ -809,8 +949,8 @@ def test_bad_stage_stats_are_refused(pipe, tmp_path, capsys, stats, message):
 
 
 def _edit_thresholds(doc):
-    """Named corruptions of a thresholds document, each with the text its
-    refusal must hold."""
+    """Named corruptions of the thresholds in a detect_manifest.json,
+    each with the text its refusal must hold."""
     flows = doc["flows"]
     f = sorted(flows, key=int)[0]
 
@@ -842,9 +982,9 @@ def _edit_thresholds(doc):
                                   f"missing key 'flows.{f}.baseline'"),
         "flow missing": ({**doc, "flows": {k: v for k, v in flows.items()
                                            if k != f}},
-                         f"flow {f} is scored but has no threshold"),
+                         f"flow {f} of config.json is missing"),
         "extra flow": ({**doc, "flows": {**flows, "999": flows[f]}},
-                       "flow 999 has a threshold but no scores"),
+                       "flow 999 is not in config.json"),
     }
 
 
@@ -855,7 +995,7 @@ THRESHOLD_CORRUPTIONS = sorted(_edit_thresholds({"flows": {"1": {}}}))
 @pytest.mark.parametrize("corruption", THRESHOLD_CORRUPTIONS)
 def test_corrupt_thresholds_are_refused(pipe, tmp_path, capsys, corruption):
     scores = _det_copy(pipe, tmp_path)
-    path = scores.parent / "thresholds.json"
+    path = scores.parent / "detect_manifest.json"
     bad, message = _edit_thresholds(json.loads(path.read_text()))[corruption]
     path.write_text(json.dumps(bad))
     assert _report(pipe, tmp_path, scores=scores) == 1
@@ -990,6 +1130,18 @@ def _edit_flows(doc):
         "flow id not an integer": ({**doc, "x1": entry},
                                    "key 'x1' of the document is not an "
                                    "integer"),
+        # a flow table that parses but is not the config's
+        "flow not in the config": ({**doc, "999": entry},
+                                   "flow 999 is not in config.json"),
+        "config flow missing": ({k: v for k, v in doc.items() if k != f},
+                                f"flow {f} of config.json is missing"),
+        "device class of another config": (
+            {**doc, f: {**entry, "device_class": "camera"}},
+            f"{f}.device_class = 'camera' is not config.json's "
+            f"device_class {entry.get('device_class')!r}"),
+        "episode labelled benign": (
+            {**doc, "100": {**doc.get("100", entry), "label": "benign"}},
+            "100.label = 'benign' is not config.json's label 'malicious'"),
     }
 
 
@@ -1013,6 +1165,28 @@ def _edit_labels(doc):
             "[0].budgets.r_min_bytes = '7' is not an integer"),
         "unknown kind": (with_label({**lab, "kind": "exfil"}),
                          "[0].kind = 'exfil' is not one of"),
+        # labels that parse but are not the config's episodes
+        "flow not an episode": (with_label({**lab, "flow_id": 5}),
+                                "episode flows [5] are not config.json's "
+                                "[100]"),
+        "start window of another config": (
+            with_label({**lab, "start_window": lab.get("start_window", 0)
+                        + 10}),
+            f"[0].start_window = {lab.get('start_window', 0) + 10} is not "
+            f"config.json's start_window {lab.get('start_window', 0)}"),
+        "end window of another config": (
+            with_label({**lab, "end_window": lab.get("end_window", 0) + 1}),
+            f"[0].end_window = {lab.get('end_window', 0) + 1} is not "
+            f"config.json's end_window {lab.get('end_window', 0)}"),
+        "kind of another config": (with_label({**lab, "kind": "scan"}),
+                                   "[0].kind = 'scan' is not config.json's "
+                                   "kind 'exfiltration'"),
+        "budgets of another config": (
+            with_label({**lab, "budgets": {**lab["budgets"],
+                                           "r_min_bytes": 7}}),
+            "[0].budgets = Budgets(r_min_bytes=7, epsilon_s=inf, "
+            "delta_q_s=inf) is not config.json's budgets Budgets("
+            "r_min_bytes=0,"),
     }
 
 

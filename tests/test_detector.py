@@ -37,9 +37,10 @@ from flowgate.detector import (
     write_thresholds,
 )
 from flowgate.features import N_FEATURES
-from flowgate.trace import from_json, to_json
+from flowgate.trace import RunManifest, from_json, to_json
 from flowgate.worlds import ContentionGraph
 from support import (
+    detect_record,
     fixed_point_residual,
     solve_fixed_point,
     thresholds_by_flow,
@@ -419,8 +420,8 @@ def test_session_flow_born_after_burn_in_never_alarms():
                            else 1e9 * (1 + w % 3),) * N_FEATURES}
     recs = records(session, run_session(session, feeds, 120))
     assert np.array(session._burn_ok)[:, 1].sum() == 2
-    assert not math.isnan(session.thresholds().flows[1].detector)
-    assert math.isnan(session.thresholds().flows[2].detector)
+    assert not math.isnan(session.thresholds()[1].detector)
+    assert math.isnan(session.thresholds()[2].detector)
     late = (recs.flow_id == 2) & (recs.window >= 70)
     assert (recs.E[late] > 1.0).any(), "late flow still gets scored"
     assert not (recs.a[late] | recs.z[late]).any()
@@ -436,7 +437,7 @@ def test_session_collection_gate_and_threshold():
     evidence_ = np.array(session._burn_e)[collected, 0].tolist()
     assert len(scores) == 60 - 10
     session.process_window(60, matrix([(100.0,) * N_FEATURES]))
-    thr = session.thresholds().flows[1]
+    thr = session.thresholds()[1]
     assert thr.detector == calibrate_threshold(scores, 0.9)
     assert thr.baseline == calibrate_threshold(evidence_, 0.9)
 
@@ -455,10 +456,10 @@ def test_session_detects_sustained_anomaly_and_freezes_threshold():
         x = (5000.0 if w >= 65 else 100.0,) * N_FEATURES
         post.append(session.process_window(w, matrix([x])))
         if w == 60:
-            theta_before = session.thresholds().flows[1].detector
+            theta_before = session.thresholds()[1].detector
     post = records(session, post)
     assert theta_before is not None
-    assert session.thresholds().flows[1].detector == theta_before
+    assert session.thresholds()[1].detector == theta_before
     assert not post.a[post.window < 66].any()
     fired = post.window[post.a]
     assert fired.size and fired.min() <= 68
@@ -583,7 +584,7 @@ def test_derive_flags_matches_session():
     session = small_session()
     feed = {1: lambda w: ((100.0 + (37.0 * w * w + 11) % 61),) * N_FEATURES}
     recs = records(session, run_session(session, feed, 150))
-    theta = session.thresholds().flows[1].detector
+    theta = session.thresholds()[1].detector
     pairs = zip(recs.window.tolist(), recs.s.tolist())
     a, z = derive_flags(pairs, theta, 3, 8, 60)
     assert np.array_equal(a, recs.a)
@@ -602,9 +603,9 @@ def test_session_rejects_non_finite_state():
 def test_session_finalize_freezes_mid_burn_in():
     session = small_session()
     run_session(session, {1: lambda w: (100.0,) * N_FEATURES}, 30)
-    assert math.isnan(session.thresholds().flows[1].detector)
+    assert math.isnan(session.thresholds()[1].detector)
     session.finalize()
-    assert not math.isnan(session.thresholds().flows[1].detector)
+    assert not math.isnan(session.thresholds()[1].detector)
 
 
 def test_derive_flags_none_threshold_all_clear():
@@ -805,12 +806,15 @@ def test_thresholds_round_trip(tmp_path):
     session = small_session(flows=(1, 2))
     run_session(session, {1: lambda w: (100.0,) * N_FEATURES,
                           2: lambda w: (None,) * N_FEATURES}, 61)
-    path = tmp_path / "thresholds.json"
-    write_thresholds(path, session)
+    path = tmp_path / "detect_manifest.json"
+    record = detect_record(session, RunManifest(
+        "w", 1, "h", "timing+contention-v1", (0.6, 0.2, 0.2)))
+    write_thresholds(path, record)
     loaded = read_thresholds(path)
     assert loaded.quantile == 0.9
     assert loaded.k == 3 and loaded.m == 8
-    assert loaded == session.thresholds()
+    assert loaded.flows == session.thresholds()
+    assert repr(loaded) == repr(record)
     # the all-missing flow scores flat at the resting surrogate
     assert loaded.flows[2].detector == pytest.approx(
         event_surrogate(0.0, 4.0, 1.0), rel=1e-12)

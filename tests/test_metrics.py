@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from flowgate.detector import (
     Calibration,
     DetectorParams,
+    DetectManifest,
     DetectorSession,
     FlowThresholds,
     Scores,
-    Thresholds,
     calibrate_threshold,
 )
 from flowgate.metrics import (
@@ -62,10 +62,19 @@ def episode(flow_id, start, end, feasible=True):
                         Budgets(0, math.inf, math.inf), feasible)
 
 
-THRESHOLDS = Thresholds(
-    quantile=0.99, k=3, m=8, w_min=5, burn_in_windows=10,
-    flows={1: FlowThresholds(0.5, 0.5), 2: FlowThresholds(0.5, 0.5),
-           3: FlowThresholds(math.nan, math.nan)})
+def detect_record(burn_in_windows, flows) -> DetectManifest:
+    """A detect run's record with these thresholds, of no world."""
+    return DetectManifest(
+        quantile=0.99, k=3, m=8, w_min=5,
+        world=RunManifest("w", 1, "h", "timing+contention-v1",
+                          (0.6, 0.2, 0.2)),
+        detector_params=DetectorParams(), burn_in_windows=burn_in_windows,
+        n_records=0, flows=flows)
+
+
+RECORD = detect_record(10, {1: FlowThresholds(0.5, 0.5),
+                            2: FlowThresholds(0.5, 0.5),
+                            3: FlowThresholds(math.nan, math.nan)})
 
 
 # ---------------------------------------------------------------------------
@@ -82,27 +91,27 @@ def test_fpr_counts_test_pairs_only():
         rec(9, 10, a=True, z=True),   # malicious, ignored
     ])
     labels = [episode(9, 5, 20)]
-    alarm, actionable = achieved_fpr(scores, labels, THRESHOLDS)
+    alarm, actionable = achieved_fpr(scores, labels, RECORD)
     assert alarm == pytest.approx(1 / 6)
     assert actionable == pytest.approx(1 / 6)
 
 
 def test_fpr_no_alarms_is_zero():
     scores = table(rec(1, w) for w in range(10, 20))
-    assert achieved_fpr(scores, [], THRESHOLDS) == (0.0, 0.0)
+    assert achieved_fpr(scores, [], RECORD) == (0.0, 0.0)
 
 
 def test_fpr_all_alarmed_is_one():
     scores = table(rec(1, w, a=True) for w in range(10, 20))
-    alarm, actionable = achieved_fpr(scores, [], THRESHOLDS)
+    alarm, actionable = achieved_fpr(scores, [], RECORD)
     assert alarm == 1.0 and actionable == 0.0
 
 
 def test_fpr_zero_eligible_raises():
     with pytest.raises(ValueError):
-        achieved_fpr(rec(3, 10), [], THRESHOLDS)
+        achieved_fpr(rec(3, 10), [], RECORD)
     with pytest.raises(ValueError):
-        achieved_fpr(rec(1, 5), [], THRESHOLDS)
+        achieved_fpr(rec(1, 5), [], RECORD)
 
 
 def test_fpr_iid_scores_match_quantile():
@@ -115,8 +124,8 @@ def test_fpr_iid_scores_match_quantile():
     zero = np.zeros(n)
     scores = Scores(np.ones(n), 10_000 + np.arange(n), zero, zero, zero,
                      zero, test, test >= th, np.zeros(n, dtype=bool))
-    alarm, _ = achieved_fpr(scores, [], Thresholds(
-        burn_in_windows=10_000, flows={1: FlowThresholds(th, th)}))
+    alarm, _ = achieved_fpr(scores, [], detect_record(
+        10_000, {1: FlowThresholds(th, th)}))
     assert abs(alarm - 0.01) < 0.005
 
 
@@ -218,7 +227,7 @@ def _deltas(base, gated):
     """The report's two p99.9 deltas, which it derives from its tails: the
     same numbers as each percentile sorted again."""
     rep = compute_report(table(rec(1, w) for w in range(10, 20)), [], [],
-                         THRESHOLDS, [], base, gated)
+                         RECORD, [], base, gated)
     deltas = (rep.delta_p999_delay_ms, rep.delta_p999_collateral_ms)
     assert deltas == queue_impact(base, gated)
     return deltas
@@ -332,7 +341,7 @@ def test_compute_report_fields_and_round_trip(tmp_path):
     base = _tiny_log(1e6)
     gated = _tiny_log(1e6)
     rep = compute_report(scores, labels,
-                         time_to_detect(scores, labels, 8, 0.25), THRESHOLDS,
+                         time_to_detect(scores, labels, 8, 0.25), RECORD,
                          feas, base, gated)
     assert rep.achieved_fpr_alarm == 0.0
     assert rep.incident_recall == 1.0
@@ -359,7 +368,7 @@ def test_compute_report_fields_and_round_trip(tmp_path):
 def test_compute_report_no_episodes():
     scores = table(rec(1, w) for w in range(10, 20))
     log = _tiny_log(1e6)
-    rep = compute_report(scores, [], [], THRESHOLDS, [], log, log)
+    rep = compute_report(scores, [], [], RECORD, [], log, log)
     assert rep.incident_recall is None
     assert rep.ttd_s == []
     assert rep.feasibility_rate == 1.0

@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 import flowgate.trace as trace_module
 from flowgate.cli import ParamsFile
 from flowgate.detector import (
+    DetectManifest,
     DetectorParams,
     FlowThresholds,
     Scores,
-    Thresholds,
     read_scores_csv,
     write_scores_csv,
 )
@@ -198,15 +198,15 @@ _FLOW_INFO = st.builds(FlowInfo, st.builds(FlowKey, _TEXT, _TEXT, _INTS,
 _DETECTOR = st.builds(DetectorParams, **{
     f.name: _INTS if f.type == "int" else _FLOATS
     for f in fields(DetectorParams)})
+_MANIFEST = st.builds(RunManifest, _TEXT, _INTS, _TEXT, _TEXT,
+                      st.tuples(_FLOATS, _FLOATS, _FLOATS), _TEXT, _TEXT)
 RECORDS = {
     "flow table": (dict[int, FlowInfo], st.dictionaries(_INTS, _FLOW_INFO,
                                                         max_size=3)),
     "labels": (list[EpisodeLabel], st.lists(st.builds(
         EpisodeLabel, _INTS, _INTS, _INTS, _TEXT, _BUDGETS, st.booleans()),
         max_size=3)),
-    "manifest": (RunManifest, st.builds(
-        RunManifest, _TEXT, _INTS, _TEXT, _TEXT,
-        st.tuples(_FLOATS, _FLOATS, _FLOATS), _TEXT, _TEXT)),
+    "manifest": (RunManifest, _MANIFEST),
     "config": (WorldConfig, st.builds(
         WorldConfig, _TEXT, _INTS, _INTS, _INTS, _FLOATS,
         st.lists(st.builds(BenignFlowSpec, _INTS, _TEXT, _INTS, _TEXT, _FREE),
@@ -224,9 +224,11 @@ RECORDS = {
     "params file": (ParamsFile, st.builds(
         ParamsFile, detector=_DETECTOR, quantile=_FLOATS, k=_INTS, m=_INTS,
         w_min=_INTS)),
-    "thresholds": (Thresholds, st.builds(
-        Thresholds, quantile=_FLOATS, k=_INTS, m=_INTS, w_min=_INTS,
-        burn_in_windows=_INTS, flows=st.dictionaries(_INTS, st.builds(
+    # detect_manifest.json, the record read_thresholds reads
+    "thresholds": (DetectManifest, st.builds(
+        DetectManifest, quantile=_FLOATS, k=_INTS, m=_INTS, w_min=_INTS,
+        world=_MANIFEST, detector_params=_DETECTOR, burn_in_windows=_INTS,
+        n_records=_INTS, flows=st.dictionaries(_INTS, st.builds(
             FlowThresholds, *[_FLOATS | st.just(math.nan)] * 2),
             max_size=3))),
 }
