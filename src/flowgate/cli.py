@@ -4,8 +4,8 @@ Every command prints its resolved knobs as key=value lines (precedence:
 explicit flag, then config file, then built-in default) and writes a manifest
 next to its outputs. A world is read through worlds.load_head plus
 load_traffic (detect, replay) or load_outcomes (report), so detection and
-replay never open the labels file; labels enter only through the report
-command.
+replay never open feasibility.json, from which the episode labels derive;
+labels enter only through the report command.
 """
 
 from __future__ import annotations
@@ -128,14 +128,24 @@ def _recorded_world(artifact, name: str, read, manifest: RunManifest):
     return doc, path
 
 
+def _burn_in(config) -> int:
+    """The windows detect calibrates on: the train share of the horizon."""
+    return int(round(config.split[0] * config.horizon_windows))
+
+
 def _load_scores(path, config, manifest: RunManifest):
     """The scores at path and their detect run's record beside them,
     refusing, naming the file, what _recorded_world and read_scores_csv
-    refuse, other than n_records rows, and rows or record flows other than
-    one for each of config.json's flows at each window in [0, horizon)."""
+    refuse, a record burn-in other than _burn_in's, other than n_records
+    rows, and rows or record flows other than one for each of config.json's
+    flows at each window in [0, horizon)."""
     record, record_path = _recorded_world(path, "detect_manifest.json",
                                           read_thresholds, manifest)
     check_config_flows(record_path, record.flows, config)
+    if record.burn_in_windows != _burn_in(config):
+        raise ValueError(f"{record_path}: burn_in_windows = "
+                         f"{record.burn_in_windows} is not {_burn_in(config)}"
+                         ", the train split of config.json's horizon")
     scores = read_scores_csv(path)
     if len(scores) != record.n_records:
         raise ValueError(f"{path}: {len(scores)} rows, but {record_path} "
@@ -198,7 +208,7 @@ def cmd_detect(args) -> int:
     except ValueError as exc:
         raise ArgumentContractError(str(exc)) from None
 
-    burn_in = int(round(manifest.split[0] * config.horizon_windows))
+    burn_in = _burn_in(config)
     print(f"burn_in_windows={burn_in}")
 
     table = windowize(trace, graph)

@@ -42,8 +42,6 @@ from flowgate.trace import (
     config_hash,
     from_json,
     load_json,
-    read_flow_table,
-    read_labels,
     read_manifest,
     read_trace_csv,
     split_ok,
@@ -447,11 +445,8 @@ class ContentionGraph:
     def from_dict(cls, d, path="contention.json") -> "ContentionGraph":
         """The graph a parsed contention.json holds, refusing, naming the
         path and the key, what from_json or the constructor refuses, a
-        weight block that is not c x c for its c flows, a dense W and a
+        weight block that is not c x c for its c flows and a
         spectral_radius that is not rho of the blocks within RHO_RTOL."""
-        if isinstance(d, dict) and "flow_ids" in d:
-            raise ValueError(f"{path}: flow_ids holds a dense W from an older "
-                             "flowgate; run gen-world again")
         doc = from_json(_GraphFile, d, path)
         for c, b in doc.cliques.items():
             if {len(b.weights), *map(len, b.weights)} != {len(b.flows)}:
@@ -730,13 +725,19 @@ def read_feasibility(path, i_max: int) -> list[FeasibilityOutcome]:
     return doc.outcomes
 
 
+def _then_flows(trace: Trace, flows) -> Trace:
+    """trace followed by the packets of flows, each (flow_id, clique_id,
+    ts_us, len_bytes), flow after flow."""
+    return Trace.concat([trace, *(
+        replace(trace, ts_us=ts, flow_id=np.full(len(ts), f), len_bytes=ln,
+                clique_id=np.full(len(ts), c)) for f, c, ts, ln in flows)])
+
+
 def with_flows(trace: Trace, flows) -> Trace:
     """trace plus the packets of flows, each (flow_id, clique_id, ts_us,
     len_bytes) with its packets in arrival order, all in trace order: by
     arrival, ties by flow id, then by position."""
-    out = Trace.concat([trace, *(
-        replace(trace, ts_us=ts, flow_id=np.full(len(ts), f), len_bytes=ln,
-                clique_id=np.full(len(ts), c)) for f, c, ts, ln in flows)])
+    out = _then_flows(trace, flows)
     return out.take(np.lexsort((out.flow_id, out.ts_us)))
 
 
@@ -877,53 +878,84 @@ def _flow_key(flow_id: int, clique_id: int) -> FlowKey:
     )
 
 
+# A world's flow table, episode labels and IAT references are derived from
+# config.json, feasibility.json and trace.csv by the three functions below,
+# which build_world and the loaders share; flows.csv, labels.csv and
+# references.json are exports of what they return.
+
+
+def _by_flow(specs):
+    return sorted(specs, key=lambda s: s.flow_id)
+
+
+def flow_table(config: WorldConfig) -> dict[int, FlowInfo]:
+    """Each flow of config: its key, its device class and its label,
+    benign for a benign flow and malicious for an episode."""
+    return {f.flow_id: FlowInfo(_flow_key(f.flow_id, f.clique_id),
+                                f.device_class, label)
+            for specs, label in ((config.benign_flows, BENIGN),
+                                 (config.episodes, MALICIOUS))
+            for f in specs}
+
+
+def episode_labels(
+        config: WorldConfig,
+        feasibility: list[FeasibilityOutcome]) -> list[EpisodeLabel]:
+    """The label of each episode of config, in flow order, feasible as its
+    outcome in feasibility is."""
+    feasible = {o.flow_id: o.feasible for o in feasibility}
+    return [EpisodeLabel(e.flow_id, e.start_window, e.end_window, e.kind,
+                         e.budgets, feasible[e.flow_id])
+            for e in _by_flow(config.episodes)]
+
+
+def iat_references(config: WorldConfig,
+                   trace: Trace) -> list[BenignIatReference]:
+    """The IAT reference of each episode of config, in flow order: the
+    pooled IATs of the arrivals in trace of the benign flows of its device
+    class, refusing a class whose pool is empty. Each flow's packets must
+    be in arrival order in trace; the flows may interleave in any way."""
+    pools = {}
+    for cls in sorted({e.device_class for e in config.episodes}):
+        pools[cls] = pool_class_iats([
+            trace.ts_us[trace.flow_id == f.flow_id]
+            for f in config.benign_flows if f.device_class == cls])
+        if pools[cls].size == 0:
+            raise GenerationError(
+                f"device class {cls!r} yields no benign IATs to reference")
+    return [BenignIatReference(e.flow_id, pools[e.device_class])
+            for e in _by_flow(config.episodes)]
+
+
 def build_world(config: WorldConfig, seed: int) -> World:
     """Deterministically realize a world from its config and seed."""
     config.validate()
     horizon_us = config.horizon_windows * config.window_us
     bounds = config.len_bounds
 
-    flow_table: dict[int, FlowInfo] = {}
-    clique_of: dict[int, int] = {}
     benign_flows = []  # (flow_id, clique_id, ts_us, len_bytes) per flow
-
     for spec in config.benign_flows:
         rng = np.random.default_rng([seed, spec.flow_id, _SALT_BENIGN])
         with _flow_params(spec.flow_id, "params"):
             ts, ln = gen_benign_flow(spec.kind, spec.params, rng, horizon_us,
                                      bounds)
         benign_flows.append((spec.flow_id, spec.clique_id, ts, ln))
-        flow_table[spec.flow_id] = FlowInfo(
-            _flow_key(spec.flow_id, spec.clique_id), spec.device_class, BENIGN)
-        clique_of[spec.flow_id] = spec.clique_id
-    for ep in config.episodes:
-        flow_table[ep.flow_id] = FlowInfo(
-            _flow_key(ep.flow_id, ep.clique_id), ep.device_class, MALICIOUS)
-        clique_of[ep.flow_id] = ep.clique_id
 
     graph = build_contention_graph(
-        clique_of, config.rho_band, np.random.default_rng([seed, _SALT_GRAPH]))
+        {f.flow_id: f.clique_id
+         for f in config.benign_flows + config.episodes},
+        config.rho_band, np.random.default_rng([seed, _SALT_GRAPH]))
 
-    class_pools: dict[str, np.ndarray] = {}
-    for cls_name in sorted({e.device_class for e in config.episodes}):
-        pool = pool_class_iats(
-            [flow[2] for flow, f in zip(benign_flows, config.benign_flows)
-             if f.device_class == cls_name])
-        if pool.size == 0:
-            raise GenerationError(
-                f"device class {cls_name!r} yields no benign IATs to reference")
-        class_pools[cls_name] = pool
-
-    no_packets = Trace(*[np.empty(0, np.int64)] * 4, flow_table,
+    no_packets = Trace(*[np.empty(0, np.int64)] * 4, flow_table(config),
                        config.horizon_windows, config.window_us)
+    # the pools read each flow's arrivals alone: the flows need no merge
+    references = iat_references(config, _then_flows(no_packets, benign_flows))
     episode_flows = []
     # each clique's benign packets and baseline delay, shared by its episodes
     clique_benign: dict[int, tuple[Trace, float]] = {}
-    labels: list[EpisodeLabel] = []
-    references: list[BenignIatReference] = []
     feasibility: list[FeasibilityOutcome] = []
 
-    for ep in sorted(config.episodes, key=lambda e: e.flow_id):
+    for ep, reference in zip(_by_flow(config.episodes), references):
         rng_ep = np.random.default_rng([seed, ep.flow_id, _SALT_EPISODE])
         with _flow_params(ep.flow_id, "cover_params"):
             cover_ts, cover_ln = gen_benign_flow(
@@ -938,8 +970,6 @@ def build_world(config: WorldConfig, seed: int) -> World:
         order = np.argsort(ts, kind="stable")
         ts, ln = ts[order], ln[order]
 
-        reference = BenignIatReference(ep.flow_id, class_pools[ep.device_class])
-        references.append(reference)
         if ep.clique_id not in clique_benign:
             ben = with_flows(no_packets, [f for f in benign_flows
                                           if f[1] == ep.clique_id])
@@ -953,15 +983,13 @@ def build_world(config: WorldConfig, seed: int) -> World:
             np.random.default_rng([seed, ep.flow_id, _SALT_THIN]))
         episode_flows.append((ep.flow_id, ep.clique_id, ts, ln))
         feasibility.append(out)
-        labels.append(EpisodeLabel(ep.flow_id, ep.start_window, ep.end_window,
-                                   ep.kind, ep.budgets, out.feasible))
     trace = with_flows(no_packets, benign_flows + episode_flows)
 
     manifest = RunManifest(
         world_id=config.world_id, seed=seed, config_hash=config.hash(),
         feature_contract=FEATURE_CONTRACT, split=config.split)
-    return World(trace, graph, labels, references, manifest, feasibility,
-                 config)
+    return World(trace, graph, episode_labels(config, feasibility),
+                 references, manifest, feasibility, config)
 
 
 # ---------------------------------------------------------------------------
@@ -1035,8 +1063,8 @@ def write_world(out_dir, world: World) -> None:
 
 def check_trace(trace: Trace, graph: ContentionGraph,
                 len_bounds: tuple[int, int]) -> None:
-    """Refuse a loaded trace that disagrees with its flow table, graph or
-    config.
+    """Refuse a loaded trace that disagrees with its flow table (derived
+    from config.json), graph or config.
 
     Every packet's flow must be in both, and its clique tag must be the
     graph's clique for that flow: replay serves a packet by its tag, while
@@ -1047,7 +1075,8 @@ def check_trace(trace: Trace, graph: ContentionGraph,
     them.
     """
     if sorted(trace.flow_table) != graph.flow_ids:
-        raise ValueError("flows.csv and contention.json list different flows")
+        raise ValueError("config.json and contention.json list different "
+                         "flows")
     ids = np.asarray(graph.flow_ids, dtype=np.int64)
     cq = np.array([graph.clique_of[f] for f in graph.flow_ids], dtype=np.int64)
     pos = np.searchsorted(ids, trace.flow_id).clip(0, ids.size - 1)
@@ -1055,7 +1084,7 @@ def check_trace(trace: Trace, graph: ContentionGraph,
     if unknown.any():
         f = int(trace.flow_id[unknown.argmax()])
         raise ValueError(
-            f"trace.csv: flow {f} is not in flows.csv or contention.json")
+            f"trace.csv: flow {f} is not in config.json or contention.json")
     wrong = cq[pos] != trace.clique_id
     if wrong.any():
         i = int(wrong.argmax())
@@ -1085,7 +1114,7 @@ def check_trace(trace: Trace, graph: ContentionGraph,
 
 
 # Each stage reads only its view of a world: detect and replay the head and
-# the traffic, report the head and the outcomes, load_world everything.
+# the traffic, report the head and the outcomes, load_world all three.
 
 
 def load_head(world_dir) -> tuple[WorldConfig, RunManifest]:
@@ -1108,12 +1137,10 @@ def load_head(world_dir) -> tuple[WorldConfig, RunManifest]:
 
 def load_traffic(world_dir, config: WorldConfig) -> tuple[Trace,
                                                           ContentionGraph]:
-    """A world's trace and contention graph, checked by check_flow_table
-    and check_trace."""
+    """A world's trace, with config's flow table, and contention graph,
+    checked by check_trace."""
     d = Path(world_dir)
-    flow_table = read_flow_table(d / "flows.csv")
-    check_flow_table(d / "flows.csv", flow_table, config)
-    trace = read_trace_csv(d / "trace.csv", flow_table,
+    trace = read_trace_csv(d / "trace.csv", flow_table(config),
                            config.horizon_windows, config.window_us)
     graph = ContentionGraph.from_dict(load_json(d / "contention.json"),
                                       d / "contention.json")
@@ -1123,15 +1150,13 @@ def load_traffic(world_dir, config: WorldConfig) -> tuple[Trace,
 
 def load_outcomes(world_dir, config: WorldConfig) -> tuple[
         list[EpisodeLabel], list[FeasibilityOutcome]]:
-    """A world's episode labels, checked by check_labels, and their
-    feasibility outcomes."""
+    """A world's feasibility outcomes, checked by check_episode_flows, and
+    the episode labels derived from them."""
     d = Path(world_dir)
-    labels = read_labels(d / "labels.csv")
-    check_labels(d / "labels.csv", labels, config)
     feasibility = read_feasibility(d / "feasibility.json", config.i_max)
-    check_episode_flows(d / "feasibility.json", "outcome",
-                        [o.flow_id for o in feasibility], labels)
-    return labels, feasibility
+    check_episode_flows(d / "feasibility.json",
+                        [o.flow_id for o in feasibility], config)
+    return episode_labels(config, feasibility), feasibility
 
 
 def check_same(path, where: str, found, recorded, names, other: str) -> None:
@@ -1157,69 +1182,25 @@ def check_config_flows(path, flow_ids, config: WorldConfig) -> None:
             else "of config.json is missing"))
 
 
-def check_flow_table(path, flow_table: dict[int, FlowInfo],
-                     config: WorldConfig) -> None:
-    """Refuse a flow table whose flows, device classes or labels are not
-    config.json's: a benign flow's label is benign, an episode's
-    malicious."""
-    check_config_flows(path, flow_table, config)
-    for spec, label in ([(f, BENIGN) for f in config.benign_flows]
-                        + [(e, MALICIOUS) for e in config.episodes]):
-        info = flow_table[spec.flow_id]
-        check_same(path, f"{spec.flow_id}.", info,
-                   replace(info, device_class=spec.device_class, label=label),
-                   ("device_class", "label"), "config.json")
-
-
-def check_labels(path, labels, config: WorldConfig) -> None:
-    """Refuse episode labels whose flows, window spans, kinds or budgets
-    are not those of config.json's episodes."""
-    episodes = {e.flow_id: e for e in config.episodes}
-    found = sorted(lab.flow_id for lab in labels)
-    if found != sorted(episodes):
-        raise ValueError(f"{path}: episode flows {found} are not "
-                         f"config.json's {sorted(episodes)}")
-    for i, lab in enumerate(labels):
-        check_same(path, f"[{i}].", lab, episodes[lab.flow_id],
-                   ("start_window", "end_window", "kind", "budgets"),
-                   "config.json")
-
-
-def check_episode_flows(path, what: str, flow_ids, labels) -> None:
-    """Refuse a per-episode file whose flows are not the labelled ones."""
-    found, episodes = sorted(flow_ids), sorted(e.flow_id for e in labels)
+def check_episode_flows(path, flow_ids, config: WorldConfig) -> None:
+    """Refuse outcomes whose flows are not config.json's episodes."""
+    found = sorted(flow_ids)
+    episodes = sorted(e.flow_id for e in config.episodes)
     if found != episodes:
-        raise ValueError(f"{path}: {what} flows {found} are not the episodes "
-                         f"{episodes} of labels.csv")
-
-
-def read_references(path) -> list[BenignIatReference]:
-    """Load references.json, {"<flow id>": [IATs in us]}, in flow order,
-    refusing, naming the path and the key, a value that is not a list of
-    integers and what BenignIatReference refuses. The IATs (tens of
-    thousands per world) are checked as arrays, not through the codec."""
-    references = []
-    for f, iats in sorted(from_json(dict[int, list], load_json(path),
-                                    path).items()):
-        if not set(map(type, iats)) <= {int}:  # bool is not int here
-            i = next(i for i, x in enumerate(iats) if type(x) is not int)
-            raise ValueError(f"{path}: {f}[{i}] = {iats[i]!r} is not an "
-                             "integer")
-        try:
-            references.append(BenignIatReference(f, np.array(iats, np.int64)))
-        except (GenerationError, OverflowError) as exc:
-            raise ValueError(f"{path}: {f}: {exc}") from None
-    return references
+        raise ValueError(f"{path}: outcome flows {found} are not the "
+                         f"episodes {episodes} of config.json")
 
 
 def load_world(world_dir) -> World:
-    """Every file of a world, with every cross-file check."""
+    """A world from its head, traffic and outcomes, with every cross-file
+    check, and the IAT references derived from trace.csv."""
     d = Path(world_dir)
     config, manifest = load_head(d)
     trace, graph = load_traffic(d, config)
     labels, feasibility = load_outcomes(d, config)
-    references = read_references(d / "references.json")
-    check_episode_flows(d / "references.json", "reference",
-                        [r.flow_id for r in references], labels)
+    try:
+        references = iat_references(config, trace)
+    except GenerationError as exc:
+        raise ValueError(f"{d / 'trace.csv'}: {exc}") from None
     return World(trace, graph, labels, references, manifest, feasibility,
                  config)

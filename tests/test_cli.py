@@ -14,6 +14,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from flowgate.cli import main
@@ -30,6 +31,7 @@ from flowgate.trace import (
     Trace,
     from_json,
     read_flow_table,
+    read_labels,
     read_trace_csv,
     to_json,
     write_json,
@@ -40,6 +42,13 @@ from flowgate.worlds import (
     ContentionGraph,
     EpisodeSpec,
     WorldConfig,
+    audit_budgets,
+    episode_labels,
+    flow_table,
+    iat_references,
+    load_head,
+    load_outcomes,
+    load_traffic,
     load_world,
 )
 
@@ -148,32 +157,126 @@ def _same_outputs(out: Path, expected: Path) -> None:
         assert (out / f.name).read_bytes() == f.read_bytes(), f.name
 
 
+# the files each reader of a world opens; trace.csv comes with its twin
+TRAFFIC_FILES = ("config.json", "manifest.json", "trace.csv",
+                 "trace.csv.cols", "contention.json")
+OUTCOME_FILES = ("config.json", "manifest.json", "feasibility.json")
+
+
+def _stripped(pipe, tmp_path, names) -> Path:
+    """A copy of the pipeline's world holding only the files names."""
+    world = tmp_path / "world_stripped"
+    world.mkdir()
+    for name in names:
+        shutil.copy(pipe["world"] / name, world / name)
+    return world
+
+
+def _stage_runs(pipe, tmp_path, world):
+    """The pipeline's detect, replays and report on world, by the pipeline
+    output each repeats: the run and the directory it writes."""
+    def cli(out, *argv):
+        return (lambda: main([*argv, "--world", str(world),
+                              "--out", str(tmp_path / out)]), tmp_path / out)
+
+    return {"det": cli("det", "detect", "--w-min", "20"),
+            "base": cli("base", "replay", "--mode", "base"),
+            "gated": cli("gated", "replay", "--mode", "gated",
+                         "--scores", str(pipe["det"] / "scores.csv")),
+            "rep": (lambda: _report(pipe, tmp_path, world=world),
+                    tmp_path / "r")}
+
+
 def test_detect_ignores_labels_file(pipe, tmp_path):
-    # detect and replay read the world's head and traffic only: without the
-    # labels, the feasibility outcomes and the IAT references they write
-    # the same bytes
-    blind = tmp_path / "world_blind"
-    shutil.copytree(pipe["world"], blind)
-    for name in ("labels.csv", "feasibility.json", "references.json"):
-        (blind / name).unlink()
-    for stage, argv in (
-            ("det", ["detect", "--w-min", "20"]),
-            ("base", ["replay", "--mode", "base"]),
-            ("gated", ["replay", "--mode", "gated",
-                       "--scores", str(pipe["det"] / "scores.csv")])):
-        out = tmp_path / f"{stage}_blind"
-        assert main([*argv, "--world", str(blind), "--out", str(out)]) == 0
+    # detect and replay read the head and the traffic only: on a world of
+    # exactly those files they write the same bytes
+    runs = _stage_runs(pipe, tmp_path,
+                       _stripped(pipe, tmp_path, TRAFFIC_FILES))
+    for stage in ("det", "base", "gated"):
+        run, out = runs[stage]
+        assert run() == 0, stage
         _same_outputs(out, pipe[stage])
 
 
 def test_report_ignores_trace_and_references(pipe, tmp_path):
-    # report reads the world's head and outcomes only
-    blind = tmp_path / "world_blind"
-    shutil.copytree(pipe["world"], blind)
-    for name in ("trace.csv", "references.json"):
-        (blind / name).unlink()
-    assert _report(pipe, tmp_path, world=blind) == 0
-    _same_outputs(tmp_path / "r", pipe["rep"])
+    # report reads the head and the outcomes only: on a world of exactly
+    # those files it writes the same bytes
+    run, out = _stage_runs(pipe, tmp_path,
+                           _stripped(pipe, tmp_path, OUTCOME_FILES))["rep"]
+    assert run() == 0
+    _same_outputs(out, pipe["rep"])
+
+
+def test_load_world_reads_exactly_the_traffic_and_outcomes(pipe, tmp_path):
+    world = _stripped(pipe, tmp_path, TRAFFIC_FILES + ("feasibility.json",))
+    whole, stripped = load_world(pipe["world"]), load_world(world)
+    assert stripped.trace == whole.trace
+    assert stripped.labels == whole.labels
+    assert stripped.references == whole.references
+    assert to_json(stripped.feasibility) == to_json(whole.feasibility)
+    assert audit_budgets(stripped) == audit_budgets(whole)
+
+
+def _own_iat_references(world: Path) -> dict:
+    """references.json forged as each episode's own positive IATs, which
+    the audit would take for a perfect reference."""
+    trace = load_world(world).trace
+    doc = json.loads((world / "references.json").read_text())
+    forged = {}
+    for f in doc:
+        d = np.diff(trace.ts_us[trace.flow_id == int(f)])
+        forged[f] = np.sort(d[d > 0]).tolist()
+    assert forged != doc
+    return forged
+
+
+def _edit_export(world: Path, artifact: str, edit: str) -> None:
+    path = world / artifact
+    if edit == "truncated":
+        text = path.read_text()
+        path.write_text(text[:len(text) // 2])
+    elif artifact == "flows.csv":  # every label and device class swapped
+        doc = json.loads(path.read_text())
+        write_json(path, {f: {**info, "device_class": "camera", "label": (
+            "benign" if info["label"] == "malicious" else "malicious")}
+            for f, info in doc.items()})
+    elif artifact == "labels.csv":  # other windows, kinds and feasibility
+        write_json(path, [{**lab, "start_window": 0, "end_window": 1,
+                           "kind": "scan", "feasible": not lab["feasible"]}
+                          for lab in json.loads(path.read_text())])
+    else:
+        write_json(path, _own_iat_references(world))
+
+
+@pytest.mark.parametrize("artifact, edit", [
+    ("flows.csv", "truncated"), ("flows.csv", "other flows"),
+    ("labels.csv", "truncated"), ("labels.csv", "other labels"),
+    ("references.json", "truncated"),
+    ("references.json", "each episode's own IATs")])
+def test_edited_world_exports_are_ignored(pipe, tmp_path, artifact, edit):
+    # flows.csv, labels.csv and references.json are exports: no stage and
+    # no audit reads them back
+    world = _world_copy(pipe, tmp_path)
+    audit = audit_budgets(load_world(world))
+    _edit_export(world, artifact, edit)
+    for stage, (run, out) in _stage_runs(pipe, tmp_path, world).items():
+        assert run() == 0, stage
+        _same_outputs(out, pipe[stage])
+    assert audit_budgets(load_world(world)) == audit
+
+
+def test_world_exports_are_the_derived_records(pipe):
+    # what gen-world exports is what every stage derives
+    world = pipe["world"]
+    config, _ = load_head(world)
+    trace, _ = load_traffic(world, config)
+    labels, feasibility = load_outcomes(world, config)
+    assert read_flow_table(world / "flows.csv") == flow_table(config)
+    assert read_labels(world / "labels.csv") == labels == episode_labels(
+        config, feasibility)
+    assert json.loads((world / "references.json").read_text()) == {
+        str(r.flow_id): r.sorted_iats_us.tolist()
+        for r in iat_references(config, trace)}
 
 
 @pytest.mark.parametrize("command", ["replay", "report"])
@@ -813,6 +916,11 @@ def _bad_scores(pipe, tmp_path, case):
         edit(0, 999)
         return scores, (f"ValueError: {scores}: line 5: flow 999 is not in "
                         "config.json")
+    if case == "burn-in of another split":
+        doc = json.loads(record.read_text())
+        write_json(record, {**doc, "burn_in_windows": 0})
+        return scores, (f"ValueError: {record}: burn_in_windows = 0 is not "
+                        "72, the train split of config.json's horizon")
     assert case == "record of another world"
     doc = json.loads(record.read_text())
     write_json(record, {**doc, "world": {**doc["world"], "seed": 6}})
@@ -840,7 +948,7 @@ def _bad_log(pipe, tmp_path, case):
 BAD_SCORES = ["no detect_manifest.json",
               "rows missing beside their own record",
               "window at or past the horizon", "flow not in config.json",
-              "record of another world"]
+              "record of another world", "burn-in of another split"]
 BAD_LOGS = ["queue log without replay_manifest.json",
             "replay manifest of other packets"]
 
@@ -1015,16 +1123,13 @@ def _world_copy(pipe, tmp_path):
     return world
 
 
-# every JSON artifact of a world (flows.csv and labels.csv hold JSON) and
-# the commands that read it; load_world reads them all
+# every JSON file of a world that is read, and the commands that read it;
+# load_world reads them all
 WORLD_JSON_READERS = {
     "config.json": ("detect", "replay", "report"),
     "contention.json": ("detect", "replay"),
     "feasibility.json": ("report",),
-    "flows.csv": ("detect", "replay"),
-    "labels.csv": ("report",),
     "manifest.json": ("detect", "replay", "report"),
-    "references.json": (),
 }
 
 
@@ -1110,86 +1215,6 @@ def _edit_manifest(doc):
     }
 
 
-def _edit_flows(doc):
-    """Named corruptions of a flow table, as _edit_config's."""
-    f = sorted(doc, key=int)[0]
-    entry = doc[f]
-
-    def with_key(**key):
-        return {**doc, f: {**entry, "key": {**entry["key"], **key}}}
-
-    return {
-        "missing key": ({**doc, f: _without(entry, "label")},
-                        f"missing key '{f}.label'"),
-        "unknown key": (with_key(extra=1), f"unknown key '{f}.key.extra'"),
-        "string for an int": (with_key(src_port="1"),
-                              f"{f}.key.src_port = '1' is not an integer"),
-        "misspelt label": ({**doc, f: {**entry, "label": "bening"}},
-                           f"{f}.label = 'bening' is not 'benign' or "
-                           "'malicious'"),
-        "flow id not an integer": ({**doc, "x1": entry},
-                                   "key 'x1' of the document is not an "
-                                   "integer"),
-        # a flow table that parses but is not the config's
-        "flow not in the config": ({**doc, "999": entry},
-                                   "flow 999 is not in config.json"),
-        "config flow missing": ({k: v for k, v in doc.items() if k != f},
-                                f"flow {f} of config.json is missing"),
-        "device class of another config": (
-            {**doc, f: {**entry, "device_class": "camera"}},
-            f"{f}.device_class = 'camera' is not config.json's "
-            f"device_class {entry.get('device_class')!r}"),
-        "episode labelled benign": (
-            {**doc, "100": {**doc.get("100", entry), "label": "benign"}},
-            "100.label = 'benign' is not config.json's label 'malicious'"),
-    }
-
-
-def _edit_labels(doc):
-    """Named corruptions of the episode labels, as _edit_config's."""
-    lab = doc[0]
-
-    def with_label(entry):
-        return [entry, *doc[1:]]
-
-    return {
-        "missing key": (with_label(_without(lab, "feasible")),
-                        "missing key '[0].feasible'"),
-        "unknown key": (with_label({**lab, "extra": 1}),
-                        "unknown key '[0].extra'"),
-        "string for a bool": (with_label({**lab, "feasible": "false"}),
-                              "[0].feasible = 'false' is not true or false"),
-        "string for an int": (
-            with_label({**lab, "budgets": {**lab["budgets"],
-                                           "r_min_bytes": "7"}}),
-            "[0].budgets.r_min_bytes = '7' is not an integer"),
-        "unknown kind": (with_label({**lab, "kind": "exfil"}),
-                         "[0].kind = 'exfil' is not one of"),
-        # labels that parse but are not the config's episodes
-        "flow not an episode": (with_label({**lab, "flow_id": 5}),
-                                "episode flows [5] are not config.json's "
-                                "[100]"),
-        "start window of another config": (
-            with_label({**lab, "start_window": lab.get("start_window", 0)
-                        + 10}),
-            f"[0].start_window = {lab.get('start_window', 0) + 10} is not "
-            f"config.json's start_window {lab.get('start_window', 0)}"),
-        "end window of another config": (
-            with_label({**lab, "end_window": lab.get("end_window", 0) + 1}),
-            f"[0].end_window = {lab.get('end_window', 0) + 1} is not "
-            f"config.json's end_window {lab.get('end_window', 0)}"),
-        "kind of another config": (with_label({**lab, "kind": "scan"}),
-                                   "[0].kind = 'scan' is not config.json's "
-                                   "kind 'exfiltration'"),
-        "budgets of another config": (
-            with_label({**lab, "budgets": {**lab["budgets"],
-                                           "r_min_bytes": 7}}),
-            "[0].budgets = Budgets(r_min_bytes=7, epsilon_s=inf, "
-            "delta_q_s=inf) is not config.json's budgets Budgets("
-            "r_min_bytes=0,"),
-    }
-
-
 def _edit_contention(doc):
     """Named corruptions of a contention graph, as _edit_config's."""
     c = sorted(doc["cliques"], key=int)[0]
@@ -1215,24 +1240,6 @@ def _edit_contention(doc):
     }
 
 
-def _edit_references(doc):
-    """Named corruptions of the IAT references, as _edit_config's."""
-    f = sorted(doc, key=int)[0]
-    iats = doc[f]
-    return {
-        "string value": ({**doc, f: [5, "x"]},
-                         f"{f}[1] = 'x' is not an integer"),
-        "true as a value": ({**doc, f: [True, *iats[1:]]},
-                            f"{f}[0] = True is not an integer"),
-        "not a list": ({**doc, f: 5}, f"{f} is not a JSON list"),
-        "unsorted": ({**doc, f: iats[::-1]},
-                     f"{f}: IAT reference for flow {f} is not sorted"),
-        "flow not an episode": ({**doc, "999": iats},
-                                f"reference flows [{f}, 999] are not the "
-                                f"episodes [{f}] of labels.csv"),
-    }
-
-
 def _edit_feasibility_i_max(doc):
     """A feasibility document written for another config's i_max, as
     _edit_config's; _edit_feasibility holds the report-only cases."""
@@ -1245,10 +1252,7 @@ def _edit_feasibility_i_max(doc):
 
 WORLD_JSON_EDITS = {"config.json": _edit_config,
                     "manifest.json": _edit_manifest,
-                    "flows.csv": _edit_flows,
-                    "labels.csv": _edit_labels,
                     "contention.json": _edit_contention,
-                    "references.json": _edit_references,
                     "feasibility.json": _edit_feasibility_i_max}
 # the cases; any document on which every edit runs gives their names
 WORLD_JSON_CORRUPTIONS = [
@@ -1256,10 +1260,7 @@ WORLD_JSON_CORRUPTIONS = [
     for artifact, dummy in (
         ("config.json", {"episodes": [{"budgets": {}}]}),
         ("manifest.json", {"config_hash": "", "split": []}),
-        ("flows.csv", {"1": {"key": {}}}),
-        ("labels.csv", [{"budgets": {}}]),
         ("contention.json", {"cliques": {"0": {"weights": [[0.0]]}}}),
-        ("references.json", {"1": [1]}),
         ("feasibility.json", {"i_max": 0, "outcomes": [{}]}))
     for corruption in sorted(WORLD_JSON_EDITS[artifact](dummy))
     for reader in (*WORLD_JSON_READERS[artifact], "load_world")]
@@ -1451,8 +1452,7 @@ def test_scores_before_a_cut_ignore_the_rest_of_the_trace(pipe, cut):
     world = pipe["world"]
     config = from_json(WorldConfig, json.loads((world / "config.json")
                                                .read_text()), "config.json")
-    trace = read_trace_csv(world / "trace.csv",
-                           read_flow_table(world / "flows.csv"),
+    trace = read_trace_csv(world / "trace.csv", flow_table(config),
                            config.horizon_windows, config.window_us)
     graph = ContentionGraph.from_dict(json.loads((world / "contention.json")
                                                  .read_text()))

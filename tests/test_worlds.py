@@ -339,8 +339,9 @@ def test_graph_dict_round_trip():
     with pytest.raises(ValueError, match="listed twice"):
         type(g)({0: [1, 2], 1: [2]}, {0: np.zeros((2, 2)), 1: [[0.0]]},
                 (0.3, 0.5))
-    # a world written with a dense W is refused with a reason
-    with pytest.raises(ValueError, match="dense W"):
+    # a world written with a dense W is refused by the codec, naming the key
+    with pytest.raises(ValueError, match="^contention.json: unknown key "
+                                         "'flow_ids'$"):
         type(g).from_dict({"flow_ids": [1, 2], "weights": [[0, 1], [1, 0]],
                            "cliques": {"0": [1, 2]}, "spectral_radius": 1.0,
                            "rho_band": [0.3, 0.5]})
@@ -979,6 +980,29 @@ def test_load_world_refuses_length_outside_config_bounds(demo_world,
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=(
             f"packet 0 of flow {cells[1]} has 63 bytes, outside")):
+        load_world(tmp_path / "w")
+
+
+def test_load_world_refuses_a_class_without_benign_iats(demo_world,
+                                                        tmp_path):
+    # episode 101's reference pools telemetry flows 1 and 2: with one
+    # packet each left in trace.csv, the class has no IAT to pool
+    write_world(tmp_path / "w", demo_world)
+    path = tmp_path / "w" / "trace.csv"
+    header, *rows = path.read_text().splitlines()
+    seen = set()
+    kept = []
+    for row in rows:
+        f = row.split(",")[1]
+        if f in ("1", "2"):
+            if f in seen:
+                continue
+            seen.add(f)
+        kept.append(row)
+    path.write_text("\n".join([header, *kept]) + "\n")
+    with pytest.raises(ValueError, match=(
+            "trace.csv: device class 'telemetry' yields no benign IATs to "
+            "reference$")):
         load_world(tmp_path / "w")
 
 
