@@ -136,9 +136,10 @@ def _burn_in(config) -> int:
 def _load_scores(path, config, manifest: RunManifest):
     """The scores at path and their detect run's record beside them,
     refusing, naming the file, what _recorded_world and read_scores_csv
-    refuse, a record burn-in other than _burn_in's, other than n_records
-    rows, and rows or record flows other than one for each of config.json's
-    flows at each window in [0, horizon)."""
+    refuse, a record burn-in other than _burn_in's, scores of a sha256 other
+    than the record's, other than n_records rows, and rows or record flows
+    other than one for each of config.json's flows at each window in
+    [0, horizon)."""
     record, record_path = _recorded_world(path, "detect_manifest.json",
                                           read_thresholds, manifest)
     check_config_flows(record_path, record.flows, config)
@@ -146,7 +147,7 @@ def _load_scores(path, config, manifest: RunManifest):
         raise ValueError(f"{record_path}: burn_in_windows = "
                          f"{record.burn_in_windows} is not {_burn_in(config)}"
                          ", the train split of config.json's horizon")
-    scores = read_scores_csv(path)
+    scores = read_scores_csv(path, (record.scores_sha256, record_path))
     if len(scores) != record.n_records:
         raise ValueError(f"{path}: {len(scores)} rows, but {record_path} "
                          f"records n_records = {record.n_records}")
@@ -237,7 +238,7 @@ def cmd_detect(args) -> int:
     write_thresholds(out / "detect_manifest.json", DetectManifest(
         **vars(calibration), world=manifest, detector_params=params,
         burn_in_windows=burn_in, n_records=n_records,
-        flows=session.thresholds()))
+        scores_sha256=stream.sha256, flows=session.thresholds()))
     print(f"flows={n_flows}")
     print(f"records={n_records}")
     print(f"alarms={int(scores.a.sum())}")

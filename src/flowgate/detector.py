@@ -19,6 +19,7 @@ elementwise kernels over those arrays.
 from __future__ import annotations
 
 import math
+import re
 from collections import deque
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -248,7 +249,8 @@ class FlowThresholds:
 @dataclass(kw_only=True)
 class DetectManifest(Calibration):
     """detect_manifest.json, a detect run's one record: its world, knobs,
-    burn-in, rows written and flow thresholds, every key required."""
+    burn-in, rows written, the sha256 of the scores.csv it wrote and flow
+    thresholds, every key required."""
 
     every_key_required: ClassVar[bool] = True
 
@@ -256,6 +258,7 @@ class DetectManifest(Calibration):
     detector_params: DetectorParams
     burn_in_windows: int
     n_records: int
+    scores_sha256: str
     flows: dict[int, FlowThresholds]
 
 
@@ -460,11 +463,12 @@ def write_scores_csv(path, scores: Scores | TableStream) -> Scores:
     return scores
 
 
-def read_scores_csv(path) -> Scores:
+def read_scores_csv(path, recorded=None) -> Scores:
     """Load a scores CSV, refusing, naming the path and the lines, what
-    read_table refuses, a baseline_s other than E and a (flow, window) pair
-    that an earlier line holds."""
-    scores = read_table(Scores, path)
+    read_table refuses (with recorded, a CSV of a sha256 other than the
+    record's), a baseline_s other than E and a (flow, window) pair that an
+    earlier line holds."""
+    scores = read_table(Scores, path, recorded)
     same = scores.baseline_s == scores.E
     if not same.all():
         i = int(np.argmin(same))
@@ -489,10 +493,14 @@ def read_thresholds(path) -> DetectManifest:
     """Load a detect run's record, refusing, naming the path and the key,
     what from_json refuses (a missing or unknown key, a flow key that is
     not an integer, a threshold that is neither a finite number nor null),
-    what Calibration.check refuses and a negative burn_in_windows."""
+    what Calibration.check refuses, a negative burn_in_windows and a
+    scores_sha256 that is not 64 lowercase hex digits."""
     doc = from_json(DetectManifest, load_json(path), path)
     doc.check(path)
     if doc.burn_in_windows < 0:
         raise ValueError(f"{path}: burn_in_windows = {doc.burn_in_windows} "
                          "is not a nonnegative integer")
+    if not re.fullmatch("[0-9a-f]{64}", doc.scores_sha256):
+        raise ValueError(f"{path}: scores_sha256 = {doc.scores_sha256!r} is "
+                         "not a sha256 in hex")
     return doc

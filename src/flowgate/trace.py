@@ -220,13 +220,13 @@ def twin_path(path) -> Path:
     return Path(f"{path}.cols")
 
 
-def write_table(path, table: Table) -> None:
+def write_table(path, table: Table) -> str:
     """Write a table to the CSV at path: a header of its column names, then
     one line per row, its columns in their conversions joined by commas
     (_CsvText). The CSV is written under a temporary name beside path and
     then moved into place, so that path never holds part of a table; the
     twin `<path>.cols` follows: the sha256 of the CSV's bytes, then each
-    column as an np.save record."""
+    column as an np.save record. Returns that sha256 in hex."""
     tmp = _temp_path(path)
     try:
         with open(tmp, "wb") as fh:
@@ -236,6 +236,7 @@ def write_table(path, table: Table) -> None:
     finally:
         tmp.unlink(missing_ok=True)
     _write_twin(path, text.digest.digest(), text.cols)
+    return text.digest.hexdigest()
 
 
 def _temp_path(path) -> Path:
@@ -297,9 +298,10 @@ class TableStream:
     already published and sends the new row count down a pipe. The child
     formats every row published whenever it wakes (_CsvText) into the
     temporary file beside path, and at the pipe's end leaves the text's
-    sha256 in the mapping. close() reaps it, moves the file into place and
-    writes the twin from that digest. With one CPU nothing is forked, and
-    when the child fails close() writes the same bytes through write_table.
+    sha256 in the mapping. close() reaps it, moves the file into place,
+    writes the twin from that digest and keeps it in hex as sha256. With
+    one CPU nothing is forked, and when the child fails close() writes the
+    same bytes through write_table.
 
     Use in a with block: leaving it without close(), as an exception while
     publishing does, reaps the child and removes the temporary file.
@@ -316,6 +318,7 @@ class TableStream:
                             for (name, _, dtype), at in zip(spec, offsets)})
         self._names = [name for name, *_ in spec]
         self._published = 0
+        self.sha256 = None  # the CSV's, once closed
         self._children = Children()
         self._pipe = None  # while a child writes the CSV
         if cpus() > 1:
@@ -358,8 +361,9 @@ class TableStream:
             os.replace(_temp_path(self.path), self.path)
             _write_twin(self.path, self._digest.tobytes(),
                         [getattr(self.table, name) for name in self._names])
+            self.sha256 = self._digest.tobytes().hex()
         else:
-            write_table(self.path, self.table)
+            self.sha256 = write_table(self.path, self.table)
         return self.table
 
     def _end_pipe(self) -> None:
@@ -434,7 +438,7 @@ def _python_bytes(col: np.ndarray, conv: str, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def read_table(cls, path, **riders):
+def read_table(cls, path, recorded=None, **riders):
     """The Table cls that write_table wrote to the CSV at path, with the
     other fields given as riders. The columns come from the twin when it is
     bound to the CSV (twin_columns), else from one text parse (int64 when
@@ -443,7 +447,10 @@ def read_table(cls, path, **riders):
     another number of fields or a field that does not parse, and the first
     value of the first column holding one that write_table cannot have
     written: a float that is not finite, an integer outside [0, 2**53) or
-    a bool other than 0 or 1."""
+    a bool other than 0 or 1. recorded, when given, is the (hex sha256,
+    path) of the record that binds the CSV: a CSV of another sha256 is
+    refused, naming both files, and the twin is checked against the same
+    digest."""
     spec = table_columns(cls)
     header = ",".join(name for name, *_ in spec)
     with open(path) as fh:
@@ -451,8 +458,16 @@ def read_table(cls, path, **riders):
     if first != header:
         raise ValueError(f"{path}: line 1: header {first!r} is not "
                          f"{header!r}")
+    digest = None
+    if recorded is not None:
+        digest = _file_sha256(path)
+        sha256, record_path = recorded
+        if digest.hex() != sha256:
+            raise ValueError(f"{path}: sha256 {digest.hex()} is not the "
+                             f"{sha256} that {record_path} records")
     try:
-        cols = list(twin_columns(path, [dtype for *_, dtype in spec]))
+        cols = list(twin_columns(path, [dtype for *_, dtype in spec],
+                                 digest))
     except NoTwin:
         cols = _parse_text(path, spec)
     return cls(**{name: _checked(path, name, col, dtype)
@@ -523,10 +538,11 @@ class NoTwin(Exception):
     """A CSV's twin is absent, stale or malformed: read the text instead."""
 
 
-def twin_columns(path, dtypes):
+def twin_columns(path, dtypes, digest=None):
     """Yield the columns of the twin beside the CSV at path, one per dtype.
     Raises NoTwin, possibly after yielding some, unless the twin holds the
-    sha256 of the CSV's bytes, then exactly one np.save (version 1.0)
+    sha256 of the CSV's bytes (digest, when the caller has hashed them),
+    then exactly one np.save (version 1.0)
     record per dtype: a 1-D array of that dtype, all of one length.
     Nothing is unpickled, and no record is allocated beyond the bytes the
     twin holds."""
@@ -535,7 +551,8 @@ def twin_columns(path, dtypes):
     except OSError:
         raise NoTwin from None
     with fh:
-        if fh.read(32) != _file_sha256(path):
+        if fh.read(32) != (_file_sha256(path) if digest is None
+                           else digest):
             raise NoTwin
         size, rows = os.fstat(fh.fileno()).st_size, None
         for expected in dtypes:

@@ -70,10 +70,6 @@ class GenerationError(Exception):
     pass
 
 
-class LocalInfeasibility(Exception):
-    """A single window cannot be projected inside its bounds."""
-
-
 class FloorUnreachable(Exception):
     """count * len_max < r_min_bytes: no size assignment can hit the floor."""
 
@@ -82,43 +78,67 @@ class FloorUnreachable(Exception):
 # exact 1-D Wasserstein-1
 
 
-def w1_empirical(sample_us, reference: BenignIatReference) -> float:
-    """Exact W1 in seconds between a whole-microsecond sample and a reference.
+def w1_empirical(samples_us, lengths,
+                 reference: BenignIatReference) -> np.ndarray:
+    """Exact W1 in seconds between each of several windows' whole-
+    microsecond samples and one reference: samples_us holds the samples one
+    after another, window j's being the next lengths[j] values.
 
     W1 on the line is the integral of |F_a - F_b| (Vallender, 1973). With m
     sample and n reference points, I = integral of |n*A(x) - m*B(x)| dx over
     microseconds is an integer, where A and B count the sample and reference
-    points <= x, and W1 = I / (m*n*10**6), rounded once.
+    points <= x, and W1 = I / (m*n*10**6), rounded once per window.
 
-    Between consecutive sample points A is a constant i, so n*i - m*B(x)
-    changes sign at most once there, at reference point n*i // m. The
-    integral of B from the least point lo up to x is (x - lo)*B(x) minus the
-    excess over lo of the first B(x) reference points, read from the
-    reference's prefix sums. One searchsorted over the interval ends and the
-    sign changes thus gives I in int64. Measured from lo, every term stays
-    within m*n*(hi - lo); a sample for which that reaches 2**63 is refused.
+    A window's edges are its least point lo (its own or the reference's),
+    its sorted points and its greatest point hi. Between consecutive edges
+    A is a constant i, so n*i - m*B(x) changes sign at most once there, at
+    reference point n*i // m. The integral of B up to x is (x - b[0])*B(x)
+    minus the excess over b[0] of the first B(x) reference points, read
+    from the reference's prefix sums. One lexsort orders every window, one
+    searchsorted over all edges and sign changes and one reduceat give each
+    I in int64, where every term stays within m*n*(hi - lo); a window for
+    which that reaches 2**63 is refused, by its index, before any product.
     """
-    a = np.sort(np.asarray(sample_us, dtype=np.int64))
+    v = np.asarray(samples_us, dtype=np.int64)
+    m = np.asarray(lengths, dtype=np.int64)
     b, s0 = reference.sorted_iats_us, reference.prefix_us
-    m, n = a.size, b.size
-    if m == 0:
+    n, b0 = b.size, int(b[0])
+    if m.size and int(m.min()) < 1:
         raise ValueError("w1_empirical needs a nonempty sample")
-    lo, hi = min(int(a[0]), int(b[0])), max(int(a[-1]), int(b[-1]))
-    if m * n * (hi - lo) >= 2**63:
-        raise ValueError(
-            f"w1_empirical: m={m} sample and n={n} reference points over a "
-            f"span of {hi - lo} us overflow int64")
-    edges = np.concatenate(([lo], a, [hi]))
-    left, right = edges[:-1], edges[1:]
-    i = np.arange(m + 1)
-    cut = np.clip(b[np.minimum(n * i // m, n - 1)], left, right)
+    if int(m.sum()) != v.size:
+        raise ValueError(f"w1_empirical: lengths sum to {int(m.sum())}, "
+                         f"not to the {v.size} sample points")
+    if m.size == 0:
+        return np.empty(0)
+    a = v[np.lexsort((v, np.repeat(np.arange(m.size), m)))]
+    first = _starts(m)
+    lo = np.minimum(a[first], b0)
+    hi = np.maximum(a[first + m - 1], int(b[-1]))
+    for j, (mj, l, h) in enumerate(zip(m.tolist(), lo.tolist(),
+                                       hi.tolist())):
+        if mj * n * (h - l) >= 2**63:
+            raise ValueError(
+                f"w1_empirical: window {j}: m={mj} sample and n={n} "
+                f"reference points over a span of {h - l} us overflow int64")
+    edge0 = first + 2 * np.arange(m.size)  # window j's m+2 edges start
+    edges = np.empty(v.size + 2 * m.size, np.int64)
+    edges[edge0] = lo
+    edges[_runs(edge0 + 1, m)] = a
+    edges[edge0 + m + 1] = hi
+    ileft = _runs(edge0, m + 1)  # the left edges of its m+1 intervals
+    left, right = edges[ileft], edges[ileft + 1]
+    i = ileft - np.repeat(edge0, m + 1)
+    mi = np.repeat(m, m + 1)
+    cut = np.clip(b[np.minimum(n * i // mi, n - 1)], left, right)
     x = np.concatenate((edges, cut))
     k = np.searchsorted(b, x, side="right")
-    g = (x - lo) * k - s0[k] - k * (int(b[0]) - lo)  # integral of B from lo
-    g_edge, g_cut = g[:m + 2], g[m + 2:]
+    g = k * (x - b0) - s0[k]  # integral of B up to x
+    g_edge, g_cut = g[:edges.size], g[edges.size:]
     parts = (n * i * ((cut - left) - (right - cut))
-             + m * ((g_edge[1:] - g_cut) - (g_cut - g_edge[:-1])))
-    return int(parts.sum()) / (m * n * 1_000_000)
+             + mi * ((g_edge[ileft + 1] - g_cut) - (g_cut - g_edge[ileft])))
+    total = np.add.reduceat(parts, _starts(m + 1))
+    return np.array([t / (mj * n * 1_000_000)
+                     for t, mj in zip(total.tolist(), m.tolist())])
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +565,7 @@ class BenignIatReference:
             raise GenerationError(f"IAT reference for flow {flow_id} is "
                                   f"not sorted")
         # wraps only if n * (b[-1] - b[0]) >= 2**63, and w1_empirical then
-        # refuses every sample before it reads these
+        # refuses every window before it reads these
         self.prefix_us = np.concatenate(([0], np.cumsum(b - b[0])))
 
     def __eq__(self, other):
@@ -575,75 +595,138 @@ def pool_class_iats(ts_by_flow: list[np.ndarray]) -> np.ndarray:
 # projection-based budget enforcement
 
 
-def project_iats(ts_us, reference: BenignIatReference, epsilon_s: float,
-                 window_bounds: tuple[int, int]) -> np.ndarray:
-    """Order-preserving time-warp of one window onto the IAT reference.
+def project_iats(ts_us, lengths, reference: BenignIatReference,
+                 epsilon_s: float, window_us: int):
+    """Order-preserving time-warp of windows onto the IAT reference.
 
-    Rank-matches the window's IATs to nearest-rank reference quantiles and
-    bisects the interpolation factor tau so the quantized (whole-microsecond)
-    result passes the same W1 check the audit applies. The first arrival is
-    pinned; if the warped window overflows its bounds one uniform rescale is
-    attempted before declaring the window locally infeasible.
+    ts_us holds the arrivals of several windows one after another, window j
+    being the next lengths[j] >= 2 arrivals, all in one window of window_us.
+    A window whose IATs pass the W1 check the audit applies is kept. The
+    IATs of every other window are rank-matched to nearest-rank reference
+    quantiles, and the interpolation factor tau is bisected so that the
+    quantized (whole-microsecond) result passes that check. The first
+    arrival is pinned; if the warped window overflows its bounds one
+    uniform rescale is attempted. A window that fails at tau = 1 is
+    locally infeasible and kept as it is.
+
+    The windows go in lockstep: the first check scores every window in one
+    w1_empirical call, and tau = 1 and each of the 40 bisection steps form
+    every window's candidate at once and score, in one more call, the
+    candidates that window has not met before (late steps repeat
+    candidates). Returns the arrivals and, per window, whether it passes
+    the check.
     """
     ts = np.asarray(ts_us, dtype=np.int64)
-    n = ts.size
-    if n < 2:
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if lengths.size and int(lengths.min()) < 2:
         raise ValueError("projection needs at least two packets in the window")
-    lo, hi = window_bounds
     tol = epsilon_s + W1_SLACK_S
-    verdicts = {}  # by IAT bytes: late bisection steps repeat candidates
+    iats = _segment_diffs(ts, lengths)
+    ok = w1_empirical(iats, lengths - 1, reference) <= tol
+    out = ts.copy()
+    warp = np.flatnonzero(~ok)
+    if warp.size == 0:
+        return out, ok
 
-    def fits(iats) -> bool:
-        if iats is None:
-            return False
-        key = iats.tobytes()
-        if key not in verdicts:
-            verdicts[key] = w1_empirical(iats, reference) <= tol
-        return verdicts[key]
-
-    iats = np.diff(ts)
-    if fits(iats):
-        return ts.copy()
-    x = iats.astype(np.float64)
-    m = x.size
+    # the windows to warp: the m IATs x of each, in order, and its targets q
+    m = lengths[warp] - 1
+    first = _starts(m)
+    x_us = iats[_runs(_starts(lengths - 1)[warp], m)]
+    x = x_us.astype(np.float64)
     nref = reference.sorted_iats_us.size
-    u = (np.arange(1, m + 1) - 0.5) / m
-    ranks = np.ceil(u * nref).astype(np.int64)
-    ranks = np.clip(ranks, 1, nref) - 1
-    targets = reference.sorted_iats_us[ranks].astype(np.float64)
-    q = np.empty(m)
-    q[np.argsort(x, kind="stable")] = targets
-    span = hi - 1 - int(ts[0])
+    u = (np.arange(x.size) - np.repeat(first, m) + 0.5) / np.repeat(m, m)
+    ranks = np.clip(np.ceil(u * nref).astype(np.int64), 1, nref) - 1
+    q = np.empty(x.size)
+    q[np.lexsort((x, np.repeat(np.arange(m.size), m)))] = \
+        reference.sorted_iats_us[ranks]
+    ts0 = ts[_starts(lengths)[warp]]
+    span = (ts0 // window_us + 1) * window_us - 1 - ts0
+    runs = list(zip(first.tolist(), (first + m).tolist()))
+    # each window's verdicts by IAT bytes, its own failed IATs included
+    seen = [{x_us[s:e].tobytes(): False} for s, e in runs]
 
-    def candidate(tau: float):
-        y = x + tau * (q - x)
-        iats = np.maximum(1, np.rint(y)).astype(np.int64)
-        total = int(iats.sum())
-        if total > span:
-            if span < m:
-                return None
-            iats = np.maximum(1, np.rint(y * (span / total))).astype(np.int64)
-            if int(iats.sum()) > span:
-                return None
-        return iats
+    def fits(cand, has):
+        """Per window: whether it has a candidate (has) that passes."""
+        verdict = np.zeros(m.size, bool)
+        new, keys = [], []
+        for j in np.flatnonzero(has).tolist():
+            key = cand[slice(*runs[j])].tobytes()
+            hit = seen[j].get(key)
+            if hit is None:
+                new.append(j)
+                keys.append(key)
+            else:
+                verdict[j] = hit
+        if new:
+            scored = w1_empirical(cand[_runs(first[new], m[new])], m[new],
+                                  reference) <= tol
+            verdict[new] = scored
+            for j, key, f in zip(new, keys, scored.tolist()):
+                seen[j][key] = f
+        return verdict
 
-    best = candidate(1.0)
-    if not fits(best):
-        raise LocalInfeasibility(
-            f"window [{lo}, {hi}) cannot reach distortion {epsilon_s} "
-            f"with {n} packets")
-    t_lo, t_hi = 0.0, 1.0
+    best, has = _warp_candidates(np.ones(m.size), x, q, m, span)
+    live = fits(best, has)
+    ok[warp] = live
+    if not live.any():
+        return out, ok
+    t_lo, t_hi = np.zeros(m.size), np.ones(m.size)
     for _ in range(40):
         mid = 0.5 * (t_lo + t_hi)
-        cand = candidate(mid)
-        if fits(cand):
-            t_hi, best = mid, cand
-        else:
-            t_lo = mid
-    out = np.empty(n, dtype=np.int64)
-    out[0] = ts[0]
-    out[1:] = ts[0] + np.cumsum(best)
-    return out
+        cand, has = _warp_candidates(mid, x, q, m, span)
+        f = fits(cand, has & live)
+        t_hi, t_lo = np.where(f, mid, t_hi), np.where(f, t_lo, mid)
+        took = np.repeat(f, m)
+        best[took] = cand[took]
+    run = np.cumsum(best)
+    run -= np.repeat(run[first] - best[first], m)  # cumsum within windows
+    put = np.repeat(live, m)
+    out[_runs(_starts(lengths)[warp] + 1, m)[put]] = \
+        (np.repeat(ts0, m) + run)[put]
+    return out, ok
+
+
+def _warp_candidates(tau, x, q, m, span):
+    """Each window's whole-microsecond IATs at its interpolation factor
+    tau, rescaled once into span when they overflow it, and whether the
+    window has a candidate: one that fits its span."""
+    y = x + np.repeat(tau, m) * (q - x)
+    cand = np.maximum(1, np.rint(y)).astype(np.int64)
+    first = _starts(m)
+    total = np.add.reduceat(cand, first)
+    over = total > span
+    has = ~over | (span >= m)
+    fold = np.flatnonzero(over & has)
+    if fold.size:
+        el = _runs(first[fold], m[fold])
+        scale = [s / t for s, t in zip(span[fold].tolist(),
+                                       total[fold].tolist())]
+        cand[el] = np.maximum(1, np.rint(y[el] * np.repeat(scale, m[fold]))
+                              ).astype(np.int64)
+        has[fold] = np.add.reduceat(cand[el], _starts(m[fold])) <= span[fold]
+    return cand, has
+
+
+def _starts(lengths) -> np.ndarray:
+    """The index of each run's first element, runs of lengths laid end to
+    end."""
+    return np.cumsum(lengths) - lengths
+
+
+def _runs(starts, lengths) -> np.ndarray:
+    """The indices starts[j], ..., starts[j] + lengths[j] - 1, run after
+    run."""
+    lengths = np.asarray(lengths)
+    return (np.arange(int(lengths.sum()))
+            + np.repeat(starts - _starts(lengths), lengths))
+
+
+def _segment_diffs(ts: np.ndarray, lengths) -> np.ndarray:
+    """The differences of ts within each run of lengths, run after run."""
+    d = np.diff(ts)
+    keep = np.ones(d.size, bool)
+    keep[np.cumsum(lengths)[:-1] - 1] = False
+    return d[keep]
 
 
 def repair_sizes(ts_us, sizes, r_min_bytes: int, bounds: tuple[int, int],
@@ -764,19 +847,18 @@ def clique_baseline_delay(trace: Trace, capacity_bps: float) -> float:
 
 
 def window_distortions(ts_us, reference: BenignIatReference,
-                       window_us: int) -> list[float]:
-    """Per-window W1 (seconds) for windows holding at least two packets."""
+                       window_us: int) -> np.ndarray:
+    """Per-window W1 (seconds) for windows holding at least two packets,
+    all scored in one w1_empirical call."""
     ts = np.asarray(ts_us, dtype=np.int64)
-    out = []
-    for _, s, e in _window_slices(ts, window_us):
-        if e - s >= 2:
-            out.append(w1_empirical(np.diff(ts[s:e]), reference))
-    return out
+    sel, counts = _multi_packet_windows(ts, window_us)
+    return w1_empirical(_segment_diffs(ts[sel], counts), counts - 1,
+                        reference)
 
 
 def mean_distortion(ts_us, reference, window_us: int) -> float:
     ds = window_distortions(ts_us, reference, window_us)
-    return float(np.mean(ds)) if ds else 0.0
+    return float(ds.mean()) if ds.size else 0.0
 
 
 def _window_runs(ts: np.ndarray, window_us: int):
@@ -786,32 +868,27 @@ def _window_runs(ts: np.ndarray, window_us: int):
     return np.concatenate([[0], cuts]), np.concatenate([cuts, [ts.size]])
 
 
-def _window_slices(ts: np.ndarray, window_us: int):
-    """(window, start, end) of each run of sorted ts that shares a window."""
-    if ts.size == 0:
-        return
-    for s, e in zip(*_window_runs(ts, window_us)):
-        yield int(ts[s]) // window_us, int(s), int(e)
+def _multi_packet_windows(ts: np.ndarray, window_us: int):
+    """Which packets of sorted ts share their window with another, and the
+    packet count of each such window, in order."""
+    starts, ends = _window_runs(ts, window_us)
+    counts = ends - starts
+    return np.repeat(counts >= 2, counts), counts[counts >= 2]
 
 
 def _project_pass(ts, sizes, ctx: CliqueContext, budgets: Budgets):
-    """One projection + size-repair sweep; returns (ts, sizes, proj_ok)."""
+    """One projection + size-repair sweep; returns (ts, sizes, proj_ok).
+    Every window of two or more packets is projected in one project_iats
+    call; proj_ok holds when each of them passes."""
     wus = ctx.benign.window_us
+    proj_ok = True
     if not math.isinf(budgets.epsilon_s):
-        pieces = []
-        proj_ok = True
-        for w, s, e in _window_slices(ts, wus):
-            seg = ts[s:e]
-            if e - s >= 2:
-                try:
-                    seg = project_iats(seg, ctx.reference, budgets.epsilon_s,
-                                       (w * wus, (w + 1) * wus))
-                except LocalInfeasibility:
-                    proj_ok = False
-            pieces.append(seg)
-        ts = np.concatenate(pieces) if pieces else ts
-    else:
-        proj_ok = True
+        sel, counts = _multi_packet_windows(ts, wus)
+        projected, fit = project_iats(ts[sel], counts, ctx.reference,
+                                      budgets.epsilon_s, wus)
+        ts = ts.copy()
+        ts[sel] = projected
+        proj_ok = bool(fit.all())
     sizes = repair_sizes(ts, sizes, budgets.r_min_bytes, ctx.len_bounds, wus)
     return ts, sizes, proj_ok
 

@@ -120,14 +120,15 @@ def thresholds_by_flow(thresholds: dict[int, FlowThresholds]) -> dict:
             for f, t in thresholds.items()}
 
 
-def detect_record(session, world, n_records: int = 0) -> DetectManifest:
+def detect_record(session, world, n_records: int = 0,
+                  scores_sha256: str = "0" * 64) -> DetectManifest:
     """The detect_manifest.json record of a session that scored world, a
-    world's RunManifest."""
+    world's RunManifest, into a scores.csv of that sha256."""
     return DetectManifest(
         **vars(session.calibration), world=world,
         detector_params=session.params,
         burn_in_windows=session.burn_in_windows, n_records=n_records,
-        flows=session.thresholds())
+        scores_sha256=scores_sha256, flows=session.thresholds())
 
 
 def queue_impact(base_log, gated_log) -> tuple[float, float]:

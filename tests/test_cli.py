@@ -5,6 +5,7 @@ into a shared directory; the cheaper contract tests (exit codes, precedence,
 determinism, label blindness) drive main() directly.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -467,13 +468,21 @@ def test_detect_seed_is_inert_without_noise(pipe, tmp_path):
         (pipe["det"] / "scores.csv").read_bytes()
 
 
+def _bind_record(record, scores):
+    """Write the detect record at record beside scores, bound to their
+    bytes, as a detect run that wrote them would have recorded it."""
+    doc = json.loads(Path(record).read_text())
+    doc["scores_sha256"] = hashlib.sha256(scores.read_bytes()).hexdigest()
+    write_json(scores.parent / "detect_manifest.json", doc)
+
+
 def _rewrite_scores(pipe, tmp_path, name, edit):
     """A copy of the pipeline's scores.csv with edit applied to its lines,
-    beside a copy of the pipeline's detect_manifest.json."""
+    beside the pipeline's detect_manifest.json bound to the copy."""
     lines = (pipe["det"] / "scores.csv").read_text().splitlines()
     path = tmp_path / name
     path.write_text("\n".join(edit(lines)) + "\n")
-    shutil.copy(pipe["det"] / "detect_manifest.json", tmp_path)
+    _bind_record(pipe["det"] / "detect_manifest.json", path)
     return path
 
 
@@ -869,9 +878,10 @@ def test_corrupt_scores_and_queue_logs_are_refused(pipe, tmp_path, capsys,
     lines = CORRUPTIONS[corruption](src.read_text().splitlines())
     bad = tmp_path / src.name
     bad.write_text("".join(line + "\n" for line in lines))
-    for record in ("detect_manifest.json", "replay_manifest.json"):
-        if (src.parent / record).exists():
-            shutil.copy(src.parent / record, tmp_path)
+    if artifact == "scores":
+        _bind_record(src.parent / "detect_manifest.json", bad)
+    else:
+        shutil.copy(src.parent / "replay_manifest.json", tmp_path)
     if artifact == "scores":
         rc = main(["replay", "--world", str(pipe["world"]), "--mode", "gated",
                    "--scores", str(bad), "--out", str(tmp_path / "g")])
@@ -899,6 +909,7 @@ def _bad_scores(pipe, tmp_path, case):
     def edit(column, value):
         scores.write_text("\n".join(_edit_row(lines, 3, column, value))
                           + "\n")
+        _bind_record(record, scores)
 
     if case == "no detect_manifest.json":
         record.unlink()
@@ -906,6 +917,7 @@ def _bad_scores(pipe, tmp_path, case):
                         f"directory: '{record}'")
     if case == "rows missing beside their own record":
         scores.write_text("\n".join(lines[:-100]) + "\n")
+        _bind_record(record, scores)
         return scores, (f"ValueError: {scores}: {n - 100} rows, but "
                         f"{record} records n_records = {n}")
     if case == "window at or past the horizon":
@@ -916,6 +928,18 @@ def _bad_scores(pipe, tmp_path, case):
         edit(0, 999)
         return scores, (f"ValueError: {scores}: line 5: flow 999 is not in "
                         "config.json")
+    if case == "scores of another detect run":
+        # same world, rows, flows and windows; another quantile
+        other = tmp_path / "other"
+        assert main(["detect", "--world", str(pipe["world"]), "--w-min",
+                     "20", "--quantile", "0.9", "--out", str(other)]) == 0
+        for name in ("scores.csv", "scores.csv.cols"):
+            shutil.copy(other / name, det / name)
+        assert scores.read_bytes() != (pipe["det"] / "scores.csv").read_bytes()
+        digest = hashlib.sha256(scores.read_bytes()).hexdigest()
+        recorded = json.loads(record.read_text())["scores_sha256"]
+        return scores, (f"ValueError: {scores}: sha256 {digest} is not the "
+                        f"{recorded} that {record} records")
     if case == "burn-in of another split":
         doc = json.loads(record.read_text())
         write_json(record, {**doc, "burn_in_windows": 0})
@@ -948,7 +972,8 @@ def _bad_log(pipe, tmp_path, case):
 BAD_SCORES = ["no detect_manifest.json",
               "rows missing beside their own record",
               "window at or past the horizon", "flow not in config.json",
-              "record of another world", "burn-in of another split"]
+              "record of another world", "burn-in of another split",
+              "scores of another detect run"]
 BAD_LOGS = ["queue log without replay_manifest.json",
             "replay manifest of other packets"]
 
@@ -1078,6 +1103,9 @@ def _edit_thresholds(doc):
                              "burn_in_windows = -1"),
         "fractional burn-in": ({**doc, "burn_in_windows": 7.5},
                                "burn_in_windows = 7.5"),
+        "scores digest not hex": ({**doc, "scores_sha256": "scores.csv"},
+                                  "scores_sha256 = 'scores.csv' is not a "
+                                  "sha256 in hex"),
         "flow key not an integer": (
             {**doc, "flows": {**flows, "x1": flows[f]}},
             "flows key 'x1' is not an integer"),

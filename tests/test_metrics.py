@@ -69,7 +69,7 @@ def detect_record(burn_in_windows, flows) -> DetectManifest:
         world=RunManifest("w", 1, "h", "timing+contention-v1",
                           (0.6, 0.2, 0.2)),
         detector_params=DetectorParams(), burn_in_windows=burn_in_windows,
-        n_records=0, flows=flows)
+        n_records=0, scores_sha256="0" * 64, flows=flows)
 
 
 RECORD = detect_record(10, {1: FlowThresholds(0.5, 0.5),

@@ -228,7 +228,7 @@ RECORDS = {
     "thresholds": (DetectManifest, st.builds(
         DetectManifest, quantile=_FLOATS, k=_INTS, m=_INTS, w_min=_INTS,
         world=_MANIFEST, detector_params=_DETECTOR, burn_in_windows=_INTS,
-        n_records=_INTS, flows=st.dictionaries(_INTS, st.builds(
+        n_records=_INTS, scores_sha256=_TEXT, flows=st.dictionaries(_INTS, st.builds(
             FlowThresholds, *[_FLOATS | st.just(math.nan)] * 2),
             max_size=3))),
 }

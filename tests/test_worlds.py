@@ -5,10 +5,11 @@ import json
 import math
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from scipy.stats import wasserstein_distance
 
@@ -22,7 +23,6 @@ from flowgate.worlds import (
     EpisodeSpec,
     FloorUnreachable,
     GenerationError,
-    LocalInfeasibility,
     REF_CAP,
     RHO_RTOL,
     WorldConfig,
@@ -63,9 +63,42 @@ def ref_of(iats_us) -> BenignIatReference:
     return BenignIatReference(0, np.sort(np.asarray(iats_us, dtype=np.int64)))
 
 
+def w1(sample_us, reference) -> float:
+    """w1_empirical of one window: a batch of one."""
+    return float(w1_empirical(sample_us, [len(sample_us)], reference)[0])
+
+
+def w1_one_window(sample_us, reference) -> float:
+    """The per-window int64 kernel that the segmented w1_empirical
+    replaced, kept as its differential oracle: one sort, one searchsorted
+    and one sum for one window's sample, measured from its least point."""
+    a = np.sort(np.asarray(sample_us, dtype=np.int64))
+    b, s0 = reference.sorted_iats_us, reference.prefix_us
+    m, n = a.size, b.size
+    if m == 0:
+        raise ValueError("w1_empirical needs a nonempty sample")
+    lo, hi = min(int(a[0]), int(b[0])), max(int(a[-1]), int(b[-1]))
+    if m * n * (hi - lo) >= 2**63:
+        raise ValueError(
+            f"w1_empirical: m={m} sample and n={n} reference points over a "
+            f"span of {hi - lo} us overflow int64")
+    edges = np.concatenate(([lo], a, [hi]))
+    left, right = edges[:-1], edges[1:]
+    i = np.arange(m + 1)
+    cut = np.clip(b[np.minimum(n * i // m, n - 1)], left, right)
+    x = np.concatenate((edges, cut))
+    k = np.searchsorted(b, x, side="right")
+    g = (x - lo) * k - s0[k] - k * (int(b[0]) - lo)  # integral of B from lo
+    g_edge, g_cut = g[:m + 2], g[m + 2:]
+    parts = (n * i * ((cut - left) - (right - cut))
+             + m * ((g_edge[1:] - g_cut) - (g_cut - g_edge[:-1])))
+    return int(parts.sum()) / (m * n * 1_000_000)
+
+
 def w1_merged_support(a, b) -> float:
-    """The float kernel that w1_empirical replaced, kept as its differential
-    oracle: integrates |F_a - F_b| over the merged, sorted support."""
+    """The float kernel that the int64 kernel replaced, kept as its
+    differential oracle: integrates |F_a - F_b| over the merged, sorted
+    support."""
     a = np.sort(np.asarray(a, dtype=np.float64))
     b = np.sort(np.asarray(b, dtype=np.float64))
     if a.size == 0 or b.size == 0:
@@ -91,27 +124,32 @@ def w1_exact(a, b) -> Fraction:
 
 
 def test_w1_frozen_pair():
-    assert w1_empirical([0, 2], ref_of([1, 3])) == 1e-6
+    assert w1([0, 2], ref_of([1, 3])) == 1e-6
 
 
 def test_w1_identical_samples_zero():
     a = [3, 17, 22, 90]
-    assert w1_empirical(a, ref_of(a)) == 0.0
+    assert w1(a, ref_of(a)) == 0.0
 
 
 def test_w1_point_masses():
-    assert w1_empirical([1], ref_of([4])) == pytest.approx(3e-6)
+    assert w1([1], ref_of([4])) == pytest.approx(3e-6)
 
 
 def test_w1_empty_raises():
-    with pytest.raises(ValueError):
-        w1_empirical([], ref_of([1]))
+    with pytest.raises(ValueError, match="nonempty sample"):
+        w1([], ref_of([1]))
+    with pytest.raises(ValueError, match="nonempty sample"):
+        w1_empirical([1, 2], [2, 0], ref_of([1]))
+    with pytest.raises(ValueError, match="lengths sum to 2, not to the 3"):
+        w1_empirical([1, 2, 3], [1, 1], ref_of([1]))
+    assert w1_empirical([], [], ref_of([1])).size == 0
 
 
 @given(st.lists(st.integers(0, 10**4), min_size=1, max_size=40),
        st.lists(st.integers(1, 10**4), min_size=1, max_size=40))
 def test_w1_matches_scipy(a, b):
-    assert w1_empirical(a, ref_of(b)) == pytest.approx(
+    assert w1(a, ref_of(b)) == pytest.approx(
         wasserstein_distance(a, b) * 1e-6, rel=1e-9, abs=1e-12)
 
 
@@ -119,11 +157,10 @@ def test_w1_matches_scipy(a, b):
        st.lists(st.integers(1, 10**4), min_size=1, max_size=30),
        st.lists(st.integers(1, 10**4), min_size=1, max_size=30))
 def test_w1_metric_properties(a, b, c):
-    ab = w1_empirical(a, ref_of(b))
+    ab = w1(a, ref_of(b))
     assert ab >= 0.0
-    assert ab == pytest.approx(w1_empirical(b, ref_of(a)), rel=1e-12,
-                               abs=1e-12)
-    assert ab <= w1_empirical(a, ref_of(c)) + w1_empirical(c, ref_of(b)) + 1e-9
+    assert ab == pytest.approx(w1(b, ref_of(a)), rel=1e-12, abs=1e-12)
+    assert ab <= w1(a, ref_of(c)) + w1(c, ref_of(b)) + 1e-9
 
 
 @given(st.lists(st.integers(0, 10**4), min_size=1, max_size=25))
@@ -132,8 +169,7 @@ def test_w1_equal_size_is_sorted_mean_gap(xs):
     rng = np.random.default_rng(0)
     ys = rng.integers(1, 10**4, n)
     expect = float(np.mean(np.abs(np.sort(xs) - np.sort(ys)))) * 1e-6
-    assert w1_empirical(xs, ref_of(ys)) == pytest.approx(expect, rel=1e-9,
-                                                         abs=1e-9)
+    assert w1(xs, ref_of(ys)) == pytest.approx(expect, rel=1e-9, abs=1e-9)
 
 
 # Small value ranges force ties and repeated values; the wide ones reach
@@ -157,7 +193,7 @@ def test_w1_matches_merged_support_oracle(a, b, same):
     b = [v + 1 for v in (a if same else b)]  # reference IATs are positive
     if same:
         a = list(b)
-    got = w1_empirical(a, ref_of(b))
+    got = w1(a, ref_of(b))
     want = w1_merged_support(np.asarray(a) * 1e-6, np.asarray(b) * 1e-6)
     scale = max(max(a), max(b)) * 1e-6
     assert got == pytest.approx(want, rel=1e-12, abs=1e-14 * scale)
@@ -165,20 +201,50 @@ def test_w1_matches_merged_support_oracle(a, b, same):
         assert got == float(w1_exact(a, b))
 
 
+# References of one to a few thousand points, narrow or wide, placed so
+# that the windows' IATs fall below, inside and above their range.
+_references = st.tuples(
+    st.integers(1, 10**5), st.sampled_from([0, 3, 100, 10**4, 10**6]),
+    st.integers(1, 3000), st.integers(0, 2**32 - 1),
+).map(lambda t: t[0] + np.random.default_rng(t[3]).integers(
+    0, t[1] + 1, t[2]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_iats, min_size=1, max_size=40), _references)
+def test_w1_segments_match_per_window_oracle(windows, reference):
+    """A batch of windows scores each one bit for bit as the per-window
+    kernel does."""
+    ref = ref_of(reference)
+    got = w1_empirical(np.concatenate([np.int64(w) for w in windows]),
+                       [len(w) for w in windows], ref)
+    assert got.dtype == np.float64
+    assert [float(d).hex() for d in got] == \
+        [w1_one_window(w, ref).hex() for w in windows]
+
+
 def test_w1_refuses_int64_overflow():
     """m * n * span >= 2**63 is refused, never wrapped."""
     big = 2**62
     with pytest.raises(ValueError, match=(
             f"m=2 sample and n=2 reference points over a span of {big} us")):
-        w1_empirical(np.int64([0, 1]), ref_of([1, big]))
+        w1(np.int64([0, 1]), ref_of([1, big]))
     with pytest.raises(ValueError, match="overflow int64"):
-        w1_empirical(np.int64([0, big]), ref_of([big - 1, big]))
+        w1(np.int64([0, big]), ref_of([big - 1, big]))
     # huge values over a small span stay exact: coordinates start at the
     # least point
-    assert w1_empirical(np.int64([big, big + 2]), ref_of([big + 1, big + 3])) \
-        == 1e-6
-    assert w1_empirical(np.int64([2**61]), ref_of([2**61 + 2**60])) \
+    assert w1(np.int64([big, big + 2]), ref_of([big + 1, big + 3])) == 1e-6
+    assert w1(np.int64([2**61]), ref_of([2**61 + 2**60])) \
         == float(Fraction(2**60, 10**6))
+
+
+def test_w1_overflow_refusal_names_the_window():
+    big = 2**62
+    with pytest.raises(ValueError, match=(
+            "window 2: m=2 sample and n=2 reference points over a span of "
+            f"{big} us overflow int64")):
+        w1_empirical(np.int64([1, 2, 3, 4, 0, big, 5, 6]), [2, 2, 2, 2],
+                     ref_of([1, 2]))
 
 
 def test_reference_refuses_unsorted():
@@ -404,20 +470,33 @@ def test_reference_rejects_empty_and_nonpositive():
 # projection
 
 
+class LocalInfeasibility(Exception):
+    """A window that the per-window oracle cannot project."""
+
+
+def project_one(ts, ref, eps, window_us):
+    """project_iats of one window: its arrivals and whether it fits."""
+    out, fit = project_iats(ts, [len(ts)], ref, eps, window_us)
+    assert fit.shape == (1,)
+    return out, bool(fit[0])
+
+
 def test_project_exact_match_equal_counts():
     ref = BenignIatReference(1, [1000, 2000, 3000, 4000, 5000])
     ts = np.int64([0, 100, 300, 350, 9000, 9400])
-    out = project_iats(ts, ref, 0.0, (0, 250_000))
+    out, fit = project_one(ts, ref, 0.0, 250_000)
+    assert fit
     assert out[0] == ts[0]
     assert out.size == ts.size
     assert sorted(np.diff(out).tolist()) == [1000, 2000, 3000, 4000, 5000]
-    assert w1_empirical(np.diff(out), ref) == 0.0
+    assert w1(np.diff(out), ref) == 0.0
 
 
 def test_project_noop_when_within_tolerance():
     ts = np.int64([0, 1000, 3000, 6000, 10000, 15000])
     ref = BenignIatReference(1, np.diff(ts))
-    out = project_iats(ts, ref, 0.0, (0, 250_000))
+    out, fit = project_one(ts, ref, 0.0, 250_000)
+    assert fit
     assert np.array_equal(out, ts)
 
 
@@ -427,36 +506,42 @@ def test_project_meets_tolerance_and_bounds():
     ts = np.sort(rng.integers(0, 240_000, 12)).astype(np.int64)
     ts = np.unique(ts)
     eps = 0.004
-    out = project_iats(ts, ref, eps, (0, 250_000))
+    out, fit = project_one(ts, ref, eps, 250_000)
+    assert fit
     assert out.size == ts.size
     assert out[0] == ts[0]
     assert np.all(np.diff(out) >= 1)
     assert out[-1] < 250_000
-    assert w1_empirical(np.diff(out), ref) <= eps + 1e-9
+    assert w1(np.diff(out), ref) <= eps + 1e-9
 
 
 def test_project_overflow_rescales_into_window():
     # full warp wants 2 x 1000us but the window only has 1500us of room
     ref = BenignIatReference(1, [1000])
     ts = np.int64([0, 10, 20])
-    out = project_iats(ts, ref, 0.0003, (0, 1501))
+    out, fit = project_one(ts, ref, 0.0003, 1501)
+    assert fit
     assert out[-1] <= 1500
     assert out[0] == 0 and out.size == 3
-    d = w1_empirical(np.diff(out), ref)
+    d = w1(np.diff(out), ref)
     assert d <= 0.0003 + 1e-9
 
 
 def test_project_local_infeasibility():
+    """A window that cannot fit is reported and kept as it is."""
     ref = BenignIatReference(1, [100_000] * 4)
     ts = np.int64([0, 10, 20, 30])
-    with pytest.raises(LocalInfeasibility):
-        project_iats(ts, ref, 0.001, (0, 200))
+    out, fit = project_one(ts, ref, 0.001, 200)
+    assert not fit
+    assert np.array_equal(out, ts)
 
 
 def test_project_requires_two_packets():
     ref = BenignIatReference(1, [1000])
-    with pytest.raises(ValueError):
-        project_iats(np.int64([5]), ref, 0.1, (0, 100))
+    with pytest.raises(ValueError, match="at least two packets"):
+        project_iats(np.int64([5]), [1], ref, 0.1, 100)
+    with pytest.raises(ValueError, match="at least two packets"):
+        project_iats(np.int64([0, 1, 5]), [2, 1], ref, 0.1, 100)
 
 
 @settings(max_examples=60, deadline=None)
@@ -469,24 +554,28 @@ def test_project_postconditions_random(seed, eps):
     ts = np.unique(np.sort(rng.integers(0, 200_000, n)).astype(np.int64))
     if ts.size < 2:
         return
-    try:
-        out = project_iats(ts, ref, eps, (0, 250_000))
-    except LocalInfeasibility:
+    out, fit = project_one(ts, ref, eps, 250_000)
+    if not fit:
         return
     assert out.size == ts.size
     assert out[0] == ts[0]
     assert np.all(np.diff(out) >= 1)
     assert int(out[-1]) < 250_000
-    assert w1_empirical(np.diff(out), ref) <= eps + 1e-9
+    assert w1(np.diff(out), ref) <= eps + 1e-9
 
 
-def project_iats_uncached(ts_us, reference, epsilon_s, window_bounds):
-    """project_iats before it kept W1 verdicts: the same bisection, scoring
-    every candidate it meets, repeated or not."""
+def project_iats_uncached(ts_us, reference, epsilon_s, window_bounds,
+                          paths=None):
+    """The per-window projection that the lockstep project_iats replaced,
+    before it kept W1 verdicts: the same bisection of one window, scoring
+    every candidate it meets, repeated or not, with the per-window W1
+    kernel. Adds to paths the branches it takes."""
+    paths = set() if paths is None else paths
     ts = np.asarray(ts_us, dtype=np.int64)
     lo, hi = window_bounds
     tol = epsilon_s + worlds_module.W1_SLACK_S
-    if w1_empirical(np.diff(ts), reference) <= tol:
+    if w1_one_window(np.diff(ts), reference) <= tol:
+        paths.add("fits")
         return ts.copy()
     x = np.diff(ts).astype(np.float64)
     m = x.size
@@ -504,18 +593,23 @@ def project_iats_uncached(ts_us, reference, epsilon_s, window_bounds):
         total = int(iats.sum())
         if total > span:
             if span < m:
+                paths.add("no room")
                 return None
+            paths.add("rescale")
             iats = np.maximum(1, np.rint(y * (span / total))).astype(np.int64)
             if int(iats.sum()) > span:
+                paths.add("rescale overflows")
                 return None
         return iats
 
     def fits(iats):
-        return iats is not None and w1_empirical(iats, reference) <= tol
+        return iats is not None and w1_one_window(iats, reference) <= tol
 
     best = candidate(1.0)
     if not fits(best):
+        paths.add("infeasible")
         raise LocalInfeasibility(f"window [{lo}, {hi})")
+    paths.add("bisect")
     t_lo, t_hi = 0.0, 1.0
     for _ in range(40):
         mid = 0.5 * (t_lo + t_hi)
@@ -527,34 +621,105 @@ def project_iats_uncached(ts_us, reference, epsilon_s, window_bounds):
     return np.concatenate([ts[:1], ts[0] + np.cumsum(best)])
 
 
-def test_project_scores_each_candidate_once(monkeypatch):
-    scored = []
+def _check_pass(reference, window_us, eps, windows) -> set:
+    """Project windows (each a list of arrival offsets into its own window
+    of window_us, in order) in one _project_pass, and check the arrivals
+    and proj_ok against the per-window oracle. Returns the oracle's
+    branches."""
+    ref = ref_of(reference)
+    ts = np.concatenate([w * window_us + np.int64(offsets)
+                         for w, offsets in enumerate(windows)])
+    expect, all_fit, paths = [], True, set()
+    for w, offsets in enumerate(windows):
+        seg = w * window_us + np.int64(offsets)
+        if seg.size >= 2:
+            try:
+                seg = project_iats_uncached(
+                    seg, ref, eps, (w * window_us, (w + 1) * window_us),
+                    paths)
+            except LocalInfeasibility:
+                all_fit = False
+        expect.append(seg)
+    ctx = SimpleNamespace(benign=SimpleNamespace(window_us=window_us),
+                          reference=ref, len_bounds=LEN_BOUNDS)
+    out, _, proj_ok = worlds_module._project_pass(
+        ts, np.full(ts.size, 100), ctx, Budgets(0, eps, math.inf))
+    assert np.array_equal(out, np.concatenate(expect))
+    assert proj_ok == all_fit
+    return paths
 
-    def counted(sample_us, reference):
-        scored.append(sample_us.tobytes())
-        return w1_empirical(sample_us, reference)
+
+def test_project_pass_takes_every_path():
+    """One reference and one window length for six windows: one that fits
+    at once, one that bisects, one whose warp is rescaled into its span,
+    one with no room for its IATs, one whose rescale still overflows and
+    one whose rescaled warp misses the tolerance."""
+    windows = [[0, 50, 100, 150], [0, 10, 100, 190], [60, 61, 62, 63],
+               [198, 198, 199, 199], [0, 1, 2, 3, 4], [150, 151, 152, 153]]
+    paths = _check_pass([50], 200, 5e-6, windows)
+    assert paths == {"fits", "bisect", "rescale", "no room",
+                     "rescale overflows", "infeasible"}
+
+
+_offsets = st.lists(st.integers(0, 10**6), min_size=0, max_size=25)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(1, 40_000), min_size=1, max_size=60),
+       st.sampled_from([200, 2_000, 50_000, 250_000]),
+       st.sampled_from([0.0, 5e-6, 1e-4, 0.001, 0.004, 0.02]),
+       st.lists(_offsets, min_size=1, max_size=12))
+def test_project_pass_matches_per_window_oracle(reference, window_us, eps,
+                                                offsets):
+    """Windows of zero to 25 arrivals, ties included, in one pass, against
+    a reference of IATs up to a quarter of the window."""
+    windows = [sorted(v % window_us for v in w) for w in offsets]
+    reference = [1 + v % (window_us // 4) for v in reference]
+    for path in sorted(_check_pass(reference, window_us, eps, windows)):
+        event(path)
+
+
+def test_project_scores_each_candidate_once(monkeypatch):
+    """A window's distinct candidates are each scored once, and the
+    windows of a pass are scored together: eight windows projected in one
+    pass take at most 42 kernel calls (the first check, tau = 1 and 40
+    bisection steps) and score exactly the windows that eight one-window
+    passes score."""
+    calls = []
+
+    def counted(samples_us, lengths, reference):
+        ends = np.cumsum(lengths)
+        calls.append([samples_us[e - k:e].tobytes()
+                      for e, k in zip(ends, lengths)])
+        return w1_empirical(samples_us, lengths, reference)
+
+    def project(ts, lengths):
+        calls.clear()
+        monkeypatch.setattr(worlds_module, "w1_empirical", counted)
+        try:
+            return project_iats(ts, lengths, ref, 0.004, 250_000)
+        finally:
+            monkeypatch.undo()
 
     ref = BenignIatReference(1, [5000, 10_000, 20_000, 40_000])
+    segs, scored = [], []
     for seed in range(8):
         rng = np.random.default_rng(seed)
         ts = np.unique(np.sort(rng.integers(0, 240_000, 12)).astype(np.int64))
         try:
             expect = project_iats_uncached(ts, ref, 0.004, (0, 250_000))
         except LocalInfeasibility:
-            expect = None
-        scored.clear()
-        monkeypatch.setattr(worlds_module, "w1_empirical", counted)
-        try:
-            out = project_iats(ts, ref, 0.004, (0, 250_000))
-        except LocalInfeasibility:
-            out = None
-        monkeypatch.undo()
-        assert len(set(scored)) == len(scored)
-        assert (out is None) == (expect is None)
-        if seed == 1:  # this window bisects, and 23 of its 42 scores repeat
-            assert len(scored) == 19
-        if out is not None:
-            assert np.array_equal(out, expect)
+            expect = ts
+        out, _ = project(ts, [ts.size])
+        assert np.array_equal(out, expect)
+        seen = [key for call in calls for key in call]
+        assert len(set(seen)) == len(seen)
+        scored.append(len(seen))
+        segs.append(seed * 250_000 + ts)
+    assert scored[1] == 19  # this window bisects, and 23 of its 42 repeat
+    out, _ = project(np.concatenate(segs), [s.size for s in segs])
+    assert len(calls) <= 42
+    assert sum(map(len, calls)) == sum(scored)
 
 
 # ---------------------------------------------------------------------------
