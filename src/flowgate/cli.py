@@ -46,7 +46,6 @@ from flowgate.trace import (
     TableStream,
     from_json,
     load_json,
-    row_line,
     to_json,
     write_json,
 )
@@ -106,15 +105,29 @@ class ParamsFile(Calibration):
     detector: DetectorParams = field(default_factory=DetectorParams)
 
 
+def _read_params(path) -> tuple[dict, ParamsFile]:
+    """The --params document at path ({} without one) and its record, with
+    exit 2 on detector knobs that DetectorParams.validate refuses."""
+    doc = _load_json(path) if path else {}
+    file = from_json(ParamsFile, doc, path)
+    try:
+        file.detector.validate(where="detector.")
+    except ValueError as exc:
+        raise ArgumentContractError(f"{path}: {exc}") from None
+    return doc, file
+
+
 @dataclass
 class ReplayManifest:
-    """replay_manifest.json: the world replayed, the mode and the gate."""
+    """replay_manifest.json: the world replayed, the mode, the gate and the
+    queue log written, by its rows and its sha256."""
 
     world: RunManifest
     mode: str
     capacity_bps: float
     gate: dict
     packets: int
+    queue_log_sha256: str
 
 
 def _recorded_world(artifact, name: str, read, manifest: RunManifest):
@@ -157,7 +170,7 @@ def _load_scores(path, config, manifest: RunManifest):
     if bad.any():
         i = int(np.argmax(bad))
         f, w = scores.flow_id[i], scores.window[i]
-        raise ValueError(f"{path}: line {row_line(path, i)}: " + (
+        raise ValueError(f"{path}: line {i + 2}: " + (
             f"window {w} is outside [0, {horizon})" if w >= horizon
             else f"flow {f} is not in config.json"))
     # the rows are distinct (read_scores_csv): all pairs if as many
@@ -195,11 +208,7 @@ def cmd_gen_world(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    config, manifest = load_head(args.world)
-    trace, graph = load_traffic(args.world, config)
-
-    file = from_json(ParamsFile, _load_json(args.params), args.params) \
-        if args.params else ParamsFile()
+    _, file = _read_params(args.params)
     params = file.detector
     calibration = Calibration(**{
         f.name: _resolve(f.name, getattr(args, f.name), getattr(file, f.name))
@@ -209,6 +218,8 @@ def cmd_detect(args) -> int:
     except ValueError as exc:
         raise ArgumentContractError(str(exc)) from None
 
+    config, manifest = load_head(args.world)
+    trace, graph = load_traffic(args.world, config, manifest)
     burn_in = _burn_in(config)
     print(f"burn_in_windows={burn_in}")
 
@@ -251,40 +262,60 @@ def cmd_detect(args) -> int:
 # replay
 
 
-def cmd_replay(args) -> int:
-    if args.mode == "gated" and not args.scores:
-        raise ArgumentContractError("--scores is required when --mode=gated")
-    config, manifest = load_head(args.world)
-    trace, _ = load_traffic(args.world, config)
+# the flags that only --mode=gated reads, by dest: --scores, --gate-config
+# and one per GateConfig key, whose dest is the key
+GATED_FLAGS = {"scores": "--scores", "gate_config": "--gate-config",
+               "omega_0": "--omega-0", "omega_minus": "--omega-minus",
+               "t_g_s": "--t-g"}
 
-    schedule = None
-    gate_doc = {}
-    if args.mode == "gated":
-        gc = from_json(GateConfig, _load_json(args.gate_config),
-                       args.gate_config) if args.gate_config else GateConfig()
-        gc = GateConfig(
-            omega_0=_resolve("omega_0", args.omega_0, gc.omega_0),
-            omega_minus=_resolve("omega_minus", args.omega_minus,
-                                 gc.omega_minus),
-            t_g_s=_resolve("t_g_s", args.t_g, gc.t_g_s),
-        )
-        gc.validate()
-        scores, _ = _load_scores(args.scores, config, manifest)
-        schedule = gate_controller(scores, gc, config.window_us)
-        gate_doc = to_json(gc)
+
+def cmd_replay(args) -> int:
+    if args.mode == "base":
+        given = [flag for key, flag in GATED_FLAGS.items()
+                 if getattr(args, key) is not None]
+        if given:
+            raise ArgumentContractError(
+                f"--mode=base reads no {', '.join(given)}")
+    elif not args.scores:
+        raise ArgumentContractError("--scores is required when --mode=gated")
+    gc = _gate_config(args) if args.mode == "gated" else None
+    config, manifest = load_head(args.world)
+    trace, _ = load_traffic(args.world, config, manifest)
+
+    schedule = None if gc is None else gate_controller(
+        _load_scores(args.scores, config, manifest)[0], gc, config.window_us)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if schedule is not None:
         write_schedule(out / "schedule.csv", schedule)
     log = replay(trace, config.capacity_bps, schedule)
-    write_queue_log(out / "queue_log.csv", log)
+    sha256 = write_queue_log(out / "queue_log.csv", log)
     write_json(out / "replay_manifest.json", to_json(ReplayManifest(
-        manifest, args.mode, config.capacity_bps, gate_doc, log.n)))
+        manifest, args.mode, config.capacity_bps,
+        {} if gc is None else to_json(gc), log.n, sha256)))
     print(f"mode={args.mode}")
     print(f"packets={log.n}")
     print(f"out={out}")
     return 0
+
+
+def _gate_config(args) -> GateConfig:
+    """The gate of a gated replay, each key from its flag, else from the
+    --gate-config file, else the default, printed. Refuses with exit 2 what
+    GateConfig.validate refuses, naming where each key came from."""
+    doc = _load_json(args.gate_config) if args.gate_config else {}
+    file = from_json(GateConfig, doc, args.gate_config)
+    keys = [f.name for f in fields(GateConfig)]
+    gc = GateConfig(**{key: _resolve(key, getattr(args, key),
+                                     getattr(file, key)) for key in keys})
+    try:
+        gc.validate({key: GATED_FLAGS[key] if getattr(args, key) is not None
+                     else args.gate_config if key in doc else "the default"
+                     for key in keys})
+    except ValueError as exc:
+        raise ArgumentContractError(str(exc)) from None
+    return gc
 
 
 # ---------------------------------------------------------------------------
@@ -316,16 +347,17 @@ def cmd_report(args) -> int:
 
 
 def _load_queue_log(path, mode: str, manifest: RunManifest):
-    """The queue log at path, refusing, naming the file, what
-    _recorded_world and read_queue_log refuse, a replay manifest of another
-    mode and other than the manifest's packets rows."""
+    """The queue log at path, bound to the replay manifest beside it,
+    refusing, naming the file, what _recorded_world and read_queue_log
+    refuse, a replay manifest of another mode and other than the manifest's
+    packets rows."""
     replayed, record_path = _recorded_world(
         path, "replay_manifest.json",
         lambda p: from_json(ReplayManifest, _load_json(p), p), manifest)
     if replayed.mode != mode:
         raise ValueError(f"{record_path}: mode = {replayed.mode!r} is not "
                          f"{mode!r}, as --{mode}-log needs")
-    log = read_queue_log(path)
+    log = read_queue_log(path, (replayed.queue_log_sha256, record_path))
     if log.n != replayed.packets:
         raise ValueError(f"{path}: {log.n} rows, but {record_path} records "
                          f"packets = {replayed.packets}")
@@ -358,8 +390,8 @@ def _check_same_packets(base_path, base, gated_path, gated) -> None:
 
 
 def cmd_bench(args) -> int:
-    doc = _load_json(args.params) if args.params else {}
-    params = from_json(ParamsFile, doc, args.params).detector
+    doc, file = _read_params(args.params)
+    params = file.detector
     fixed = [f.name for f in fields(Calibration) if f.name in doc]
     if fixed:
         raise ValueError(f"{args.params}: {fixed[0]} = {doc[fixed[0]]!r} is "
@@ -422,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--omega-0", dest="omega_0", type=float, default=None)
     r.add_argument("--omega-minus", dest="omega_minus", type=float,
                    default=None)
-    r.add_argument("--t-g", dest="t_g", type=float, default=None,
+    r.add_argument("--t-g", dest="t_g_s", type=float, default=None,
                    help="quarantine hold in seconds")
     r.add_argument("--out", required=True)
     r.set_defaults(func=cmd_replay)

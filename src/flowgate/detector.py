@@ -19,7 +19,6 @@ elementwise kernels over those arrays.
 from __future__ import annotations
 
 import math
-import re
 from collections import deque
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -31,11 +30,11 @@ from flowgate.trace import (
     RunManifest,
     Table,
     TableStream,
+    check_sha256,
     column,
     from_json,
     load_json,
     read_table,
-    row_line,
     to_json,
     write_json,
     write_table,
@@ -67,32 +66,33 @@ class DetectorParams:
     v_max: float = 10.0
     noise_std: float = 0.0
 
-    def validate(self, rho: float = 0.0) -> None:
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.k <= 0:
-            raise ValueError("k must be positive")
-        if self.kappa < 0 or self.alpha < 0:
-            raise ValueError("alpha and kappa must be nonnegative")
-        if self.a < 0 or self.mu < 0 or self.a + self.mu <= 0:
-            raise ValueError("need a, mu >= 0 with a + mu > 0")
-        if self.b < 0 or self.zeta < 0 or self.r < 0 or self.noise_std < 0:
-            raise ValueError("b, zeta, r, noise_std must be nonnegative")
-        if self.p < 1:
-            raise ValueError("norm order p must be >= 1")
-        if self.lam < 0 or self.chi < 0:
-            raise ValueError("lam and chi must be nonnegative")
-        if not (0 <= self.v_rest < self.v_max):
-            raise ValueError("need 0 <= v_rest < v_max")
-        if self.tau < 0:
-            raise ValueError("coupling delay tau must be nonnegative")
-        if self.g < 0:
-            raise ValueError("coupling gain g must be nonnegative")
-        if self.g > 0:
+    def validate(self, rho: float = 0.0, where: str = "") -> None:
+        """Refuse, naming each key (after the prefix where) and its value,
+        knobs the dynamics cannot run with and, when g > 0, a coupling bound
+        under spectral radius rho that is not below the damping margin
+        (coupling_stability_margin); a refusal at rho = 0 holds at any."""
+        def key(name):
+            return f"{where}{name} = {getattr(self, name)!r}"
+
+        bad = [f"{key(n)} is not positive" for n in ("dt", "k")
+               if not getattr(self, n) > 0]
+        bad += [f"{key(n)} is negative" for n in (
+                "alpha", "kappa", "a", "mu", "b", "zeta", "r", "noise_std",
+                "lam", "chi", "tau", "g") if not getattr(self, n) >= 0]
+        if not self.a + self.mu > 0:
+            bad.append(f"{key('a')} and {key('mu')} break a + mu > 0")
+        if not self.p >= 1:
+            bad.append(f"{key('p')} is not a norm order >= 1")
+        if not 0 <= self.v_rest < self.v_max:
+            bad.append(f"{key('v_rest')} and {key('v_max')} break "
+                       "0 <= v_rest < v_max")
+        if not bad and self.g > 0:
             bound, margin, ok = coupling_stability_margin(self, rho)
             if not ok:
-                raise ValueError(
-                    f"coupling bound {bound:.6g} not below damping margin {margin:.6g}")
+                bad.append(f"{key('g')}: coupling bound {bound:.6g} is not "
+                           f"below the damping margin {margin:.6g}")
+        if bad:
+            raise ValueError(bad[0])
 
 
 def f_sat(v, alpha: float, kappa: float):
@@ -463,16 +463,16 @@ def write_scores_csv(path, scores: Scores | TableStream) -> Scores:
     return scores
 
 
-def read_scores_csv(path, recorded=None) -> Scores:
-    """Load a scores CSV, refusing, naming the path and the lines, what
-    read_table refuses (with recorded, a CSV of a sha256 other than the
-    record's), a baseline_s other than E and a (flow, window) pair that an
-    earlier line holds."""
+def read_scores_csv(path, recorded) -> Scores:
+    """Load a scores CSV bound to the record recorded names, refusing,
+    naming the path and the lines, what read_table refuses, a baseline_s
+    other than E and a (flow, window) pair that an earlier line holds (row
+    i is line i + 2)."""
     scores = read_table(Scores, path, recorded)
     same = scores.baseline_s == scores.E
     if not same.all():
         i = int(np.argmin(same))
-        raise ValueError(f"{path}: line {row_line(path, i)}: baseline_s = "
+        raise ValueError(f"{path}: line {i + 2}: baseline_s = "
                          f"{scores.baseline_s[i]:g} is not E")
     order = np.lexsort((scores.window, scores.flow_id))  # ties by row
     f, w = scores.flow_id[order], scores.window[order]
@@ -480,8 +480,8 @@ def read_scores_csv(path, recorded=None) -> Scores:
     if repeat.size:  # the earliest repeating row, and the row it repeats
         k = repeat[np.argmin(order[repeat + 1])]
         raise ValueError(
-            f"{path}: line {row_line(path, int(order[k + 1]))}: flow {f[k]} "
-            f"at window {w[k]} repeats line {row_line(path, int(order[k]))}")
+            f"{path}: line {order[k + 1] + 2}: flow {f[k]} at window {w[k]} "
+            f"repeats line {order[k] + 2}")
     return scores
 
 
@@ -494,13 +494,11 @@ def read_thresholds(path) -> DetectManifest:
     what from_json refuses (a missing or unknown key, a flow key that is
     not an integer, a threshold that is neither a finite number nor null),
     what Calibration.check refuses, a negative burn_in_windows and a
-    scores_sha256 that is not 64 lowercase hex digits."""
+    scores_sha256 that check_sha256 refuses."""
     doc = from_json(DetectManifest, load_json(path), path)
     doc.check(path)
     if doc.burn_in_windows < 0:
         raise ValueError(f"{path}: burn_in_windows = {doc.burn_in_windows} "
                          "is not a nonnegative integer")
-    if not re.fullmatch("[0-9a-f]{64}", doc.scores_sha256):
-        raise ValueError(f"{path}: scores_sha256 = {doc.scores_sha256!r} is "
-                         "not a sha256 in hex")
+    check_sha256(path, "scores_sha256", doc.scores_sha256)
     return doc

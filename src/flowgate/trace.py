@@ -18,7 +18,6 @@ import operator
 import os
 import re
 import typing
-import warnings
 from dataclasses import (
     MISSING,
     dataclass,
@@ -84,11 +83,15 @@ class EpisodeLabel:
 
 @dataclass(frozen=True)
 class RunManifest:
+    """manifest.json, a world's record. trace_sha256 binds trace.csv:
+    write_world fills it in as it writes the trace."""
+
     world_id: str
     seed: int
     config_hash: str
     feature_contract: str
     split: tuple[float, float, float]
+    trace_sha256: str = ""
     tool_version: str = TOOL_VERSION
     digest: str = "sha256"
 
@@ -438,141 +441,79 @@ def _python_bytes(col: np.ndarray, conv: str, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def read_table(cls, path, recorded=None, **riders):
-    """The Table cls that write_table wrote to the CSV at path, with the
-    other fields given as riders. The columns come from the twin when it is
-    bound to the CSV (twin_columns), else from one text parse (int64 when
-    every column is an integer, else float64) that skips empty lines.
-    Refuses, naming the path and the line, another header, a line with
-    another number of fields or a field that does not parse, and the first
+def read_table(cls, path, recorded, **riders):
+    """The Table cls that write_table wrote to the CSV at path, read from
+    its twin (twin_columns), with the other fields given as riders.
+    recorded is the (hex sha256, path) of the record that binds the CSV: a
+    CSV of another sha256 is refused, naming both files. Then refuses,
+    naming the path and the line (data row i is line i + 2), the first
     value of the first column holding one that write_table cannot have
     written: a float that is not finite, an integer outside [0, 2**53) or
-    a bool other than 0 or 1. recorded, when given, is the (hex sha256,
-    path) of the record that binds the CSV: a CSV of another sha256 is
-    refused, naming both files, and the twin is checked against the same
-    digest."""
+    a bool other than 0 or 1."""
+    sha256, record_path = recorded
+    digest = _file_sha256(path)
+    if digest.hex() != sha256:
+        raise ValueError(f"{path}: sha256 {digest.hex()} is not the "
+                         f"{sha256} that {record_path} records")
     spec = table_columns(cls)
-    header = ",".join(name for name, *_ in spec)
-    with open(path) as fh:
-        first = fh.readline().rstrip("\n")
-    if first != header:
-        raise ValueError(f"{path}: line 1: header {first!r} is not "
-                         f"{header!r}")
-    digest = None
-    if recorded is not None:
-        digest = _file_sha256(path)
-        sha256, record_path = recorded
-        if digest.hex() != sha256:
-            raise ValueError(f"{path}: sha256 {digest.hex()} is not the "
-                             f"{sha256} that {record_path} records")
-    try:
-        cols = list(twin_columns(path, [dtype for *_, dtype in spec],
-                                 digest))
-    except NoTwin:
-        cols = _parse_text(path, spec)
-    return cls(**{name: _checked(path, name, col, dtype)
-                  for (name, _, dtype), col in zip(spec, cols)}, **riders)
+    cols = twin_columns(path, [dtype for *_, dtype in spec], digest)
+    return cls(**{name: _checked(path, name, col)
+                  for (name, *_), col in zip(spec, cols)}, **riders)
 
 
-def _parse_text(path, spec) -> list[np.ndarray]:
-    """The columns of the CSV at path, parsed from its text."""
-    n = len(spec)
-    dtype = np.dtype(np.int64 if all(d.kind == "i" for *_, d in spec)
-                     else np.float64)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # no rows
-            raw = np.loadtxt(path, dtype=dtype, delimiter=",", skiprows=1,
-                             comments=None, ndmin=2)
-        if raw.size and raw.shape[1] != n:
-            raise ValueError(f"{raw.shape[1]} fields per row")
-    except ValueError as exc:  # a second pass names the line
-        for lineno, line in _data_lines(path):
-            cells = line.rstrip("\n").split(",")
-            if len(cells) != n:
-                raise ValueError(f"{path}: line {lineno}: {len(cells)} "
-                                 f"fields, expected {n}") from None
-            for (name, *_), cell in zip(spec, cells):
-                try:
-                    dtype.type(cell)
-                except (ValueError, OverflowError):
-                    raise ValueError(
-                        f"{path}: line {lineno}: {name}: could not convert "
-                        f"string {cell!r} to {dtype}") from None
-        raise ValueError(f"{path}: {exc}") from None
-    return list(raw.reshape(-1, n).T)
-
-
-def _checked(path, name: str, col: np.ndarray, dtype) -> np.ndarray:
-    """Column `name` of the CSV at path as dtype. Refuses, naming the line
-    and the value, its first value that write_table cannot have written."""
-    if dtype.kind == "f":
+def _checked(path, name: str, col: np.ndarray) -> np.ndarray:
+    """Column `name` of the CSV at path, refused at its first value that
+    write_table cannot have written."""
+    values = col
+    if col.dtype.kind == "f":
         ok, what = np.isfinite(col), "is not finite"
-    elif dtype.kind == "b":
-        ok, what = (col == 0) | (col == 1), "is not 0 or 1"
-    else:  # an integer column, parsed as int64 or float64
+    elif col.dtype.kind == "b":  # by its byte: numpy reads 2 up as True
+        values = col.view(np.uint8)
+        ok, what = values <= 1, "is not 0 or 1"
+    else:
         ok, what = (col >= 0) & (col < 2**53), "is not a nonnegative integer"
-        if col.dtype.kind == "f":
-            ok &= np.floor(col) == col
     if not np.all(ok):
         i = int(np.argmin(ok))
-        raise ValueError(f"{path}: line {row_line(path, i)}: {name} = "
-                         f"{col[i].item():g} {what}")
-    return col.astype(dtype, copy=False)
+        raise ValueError(f"{path}: line {i + 2}: {name} = "
+                         f"{values[i].item():g} {what}")
+    return col
 
 
-def _data_lines(path):
-    """(line number, line) of each CSV line that the text parse reads."""
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if lineno > 1 and line != "\n":
-                yield lineno, line
-
-
-def row_line(path, row: int) -> int:
-    """The line of the CSV at path that holds data row `row` (from 0)."""
-    return next(itertools.islice(_data_lines(path), row, None))[0]
-
-
-class NoTwin(Exception):
-    """A CSV's twin is absent, stale or malformed: read the text instead."""
-
-
-def twin_columns(path, dtypes, digest=None):
-    """Yield the columns of the twin beside the CSV at path, one per dtype.
-    Raises NoTwin, possibly after yielding some, unless the twin holds the
-    sha256 of the CSV's bytes (digest, when the caller has hashed them),
-    then exactly one np.save (version 1.0)
-    record per dtype: a 1-D array of that dtype, all of one length.
-    Nothing is unpickled, and no record is allocated beyond the bytes the
-    twin holds."""
-    try:
-        fh = open(twin_path(path), "rb")
-    except OSError:
-        raise NoTwin from None
-    with fh:
-        if fh.read(32) != (_file_sha256(path) if digest is None
-                           else digest):
-            raise NoTwin
-        size, rows = os.fstat(fh.fileno()).st_size, None
-        for expected in dtypes:
+def twin_columns(path, dtypes, digest: bytes) -> list[np.ndarray]:
+    """The columns of the twin beside the CSV at path, one per dtype.
+    Refuses, naming the twin, one that does not hold digest, the sha256 of
+    the CSV's bytes, then exactly one np.save (version 1.0) record per
+    dtype: a 1-D array of that dtype, all of one length. Nothing is
+    unpickled, and no record is allocated beyond the bytes the twin
+    holds."""
+    twin = twin_path(path)
+    cols = []
+    with open(twin, "rb") as fh:
+        if fh.read(32) != digest:
+            raise ValueError(f"{twin}: holds the sha256 of other bytes than "
+                             f"{path}")
+        size = os.fstat(fh.fileno()).st_size
+        for j, expected in enumerate(dtypes):
+            bad = ValueError(f"{twin}: record {j} is not a 1-D {expected} "
+                             "column of the table's length")
             try:
                 if np.lib.format.read_magic(fh) != (1, 0):
-                    raise NoTwin
+                    raise bad
                 shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
             except ValueError:
-                raise NoTwin from None
+                raise bad from None
             if (len(shape) != 1 or dtype != expected
-                    or (rows is not None and shape[0] != rows)
+                    or (cols and shape[0] != len(cols[0]))
                     or not 0 <= shape[0] * dtype.itemsize
                     <= size - fh.tell()):
-                raise NoTwin
-            rows = shape[0]
-            col = np.empty(rows, dtype)
+                raise bad
+            col = np.empty(shape[0], dtype)
             fh.readinto(col)
-            yield col
+            cols.append(col)
         if fh.read(1):
-            raise NoTwin
+            raise ValueError(f"{twin}: holds more than {len(dtypes)} "
+                             "records")
+    return cols
 
 
 def _file_sha256(path) -> bytes:
@@ -720,14 +661,16 @@ def _decode(tp, doc, path, where: str, null):
     return float(doc) if tp is float else doc
 
 
-def write_trace_csv(path, trace: Trace) -> None:
-    write_table(path, trace)
+def write_trace_csv(path, trace: Trace) -> str:
+    """write_table of a trace: returns the CSV's sha256."""
+    return write_table(path, trace)
 
 
-def read_trace_csv(path, flow_table, horizon_windows, window_us) -> Trace:
-    """Load a trace CSV (read_table), with the world's flow table, horizon
-    and window."""
-    return read_table(Trace, path, flow_table=flow_table,
+def read_trace_csv(path, recorded, flow_table, horizon_windows,
+                   window_us) -> Trace:
+    """read_table of a trace bound to the record recorded names, with the
+    world's flow table, horizon and window."""
+    return read_table(Trace, path, recorded, flow_table=flow_table,
                       horizon_windows=horizon_windows, window_us=window_us)
 
 
@@ -757,12 +700,20 @@ def read_labels(path) -> list[EpisodeLabel]:
     return labels
 
 
+def check_sha256(path, key: str, value: str) -> None:
+    """Refuse the value of a record's key that should hold a sha256 when it
+    is not 64 lowercase hex digits, naming the path and the key."""
+    if not re.fullmatch("[0-9a-f]{64}", value):
+        raise ValueError(f"{path}: {key} = {value!r} is not a sha256 in hex")
+
+
 def read_manifest(path) -> RunManifest:
     """Load a run manifest, refusing, naming the path and the key, what
-    from_json refuses and a split that is not three positive fractions
-    summing to 1."""
+    from_json refuses, a split that is not three positive fractions summing
+    to 1 and a trace_sha256 that check_sha256 refuses."""
     manifest = from_json(RunManifest, load_json(path), path)
     if not split_ok(manifest.split):
         raise ValueError(f"{path}: split = {list(manifest.split)} is not "
                          "three positive fractions summing to 1")
+    check_sha256(path, "trace_sha256", manifest.trace_sha256)
     return manifest

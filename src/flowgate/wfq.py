@@ -59,11 +59,23 @@ class GateConfig:
     omega_minus: float = 0.05
     t_g_s: float = 30.0
 
-    def validate(self) -> None:
+    def validate(self, source=None) -> None:
+        """Refuse, naming the keys, their values and where source (a dict)
+        says each came from, weights that break 0 < omega_minus < omega_0 <
+        inf and a t_g_s that is not finite and nonnegative."""
         if not 0.0 < self.omega_minus < self.omega_0 < math.inf:
-            raise ValueError("need 0 < omega_minus < omega_0 < inf")
-        if not 0 <= self.t_g_s < math.inf:
-            raise ValueError("t_g_s must be finite and nonnegative")
+            keys, problem = ("omega_minus", "omega_0"), (
+                f"omega_minus = {self.omega_minus!r} and omega_0 = "
+                f"{self.omega_0!r} break 0 < omega_minus < omega_0 < inf")
+        elif not 0 <= self.t_g_s < math.inf:
+            keys, problem = ("t_g_s",), (f"t_g_s = {self.t_g_s!r} is not "
+                                         "finite and nonnegative")
+        else:
+            return
+        if source:
+            problem = " and ".join(dict.fromkeys(source[k] for k in keys)
+                                   ) + ": " + problem
+        raise ValueError(problem)
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,13 +306,14 @@ def clique_mean_delay(log: QueueEventLog, clique_id: int) -> float:
 # ---------------------------------------------------------------------------
 # On-disk formats
 
-def write_queue_log(path, log: QueueEventLog) -> None:
-    write_table(path, log)
+def write_queue_log(path, log: QueueEventLog) -> str:
+    """write_table of a queue log: returns the CSV's sha256."""
+    return write_table(path, log)
 
 
-def read_queue_log(path) -> QueueEventLog:
-    """Load a queue log, refusing what read_table refuses."""
-    return read_table(QueueEventLog, path)
+def read_queue_log(path, recorded) -> QueueEventLog:
+    """read_table of a queue log bound to the record recorded names."""
+    return read_table(QueueEventLog, path, recorded)
 
 
 def write_schedule(path, schedule: Schedule) -> None:

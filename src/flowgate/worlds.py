@@ -1123,9 +1123,11 @@ def audit_budgets(world: World) -> list[dict]:
 
 
 def write_world(out_dir, world: World) -> None:
+    """Write a world's files; world.manifest gains trace.csv's sha256."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_trace_csv(out / "trace.csv", world.trace)
+    world.manifest = replace(world.manifest, trace_sha256=write_trace_csv(
+        out / "trace.csv", world.trace))
     write_json(out / "flows.csv", to_json(world.trace.flow_table))
     write_json(out / "labels.csv", to_json(world.labels))
     write_json(out / "manifest.json", to_json(world.manifest))
@@ -1212,13 +1214,15 @@ def load_head(world_dir) -> tuple[WorldConfig, RunManifest]:
     return config, manifest
 
 
-def load_traffic(world_dir, config: WorldConfig) -> tuple[Trace,
-                                                          ContentionGraph]:
-    """A world's trace, with config's flow table, and contention graph,
-    checked by check_trace."""
+def load_traffic(world_dir, config: WorldConfig, manifest: RunManifest
+                 ) -> tuple[Trace, ContentionGraph]:
+    """A world's trace, bound to the manifest's trace_sha256, with config's
+    flow table, and contention graph, checked by check_trace."""
     d = Path(world_dir)
-    trace = read_trace_csv(d / "trace.csv", flow_table(config),
-                           config.horizon_windows, config.window_us)
+    trace = read_trace_csv(d / "trace.csv",
+                           (manifest.trace_sha256, d / "manifest.json"),
+                           flow_table(config), config.horizon_windows,
+                           config.window_us)
     graph = ContentionGraph.from_dict(load_json(d / "contention.json"),
                                       d / "contention.json")
     check_trace(trace, graph, config.len_bounds)
@@ -1273,7 +1277,7 @@ def load_world(world_dir) -> World:
     check, and the IAT references derived from trace.csv."""
     d = Path(world_dir)
     config, manifest = load_head(d)
-    trace, graph = load_traffic(d, config)
+    trace, graph = load_traffic(d, config, manifest)
     labels, feasibility = load_outcomes(d, config)
     try:
         references = iat_references(config, trace)

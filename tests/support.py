@@ -3,6 +3,11 @@
 - `write_csv_rows` is the row-at-a-time writer that the column kernel
   `flowgate.trace.write_csv` replaced, kept unchanged as its differential
   oracle: one Python `row % values` per row.
+- `read_table_text` is the CSV text parse that stage readers used when a
+  table had no twin bound to its bytes, kept as the oracle of the twin
+  reader `flowgate.trace.read_table`. `recorded` gives the binding of a
+  CSV as it is, and `rebind` rewrites a table and the record that binds
+  it, as the stage that wrote them would have.
 - `PacketRecord` and `trace_from_records` build traces from packet
   records.
 - `solve_fixed_point` and `fixed_point_residual` give the detector's steady
@@ -17,8 +22,13 @@
 
 from __future__ import annotations
 
+import hashlib
+import itertools
+import json
 import math
+import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -28,7 +38,7 @@ from flowgate.detector import (
     FlowThresholds,
     f_sat,
 )
-from flowgate.trace import Trace
+from flowgate.trace import Trace, table_columns, write_json, write_table
 from flowgate.wfq import delay_percentile
 
 _WRITE_BLOCK = 1 << 12  # rows formatted per write
@@ -44,6 +54,95 @@ def write_csv_rows(path, header: str, row: str, cols) -> None:
         for s in range(0, n, _WRITE_BLOCK):
             rows = zip(*(c[s:s + _WRITE_BLOCK].tolist() for c in cols))
             fh.write("".join([row % r for r in rows]))
+
+
+def read_table_text(cls, path, **riders):
+    """The Table cls that write_table wrote to the CSV at path, with the
+    other fields given as riders, from one text parse (int64 when every
+    column is an integer, else float64) that skips empty lines. Refuses,
+    naming the path and the line, another header, a line with another
+    number of fields or a field that does not parse, and the first value of
+    the first column holding one that write_table cannot have written: a
+    float that is not finite, an integer outside [0, 2**53) or a bool other
+    than 0 or 1."""
+    spec = table_columns(cls)
+    header = ",".join(name for name, *_ in spec)
+    with open(path) as fh:
+        first = fh.readline().rstrip("\n")
+    if first != header:
+        raise ValueError(f"{path}: line 1: header {first!r} is not "
+                         f"{header!r}")
+    cols = _parse_text(path, spec)
+    return cls(**{name: _text_checked(path, name, col, dtype)
+                  for (name, _, dtype), col in zip(spec, cols)}, **riders)
+
+
+def recorded(path, record="record.json") -> tuple[str, str]:
+    """The (hex sha256, record path) that binds the CSV at path as it is
+    now, as read_table takes it."""
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest(), str(record)
+
+
+def rebind(path, table, record, key: str, **entries) -> None:
+    """Rewrite the CSV at path and its twin as table (write_table), and set
+    key of the JSON record at record to its sha256, and the other entries
+    given."""
+    doc = json.loads(Path(record).read_text())
+    write_json(record, {**doc, **entries, key: write_table(path, table)})
+
+
+def _parse_text(path, spec) -> list[np.ndarray]:
+    n = len(spec)
+    dtype = np.dtype(np.int64 if all(d.kind == "i" for *_, d in spec)
+                     else np.float64)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no rows
+            raw = np.loadtxt(path, dtype=dtype, delimiter=",", skiprows=1,
+                             comments=None, ndmin=2)
+        if raw.size and raw.shape[1] != n:
+            raise ValueError(f"{raw.shape[1]} fields per row")
+    except ValueError as exc:  # a second pass names the line
+        for lineno, line in _data_lines(path):
+            cells = line.rstrip("\n").split(",")
+            if len(cells) != n:
+                raise ValueError(f"{path}: line {lineno}: {len(cells)} "
+                                 f"fields, expected {n}") from None
+            for (name, *_), cell in zip(spec, cells):
+                try:
+                    dtype.type(cell)
+                except (ValueError, OverflowError):
+                    raise ValueError(
+                        f"{path}: line {lineno}: {name}: could not convert "
+                        f"string {cell!r} to {dtype}") from None
+        raise ValueError(f"{path}: {exc}") from None
+    return list(raw.reshape(-1, n).T)
+
+
+def _text_checked(path, name, col, dtype):
+    if dtype.kind == "f":
+        ok, what = np.isfinite(col), "is not finite"
+    elif dtype.kind == "b":
+        ok, what = (col == 0) | (col == 1), "is not 0 or 1"
+    else:  # an integer column, parsed as int64 or float64
+        ok, what = (col >= 0) & (col < 2**53), "is not a nonnegative integer"
+        if col.dtype.kind == "f":
+            ok &= np.floor(col) == col
+    if not np.all(ok):
+        i = int(np.argmin(ok))
+        line = next(itertools.islice(_data_lines(path), i, None))[0]
+        raise ValueError(f"{path}: line {line}: {name} = "
+                         f"{col[i].item():g} {what}")
+    return col.astype(dtype, copy=False)
+
+
+def _data_lines(path):
+    """(line number, line) of each CSV line that the text parse reads."""
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if lineno > 1 and line != "\n":
+                yield lineno, line
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ import pytest
 from flowgate.detector import Scores, read_scores_csv, write_scores_csv
 from flowgate.trace import BENIGN, FlowInfo, FlowKey, Trace
 from flowgate.wfq import replay
+from support import recorded
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -62,7 +63,8 @@ def test_work_counters_read_real_tables(tmp_path):
     zero = [0.0, 0.0]
     write_scores_csv(tmp_path / "scores.csv", Scores(
         [0, 0], [0, 1], zero, zero, zero, zero, zero, [0, 0], [0, 0]))
-    scores = read_scores_csv(tmp_path / "scores.csv")
+    scores = read_scores_csv(tmp_path / "scores.csv",
+                             recorded(tmp_path / "scores.csv"))
     assert tracing._packets((), trace) == 3
     assert tracing._replayed((), replay(trace, 1e6)) == 3
     assert tracing._rows_out((), scores) == 2

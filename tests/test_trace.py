@@ -28,7 +28,6 @@ from flowgate.trace import (
     EpisodeLabel,
     FlowInfo,
     FlowKey,
-    NoTwin,
     RunManifest,
     Table,
     Trace,
@@ -63,7 +62,12 @@ from flowgate.worlds import (
     FeasibilityOutcome,
     WorldConfig,
 )
-from support import PacketRecord, trace_from_records, write_csv_rows
+from support import (
+    PacketRecord,
+    read_table_text,
+    trace_from_records,
+    write_csv_rows,
+)
 from trace_validation import validate_trace
 
 # Frozen reference: SHA-256 of the empty byte string.
@@ -145,8 +149,8 @@ def test_trace_csv_round_trip(tmp_path_factory, rows):
     recs = [PacketRecord(ts, fid, ln, 0) for ts, fid, ln in rows]
     tr = trace_from_records(recs, ft, horizon_windows=4, window_us=250_000)
     p = tmp_path_factory.mktemp("t") / "trace.csv"
-    write_trace_csv(p, tr)
-    back = read_trace_csv(p, ft, 4, 250_000)
+    sha256 = write_trace_csv(p, tr)
+    back = read_trace_csv(p, (sha256, "manifest.json"), ft, 4, 250_000)
     assert back == tr
 
 
@@ -176,7 +180,8 @@ def test_labels_round_trip_with_inf_budgets(tmp_path):
 
 
 def test_manifest_round_trip(tmp_path):
-    m = RunManifest("w0", 42, "a" * 64, "timing+contention-v1", (0.6, 0.1, 0.3))
+    m = RunManifest("w0", 42, "a" * 64, "timing+contention-v1", (0.6, 0.1, 0.3),
+                    "b" * 64)
     p = tmp_path / "manifest.json"
     write_json(p, to_json(m))
     assert read_manifest(p) == m
@@ -199,7 +204,8 @@ _DETECTOR = st.builds(DetectorParams, **{
     f.name: _INTS if f.type == "int" else _FLOATS
     for f in fields(DetectorParams)})
 _MANIFEST = st.builds(RunManifest, _TEXT, _INTS, _TEXT, _TEXT,
-                      st.tuples(_FLOATS, _FLOATS, _FLOATS), _TEXT, _TEXT)
+                      st.tuples(_FLOATS, _FLOATS, _FLOATS), _TEXT, _TEXT,
+                      _TEXT)
 RECORDS = {
     "flow table": (dict[int, FlowInfo], st.dictionaries(_INTS, _FLOW_INFO,
                                                         max_size=3)),
@@ -346,8 +352,9 @@ def test_readers_refuse_corrupt_files(tmp_path_factory, reader, n, corruption,
     write, read = READERS[reader]
     path = tmp_path_factory.mktemp("csv") / "artifact.csv"
     write(path, n)
+    recorded = (_csv_sha256(path).hex(), "record.json")
     lines = path.read_text().splitlines()
-    read(path)  # the intact file reads
+    read(path, recorded)  # the intact file reads
     names = lines[0].split(",")
     if corruption == "truncated last line":  # at least one field lost
         cut = data.draw(st.integers(1, lines[-1].rindex(",")))
@@ -363,8 +370,8 @@ def test_readers_refuse_corrupt_files(tmp_path_factory, reader, n, corruption,
     else:
         lines = []
     path.write_text("".join(line + "\n" for line in lines))
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
-        read(path)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: sha256 "):
+        read(path, recorded)
 
 
 # ---------------------------------------------------------------------------
@@ -465,18 +472,18 @@ def test_write_csv_refuses_other_conversions(row, n_cols):
 def test_queue_log_and_csv_round_trip(tmp_path_factory, cols):
     d = tmp_path_factory.mktemp("log")
     log = QueueEventLog(*cols)
-    write_queue_log(d / "a.csv", log)
-    back = read_queue_log(d / "a.csv")
+    sha256 = write_queue_log(d / "a.csv", log)
+    back = read_queue_log(d / "a.csv", (sha256, "replay_manifest.json"))
     assert back == log
     write_queue_log(d / "b.csv", back)
     assert (d / "a.csv").read_bytes() == (d / "b.csv").read_bytes()
-    twin_path(d / "a.csv").unlink()  # the text parse reads the same log
-    assert read_queue_log(d / "a.csv") == back
+    # the text parse reads the same log
+    assert read_table_text(QueueEventLog, d / "a.csv") == back
 
 
 # ---------------------------------------------------------------------------
-# the binary twin reads as the text parse, and is used only when it is bound
-# to the CSV's bytes
+# the binary twin reads as the text parse, and is read only when it is bound
+# to the CSV's bytes, which a record binds
 
 # each CSV artifact's Table, and the other fields its reader gives it
 TABLES = {"scores": (Scores, {}),
@@ -507,37 +514,25 @@ def _outcome(read, path):
     return "read", [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
 
 
-def _via_twin(read, path):
-    """_outcome with the text parser disabled."""
-    with mock.patch.object(np, "loadtxt",
-                           side_effect=AssertionError("text parsed")):
-        return _outcome(read, path)
-
-
-def _via_text(read, path):
-    """_outcome with the twin moved away, so that the text is parsed."""
-    aside = path.with_name("aside")
-    twin_path(path).rename(aside)
-    try:
-        return _outcome(read, path)
-    finally:
-        aside.rename(twin_path(path))
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(sorted(TABLES)), st.integers(0, 6), st.data())
 def test_twin_reads_as_the_text_parse(tmp_path_factory, table, n, data):
+    # the text parse, kept in the tests as the oracle, reads and refuses
+    # what the twin reader does, in the same words
     cls, riders = TABLES[table]
     cols = {name: data.draw(_values(dtype, n))
             for name, _, dtype in table_columns(cls)}
     path = tmp_path_factory.mktemp("twin") / "a.csv"
-    write_table(path, cls(**cols, **riders))
+    recorded = (write_table(path, cls(**cols, **riders)), "record.json")
     assert twin_path(path).is_file()
 
-    def read(p):
-        return _columns_of(read_table(cls, p, **riders))
+    def via_twin(p):
+        return _columns_of(read_table(cls, p, recorded, **riders))
 
-    assert _via_twin(read, path) == _via_text(read, path)
+    def via_text(p):
+        return _columns_of(read_table_text(cls, p, **riders))
+
+    assert _outcome(via_twin, path) == _outcome(via_text, path)
 
 
 def test_no_twin_where_the_text_reads_otherwise():
@@ -551,15 +546,16 @@ def test_no_twin_where_the_text_reads_otherwise():
 
 def test_trace_read_takes_only_integer_text_from_the_twin(tmp_path):
     # a twin bound to the trace's bytes whose ts_us record is float64 is not
-    # the twin of a Trace: the text is parsed instead
+    # the twin of a Trace: it is refused, naming the twin and the record
     path = tmp_path / "trace.csv"
     trace = Trace([10, 20], [1, 2], [64, 64], [0, 0], {}, 1, 1)
-    write_trace_csv(path, trace)
-    cols = list(twin_columns(path, [np.dtype(np.int64)] * 4))
+    sha256 = write_trace_csv(path, trace)
+    cols = twin_columns(path, [np.dtype(np.int64)] * 4, _csv_sha256(path))
     _bound_twin(path, cols[0].astype(np.float64), *cols[1:])
-    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as parse:
-        assert read_trace_csv(path, {}, 1, 1) == trace
-    assert parse.call_count == 1
+    with pytest.raises(ValueError, match=(
+            f"^{re.escape(str(twin_path(path)))}: record 0 is not a 1-D "
+            "int64 column")):
+        read_trace_csv(path, (sha256, "manifest.json"), {}, 1, 1)
 
 
 def _csv_sha256(path):
@@ -588,6 +584,10 @@ def _nan_field(path, n, data):
     path.write_text("".join(lines))
 
 
+def _no_twin(path, n, data):
+    twin_path(path).unlink()
+
+
 def _other_twin(path, n, data):
     other = path.with_name("other.csv")
     write, _ = READERS[path.stem]
@@ -602,10 +602,11 @@ def _cut_twin(path, n, data):
 
 
 def _twin_records(path):
-    """The columns of the intact twin of path, a scores file or a queue
-    log named after its reader."""
+    """The columns of the twin of path, a scores file or a queue log named
+    after its reader, bound to the CSV's bytes."""
     cls = {"scores": Scores, "queue log": QueueEventLog}[path.stem]
-    return list(twin_columns(path, [d for *_, d in table_columns(cls)]))
+    return twin_columns(path, [d for *_, d in table_columns(cls)],
+                        _csv_sha256(path))
 
 
 def _object_twin(path, n, data):
@@ -633,15 +634,23 @@ def _string_column(path, n, data):
     _bound_twin(path, cols[0].astype("S24"), *cols[1:])
 
 
-TWIN_FAULTS = {"edited CSV: rows swapped": _swap_rows,
-               "edited CSV: a field made nan": _nan_field,
-               "twin of another CSV": _other_twin,
-               "twin cut short": _cut_twin,
-               "twin of object arrays": _object_twin,
-               "twin with an extra record": _extra_record,
-               "twin with a 2-D record": _matrix_record,
-               "twin with a short column": _short_column,
-               "twin with a string column": _string_column}
+def _float_column(path, n, data):
+    cols = _twin_records(path)
+    _bound_twin(path, cols[0].astype(np.float64), *cols[1:])
+
+
+# each fault, and the file its refusal names first
+TWIN_FAULTS = {"edited CSV: rows swapped": (_swap_rows, "csv"),
+               "edited CSV: a field made nan": (_nan_field, "csv"),
+               "no twin": (_no_twin, "twin"),
+               "twin of another CSV": (_other_twin, "twin"),
+               "twin cut short": (_cut_twin, "twin"),
+               "twin of object arrays": (_object_twin, "twin"),
+               "twin with an extra record": (_extra_record, "twin"),
+               "twin with a 2-D record": (_matrix_record, "twin"),
+               "twin with a short column": (_short_column, "twin"),
+               "twin with a string column": (_string_column, "twin"),
+               "twin with a float64 flow_id": (_float_column, "twin")}
 
 
 def _columns_of(loaded):
@@ -652,24 +661,25 @@ def _columns_of(loaded):
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(sorted(READERS)), st.sampled_from(sorted(TWIN_FAULTS)),
        st.integers(2, 5), st.data())
-def test_a_stale_or_malformed_twin_falls_back_to_the_text(
-        tmp_path_factory, reader, fault, n, data):
+def test_a_stale_or_malformed_twin_is_refused(tmp_path_factory, reader,
+                                               fault, n, data):
+    # the record binds the CSV's bytes, and the CSV binds its twin: an edit
+    # of either is refused, naming the file, and never read around
     write, read = READERS[reader]
     path = tmp_path_factory.mktemp("twin") / f"{reader}.csv"
     write(path, n)
-
-    def columns(p):
-        return _columns_of(read(p))
-
-    intact = _via_twin(columns, path)
-    assert intact[0] == "read"
-    TWIN_FAULTS[fault](path, n, data)
+    recorded = (_csv_sha256(path).hex(), "record.json")
+    read(path, recorded)
+    edit, named = TWIN_FAULTS[fault]
+    edit(path, n, data)
     with mock.patch("pickle.load", side_effect=AssertionError("unpickled")):
-        got = _outcome(columns, path)
-    assert got == _via_text(columns, path)
-    if fault.startswith("edited"):
-        assert got != intact
-    with pytest.raises(NoTwin):
+        with pytest.raises((ValueError, OSError)) as exc:
+            read(path, recorded)
+    first = {"csv": f"{path}: sha256 ",
+             "twin": f"{twin_path(path)}: "}[named]
+    assert str(exc.value).startswith(first) or (
+        fault == "no twin" and exc.value.filename == str(twin_path(path)))
+    with pytest.raises((ValueError, OSError)):
         _twin_records(path)
 
 
@@ -682,15 +692,13 @@ def test_twin_read_of_a_queue_log_peaks_at_the_log_plus_one_column(tmp_path):
     log = QueueEventLog(t % 46, t % 5, t, t + wait, t + wait + 97.5,
                         rng.random(n) < 0.9)
     path = tmp_path / "queue_log.csv"
-    write_queue_log(path, log)
-    with mock.patch.object(np, "loadtxt",
-                           side_effect=AssertionError("text parsed")):
-        tracemalloc.start()
-        try:
-            back = read_queue_log(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    recorded = (write_queue_log(path, log), "replay_manifest.json")
+    tracemalloc.start()
+    try:
+        back = read_queue_log(path, recorded)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     held = {}  # the buffers the returned log keeps alive
     for a in _columns_of(back):
         base = a if a.base is None else a.base

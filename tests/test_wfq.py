@@ -366,8 +366,7 @@ def test_queue_log_round_trip(tmp_path):
                flow_table(2, labels), 4, 250_000)
     log = replay(tr, 80_000)
     p = tmp_path / "queue.csv"
-    write_queue_log(p, log)
-    back = read_queue_log(p)
+    back = read_queue_log(p, (write_queue_log(p, log), "replay_manifest.json"))
     assert np.array_equal(back.flow_id, log.flow_id)
     assert np.array_equal(back.enqueue_us, log.enqueue_us)
     assert np.array_equal(back.dequeue_us, log.dequeue_us)

@@ -3,6 +3,7 @@
 import bisect
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -48,6 +49,7 @@ from flowgate.worlds import (
 )
 
 import flowgate.worlds as worlds_module
+from support import rebind
 from test_acceptance import _audit_config
 from trace_validation import validate_trace
 
@@ -1137,14 +1139,13 @@ def test_check_trace_names_the_flow(demo_world):
 def test_load_world_refuses_length_outside_config_bounds(demo_world,
                                                         tmp_path):
     write_world(tmp_path / "w", demo_world)
-    path = tmp_path / "w" / "trace.csv"
-    lines = path.read_text().splitlines()
-    cells = lines[1].split(",")
-    cells[2] = str(LEN_BOUNDS[0] - 1)
-    lines[1] = ",".join(cells)
-    path.write_text("\n".join(lines) + "\n")
+    trace = demo_world.trace
+    ln = trace.len_bytes.copy()
+    ln[0] = LEN_BOUNDS[0] - 1
+    rebind(tmp_path / "w" / "trace.csv", replace(trace, len_bytes=ln),
+           tmp_path / "w" / "manifest.json", "trace_sha256")
     with pytest.raises(ValueError, match=(
-            f"packet 0 of flow {cells[1]} has 63 bytes, outside")):
+            f"packet 0 of flow {trace.flow_id[0]} has 63 bytes, outside")):
         load_world(tmp_path / "w")
 
 
@@ -1153,18 +1154,12 @@ def test_load_world_refuses_a_class_without_benign_iats(demo_world,
     # episode 101's reference pools telemetry flows 1 and 2: with one
     # packet each left in trace.csv, the class has no IAT to pool
     write_world(tmp_path / "w", demo_world)
-    path = tmp_path / "w" / "trace.csv"
-    header, *rows = path.read_text().splitlines()
-    seen = set()
-    kept = []
-    for row in rows:
-        f = row.split(",")[1]
-        if f in ("1", "2"):
-            if f in seen:
-                continue
-            seen.add(f)
-        kept.append(row)
-    path.write_text("\n".join([header, *kept]) + "\n")
+    trace = demo_world.trace
+    keep = ~np.isin(trace.flow_id, [1, 2])
+    for f in (1, 2):
+        keep[np.flatnonzero(trace.flow_id == f)[0]] = True
+    rebind(tmp_path / "w" / "trace.csv", trace.take(keep),
+           tmp_path / "w" / "manifest.json", "trace_sha256")
     with pytest.raises(ValueError, match=(
             "trace.csv: device class 'telemetry' yields no benign IATs to "
             "reference$")):
