@@ -227,7 +227,7 @@ def cmd_detect(args) -> int:
     session = DetectorSession(
         params, table.flow_ids,
         [trace.flow_table[f].device_class for f in table.flow_ids],
-        burn_in, calibration, graph=graph, seed=args.seed)
+        burn_in, calibration)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "scores.csv"
@@ -440,8 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--k", type=int, default=None)
     d.add_argument("--m", type=int, default=None)
     d.add_argument("--w-min", dest="w_min", type=int, default=None)
-    d.add_argument("--seed", type=int, default=None,
-                   help="rng seed (needed only when noise_std > 0)")
     d.add_argument("--out", required=True, help="output directory")
     d.set_defaults(func=cmd_detect)
 

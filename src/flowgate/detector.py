@@ -19,7 +19,6 @@ elementwise kernels over those arrays.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -46,7 +45,6 @@ class DetectorParams:
     alpha: float = 1.0
     kappa: float = 1.0
     beta: float = 0.1
-    gamma: float = 0.0
     lam: float = 0.5
     chi: float = 0.2
     a: float = 0.1
@@ -56,41 +54,25 @@ class DetectorParams:
     k: float = 4.0
     theta: float = 1.0
     zeta: float = 0.25
-    p: float = 2.0
-    g: float = 0.0
-    tau: int = 0
-    r: float = 0.0
-    eta1: float = 1.0
-    eta2: float = 0.0
     v_rest: float = 0.0
     v_max: float = 10.0
-    noise_std: float = 0.0
 
-    def validate(self, rho: float = 0.0, where: str = "") -> None:
+    def validate(self, where: str = "") -> None:
         """Refuse, naming each key (after the prefix where) and its value,
-        knobs the dynamics cannot run with and, when g > 0, a coupling bound
-        under spectral radius rho that is not below the damping margin
-        (coupling_stability_margin); a refusal at rho = 0 holds at any."""
+        knobs the dynamics cannot run with."""
         def key(name):
             return f"{where}{name} = {getattr(self, name)!r}"
 
         bad = [f"{key(n)} is not positive" for n in ("dt", "k")
                if not getattr(self, n) > 0]
         bad += [f"{key(n)} is negative" for n in (
-                "alpha", "kappa", "a", "mu", "b", "zeta", "r", "noise_std",
-                "lam", "chi", "tau", "g") if not getattr(self, n) >= 0]
+                "alpha", "kappa", "a", "mu", "b", "zeta", "lam", "chi")
+                if not getattr(self, n) >= 0]
         if not self.a + self.mu > 0:
             bad.append(f"{key('a')} and {key('mu')} break a + mu > 0")
-        if not self.p >= 1:
-            bad.append(f"{key('p')} is not a norm order >= 1")
         if not 0 <= self.v_rest < self.v_max:
             bad.append(f"{key('v_rest')} and {key('v_max')} break "
                        "0 <= v_rest < v_max")
-        if not bad and self.g > 0:
-            bound, margin, ok = coupling_stability_margin(self, rho)
-            if not ok:
-                bad.append(f"{key('g')}: coupling bound {bound:.6g} is not "
-                           f"below the damping margin {margin:.6g}")
         if bad:
             raise ValueError(bad[0])
 
@@ -101,27 +83,11 @@ def f_sat(v, alpha: float, kappa: float):
     return alpha * v2 / (1.0 + kappa * v2)
 
 
-def f_sat_peak_slope(kappa: float, v_max: float) -> float:
-    """Max of d/dv [v^2/(1+kappa v^2)] = 2v/(1+kappa v^2)^2 on [0, v_max].
-
-    The alpha factor is deliberately excluded; the stability margin multiplies
-    it back in.
-    """
-    def slope(v):
-        d = 1.0 + kappa * v * v
-        return 2.0 * v / (d * d)
-
-    if kappa <= 0:
-        return slope(v_max)
-    v_crit = 1.0 / math.sqrt(3.0 * kappa)
-    return slope(v_crit) if v_crit <= v_max else slope(v_max)
-
-
 def _each(fn, x):
     """fn, a function of one float, applied to every element of the array
-    x. Elementwise steps that need libm (numpy's SIMD exp and power can
-    differ from it by an ulp, which would move the scores' bytes) go
-    through here, so each element is its scalar result bit for bit."""
+    x. The surrogate's exp goes through here (numpy's SIMD exp can differ
+    from libm's by an ulp, which would move the scores' bytes), so each
+    element is its scalar result bit for bit."""
     x = np.asarray(x)
     return np.fromiter(map(fn, x.ravel().tolist()), np.float64,
                        x.size).reshape(x.shape)
@@ -146,49 +112,24 @@ def _sum_last(a: np.ndarray) -> np.ndarray:
     return total
 
 
-def evidence(z, zeta: float, p: float):
-    """Evidence drive zeta * ||z||_p over the last axis of z: one row's
+def evidence(z, zeta: float):
+    """Evidence drive zeta * ||z||_2 over the last axis of z: one row's
     vector, or a window's (rows x features) matrix."""
-    a = np.abs(np.asarray(z, dtype=np.float64))
-    if math.isinf(p):
-        return zeta * a.max(axis=-1, initial=0.0)
-    if p == 2.0:
-        return zeta * np.sqrt(_sum_last(a * a))
-    if p == 1.0:
-        return zeta * _sum_last(a)
-    return zeta * _each(lambda t: t ** (1.0 / p),
-                        _sum_last(_each(lambda t: t ** p, a)))
+    z = np.asarray(z, dtype=np.float64)
+    return zeta * np.sqrt(_sum_last(z * z))
 
 
-def step(v, u, drive_e, drive_i, params: DetectorParams, noise=0.0, s=None):
-    """One Euler update of (v, u) under total drive A = E + I, elementwise.
-    s is the event surrogate of v, computed here unless given."""
-    if s is None:
-        s = event_surrogate(v, params.k, params.theta)
-    dv = (f_sat(v, params.alpha, params.kappa) + params.beta * v + params.gamma
-          - u + drive_e + drive_i - params.lam * v
-          - params.chi * (v - params.v_rest))
-    v_next = v + params.dt * dv + noise - params.r * s
+def step(v, u, drive, params: DetectorParams):
+    """One Euler update of (v, u) under the evidence drive, elementwise."""
+    dv = (f_sat(v, params.alpha, params.kappa) + params.beta * v - u + drive
+          - params.lam * v - params.chi * (v - params.v_rest))
+    v_next = v + params.dt * dv
     v_max = params.v_max
     # NaN and -0.0 pass through, as they do a scalar clamp
     v_next = np.where(v_next < 0.0, 0.0,
                       np.where(v_next > v_max, v_max, v_next))
     u_next = u + params.dt * (params.a * params.b * v - (params.a + params.mu) * u)
     return v_next, u_next
-
-
-def coupling_stability_margin(params: DetectorParams,
-                              rho: float) -> tuple[float, float, bool]:
-    """Linearized coupling-path bound vs local damping margin.
-
-    bound = dt * g * rho(W) * k/4 (k/4 is the sigmoid's peak slope);
-    margin = lam + chi - beta - alpha * s_max with s_max the peak slope of
-    the saturating term on [0, v_max]. Safe iff bound < margin.
-    """
-    bound = params.dt * params.g * rho * params.k / 4.0
-    margin = (params.lam + params.chi - params.beta
-              - params.alpha * f_sat_peak_slope(params.kappa, params.v_max))
-    return bound, margin, bound < margin
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +243,8 @@ class Persistence:
 class Scores(Table):
     """scores.csv: one row per (flow, window), with the flow and window,
     the evidence E, the surrogate S, the pre-step state v and u, the score
-    s, the alarm a, the actionable flag z, and baseline_s, the memoryless
-    baseline's score, which is E (and is E when not given)."""
+    s, which is S, the alarm a, the actionable flag z, and baseline_s, the
+    memoryless baseline's score, which is E (and is E when not given)."""
 
     flow_id: np.ndarray = column("d", np.int64)
     window: np.ndarray = column("d", np.int64)
@@ -326,20 +267,18 @@ class DetectorSession:
     """Runs the full scoring pipeline, one window of all flows at a time.
 
     Built with the flow ids and their buckets, in the row order of the window
-    matrices fed to process_window; a graph, when given, must hold exactly
-    these flows in this order. Burn-in scores are collected once the session
-    has seen w_min windows and a flow's bucket has absorbed 2*w_min updates
-    (the normalizer warm-up stays out of the calibration set); thresholds
-    freeze at the burn-in boundary, and a flow with fewer than w_min
-    collected scores gets none and never alarms. Of the calibration only k
-    and m are checked (by Persistence): the kernels also take a quantile of
-    1, the burn-in maximum, which Calibration.check refuses.
+    matrices fed to process_window. Burn-in scores are collected once the
+    session has seen w_min windows and a flow's bucket has absorbed 2*w_min
+    updates (the normalizer warm-up stays out of the calibration set);
+    thresholds freeze at the burn-in boundary, and a flow with fewer than
+    w_min collected scores gets none and never alarms. Of the calibration
+    only k and m are checked (by Persistence): the kernels also take a
+    quantile of 1, the burn-in maximum, which Calibration.check refuses.
     """
 
     def __init__(self, params: DetectorParams, flow_ids, buckets,
-                 burn_in_windows: int, calibration: Calibration,
-                 graph=None, seed: int | None = None):
-        params.validate(rho=getattr(graph, "spectral_radius", 0.0) if graph else 0.0)
+                 burn_in_windows: int, calibration: Calibration):
+        params.validate()
         if burn_in_windows < 0:
             raise ValueError("burn_in_windows must be nonnegative")
         self.flow_ids = list(flow_ids)
@@ -347,16 +286,12 @@ class DetectorSession:
         buckets = list(buckets)
         if len(buckets) != len(self.flow_ids):
             raise ValueError("need one bucket per flow")
-        if graph is not None and graph.flow_ids != self.flow_ids:
-            raise ValueError("contention graph flow ids do not match the "
-                             "session's flows")
         n = len(self.flow_ids)
         self.persistence = Persistence(calibration.k, calibration.m, n)
         self.params = params
         self.burn_in_windows = burn_in_windows
         self.calibration = calibration
         self.normalizer = Normalizer(buckets)
-        self.graph = graph
         self.v = np.full(n, params.v_rest)
         self.u = np.zeros(n)
         self._windows_seen = 0
@@ -367,15 +302,6 @@ class DetectorSession:
         self._threshold = np.full(n, np.nan)  # NaN: none, never alarms
         self._baseline_threshold = np.full(n, np.nan)
         self._calibrated = False
-        self._rng = None
-        if params.noise_std > 0:
-            if seed is None:
-                raise ValueError("noise_std > 0 requires a seed")
-            self._rng = np.random.default_rng([seed, 0x0E15])
-        # coupling reads S of 1 + tau windows ago, most recent last
-        self._coupled = params.g != 0.0 and graph is not None
-        if self._coupled:
-            self._s_hist = deque(maxlen=1 + params.tau)
 
     def finalize(self) -> None:
         """Freeze calibration explicitly (no-op once past burn-in)."""
@@ -408,40 +334,30 @@ class DetectorSession:
             self._finalize_calibration()
         p = self.params
         z, bucket_updates = self.normalizer.score_and_update(x)
-        e = evidence(z, p.zeta, p.p)
+        e = evidence(z, p.zeta)
         v, u = self.v, self.u
-        s_val = event_surrogate(v, p.k, p.theta)
-        score = p.eta1 * s_val + p.eta2 * u
+        s = event_surrogate(v, p.k, p.theta)
         if window < self.burn_in_windows:
             alarm = actionable = np.zeros(n, dtype=bool)
             w_min = self.calibration.w_min
             if self._windows_seen >= w_min:
-                self._burn_s.append(score)
+                self._burn_s.append(s)
                 self._burn_e.append(e)
                 self._burn_ok.append(bucket_updates >= 2 * w_min)
         else:
-            alarm = score >= self._threshold
+            alarm = s >= self._threshold
             actionable = self.persistence.update(alarm)
-        noise = 0.0
-        if self._rng is not None:
-            noise = self._rng.normal(0.0, p.noise_std, size=n)
-        drive_i = 0.0
-        if self._coupled and len(self._s_hist) == self._s_hist.maxlen:
-            drive_i = p.g * self.graph.matvec(self._s_hist[0])
         # an overflow is refused below, as the error the caller sees
         with np.errstate(over="ignore", invalid="ignore"):
-            self.v, self.u = step(v, u, e, drive_i, p, noise, s_val)
+            self.v, self.u = step(v, u, e, p)
         bad = ~(np.isfinite(self.v) & np.isfinite(self.u))
         if bad.any():
             raise FloatingPointError(
                 "non-finite detector state for flow "
                 f"{self.flow_ids[int(np.argmax(bad))]} at window {window}")
         self._windows_seen += 1
-        # barrier: surrogates become visible to neighbors from the next window
-        if self._coupled:
-            self._s_hist.append(s_val)
         return Scores(self._flow_col, np.full(n, window, dtype=np.int64), e,
-                      s_val, v, u, score, alarm, actionable)
+                      s, v, u, s, alarm, actionable)
 
     def thresholds(self) -> dict[int, FlowThresholds]:
         """Each flow's thresholds by id: NaN until frozen, and when none."""

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from flowgate.trace import unique
+
 FEATURE_CONTRACT = "timing+contention-v1"
 FEATURE_NAMES = ("pkt_rate", "byte_rate", "iat_mean", "iat_cv",
                  "pacing", "share", "interference")
@@ -97,7 +99,7 @@ def windowize(trace, graph, micro_bins: int = 10) -> FeatureTable:
     # the occupied (flow, window, bin) cells only
     B = micro_bins
     mbin = ((trace.ts_us - win * trace.window_us) * B) // trace.window_us
-    occupied, n_in_bin = np.unique(code * B + mbin, return_counts=True)
+    occupied, n_in_bin = unique(code * B + mbin, return_counts=True)
     cell = occupied // B
     p = n_in_bin / counts.ravel()[cell]
     ent = np.bincount(cell, weights=-p * np.log(p),

@@ -25,6 +25,7 @@ from flowgate.trace import (
     from_json,
     load_json,
     to_json,
+    unique,
     write_json,
 )
 from flowgate.wfq import delay_percentile
@@ -184,7 +185,7 @@ def read_stage_stats(path, scores: Scores) -> tuple[float, float, float]:
                              f"{getattr(stats, f.name)!r} is not a finite "
                              "nonnegative number")
     for key, found in (("rows", len(scores)),
-                       ("windows", np.unique(scores.window).size)):
+                       ("windows", unique(scores.window).size)):
         if getattr(stats, key) != found:
             raise ValueError(f"{path}: scoring.{key} = "
                              f"{getattr(stats, key)!r}, but the scores hold "

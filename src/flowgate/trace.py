@@ -103,6 +103,19 @@ def split_ok(split) -> bool:
             and abs(sum(split) - 1.0) <= 1e-9)
 
 
+def unique(a, return_counts: bool = False):
+    """The sorted distinct values of the integer array a, and how often
+    each occurs when return_counts, as np.unique gives them, by one sort
+    and a diff: np.unique imports numpy.ma on its first call in a process,
+    which costs a stage more than its calls do."""
+    a = np.sort(np.ravel(a))
+    first = np.ones(a.size, dtype=bool)
+    first[1:] = a[1:] != a[:-1]
+    if not return_counts:
+        return a[first]
+    return a[first], np.diff(np.append(np.flatnonzero(first), a.size))
+
+
 # ---------------------------------------------------------------------------
 # Tables: the one declaration of every CSV artifact
 

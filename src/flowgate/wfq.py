@@ -47,6 +47,7 @@ from flowgate.trace import (
     Trace,
     column,
     read_table,
+    unique,
     write_table,
 )
 
@@ -95,7 +96,7 @@ class Schedule(Table):
         instant the later one holds (before 0, the first row's)."""
         flow_id, t_us = np.asarray(flow_id), np.asarray(t_us)
         w = np.full(t_us.shape, self.default_weight)
-        for f in np.unique(flow_id).tolist():
+        for f in unique(flow_id).tolist():
             a, b = np.searchsorted(self.flow_id, [f, f + 1])  # f's rows
             if a < b:
                 m = flow_id == f
@@ -143,7 +144,7 @@ def replay(trace: Trace, capacity_bps: float,
     cq = trace.clique_id
     cap = float(capacity_bps)
 
-    cliques = [np.flatnonzero(cq == c) for c in np.unique(cq)]
+    cliques = [np.flatnonzero(cq == c) for c in unique(cq)]
     n_shares = max(1, min(cpus(), len(cliques)))
     # a shared anonymous mapping, so that a forked share's writes reach it
     dequeue = (np.frombuffer(mmap.mmap(-1, 8 * trace.n_packets), np.float64)
@@ -247,7 +248,7 @@ def gate_controller(scores, config: GateConfig,
     activation + t_g), rounded up to a whole microsecond; re-activation
     restarts the quarantine clock, and overlapping spans merge."""
     config.validate()
-    flows = np.unique(scores.flow_id)
+    flows = unique(scores.flow_id)
     f, w = scores.flow_id[scores.z], scores.window[scores.z]
     order = np.lexsort((w, f))
     f, w = f[order], w[order]

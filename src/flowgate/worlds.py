@@ -272,6 +272,15 @@ def _param(params: dict, key: str, cast=float, default=_REQUIRED):
         raise ValueError(f"{key} = {value!r} is not a number") from None
 
 
+def _positive(params: dict, key: str, cast=float, default=_REQUIRED):
+    """_param(params, key, cast, default), refusing, naming the key, a
+    value that is not positive."""
+    value = _param(params, key, cast, default)
+    if not value > 0:
+        raise ValueError(f"{key} must be positive")
+    return value
+
+
 @contextmanager
 def _flow_params(flow_id: int, name: str):
     """Prefix a generator's refusal with the flow and the name of the
@@ -299,9 +308,7 @@ def _finish(ts_f, sizes, horizon_us):
 
 
 def _gen_periodic(params, rng, horizon_us, len_bounds):
-    period_us = _param(params, "period_s") * 1e6
-    if period_us <= 0:
-        raise ValueError("period_s must be positive")
+    period_us = _positive(params, "period_s") * 1e6
     jf = _param(params, "jitter_frac", float, 0.0)
     if not (0.0 <= jf <= 0.5):
         raise ValueError("jitter_frac must be in [0, 0.5]")
@@ -317,10 +324,8 @@ def _gen_periodic(params, rng, horizon_us, len_bounds):
 
 
 def _gen_bulk(params, rng, horizon_us, len_bounds):
-    rate = _param(params, "rate_bps")
+    rate = _positive(params, "rate_bps")
     pkt_len = _param(params, "pkt_len", int, 600)
-    if rate <= 0:
-        raise ValueError("rate_bps must be positive")
     if not (len_bounds[0] <= pkt_len <= len_bounds[1]):
         raise ValueError(f"pkt_len {pkt_len} outside len bounds {len_bounds}")
     jf = _param(params, "jitter_frac", float, 0.1)
@@ -338,15 +343,11 @@ def _gen_bulk(params, rng, horizon_us, len_bounds):
 
 
 def _gen_interactive(params, rng, horizon_us, len_bounds):
-    cycle_us = _param(params, "cycle_s") * 1e6
+    cycle_us = _positive(params, "cycle_s") * 1e6
     off = _param(params, "off_fraction")
-    if cycle_us <= 0:
-        raise ValueError("cycle_s must be positive")
     if not (0.0 <= off <= 1.0):
         raise ValueError("off_fraction must be in [0, 1]")
-    iat_us = _param(params, "iat_s", float, 0.05) * 1e6
-    if iat_us <= 0:
-        raise ValueError("iat_s must be positive")
+    iat_us = _positive(params, "iat_s", float, 0.05) * 1e6
     s_lo, s_hi = _size_range(params, len_bounds, "size_min", "size_max", 100, 400)
     on_us = cycle_us * (1.0 - off)
     per_cycle = int(on_us // iat_us)
@@ -382,7 +383,7 @@ def _gen_overlay(kind: str, params: dict, rng, span_us: tuple[int, int],
                                 "size_max": params.get("size_max", 160)},
                                rng, span, len_bounds)
     elif kind == "scan":
-        rate = _param(params, "rate_pps", float, 50.0)
+        rate = _positive(params, "rate_pps", float, 50.0)
         pkt_len = _param(params, "pkt_len", int, 64)
         if not (len_bounds[0] <= pkt_len <= len_bounds[1]):
             raise ValueError(f"pkt_len {pkt_len} outside len bounds {len_bounds}")
@@ -391,9 +392,9 @@ def _gen_overlay(kind: str, params: dict, rng, span_us: tuple[int, int],
         ts_f = ts_f[ts_f < span]
         ts, ln = _finish(ts_f, np.full(ts_f.size, pkt_len), span)
     elif kind == "evasive_c2":
-        every_us = _param(params, "burst_every_s", float, 5.0) * 1e6
-        burst = _param(params, "burst_pkts", int, 12)
-        intra_us = _param(params, "intra_iat_s", float, 0.002) * 1e6
+        every_us = _positive(params, "burst_every_s", float, 5.0) * 1e6
+        burst = _positive(params, "burst_pkts", int, 12)
+        intra_us = _positive(params, "intra_iat_s", float, 0.002) * 1e6
         pkt_len = _param(params, "pkt_len", int, 200)
         if not (len_bounds[0] <= pkt_len <= len_bounds[1]):
             raise ValueError(f"pkt_len {pkt_len} outside len bounds {len_bounds}")

@@ -1,8 +1,10 @@
 """The per-row detector that the window-synchronous session replaced.
 
 Kept as the differential oracle of `flowgate.detector.DetectorSession`: the
-session, its scalar kernels and the per-row normalizer are the old code
-unchanged, so the oracle's arithmetic owes nothing to `src`. It shares only
+session, its scalar kernels and the per-row normalizer are the old code,
+cut to the detector terms that remain (the graph coupling, drive noise,
+reset, bias, score mixing and norm orders other than 2 are gone from both),
+so the oracle's arithmetic owes nothing to `src`. It shares only
 the parameter and config types (`DetectorParams`, `NormalizerConfig`),
 which it reads but does not compute with. Rows are (flow_id, bucket, x)
 with x the raw 7-component vector, None marking a missing component.
@@ -16,7 +18,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -42,25 +43,17 @@ def event_surrogate(v: float, k: float, theta: float) -> float:
     return 1.0 / (1.0 + math.exp(x))
 
 
-def evidence(z_vec, zeta: float, p: float) -> float:
-    """Evidence drive: zeta * ||z||_p."""
-    if math.isinf(p):
-        return zeta * max((abs(z) for z in z_vec), default=0.0)
-    if p == 2.0:
-        return zeta * math.sqrt(sum(z * z for z in z_vec))
-    if p == 1.0:
-        return zeta * sum(abs(z) for z in z_vec)
-    return zeta * sum(abs(z) ** p for z in z_vec) ** (1.0 / p)
+def evidence(z_vec, zeta: float) -> float:
+    """Evidence drive: zeta * ||z||_2."""
+    return zeta * math.sqrt(sum(z * z for z in z_vec))
 
 
-def step(v: float, u: float, drive_e: float, drive_i: float,
-         params: DetectorParams, noise: float = 0.0) -> tuple[float, float]:
-    """One Euler update of (v, u) under total drive A = E + I."""
-    s = event_surrogate(v, params.k, params.theta)
-    dv = (f_sat(v, params.alpha, params.kappa) + params.beta * v + params.gamma
-          - u + drive_e + drive_i - params.lam * v
-          - params.chi * (v - params.v_rest))
-    v_next = v + params.dt * dv + noise - params.r * s
+def step(v: float, u: float, drive: float,
+         params: DetectorParams) -> tuple[float, float]:
+    """One Euler update of (v, u) under the evidence drive."""
+    dv = (f_sat(v, params.alpha, params.kappa) + params.beta * v - u + drive
+          - params.lam * v - params.chi * (v - params.v_rest))
+    v_next = v + params.dt * dv
     if v_next < 0.0:
         v_next = 0.0
     elif v_next > params.v_max:
@@ -224,9 +217,8 @@ class DetectorSession:
     def __init__(self, params: DetectorParams, burn_in_windows: int,
                  quantile: float, k_persist: int = 3, m_persist: int = 8,
                  w_min: int = W_MIN_DEFAULT,
-                 normalizer_config: NormalizerConfig = NormalizerConfig(),
-                 graph=None, seed: int | None = None):
-        params.validate(rho=getattr(graph, "spectral_radius", 0.0) if graph else 0.0)
+                 normalizer_config: NormalizerConfig = NormalizerConfig()):
+        params.validate()
         if not (1 <= k_persist <= m_persist):
             raise ValueError("need 1 <= k <= m")
         if burn_in_windows < 0:
@@ -238,20 +230,8 @@ class DetectorSession:
         self.m_persist = m_persist
         self.w_min = w_min
         self.normalizer = Normalizer(normalizer_config, N_FEATURES)
-        self.graph = graph
         self._flows: dict[int, _FlowState] = {}
         self._calibrated = False
-        self._rng = None
-        if params.noise_std > 0:
-            if seed is None:
-                raise ValueError("noise_std > 0 requires a seed")
-            self._rng = np.random.default_rng([seed, 0x0E15])
-        # coupling reads S of 1 + tau windows ago, as vectors in graph order
-        # (flows absent from a window hold 0), most recent last
-        self._coupled = params.g != 0.0 and graph is not None
-        if self._coupled:
-            self._graph_pos = {f: i for i, f in enumerate(graph.flow_ids)}
-            self._s_hist = deque(maxlen=1 + params.tau)
 
     def flow_state(self, flow_id: int) -> _FlowState:
         st = self._flows.get(flow_id)
@@ -283,54 +263,31 @@ class DetectorSession:
         burn = window < self.burn_in_windows
         min_bucket = 2 * self.w_min
         out = []
-        drives = repeat(0.0)
-        if self._coupled:
-            rows = list(rows)
-            pos = np.array([self._graph_pos.get(r[0], -1) for r in rows],
-                           dtype=np.int64)
-            drives = self._coupling(pos).tolist()
-        for (flow_id, bucket, x), drive_i in zip(rows, drives):
+        for flow_id, bucket, x in rows:
             st = self.flow_state(flow_id)
             bucket_mature = (not burn
                              or self.normalizer.bucket_updates(bucket) >= min_bucket)
             z_vec = self.normalizer.score_and_update(bucket, x)
-            e = evidence(z_vec, p.zeta, p.p)
+            e = evidence(z_vec, p.zeta)
             s_val = event_surrogate(st.v, p.k, p.theta)
-            score = p.eta1 * s_val + p.eta2 * st.u
             if burn:
                 alarm = False
                 actionable = False
                 if st.windows_seen >= self.w_min and bucket_mature:
-                    st.burn_scores.append(score)
+                    st.burn_scores.append(s_val)
                     st.burn_baseline.append(e)
             else:
-                alarm = st.threshold is not None and score >= st.threshold
+                alarm = st.threshold is not None and s_val >= st.threshold
                 actionable = persistence_update(st.persistence, alarm,
                                                 self.k_persist, self.m_persist)
             out.append(ScoreRecord(flow_id, window, e, s_val, st.v, st.u,
-                                   score, alarm, actionable, e))
-            noise = 0.0
-            if self._rng is not None:
-                noise = float(self._rng.normal(0.0, p.noise_std))
-            st.v, st.u = step(st.v, st.u, e, drive_i, p, noise)
+                                   s_val, alarm, actionable, e))
+            st.v, st.u = step(st.v, st.u, e, p)
             if not (math.isfinite(st.v) and math.isfinite(st.u)):
                 raise FloatingPointError(
                     f"non-finite detector state for flow {flow_id} at window {window}")
             st.windows_seen += 1
-        # barrier: surrogates become visible to neighbors from the next window
-        if self._coupled:
-            s_now = np.zeros(len(self._graph_pos) + 1)  # last: not in graph
-            s_now[pos] = [r.S for r in out]
-            self._s_hist.append(s_now[:-1])
         return out
-
-    def _coupling(self, pos: np.ndarray) -> np.ndarray:
-        """I = g * W @ S(t - 1 - tau) for rows at graph positions pos (-1:
-        not in the graph, drive 0); 0 until that much history exists."""
-        if len(self._s_hist) < self._s_hist.maxlen:
-            return np.zeros(pos.size)
-        drive = self.params.g * self.graph.matvec(self._s_hist[0])
-        return np.append(drive, 0.0)[pos]
 
     def thresholds(self) -> dict:
         return {

@@ -11,7 +11,8 @@
 - `PacketRecord` and `trace_from_records` build traces from packet
   records.
 - `solve_fixed_point` and `fixed_point_residual` give the detector's steady
-  state under a constant drive.
+  state under a constant drive, and `damping_margin` (through
+  `f_sat_peak_slope`) how strongly its linearised v-equation is damped.
 - `thresholds_by_flow` gives a session's per-flow thresholds in the shape
   the per-row oracle's session returns them, and `detect_record` the
   record `detect` would write for a session.
@@ -168,7 +169,7 @@ def trace_from_records(records, flow_table, horizon_windows,
 def fixed_point_residual(v: float, u: float, drive: float,
                          params: DetectorParams) -> tuple[float, float]:
     """Residuals of the steady-state equations (v-equation, u-relation)."""
-    rv = (f_sat(v, params.alpha, params.kappa) + params.beta * v + params.gamma
+    rv = (f_sat(v, params.alpha, params.kappa) + params.beta * v
           - u + drive - params.lam * v - params.chi * (v - params.v_rest))
     ru = params.a * params.b * v - (params.a + params.mu) * u
     return rv, ru
@@ -183,7 +184,7 @@ def solve_fixed_point(params: DetectorParams, drive: float) -> tuple[float, floa
     ab_over = params.a * params.b / (params.a + params.mu)
 
     def h(v):
-        return (f_sat(v, params.alpha, params.kappa) + params.beta * v + params.gamma
+        return (f_sat(v, params.alpha, params.kappa) + params.beta * v
                 - ab_over * v + drive - params.lam * v
                 - params.chi * (v - params.v_rest))
 
@@ -208,6 +209,30 @@ def solve_fixed_point(params: DetectorParams, drive: float) -> tuple[float, floa
                 hi = mid
         v = 0.5 * (lo + hi)
     return v, ab_over * v
+
+
+def f_sat_peak_slope(kappa: float, v_max: float) -> float:
+    """Max of d/dv [v^2/(1+kappa v^2)] = 2v/(1+kappa v^2)^2 on [0, v_max].
+
+    The alpha factor is deliberately excluded; damping_margin multiplies it
+    back in.
+    """
+    def slope(v):
+        d = 1.0 + kappa * v * v
+        return 2.0 * v / (d * d)
+
+    if kappa <= 0:
+        return slope(v_max)
+    v_crit = 1.0 / math.sqrt(3.0 * kappa)
+    return slope(v_crit) if v_crit <= v_max else slope(v_max)
+
+
+def damping_margin(params: DetectorParams) -> float:
+    """lam + chi - beta - alpha * s_max, with s_max the peak slope of the
+    saturating term on [0, v_max]: positive when the leak outweighs the
+    steepest self-excitation anywhere in the state's range."""
+    return (params.lam + params.chi - params.beta
+            - params.alpha * f_sat_peak_slope(params.kappa, params.v_max))
 
 
 def thresholds_by_flow(thresholds: dict[int, FlowThresholds]) -> dict:

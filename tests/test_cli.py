@@ -492,12 +492,12 @@ def test_non_finite_detector_state_is_an_error(pipe, tmp_path, capsys,
     assert list(out.iterdir()) == []
 
 
-def test_detect_seed_is_inert_without_noise(pipe, tmp_path):
-    out = tmp_path / "det_seeded"
-    assert main(["detect", "--world", str(pipe["world"]), "--seed", "99",
-                 "--w-min", "20", "--out", str(out)]) == 0
-    assert (out / "scores.csv").read_bytes() == \
-        (pipe["det"] / "scores.csv").read_bytes()
+def test_detect_has_no_seed(pipe, tmp_path, capsys):
+    # the detector draws no random numbers, so there is no seed to give
+    assert _usage_error(["detect", "--world", str(pipe["world"]), "--seed",
+                         "1", "--out", str(tmp_path / "d")], capsys) == (
+        "unrecognized arguments: --seed 1")
+    assert not (tmp_path / "d").exists()
 
 
 def _scores_of(pipe) -> Scores:
@@ -635,6 +635,60 @@ def test_generator_errors_name_the_flow_and_key(tmp_path, capsys, flow,
     assert capsys.readouterr().err == (
         f"error: ValueError: {cfg}: flow {flow}: {params}: {message}\n")
     assert not (tmp_path / "w").exists()
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("scan", "rate_pps", 0), ("scan", "rate_pps", -5.0),
+    ("evasive_c2", "burst_every_s", 0), ("evasive_c2", "burst_pkts", -1),
+    ("evasive_c2", "intra_iat_s", -0.01),
+])
+def test_overlay_params_that_are_not_positive_are_refused(tmp_path, capsys,
+                                                          kind, key, value):
+    cfg = tiny_config(tmp_path / "config.json")
+    doc = json.loads(cfg.read_text())
+    doc["episodes"][0].update(kind=kind, overlay_params={key: value})
+    cfg.write_text(json.dumps(doc))
+    assert main(["gen-world", "--config", str(cfg),
+                 "--out", str(tmp_path / "w")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: ValueError: {cfg}: flow 100: overlay_params: {key} must be "
+        "positive\n")
+    assert not (tmp_path / "w").exists()
+
+
+def test_no_stage_imports_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on its first call, which costs a stage
+    # process more than the work it does with it
+    cfg = tiny_config(tmp_path / "config.json")
+    w, scores = str(tmp_path / "w"), str(tmp_path / "det" / "scores.csv")
+    base, gated = (str(tmp_path / d / "queue_log.csv")
+                   for d in ("base", "gated"))
+    code = f"""if True:
+        import sys
+        from flowgate.cli import main
+        from flowgate.worlds import audit_budgets, load_world
+        for argv in (
+                ["gen-world", "--config", {str(cfg)!r}, "--out", {w!r}],
+                ["detect", "--world", {w!r}, "--w-min", "20",
+                 "--out", {str(tmp_path / "det")!r}],
+                ["replay", "--world", {w!r}, "--mode", "base",
+                 "--out", {str(tmp_path / "base")!r}],
+                ["replay", "--world", {w!r}, "--mode", "gated",
+                 "--scores", {scores!r}, "--out", {str(tmp_path / "gated")!r}],
+                ["report", "--world", {w!r}, "--scores", {scores!r},
+                 "--base-log", {base!r}, "--gated-log", {gated!r},
+                 "--out", {str(tmp_path / "rep")!r}]):
+            assert main(argv) == 0, argv
+        assert audit_budgets(load_world({w!r}))
+        print("numpy.ma" in sys.modules)
+    """
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).parents[1] / "src"),
+         os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                          env=env, check=True, text=True)
+    assert (tmp_path / "rep" / "report.json").is_file()
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_bench_rejects_small_row_count():
@@ -1263,6 +1317,10 @@ def _edit_thresholds(doc):
         "missing key": ({k: v for k, v in doc.items() if k != "quantile"},
                         "missing key 'quantile'"),
         "unknown key": ({**doc, "extra": 1}, "unknown key 'extra'"),
+        "removed detector key": (
+            {**doc, "detector_params": {**doc.get("detector_params", {}),
+                                        "g": 0.0}},
+            "unknown key 'detector_params.g'"),
         "quantile 1": ({**doc, "quantile": 1.0}, "quantile = 1.0"),
         "quantile 0": ({**doc, "quantile": 0}, "quantile = 0"),
         "k above m": ({**doc, "k": 9}, "k = 9 and m = 8"),
@@ -1503,10 +1561,14 @@ def test_manifest_of_another_config_is_refused(pipe, tmp_path, capsys,
     ({"quantiles": 0.9}, "unknown key 'quantiles'"),
     ({"k": 2.5}, "k = 2.5 is not an integer"),
     ({"quantile": "0.9"}, "quantile = '0.9' is not a finite number"),
-    ({"detector": {"tau": True}}, "detector.tau = True is not an integer"),
+    ({"k": True}, "k = True is not an integer"),
+    ({"detector": {"tau": True}}, "unknown key 'detector.tau'"),
+    ({"detector": {"g": 0.2}}, "unknown key 'detector.g'"),
+    ({"detector": {"noise_std": 0.01}}, "unknown key 'detector.noise_std'"),
     ({"detector": []}, "detector is not a JSON object"),
 ], ids=["misspelt detector key", "unknown key", "fractional k",
-        "string quantile", "bool tau", "detector not an object"])
+        "string quantile", "bool k", "bool tau", "coupling gain",
+        "drive noise", "detector not an object"])
 def test_bad_params_file_is_refused(pipe, tmp_path, capsys, command, doc,
                                     message):
     params = tmp_path / "params.json"
@@ -1557,14 +1619,13 @@ def _usage_error(argv, capsys) -> str:
 
 @pytest.mark.parametrize("command", ["detect", "bench"])
 @pytest.mark.parametrize("detector, message", [
-    ({"p": 0.5}, "detector.p = 0.5 is not a norm order >= 1"),
     ({"dt": 0}, "detector.dt = 0.0 is not positive"),
-    ({"tau": -1}, "detector.tau = -1 is negative"),
+    ({"lam": -1}, "detector.lam = -1.0 is negative"),
     ({"a": 0, "mu": 0},
      "detector.a = 0.0 and detector.mu = 0.0 break a + mu > 0"),
     ({"v_rest": 10.0}, "detector.v_rest = 10.0 and detector.v_max = 10.0 "
                        "break 0 <= v_rest < v_max"),
-], ids=["norm order", "dt", "tau", "a and mu", "v_rest"])
+], ids=["dt", "negative lam", "a and mu", "v_rest"])
 def test_bad_detector_knobs_are_refused_before_any_work(tmp_path, capsys,
                                                         command, detector,
                                                         message):
@@ -1732,7 +1793,7 @@ def _score_trace(trace, graph, burn_in):
     session = DetectorSession(
         DetectorParams(), table.flow_ids,
         [trace.flow_table[f].device_class for f in table.flow_ids],
-        burn_in, Calibration(w_min=20), graph=graph)
+        burn_in, Calibration(w_min=20))
     return Scores.concat(session.process_window(w, table.x[w])
                          for w in range(table.horizon_windows))
 

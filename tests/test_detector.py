@@ -27,11 +27,9 @@ from flowgate.detector import (
     Persistence,
     Scores,
     calibrate_threshold,
-    coupling_stability_margin,
     event_surrogate,
     evidence,
     f_sat,
-    f_sat_peak_slope,
     read_scores_csv,
     read_thresholds,
     step,
@@ -46,9 +44,9 @@ from flowgate.trace import (
     to_json,
     twin_path,
 )
-from flowgate.worlds import ContentionGraph
 from support import (
     detect_record,
+    f_sat_peak_slope,
     fixed_point_residual,
     recorded,
     solve_fixed_point,
@@ -99,12 +97,9 @@ def test_event_surrogate_monotone():
 
 
 def test_evidence_frozen():
-    assert evidence((1.0, -1.0, 2.0), 0.25, 1.0) == 1.0
-    assert evidence((3.0, 4.0), 1.0, 2.0) == 5.0
-    assert evidence((1.0, -9.0, 2.0), 0.5, math.inf) == 4.5
-    assert evidence((1.0, 2.0), 1.0, 3.0) == pytest.approx(9.0 ** (1 / 3), rel=1e-12)
-    assert evidence((), 0.25, 2.0) == 0.0
-    assert evidence((), 0.25, math.inf) == 0.0
+    assert evidence((3.0, 4.0), 1.0) == 5.0
+    assert evidence((0.0, -3.0, 4.0), 0.5) == 2.5
+    assert evidence((), 0.25) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -113,19 +108,19 @@ def test_evidence_frozen():
 
 def test_step_frozen_example():
     p = DetectorParams()
-    v, u = step(0.0, 0.0, 2.0, 0.0, p)
+    v, u = step(0.0, 0.0, 2.0, p)
     assert v == 0.5
     assert u == 0.0
 
 
 def test_step_rest_is_equilibrium():
     p = DetectorParams()
-    assert step(0.0, 0.0, 0.0, 0.0, p) == (0.0, 0.0)
+    assert step(0.0, 0.0, 0.0, p) == (0.0, 0.0)
 
 
 def test_step_u_uses_pre_step_v():
     p = DetectorParams()
-    v, u = step(2.0, 0.0, 0.0, 0.0, p)
+    v, u = step(2.0, 0.0, 0.0, p)
     # u' = dt * a*b*v_old = 0.25 * 0.05 * 2
     assert u == pytest.approx(0.025, rel=1e-15)
     # dv = f_sat(2) + 0.1*2 - 0.5*2 - 0.2*2 = -0.4
@@ -134,18 +129,10 @@ def test_step_u_uses_pre_step_v():
 
 def test_step_clips_to_bounds():
     p = DetectorParams()
-    v_hi, _ = step(9.0, 0.0, 1000.0, 0.0, p)
+    v_hi, _ = step(9.0, 0.0, 1000.0, p)
     assert v_hi == p.v_max
-    v_lo, _ = step(0.5, 5.0, 0.0, 0.0, p)
+    v_lo, _ = step(0.5, 5.0, 0.0, p)
     assert v_lo == 0.0
-
-
-def test_step_reset_term_subtracts():
-    p = DetectorParams(r=1.0)
-    v_plain, _ = step(3.0, 0.0, 0.0, 0.0, DetectorParams())
-    v_reset, _ = step(3.0, 0.0, 0.0, 0.0, p)
-    s = event_surrogate(3.0, p.k, p.theta)
-    assert v_reset == pytest.approx(v_plain - s, rel=1e-12)
 
 
 @settings(max_examples=150, deadline=None)
@@ -157,7 +144,7 @@ def test_step_trajectories_stay_bounded(drives, v0, u0):
     v, u = v0, u0
     cap_u = p.b * p.v_max
     for e in drives:
-        v, u = step(v, u, e, 0.0, p)
+        v, u = step(v, u, e, p)
         assert 0.0 <= v <= p.v_max
         assert u <= max(u0, cap_u) + 1e-9
         assert u >= min(0.0, u0) - 1e-9
@@ -174,7 +161,7 @@ def test_fixed_point_matches_scipy_and_residual(drive):
     ab_over = p.a * p.b / (p.a + p.mu)
 
     def h(v):
-        return (f_sat(v, p.alpha, p.kappa) + p.beta * v + p.gamma
+        return (f_sat(v, p.alpha, p.kappa) + p.beta * v
                 - ab_over * v + drive - p.lam * v - p.chi * (v - p.v_rest))
 
     v_ref = brentq(h, 0.0, p.v_max, xtol=1e-14)
@@ -190,7 +177,7 @@ def test_fixed_point_reached_by_simulation(drive):
     v_star, u_star = solve_fixed_point(p, drive)
     v, u = 0.0, 0.0
     for _ in range(20000):
-        v, u = step(v, u, drive, 0.0, p)
+        v, u = step(v, u, drive, p)
     assert v == pytest.approx(v_star, abs=1e-5)
     assert u == pytest.approx(u_star, abs=1e-5)
 
@@ -202,47 +189,19 @@ def test_fixed_point_unbracketed_raises():
 
 
 # ---------------------------------------------------------------------------
-# coupling margin
-
-
-def test_coupling_margin_frozen():
-    p = DetectorParams(dt=0.25, g=1.0, k=4.0)
-    bound, margin, ok = coupling_stability_margin(p, rho=2.0)
-    assert bound == 0.5
-    expected_margin = 0.5 + 0.2 - 0.1 - 3.0 * math.sqrt(3.0) / 8.0
-    assert margin == pytest.approx(expected_margin, rel=1e-12)
-    assert not ok
-
-
-def test_coupling_margin_zero_gain_zero_bound():
-    bound, _, _ = coupling_stability_margin(DetectorParams(), rho=5.0)
-    assert bound == 0.0
-
-
-def test_coupling_margin_safe_configuration():
-    p = DetectorParams(lam=1.0, g=0.2)
-    bound, margin, ok = coupling_stability_margin(p, rho=1.0)
-    assert ok
-    assert bound < margin
-
-
-def test_validate_rejects_unstable_coupling():
-    p = DetectorParams(g=1.0)
-    with pytest.raises(ValueError, match="margin"):
-        p.validate(rho=2.0)
-    # same gain is fine with stronger leak
-    DetectorParams(g=0.2, lam=1.0).validate(rho=1.0)
+# parameters
 
 
 def test_validate_rejects_bad_params():
-    for bad in [dict(dt=0.0), dict(k=0.0), dict(p=0.5), dict(a=0.0, mu=0.0),
-                dict(v_rest=10.0, v_max=10.0), dict(zeta=-1.0), dict(tau=-1)]:
+    for bad in [dict(dt=0.0), dict(k=0.0), dict(a=0.0, mu=0.0),
+                dict(v_rest=10.0, v_max=10.0), dict(zeta=-1.0),
+                dict(lam=-1.0)]:
         with pytest.raises(ValueError):
             DetectorParams(**bad).validate()
 
 
 def test_params_dict_round_trip():
-    p = DetectorParams(g=0.1, lam=2.0, noise_std=0.01)
+    p = DetectorParams(lam=2.0, zeta=0.5)
     assert from_json(DetectorParams, to_json(p), "params") == p
 
 
@@ -513,80 +472,13 @@ def test_session_determinism():
         columns(records(b, run_session(b, feeds(), 100)))
 
 
-def test_session_noise_requires_seed_and_is_reproducible():
-    with pytest.raises(ValueError):
-        small_session(params=DetectorParams(noise_std=0.01))
-
-    def run(**kw):
-        s = small_session(**kw)
-        return records(s, run_session(s, {1: lambda w: (1.0,) * N_FEATURES},
-                                      40))
-
-    a = run(params=DetectorParams(noise_std=0.01), seed=7)
-    b = run(params=DetectorParams(noise_std=0.01), seed=7)
-    c = run()
-    assert columns(a) == columns(b)
-    assert not np.array_equal(a.v, c.v)
-
-
 def test_session_refuses_mismatched_flows():
-    graph = ContentionGraph({0: [1, 2]}, {0: [[0.0, 0.5], [0.5, 0.0]]},
-                            (0.4, 0.6))
-    with pytest.raises(ValueError, match="flow ids"):
-        small_session(flows=(1, 3), graph=graph)
     with pytest.raises(ValueError, match="one bucket per flow"):
         small_session(flows=(1, 2), buckets=["sensor"])
     # a window matrix must hold one row per session flow
     session = small_session(flows=(1, 2))
     with pytest.raises(ValueError, match=r"window 0: .* expected \(2, 7\)"):
         session.process_window(0, matrix([(1.0,) * N_FEATURES]))
-
-
-def test_session_coupling_lags_and_perturbs():
-    graph = ContentionGraph({0: [1, 2]}, {0: [[0.0, 0.5], [0.5, 0.0]]},
-                            (0.4, 0.6))
-    feeds = {1: lambda w: (1.0,) * N_FEATURES, 2: lambda w: (1.0,) * N_FEATURES}
-    sc = small_session(flows=(1, 2), params=DetectorParams(g=0.2, lam=1.0),
-                       graph=graph)
-    sp = small_session(flows=(1, 2), params=DetectorParams(g=0.0, lam=1.0))
-    coupled = records(sc, run_session(sc, feeds, 30))
-    plain = records(sp, run_session(sp, feeds, 30))
-    first = coupled.window == 0
-    assert np.array_equal(coupled.v[first], plain.v[first])
-    assert not np.array_equal(coupled.v, plain.v)
-
-
-def test_session_coupling_matches_per_row_oracle():
-    # I_i(t) = g * sum_j w_ij S_j(t - 1 - tau); every flow has a row in
-    # every window, some rows all missing, and flow 4 is alone in its clique
-    W = [[0.0, 0.5, 0.25], [0.5, 0.0, 0.75], [0.25, 0.75, 0.0]]
-    graph = ContentionGraph({0: [1, 2, 3], 1: [4]}, {0: W, 1: [[0.0]]},
-                            (0.0, 1.5))
-    params = DetectorParams(g=0.3, tau=1, lam=1.0)
-    session = small_session(flows=(1, 2, 3, 4), params=params, graph=graph)
-    idx = {1: 0, 2: 1, 3: 2}
-    feeds = {1: lambda w: (float(w % 5),) * N_FEATURES,
-             2: lambda w: (float(w % 7) if w >= 6 else None,) * N_FEATURES,
-             3: lambda w: (float(w % 2) if w % 4 != 1 else None,) * N_FEATURES,
-             4: lambda w: (float(w % 3),) * N_FEATURES}
-    recs = records(session, run_session(session, feeds, 40))
-    # (windows x flows) views of the columns, flows in session order
-    E, S, v, u = (getattr(recs, c).reshape(40, 4) for c in "ESvu")
-    checked = 0
-    for w in range(39):
-        for i, f in enumerate(session.flow_ids):
-            lag = 1 + params.tau
-            drive = 0.0
-            if f in idx and w >= lag:
-                drive = params.g * sum(W[idx[f]][idx[j]] * S[w - lag, idx[j]]
-                                       for j in idx)
-            v_next, u_next = step(v[w, i], u[w, i], E[w, i], drive, params)
-            assert v[w + 1, i] == pytest.approx(v_next, rel=1e-12,
-                                                abs=1e-15), (f, w)
-            assert u[w + 1, i] == pytest.approx(u_next, rel=1e-12,
-                                                abs=1e-15), (f, w)
-            checked += 1
-    assert checked == 4 * 39
 
 
 def test_derive_flags_matches_session():
@@ -639,40 +531,23 @@ def detector_cases(draw):
     x[rng.random(x.shape) < draw(st.sampled_from([0.0, 0.2, 0.6]))] = np.nan
     x[rng.random((n_windows, n)) < draw(st.sampled_from([0.0, 0.15]))] = np.nan
     m = draw(st.integers(1, 5))
-    params = dict(p=draw(st.sampled_from([1.0, 2.0, 3.0, math.inf])),
-                  eta2=draw(st.sampled_from([0.0, 0.5])),
-                  r=draw(st.sampled_from([0.0, 0.3])),
-                  noise_std=draw(st.sampled_from([0.0, 0.05])))
-    graph = None
-    if draw(st.booleans()):
-        clique = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
-        cliques = {c: [f for f, cf in zip(flows, clique) if cf == c]
-                   for c in set(clique)}
-        blocks = {}
-        for c, fs in cliques.items():
-            w = np.triu(rng.uniform(0.0, 0.3, (len(fs), len(fs))), 1)
-            blocks[c] = w + w.T
-        graph = ContentionGraph(cliques, blocks, (0.0, 3.0))
-        params.update(lam=1.0, g=draw(st.sampled_from([0.0, 0.05, 0.2])),
-                      tau=draw(st.integers(0, 2)))
+    params = DetectorParams(lam=draw(st.sampled_from([0.5, 1.0])),
+                            zeta=draw(st.sampled_from([0.25, 1.0])))
     return dict(
-        flows=flows, buckets=buckets, x=x, graph=graph,
-        params=DetectorParams(**params),
+        flows=flows, buckets=buckets, x=x, params=params,
         burn=draw(st.integers(0, n_windows)), w_min=draw(st.integers(0, 6)),
         quantile=draw(st.sampled_from([0.5, 0.9, 1.0])),
-        k=draw(st.integers(1, m)), m=m, seed=draw(st.integers(0, 1000)),
+        k=draw(st.integers(1, m)), m=m,
         finalize_at=draw(st.none() | st.integers(0, n_windows - 1)))
 
 
 @settings(max_examples=250, deadline=None)
 @given(detector_cases())
 def test_session_matches_per_row_oracle_bitwise(case):
-    common = dict(graph=case["graph"], seed=case["seed"])
     knobs = (case["quantile"], case["k"], case["m"], case["w_min"])
     new = DetectorSession(case["params"], case["flows"], case["buckets"],
-                          case["burn"], Calibration(*knobs), **common)
-    old = oracle.DetectorSession(case["params"], case["burn"], *knobs,
-                                 **common)
+                          case["burn"], Calibration(*knobs))
+    old = oracle.DetectorSession(case["params"], case["burn"], *knobs)
     for w, xw in enumerate(case["x"]):
         if w == case["finalize_at"]:
             new.finalize()
@@ -697,21 +572,19 @@ def test_session_matches_per_row_oracle_bitwise(case):
 def test_array_kernels_match_scalar_kernels_elementwise():
     # one kernel: a window's arrays give each flow's scalar result
     rng = np.random.default_rng(3)
-    p = DetectorParams(r=0.3)
+    p = DetectorParams()
     v = np.concatenate([rng.uniform(-200.0, 12.0, 200), [0.0, 1.0, -175.0]])
     u = rng.uniform(0.0, 5.0, v.size)
     e = rng.uniform(0.0, 4.0, v.size)
     s = event_surrogate(v, p.k, p.theta)
-    vn, un = step(v, u, e, 0.1, p)
+    vn, un = step(v, u, e, p)
     z = rng.normal(0.0, 3.0, (v.size, N_FEATURES))
-    for pn in (1.0, 2.0, 3.0, math.inf):
-        ev = evidence(z, 0.25, pn)
-        for i in range(v.size):
-            assert ev[i] == oracle.evidence(z[i].tolist(), 0.25, pn)
+    ev = evidence(z, 0.25)
     for i in range(v.size):
+        assert ev[i] == oracle.evidence(z[i].tolist(), 0.25)
         assert s[i] == oracle.event_surrogate(float(v[i]), p.k, p.theta)
         assert (vn[i], un[i]) == oracle.step(float(v[i]), float(u[i]),
-                                             float(e[i]), 0.1, p)
+                                             float(e[i]), p)
 
 
 # ---------------------------------------------------------------------------

@@ -239,6 +239,15 @@ def test_every_flow_gets_rows_even_without_packets():
     assert byte_rate[0, 0] == 2000.0 and not byte_rate[1:].any()
 
 
+def test_windowize_refuses_a_graph_of_other_flows():
+    # the detector's rows follow the table's flows, so the graph must hold
+    # exactly these
+    tr = trace_of([0], [0], [500], n_flows=2)
+    other = ContentionGraph({0: [0, 2]}, {0: np.zeros((2, 2))}, (0.0, 1.0))
+    with pytest.raises(ValueError, match="flow ids do not match"):
+        windowize(tr, other)
+
+
 # ---------------------------------------------------------------------------
 # normalizer
 
