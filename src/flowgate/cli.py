@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from flowgate.detector import (
+    BLOCK_WINDOWS,
     Calibration,
     DetectManifest,
     DetectorParams,
@@ -231,21 +232,22 @@ def cmd_detect(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "scores.csv"
-    n_flows, seconds = len(table.flow_ids), []
-    # a forked child formats scores.csv while the windows are scored
+    n_flows, seconds, rows = len(table.flow_ids), [], []
+    # a forked child formats scores.csv while the blocks are scored
     with TableStream(path, Scores,
                      n_flows * table.horizon_windows) as stream:
-        for w in range(table.horizon_windows):
+        for w in range(0, table.horizon_windows, BLOCK_WINDOWS):
             t0 = time.perf_counter()
-            part = session.process_window(w, table.x[w])
+            part = session.process_window(w, table.x[w:w + BLOCK_WINDOWS])
             seconds.append(time.perf_counter() - t0)
+            rows.append(len(part))
             stream.publish(part)
         scores = write_scores_csv(path, stream)
     session.finalize()
     n_records = len(scores)
 
-    write_stage_stats(out / "stage_stats.json", seconds,
-                      [n_flows] * len(seconds))
+    write_stage_stats(out / "stage_stats.json", seconds, rows,
+                      table.horizon_windows)
     write_thresholds(out / "detect_manifest.json", DetectManifest(
         **vars(calibration), world=manifest, detector_params=params,
         burn_in_windows=burn_in, n_records=n_records,

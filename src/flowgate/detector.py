@@ -10,10 +10,12 @@ Time indexing: the score at window t reads the state *before* the step that
 absorbs window t's evidence, so evidence influences scores from t+1 on. The
 memoryless baseline scores window t's evidence directly.
 
-Layout: the session is window-synchronous. Every step works on one window's
-arrays over a fixed, ordered set of flows (the rows of the window's feature
-matrix), and the dynamics, calibration and persistence functions below are
-elementwise kernels over those arrays.
+Layout: the session scores a block of consecutive windows per call, over a
+fixed, ordered set of flows (the rows of each window's feature matrix). The
+normalizer, the evidence and the surrogate work on the whole block; the
+(v, u) step and the persistence ring run once per window, and the dynamics,
+calibration and persistence functions below are elementwise kernels over
+those arrays.
 """
 
 from __future__ import annotations
@@ -263,8 +265,19 @@ class Scores(Table):
         super().__post_init__()
 
 
+# Windows per process_window call in detect and the scoring bench. A call
+# has a fixed cost, so one window per call costs more per row; detect
+# publishes each block to the scores writer, which formats the last block
+# after the scoring ends, so one block for the whole horizon costs more too.
+# On the demo world blocks of 16 to 256 windows timed alike; on the
+# 200-window audit world 32 beat 64 by about 4% and 128 or more lost 10% or
+# more (BENCH_22.json, block_size).
+BLOCK_WINDOWS = 64
+
+
 class DetectorSession:
-    """Runs the full scoring pipeline, one window of all flows at a time.
+    """Runs the full scoring pipeline, a block of windows of all flows at a
+    time.
 
     Built with the flow ids and their buckets, in the row order of the window
     matrices fed to process_window. Burn-in scores are collected once the
@@ -323,41 +336,65 @@ class DetectorSession:
         self._calibrated = True
 
     def process_window(self, window: int, x: np.ndarray) -> Scores:
-        """Score one window: x is its (flows x 7) feature matrix in the
-        session's flow order, NaN marking a missing value."""
+        """Score the block of windows window, window + 1, ...: x is their
+        (windows x flows x 7) feature array in the session's flow order, NaN
+        marking a missing value. Returns their rows in (window, flow) order.
+        A block that straddles the burn-in boundary is scored in two parts,
+        so a caller may cut the windows into blocks anywhere."""
         n = len(self.flow_ids)
-        if x.shape != (n, self.normalizer.n_features):
-            raise ValueError(f"window {window}: feature matrix of shape "
-                             f"{x.shape}, expected ({n}, "
-                             f"{self.normalizer.n_features})")
-        if window >= self.burn_in_windows and not self._calibrated:
+        nf = self.normalizer.n_features
+        if x.shape[1:] != (n, nf):
+            raise ValueError(f"window {window}: feature block of shape "
+                             f"{x.shape}, expected (windows, {n}, {nf})")
+        cut = self.burn_in_windows - window
+        if 0 < cut < len(x):
+            return Scores.concat([self._score_block(window, x[:cut]),
+                                  self._score_block(window + cut, x[cut:])])
+        return self._score_block(window, x)
+
+    def _score_block(self, window: int, x: np.ndarray) -> Scores:
+        """process_window for a block wholly in burn-in or wholly after."""
+        n_windows, n = x.shape[:2]
+        burn = window < self.burn_in_windows
+        if not burn and not self._calibrated:
             self._finalize_calibration()
         p = self.params
         z, bucket_updates = self.normalizer.score_and_update(x)
         e = evidence(z, p.zeta)
-        v, u = self.v, self.u
-        s = event_surrogate(v, p.k, p.theta)
-        if window < self.burn_in_windows:
-            alarm = actionable = np.zeros(n, dtype=bool)
-            w_min = self.calibration.w_min
-            if self._windows_seen >= w_min:
-                self._burn_s.append(s)
-                self._burn_e.append(e)
-                self._burn_ok.append(bucket_updates >= 2 * w_min)
-        else:
-            alarm = s >= self._threshold
-            actionable = self.persistence.update(alarm)
+        # v[j], u[j]: the state window + j is scored with; row j + 1 is
+        # the state after its step
+        v = np.empty((n_windows + 1, n))
+        u = np.empty((n_windows + 1, n))
+        v[0], u[0] = self.v, self.u
         # an overflow is refused below, as the error the caller sees
         with np.errstate(over="ignore", invalid="ignore"):
-            self.v, self.u = step(v, u, e, p)
-        bad = ~(np.isfinite(self.v) & np.isfinite(self.u))
+            for j in range(n_windows):
+                v[j + 1], u[j + 1] = step(v[j], u[j], e[j], p)
+        bad = ~(np.isfinite(v[1:]) & np.isfinite(u[1:]))
         if bad.any():
+            j, i = divmod(int(np.argmax(bad)), n)
             raise FloatingPointError(
                 "non-finite detector state for flow "
-                f"{self.flow_ids[int(np.argmax(bad))]} at window {window}")
-        self._windows_seen += 1
-        return Scores(self._flow_col, np.full(n, window, dtype=np.int64), e,
-                      s, v, u, s, alarm, actionable)
+                f"{self.flow_ids[i]} at window {window + j}")
+        self.v, self.u = v[-1].copy(), u[-1].copy()
+        v, u = v[:-1], u[:-1]
+        s = event_surrogate(v, p.k, p.theta)
+        if burn:
+            alarm = actionable = np.zeros((n_windows, n), dtype=bool)
+            w_min = self.calibration.w_min
+            skip = max(0, w_min - self._windows_seen)
+            self._burn_s.extend(s[skip:])
+            self._burn_e.extend(e[skip:])
+            self._burn_ok.extend(bucket_updates[skip:] >= 2 * w_min)
+        else:
+            alarm = s >= self._threshold
+            actionable = np.array([self.persistence.update(a) for a in alarm],
+                                  dtype=bool).reshape(n_windows, n)
+        self._windows_seen += n_windows
+        return Scores(np.tile(self._flow_col, n_windows),
+                      np.repeat(np.arange(window, window + n_windows), n),
+                      e.ravel(), s.ravel(), v.ravel(), u.ravel(), s.ravel(),
+                      alarm.ravel(), actionable.ravel())
 
     def thresholds(self) -> dict[int, FlowThresholds]:
         """Each flow's thresholds by id: NaN until frozen, and when none."""
@@ -381,15 +418,17 @@ def write_scores_csv(path, scores: Scores | TableStream) -> Scores:
 
 def read_scores_csv(path, recorded) -> Scores:
     """Load a scores CSV bound to the record recorded names, refusing,
-    naming the path and the lines, what read_table refuses, a baseline_s
-    other than E and a (flow, window) pair that an earlier line holds (row
-    i is line i + 2)."""
+    naming the path and the lines, what read_table refuses, an s other than
+    S and a baseline_s other than E, bit for bit, and a (flow, window) pair
+    that an earlier line holds (row i is line i + 2)."""
     scores = read_table(Scores, path, recorded)
-    same = scores.baseline_s == scores.E
-    if not same.all():
-        i = int(np.argmin(same))
-        raise ValueError(f"{path}: line {i + 2}: baseline_s = "
-                         f"{scores.baseline_s[i]:g} is not E")
+    for name, of in (("s", "S"), ("baseline_s", "E")):
+        col = getattr(scores, name)
+        same = col.view(np.int64) == getattr(scores, of).view(np.int64)
+        if not same.all():
+            i = int(np.argmin(same))
+            raise ValueError(f"{path}: line {i + 2}: {name} = {col[i]:g} "
+                             f"is not {of}")
     order = np.lexsort((scores.window, scores.flow_id))  # ties by row
     f, w = scores.flow_id[order], scores.window[order]
     repeat = np.flatnonzero((f[1:] == f[:-1]) & (w[1:] == w[:-1]))

@@ -10,7 +10,7 @@ normalizer state.
 
 from __future__ import annotations
 
-import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,8 +140,9 @@ class Normalizer:
     Built with each row's bucket, in the row order of the window matrices it
     is fed. Each bucket keeps running (m, q) per feature. A row is scored
     with its bucket's state as-is and only then folded into it, so the score
-    at time t never sees x_t; rows of one bucket fold in row order within a
-    window. Missing components (NaN) score 0 and leave state alone.
+    at time t never sees x_t; rows of one bucket fold in window order, and
+    in row order within a window. Missing components (NaN) score 0 and
+    leave state alone.
     """
 
     def __init__(self, buckets, config: NormalizerConfig = NormalizerConfig(),
@@ -151,7 +152,8 @@ class Normalizer:
         self.lambda_mean = config.lambda_mean
         self.lambda_var = config.lambda_var
         code = {b: i for i, b in enumerate(dict.fromkeys(buckets))}
-        self._codes = [code[b] for b in buckets]
+        codes = np.array([code[b] for b in buckets], dtype=np.int64)
+        self._rows = [np.flatnonzero(codes == c) for c in code.values()]
         self._m = [[None] * n_features for _ in code]  # None: not seen yet
         self._q = [[config.eps_var] * n_features for _ in code]
         self._updates = [0] * len(code)  # rows that updated any component
@@ -165,37 +167,57 @@ class Normalizer:
             self._slow = True
 
     def score_and_update(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """Score and fold one window's (rows x features) matrix.
+        """Score and fold a block of consecutive windows, x being their
+        (windows x rows x features) array.
 
-        Returns the clipped z-scores and, per row, the bucket's update count
-        before that row was folded in.
+        Returns the clipped z-scores, shaped as x, and, per window and row,
+        the bucket's update count before that row was folded in.
+
+        Each (bucket, feature) pair is one chain: its present values in
+        window, then row order. A scalar loop folds a chain and records each
+        value's deviation d from the mean and the variance q it is scored
+        against; z = d / sqrt(q + eps) is then taken over arrays, whose
+        correctly rounded operations give the scalar result bit for bit.
         """
-        eps = self.config.eps_var
-        clip = self.config.clip
+        n_windows, n_rows, nf = x.shape
         lm = self.lambda_mean
         lv = self.lambda_var
         keep = 1.0 - lv
-        nf = self.n_features
-        updates = self._updates
-        zs = []
-        counts = []
-        for b, xs in zip(self._codes, x.tolist()):
-            m, q = self._m[b], self._q[b]
-            counts.append(updates[b])
-            z = [0.0] * nf
-            touched = False
-            for k, xk in enumerate(xs):
-                if xk != xk:  # NaN: missing
+        counts = np.empty((n_windows, n_rows), dtype=np.int64)
+        at, ds, qs = [], array("d"), array("d")
+        keep_d, keep_q = ds.append, qs.append
+        first = np.arange(n_windows)[:, None] * n_rows
+        for b, rows in enumerate(self._rows):
+            xb = x[:, rows].reshape(-1, nf)  # the bucket's rows, by window
+            present = ~np.isnan(xb)
+            touched = present.any(axis=1)
+            done = np.cumsum(touched)
+            counts[:, rows] = (self._updates[b] + done - touched).reshape(
+                n_windows, len(rows))
+            self._updates[b] += int(done[-1]) if done.size else 0
+            cell = ((first + rows) * nf).ravel()
+            m_b, q_b = self._m[b], self._q[b]
+            for k in range(nf):
+                has = present[:, k]
+                values = xb[has, k].tolist()
+                if not values:
                     continue
-                touched = True
-                mk = xk if m[k] is None else m[k]  # first sighting: m = x
-                d = xk - mk
-                zk = d / math.sqrt(q[k] + eps)
-                z[k] = clip if zk > clip else -clip if zk < -clip else zk
-                m[k] = mk + lm * d
-                q[k] = keep * q[k] + lv * d * d
-            if touched:
-                updates[b] += 1
-            zs.append(z)
-        return (np.array(zs, dtype=np.float64).reshape(len(zs), nf),
-                np.array(counts, dtype=np.int64))
+                at.append(cell[has] + k)
+                m = values[0] if m_b[k] is None else m_b[k]
+                q = q_b[k]
+                for xv in values:
+                    d = xv - m
+                    keep_d(d)
+                    keep_q(q)
+                    m += lm * d
+                    q = keep * q + lv * d * d
+                m_b[k], q_b[k] = m, q
+        z = np.zeros(x.shape)
+        if at:
+            with np.errstate(divide="ignore", over="ignore",
+                             invalid="ignore"):
+                zk = np.frombuffer(ds) / np.sqrt(np.frombuffer(qs)
+                                                 + self.config.eps_var)
+            clip = self.config.clip
+            z.reshape(-1)[np.concatenate(at)] = np.clip(zk, -clip, clip)
+        return z, counts

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from flowgate.detector import Scores, calibrate_threshold
+from flowgate.detector import BLOCK_WINDOWS, Scores, calibrate_threshold
 from flowgate.trace import (
     from_json,
     load_json,
@@ -125,15 +125,15 @@ def scoring_cost(seconds, rows, batch_rows: int = 1000,
 def bench_scoring(session, stream, batch_rows: int = 1000,
                   warmup_batches: int = 1) -> tuple[float, float, float]:
     """scoring_cost of session.process_window over stream, which yields
-    (window, x) pairs, x a window's feature matrix with one row per flow;
+    (window, x) pairs, x a block of windows as process_window takes it;
     raises if the stream is too short to count a batch after warm-up."""
     seconds: list[float] = []
     rows: list[int] = []
     for window, x in stream:
         t0 = time.perf_counter()
-        session.process_window(window, x)
+        part = session.process_window(window, x)
         seconds.append(time.perf_counter() - t0)
-        rows.append(len(x))
+        rows.append(len(part))
     cost = scoring_cost(seconds, rows, batch_rows, warmup_batches)
     if cost is None:
         raise ValueError("stream too short to benchmark after warm-up")
@@ -145,7 +145,8 @@ NAN_NULL = {"null": math.nan}  # a float field whose NaN is JSON null
 
 @dataclass
 class ScoringStats:
-    """stage_stats.json's "scoring": detect's timed process_window calls and
+    """stage_stats.json's "scoring": the rows and windows that detect's
+    timed process_window calls scored, a block of windows per call, and
     their per-row cost in us (NaN when too few rows)."""
 
     rows: int
@@ -160,12 +161,13 @@ class StageStats:
     scoring: ScoringStats
 
 
-def write_stage_stats(path, seconds, rows) -> None:
+def write_stage_stats(path, seconds, rows, windows: int) -> None:
     """Write stage_stats.json for timed scoring calls (call i took
-    seconds[i] to score rows[i] rows, one call per window): the row and
-    window counts and their scoring_cost, null when too few rows."""
+    seconds[i] to score rows[i] rows, the calls covering windows windows):
+    the row and window counts and their scoring_cost, null when too few
+    rows."""
     cost = scoring_cost(seconds, rows) or (math.nan,) * 3
-    write_json(path, to_json(StageStats(ScoringStats(sum(rows), len(rows),
+    write_json(path, to_json(StageStats(ScoringStats(sum(rows), windows,
                                                      *cost))))
 
 
@@ -195,8 +197,9 @@ def read_stage_stats(path, scores: Scores) -> tuple[float, float, float]:
 
 def synthetic_feature_stream(n_rows: int, n_flows: int = 50, seed: int = 0):
     """Deterministic benchmark input: (flow_ids, buckets, stream), where
-    stream yields (window, x) with x an (n_flows x 7) matrix of mildly
-    varying dense features, until n_rows rows are out."""
+    stream yields (window, x) with x a block of up to BLOCK_WINDOWS
+    windows, each an (n_flows x 7) matrix of mildly varying dense features,
+    until n_rows rows are out."""
     rng = np.random.default_rng(seed)
     n_windows = (n_rows + n_flows - 1) // n_flows
     flows = list(range(1, n_flows + 1))
@@ -204,8 +207,9 @@ def synthetic_feature_stream(n_rows: int, n_flows: int = 50, seed: int = 0):
     base = rng.uniform(0.5, 2.0, (n_flows, 7))
 
     def stream():
-        for w in range(n_windows):
-            yield w, base + rng.uniform(-0.1, 0.1, (n_flows, 7))
+        for w in range(0, n_windows, BLOCK_WINDOWS):
+            size = min(BLOCK_WINDOWS, n_windows - w)
+            yield w, base + rng.uniform(-0.1, 0.1, (size, n_flows, 7))
 
     return flows, buckets, stream()
 

@@ -9,6 +9,10 @@ the parameter and config types (`DetectorParams`, `NormalizerConfig`),
 which it reads but does not compute with. Rows are (flow_id, bucket, x)
 with x the raw 7-component vector, None marking a missing component.
 
+`RowNormalizer` is the window normalizer that the block normalizer
+(`flowgate.features.Normalizer`) replaced: one window's matrix per call,
+folded row by row, with the same constructor and state.
+
 `derive_flags` rebuilds alarm and actionable streams from stored scores
 with the session's persistence step, one flow at a time.
 """
@@ -177,6 +181,69 @@ class Normalizer:
         if touched:
             self._updates[bucket] += 1
         return z
+
+
+class RowNormalizer:
+    """Per-bucket EMA mean/variance z-scoring of one window at a time.
+
+    Built with each row's bucket, in the row order of the window matrices it
+    is fed. A row is scored with its bucket's state as-is and only then
+    folded into it; rows of one bucket fold in row order within a window.
+    Missing components (NaN) score 0 and leave state alone.
+    """
+
+    def __init__(self, buckets, config: NormalizerConfig = NormalizerConfig(),
+                 n_features: int = N_FEATURES):
+        self.config = config
+        self.n_features = n_features
+        self.lambda_mean = config.lambda_mean
+        self.lambda_var = config.lambda_var
+        code = {b: i for i, b in enumerate(dict.fromkeys(buckets))}
+        self._codes = [code[b] for b in buckets]
+        self._m = [[None] * n_features for _ in code]  # None: not seen yet
+        self._q = [[config.eps_var] * n_features for _ in code]
+        self._updates = [0] * len(code)  # rows that updated any component
+        self._slow = False
+
+    def enter_slow_phase(self) -> None:
+        if not self._slow:
+            self.lambda_mean *= self.config.slow_factor
+            self.lambda_var *= self.config.slow_factor
+            self._slow = True
+
+    def score_and_update(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """Score and fold one window's (rows x features) matrix. Returns the
+        clipped z-scores and, per row, the bucket's update count before that
+        row was folded in."""
+        eps = self.config.eps_var
+        clip = self.config.clip
+        lm = self.lambda_mean
+        lv = self.lambda_var
+        keep = 1.0 - lv
+        nf = self.n_features
+        updates = self._updates
+        zs = []
+        counts = []
+        for b, xs in zip(self._codes, x.tolist()):
+            m, q = self._m[b], self._q[b]
+            counts.append(updates[b])
+            z = [0.0] * nf
+            touched = False
+            for k, xk in enumerate(xs):
+                if xk != xk:  # NaN: missing
+                    continue
+                touched = True
+                mk = xk if m[k] is None else m[k]  # first sighting: m = x
+                d = xk - mk
+                zk = d / math.sqrt(q[k] + eps)
+                z[k] = clip if zk > clip else -clip if zk < -clip else zk
+                m[k] = mk + lm * d
+                q[k] = keep * q[k] + lv * d * d
+            if touched:
+                updates[b] += 1
+            zs.append(z)
+        return (np.array(zs, dtype=np.float64).reshape(len(zs), nf),
+                np.array(counts, dtype=np.int64))
 
 
 class ScoreRecord(NamedTuple):

@@ -16,6 +16,8 @@
 - `thresholds_by_flow` gives a session's per-flow thresholds in the shape
   the per-row oracle's session returns them, and `detect_record` the
   record `detect` would write for a session.
+- `block_edges` cuts a run of windows into the blocks that a caller of
+  the detector's process_window may feed.
 - `queue_impact` is the report's two p99.9 deltas as they were computed
   before the report derived them from its tails: each percentile sorted
   again.
@@ -253,6 +255,16 @@ def detect_record(session, world, n_records: int = 0,
         detector_params=session.params,
         burn_in_windows=session.burn_in_windows, n_records=n_records,
         scores_sha256=scores_sha256, flows=session.thresholds())
+
+
+def block_edges(n_windows: int, split, keep=()) -> list[int]:
+    """The edges of blocks over windows [0, n_windows): every split windows
+    for an integer split, else at each window of the set split; a window of
+    keep, within the range, always starts a block."""
+    cuts = (range(0, n_windows, split) if isinstance(split, int)
+            else split)
+    return sorted({0, n_windows, *(c for c in (*cuts, *keep)
+                                   if 0 <= c <= n_windows)})
 
 
 def queue_impact(base_log, gated_log) -> tuple[float, float]:

@@ -22,7 +22,6 @@ from flowgate.detector import (
     DetectorParams,
     DetectorSession,
     Persistence,
-    Scores,
     step,
 )
 from flowgate.features import windowize
@@ -70,8 +69,7 @@ def _score_table(table, world, burn: int, quantile: float, w_min: int):
         DetectorParams(), table.flow_ids,
         [world.trace.flow_table[f].device_class for f in table.flow_ids],
         burn, Calibration(quantile, w_min=w_min))
-    return ses, Scores.concat(ses.process_window(w, table.x[w])
-                              for w in range(table.horizon_windows))
+    return ses, ses.process_window(0, table.x)
 
 
 def _score_world(world, burn: int, quantile: float, w_min: int):

@@ -21,6 +21,7 @@ import pytest
 
 from flowgate.cli import main
 from flowgate.detector import (
+    BLOCK_WINDOWS,
     Calibration,
     DetectorParams,
     DetectorSession,
@@ -29,6 +30,7 @@ from flowgate.detector import (
     read_thresholds,
 )
 from flowgate.features import windowize
+from flowgate.metrics import read_stage_stats
 from flowgate.trace import (
     Budgets,
     Trace,
@@ -1237,6 +1239,37 @@ def test_detect_writes_stage_stats(pipe):
                                "max_us_per_row": None}}
 
 
+def test_detect_times_one_call_per_block(tmp_path, monkeypatch):
+    # a 400-window world: detect scores it in blocks of BLOCK_WINDOWS, one
+    # timed call each, and stage_stats.json still counts windows, so it
+    # reads back against the scores with a cost of the counted blocks
+    cfg = json.loads(tiny_config(tmp_path / "config.json").read_text())
+    write_json(tmp_path / "config.json", {**cfg, "horizon_windows": 400})
+    calls = []
+    block = DetectorSession.process_window
+
+    def spy(session, window, x):
+        calls.append((window, len(x)))
+        return block(session, window, x)
+
+    monkeypatch.setattr(DetectorSession, "process_window", spy)
+    world, det = tmp_path / "world", tmp_path / "det"
+    assert main(["gen-world", "--config", str(tmp_path / "config.json"),
+                 "--out", str(world)]) == 0
+    assert main(["detect", "--world", str(world), "--out", str(det)]) == 0
+    assert calls == [(w, min(BLOCK_WINDOWS, 400 - w))
+                     for w in range(0, 400, BLOCK_WINDOWS)]
+    scoring = json.loads((det / "stage_stats.json").read_text())["scoring"]
+    assert (scoring["rows"], scoring["windows"]) == (6 * 400, 400)
+    scores = read_scores_csv(det / "scores.csv", (
+        read_thresholds(det / "detect_manifest.json").scores_sha256,
+        "detect_manifest.json"))
+    cost = read_stage_stats(det / "stage_stats.json", scores)
+    assert cost == (scoring["mean_us_per_row"], scoring["p90_us_per_row"],
+                    scoring["max_us_per_row"])
+    assert 0.0 < cost[0] <= cost[1] <= cost[2]
+
+
 def test_report_does_not_rescore(pipe, tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("report must not score")
@@ -1794,8 +1827,7 @@ def _score_trace(trace, graph, burn_in):
         DetectorParams(), table.flow_ids,
         [trace.flow_table[f].device_class for f in table.flow_ids],
         burn_in, Calibration(w_min=20))
-    return Scores.concat(session.process_window(w, table.x[w])
-                         for w in range(table.horizon_windows))
+    return session.process_window(0, table.x)
 
 
 @pytest.mark.parametrize("cut", [50, 100])  # before and after burn-in (72)

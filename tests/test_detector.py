@@ -45,6 +45,7 @@ from flowgate.trace import (
     twin_path,
 )
 from support import (
+    block_edges,
     detect_record,
     f_sat_peak_slope,
     fixed_point_residual,
@@ -344,9 +345,10 @@ def test_alarms_invariant_under_affine_transform(raw, q):
 
 
 def matrix(rows):
-    """Raw vectors (None = missing) as one window's matrix (NaN = missing)."""
+    """Raw vectors (None = missing) as a block of one window's matrix (NaN =
+    missing)."""
     return np.array([[np.nan if v is None else v for v in x] for x in rows],
-                    dtype=np.float64).reshape(len(rows), N_FEATURES)
+                    dtype=np.float64).reshape(1, len(rows), N_FEATURES)
 
 
 def small_session(flows=(1,), buckets=None, quantile=0.9, **kw):
@@ -477,8 +479,11 @@ def test_session_refuses_mismatched_flows():
         small_session(flows=(1, 2), buckets=["sensor"])
     # a window matrix must hold one row per session flow
     session = small_session(flows=(1, 2))
-    with pytest.raises(ValueError, match=r"window 0: .* expected \(2, 7\)"):
+    with pytest.raises(ValueError, match=r"window 0: .* expected "
+                       r"\(windows, 2, 7\)"):
         session.process_window(0, matrix([(1.0,) * N_FEATURES]))
+    with pytest.raises(ValueError, match=r"shape \(2, 7\), expected"):
+        session.process_window(0, np.ones((2, N_FEATURES)))
 
 
 def test_derive_flags_matches_session():
@@ -521,6 +526,9 @@ def test_derive_flags_none_threshold_all_clear():
 
 @st.composite
 def detector_cases(draw):
+    """Flows in several buckets over up to 40 windows, with spikes, missing
+    rows and cells, NaN-heavy columns and, sometimes, an infinite value,
+    which makes a detector state non-finite."""
     n = draw(st.integers(1, 8))
     flows = sorted(draw(st.sets(st.integers(1, 60), min_size=n, max_size=n)))
     buckets = draw(st.lists(st.sampled_from("abc"), min_size=n, max_size=n))
@@ -530,6 +538,12 @@ def detector_cases(draw):
     x[rng.random(x.shape) < 0.02] *= 300.0  # spikes
     x[rng.random(x.shape) < draw(st.sampled_from([0.0, 0.2, 0.6]))] = np.nan
     x[rng.random((n_windows, n)) < draw(st.sampled_from([0.0, 0.15]))] = np.nan
+    heavy = rng.random(N_FEATURES) < draw(st.sampled_from([0.0, 0.4]))
+    for k in np.flatnonzero(heavy):
+        col = x[:, :, k]
+        col[rng.random(col.shape) < 0.9] = np.nan
+    x[rng.random(x.shape) < draw(st.sampled_from([0.0, 0.0, 0.005]))] = \
+        np.inf
     m = draw(st.integers(1, 5))
     params = DetectorParams(lam=draw(st.sampled_from([0.5, 1.0])),
                             zeta=draw(st.sampled_from([0.25, 1.0])))
@@ -541,32 +555,59 @@ def detector_cases(draw):
         finalize_at=draw(st.none() | st.integers(0, n_windows - 1)))
 
 
-@settings(max_examples=250, deadline=None)
-@given(detector_cases())
-def test_session_matches_per_row_oracle_bitwise(case):
+def _oracle_run(case):
+    """The per-row session over every window of case: its records up to
+    the first non-finite state, that error's message (None without one) and
+    its thresholds."""
     knobs = (case["quantile"], case["k"], case["m"], case["w_min"])
-    new = DetectorSession(case["params"], case["flows"], case["buckets"],
-                          case["burn"], Calibration(*knobs))
     old = oracle.DetectorSession(case["params"], case["burn"], *knobs)
-    for w, xw in enumerate(case["x"]):
-        if w == case["finalize_at"]:
-            new.finalize()
-            old.finalize()
-        got = new.process_window(w, xw)
-        want = old.process_window(w, [
-            (f, b, tuple(None if math.isnan(v) else v for v in row))
-            for f, b, row in zip(case["flows"], case["buckets"], xw.tolist())])
-        assert len(got) == len(want)
-        assert [r.flow_id for r in want] == case["flows"]
-        assert got.flow_id.tolist() == case["flows"]
-        assert got.window.tolist() == [w] * len(want)
-        for name in "ESvusaz":
+    records = []
+    try:
+        for w, xw in enumerate(case["x"]):
+            if w == case["finalize_at"]:
+                old.finalize()
+            records += old.process_window(w, [
+                (f, b, tuple(None if math.isnan(v) else v for v in row))
+                for f, b, row in zip(case["flows"], case["buckets"],
+                                     xw.tolist())])
+    except FloatingPointError as exc:
+        return records, str(exc), old.thresholds()
+    return records, None, old.thresholds()
+
+
+@settings(max_examples=250, deadline=None)
+@given(detector_cases(), st.sets(st.integers(1, 39), max_size=6))
+def test_session_matches_per_row_oracle_bitwise(case, cuts):
+    # blocks of 1, 7 and all windows, and blocks cut at random windows, each
+    # straddling burn-in as they fall, give the per-row session's scores
+    # and thresholds bit for bit, or its first non-finite state error
+    records, error, thresholds = _oracle_run(case)
+    assert [r.baseline_s for r in records] == [r.E for r in records]
+    knobs = (case["quantile"], case["k"], case["m"], case["w_min"])
+    x = case["x"]
+    for split in (1, 7, len(x), cuts):
+        new = DetectorSession(case["params"], case["flows"], case["buckets"],
+                              case["burn"], Calibration(*knobs))
+        edges = block_edges(len(x), split, keep=[case["finalize_at"] or 0])
+        parts = []
+        try:
+            for a, b in zip(edges, edges[1:]):
+                if a == case["finalize_at"]:
+                    new.finalize()
+                parts.append(new.process_window(a, x[a:b]))
+        except FloatingPointError as exc:
+            assert str(exc) == error, split
+            continue
+        assert error is None, split
+        got = Scores.concat(parts)
+        assert got.flow_id.tolist() == [r.flow_id for r in records]
+        assert got.window.tolist() == [r.window for r in records]
+        for name in (*"ESvusaz", "baseline_s"):
             col = getattr(got, name)
-            ref = np.array([getattr(r, name) for r in want], dtype=col.dtype)
-            assert col.tobytes() == ref.tobytes(), (w, name)
-        assert [r.baseline_s for r in want] == [r.E for r in want]
-    assert repr(thresholds_by_flow(new.thresholds())) == \
-        repr(old.thresholds())
+            ref = np.array([getattr(r, name) for r in records],
+                           dtype=col.dtype)
+            assert col.tobytes() == ref.tobytes(), (split, name)
+        assert repr(thresholds_by_flow(new.thresholds())) == repr(thresholds)
 
 
 def test_array_kernels_match_scalar_kernels_elementwise():
@@ -651,6 +692,8 @@ def test_scores_csv_names_the_first_repeat_and_the_line_it_repeats(
     ("1,1,nan,0.5,0,0,0.5,0,0,nan", "line 3: E = nan is not finite"),
     ("1,1,0.5,0.5,0,0,0.5,0,2,0.5", "line 3: z = 2 is not 0 or 1"),
     ("1,1,0.5,0.5,0,0,0.5,0,0,0.25", "line 3: baseline_s = 0.25 is not E"),
+    ("1,1,0.5,0.5,0,0,0.25,0,0,0.5", "line 3: s = 0.25 is not S"),
+    ("1,1,0.5,0,0,0,-0.0,0,0,0.5", "line 3: s = -0 is not S"),
     ("1,-1,0.5,0.5,0,0,0.5,0,0,0.5",
      "line 3: window = -1 is not a nonnegative integer"),
 ])
@@ -682,12 +725,14 @@ def test_scores_csv_refuses_values_the_writer_cannot_write(tmp_path, row,
      st.lists(st.integers(0, 2**53 - 1), min_size=n, max_size=n,
               unique=True)]
     + [st.lists(st.floats(allow_nan=False, allow_infinity=False),
-                min_size=n, max_size=n)] * 5
+                min_size=n, max_size=n)] * 4
     + [st.lists(st.booleans(), min_size=n, max_size=n)] * 2))))
 def test_scores_csv_write_read_write_is_byte_identical(tmp_path_factory,
                                                        cols):
+    # columns E, S, v and u; s is S, as the reader requires
+    f, w, e, s, v, u, a, z = cols
     d = tmp_path_factory.mktemp("scores")
-    write_scores_csv(d / "a.csv", Scores(*cols))
+    write_scores_csv(d / "a.csv", Scores(f, w, e, s, v, u, s, a, z))
     write_scores_csv(d / "b.csv", read_scores_csv(d / "a.csv",
                                                   recorded(d / "a.csv")))
     assert (d / "a.csv").read_bytes() == (d / "b.csv").read_bytes()

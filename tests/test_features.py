@@ -15,6 +15,8 @@ from flowgate.features import (
 )
 from flowgate.trace import BENIGN, FlowInfo, FlowKey, Trace
 from flowgate.worlds import ContentionGraph
+from detector_oracle import RowNormalizer
+from support import block_edges
 
 
 def feature(tab, name):
@@ -253,9 +255,9 @@ def test_windowize_refuses_a_graph_of_other_flows():
 
 
 def one_row(norm, *x):
-    """Score a one-row window; returns its z list."""
-    z, _ = norm.score_and_update(np.array([x], dtype=np.float64))
-    return z[0].tolist()
+    """Score a block of one one-row window; returns its z list."""
+    z, _ = norm.score_and_update(np.array([[x]], dtype=np.float64))
+    return z[0, 0].tolist()
 
 
 def test_normalizer_scores_before_updating():
@@ -286,13 +288,13 @@ def test_normalizer_missing_components_score_zero_and_skip_update():
     one_row(norm, 1.0, 1.0)
     before_m = list(norm._m[0])
     before_q = list(norm._q[0])
-    z, counts = norm.score_and_update(np.array([[np.nan, np.nan]]))
-    assert z.tolist() == [[0.0, 0.0]]
+    z, counts = norm.score_and_update(np.array([[[np.nan, np.nan]]]))
+    assert z.tolist() == [[[0.0, 0.0]]]
     assert norm._m[0] == before_m
     assert norm._q[0] == before_q
     # an all-missing row does not count as an update of its bucket
-    _, counts_after = norm.score_and_update(np.array([[1.0, 1.0]]))
-    assert counts.tolist() == counts_after.tolist() == [1]
+    _, counts_after = norm.score_and_update(np.array([[[1.0, 1.0]]]))
+    assert counts.tolist() == counts_after.tolist() == [[1]]
 
 
 def test_normalizer_clip():
@@ -304,23 +306,23 @@ def test_normalizer_clip():
 
 def test_normalizer_buckets_are_independent():
     norm = Normalizer(["a", "b"], NormalizerConfig(), n_features=1)
-    z, counts = norm.score_and_update(np.array([[100.0], [0.0]]))
-    assert z.tolist() == [[0.0], [0.0]]
-    assert counts.tolist() == [0, 0]
-    _, counts = norm.score_and_update(np.array([[100.0], [0.0]]))
-    assert counts.tolist() == [1, 1]
+    z, counts = norm.score_and_update(np.array([[[100.0], [0.0]]]))
+    assert z.tolist() == [[[0.0], [0.0]]]
+    assert counts.tolist() == [[0, 0]]
+    _, counts = norm.score_and_update(np.array([[[100.0], [0.0]]]))
+    assert counts.tolist() == [[1, 1]]
 
 
 def test_normalizer_rows_of_a_bucket_fold_in_row_order():
     # rows 0 and 2 share bucket "a": row 2 is scored against the state row 0
     # just folded in, and each row reports its bucket's count before it
     norm = Normalizer(["a", "b", "a"], NormalizerConfig(), n_features=1)
-    z, counts = norm.score_and_update(np.array([[5.0], [1.0], [6.0]]))
-    assert counts.tolist() == [0, 0, 1]
-    assert z[0, 0] == 0.0 and z[1, 0] == 0.0
-    assert z[2, 0] == pytest.approx(norm.config.clip)
-    _, counts = norm.score_and_update(np.array([[5.0], [1.0], [6.0]]))
-    assert counts.tolist() == [2, 1, 3]
+    z, counts = norm.score_and_update(np.array([[[5.0], [1.0], [6.0]]]))
+    assert counts.tolist() == [[0, 0, 1]]
+    assert z[0, 0, 0] == 0.0 and z[0, 1, 0] == 0.0
+    assert z[0, 2, 0] == pytest.approx(norm.config.clip)
+    _, counts = norm.score_and_update(np.array([[[5.0], [1.0], [6.0]]]))
+    assert counts.tolist() == [[2, 1, 3]]
 
 
 def test_normalizer_slow_phase_scales_once():
@@ -343,3 +345,57 @@ def test_normalizer_converges_on_constant_tail(xs):
     for _ in range(400):
         z = one_row(norm, 7.5)[0]
     assert abs(z) < 0.5
+
+
+# ---------------------------------------------------------------------------
+# the block normalizer against the window normalizer it replaced
+
+
+@st.composite
+def feature_blocks(draw):
+    """Windows of rows in several buckets, with NaN-heavy columns, spikes
+    and, sometimes, an infinite value; and where the slow phase starts."""
+    n = draw(st.integers(1, 8))
+    buckets = draw(st.lists(st.sampled_from("abc"), min_size=n, max_size=n))
+    n_windows = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.uniform(-5.0, 10.0, (n_windows, n, N_FEATURES))
+    x[rng.random(x.shape) < 0.02] *= 1e4
+    for k in np.flatnonzero(rng.random(N_FEATURES) < 0.4):
+        col = x[:, :, k]
+        col[rng.random(col.shape) < draw(st.sampled_from([0.7, 0.95]))] = \
+            np.nan
+    x[rng.random(x.shape) < draw(st.sampled_from([0.0, 0.2]))] = np.nan
+    x[rng.random(x.shape) < draw(st.sampled_from([0.0, 0.0, 0.003]))] = \
+        draw(st.sampled_from([np.inf, -np.inf]))
+    return buckets, x, draw(st.none() | st.integers(0, n_windows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(feature_blocks(),
+       st.sampled_from([1, 7, None]) | st.sets(st.integers(1, 39)))
+def test_block_normalizer_matches_window_normalizer_bitwise(case, split):
+    # any cut of the windows into blocks (None: one block of all) gives
+    # each window's z-scores and update counts bit for bit as the window
+    # normalizer does, the slow phase starting at a block edge
+    buckets, x, slow_at = case
+    old, new = RowNormalizer(buckets), Normalizer(buckets)
+    want_z, want_n = [], []
+    for w, xw in enumerate(x):
+        if w == slow_at:
+            old.enter_slow_phase()
+        z, counts = old.score_and_update(xw)
+        want_z.append(z)
+        want_n.append(counts)
+    got_z, got_n = [], []
+    edges = block_edges(len(x), split or len(x), keep=[slow_at or 0])
+    for a, b in zip(edges, edges[1:]):
+        if a == slow_at:
+            new.enter_slow_phase()
+        z, counts = new.score_and_update(x[a:b])
+        got_z.append(z)
+        got_n.append(counts)
+    assert np.concatenate(got_z).tobytes() == np.array(want_z).tobytes()
+    assert np.concatenate(got_n).tolist() == np.array(want_n).tolist()
+    assert repr((new._m, new._q, new._updates)) == \
+        repr((old._m, old._q, old._updates))

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowgate.detector import (
+    BLOCK_WINDOWS,
     Calibration,
     DetectorParams,
     DetectManifest,
@@ -293,7 +294,7 @@ def test_scoring_cost_of_a_short_run_is_none():
 def test_stage_stats_round_trip(tmp_path):
     seconds = [1e-4 * (1 + w % 7) for w in range(100)]
     rows = [46] * 100
-    write_stage_stats(tmp_path / "stage_stats.json", seconds, rows)
+    write_stage_stats(tmp_path / "stage_stats.json", seconds, rows, 100)
     doc = json.loads((tmp_path / "stage_stats.json").read_text())
     cost = scoring_cost(seconds, rows)
     assert doc == {"scoring": {"rows": 4600, "windows": 100,
@@ -310,12 +311,17 @@ def test_stage_stats_round_trip(tmp_path):
 
 def test_synthetic_stream_shape():
     rows = 0
+    # 1234 rows of 7 flows are 177 windows, in blocks of BLOCK_WINDOWS
     flows, buckets, stream = synthetic_feature_stream(1234, n_flows=7)
     assert flows == list(range(1, 8)) and len(buckets) == 7
+    starts = []
     for w, x in stream:
-        rows += len(x)
-        assert x.shape == (7, 7)
-    assert rows >= 1234
+        starts.append(w)
+        rows += x.shape[0] * x.shape[1]
+        assert x.shape[1:] == (7, 7)
+        assert x.shape[0] == min(BLOCK_WINDOWS, 177 - w)
+    assert starts == list(range(0, 177, BLOCK_WINDOWS))
+    assert rows == 177 * 7 >= 1234
 
 
 # ---------------------------------------------------------------------------
