@@ -19,11 +19,11 @@ with the weights a Schedule sets, and the service times once, as
 numpy arrays; the heap loop then runs over plain Python floats and serves
 tag ties in arrival order. A packet that finds the heap empty, with no
 other arrival by the time the server frees, is served at once without the
-heap, which would pop that same packet. Cliques are independent servers,
-so replay deals them into one share per CPU it may run on, largest clique
-first: this process serves one share and a forked child serves each other
-one, writing its dequeue instants into a shared anonymous mapping. Outputs
-do not depend on the share count. Precondition: arrival times are
+heap, which would pop that same packet, and needs no per-flow tag: with
+the heap empty every flow's last tag is at most V. Cliques are independent
+servers, so replay deals them to forks.deal as one job each, largest
+first into one share per CPU it may run on. Outputs do not depend on the
+share count. Precondition: arrival times are
 nondecreasing within each clique (worlds.check_trace refuses a trace.csv
 that is not sorted); otherwise the loop gives wrong delays without an
 error.
@@ -33,14 +33,13 @@ from __future__ import annotations
 
 import heapq
 import math
-import mmap
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from flowgate.detector import calibrate_threshold
-from flowgate.forks import Children, cpus
+from flowgate.forks import deal
 from flowgate.trace import (
     BENIGN,
     Table,
@@ -131,8 +130,8 @@ def replay(trace: Trace, capacity_bps: float,
     """Replay a trace through one WFQ server per clique.
 
     capacity_bps is in bytes per second. Returns a log whose rows align with
-    the trace's packet order. The cliques are served in shares, one per
-    CPU this process may run on (see _serve_shares).
+    the trace's packet order. The cliques are dealt to forks.deal, one
+    job each.
     """
     if capacity_bps <= 0:
         raise ValueError("capacity must be positive")
@@ -145,49 +144,21 @@ def replay(trace: Trace, capacity_bps: float,
     cap = float(capacity_bps)
 
     cliques = [np.flatnonzero(cq == c) for c in unique(cq)]
-    n_shares = max(1, min(cpus(), len(cliques)))
-    # a shared anonymous mapping, so that a forked share's writes reach it
-    dequeue = (np.frombuffer(mmap.mmap(-1, 8 * trace.n_packets), np.float64)
-               if n_shares > 1 else np.empty(trace.n_packets))
 
-    def serve(share):
-        for idx in share:
-            dequeue[idx] = _replay_clique(ts[idx], fid[idx], ln[idx], cap,
-                                          schedule)
+    def serve(idx):
+        return _replay_clique(ts[idx], fid[idx], ln[idx], cap, schedule)
 
-    if not _serve_shares(_lpt_shares(cliques, n_shares), serve):
-        serve(cliques)  # in clique order: raises what a serial replay raises
+    sizes = [idx.size for idx in cliques]
+    dequeue = np.empty(trace.n_packets)
+    # deal gives the cliques' dequeue instants one clique after another
+    dequeue[np.concatenate([np.empty(0, np.int64), *cliques])] = deal(
+        [partial(serve, idx) for idx in cliques], sizes, sizes)
     # the kernel advanced t_free by these same additions, so completions
     # are exact
     complete = dequeue + ln * (1e6 / cap)
     benign = np.isin(fid, [f for f, info in trace.flow_table.items()
                            if info.label == BENIGN])
     return QueueEventLog(fid, cq, ts, dequeue, complete, benign)
-
-
-def _lpt_shares(cliques: list[np.ndarray], n_shares: int) -> list[list]:
-    """Cliques dealt into n_shares shares, largest first, each to the share
-    with the fewest packets so far (LPT). Share 0 holds the largest clique."""
-    shares: list[list] = [[] for _ in range(n_shares)]
-    load = [0] * n_shares
-    for idx in sorted(cliques, key=len, reverse=True):
-        k = load.index(min(load))
-        shares[k].append(idx)
-        load[k] += len(idx)
-    return shares
-
-
-def _serve_shares(shares: list[list], serve) -> bool:
-    """serve(share) for every share, at once: shares[0] in this process and
-    each other one in a forked child (forks.Children). False if any share
-    failed."""
-    with Children() as children:
-        forked = [children.fork(partial(serve, share)) for share in shares[1:]]
-        try:
-            serve(shares[0])
-        except Exception:
-            return False
-        return children.reap() and all(forked)
 
 
 def _replay_clique(t, f, l, cap, schedule) -> np.ndarray:
@@ -219,10 +190,9 @@ def _replay_clique(t, f, l, cap, schedule) -> np.ndarray:
             if t[i] > t_free:
                 t_free = t[i]
             if t[i + 1] > t_free:
-                # packet i waits alone: the heap would pop it at once
-                prev = prev_finish(f[i], 0.0)
-                virtual = (virtual if virtual >= prev else prev) + inc[i]
-                last_finish[f[i]] = virtual
+                # packet i waits alone: the heap would pop it at once. No
+                # tag served is above virtual, so its flow's is not needed
+                virtual += inc[i]
                 out[i] = t_free
                 t_free += svc[i]
                 i += 1

@@ -14,7 +14,10 @@ through three auditable budgets before it is emitted:
 Enforcement projects window timing onto the reference (order-preserving
 quantile interpolation), repairs sizes to hold the floor, and thins load
 against replayed delay until the budgets hold or i_max is exhausted.
-Infeasibility is a first-class outcome, not an error.
+The episodes thin in step, a round at a time: a round's one-clique replays
+(in round 0 also each episode clique's benign-only one) go to forks.deal in
+one call, as do all of the audit's. Infeasibility is a first-class
+outcome, not an error.
 """
 
 from __future__ import annotations
@@ -23,11 +26,13 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from flowgate.features import FEATURE_CONTRACT
+from flowgate.forks import deal
 from flowgate.trace import (
     BENIGN,
     EPISODE_KINDS,
@@ -835,7 +840,6 @@ class CliqueContext:
     capacity_bps: float
     reference: BenignIatReference
     len_bounds: tuple[int, int]
-    d_ben_s: float  # clique_baseline_delay(benign), cached
 
 
 def clique_baseline_delay(trace: Trace, capacity_bps: float) -> float:
@@ -845,6 +849,14 @@ def clique_baseline_delay(trace: Trace, capacity_bps: float) -> float:
         return 0.0
     log = replay(trace, capacity_bps)
     return clique_mean_delay(log, int(trace.clique_id[0]))
+
+
+def _clique_delay(trace: Trace, capacity_bps, take=None, flows=()) -> float:
+    """clique_baseline_delay of trace's packets at take (all if None) plus
+    flows: a forks.deal job, which builds its trace where it replays it."""
+    trace = trace if take is None else trace.take(take)
+    return clique_baseline_delay(with_flows(trace, flows) if flows else trace,
+                                 capacity_bps)
 
 
 def window_distortions(ts_us, reference: BenignIatReference,
@@ -894,40 +906,61 @@ def _project_pass(ts, sizes, ctx: CliqueContext, budgets: Budgets):
     return ts, sizes, proj_ok
 
 
-def enforce_contention(ts_us, sizes, ctx: CliqueContext, budgets: Budgets,
-                       i_max: int, rng):
-    """Drive one episode's packets through the three budgets.
+def enforce_contention(episodes, i_max: int) -> list[tuple]:
+    """Drive each episode, (ts_us, sizes, ctx, budgets, rng), through the
+    three budgets, all in rounds of one forks.deal call each.
 
-    Each turn projects timing, repairs sizes and replays the episode with
-    its clique's benign packets; rng thins the load to 0.8x for the next
-    turn until the delay budget holds or i_max thinnings have been spent.
-    Returns the final packets either way; the outcome records feasibility,
-    iterations, and the final measured slack (NaN delay: floor unreachable).
+    Each turn projects an episode's timing, repairs its sizes and replays
+    it with its clique's benign packets; its rng thins the load to 0.8x for
+    the next turn until the delay budget holds or i_max thinnings have been
+    spent. Returns (ts, sizes, outcome) per episode, the final packets
+    either way; the outcome records feasibility, iterations, and the final
+    measured slack (NaN delay: floor unreachable).
     """
-    ts = np.asarray(ts_us, dtype=np.int64)
-    sizes = np.asarray(sizes, dtype=np.int64)
-    iterations = 0
-    while True:
-        try:
-            ts, sizes, proj_ok = _project_pass(ts, sizes, ctx, budgets)
-            attack = with_flows(ctx.benign,
-                                [(ctx.flow_id, ctx.clique_id, ts, sizes)])
-            delta = clique_baseline_delay(attack, ctx.capacity_bps) \
-                - ctx.d_ben_s
+    packets = [(np.asarray(e[0], dtype=np.int64),
+                np.asarray(e[1], dtype=np.int64)) for e in episodes]
+    out: list = [None] * len(episodes)
+    cliques = {ctx.clique_id: ctx for _, _, ctx, _, _ in episodes}
+    jobs = [partial(_clique_delay, c.benign, c.capacity_bps)
+            for c in cliques.values()]
+    costs = [c.benign.n_packets for c in cliques.values()]
+    active, iterations = range(len(episodes)), 0  # thinnings each spent
+    while active:
+        turns = []  # (episode, proj_ok, its job; None: floor unreachable)
+        for k in active:
+            (ts, sizes), (_, _, ctx, budgets, _) = packets[k], episodes[k]
+            try:
+                ts, sizes, proj_ok = _project_pass(ts, sizes, ctx, budgets)
+            except FloorUnreachable:
+                turns.append((k, False, None))
+                continue
+            packets[k] = ts, sizes
+            turns.append((k, proj_ok, len(jobs)))
+            jobs.append(partial(_clique_delay, ctx.benign, ctx.capacity_bps,
+                                flows=[(ctx.flow_id, ctx.clique_id, ts,
+                                        sizes)]))
+            costs.append(ctx.benign.n_packets + ts.size)
+        delays = deal(jobs, costs)
+        if not iterations:
+            d_ben = dict(zip(cliques, delays))
+        active, jobs, costs = [], [], []
+        for k, proj_ok, j in turns:
+            (ts, sizes), (_, _, ctx, budgets, rng) = packets[k], episodes[k]
+            delta = (math.nan if j is None
+                     else float(delays[j] - d_ben[ctx.clique_id]))
             feasible = proj_ok and delta <= budgets.delta_q_s + REPLAY_TICK_S
-        except FloorUnreachable:
-            delta, feasible = math.nan, False
-        if feasible or math.isnan(delta) or iterations >= i_max:
-            dist = mean_distortion(ts, ctx.reference, ctx.benign.window_us)
-            return ts, sizes, FeasibilityOutcome(
-                ctx.flow_id, budgets, feasible, iterations, dist, delta)
+            if feasible or math.isnan(delta) or iterations >= i_max:
+                dist = mean_distortion(ts, ctx.reference, ctx.benign.window_us)
+                out[k] = ts, sizes, FeasibilityOutcome(
+                    ctx.flow_id, budgets, feasible, iterations, dist, delta)
+                continue
+            keep = int(THIN_FACTOR * ts.size)  # below ts.size unless 0
+            sel = (np.sort(rng.choice(ts.size, size=keep, replace=False))
+                   if keep else slice(0))
+            packets[k] = ts[sel], sizes[sel]
+            active.append(k)
         iterations += 1
-        keep = int(THIN_FACTOR * ts.size)
-        if 0 < keep < ts.size:
-            sel = np.sort(rng.choice(ts.size, size=keep, replace=False))
-            ts, sizes = ts[sel], sizes[sel]
-        elif keep == 0:
-            ts, sizes = ts[:0], sizes[:0]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1028,10 +1061,9 @@ def build_world(config: WorldConfig, seed: int) -> World:
                        config.horizon_windows, config.window_us)
     # the pools read each flow's arrivals alone: the flows need no merge
     references = iat_references(config, _then_flows(no_packets, benign_flows))
-    episode_flows = []
-    # each clique's benign packets and baseline delay, shared by its episodes
-    clique_benign: dict[int, tuple[Trace, float]] = {}
-    feasibility: list[FeasibilityOutcome] = []
+    # each clique's benign packets, shared by its episodes
+    clique_benign: dict[int, Trace] = {}
+    episodes = []
 
     for ep, reference in zip(_by_flow(config.episodes), references):
         rng_ep = np.random.default_rng([seed, ep.flow_id, _SALT_EPISODE])
@@ -1049,19 +1081,18 @@ def build_world(config: WorldConfig, seed: int) -> World:
         ts, ln = ts[order], ln[order]
 
         if ep.clique_id not in clique_benign:
-            ben = with_flows(no_packets, [f for f in benign_flows
-                                          if f[1] == ep.clique_id])
-            clique_benign[ep.clique_id] = ben, clique_baseline_delay(
-                ben, config.capacity_bps)
-        ben, d_ben = clique_benign[ep.clique_id]
-        ctx = CliqueContext(ep.clique_id, ep.flow_id, ben, config.capacity_bps,
-                            reference, bounds, d_ben)
-        ts, ln, out = enforce_contention(
-            ts, ln, ctx, ep.budgets, config.i_max,
-            np.random.default_rng([seed, ep.flow_id, _SALT_THIN]))
-        episode_flows.append((ep.flow_id, ep.clique_id, ts, ln))
-        feasibility.append(out)
-    trace = with_flows(no_packets, benign_flows + episode_flows)
+            clique_benign[ep.clique_id] = with_flows(
+                no_packets, [f for f in benign_flows if f[1] == ep.clique_id])
+        ctx = CliqueContext(ep.clique_id, ep.flow_id,
+                            clique_benign[ep.clique_id], config.capacity_bps,
+                            reference, bounds)
+        episodes.append((ts, ln, ctx, ep.budgets, np.random.default_rng(
+            [seed, ep.flow_id, _SALT_THIN])))
+    enforced = enforce_contention(episodes, config.i_max)
+    feasibility = [out for _, _, out in enforced]
+    trace = with_flows(no_packets, benign_flows + [
+        (ctx.flow_id, ctx.clique_id, ts, ln)
+        for (ts, ln, _), (_, _, ctx, _, _) in zip(enforced, episodes)])
 
     manifest = RunManifest(
         world_id=config.world_id, seed=seed, config_hash=config.hash(),
@@ -1086,10 +1117,20 @@ def audit_budgets(world: World) -> list[dict]:
     benign = np.isin(trace.flow_id, np.array(
         sorted(f for f, info in trace.flow_table.items()
                if info.label == BENIGN), dtype=np.int64))
-    d_ben_of: dict[int, float] = {}  # episodes that share a clique share it
+    masks, base, pairs = [], {}, []  # episodes of a clique share its base
+    for label in world.labels:
+        cid = world.graph.clique_of[label.flow_id]
+        ben_mask = (trace.clique_id == cid) & benign
+        if cid not in base:
+            base[cid] = len(masks)
+            masks.append(ben_mask)
+        pairs.append((len(masks), base[cid]))
+        masks.append(ben_mask | (trace.flow_id == label.flow_id))
+    delays = deal([partial(_clique_delay, trace, cap, m) for m in masks],
+                  [int(np.count_nonzero(m)) for m in masks])
 
     out = []
-    for label in world.labels:
+    for label, (j, j_ben) in zip(world.labels, pairs):
         fid = label.flow_id
         mask = trace.flow_id == fid
         ln = trace.len_bytes[mask]
@@ -1097,13 +1138,7 @@ def audit_budgets(world: World) -> list[dict]:
         floor_ok = int(ln.sum()) >= b.r_min_bytes
         mean_d = mean_distortion(trace.ts_us[mask], refs[fid], trace.window_us)
         eps_ok = mean_d <= b.epsilon_s + W1_SLACK_S
-
-        cid = world.graph.clique_of[fid]
-        ben_mask = (trace.clique_id == cid) & benign
-        if cid not in d_ben_of:
-            d_ben_of[cid] = clique_baseline_delay(trace.take(ben_mask), cap)
-        delta = clique_baseline_delay(
-            trace.take(ben_mask | mask), cap) - d_ben_of[cid]
+        delta = delays[j] - delays[j_ben]
         dq_ok = delta <= b.delta_q_s + REPLAY_TICK_S
         out.append({
             "flow_id": fid,

@@ -14,7 +14,7 @@ import flowgate.trace as trace_module
 from flowgate.detector import Scores
 from flowgate.trace import TableStream, twin_path, write_table
 from test_trace import _column, table_class
-from test_wfq import assert_no_child_left, cpus
+from test_forks import assert_no_child_left, cpus
 
 
 def stream(path, table, cuts=()):

@@ -28,6 +28,7 @@ from gate_oracle import WeightSchedule, as_table, dense_flags, entries, flags
 from gate_oracle import gate_controller as oracle_gate
 from support import write_csv_rows
 from test_acceptance import _audit_config
+from test_forks import assert_no_child_left, cpus
 
 
 def flow_table(n, labels=None):
@@ -524,28 +525,7 @@ def test_kernel_matches_oracle_on_audit_world(audit_world):
 
 
 # ---------------------------------------------------------------------------
-# shares: cliques served in forked children, one share per CPU
-
-
-def cpus(monkeypatch, n):
-    """Let replay see n CPUs, and count the children it forks."""
-    forks = []
-    fork = os.fork
-
-    def counted_fork():
-        pid = fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-    monkeypatch.setattr(os, "fork", counted_fork)
-    return forks
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+# shares: cliques dealt by forks.deal, one share per CPU
 
 
 def log_bytes(log):
@@ -567,15 +547,6 @@ def test_one_cpu_forks_nothing_and_matches_the_shares(monkeypatch,
     assert forks == []
     assert log_bytes(shared) == log_bytes(serial)
     assert_no_child_left()
-
-
-def test_shares_are_balanced_largest_first():
-    cliques = [np.arange(n) for n in (90_054, 10_375, 56_602, 56_601,
-                                      56_601)]
-    shares = wfq._lpt_shares(cliques, 2)
-    assert [[len(idx) for idx in share] for share in shares] == [
-        [90_054, 56_601], [56_602, 56_601, 10_375]]
-    assert wfq._lpt_shares(cliques[:1], 1) == [cliques[:1]]
 
 
 def three_cliques():

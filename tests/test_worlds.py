@@ -3,6 +3,7 @@
 import bisect
 import json
 import math
+import os
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -49,6 +50,8 @@ from flowgate.worlds import (
 )
 
 import flowgate.worlds as worlds_module
+from flowgate.forks import deal
+from test_forks import assert_no_child_left, cpus
 from support import rebind
 from test_acceptance import _audit_config
 from trace_validation import validate_trace
@@ -808,8 +811,13 @@ def _bulk_ctx(benign_rate, seed, horizon_windows=200, capacity=125_000.0):
     benign = Trace(ts, np.full(ts.shape, 1), ln, np.zeros(ts.shape), ft,
                    horizon_windows, wus)
     ref = BenignIatReference(100, np.sort(np.diff(ts)))
-    return CliqueContext(0, 100, benign, capacity, ref, LEN_BOUNDS,
-                         clique_baseline_delay(benign, capacity))
+    return CliqueContext(0, 100, benign, capacity, ref, LEN_BOUNDS)
+
+
+def enforce_one(ts, sizes, ctx, budgets, i_max, rng):
+    """enforce_contention of one episode: its (ts, sizes, outcome)."""
+    [out] = enforce_contention([(ts, sizes, ctx, budgets, rng)], i_max)
+    return out
 
 
 def test_enforce_unconstrained_zero_iterations():
@@ -818,7 +826,7 @@ def test_enforce_unconstrained_zero_iterations():
                          np.random.default_rng(2), ctx.benign.horizon_us,
                          LEN_BOUNDS)
     b = Budgets(r_min_bytes=0, epsilon_s=math.inf, delta_q_s=math.inf)
-    ts, ln, out = enforce_contention(ats, aln, ctx, b, 16, None)
+    ts, ln, out = enforce_one(ats, aln, ctx, b, 16, None)
     assert out.feasible and out.iterations_used == 0
     assert np.array_equal(ts, ats) and np.array_equal(ln, aln)
     assert math.isfinite(out.final_delay_delta)
@@ -827,11 +835,11 @@ def test_enforce_unconstrained_zero_iterations():
 def test_enforce_empty_flow_feasible_iff_zero_floor():
     ctx = _bulk_ctx(50_000.0, 1)
     empty = np.empty(0, np.int64)
-    _, _, ok = enforce_contention(
+    _, _, ok = enforce_one(
         empty, empty, ctx, Budgets(0, math.inf, math.inf), 16, None)
     assert ok.feasible and ok.iterations_used == 0
     assert ok.final_delay_delta == 0.0
-    _, _, bad = enforce_contention(
+    _, _, bad = enforce_one(
         empty, empty, ctx, Budgets(1, math.inf, math.inf), 16, None)
     assert not bad.feasible
 
@@ -843,8 +851,7 @@ def test_enforce_thins_until_delay_budget_holds():
                          np.random.default_rng(2), ctx.benign.horizon_us,
                          LEN_BOUNDS)
     b = Budgets(r_min_bytes=0, epsilon_s=math.inf, delta_q_s=0.02)
-    ts, ln, out = enforce_contention(ats, aln, ctx, b, 16,
-                                     np.random.default_rng(3))
+    ts, ln, out = enforce_one(ats, aln, ctx, b, 16, np.random.default_rng(3))
     assert out.feasible
     assert 1 <= out.iterations_used <= 16
     assert out.final_delay_delta <= 0.02 + 1e-6
@@ -857,8 +864,7 @@ def test_enforce_saturated_clique_infeasible():
                          np.random.default_rng(5), ctx.benign.horizon_us,
                          LEN_BOUNDS)
     b = Budgets(r_min_bytes=0, epsilon_s=math.inf, delta_q_s=0.0)
-    _, _, out = enforce_contention(ats, aln, ctx, b, 16,
-                                   np.random.default_rng(6))
+    _, _, out = enforce_one(ats, aln, ctx, b, 16, np.random.default_rng(6))
     assert not out.feasible
     assert out.iterations_used == 16
     assert out.final_delay_delta > 1e-6
@@ -872,8 +878,7 @@ def test_enforce_projection_and_floor_together():
     ats = np.unique(ats).astype(np.int64)
     aln = np.full(ats.shape, 64, dtype=np.int64)
     b = Budgets(r_min_bytes=400_000, epsilon_s=0.01, delta_q_s=math.inf)
-    ts, ln, out = enforce_contention(ats, aln, ctx, b, 16,
-                                     np.random.default_rng(9))
+    ts, ln, out = enforce_one(ats, aln, ctx, b, 16, np.random.default_rng(9))
     assert out.feasible
     assert int(ln.sum()) >= 400_000
     assert out.final_distortion <= 0.01 + 1e-9
@@ -1018,7 +1023,9 @@ def test_planner_final_slack_is_the_audit_measurement(request, world_fixture):
 
 def test_audit_replays_each_clique_benign_traffic_once(monkeypatch):
     # a third episode shares clique 0 with episode 100, so the benign-only
-    # replay of clique 0 serves both: 3 attack replays + 2 benign replays
+    # replay of clique 0 serves both: 3 attack replays + 2 benign replays,
+    # submitted in one forks.deal call (a forked worker's calls of
+    # clique_baseline_delay reach no counter here, so count the jobs)
     cfg = _demo_config()
     cfg.episodes.append(EpisodeSpec(
         102, "telemetry", 0, "beaconing", 40, 360, Budgets(0, math.inf, math.inf),
@@ -1026,17 +1033,17 @@ def test_audit_replays_each_clique_benign_traffic_once(monkeypatch):
         {"period_s": 4.0}))
     world = build_world(cfg, 7)
     trace = world.trace
-    calls = []
+    submitted = []
 
-    def counted(trace, capacity_bps):
-        calls.append(int(trace.clique_id[0]))
-        return clique_baseline_delay(trace, capacity_bps)
+    def counted(jobs, costs, widths=None):
+        submitted.append(len(jobs))
+        return deal(jobs, costs, widths)
 
-    monkeypatch.setattr(worlds_module, "clique_baseline_delay", counted)
+    monkeypatch.setattr(worlds_module, "deal", counted)
     rows = audit_budgets(world)
     cliques = {world.graph.clique_of[l.flow_id] for l in world.labels}
     assert len(world.labels) == 3 and cliques == {0, 1}
-    assert len(calls) == len(world.labels) + len(cliques)
+    assert submitted == [len(world.labels) + len(cliques)] == [5]
 
     # every row as the per-episode replays give it
     benign = [f for f, info in trace.flow_table.items() if info.label == BENIGN]
@@ -1047,6 +1054,99 @@ def test_audit_replays_each_clique_benign_traffic_once(monkeypatch):
              for m in (ben, ben | (trace.flow_id == label.flow_id))]
         assert row["flow_id"] == label.flow_id
         assert row["delay_delta_s"] == float(d[1] - d[0])
+
+
+# the planner's and the auditor's replays, dealt by forks.deal
+
+
+def world_bytes(world):
+    """A world's trace columns, feasibility outcomes and audit rows."""
+    t = world.trace
+    return ([c.tobytes() for c in (t.ts_us, t.flow_id, t.len_bytes,
+                                   t.clique_id)],
+            json.dumps([to_json(o) for o in world.feasibility]),
+            json.dumps(audit_budgets(world)))
+
+
+@pytest.mark.parametrize("config", [
+    _demo_config, lambda: _audit_config(1, horizon_windows=200)])
+def test_planner_and_audit_give_the_same_world_on_one_and_three_cpus(
+        monkeypatch, config):
+    forks_made = cpus(monkeypatch, 1)
+    serial = world_bytes(build_world(config(), 1))
+    assert forks_made == []
+    forks_made = cpus(monkeypatch, 3)
+    shared = world_bytes(build_world(config(), 1))
+    assert forks_made
+    assert shared == serial
+    assert_no_child_left()
+
+
+def test_enforce_several_episodes_as_each_alone():
+    # each episode keeps its own rng draws and projections, whatever the
+    # episodes beside it in a round
+    ctx = _bulk_ctx(50_000.0, 1)
+    b = Budgets(r_min_bytes=0, epsilon_s=math.inf, delta_q_s=0.02)
+    episodes = []
+    # thinned 2, 0, 3 and 1 times, and one whose floor is unreachable
+    for k, rate in enumerate((100_000.0, 30_000.0, 120_000.0, 80_000.0,
+                              60_000.0)):
+        ats, aln = _gen_bulk({"rate_bps": rate, "pkt_len": 600,
+                              "jitter_frac": 0.1},
+                             np.random.default_rng(10),
+                             ctx.benign.horizon_us, LEN_BOUNDS)
+        episodes.append((ats, aln, replace(ctx, flow_id=100 + k),
+                         replace(b, r_min_bytes=10**9) if k == 4 else b, k))
+    together = enforce_contention(
+        [(*e[:4], np.random.default_rng(e[4])) for e in episodes], 16)
+    assert [o.iterations_used for _, _, o in together] == [2, 0, 3, 1, 0]
+    assert math.isnan(together[4][2].final_delay_delta)
+    for e, (ts, ln, out) in zip(episodes, together):
+        ts1, ln1, out1 = enforce_one(*e[:4], 16, np.random.default_rng(e[4]))
+        assert ts.tobytes() == ts1.tobytes() and ln.tobytes() == ln1.tobytes()
+        assert to_json(out) == to_json(out1)
+
+
+def failing_delay(monkeypatch, bad_cliques, only_in_children=False):
+    """Make clique_baseline_delay raise on the cliques named."""
+    delay = worlds_module.clique_baseline_delay
+    parent = os.getpid()
+
+    def delay_or_error(trace, capacity_bps):
+        cid = int(trace.clique_id[0])
+        if cid in bad_cliques and not (only_in_children
+                                       and os.getpid() == parent):
+            raise ValueError(f"clique {cid} failed")
+        return delay(trace, capacity_bps)
+
+    monkeypatch.setattr(worlds_module, "clique_baseline_delay",
+                        delay_or_error)
+
+
+@pytest.mark.parametrize("bad", [{1}, {0, 1}])
+def test_audit_error_in_a_worker_is_the_serial_error(monkeypatch, demo_world,
+                                                     bad):
+    failing_delay(monkeypatch, bad)
+    cpus(monkeypatch, 1)
+    with pytest.raises(ValueError) as serial:
+        audit_budgets(demo_world)
+    forks_made = cpus(monkeypatch, 3)
+    with pytest.raises(ValueError) as shared:
+        audit_budgets(demo_world)
+    assert forks_made
+    assert str(shared.value) == str(serial.value) == (
+        f"clique {min(bad)} failed")
+    assert_no_child_left()
+
+
+def test_replays_of_a_dead_worker_are_run_again(monkeypatch):
+    cfg = _demo_config()
+    expected = world_bytes(build_world(cfg, 1))
+    failing_delay(monkeypatch, {0, 1}, only_in_children=True)
+    forks_made = cpus(monkeypatch, 3)
+    assert world_bytes(build_world(cfg, 1)) == expected
+    assert forks_made
+    assert_no_child_left()
 
 
 def test_world_manifest(demo_world):
