@@ -1,4 +1,4 @@
-"""Command-line pipeline: gen-world, detect, replay, report, bench.
+"""Command-line pipeline: gen-world, detect, replay, report.
 
 Every command prints its resolved knobs as key=value lines (precedence:
 explicit flag, then config file, then built-in default) and writes a manifest
@@ -33,10 +33,8 @@ from flowgate.detector import (
 )
 from flowgate.features import windowize
 from flowgate.metrics import (
-    bench_scoring,
     compute_report,
     read_stage_stats,
-    synthetic_feature_stream,
     time_to_detect,
     write_episode_table,
     write_report,
@@ -72,6 +70,7 @@ from flowgate.worlds import (
 
 # Not called here: perfbench/tracing.py wraps these names in this module and
 # resolves each one when it installs its spans.
+from flowgate.metrics import bench_scoring  # noqa: F401
 from flowgate.trace import (  # noqa: F401
     read_flow_table,
     read_labels,
@@ -101,21 +100,20 @@ def _load_json(path) -> dict:
 
 @dataclass
 class ParamsFile(Calibration):
-    """The --params JSON of detect and bench."""
+    """The --params JSON of detect."""
 
     detector: DetectorParams = field(default_factory=DetectorParams)
 
 
-def _read_params(path) -> tuple[dict, ParamsFile]:
-    """The --params document at path ({} without one) and its record, with
-    exit 2 on detector knobs that DetectorParams.validate refuses."""
-    doc = _load_json(path) if path else {}
-    file = from_json(ParamsFile, doc, path)
+def _read_params(path) -> ParamsFile:
+    """The --params record at path (the defaults without one), with exit 2
+    on detector knobs that DetectorParams.validate refuses."""
+    file = from_json(ParamsFile, _load_json(path) if path else {}, path)
     try:
         file.detector.validate(where="detector.")
     except ValueError as exc:
         raise ArgumentContractError(f"{path}: {exc}") from None
-    return doc, file
+    return file
 
 
 @dataclass
@@ -186,6 +184,8 @@ def _load_scores(path, config, manifest: RunManifest):
 
 
 def cmd_gen_world(args) -> int:
+    if args.seed is not None and args.seed < 0:
+        raise ArgumentContractError(f"--seed = {args.seed} is negative")
     config = config_from_json(_load_json(args.config), args.config)
     seed = _resolve("seed", args.seed, config.seed)
     try:
@@ -209,7 +209,7 @@ def cmd_gen_world(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    _, file = _read_params(args.params)
+    file = _read_params(args.params)
     params = file.detector
     calibration = Calibration(**{
         f.name: _resolve(f.name, getattr(args, f.name), getattr(file, f.name))
@@ -388,32 +388,6 @@ def _check_same_packets(base_path, base, gated_path, gated) -> None:
 
 
 # ---------------------------------------------------------------------------
-# bench
-
-
-def cmd_bench(args) -> int:
-    doc, file = _read_params(args.params)
-    params = file.detector
-    fixed = [f.name for f in fields(Calibration) if f.name in doc]
-    if fixed:
-        raise ValueError(f"{args.params}: {fixed[0]} = {doc[fixed[0]]!r} is "
-                         "not read: bench scores under a fixed calibration")
-    flows, buckets, stream = synthetic_feature_stream(args.rows)
-    session = DetectorSession(params, flows, buckets, 40,
-                              Calibration(w_min=10))
-    mean, p90, mx = bench_scoring(session, stream)
-    print(f"rows={args.rows}")
-    print(f"mean_us_per_row={mean:.3f}")
-    print(f"p90_us_per_row={p90:.3f}")
-    print(f"max_us_per_row={mx:.3f}")
-    if args.out:
-        Path(args.out).write_text(json.dumps(
-            {"rows": args.rows, "mean_us_per_row": mean,
-             "p90_us_per_row": p90, "max_us_per_row": mx}, indent=2) + "\n")
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # parser
 
 
@@ -471,20 +445,12 @@ def build_parser() -> argparse.ArgumentParser:
                           "workload passes it")
     rep.add_argument("--out", required=True)
     rep.set_defaults(func=cmd_report)
-
-    b = sub.add_parser("bench", help="per-row scoring cost")
-    b.add_argument("--rows", type=int, default=100_000)
-    b.add_argument("--params", default=None)
-    b.add_argument("--out", default=None, help="optional JSON result path")
-    b.set_defaults(func=cmd_bench)
     return p
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "cmd", None) == "bench" and args.rows < 100_000:
-        parser.error("--rows must be at least 100000")
     try:
         return args.func(args)
     except ArgumentContractError as exc:

@@ -26,7 +26,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from flowgate.features import Normalizer
+from flowgate.features import N_FEATURES, Normalizer
 from flowgate.trace import (
     RunManifest,
     Table,
@@ -342,10 +342,10 @@ class DetectorSession:
         A block that straddles the burn-in boundary is scored in two parts,
         so a caller may cut the windows into blocks anywhere."""
         n = len(self.flow_ids)
-        nf = self.normalizer.n_features
-        if x.shape[1:] != (n, nf):
+        if x.shape[1:] != (n, N_FEATURES):
             raise ValueError(f"window {window}: feature block of shape "
-                             f"{x.shape}, expected (windows, {n}, {nf})")
+                             f"{x.shape}, expected (windows, {n}, "
+                             f"{N_FEATURES})")
         cut = self.burn_in_windows - window
         if 0 < cut < len(x):
             return Scores.concat([self._score_block(window, x[:cut]),

@@ -11,7 +11,6 @@ normalizer state.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,13 +124,11 @@ def windowize(trace, graph, micro_bins: int = 10) -> FeatureTable:
 # streaming normalizer
 
 
-@dataclass(frozen=True)
-class NormalizerConfig:
-    lambda_mean: float = 0.05
-    lambda_var: float = 0.01
-    eps_var: float = 1e-6
-    clip: float = 8.0
-    slow_factor: float = 0.2  # applied to both lambdas after burn-in
+LAMBDA_MEAN = 0.05  # EMA rate of each feature's mean
+LAMBDA_VAR = 0.01  # EMA rate of each feature's variance
+EPS_VAR = 1e-6  # the variance a feature starts from, and z's floor under it
+CLIP = 8.0  # |z| bound
+SLOW_FACTOR = 0.2  # applied to both rates after burn-in
 
 
 class Normalizer:
@@ -145,25 +142,22 @@ class Normalizer:
     leave state alone.
     """
 
-    def __init__(self, buckets, config: NormalizerConfig = NormalizerConfig(),
-                 n_features: int = N_FEATURES):
-        self.config = config
-        self.n_features = n_features
-        self.lambda_mean = config.lambda_mean
-        self.lambda_var = config.lambda_var
+    def __init__(self, buckets):
+        self.lambda_mean = LAMBDA_MEAN
+        self.lambda_var = LAMBDA_VAR
         code = {b: i for i, b in enumerate(dict.fromkeys(buckets))}
         codes = np.array([code[b] for b in buckets], dtype=np.int64)
         self._rows = [np.flatnonzero(codes == c) for c in code.values()]
-        self._m = [[None] * n_features for _ in code]  # None: not seen yet
-        self._q = [[config.eps_var] * n_features for _ in code]
+        self._m = [[None] * N_FEATURES for _ in code]  # None: not seen yet
+        self._q = [[EPS_VAR] * N_FEATURES for _ in code]
         self._updates = [0] * len(code)  # rows that updated any component
         self._slow = False
 
     def enter_slow_phase(self) -> None:
         """Scale adaptation rates down once calibration is frozen."""
         if not self._slow:
-            self.lambda_mean *= self.config.slow_factor
-            self.lambda_var *= self.config.slow_factor
+            self.lambda_mean *= SLOW_FACTOR
+            self.lambda_var *= SLOW_FACTOR
             self._slow = True
 
     def score_and_update(self, x) -> tuple[np.ndarray, np.ndarray]:
@@ -216,8 +210,6 @@ class Normalizer:
         if at:
             with np.errstate(divide="ignore", over="ignore",
                              invalid="ignore"):
-                zk = np.frombuffer(ds) / np.sqrt(np.frombuffer(qs)
-                                                 + self.config.eps_var)
-            clip = self.config.clip
-            z.reshape(-1)[np.concatenate(at)] = np.clip(zk, -clip, clip)
+                zk = np.frombuffer(ds) / np.sqrt(np.frombuffer(qs) + EPS_VAR)
+            z.reshape(-1)[np.concatenate(at)] = np.clip(zk, -CLIP, CLIP)
         return z, counts

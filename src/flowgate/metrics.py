@@ -7,8 +7,9 @@ scoring cost. Labels enter here and nowhere upstream.
 
 Scoring cost has one kernel, scoring_cost, over timed process_window calls.
 `detect` times its calls on the real trace and records the result in
-stage_stats.json beside the scores, which `report` reads back; bench_scoring
-times a session on a fixed synthetic stream for `flowgate bench`.
+stage_stats.json beside the scores, which `report` reads back. bench_scoring
+applies it to a session fed a stream of blocks; acceptance criterion 7 times
+one that way.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from flowgate.detector import BLOCK_WINDOWS, Scores, calibrate_threshold
+from flowgate.detector import Scores, calibrate_threshold
 from flowgate.trace import (
     from_json,
     load_json,
@@ -89,13 +90,16 @@ def feasibility_rate(outcomes) -> float:
 # scoring cost
 
 
-def scoring_cost(seconds, rows, batch_rows: int = 1000,
-                 warmup_batches: int = 1) -> tuple[float, float, float] | None:
+BATCH_ROWS = 1000  # rows per batch of scoring_cost, at least
+WARMUP_BATCHES = 1  # leading batches scoring_cost drops
+
+
+def scoring_cost(seconds, rows) -> tuple[float, float, float] | None:
     """Wall-clock cost per scored row, in microseconds, from timed calls.
 
     seconds[i] is how long call i took to score rows[i] rows. Calls are
-    summed in order into batches of at least batch_rows rows (a trailing
-    partial batch is dropped), and the first warmup_batches batches are
+    summed in order into batches of at least BATCH_ROWS rows (a trailing
+    partial batch is dropped), and the first WARMUP_BATCHES batches are
     dropped. Returns (mean, p90, max), where mean is over all counted rows
     and the tail stats are nearest-rank over per-batch per-row values, or
     None when no batch is left to count.
@@ -107,13 +111,13 @@ def scoring_cost(seconds, rows, batch_rows: int = 1000,
     for dt, n in zip(seconds, rows):
         acc_t += dt
         acc_n += n
-        if acc_n >= batch_rows:
+        if acc_n >= BATCH_ROWS:
             times.append(acc_t)
             counts.append(acc_n)
             acc_t = 0.0
             acc_n = 0
-    times = times[warmup_batches:]
-    counts = counts[warmup_batches:]
+    times = times[WARMUP_BATCHES:]
+    counts = counts[WARMUP_BATCHES:]
     if not times:
         return None
     per_row_us = np.array(times) / np.array(counts, dtype=np.float64) * 1e6
@@ -122,8 +126,7 @@ def scoring_cost(seconds, rows, batch_rows: int = 1000,
             float(per_row_us.max()))
 
 
-def bench_scoring(session, stream, batch_rows: int = 1000,
-                  warmup_batches: int = 1) -> tuple[float, float, float]:
+def bench_scoring(session, stream) -> tuple[float, float, float]:
     """scoring_cost of session.process_window over stream, which yields
     (window, x) pairs, x a block of windows as process_window takes it;
     raises if the stream is too short to count a batch after warm-up."""
@@ -134,7 +137,7 @@ def bench_scoring(session, stream, batch_rows: int = 1000,
         part = session.process_window(window, x)
         seconds.append(time.perf_counter() - t0)
         rows.append(len(part))
-    cost = scoring_cost(seconds, rows, batch_rows, warmup_batches)
+    cost = scoring_cost(seconds, rows)
     if cost is None:
         raise ValueError("stream too short to benchmark after warm-up")
     return cost
@@ -193,25 +196,6 @@ def read_stage_stats(path, scores: Scores) -> tuple[float, float, float]:
                              f"{getattr(stats, key)!r}, but the scores hold "
                              f"{found} {key}")
     return cost
-
-
-def synthetic_feature_stream(n_rows: int, n_flows: int = 50, seed: int = 0):
-    """Deterministic benchmark input: (flow_ids, buckets, stream), where
-    stream yields (window, x) with x a block of up to BLOCK_WINDOWS
-    windows, each an (n_flows x 7) matrix of mildly varying dense features,
-    until n_rows rows are out."""
-    rng = np.random.default_rng(seed)
-    n_windows = (n_rows + n_flows - 1) // n_flows
-    flows = list(range(1, n_flows + 1))
-    buckets = [("a", "b", "c")[i % 3] for i in range(n_flows)]
-    base = rng.uniform(0.5, 2.0, (n_flows, 7))
-
-    def stream():
-        for w in range(0, n_windows, BLOCK_WINDOWS):
-            size = min(BLOCK_WINDOWS, n_windows - w)
-            yield w, base + rng.uniform(-0.1, 0.1, (size, n_flows, 7))
-
-    return flows, buckets, stream()
 
 
 # ---------------------------------------------------------------------------

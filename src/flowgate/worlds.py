@@ -46,6 +46,7 @@ from flowgate.trace import (
     Trace,
     config_hash,
     from_json,
+    is_number,
     load_json,
     read_manifest,
     read_trace_csv,
@@ -191,6 +192,8 @@ class WorldConfig:
     i_max: int = I_MAX_DEFAULT
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed = {self.seed} is negative")
         if self.horizon_windows <= 0 or self.window_us <= 0:
             raise ValueError("horizon_windows and window_us must be positive")
         if self.capacity_bps <= 0:
@@ -266,15 +269,18 @@ _REQUIRED = object()
 
 def _param(params: dict, key: str, cast=float, default=_REQUIRED):
     """params[key] as cast, or default when the key is absent and one is
-    given, refusing, naming the key, a missing key and a value that cast
-    refuses."""
-    if key not in params and default is _REQUIRED:
-        raise ValueError(f"missing key {key!r}")
-    value = params.get(key, default)
-    try:
-        return cast(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{key} = {value!r} is not a number") from None
+    given, refusing, naming the key, a missing key and a value that
+    is_number refuses: a string, a boolean, and a float where cast is
+    int."""
+    if key not in params:
+        if default is _REQUIRED:
+            raise ValueError(f"missing key {key!r}")
+        return default
+    value = params[key]
+    if not is_number(value, integer=cast is int):
+        raise ValueError(f"{key} = {value!r} is not "
+                         + ("an integer" if cast is int else "a number"))
+    return cast(value)
 
 
 def _positive(params: dict, key: str, cast=float, default=_REQUIRED):

@@ -5,8 +5,8 @@ session, its scalar kernels and the per-row normalizer are the old code,
 cut to the detector terms that remain (the graph coupling, drive noise,
 reset, bias, score mixing and norm orders other than 2 are gone from both),
 so the oracle's arithmetic owes nothing to `src`. It shares only
-the parameter and config types (`DetectorParams`, `NormalizerConfig`),
-which it reads but does not compute with. Rows are (flow_id, bucket, x)
+the parameter type `DetectorParams` and the normalizer's constants, which
+it reads but does not compute with. Rows are (flow_id, bucket, x)
 with x the raw 7-component vector, None marking a missing component.
 
 `RowNormalizer` is the window normalizer that the block normalizer
@@ -27,9 +27,15 @@ from typing import NamedTuple
 import numpy as np
 
 from flowgate.detector import DetectorParams, Persistence
-from flowgate.features import NormalizerConfig
+from flowgate.features import (
+    CLIP,
+    EPS_VAR,
+    LAMBDA_MEAN,
+    LAMBDA_VAR,
+    N_FEATURES,
+    SLOW_FACTOR,
+)
 
-N_FEATURES = 7
 W_MIN_DEFAULT = 50
 
 
@@ -119,12 +125,9 @@ class Normalizer:
     never sees x_t. Missing components (None) score 0 and leave state alone.
     """
 
-    def __init__(self, config: NormalizerConfig = NormalizerConfig(),
-                 n_features: int = N_FEATURES):
-        self.config = config
-        self.n_features = n_features
-        self.lambda_mean = config.lambda_mean
-        self.lambda_var = config.lambda_var
+    def __init__(self):
+        self.lambda_mean = LAMBDA_MEAN
+        self.lambda_var = LAMBDA_VAR
         self._m: dict[str, list] = {}
         self._q: dict[str, list] = {}
         self._seen: dict[str, list] = {}
@@ -138,16 +141,16 @@ class Normalizer:
     def enter_slow_phase(self) -> None:
         """Scale adaptation rates down once calibration is frozen."""
         if not self._slow:
-            self.lambda_mean *= self.config.slow_factor
-            self.lambda_var *= self.config.slow_factor
+            self.lambda_mean *= SLOW_FACTOR
+            self.lambda_var *= SLOW_FACTOR
             self._slow = True
 
     def score_and_update(self, bucket: str, x) -> list[float]:
         m = self._m.get(bucket)
         if m is None:
-            m = [0.0] * self.n_features
-            q = [self.config.eps_var] * self.n_features
-            seen = [False] * self.n_features
+            m = [0.0] * N_FEATURES
+            q = [EPS_VAR] * N_FEATURES
+            seen = [False] * N_FEATURES
             self._m[bucket] = m
             self._q[bucket] = q
             self._seen[bucket] = seen
@@ -155,13 +158,11 @@ class Normalizer:
         else:
             q = self._q[bucket]
             seen = self._seen[bucket]
-        eps = self.config.eps_var
-        clip = self.config.clip
         lm = self.lambda_mean
         lv = self.lambda_var
-        z = [0.0] * self.n_features
+        z = [0.0] * N_FEATURES
         touched = False
-        for k in range(self.n_features):
+        for k in range(N_FEATURES):
             xk = x[k]
             if xk is None:
                 continue
@@ -169,11 +170,11 @@ class Normalizer:
             if not seen[k]:
                 m[k] = xk
                 seen[k] = True
-            zk = (xk - m[k]) / math.sqrt(q[k] + eps)
-            if zk > clip:
-                zk = clip
-            elif zk < -clip:
-                zk = -clip
+            zk = (xk - m[k]) / math.sqrt(q[k] + EPS_VAR)
+            if zk > CLIP:
+                zk = CLIP
+            elif zk < -CLIP:
+                zk = -CLIP
             z[k] = zk
             d = xk - m[k]
             m[k] = m[k] + lm * d
@@ -192,42 +193,36 @@ class RowNormalizer:
     Missing components (NaN) score 0 and leave state alone.
     """
 
-    def __init__(self, buckets, config: NormalizerConfig = NormalizerConfig(),
-                 n_features: int = N_FEATURES):
-        self.config = config
-        self.n_features = n_features
-        self.lambda_mean = config.lambda_mean
-        self.lambda_var = config.lambda_var
+    def __init__(self, buckets):
+        self.lambda_mean = LAMBDA_MEAN
+        self.lambda_var = LAMBDA_VAR
         code = {b: i for i, b in enumerate(dict.fromkeys(buckets))}
         self._codes = [code[b] for b in buckets]
-        self._m = [[None] * n_features for _ in code]  # None: not seen yet
-        self._q = [[config.eps_var] * n_features for _ in code]
+        self._m = [[None] * N_FEATURES for _ in code]  # None: not seen yet
+        self._q = [[EPS_VAR] * N_FEATURES for _ in code]
         self._updates = [0] * len(code)  # rows that updated any component
         self._slow = False
 
     def enter_slow_phase(self) -> None:
         if not self._slow:
-            self.lambda_mean *= self.config.slow_factor
-            self.lambda_var *= self.config.slow_factor
+            self.lambda_mean *= SLOW_FACTOR
+            self.lambda_var *= SLOW_FACTOR
             self._slow = True
 
     def score_and_update(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Score and fold one window's (rows x features) matrix. Returns the
         clipped z-scores and, per row, the bucket's update count before that
         row was folded in."""
-        eps = self.config.eps_var
-        clip = self.config.clip
         lm = self.lambda_mean
         lv = self.lambda_var
         keep = 1.0 - lv
-        nf = self.n_features
         updates = self._updates
         zs = []
         counts = []
         for b, xs in zip(self._codes, x.tolist()):
             m, q = self._m[b], self._q[b]
             counts.append(updates[b])
-            z = [0.0] * nf
+            z = [0.0] * N_FEATURES
             touched = False
             for k, xk in enumerate(xs):
                 if xk != xk:  # NaN: missing
@@ -235,14 +230,14 @@ class RowNormalizer:
                 touched = True
                 mk = xk if m[k] is None else m[k]  # first sighting: m = x
                 d = xk - mk
-                zk = d / math.sqrt(q[k] + eps)
-                z[k] = clip if zk > clip else -clip if zk < -clip else zk
+                zk = d / math.sqrt(q[k] + EPS_VAR)
+                z[k] = CLIP if zk > CLIP else -CLIP if zk < -CLIP else zk
                 m[k] = mk + lm * d
                 q[k] = keep * q[k] + lv * d * d
             if touched:
                 updates[b] += 1
             zs.append(z)
-        return (np.array(zs, dtype=np.float64).reshape(len(zs), nf),
+        return (np.array(zs, dtype=np.float64).reshape(len(zs), N_FEATURES),
                 np.array(counts, dtype=np.int64))
 
 
@@ -283,8 +278,7 @@ class DetectorSession:
 
     def __init__(self, params: DetectorParams, burn_in_windows: int,
                  quantile: float, k_persist: int = 3, m_persist: int = 8,
-                 w_min: int = W_MIN_DEFAULT,
-                 normalizer_config: NormalizerConfig = NormalizerConfig()):
+                 w_min: int = W_MIN_DEFAULT):
         params.validate()
         if not (1 <= k_persist <= m_persist):
             raise ValueError("need 1 <= k <= m")
@@ -296,7 +290,7 @@ class DetectorSession:
         self.k_persist = k_persist
         self.m_persist = m_persist
         self.w_min = w_min
-        self.normalizer = Normalizer(normalizer_config, N_FEATURES)
+        self.normalizer = Normalizer()
         self._flows: dict[int, _FlowState] = {}
         self._calibrated = False
 

@@ -18,6 +18,8 @@
   record `detect` would write for a session.
 - `block_edges` cuts a run of windows into the blocks that a caller of
   the detector's process_window may feed.
+- `synthetic_feature_stream` is the fixed synthetic input, fed in detect's
+  blocks, on which acceptance criterion 7 times the scoring cost.
 - `queue_impact` is the report's two p99.9 deltas as they were computed
   before the report derived them from its tails: each percentile sorted
   again.
@@ -36,6 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from flowgate.detector import (
+    BLOCK_WINDOWS,
     DetectManifest,
     DetectorParams,
     FlowThresholds,
@@ -265,6 +268,25 @@ def block_edges(n_windows: int, split, keep=()) -> list[int]:
             else split)
     return sorted({0, n_windows, *(c for c in (*cuts, *keep)
                                    if 0 <= c <= n_windows)})
+
+
+def synthetic_feature_stream(n_rows: int, n_flows: int = 50, seed: int = 0):
+    """Deterministic benchmark input: (flow_ids, buckets, stream), where
+    stream yields (window, x) with x a block of up to BLOCK_WINDOWS
+    windows, each an (n_flows x 7) matrix of mildly varying dense features,
+    until n_rows rows are out."""
+    rng = np.random.default_rng(seed)
+    n_windows = (n_rows + n_flows - 1) // n_flows
+    flows = list(range(1, n_flows + 1))
+    buckets = [("a", "b", "c")[i % 3] for i in range(n_flows)]
+    base = rng.uniform(0.5, 2.0, (n_flows, 7))
+
+    def stream():
+        for w in range(0, n_windows, BLOCK_WINDOWS):
+            size = min(BLOCK_WINDOWS, n_windows - w)
+            yield w, base + rng.uniform(-0.1, 0.1, (size, n_flows, 7))
+
+    return flows, buckets, stream()
 
 
 def queue_impact(base_log, gated_log) -> tuple[float, float]:

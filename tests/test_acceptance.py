@@ -25,11 +25,7 @@ from flowgate.detector import (
     step,
 )
 from flowgate.features import windowize
-from flowgate.metrics import (
-    achieved_fpr,
-    bench_scoring,
-    synthetic_feature_stream,
-)
+from flowgate.metrics import achieved_fpr, bench_scoring
 from flowgate.trace import (
     BENIGN,
     Budgets,
@@ -53,6 +49,7 @@ from support import (
     queue_impact,
     solve_fixed_point,
     detect_record,
+    synthetic_feature_stream,
     thresholds_by_flow,
 )
 

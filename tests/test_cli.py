@@ -595,23 +595,6 @@ def test_report_refuses_thresholds_of_another_detect_run(pipe, tmp_path,
     assert not (tmp_path / "r").exists()
 
 
-@pytest.mark.parametrize("doc, key", [
-    ({"w_min": -5, "quantile": 7}, "quantile = 7"),
-    ({"detector": {}, "k": 2}, "k = 2"),
-    ({"m": 8}, "m = 8"),
-    ({"w_min": 10}, "w_min = 10"),
-], ids=["bad quantile and w_min", "k", "m", "w_min"])
-def test_bench_refuses_calibration_keys(tmp_path, capsys, doc, key):
-    # bench scores under a fixed calibration, so a calibration key in its
-    # --params file would be ignored
-    params = tmp_path / "params.json"
-    params.write_text(json.dumps(doc))
-    assert main(["bench", "--params", str(params)]) == 1
-    assert capsys.readouterr().err == (
-        f"error: ValueError: {params}: {key} is not read: bench scores "
-        "under a fixed calibration\n")
-
-
 @pytest.mark.parametrize("flow, params, edit, message", [
     (3, "params", lambda p: _without(p, "cycle_s"), "missing key 'cycle_s'"),
     (4, "params", lambda p: {**p, "period_s": 0.0},
@@ -622,8 +605,22 @@ def test_bench_refuses_calibration_keys(tmp_path, capsys, doc, key):
      "missing key 'rate_bps'"),
     (100, "overlay_params", lambda p: _without(p, "rate_bps"),
      "missing key 'rate_bps'"),
+    (1, "params", lambda p: {**p, "rate_bps": "24000"},
+     "rate_bps = '24000' is not a number"),
+    (1, "params", lambda p: {**p, "rate_bps": True},
+     "rate_bps = True is not a number"),
+    (1, "params", lambda p: {**p, "pkt_len": 600.9},
+     "pkt_len = 600.9 is not an integer"),
+    (1, "params", lambda p: {**p, "pkt_len": 600.0},
+     "pkt_len = 600.0 is not an integer"),
+    (3, "params", lambda p: {**p, "size_min": False},
+     "size_min = False is not an integer"),
+    (100, "overlay_params", lambda p: {**p, "pkt_len": "1000"},
+     "pkt_len = '1000' is not an integer"),
 ], ids=["missing key", "generator refusal", "string value",
-        "episode cover", "episode overlay"])
+        "episode cover", "episode overlay", "numeric string", "bool number",
+        "fractional integer", "integral float", "bool integer",
+        "overlay string integer"])
 def test_generator_errors_name_the_flow_and_key(tmp_path, capsys, flow,
                                                 params, edit, message):
     cfg = tiny_config(tmp_path / "config.json")
@@ -693,10 +690,32 @@ def test_no_stage_imports_numpy_ma(tmp_path):
     assert proc.stdout.splitlines()[-1] == "False"
 
 
-def test_bench_rejects_small_row_count():
+def test_negative_seed_flag_is_refused_before_any_work(tmp_path, capsys):
+    cfg = tiny_config(tmp_path / "config.json")
+    assert _usage_error(["gen-world", "--config", str(cfg), "--seed", "-1",
+                         "--out", str(tmp_path / "w")], capsys) == (
+        "--seed = -1 is negative")
+    assert not (tmp_path / "w").exists()
+
+
+def test_negative_config_seed_is_refused(tmp_path, capsys):
+    cfg = tiny_config(tmp_path / "config.json", seed=-3)
+    assert main(["gen-world", "--config", str(cfg),
+                 "--out", str(tmp_path / "w")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: ValueError: {cfg}: seed = -3 is negative\n")
+    assert not (tmp_path / "w").exists()
+
+
+def test_the_commands_are_the_four_stages(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["bench", "--rows", "5000"])
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "{gen-world,detect,replay,report}" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["bench"])
     assert exc.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 def test_missing_config_is_runtime_error(tmp_path):
@@ -1273,7 +1292,6 @@ def test_detect_times_one_call_per_block(tmp_path, monkeypatch):
 def test_report_does_not_rescore(pipe, tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("report must not score")
-    monkeypatch.setattr("flowgate.cli.synthetic_feature_stream", refuse)
     monkeypatch.setattr("flowgate.cli.DetectorSession", refuse)
     assert _report(pipe, tmp_path) == 0
     doc = json.loads((tmp_path / "r" / "report.json").read_text())
@@ -1588,7 +1606,7 @@ def test_manifest_of_another_config_is_refused(pipe, tmp_path, capsys,
         f"{recorded['config_hash']} is not {edited}, the hash of config.json")
 
 
-@pytest.mark.parametrize("command", ["detect", "bench"])
+@pytest.mark.parametrize("command", ["detect"])
 @pytest.mark.parametrize("doc, message", [
     ({"detector": {"alpah": 2}}, "unknown key 'detector.alpah'"),
     ({"quantiles": 0.9}, "unknown key 'quantiles'"),
@@ -1606,10 +1624,8 @@ def test_bad_params_file_is_refused(pipe, tmp_path, capsys, command, doc,
                                     message):
     params = tmp_path / "params.json"
     params.write_text(json.dumps(doc))
-    argv = {"detect": ["detect", "--world", str(pipe["world"]),
-                       "--out", str(tmp_path / "d")],
-            "bench": ["bench"]}[command]
-    assert main(argv + ["--params", str(params)]) == 1
+    assert main([command, "--world", str(pipe["world"]),
+                 "--out", str(tmp_path / "d"), "--params", str(params)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: ValueError: {params}: ")
     assert message in err
@@ -1650,7 +1666,7 @@ def _usage_error(argv, capsys) -> str:
     return err.splitlines()[-1].split("error: ", 1)[1]
 
 
-@pytest.mark.parametrize("command", ["detect", "bench"])
+@pytest.mark.parametrize("command", ["detect"])
 @pytest.mark.parametrize("detector, message", [
     ({"dt": 0}, "detector.dt = 0.0 is not positive"),
     ({"lam": -1}, "detector.lam = -1.0 is negative"),
@@ -1666,10 +1682,9 @@ def test_bad_detector_knobs_are_refused_before_any_work(tmp_path, capsys,
     # --params file, before detect opens the world (here there is none)
     params = tmp_path / "params.json"
     params.write_text(json.dumps({"detector": detector}))
-    argv = {"detect": ["detect", "--world", str(tmp_path / "no_world"),
-                       "--out", str(tmp_path / "d")],
-            "bench": ["bench"]}[command]
-    assert _usage_error([*argv, "--params", str(params)], capsys) == (
+    assert _usage_error([command, "--world", str(tmp_path / "no_world"),
+                         "--out", str(tmp_path / "d"),
+                         "--params", str(params)], capsys) == (
         f"{params}: {message}")
     assert not (tmp_path / "d").exists()
 

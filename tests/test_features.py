@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowgate import features
 from flowgate.features import (
+    CLIP,
     FEATURE_NAMES,
     N_FEATURES,
     Normalizer,
-    NormalizerConfig,
     windowize,
 )
 from flowgate.trace import BENIGN, FlowInfo, FlowKey, Trace
@@ -254,26 +255,38 @@ def test_windowize_refuses_a_graph_of_other_flows():
 # normalizer
 
 
+def padded(x):
+    """A block from x, nested (windows x rows x k) values: the first k
+    features of each row, the rest NaN (missing)."""
+    x = np.array(x, dtype=np.float64)
+    block = np.full(x.shape[:2] + (N_FEATURES,), np.nan)
+    block[..., :x.shape[2]] = x
+    return block
+
+
 def one_row(norm, *x):
-    """Score a block of one one-row window; returns its z list."""
-    z, _ = norm.score_and_update(np.array([[x]], dtype=np.float64))
-    return z[0, 0].tolist()
+    """Score a block of one one-row window whose first features are x;
+    returns their z list."""
+    z, _ = norm.score_and_update(padded([[x]]))
+    return z[0, 0, :len(x)].tolist()
 
 
 def test_normalizer_scores_before_updating():
-    norm = Normalizer(["b"], NormalizerConfig(), n_features=1)
+    norm = Normalizer(["b"])
     z0 = one_row(norm, 5.0)
     assert z0 == [0.0]  # first sighting: m initialized to x
     # second observation scored against the state built from the first only
     z1 = one_row(norm, 6.0)
-    assert z1[0] == pytest.approx(norm.config.clip)  # q still ~eps: clipped
+    assert z1[0] == pytest.approx(CLIP)  # q still ~eps: clipped
 
 
-def test_normalizer_one_step_memory_oracle():
+def test_normalizer_one_step_memory_oracle(monkeypatch):
     # with lambda_mean = lambda_var = 1 the normalizer degenerates to
     # z_t = (x_t - x_{t-1}) / sqrt((x_{t-1} - x_{t-2})^2 + eps)
-    cfg = NormalizerConfig(lambda_mean=1.0, lambda_var=1.0, eps_var=1e-6, clip=100.0)
-    norm = Normalizer(["b"], cfg, n_features=1)
+    for name, value in (("LAMBDA_MEAN", 1.0), ("LAMBDA_VAR", 1.0),
+                        ("EPS_VAR", 1e-6), ("CLIP", 100.0)):
+        monkeypatch.setattr(features, name, value)
+    norm = Normalizer(["b"])
     xs = [2.0, 5.0, 4.0, 4.5, 10.0]
     zs = [one_row(norm, x)[0] for x in xs]
     assert zs[0] == 0.0
@@ -284,50 +297,50 @@ def test_normalizer_one_step_memory_oracle():
 
 
 def test_normalizer_missing_components_score_zero_and_skip_update():
-    norm = Normalizer(["b"], NormalizerConfig(), n_features=2)
+    norm = Normalizer(["b"])
     one_row(norm, 1.0, 1.0)
     before_m = list(norm._m[0])
     before_q = list(norm._q[0])
-    z, counts = norm.score_and_update(np.array([[[np.nan, np.nan]]]))
-    assert z.tolist() == [[[0.0, 0.0]]]
+    z, counts = norm.score_and_update(padded([[[]]]))
+    assert z.tolist() == [[[0.0] * N_FEATURES]]
     assert norm._m[0] == before_m
     assert norm._q[0] == before_q
     # an all-missing row does not count as an update of its bucket
-    _, counts_after = norm.score_and_update(np.array([[[1.0, 1.0]]]))
+    _, counts_after = norm.score_and_update(padded([[[1.0, 1.0]]]))
     assert counts.tolist() == counts_after.tolist() == [[1]]
 
 
 def test_normalizer_clip():
-    norm = Normalizer(["b"], NormalizerConfig(clip=8.0), n_features=1)
+    norm = Normalizer(["b"])
     one_row(norm, 0.0)
     assert one_row(norm, 1e9) == [8.0]
     assert one_row(norm, -1e9) == [-8.0]
 
 
 def test_normalizer_buckets_are_independent():
-    norm = Normalizer(["a", "b"], NormalizerConfig(), n_features=1)
-    z, counts = norm.score_and_update(np.array([[[100.0], [0.0]]]))
-    assert z.tolist() == [[[0.0], [0.0]]]
+    norm = Normalizer(["a", "b"])
+    z, counts = norm.score_and_update(padded([[[100.0], [0.0]]]))
+    assert z.tolist() == [[[0.0] * N_FEATURES] * 2]
     assert counts.tolist() == [[0, 0]]
-    _, counts = norm.score_and_update(np.array([[[100.0], [0.0]]]))
+    _, counts = norm.score_and_update(padded([[[100.0], [0.0]]]))
     assert counts.tolist() == [[1, 1]]
 
 
 def test_normalizer_rows_of_a_bucket_fold_in_row_order():
     # rows 0 and 2 share bucket "a": row 2 is scored against the state row 0
     # just folded in, and each row reports its bucket's count before it
-    norm = Normalizer(["a", "b", "a"], NormalizerConfig(), n_features=1)
-    z, counts = norm.score_and_update(np.array([[[5.0], [1.0], [6.0]]]))
+    norm = Normalizer(["a", "b", "a"])
+    z, counts = norm.score_and_update(padded([[[5.0], [1.0], [6.0]]]))
     assert counts.tolist() == [[0, 0, 1]]
     assert z[0, 0, 0] == 0.0 and z[0, 1, 0] == 0.0
-    assert z[0, 2, 0] == pytest.approx(norm.config.clip)
-    _, counts = norm.score_and_update(np.array([[[5.0], [1.0], [6.0]]]))
+    assert z[0, 2, 0] == pytest.approx(CLIP)
+    _, counts = norm.score_and_update(padded([[[5.0], [1.0], [6.0]]]))
     assert counts.tolist() == [[2, 1, 3]]
 
 
 def test_normalizer_slow_phase_scales_once():
-    cfg = NormalizerConfig(lambda_mean=0.05, lambda_var=0.01, slow_factor=0.2)
-    norm = Normalizer(["b"], cfg)
+    # at lambda_mean 0.05, lambda_var 0.01 and slow_factor 0.2
+    norm = Normalizer(["b"])
     norm.enter_slow_phase()
     norm.enter_slow_phase()
     assert norm.lambda_mean == pytest.approx(0.01)
@@ -338,7 +351,7 @@ def test_normalizer_slow_phase_scales_once():
 @given(st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=3, max_size=30))
 def test_normalizer_converges_on_constant_tail(xs):
     # after a long constant stream the z-score of that constant tends to 0
-    norm = Normalizer(["b"], NormalizerConfig(), n_features=1)
+    norm = Normalizer(["b"])
     for x in xs:
         one_row(norm, x)
     z = None

@@ -27,7 +27,6 @@ from flowgate.metrics import (
     incident_recall,
     read_stage_stats,
     scoring_cost,
-    synthetic_feature_stream,
     time_to_detect,
     write_episode_table,
     write_report,
@@ -44,7 +43,7 @@ from flowgate.trace import (
 )
 from flowgate.wfq import replay
 from flowgate.worlds import FeasibilityOutcome
-from support import queue_impact
+from support import queue_impact, synthetic_feature_stream
 
 
 def rec(flow_id, window, a=False, z=False):
@@ -267,7 +266,8 @@ def test_bench_too_short_raises():
         _bench(500)
 
 
-def test_scoring_cost_batches_drop_warm_up_and_take_nearest_rank():
+def test_scoring_cost_batches_drop_warm_up_and_take_nearest_rank(
+        monkeypatch):
     # calls of 600 + 600 rows fill the warm-up batch; then two batches of
     # 1000 rows; the trailing 400 rows are a partial batch and dropped
     cost = scoring_cost([0.25, 0.5, 0.001, 0.001, 0.003, 0.0005],
@@ -280,8 +280,8 @@ def test_scoring_cost_batches_drop_warm_up_and_take_nearest_rank():
     assert mean == sum(seconds[1:]) / 10_000 * 1e6
     assert p90 == seconds[9] / 1000 * 1e6
     assert mx == seconds[10] / 1000 * 1e6
-    assert scoring_cost(seconds, [1000] * 11, warmup_batches=0)[2] == \
-        1.0 / 1000 * 1e6
+    monkeypatch.setattr("flowgate.metrics.WARMUP_BATCHES", 0)
+    assert scoring_cost(seconds, [1000] * 11)[2] == 1.0 / 1000 * 1e6
 
 
 def test_scoring_cost_of_a_short_run_is_none():
