@@ -1,11 +1,11 @@
 """Command-line pipeline: gen-world, detect, replay, report.
 
-Every command prints its resolved knobs as key=value lines (precedence:
-explicit flag, then config file, then built-in default) and writes a manifest
-next to its outputs. A world is read through worlds.load_head plus
-load_traffic (detect, replay) or load_outcomes (report), so detection and
-replay never open feasibility.json, from which the episode labels derive;
-labels enter only through the report command.
+Every command prints its resolved knobs as key=value lines (each from its
+flag, else the built-in default) and writes a manifest next to its outputs.
+A world is read through worlds.load_head plus load_traffic (detect, replay)
+or load_outcomes (report), so detection and replay never open
+feasibility.json, from which the episode labels derive; labels enter only
+through the report command.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -84,11 +84,9 @@ def _fail(msg: str) -> int:
     return 1
 
 
-def _resolve(name, flag_value, value):
-    """flag_value if the flag was given, else value: the config file's,
-    which from_json fills with the default where the file sets none."""
-    if flag_value is not None:
-        value = flag_value
+def _resolve(name, flag_value, default):
+    """flag_value if the flag was given, else default, printed."""
+    value = default if flag_value is None else flag_value
     print(f"{name}={value}")
     return value
 
@@ -98,22 +96,15 @@ def _load_json(path) -> dict:
     return load_json(path)
 
 
-@dataclass
-class ParamsFile(Calibration):
-    """The --params JSON of detect."""
-
-    detector: DetectorParams = field(default_factory=DetectorParams)
-
-
-def _read_params(path) -> ParamsFile:
-    """The --params record at path (the defaults without one), with exit 2
-    on detector knobs that DetectorParams.validate refuses."""
-    file = from_json(ParamsFile, _load_json(path) if path else {}, path)
+def _read_params(path) -> DetectorParams:
+    """The --params detector knobs at path (the defaults without one), with
+    exit 2 on knobs that DetectorParams.validate refuses."""
+    params = from_json(DetectorParams, _load_json(path) if path else {}, path)
     try:
-        file.detector.validate(where="detector.")
+        params.validate()
     except ValueError as exc:
         raise ArgumentContractError(f"{path}: {exc}") from None
-    return file
+    return params
 
 
 @dataclass
@@ -209,10 +200,9 @@ def cmd_gen_world(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    file = _read_params(args.params)
-    params = file.detector
+    params = _read_params(args.params)
     calibration = Calibration(**{
-        f.name: _resolve(f.name, getattr(args, f.name), getattr(file, f.name))
+        f.name: _resolve(f.name, getattr(args, f.name), f.default)
         for f in fields(Calibration)})
     try:
         calibration.check()
@@ -264,11 +254,10 @@ def cmd_detect(args) -> int:
 # replay
 
 
-# the flags that only --mode=gated reads, by dest: --scores, --gate-config
-# and one per GateConfig key, whose dest is the key
-GATED_FLAGS = {"scores": "--scores", "gate_config": "--gate-config",
-               "omega_0": "--omega-0", "omega_minus": "--omega-minus",
-               "t_g_s": "--t-g"}
+# the flags that only --mode=gated reads, by dest: --scores and one per
+# GateConfig key, whose dest is the key
+GATED_FLAGS = {"scores": "--scores", "omega_0": "--omega-0",
+               "omega_minus": "--omega-minus", "t_g_s": "--t-g"}
 
 
 def cmd_replay(args) -> int:
@@ -303,18 +292,15 @@ def cmd_replay(args) -> int:
 
 
 def _gate_config(args) -> GateConfig:
-    """The gate of a gated replay, each key from its flag, else from the
-    --gate-config file, else the default, printed. Refuses with exit 2 what
-    GateConfig.validate refuses, naming where each key came from."""
-    doc = _load_json(args.gate_config) if args.gate_config else {}
-    file = from_json(GateConfig, doc, args.gate_config)
-    keys = [f.name for f in fields(GateConfig)]
-    gc = GateConfig(**{key: _resolve(key, getattr(args, key),
-                                     getattr(file, key)) for key in keys})
+    """The gate of a gated replay, each key from its flag, else the default,
+    printed. Refuses with exit 2 what GateConfig.validate refuses, naming
+    where each key came from."""
+    gc = GateConfig(**{f.name: _resolve(f.name, getattr(args, f.name),
+                                        f.default)
+                       for f in fields(GateConfig)})
     try:
-        gc.validate({key: GATED_FLAGS[key] if getattr(args, key) is not None
-                     else args.gate_config if key in doc else "the default"
-                     for key in keys})
+        gc.validate({key: "the default" if getattr(args, key) is None
+                     else flag for key, flag in GATED_FLAGS.items()})
     except ValueError as exc:
         raise ArgumentContractError(str(exc)) from None
     return gc
@@ -411,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("detect", help="score a world's trace")
     d.add_argument("--world", required=True, help="world directory")
     d.add_argument("--params", default=None,
-                   help="detector config JSON (detector/quantile/k/m/w_min)")
+                   help="detector knobs JSON (alpha ... v_max)")
     d.add_argument("--quantile", type=float, default=None)
     d.add_argument("--k", type=int, default=None)
     d.add_argument("--m", type=int, default=None)
@@ -424,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--mode", choices=["base", "gated"], required=True)
     r.add_argument("--scores", default=None,
                    help="scores CSV (required for gated mode)")
-    r.add_argument("--gate-config", default=None, help="gate config JSON")
     r.add_argument("--omega-0", dest="omega_0", type=float, default=None)
     r.add_argument("--omega-minus", dest="omega_minus", type=float,
                    default=None)
@@ -455,7 +440,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except ArgumentContractError as exc:
         parser.error(str(exc))
-    except (OSError, ValueError, KeyError, FloatingPointError,
+    except (OSError, ValueError, KeyError, FloatingPointError, MemoryError,
             GenerationError) as exc:
         return _fail(f"{type(exc).__name__}: {exc}")
 

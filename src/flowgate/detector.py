@@ -59,11 +59,11 @@ class DetectorParams:
     v_rest: float = 0.0
     v_max: float = 10.0
 
-    def validate(self, where: str = "") -> None:
-        """Refuse, naming each key (after the prefix where) and its value,
-        knobs the dynamics cannot run with."""
+    def validate(self) -> None:
+        """Refuse, naming each key and its value, knobs the dynamics cannot
+        run with."""
         def key(name):
-            return f"{where}{name} = {getattr(self, name)!r}"
+            return f"{name} = {getattr(self, name)!r}"
 
         bad = [f"{key(n)} is not positive" for n in ("dt", "k")
                if not getattr(self, n) > 0]
@@ -157,8 +157,8 @@ class Calibration:
     of each flow's threshold, the K-of-M persistence rule (k of the last m
     windows; m is also the grace that recall gives an episode's end), and
     w_min, the burn-in windows a flow must have seen before its scores are
-    collected and the scores it needs for a threshold. The --params file
-    and detect_manifest.json each extend this record."""
+    collected and the scores it needs for a threshold. detect_manifest.json
+    extends this record."""
 
     quantile: float = 0.99
     k: int = 3

@@ -20,6 +20,7 @@ FEATURE_CONTRACT = "timing+contention-v1"
 FEATURE_NAMES = ("pkt_rate", "byte_rate", "iat_mean", "iat_cv",
                  "pacing", "share", "interference")
 N_FEATURES = len(FEATURE_NAMES)
+MICRO_BINS = 10  # sub-window bins of the pacing entropy
 
 
 class FeatureTable:
@@ -40,7 +41,7 @@ class FeatureTable:
         return self.x[w, fi]
 
 
-def windowize(trace, graph, micro_bins: int = 10) -> FeatureTable:
+def windowize(trace, graph) -> FeatureTable:
     """Aggregate a trace into per-(flow, window) features.
 
     Every flow in the flow table gets a row for every window in [0, H); flows
@@ -49,8 +50,6 @@ def windowize(trace, graph, micro_bins: int = 10) -> FeatureTable:
     supplies the cliques and interference weights. Only packets of windows
     <= t influence rows at window t (pure windowing, no lookahead).
     """
-    if micro_bins < 2:
-        raise ValueError("micro_bins must be >= 2")
     flow_ids = sorted(trace.flow_table)
     if graph.flow_ids != flow_ids:
         raise ValueError("contention graph flow ids do not match the flow table")
@@ -96,7 +95,7 @@ def windowize(trace, graph, micro_bins: int = 10) -> FeatureTable:
 
     # pacing: entropy of micro-bin occupancy inside the window, summed over
     # the occupied (flow, window, bin) cells only
-    B = micro_bins
+    B = MICRO_BINS
     mbin = ((trace.ts_us - win * trace.window_us) * B) // trace.window_us
     occupied, n_in_bin = unique(code * B + mbin, return_counts=True)
     cell = occupied // B

@@ -62,7 +62,9 @@ class GateConfig:
     def validate(self, source=None) -> None:
         """Refuse, naming the keys, their values and where source (a dict)
         says each came from, weights that break 0 < omega_minus < omega_0 <
-        inf and a t_g_s that is not finite and nonnegative."""
+        inf, a t_g_s that is not finite and nonnegative and one of 2**53
+        microseconds or more, past which a schedule's instants are not
+        exact."""
         if not 0.0 < self.omega_minus < self.omega_0 < math.inf:
             keys, problem = ("omega_minus", "omega_0"), (
                 f"omega_minus = {self.omega_minus!r} and omega_0 = "
@@ -70,6 +72,9 @@ class GateConfig:
         elif not 0 <= self.t_g_s < math.inf:
             keys, problem = ("t_g_s",), (f"t_g_s = {self.t_g_s!r} is not "
                                          "finite and nonnegative")
+        elif not self.t_g_s * 1e6 < 2**53:
+            keys, problem = ("t_g_s",), (f"t_g_s = {self.t_g_s!r} reaches "
+                                         "2**53 microseconds")
         else:
             return
         if source:
@@ -164,10 +169,24 @@ def replay(trace: Trace, capacity_bps: float,
 def _replay_clique(t, f, l, cap, schedule) -> np.ndarray:
     """SCFQ service of one clique's packets, given in arrival order.
 
-    Returns the dequeue instants aligned with the input.
+    Returns the dequeue instants aligned with the input. Refuses service
+    times whose sum is not finite, naming the capacity, and tag increments
+    whose sum is not, naming the flow and weight of the largest: the server
+    frees by the last arrival plus all service, and no tag passes the sum
+    of the increments.
     """
-    inc_us = l / (schedule.weights(f, t) * cap)
-    svc_us = l * (1e6 / cap)  # service microseconds
+    weight = schedule.weights(f, t)
+    with np.errstate(all="ignore"):
+        inc_us = l / (weight * cap)
+        svc_us = l * (1e6 / cap)  # service microseconds
+        busy_us, tags_us = svc_us.sum(), inc_us.sum()
+    if not np.isfinite(busy_us):
+        raise ValueError(f"capacity_bps = {cap!r} gives service times "
+                         "whose sum is not finite")
+    if not np.isfinite(tags_us):
+        k = int(np.argmax(inc_us))
+        raise ValueError(f"flow {f[k]} at weight {float(weight[k])!r} gives "
+                         "tag increments whose sum is not finite")
     dequeue = np.empty(t.shape)
     # memoryviews read and write plain Python floats without a per-packet
     # list of float objects; microseconds stay exact in doubles below 2**53.

@@ -437,8 +437,8 @@ class ContentionGraph:
     block, indexed like its flow list. Graph order is ascending flow id.
     """
 
-    def __init__(self, cliques: dict[int, list[int]], blocks: dict[int, object],
-                 rho_band: tuple[float, float]):
+    def __init__(self, cliques: dict[int, list[int]],
+                 blocks: dict[int, object]):
         self.cliques = {int(c): [int(f) for f in fs]
                         for c, fs in sorted(cliques.items())}
         self.blocks = {c: np.asarray(blocks[c], dtype=np.float64).reshape(
@@ -447,7 +447,6 @@ class ContentionGraph:
             if not (np.array_equal(w, w.T) and np.all(w >= 0.0)):
                 raise ValueError(f"cliques.{c}.weights must be symmetric and "
                                  "nonnegative")
-        self.rho_band = (float(rho_band[0]), float(rho_band[1]))
         self.spectral_radius = spectral_radius(self.blocks.values())
         self.clique_of = {f: c for c, fs in self.cliques.items() for f in fs}
         if len(self.clique_of) < sum(map(len, self.cliques.values())):
@@ -470,8 +469,7 @@ class ContentionGraph:
     def to_dict(self) -> dict:
         blocks = {c: _CliqueBlock(fs, self.blocks[c].tolist())
                   for c, fs in self.cliques.items()}
-        return to_json(_GraphFile(blocks, self.spectral_radius,
-                                  self.rho_band))
+        return to_json(_GraphFile(blocks, self.spectral_radius))
 
     @classmethod
     def from_dict(cls, d, path="contention.json") -> "ContentionGraph":
@@ -487,8 +485,7 @@ class ContentionGraph:
                                  f"{n} x {n} block for the clique's {n} flows")
         try:
             graph = cls({c: b.flows for c, b in doc.cliques.items()},
-                        {c: b.weights for c, b in doc.cliques.items()},
-                        doc.rho_band)
+                        {c: b.weights for c, b in doc.cliques.items()})
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
         if not math.isclose(doc.spectral_radius, graph.spectral_radius,
@@ -512,7 +509,6 @@ class _GraphFile:
 
     cliques: dict[int, _CliqueBlock]
     spectral_radius: float
-    rho_band: tuple[float, float]
 
 
 def spectral_radius(blocks) -> float:
@@ -549,7 +545,7 @@ def build_contention_graph(clique_of: dict[int, int],
     else:
         for w in blocks.values():
             w *= target / rho_raw
-    graph = ContentionGraph(cliques, blocks, rho_band)
+    graph = ContentionGraph(cliques, blocks)
     if not (lo <= graph.spectral_radius <= hi):
         raise GenerationError(
             f"scaled spectral radius {graph.spectral_radius:.6g} missed band "

@@ -5,10 +5,12 @@ into a shared directory; the cheaper contract tests (exit codes, precedence,
 determinism, label blindness) drive main() directly.
 """
 
+import argparse
 import hashlib
 import json
 import math
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -19,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flowgate.cli import main
+from flowgate.cli import build_parser, main
 from flowgate.detector import (
     BLOCK_WINDOWS,
     Calibration,
@@ -478,7 +480,7 @@ def test_non_finite_detector_state_is_an_error(pipe, tmp_path, capsys,
     # a forked scores writer is running when the state overflows at window 0
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     params = tmp_path / "params.json"
-    params.write_text(json.dumps({"detector": {"a": 1e308, "b": 10.0}}))
+    params.write_text(json.dumps({"a": 1e308, "b": 10.0}))
     out = tmp_path / "d"
     with warnings.catch_warnings():  # the overflow itself is not reported
         warnings.simplefilter("error", RuntimeWarning)
@@ -492,6 +494,48 @@ def test_non_finite_detector_state_is_an_error(pipe, tmp_path, capsys,
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert list(out.iterdir()) == []
+
+
+def test_memory_error_is_one_error_line(pipe, tmp_path, capsys,
+                                       monkeypatch):
+    # as a K-of-M ring of --m 1000000000000 windows would raise: patched,
+    # since a host that overcommits may grant the allocation
+    def no_room(*args):
+        raise MemoryError("Unable to allocate 21.8 TiB")
+
+    monkeypatch.setattr("flowgate.detector.Persistence", no_room)
+    assert main(["detect", "--world", str(pipe["world"]), "--k", "1",
+                 "--m", "1000000000000", "--out", str(tmp_path / "d")]) == 1
+    assert capsys.readouterr().err == (
+        "error: MemoryError: Unable to allocate 21.8 TiB\n")
+    assert not (tmp_path / "d").exists()
+
+
+def _readme_cli_lines() -> list[str]:
+    """The flowgate command lines of the fenced block under README.md's
+    "## CLI" heading, each with its backslash continuations joined."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("\n```", 1)[0].replace("\\\n", " ")
+    return [line for line in block.splitlines()
+            if line.startswith("flowgate ")]
+
+
+def test_readme_cli_block_matches_the_parser():
+    parser = build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    shown = {name: set() for name in commands}
+    for line in _readme_cli_lines():
+        argv = shlex.split(line.replace("[", " ").replace("]", " "))[1:]
+        parser.parse_args(argv)  # exits 2 on what the parser refuses
+        shown[argv[0]].update(a for a in argv if a.startswith("--"))
+    defined = {name: {o for a in sub._actions for o in a.option_strings
+                      if o != "--help" and o.startswith("--")}
+               for name, sub in commands.items()}
+    # accepted and ignored only because perfbench/run.py passes it
+    defined["report"].remove("--bench-rows")
+    assert shown == defined
 
 
 def test_detect_has_no_seed(pipe, tmp_path, capsys):
@@ -551,20 +595,17 @@ BAD_CALIBRATIONS = {
 @pytest.mark.parametrize("case", sorted(BAD_CALIBRATIONS))
 def test_bad_calibration_is_refused(pipe, tmp_path, capsys, case):
     knobs, message = BAD_CALIBRATIONS[case]
-    params = tmp_path / "params.json"
-    params.write_text(json.dumps(knobs))
     flags = [a for key, value in knobs.items()
              for a in (f"--{key.replace('_', '-')}", str(value))]
-    # detect: exit 2 before anything is written, by flag and by --params
-    for how in (flags, ["--params", str(params)]):
-        out = tmp_path / "d"
-        with pytest.raises(SystemExit) as exc:
-            main(["detect", "--world", str(pipe["world"]), *how,
-                  "--out", str(out)])
-        assert exc.value.code == 2
-        assert message in capsys.readouterr().err
-        assert not (out / "scores.csv").exists()
-        assert not (out / "detect_manifest.json").exists()
+    # detect: exit 2 before anything is written
+    out = tmp_path / "d"
+    with pytest.raises(SystemExit) as exc:
+        main(["detect", "--world", str(pipe["world"]), *flags,
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "scores.csv").exists()
+    assert not (out / "detect_manifest.json").exists()
     # report: exit 1 on a detect_manifest.json that holds it
     scores = _det_copy(pipe, tmp_path)
     path = scores.parent / "detect_manifest.json"
@@ -882,22 +923,50 @@ def test_scores_with_a_repeated_flow_window_pair_are_refused(pipe, tmp_path,
     assert not (tmp_path / "r" / "report.json").exists()
 
 
-def test_quantile_precedence_flag_file_default(pipe, tmp_path, capsys):
-    params = tmp_path / "params.json"
-    params.write_text(json.dumps({"quantile": 0.95}))
-
-    assert main(["detect", "--world", str(pipe["world"]), "--params",
-                 str(params), "--quantile", "0.9",
+def test_quantile_precedence_flag_default(pipe, tmp_path, capsys):
+    assert main(["detect", "--world", str(pipe["world"]), "--quantile", "0.9",
                  "--out", str(tmp_path / "d1")]) == 0
     assert "quantile=0.9\n" in capsys.readouterr().out
 
-    assert main(["detect", "--world", str(pipe["world"]), "--params",
-                 str(params), "--out", str(tmp_path / "d2")]) == 0
-    assert "quantile=0.95\n" in capsys.readouterr().out
-
     assert main(["detect", "--world", str(pipe["world"]),
-                 "--out", str(tmp_path / "d3")]) == 0
+                 "--out", str(tmp_path / "d2")]) == 0
     assert "quantile=0.99\n" in capsys.readouterr().out
+    doc = json.loads((tmp_path / "d2" / "detect_manifest.json").read_text())
+    assert doc["quantile"] == 0.99
+
+
+# scores.csv of the pipeline's world at --w-min 20 with zeta = 0.5, as
+# detect wrote it when the knob sat under a "detector" key of --params
+ZETA_HALF_SCORES_SHA256 = (
+    "09c2224619de515b43016f14782f830ca305d3d5c2d25149e02ddfa7f6bff060")
+
+
+def test_params_file_holds_the_recorded_detector_params(pipe, tmp_path):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"zeta": 0.5}))
+    assert main(["detect", "--world", str(pipe["world"]), "--w-min", "20",
+                 "--params", str(params), "--out", str(tmp_path / "d1")]) == 0
+    scores = (tmp_path / "d1" / "scores.csv").read_bytes()
+    assert hashlib.sha256(scores).hexdigest() == ZETA_HALF_SCORES_SHA256
+    assert scores != (pipe["det"] / "scores.csv").read_bytes()
+    # the object the run recorded, given back as it stands, scores the same
+    record = json.loads((tmp_path / "d1" / "detect_manifest.json").read_text())
+    assert record["detector_params"] == to_json(DetectorParams(zeta=0.5))
+    params.write_text(json.dumps(record["detector_params"]))
+    assert main(["detect", "--world", str(pipe["world"]), "--w-min", "20",
+                 "--params", str(params), "--out", str(tmp_path / "d2")]) == 0
+    assert (tmp_path / "d2" / "scores.csv").read_bytes() == scores
+
+
+def test_params_file_k_is_the_surrogate_slope(pipe, tmp_path, capsys):
+    # as in the recorded detector_params: the K-of-M k comes from --k only
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"k": 2.5}))
+    assert main(["detect", "--world", str(pipe["world"]), "--params",
+                 str(params), "--out", str(tmp_path / "d")]) == 0
+    assert "k=3\n" in capsys.readouterr().out
+    record = json.loads((tmp_path / "d" / "detect_manifest.json").read_text())
+    assert (record["k"], record["detector_params"]["k"]) == (3, 2.5)
 
 
 def test_base_and_gated_logs_align_with_trace_order(pipe):
@@ -1546,6 +1615,9 @@ def _edit_contention(doc):
             {**doc, "spectral_radius": 99.0},
             "contention.json: spectral_radius = 99.0 is not rho of the "
             "blocks"),
+        # the layout whose copy of config.json's band nothing read
+        "band of an earlier layout": ({**doc, "rho_band": [0.0, 99.0]},
+                                      "unknown key 'rho_band'"),
     }
 
 
@@ -1608,52 +1680,38 @@ def test_manifest_of_another_config_is_refused(pipe, tmp_path, capsys,
 
 @pytest.mark.parametrize("command", ["detect"])
 @pytest.mark.parametrize("doc, message", [
-    ({"detector": {"alpah": 2}}, "unknown key 'detector.alpah'"),
+    ({"alpah": 2}, "unknown key 'alpah'"),
     ({"quantiles": 0.9}, "unknown key 'quantiles'"),
-    ({"k": 2.5}, "k = 2.5 is not an integer"),
-    ({"quantile": "0.9"}, "quantile = '0.9' is not a finite number"),
-    ({"k": True}, "k = True is not an integer"),
-    ({"detector": {"tau": True}}, "unknown key 'detector.tau'"),
-    ({"detector": {"g": 0.2}}, "unknown key 'detector.g'"),
-    ({"detector": {"noise_std": 0.01}}, "unknown key 'detector.noise_std'"),
-    ({"detector": []}, "detector is not a JSON object"),
-], ids=["misspelt detector key", "unknown key", "fractional k",
-        "string quantile", "bool k", "bool tau", "coupling gain",
-        "drive noise", "detector not an object"])
+    # the calibration comes from its flags only; k is the surrogate's slope
+    ({"quantile": "0.9"}, "unknown key 'quantile'"),
+    ({"k": True}, "k = True is not a finite number"),
+    ({"m": 4}, "unknown key 'm'"),
+    ({"w_min": 20}, "unknown key 'w_min'"),
+    # the wrapper the knobs sat under in earlier versions
+    ({"detector": {"zeta": 0.5}}, "unknown key 'detector'"),
+    ({"tau": True}, "unknown key 'tau'"),
+    ({"g": 0.2}, "unknown key 'g'"),
+    ({"noise_std": 0.01}, "unknown key 'noise_std'"),
+    ([], "the document is not a JSON object"),
+], ids=["misspelt detector key", "unknown key",
+        "string quantile", "bool k", "m", "w_min", "detector wrapper",
+        "bool tau", "coupling gain", "drive noise", "detector not an object"])
 def test_bad_params_file_is_refused(pipe, tmp_path, capsys, command, doc,
                                     message):
     params = tmp_path / "params.json"
     params.write_text(json.dumps(doc))
     assert main([command, "--world", str(pipe["world"]),
                  "--out", str(tmp_path / "d"), "--params", str(params)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: ValueError: {params}: ")
-    assert message in err
-    assert not (tmp_path / "d" / "scores.csv").exists()
+    # refused before any output
+    assert capsys.readouterr() == ("", f"error: ValueError: {params}: "
+                                   f"{message}\n")
+    assert not (tmp_path / "d").exists()
 
 
 def _gated(pipe, tmp_path, *flags):
     return main(["replay", "--world", str(pipe["world"]), "--mode", "gated",
                  "--scores", str(pipe["det"] / "scores.csv"),
                  "--out", str(tmp_path / "g"), *flags])
-
-
-@pytest.mark.parametrize("doc, message", [
-    ({"omega0": 0.5}, "unknown key 'omega0'"),
-    ({"omega_0": "1"}, "omega_0 = '1' is not a finite number"),
-    ({"t_g_s": None}, "t_g_s = None is not a finite number"),
-    ({"omega_minus": True}, "omega_minus = True is not a finite number"),
-    ([0.5], "the document is not a JSON object"),
-], ids=["misspelt key", "string weight", "null hold", "bool weight",
-        "not an object"])
-def test_bad_gate_config_is_refused(pipe, tmp_path, capsys, doc, message):
-    gate = tmp_path / "gate.json"
-    gate.write_text(json.dumps(doc))
-    assert _gated(pipe, tmp_path, "--gate-config", str(gate)) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: ValueError: {gate}: ")
-    assert message in err
-    assert not (tmp_path / "g" / "queue_log.csv").exists()
 
 
 def _usage_error(argv, capsys) -> str:
@@ -1668,11 +1726,10 @@ def _usage_error(argv, capsys) -> str:
 
 @pytest.mark.parametrize("command", ["detect"])
 @pytest.mark.parametrize("detector, message", [
-    ({"dt": 0}, "detector.dt = 0.0 is not positive"),
-    ({"lam": -1}, "detector.lam = -1.0 is negative"),
-    ({"a": 0, "mu": 0},
-     "detector.a = 0.0 and detector.mu = 0.0 break a + mu > 0"),
-    ({"v_rest": 10.0}, "detector.v_rest = 10.0 and detector.v_max = 10.0 "
+    ({"dt": 0}, "dt = 0.0 is not positive"),
+    ({"lam": -1}, "lam = -1.0 is negative"),
+    ({"a": 0, "mu": 0}, "a = 0.0 and mu = 0.0 break a + mu > 0"),
+    ({"v_rest": 10.0}, "v_rest = 10.0 and v_max = 10.0 "
                        "break 0 <= v_rest < v_max"),
 ], ids=["dt", "negative lam", "a and mu", "v_rest"])
 def test_bad_detector_knobs_are_refused_before_any_work(tmp_path, capsys,
@@ -1681,7 +1738,7 @@ def test_bad_detector_knobs_are_refused_before_any_work(tmp_path, capsys,
     # as Calibration.check's refusals: exit 2, naming the key and the
     # --params file, before detect opens the world (here there is none)
     params = tmp_path / "params.json"
-    params.write_text(json.dumps({"detector": detector}))
+    params.write_text(json.dumps(detector))
     assert _usage_error([command, "--world", str(tmp_path / "no_world"),
                          "--out", str(tmp_path / "d"),
                          "--params", str(params)], capsys) == (
@@ -1689,54 +1746,85 @@ def test_bad_detector_knobs_are_refused_before_any_work(tmp_path, capsys,
     assert not (tmp_path / "d").exists()
 
 
-@pytest.mark.parametrize("flags, doc, message", [
-    (["--t-g", "-1"], None,
-     "--t-g: t_g_s = -1.0 is not finite and nonnegative"),
-    ([], {"t_g_s": -1}, "GATE: t_g_s = -1.0 is not finite and nonnegative"),
-    (["--omega-0", "inf"], None,
+@pytest.mark.parametrize("flags, message", [
+    (["--t-g", "-1"], "--t-g: t_g_s = -1.0 is not finite and nonnegative"),
+    (["--omega-0", "inf"],
      "the default and --omega-0: omega_minus = 0.05 and omega_0 = inf break "
      "0 < omega_minus < omega_0 < inf"),
-    (["--omega-minus", "2"], {"omega_0": 1.5},
-     "--omega-minus and GATE: omega_minus = 2.0 and omega_0 = 1.5 break "
-     "0 < omega_minus < omega_0 < inf"),
-    (["--omega-0", "0.01"], {"t_g_s": 5},
+    (["--omega-minus", "2", "--omega-0", "1.5"],
+     "--omega-minus and --omega-0: omega_minus = 2.0 and omega_0 = 1.5 "
+     "break 0 < omega_minus < omega_0 < inf"),
+    (["--omega-0", "0.01"],
      "the default and --omega-0: omega_minus = 0.05 and omega_0 = 0.01 "
      "break 0 < omega_minus < omega_0 < inf"),
-], ids=["hold flag", "hold in file", "weight flag", "flag against file",
-        "flag against default"])
+    # from 2**53 microseconds on, a double does not hold every whole
+    # microsecond, so a release instant would not be exact
+    (["--t-g", "1e308"], "--t-g: t_g_s = 1e+308 reaches 2**53 microseconds"),
+    (["--t-g", "9007199254.740992"],
+     "--t-g: t_g_s = 9007199254.740992 reaches 2**53 microseconds"),
+], ids=["hold flag", "weight flag", "both weight flags",
+        "flag against default", "hold past 2**53 us", "hold of 2**53 us"])
 def test_bad_gate_knobs_are_refused_before_any_work(tmp_path, capsys, flags,
-                                                    doc, message):
-    # exit 2, naming the keys and the flag or --gate-config file each came
-    # from, before replay opens the world or the scores (here there are none)
-    gate = tmp_path / "gate.json"
-    if doc is not None:
-        gate.write_text(json.dumps(doc))
-        flags = [*flags, "--gate-config", str(gate)]
+                                                    message):
+    # exit 2, naming the keys and the flag or default each came from, before
+    # replay opens the world or the scores (here there are none)
     out = tmp_path / "g"
     assert _usage_error([
         "replay", "--world", str(tmp_path / "no_world"), "--mode", "gated",
         "--scores", str(tmp_path / "no_scores.csv"), "--out", str(out),
-        *flags], capsys) == message.replace("GATE", str(gate))
+        *flags], capsys) == message
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_long_hold_below_2_53_us_replays(pipe, tmp_path):
+    # 1e9 s is 10**15 us: every release instant is exact
+    assert _gated(pipe, tmp_path, "--t-g", "1e9") == 0
+    from_us = [int(line.split(",")[1]) for line in (
+        tmp_path / "g" / "schedule.csv").read_text().splitlines()[1:]]
+    assert min(from_us) == 0 and 10**15 <= max(from_us) < 2**53
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_tags_past_the_largest_double_are_an_error(pipe, tmp_path, capsys):
+    # a weight so small that len / (weight * capacity) overflows would make
+    # every gated tag inf and the gate a FIFO
+    assert _gated(pipe, tmp_path, "--omega-minus", "1e-320") == 1
+    err = capsys.readouterr().err
+    assert err == ("error: ValueError: flow 3 at weight 1e-320 gives tag "
+                   "increments whose sum is not finite\n")
+    assert not (tmp_path / "g" / "queue_log.csv").exists()
+    assert not (tmp_path / "g" / "replay_manifest.json").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_service_times_past_the_largest_double_are_an_error(tmp_path,
+                                                             capsys):
+    cfg = tiny_config(tmp_path / "config.json")
+    doc = json.loads(cfg.read_text())
+    cfg.write_text(json.dumps({**doc, "capacity_bps": 1e-300}))
+    assert main(["gen-world", "--config", str(cfg),
+                 "--out", str(tmp_path / "w")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: ValueError: {cfg}: capacity_bps = 1e-300 gives service "
+        "times whose sum is not finite\n")
+    assert not (tmp_path / "w").exists()
 
 
 @pytest.mark.parametrize("flags, named", [
     (["--scores", "SCORES"], "--scores"),
-    (["--gate-config", "GATE"], "--gate-config"),
     (["--omega-0", "2"], "--omega-0"),
     (["--omega-minus", "0.1"], "--omega-minus"),
     (["--t-g", "5"], "--t-g"),
     (["--scores", "no_scores.csv", "--t-g", "-5"], "--scores, --t-g"),
-], ids=["scores", "gate config", "omega_0", "omega_minus", "hold",
+], ids=["scores", "omega_0", "omega_minus", "hold",
         "missing scores and a bad hold"])
 def test_base_replay_refuses_the_gate_flags(pipe, tmp_path, capsys, flags,
                                             named):
     # as gated mode refuses a missing --scores: a flag base mode would not
     # read is refused, not ignored
-    gate = tmp_path / "gate.json"
-    gate.write_text(json.dumps({}))
-    flags = [{"SCORES": str(pipe["det"] / "scores.csv"),
-              "GATE": str(gate)}.get(f, f) for f in flags]
+    flags = [str(pipe["det"] / "scores.csv") if f == "SCORES" else f
+             for f in flags]
     out = tmp_path / "b"
     assert _usage_error(["replay", "--world", str(pipe["world"]), "--mode",
                          "base", "--out", str(out), *flags], capsys) == (
@@ -1744,19 +1832,28 @@ def test_base_replay_refuses_the_gate_flags(pipe, tmp_path, capsys, flags,
     assert not out.exists()
 
 
-def test_gate_config_precedence_flag_file_default(pipe, tmp_path, capsys):
-    gate = tmp_path / "gate.json"
-    gate.write_text(json.dumps({"omega_minus": 0.1}))
-    assert _gated(pipe, tmp_path, "--gate-config", str(gate),
-                  "--omega-minus", "0.2") == 0
-    assert "omega_minus=0.2\n" in capsys.readouterr().out
-    assert _gated(pipe, tmp_path, "--gate-config", str(gate)) == 0
+def test_gate_config_precedence_flag_default(pipe, tmp_path, capsys):
+    assert _gated(pipe, tmp_path, "--omega-minus", "0.1") == 0
     out = capsys.readouterr().out
     assert "omega_0=1.0\n" in out and "omega_minus=0.1\n" in out
     doc = json.loads((tmp_path / "g" / "replay_manifest.json").read_text())
     assert doc["gate"] == {"omega_0": 1.0, "omega_minus": 0.1, "t_g_s": 30.0}
     assert _gated(pipe, tmp_path) == 0
     assert "omega_minus=0.05\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("mode", ["base", "gated"])
+def test_replay_has_no_gate_config(pipe, tmp_path, capsys, mode):
+    # the gate's knobs come from their flags only
+    gate = tmp_path / "g.json"
+    gate.write_text(json.dumps({"omega_minus": 0.1}))
+    out = tmp_path / "r"
+    scores = ["--scores", str(pipe["det"] / "scores.csv")] * (mode == "gated")
+    assert _usage_error([
+        "replay", "--world", str(pipe["world"]), "--mode", mode, *scores,
+        "--gate-config", str(gate), "--out", str(out)], capsys) == (
+        f"unrecognized arguments: --gate-config {gate}")
+    assert not out.exists()
 
 
 def _edit_feasibility(doc):

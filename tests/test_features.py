@@ -67,7 +67,7 @@ def one_clique(tr, W=None):
     """All of the trace's flows in clique 0, zero weights unless given."""
     n = len(tr.flow_table)
     return ContentionGraph({0: sorted(tr.flow_table)},
-                           {0: np.zeros((n, n)) if W is None else W}, (0.0, 1.0))
+                           {0: np.zeros((n, n)) if W is None else W})
 
 
 def test_windowize_hand_example():
@@ -125,11 +125,11 @@ def test_pacing_index_frozen_examples():
 def test_pacing_index_in_windowized_table():
     # 4 packets all inside the first micro-bin of window 0 (B=10 -> bin 25 ms)
     tr = trace_of([0, 5_000, 10_000, 15_000], [0, 0, 0, 0], [100] * 4)
-    tab = windowize(tr, one_clique(tr), micro_bins=10)
+    tab = windowize(tr, one_clique(tr))
     assert feature(tab, "pacing")[0, 0] == pytest.approx(1.0)
     # 4 packets spread across 4 distinct micro-bins -> 0
     tr2 = trace_of([0, 30_000, 60_000, 90_000], [0, 0, 0, 0], [100] * 4)
-    tab2 = windowize(tr2, one_clique(tr2), micro_bins=10)
+    tab2 = windowize(tr2, one_clique(tr2))
     assert feature(tab2, "pacing")[0, 0] == pytest.approx(0.0)
 
 
@@ -143,7 +143,9 @@ def test_pacing_matches_per_cell_oracle(packets, B):
     ts = [t for t, _ in packets]
     fid = [f for _, f in packets]
     tr = trace_of(ts, fid, [100] * len(ts), n_flows=3)
-    tab = windowize(tr, one_clique(tr), micro_bins=B)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(features, "MICRO_BINS", B)
+        tab = windowize(tr, one_clique(tr))
     for fi in range(3):
         for w in range(tr.horizon_windows):
             bins = [0] * B
@@ -155,7 +157,7 @@ def test_pacing_matches_per_cell_oracle(packets, B):
                 expect, rel=1e-12, abs=1e-12)
 
 
-def test_windowize_memory_does_not_grow_with_micro_bins():
+def test_windowize_memory_does_not_grow_with_micro_bins(monkeypatch):
     rng = np.random.default_rng(11)
     n = 20_000
     tr = trace_of(np.sort(rng.integers(0, 75_000_000, n)),
@@ -164,9 +166,10 @@ def test_windowize_memory_does_not_grow_with_micro_bins():
     g = one_clique(tr)
 
     def peak(micro_bins):
+        monkeypatch.setattr(features, "MICRO_BINS", micro_bins)
         tracemalloc.start()
         try:
-            windowize(tr, g, micro_bins=micro_bins)
+            windowize(tr, g)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -246,7 +249,7 @@ def test_windowize_refuses_a_graph_of_other_flows():
     # the detector's rows follow the table's flows, so the graph must hold
     # exactly these
     tr = trace_of([0], [0], [500], n_flows=2)
-    other = ContentionGraph({0: [0, 2]}, {0: np.zeros((2, 2))}, (0.0, 1.0))
+    other = ContentionGraph({0: [0, 2]}, {0: np.zeros((2, 2))})
     with pytest.raises(ValueError, match="flow ids do not match"):
         windowize(tr, other)
 

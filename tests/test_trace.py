@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flowgate.trace as trace_module
-from flowgate.cli import ParamsFile
 from flowgate.detector import (
     DetectManifest,
     DetectorParams,
@@ -225,11 +224,6 @@ RECORDS = {
         FeasibilityOutcome, _INTS, _BUDGETS, st.booleans(), _INTS, _FLOATS,
         _FLOATS | st.just(math.nan)), max_size=3)),
     "detector params": (DetectorParams, _DETECTOR),
-    "gate config": (GateConfig, st.builds(GateConfig, _FLOATS, _FLOATS,
-                                          _FLOATS)),
-    "params file": (ParamsFile, st.builds(
-        ParamsFile, detector=_DETECTOR, quantile=_FLOATS, k=_INTS, m=_INTS,
-        w_min=_INTS)),
     # detect_manifest.json, the record read_thresholds reads
     "thresholds": (DetectManifest, st.builds(
         DetectManifest, quantile=_FLOATS, k=_INTS, m=_INTS, w_min=_INTS,

@@ -294,9 +294,10 @@ def test_gate_config_validation():
         GateConfig(omega_0=1.0, omega_minus=0.0).validate()
     with pytest.raises(ValueError, match="omega_0 < inf"):
         GateConfig(omega_0=math.inf).validate()
-    for t_g_s in (-1.0, math.inf, math.nan):
+    for t_g_s in (-1.0, math.inf, math.nan, 2**53 / 1e6, 1e308):
         with pytest.raises(ValueError, match="t_g_s"):
             GateConfig(t_g_s=t_g_s).validate()
+    GateConfig(t_g_s=1e9).validate()  # 10**15 us: exact
 
 
 # ---------------------------------------------------------------------------

@@ -392,10 +392,14 @@ def test_graph_zero_band_singletons_ok():
 
 
 def test_graph_dict_round_trip():
-    g = build_contention_graph({1: 0, 2: 0, 3: 1, 4: 1}, (0.3, 0.5),
+    cfg = _demo_config()
+    g = build_contention_graph({1: 0, 2: 0, 3: 1, 4: 1}, cfg.rho_band,
                                np.random.default_rng(10))
+    # the band stays in config.json, its one source
+    lo, hi = cfg.rho_band
+    assert lo <= g.spectral_radius <= hi
     d = g.to_dict()
-    assert set(d) == {"cliques", "spectral_radius", "rho_band"}
+    assert set(d) == {"cliques", "spectral_radius"}
     assert set(d["cliques"]["0"]) == {"flows", "weights"}
     g2 = type(g).from_dict(json.loads(json.dumps(d)))
     assert g2.flow_ids == g.flow_ids
@@ -404,18 +408,20 @@ def test_graph_dict_round_trip():
     assert g2.spectral_radius == g.spectral_radius
     # blocks that break the exact-rho premise, or a flow in two cliques
     with pytest.raises(ValueError, match="symmetric and nonnegative"):
-        type(g)({0: [1, 2]}, {0: [[0.0, 1.0], [0.5, 0.0]]}, (0.3, 0.5))
+        type(g)({0: [1, 2]}, {0: [[0.0, 1.0], [0.5, 0.0]]})
     with pytest.raises(ValueError, match="symmetric and nonnegative"):
-        type(g)({0: [1, 2]}, {0: [[0.0, -1.0], [-1.0, 0.0]]}, (0.3, 0.5))
+        type(g)({0: [1, 2]}, {0: [[0.0, -1.0], [-1.0, 0.0]]})
     with pytest.raises(ValueError, match="listed twice"):
-        type(g)({0: [1, 2], 1: [2]}, {0: np.zeros((2, 2)), 1: [[0.0]]},
-                (0.3, 0.5))
+        type(g)({0: [1, 2], 1: [2]}, {0: np.zeros((2, 2)), 1: [[0.0]]})
     # a world written with a dense W is refused by the codec, naming the key
     with pytest.raises(ValueError, match="^contention.json: unknown key "
                                          "'flow_ids'$"):
         type(g).from_dict({"flow_ids": [1, 2], "weights": [[0, 1], [1, 0]],
-                           "cliques": {"0": [1, 2]}, "spectral_radius": 1.0,
-                           "rho_band": [0.3, 0.5]})
+                           "cliques": {"0": [1, 2]}, "spectral_radius": 1.0})
+    # and so is one that still copies config.json's band
+    with pytest.raises(ValueError, match="^contention.json: unknown key "
+                                         "'rho_band'$"):
+        type(g).from_dict({**d, "rho_band": list(cfg.rho_band)})
 
 
 def test_stored_spectral_radius_must_be_rho_of_the_blocks():
@@ -985,7 +991,7 @@ def test_world_labels_and_flow_table(demo_world):
 
 def test_world_graph_in_band(demo_world):
     g = demo_world.graph
-    lo, hi = g.rho_band
+    lo, hi = demo_world.config.rho_band
     assert lo <= g.spectral_radius <= hi
     assert set(g.flow_ids) == {1, 2, 3, 4, 5, 100, 101}
 
