@@ -276,11 +276,11 @@ def cmd_replay(args) -> int:
     schedule = None if gc is None else gate_controller(
         _load_scores(args.scores, config, manifest)[0], gc, config.window_us)
 
+    log = replay(trace, config.capacity_bps, schedule)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if schedule is not None:
         write_schedule(out / "schedule.csv", schedule)
-    log = replay(trace, config.capacity_bps, schedule)
     sha256 = write_queue_log(out / "queue_log.csv", log)
     write_json(out / "replay_manifest.json", to_json(ReplayManifest(
         manifest, args.mode, config.capacity_bps,

@@ -1,4 +1,4 @@
-"""Two-state detector dynamics, quantile calibration, and persistence logic.
+"""Two-state detector dynamics, burn-in thresholds and K-of-M flags.
 
 Each flow carries a fast excitable state v and a slow recovery state u,
 driven by normalized evidence. The event surrogate S = sigmoid(k.(v - theta))
@@ -12,10 +12,10 @@ memoryless baseline scores window t's evidence directly.
 
 Layout: the session scores a block of consecutive windows per call, over a
 fixed, ordered set of flows (the rows of each window's feature matrix). The
-normalizer, the evidence and the surrogate work on the whole block; the
-(v, u) step and the persistence ring run once per window, and the dynamics,
-calibration and persistence functions below are elementwise kernels over
-those arrays.
+normalizer, the evidence and the surrogate work on the whole block, the
+(v, u) step once per window over the flows' arrays. The decisions are two
+array functions: thresholds freezes every flow's thresholds in one call,
+and flags turns a block's alarms into K-of-M flags.
 """
 
 from __future__ import annotations
@@ -135,20 +135,7 @@ def step(v, u, drive, params: DetectorParams):
 
 
 # ---------------------------------------------------------------------------
-# calibration and persistence
-
-
-def calibrate_threshold(scores, q: float) -> float:
-    """Nearest-rank quantile: the ceil(q*N)-th smallest of N scores, as a
-    float (delay and timing percentiles call it with q = pct / 100)."""
-    if not 0.0 < q <= 1.0:
-        raise ValueError("q must be in (0, 1]")
-    xs = np.sort(np.asarray(scores, dtype=np.float64))
-    n = xs.size
-    if n == 0:
-        raise ValueError("cannot calibrate on an empty score set")
-    rank = min(n, max(1, math.ceil(q * n)))
-    return float(xs[rank - 1])
+# decisions: burn-in thresholds and K-of-M flags
 
 
 @dataclass
@@ -205,36 +192,54 @@ class DetectManifest(Calibration):
     flows: dict[int, FlowThresholds]
 
 
-class Persistence:
-    """K-of-M alarm persistence with M-window all-clear hysteresis, for n
-    flows at once.
+def thresholds(scores, ok, q: float, w_min: int) -> np.ndarray:
+    """Nearest-rank quantile of each column of scores (rows x columns) over
+    its ok rows: the ceil(q*N)-th smallest of the column's N ok scores, NaN
+    for a column with fewer than w_min of them or none."""
+    n = np.count_nonzero(ok, axis=0)
+    rank = np.minimum(n, np.maximum(1, np.ceil(q * n).astype(np.int64)))
+    # a partition at every rank puts each column's rank-th smallest in
+    # place; NaN goes last, so a column with none reads the NaN row added
+    xs = np.full((len(scores) + 1, len(n)), np.nan)
+    np.copyto(xs[:-1], scores, where=ok)
+    at = (rank - 1) % len(xs)
+    xs.partition(at, axis=0)
+    return np.where(n >= w_min, xs[at, np.arange(len(n))], np.nan)
 
-    A flow's flag sets when >= k of its last m alarms fired (absent history
-    counts zero) and, once set, clears only after m consecutive alarm-free
-    windows. The last m alarms live in an (m x n) ring; total counts them.
-    A set flag has seen an alarm, so "m clear windows in a row" is exactly
-    "no alarm left in the ring": a flag holds while total >= 1 and sets when
-    total >= k, and no separate clear-run counter is kept.
-    """
 
-    def __init__(self, k: int, m: int, n: int):
-        Calibration(k=k, m=m).check()
-        self.k = k
-        self.m = m
-        self.ring = np.zeros((m, n), dtype=bool)
-        self.total = np.zeros(n, dtype=np.int64)
-        self.z = np.zeros(n, dtype=bool)
-        self._t = 0
+def calibrate_threshold(scores, q: float) -> float:
+    """Nearest-rank quantile of a list of scores, as a float (delay and
+    timing percentiles call it with q = pct / 100)."""
+    if not 0.0 < q <= 1.0:
+        raise ValueError("q must be in (0, 1]")
+    xs = np.asarray(scores, dtype=np.float64).reshape(-1, 1)
+    if not xs.size:
+        raise ValueError("cannot calibrate on an empty score set")
+    return float(thresholds(xs, np.broadcast_to(True, xs.shape), q, 1)[0])
 
-    def update(self, alarm: np.ndarray) -> np.ndarray:
-        """Feed one window's alarms; returns the updated actionable flags."""
-        oldest = self.ring[self._t % self.m]
-        self.total += alarm
-        self.total -= oldest
-        oldest[...] = alarm
-        self._t += 1
-        self.z = self.total >= np.where(self.z, 1, self.k)
-        return self.z
+
+def flags(alarm, k: int, m: int, tail, z0):
+    """K-of-M flags, with M-window all-clear hysteresis, of a block's alarm
+    rows (windows x flows) after tail, the last min(m - 1, windows seen)
+    alarm rows, whose flags ended at z0. Returns the block's flags, its
+    tail and its last flags. A flag sets when >= k of the flow's last m
+    alarms fired (absent history counts zero) and clears after m
+    alarm-free windows: it is on where the last window holding >= k comes
+    after the last holding none."""
+    Calibration(k=k, m=m).check()
+    a = np.concatenate([tail, alarm])
+    fired = np.cumsum(np.vstack([np.zeros_like(z0), a]), axis=0)
+    end = np.arange(len(tail), len(a)) + 1
+    count = fired[end] - fired[np.maximum(end - min(m, len(a)), 0)]
+    # row 0, before the block, holds z0 as a window of k after one of none
+    t = np.arange(1, len(alarm) + 1)[:, None]
+    on = np.where(z0, 0, -1)
+    last_k = np.maximum.accumulate(
+        np.vstack([on, np.where(count >= k, t, -1)]))
+    last_none = np.maximum.accumulate(
+        np.vstack([-1 - on, np.where(count == 0, t, -1)]))
+    z = last_k > last_none
+    return z[1:], a[max(0, len(a) - m + 1):], z[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +290,8 @@ class DetectorSession:
     updates (the normalizer warm-up stays out of the calibration set);
     thresholds freeze at the burn-in boundary, and a flow with fewer than
     w_min collected scores gets none and never alarms. Of the calibration
-    only k and m are checked (by Persistence): the kernels also take a
-    quantile of 1, the burn-in maximum, which Calibration.check refuses.
+    only k and m are checked: the kernels also take a quantile of 1, the
+    burn-in maximum, which Calibration.check refuses.
     """
 
     def __init__(self, params: DetectorParams, flow_ids, buckets,
@@ -300,7 +305,7 @@ class DetectorSession:
         if len(buckets) != len(self.flow_ids):
             raise ValueError("need one bucket per flow")
         n = len(self.flow_ids)
-        self.persistence = Persistence(calibration.k, calibration.m, n)
+        Calibration(k=calibration.k, m=calibration.m).check()
         self.params = params
         self.burn_in_windows = burn_in_windows
         self.calibration = calibration
@@ -308,13 +313,13 @@ class DetectorSession:
         self.v = np.full(n, params.v_rest)
         self.u = np.zeros(n)
         self._windows_seen = 0
-        # burn-in score and evidence rows, with the mask of collected cells
-        self._burn_s: list[np.ndarray] = []
-        self._burn_e: list[np.ndarray] = []
-        self._burn_ok: list[np.ndarray] = []
-        self._threshold = np.full(n, np.nan)  # NaN: none, never alarms
-        self._baseline_threshold = np.full(n, np.nan)
+        # burn-in rows of S and E, side by side, and the cells collected
+        self._burn = [np.empty((0, 2 * n))]
+        self._burn_ok = [np.empty((0, 2 * n), dtype=bool)]
+        self._threshold = np.full(2 * n, np.nan)  # on S, on E; NaN: none
         self._calibrated = False
+        self._tail = np.empty((0, n), dtype=bool)  # flags's carried state
+        self._z = np.zeros(n, dtype=bool)
 
     def finalize(self) -> None:
         """Freeze calibration explicitly (no-op once past burn-in)."""
@@ -322,16 +327,10 @@ class DetectorSession:
             self._finalize_calibration()
 
     def _finalize_calibration(self) -> None:
-        if self._burn_ok:
-            ok = np.array(self._burn_ok)
-            scores = np.array(self._burn_s)
-            base = np.array(self._burn_e)
-            q = self.calibration.quantile
-            for i in np.flatnonzero(ok.sum(axis=0) >= self.calibration.w_min):
-                col = ok[:, i]
-                self._threshold[i] = calibrate_threshold(scores[col, i], q)
-                self._baseline_threshold[i] = calibrate_threshold(
-                    base[col, i], q)
+        c = self.calibration
+        self._threshold = thresholds(np.concatenate(self._burn),
+                                     np.concatenate(self._burn_ok),
+                                     c.quantile, c.w_min)
         self.normalizer.enter_slow_phase()
         self._calibrated = True
 
@@ -379,17 +378,17 @@ class DetectorSession:
         self.v, self.u = v[-1].copy(), u[-1].copy()
         v, u = v[:-1], u[:-1]
         s = event_surrogate(v, p.k, p.theta)
+        c = self.calibration
         if burn:
             alarm = actionable = np.zeros((n_windows, n), dtype=bool)
-            w_min = self.calibration.w_min
-            skip = max(0, w_min - self._windows_seen)
-            self._burn_s.extend(s[skip:])
-            self._burn_e.extend(e[skip:])
-            self._burn_ok.extend(bucket_updates[skip:] >= 2 * w_min)
+            skip = max(0, c.w_min - self._windows_seen)
+            self._burn.append(np.hstack([s, e])[skip:])
+            self._burn_ok.append(np.tile(bucket_updates[skip:] >= 2 * c.w_min,
+                                         2))
         else:
-            alarm = s >= self._threshold
-            actionable = np.array([self.persistence.update(a) for a in alarm],
-                                  dtype=bool).reshape(n_windows, n)
+            alarm = s >= self._threshold[:n]
+            actionable, self._tail, self._z = flags(alarm, c.k, c.m,
+                                                    self._tail, self._z)
         self._windows_seen += n_windows
         return Scores(np.tile(self._flow_col, n_windows),
                       np.repeat(np.arange(window, window + n_windows), n),
@@ -399,8 +398,7 @@ class DetectorSession:
     def thresholds(self) -> dict[int, FlowThresholds]:
         """Each flow's thresholds by id: NaN until frozen, and when none."""
         return {f: FlowThresholds(d, b) for f, d, b in sorted(zip(
-            self.flow_ids, self._threshold.tolist(),
-            self._baseline_threshold.tolist()))}
+            self.flow_ids, *self._threshold.reshape(2, -1).tolist()))}
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ with x the raw 7-component vector, None marking a missing component.
 folded row by row, with the same constructor and state.
 
 `derive_flags` rebuilds alarm and actionable streams from stored scores
-with the session's persistence step, one flow at a time.
+with the oracle's own persistence step, one flow at a time.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from flowgate.detector import DetectorParams, Persistence
+from flowgate.detector import DetectorParams
 from flowgate.features import (
     CLIP,
     EPS_VAR,
@@ -368,12 +368,12 @@ def derive_flags(window_scores, threshold, k: int, m: int,
     threshold never alarms.
     """
     alarms, flags = [], []
-    persistence = Persistence(k, m, 1)
+    state = PersistenceState(m)
     for window, score in window_scores:
         a = z = False
         if window >= burn_in_windows:
             a = threshold is not None and score >= threshold
-            z = bool(persistence.update(np.array([a]))[0])
+            z = persistence_update(state, a, k, m)
         alarms.append(a)
         flags.append(z)
     return np.array(alarms, dtype=bool), np.array(flags, dtype=bool)

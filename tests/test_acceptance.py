@@ -21,7 +21,7 @@ from flowgate.detector import (
     Calibration,
     DetectorParams,
     DetectorSession,
-    Persistence,
+    flags,
     step,
 )
 from flowgate.features import windowize
@@ -295,15 +295,15 @@ def _persistence_oracle(alarms: np.ndarray, k: int, m: int, burn: int):
 
 def _persistence_flags(sequences):
     """The alarm and actionable streams of (k, m, burn, raw) sequences,
-    concatenated in sequence order: raw's alarms, with none and no
-    persistence before the burn-in. The sequences of one (k, m) run as the
-    columns of one Persistence, aligned at their burn-ins."""
+    concatenated in sequence order: raw's alarms, with none and no flags
+    before the burn-in. The sequences of one (k, m) run as the columns of
+    one flags call, aligned at their burn-ins."""
     k, m, burn, n = (np.array(c) for c in zip(
         *((k, m, burn, raw.size) for k, m, burn, raw in sequences)))
     start = np.cumsum(n) - n
     alarms = np.concatenate([raw for *_, raw in sequences])
     alarms &= np.arange(alarms.size) - np.repeat(start, n) >= np.repeat(burn, n)
-    flags = np.zeros_like(alarms)
+    flagged = np.zeros_like(alarms)
     for km in np.unique(np.stack([k, m], axis=1), axis=0):
         idx = np.flatnonzero((k == km[0]) & (m == km[1]))
         live = np.maximum(n[idx] - burn[idx], 0)  # windows after the burn-in
@@ -312,10 +312,11 @@ def _persistence_flags(sequences):
         at = (start[idx] + burn[idx] + t)[valid]
         a = np.zeros(valid.shape, dtype=bool)
         a[valid] = alarms[at]
-        persistence = Persistence(int(km[0]), int(km[1]), idx.size)
-        z = np.array([persistence.update(row) for row in a])
-        flags[at] = z[valid]
-    return alarms, flags
+        z, _, _ = flags(a, int(km[0]), int(km[1]),
+                        np.empty((0, idx.size), dtype=bool),
+                        np.zeros(idx.size, dtype=bool))
+        flagged[at] = z[valid]
+    return alarms, flagged
 
 
 def test_criterion_3_detector_dynamics():
@@ -354,7 +355,7 @@ def test_criterion_3_detector_dynamics():
     bounded_ok = bool(np.all(lo >= 0.0) and np.all(hi <= p.v_max)
                       and np.all(np.isfinite(u)))
 
-    # persistence: flag derivation against a sliding-window oracle
+    # persistence: the flags kernel against a sliding-window oracle
     rng = np.random.default_rng(0x9E)
     sequences = []
     for _ in range(100_000):
@@ -364,13 +365,13 @@ def test_criterion_3_detector_dynamics():
         burn = int(rng.integers(0, 4))
         raw = rng.random(n) < rng.uniform(0.15, 0.7)
         sequences.append((k, m, burn, raw))
-    alarms, flags = _persistence_flags(sequences)
+    alarms, flagged = _persistence_flags(sequences)
     oa, oz = (np.concatenate(c) for c in zip(
         *(_persistence_oracle(raw, k, m, burn)
           for k, m, burn, raw in sequences)))
     start = np.cumsum([0] + [raw.size for *_, raw in sequences[:-1]])
     mismatches = int(np.count_nonzero(np.add.reduceat(
-        (alarms != oa) | (flags != oz), start)))
+        (alarms != oa) | (flagged != oz), start)))
     persist_ok = mismatches == 0
 
     elapsed = time.perf_counter() - t0

@@ -498,17 +498,35 @@ def test_non_finite_detector_state_is_an_error(pipe, tmp_path, capsys,
 
 def test_memory_error_is_one_error_line(pipe, tmp_path, capsys,
                                        monkeypatch):
-    # as a K-of-M ring of --m 1000000000000 windows would raise: patched,
+    # as the feature array of a long enough horizon would raise: patched,
     # since a host that overcommits may grant the allocation
     def no_room(*args):
         raise MemoryError("Unable to allocate 21.8 TiB")
 
-    monkeypatch.setattr("flowgate.detector.Persistence", no_room)
-    assert main(["detect", "--world", str(pipe["world"]), "--k", "1",
-                 "--m", "1000000000000", "--out", str(tmp_path / "d")]) == 1
+    monkeypatch.setattr("flowgate.cli.windowize", no_room)
+    assert main(["detect", "--world", str(pipe["world"]),
+                 "--out", str(tmp_path / "d")]) == 1
     assert capsys.readouterr().err == (
         "error: MemoryError: Unable to allocate 21.8 TiB\n")
     assert not (tmp_path / "d").exists()
+
+
+def test_an_m_past_the_horizon_flags_as_the_horizon_does(pipe, tmp_path):
+    # the K-of-M state holds the windows scored, not m of them, so an m of
+    # 10**12 runs, and over a horizon of H windows flags as m = H does
+    horizon = json.loads((pipe["world"] / "config.json").read_text())[
+        "horizon_windows"]
+    runs = []
+    for m in (1000000000000, horizon):
+        path = tmp_path / str(m) / "scores.csv"
+        assert main(["detect", "--world", str(pipe["world"]), "--w-min",
+                     "20", "--k", "1", "--m", str(m),
+                     "--out", str(path.parent)]) == 0
+        runs.append(read_scores_csv(path, recorded(path)))
+    huge, same = runs
+    assert huge.z.any()
+    assert huge.a.tobytes() == same.a.tobytes()
+    assert huge.z.tobytes() == same.z.tobytes()
 
 
 def _readme_cli_lines() -> list[str]:
@@ -1795,6 +1813,13 @@ def test_tags_past_the_largest_double_are_an_error(pipe, tmp_path, capsys):
                    "increments whose sum is not finite\n")
     assert not (tmp_path / "g" / "queue_log.csv").exists()
     assert not (tmp_path / "g" / "replay_manifest.json").exists()
+
+
+def test_a_failed_gated_replay_leaves_no_schedule(pipe, tmp_path):
+    # the schedule is written once the replay succeeds: a replay that fails
+    # leaves neither schedule.csv nor its twin, and no --out at all
+    assert _gated(pipe, tmp_path, "--omega-minus", "1e-320") == 1
+    assert not (tmp_path / "g").exists()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

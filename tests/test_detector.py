@@ -1,4 +1,4 @@
-"""Detector dynamics, calibration, and persistence tests.
+"""Detector dynamics, calibration, and K-of-M flag tests.
 
 Hand-computed expectations are frozen as literals; heavier checks lean on
 scipy root finding and brute-force reference implementations. The
@@ -24,15 +24,16 @@ from flowgate.detector import (
     Calibration,
     DetectorParams,
     DetectorSession,
-    Persistence,
     Scores,
     calibrate_threshold,
     event_surrogate,
     evidence,
     f_sat,
+    flags,
     read_scores_csv,
     read_thresholds,
     step,
+    thresholds,
     write_scores_csv,
     write_thresholds,
 )
@@ -263,9 +264,17 @@ def brute_force_flags(alarms, k, m):
     return out
 
 
+def run_flags(rows, k, m):
+    """The flags of alarm rows (windows x flows), from no history, in one
+    flags call."""
+    rows = np.array(rows, dtype=bool)
+    z, _, _ = flags(rows, k, m, np.empty((0,) + rows.shape[1:], dtype=bool),
+                    np.zeros(rows.shape[1:], dtype=bool))
+    return z
+
+
 def run_persistence(alarms, k, m):
-    state = Persistence(k, m, 1)
-    return [bool(state.update(np.array([bool(a)]))[0]) for a in alarms]
+    return run_flags(np.array(alarms, dtype=bool)[:, None], k, m)[:, 0].tolist()
 
 
 def test_persistence_alternating_example():
@@ -291,10 +300,10 @@ def test_persistence_short_history_counts_missing_as_clear():
 
 
 def test_persistence_rejects_bad_k():
-    with pytest.raises(ValueError):
-        Persistence(5, 4, 1)
-    with pytest.raises(ValueError):
-        Persistence(0, 4, 1)
+    with pytest.raises(ValueError, match="break 1 <= k <= m"):
+        run_persistence([1], 5, 4)
+    with pytest.raises(ValueError, match="break 1 <= k <= m"):
+        run_persistence([1], 0, 4)
 
 
 @settings(max_examples=300, deadline=None)
@@ -312,13 +321,12 @@ def test_persistence_matches_brute_force(alarms, k, extra):
        st.integers(min_value=1, max_value=4),
        st.integers(min_value=1, max_value=4))
 def test_persistence_flows_are_independent(rows, k, extra):
-    # three flows stepped together flag exactly as each does alone
+    # three flows flagged together flag exactly as each does alone
     m = k + extra - 1
-    state = Persistence(k, m, 3)
-    together = [state.update(np.array(r)).tolist() for r in rows]
+    together = run_flags(rows, k, m)
     for i in range(3):
         alone = run_persistence([r[i] for r in rows], k, m)
-        assert [t[i] for t in together] == alone
+        assert together[:, i].tolist() == alone
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +397,7 @@ def test_session_flow_born_after_burn_in_never_alarms():
              2: lambda w: (None if w < 48 else 5.0 + w % 3 if w < 70
                            else 1e9 * (1 + w % 3),) * N_FEATURES}
     recs = records(session, run_session(session, feeds, 120))
-    assert np.array(session._burn_ok)[:, 1].sum() == 2
+    assert np.concatenate(session._burn_ok)[:, 1].sum() == 2
     assert not math.isnan(session.thresholds()[1].detector)
     assert math.isnan(session.thresholds()[2].detector)
     late = (recs.flow_id == 2) & (recs.window >= 70)
@@ -402,9 +410,8 @@ def test_session_collection_gate_and_threshold():
     # starts once both exceed 2*w_min = 10 windows
     session = small_session()
     run_session(session, {1: lambda w: (100.0,) * N_FEATURES}, 60)
-    collected = np.array(session._burn_ok)[:, 0]
-    scores = np.array(session._burn_s)[collected, 0].tolist()
-    evidence_ = np.array(session._burn_e)[collected, 0].tolist()
+    collected = np.concatenate(session._burn_ok)[:, 0]
+    scores, evidence_ = np.concatenate(session._burn)[collected].T.tolist()
     assert len(scores) == 60 - 10
     session.process_window(60, matrix([(100.0,) * N_FEATURES]))
     thr = session.thresholds()[1]
@@ -608,6 +615,95 @@ def test_session_matches_per_row_oracle_bitwise(case, cuts):
                            dtype=col.dtype)
             assert col.tobytes() == ref.tobytes(), (split, name)
         assert repr(thresholds_by_flow(new.thresholds())) == repr(thresholds)
+
+
+@st.composite
+def decision_cases(draw):
+    """Flows with bursts of whole rows over up to 120 windows, under a
+    calibration drawn over (q, k, m, w_min), m at times beyond the
+    horizon, and block cuts: one-window blocks, or random cuts of which
+    none falls on the burn-in, so the block holding it straddles it."""
+    n = draw(st.integers(1, 4))
+    n_windows = draw(st.integers(1, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.uniform(0.0, 10.0, (n_windows, n, N_FEATURES))
+    x[rng.random((n_windows, n)) < draw(st.sampled_from([0.05, 0.3]))] *= 50
+    x[rng.random(x.shape) < 0.1] = np.nan
+    m = draw(st.integers(1, 12) | st.just(10**12))
+    burn = draw(st.integers(0, n_windows))
+    cuts = draw(st.just(1) | st.sets(st.integers(1, n_windows)).map(
+        lambda c: c - {burn}))
+    return dict(
+        flows=list(range(1, n + 1)),
+        buckets=draw(st.lists(st.sampled_from("ab"), min_size=n,
+                              max_size=n)),
+        x=x, params=DetectorParams(), burn=burn,
+        w_min=draw(st.integers(0, 10)),
+        quantile=draw(st.floats(0.01, 1.0)),
+        k=draw(st.integers(1, min(m, 12))), m=m, finalize_at=None,
+        cuts=cuts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(decision_cases())
+def test_decisions_match_oracle_and_one_flags_call(case):
+    # the session, cut into blocks, decides as the per-row session does,
+    # bit for bit; and one flags call over the whole post-burn-in horizon
+    # gives the alarms' flags that the blocks carried from one to the next
+    records, error, oracle_thresholds = _oracle_run(case)
+    assert error is None
+    knobs = (case["quantile"], case["k"], case["m"], case["w_min"])
+    x, burn = case["x"], case["burn"]
+    session = DetectorSession(case["params"], case["flows"], case["buckets"],
+                              burn, Calibration(*knobs))
+    edges = block_edges(len(x), case["cuts"])
+    got = Scores.concat([session.process_window(a, x[a:b])
+                         for a, b in zip(edges, edges[1:])])
+    for name in "Saz":
+        col = getattr(got, name)
+        ref = np.array([getattr(r, name) for r in records], dtype=col.dtype)
+        assert col.tobytes() == ref.tobytes(), name
+    assert repr(thresholds_by_flow(session.thresholds())) == \
+        repr(oracle_thresholds)
+
+    n = len(case["flows"])
+    alarm = got.a.reshape(len(x), n)[burn:]
+    assert not got.a.reshape(len(x), n)[:burn].any()
+    z = run_flags(alarm, case["k"], case["m"])
+    assert np.array_equal(z, got.z.reshape(len(x), n)[burn:])
+
+
+def test_thresholds_freeze_every_column_as_calibrate_threshold_does():
+    # one call over (rows x columns), each column's own ok rows, equals the
+    # one-column case per column; fewer than w_min ok rows, or none, is NaN
+    rng = np.random.default_rng(5)
+    scores = rng.normal(size=(40, 6))
+    ok = rng.random((40, 6)) < 0.6
+    ok[:, 4] = False
+    ok[:, 5] = np.arange(40) < 3
+    for q in (0.01, 0.5, 0.9, 0.99, 1.0):
+        got = thresholds(scores, ok, q, 4)
+        for j in range(4):
+            assert got[j] == calibrate_threshold(scores[ok[:, j], j], q)
+        assert np.isnan(got[4:]).all()
+    none = np.empty((0, 3), dtype=bool)
+    assert np.isnan(thresholds(none, none, 0.5, 0)).all()
+
+
+def test_flags_tail_is_bounded_by_the_windows_seen():
+    # a K-of-M rule over 10**12 windows carries the alarm rows seen, no
+    # more, and flags as a rule over the horizon does
+    rng = np.random.default_rng(8)
+    alarm = rng.random((50, 3)) < 0.2
+    tail, z0 = np.empty((0, 3), dtype=bool), np.zeros(3, dtype=bool)
+    parts = []
+    for a, b in ((0, 1), (1, 20), (20, 50)):
+        z, tail, z0 = flags(alarm[a:b], 2, 10**12, tail, z0)
+        assert tail.shape == (b, 3)
+        parts.append(z)
+    assert np.array_equal(np.concatenate(parts), run_flags(alarm, 2, 50))
+    _, tail, _ = flags(alarm, 2, 4, np.empty((0, 3), dtype=bool), z0)
+    assert np.array_equal(tail, alarm[-3:])
 
 
 def test_array_kernels_match_scalar_kernels_elementwise():
