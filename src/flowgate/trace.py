@@ -488,7 +488,7 @@ def _checked(path, name: str, col: np.ndarray) -> np.ndarray:
     if not np.all(ok):
         i = int(np.argmin(ok))
         raise ValueError(f"{path}: line {i + 2}: {name} = "
-                         f"{values[i].item():g} {what}")
+                         f"{values[i].item()} {what}")
     return col
 
 
@@ -539,10 +539,21 @@ def _file_sha256(path) -> bytes:
 
 
 def load_json(path):
-    """The parsed JSON document at path; a parse error names the path."""
+    """The parsed JSON document at path, refusing, naming the path, bytes
+    that are not UTF-8, a parse error and an object that repeats a key."""
+
+    def unique(pairs):
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise ValueError(f"{path}: key {key!r} is repeated")
+            doc[key] = value
+        return doc
+
     try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        return json.loads(Path(path).read_text(encoding="utf-8"),
+                          object_pairs_hook=unique)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 

@@ -208,6 +208,11 @@ class WorldConfig:
             raise ValueError("split must be three positive fractions summing to 1")
         if self.i_max < 0:
             raise ValueError("i_max must be nonnegative")
+        for f in [*self.benign_flows, *self.episodes]:
+            for key in ("flow_id", "clique_id"):
+                if not 0 <= getattr(f, key) < 2**53:  # trace.csv's id range
+                    raise ValueError(f"flow {f.flow_id}: {key} = "
+                                     f"{getattr(f, key)} is not in [0, 2**53)")
         ids = [f.flow_id for f in self.benign_flows] \
             + [e.flow_id for e in self.episodes]
         if len(ids) != len(set(ids)):
@@ -318,12 +323,24 @@ def _finish(ts_f, sizes, horizon_us):
     return ts[order], sizes[order]
 
 
-def _gen_periodic(params, rng, horizon_us, len_bounds):
+def _pkt_len(params, len_bounds, default):
+    """params' pkt_len, or default, refusing one outside len_bounds."""
+    pkt_len = _param(params, "pkt_len", int, default)
+    if not (len_bounds[0] <= pkt_len <= len_bounds[1]):
+        raise ValueError(f"pkt_len {pkt_len} outside len bounds {len_bounds}")
+    return pkt_len
+
+
+def _gen_periodic(params, rng, horizon_us, len_bounds, jitter=0.0,
+                  size_max=220):
+    """Periodic telemetry; beaconing is this shape with its own jitter_frac
+    and size_max defaults."""
     period_us = _positive(params, "period_s") * 1e6
-    jf = _param(params, "jitter_frac", float, 0.0)
+    jf = _param(params, "jitter_frac", float, jitter)
     if not (0.0 <= jf <= 0.5):
         raise ValueError("jitter_frac must be in [0, 0.5]")
-    s_lo, s_hi = _size_range(params, len_bounds, "size_min", "size_max", 80, 220)
+    s_lo, s_hi = _size_range(params, len_bounds, "size_min", "size_max", 80,
+                             size_max)
     phase = rng.uniform(0.0, period_us)
     n = int(math.ceil((horizon_us - phase) / period_us))
     if n <= 0:
@@ -336,9 +353,7 @@ def _gen_periodic(params, rng, horizon_us, len_bounds):
 
 def _gen_bulk(params, rng, horizon_us, len_bounds):
     rate = _positive(params, "rate_bps")
-    pkt_len = _param(params, "pkt_len", int, 600)
-    if not (len_bounds[0] <= pkt_len <= len_bounds[1]):
-        raise ValueError(f"pkt_len {pkt_len} outside len bounds {len_bounds}")
+    pkt_len = _pkt_len(params, len_bounds, 600)
     jf = _param(params, "jitter_frac", float, 0.1)
     if not (0.0 <= jf <= 0.5):
         raise ValueError("jitter_frac must be in [0, 0.5]")
@@ -383,21 +398,12 @@ def _gen_overlay(kind: str, params: dict, rng, span_us: tuple[int, int],
     t0, t1 = span_us
     span = t1 - t0
     if kind == "exfiltration":
-        ts, ln = _gen_bulk({"rate_bps": _param(params, "rate_bps"),
-                            "pkt_len": params.get("pkt_len", 600),
-                            "jitter_frac": params.get("jitter_frac", 0.1)},
-                           rng, span, len_bounds)
+        ts, ln = _gen_bulk(params, rng, span, len_bounds)
     elif kind == "beaconing":
-        ts, ln = _gen_periodic({"period_s": _param(params, "period_s"),
-                                "jitter_frac": params.get("jitter_frac", 0.05),
-                                "size_min": params.get("size_min", 80),
-                                "size_max": params.get("size_max", 160)},
-                               rng, span, len_bounds)
+        ts, ln = _gen_periodic(params, rng, span, len_bounds, 0.05, 160)
     elif kind == "scan":
         rate = _positive(params, "rate_pps", float, 50.0)
-        pkt_len = _param(params, "pkt_len", int, 64)
-        if not (len_bounds[0] <= pkt_len <= len_bounds[1]):
-            raise ValueError(f"pkt_len {pkt_len} outside len bounds {len_bounds}")
+        pkt_len = _pkt_len(params, len_bounds, 64)
         iats = rng.exponential(1e6 / rate, max(1, int(rate * span * 1e-6)))
         ts_f = np.cumsum(iats)
         ts_f = ts_f[ts_f < span]
@@ -406,9 +412,7 @@ def _gen_overlay(kind: str, params: dict, rng, span_us: tuple[int, int],
         every_us = _positive(params, "burst_every_s", float, 5.0) * 1e6
         burst = _positive(params, "burst_pkts", int, 12)
         intra_us = _positive(params, "intra_iat_s", float, 0.002) * 1e6
-        pkt_len = _param(params, "pkt_len", int, 200)
-        if not (len_bounds[0] <= pkt_len <= len_bounds[1]):
-            raise ValueError(f"pkt_len {pkt_len} outside len bounds {len_bounds}")
+        pkt_len = _pkt_len(params, len_bounds, 200)
         phase = rng.uniform(0.0, every_us)
         starts = np.arange(phase, span, every_us)
         j = np.arange(burst, dtype=np.float64)
@@ -619,10 +623,8 @@ def project_iats(ts_us, lengths, reference: BenignIatReference,
 
     The windows go in lockstep: the first check scores every window in one
     w1_empirical call, and tau = 1 and each of the 40 bisection steps form
-    every window's candidate at once and score, in one more call, the
-    candidates that window has not met before (late steps repeat
-    candidates). Returns the arrivals and, per window, whether it passes
-    the check.
+    every window's candidate at once and score them in one more call.
+    Returns the arrivals and, per window, whether it passes the check.
     """
     ts = np.asarray(ts_us, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
@@ -639,8 +641,7 @@ def project_iats(ts_us, lengths, reference: BenignIatReference,
     # the windows to warp: the m IATs x of each, in order, and its targets q
     m = lengths[warp] - 1
     first = _starts(m)
-    x_us = iats[_runs(_starts(lengths - 1)[warp], m)]
-    x = x_us.astype(np.float64)
+    x = iats[_runs(_starts(lengths - 1)[warp], m)].astype(np.float64)
     nref = reference.sorted_iats_us.size
     u = (np.arange(x.size) - np.repeat(first, m) + 0.5) / np.repeat(m, m)
     ranks = np.clip(np.ceil(u * nref).astype(np.int64), 1, nref) - 1
@@ -649,28 +650,14 @@ def project_iats(ts_us, lengths, reference: BenignIatReference,
         reference.sorted_iats_us[ranks]
     ts0 = ts[_starts(lengths)[warp]]
     span = (ts0 // window_us + 1) * window_us - 1 - ts0
-    runs = list(zip(first.tolist(), (first + m).tolist()))
-    # each window's verdicts by IAT bytes, its own failed IATs included
-    seen = [{x_us[s:e].tobytes(): False} for s, e in runs]
 
     def fits(cand, has):
         """Per window: whether it has a candidate (has) that passes."""
         verdict = np.zeros(m.size, bool)
-        new, keys = [], []
-        for j in np.flatnonzero(has).tolist():
-            key = cand[slice(*runs[j])].tobytes()
-            hit = seen[j].get(key)
-            if hit is None:
-                new.append(j)
-                keys.append(key)
-            else:
-                verdict[j] = hit
-        if new:
-            scored = w1_empirical(cand[_runs(first[new], m[new])], m[new],
-                                  reference) <= tol
-            verdict[new] = scored
-            for j, key, f in zip(new, keys, scored.tolist()):
-                seen[j][key] = f
+        j = np.flatnonzero(has)
+        if j.size:
+            verdict[j] = w1_empirical(cand[_runs(first[j], m[j])], m[j],
+                                      reference) <= tol
         return verdict
 
     best, has = _warp_candidates(np.ones(m.size), x, q, m, span)

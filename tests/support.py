@@ -79,8 +79,9 @@ def read_table_text(cls, path, **riders):
         raise ValueError(f"{path}: line 1: header {first!r} is not "
                          f"{header!r}")
     cols = _parse_text(path, spec)
-    return cls(**{name: _text_checked(path, name, col, dtype)
-                  for (name, _, dtype), col in zip(spec, cols)}, **riders)
+    return cls(**{name: _text_checked(path, j, name, col, dtype)
+                  for j, ((name, _, dtype), col) in enumerate(zip(spec, cols))},
+               **riders)
 
 
 def recorded(path, record="record.json") -> tuple[str, str]:
@@ -126,7 +127,7 @@ def _parse_text(path, spec) -> list[np.ndarray]:
     return list(raw.reshape(-1, n).T)
 
 
-def _text_checked(path, name, col, dtype):
+def _text_checked(path, j, name, col, dtype):
     if dtype.kind == "f":
         ok, what = np.isfinite(col), "is not finite"
     elif dtype.kind == "b":
@@ -137,9 +138,11 @@ def _text_checked(path, name, col, dtype):
             ok &= np.floor(col) == col
     if not np.all(ok):
         i = int(np.argmin(ok))
-        line = next(itertools.islice(_data_lines(path), i, None))[0]
-        raise ValueError(f"{path}: line {line}: {name} = "
-                         f"{col[i].item():g} {what}")
+        line, text = next(itertools.islice(_data_lines(path), i, None))
+        # an integer as its text, in full: a float64 parse may round it
+        value = (text.rstrip("\n").split(",")[j] if dtype.kind == "i"
+                 else f"{col[i].item():g}")
+        raise ValueError(f"{path}: line {line}: {name} = {value} {what}")
     return col.astype(dtype, copy=False)
 
 

@@ -695,6 +695,41 @@ def test_generator_errors_name_the_flow_and_key(tmp_path, capsys, flow,
     assert not (tmp_path / "w").exists()
 
 
+@pytest.mark.parametrize("specs, key, value", [
+    ("benign_flows", "clique_id", -1), ("benign_flows", "clique_id", 2**53),
+    ("benign_flows", "flow_id", 2**53), ("benign_flows", "flow_id", -1),
+    ("episodes", "clique_id", 2**60),
+])
+def test_ids_outside_the_trace_range_are_refused(tmp_path, capsys, specs,
+                                                 key, value):
+    # trace.csv holds ids in [0, 2**53): a config with another id would
+    # write a world that detect and replay then refuse
+    cfg = tiny_config(tmp_path / "config.json")
+    doc = json.loads(cfg.read_text())
+    spec = doc[specs][-1]
+    spec[key] = value
+    cfg.write_text(json.dumps(doc))
+    assert main(["gen-world", "--config", str(cfg),
+                 "--out", str(tmp_path / "w")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: ValueError: {cfg}: flow {spec['flow_id']}: {key} = {value} "
+        "is not in [0, 2**53)\n")
+    assert not (tmp_path / "w").exists()
+
+
+def test_config_that_repeats_a_key_is_refused(tmp_path, capsys):
+    cfg = tiny_config(tmp_path / "config.json")
+    text = cfg.read_text()
+    assert text.count('"horizon_windows": 120,') == 1
+    cfg.write_text(text.replace('"horizon_windows": 120,',
+                                '"horizon_windows": 120, "horizon_windows": 60,'))
+    assert main(["gen-world", "--config", str(cfg),
+                 "--out", str(tmp_path / "w")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: ValueError: {cfg}: key 'horizon_windows' is repeated\n")
+    assert not (tmp_path / "w").exists()
+
+
 @pytest.mark.parametrize("kind, key, value", [
     ("scan", "rate_pps", 0), ("scan", "rate_pps", -5.0),
     ("evasive_c2", "burst_every_s", 0), ("evasive_c2", "burst_pkts", -1),
@@ -1721,6 +1756,24 @@ def test_bad_params_file_is_refused(pipe, tmp_path, capsys, command, doc,
     assert main([command, "--world", str(pipe["world"]),
                  "--out", str(tmp_path / "d"), "--params", str(params)]) == 1
     # refused before any output
+    assert capsys.readouterr() == ("", f"error: ValueError: {params}: "
+                                   f"{message}\n")
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("raw, message", [
+    (b'{"zeta": 0.5, "zeta": 2.0}', "key 'zeta' is repeated"),
+    (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0: "
+                     "invalid start byte"),
+], ids=["repeated key", "not utf-8"])
+def test_params_file_the_json_reader_refuses(pipe, tmp_path, capsys, raw,
+                                             message):
+    # refused naming the file, not read as its last zeta or as a bare
+    # UnicodeDecodeError
+    params = tmp_path / "params.json"
+    params.write_bytes(raw)
+    assert main(["detect", "--world", str(pipe["world"]),
+                 "--out", str(tmp_path / "d"), "--params", str(params)]) == 1
     assert capsys.readouterr() == ("", f"error: ValueError: {params}: "
                                    f"{message}\n")
     assert not (tmp_path / "d").exists()

@@ -792,6 +792,9 @@ def test_scores_csv_names_the_first_repeat_and_the_line_it_repeats(
     ("1,1,0.5,0,0,0,-0.0,0,0,0.5", "line 3: s = -0 is not S"),
     ("1,-1,0.5,0.5,0,0,0.5,0,0,0.5",
      "line 3: window = -1 is not a nonnegative integer"),
+    # an integer in full, not as 9.0072e+15
+    ("9007199254740992,1,0.5,0.5,0,0,0.5,0,0,0.5",
+     "line 3: flow_id = 9007199254740992 is not a nonnegative integer"),
 ])
 def test_scores_csv_refuses_values_the_writer_cannot_write(tmp_path, row,
                                                            message):

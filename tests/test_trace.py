@@ -34,6 +34,7 @@ from flowgate.trace import (
     column,
     config_hash,
     from_json,
+    load_json,
     manifest_hash,
     read_flow_table,
     read_labels,
@@ -98,6 +99,30 @@ def test_manifest_hash_key_order_invariant():
 def test_canonical_json_rejects_nan():
     with pytest.raises(ValueError):
         canonical_json({"x": float("nan")})
+
+
+@pytest.mark.parametrize("raw, message", [
+    (b'{"a": 1, "b": [{"c": 1, "c": 1}]}', "key 'c' is repeated"),
+    (b'{"a": 1, "a": 1}', "key 'a' is repeated"),
+    (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0: "
+                     "invalid start byte"),
+    (b'{"a": "\xe9"}', "'utf-8' codec can't decode byte 0xe9 in position 7: "
+                       "invalid continuation byte"),
+], ids=["nested repeat", "repeat", "utf-16 mark", "latin-1 text"])
+def test_load_json_refuses_repeated_keys_and_bytes_not_utf8(tmp_path, raw,
+                                                            message):
+    path = tmp_path / "doc.json"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError) as exc:
+        load_json(path)
+    assert str(exc.value) == f"{path}: {message}"
+
+
+def test_load_json_reads_utf8_text(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text('{"world_id": "caf\u00e9", "b": {"world_id": 1}}',
+                    encoding="utf-8")
+    assert load_json(path) == {"world_id": "caf\u00e9", "b": {"world_id": 1}}
 
 
 def test_trace_sorted_on_construction():

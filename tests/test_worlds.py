@@ -4,6 +4,7 @@ import bisect
 import json
 import math
 import os
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -30,6 +31,8 @@ from flowgate.worlds import (
     WorldConfig,
     _SALT_GRAPH,
     _gen_bulk,
+    _gen_overlay,
+    _gen_periodic,
     _largest_remainder,
     audit_budgets,
     build_contention_graph,
@@ -312,6 +315,47 @@ def test_generator_rejects_bad_params():
                         rng, 1_000_000, LEN_BOUNDS)
     with pytest.raises(ValueError):
         gen_benign_flow("no_such_kind", {}, rng, 1_000_000, LEN_BOUNDS)
+
+
+BEACON = {"jitter_frac": 0.05, "size_min": 80, "size_max": 160}
+
+
+@pytest.mark.parametrize("kind, params, generator, defaults", [
+    ("exfiltration", {"rate_bps": 30_000.0}, _gen_bulk, {}),
+    ("exfiltration", {"rate_bps": 30_000.0, "pkt_len": 900,
+                      "jitter_frac": 0.3}, _gen_bulk, {}),
+    # pkt_len, which the audit world sets, is read by neither and ignored
+    ("beaconing", {"period_s": 0.4, "pkt_len": 128}, _gen_periodic, BEACON),
+    ("beaconing", {"period_s": 0.4, "jitter_frac": 0.2, "size_max": 300},
+     _gen_periodic, BEACON),
+], ids=["exfiltration", "exfiltration params", "beaconing",
+        "beaconing params"])
+def test_overlay_is_its_traffic_shape(kind, params, generator, defaults):
+    # exfiltration is bulk traffic and beaconing periodic telemetry with
+    # jitter 0.05 and sizes 80-160, shifted to the episode's span
+    t0, t1 = 3_000_000, 23_000_000
+    ts, ln = _gen_overlay(kind, params, np.random.default_rng(7), (t0, t1),
+                          LEN_BOUNDS)
+    want_ts, want_ln = generator({**defaults, **params},
+                                 np.random.default_rng(7), t1 - t0, LEN_BOUNDS)
+    assert ts.size > 0
+    assert np.array_equal(ts, want_ts + t0)
+    assert np.array_equal(ln, want_ln)
+
+
+@pytest.mark.parametrize("generate", [
+    lambda p, rng: _gen_bulk({"rate_bps": 1000.0, **p}, rng, 10**7,
+                             LEN_BOUNDS),
+    *(lambda p, rng, kind=kind: _gen_overlay(
+        kind, {"rate_bps": 1000.0, **p}, rng, (0, 10**7), LEN_BOUNDS)
+      for kind in ("exfiltration", "scan", "evasive_c2")),
+], ids=["bulk", "exfiltration", "scan", "evasive_c2"])
+@pytest.mark.parametrize("pkt_len", [63, 1501])
+def test_pkt_len_outside_the_len_bounds_is_refused(generate, pkt_len):
+    with pytest.raises(ValueError) as exc:
+        generate({"pkt_len": pkt_len}, np.random.default_rng(0))
+    assert str(exc.value) == (f"pkt_len {pkt_len} outside len bounds "
+                              "(64, 1500)")
 
 
 # ---------------------------------------------------------------------------
@@ -690,11 +734,10 @@ def test_project_pass_matches_per_window_oracle(reference, window_us, eps,
         event(path)
 
 
-def test_project_scores_each_candidate_once(monkeypatch):
-    """A window's distinct candidates are each scored once, and the
-    windows of a pass are scored together: eight windows projected in one
-    pass take at most 42 kernel calls (the first check, tau = 1 and 40
-    bisection steps) and score exactly the windows that eight one-window
+def test_project_scores_the_windows_of_a_pass_together(monkeypatch):
+    """Eight windows projected in one pass take at most 42 kernel calls
+    (the first check, tau = 1 and 40 bisection steps), as each one-window
+    pass does, and score exactly the windows that the eight one-window
     passes score."""
     calls = []
 
@@ -708,12 +751,14 @@ def test_project_scores_each_candidate_once(monkeypatch):
         calls.clear()
         monkeypatch.setattr(worlds_module, "w1_empirical", counted)
         try:
-            return project_iats(ts, lengths, ref, 0.004, 250_000)
+            out = project_iats(ts, lengths, ref, 0.004, 250_000)[0]
         finally:
             monkeypatch.undo()
+        assert len(calls) <= 42
+        return out, Counter(key for call in calls for key in call)
 
     ref = BenignIatReference(1, [5000, 10_000, 20_000, 40_000])
-    segs, scored = [], []
+    segs, outs, scored = [], [], Counter()
     for seed in range(8):
         rng = np.random.default_rng(seed)
         ts = np.unique(np.sort(rng.integers(0, 240_000, 12)).astype(np.int64))
@@ -721,16 +766,14 @@ def test_project_scores_each_candidate_once(monkeypatch):
             expect = project_iats_uncached(ts, ref, 0.004, (0, 250_000))
         except LocalInfeasibility:
             expect = ts
-        out, _ = project(ts, [ts.size])
+        out, windows = project(ts, [ts.size])
         assert np.array_equal(out, expect)
-        seen = [key for call in calls for key in call]
-        assert len(set(seen)) == len(seen)
-        scored.append(len(seen))
+        scored += windows
         segs.append(seed * 250_000 + ts)
-    assert scored[1] == 19  # this window bisects, and 23 of its 42 repeat
-    out, _ = project(np.concatenate(segs), [s.size for s in segs])
-    assert len(calls) <= 42
-    assert sum(map(len, calls)) == sum(scored)
+        outs.append(seed * 250_000 + out)
+    out, windows = project(np.concatenate(segs), [s.size for s in segs])
+    assert np.array_equal(out, np.concatenate(outs))
+    assert windows == scored
 
 
 # ---------------------------------------------------------------------------
