@@ -226,9 +226,6 @@ def config_hash(config_dict: dict) -> str:
 # On-disk formats
 
 _WRITE_BLOCK = 1 << 15  # rows formatted per write
-# Below these magnitudes a whole float prints without an exponent: %r as
-# its digits and ".0", %.17g as its digits alone.
-_WHOLE_BELOW = {"r": 1e16, ".17g": 1e17}
 
 
 def twin_path(path) -> Path:
@@ -410,45 +407,177 @@ class TableStream:
 def _cell_bytes(col: np.ndarray, conv: str) -> np.ndarray:
     """The text of `"%" + conv` applied to each value of col, as a
     (rows x width) uint8 matrix padded with zero bytes anywhere in a row."""
+    if conv == "r":
+        return _repr_bytes(col)
     if conv == "d":
         neg = col < 0
         mag = col.astype(np.uint64)
-        return np.concatenate([np.where(neg, 45, 0).astype(np.uint8)[:, None],
+        return np.concatenate([_chars(neg, b"-"),
                                _digits(np.where(neg, -mag, mag))], axis=1)
-    mag = np.abs(col)
-    whole = (mag < _WHOLE_BELOW[conv]) & (np.floor(mag) == mag)
-    parts = []
-    if whole.any():
-        sign = np.signbit(col) & whole  # -0.0 prints its sign
-        parts += [np.where(sign, 45, 0).astype(np.uint8)[:, None],
-                  _digits(np.where(whole, mag, 0).astype(np.uint64))
-                  * whole[:, None]]
-        if conv == "r":
-            parts.append(np.outer(whole, np.array([46, 48], np.uint8)))
+    mag = np.abs(col)  # %.17g: whole values below 1e17 print their digits
+    whole = (mag < 1e17) & (np.floor(mag) == mag)
+    parts = [_chars(np.signbit(col) & whole, b"-"),
+             _digits(np.where(whole, mag, 0).astype(np.uint64), whole)]
     if not whole.all():
-        parts.append(_python_bytes(col, conv, ~whole))
+        parts.append(_python_bytes(col, ~whole))
     return np.concatenate(parts, axis=1)
 
 
-def _digits(mag: np.ndarray) -> np.ndarray:
-    """The decimal digits of uint64 mag, right-aligned in a (rows x width)
-    uint8 matrix, with zero bytes for leading zeros."""
-    width = len(str(int(mag.max()))) if mag.size else 1
+def _repr_bytes(col: np.ndarray) -> np.ndarray:
+    """repr of each float64 of col, as the matrix of _cell_bytes: its
+    shortest round-trip digits (_shortest) positional for 1e-4 <= |x| <
+    1e16, a whole value as `digits.0`, and `d.ddde-05` otherwise."""
+    finite = np.isfinite(col)
+    # np.floor warns on a signalling NaN, so non-finite values are left out
+    mag = np.abs(np.where(finite, col, 0.0))
+    whole = finite & (mag < 1e16) & (np.floor(mag) == mag)
+    ip = np.where(whole, mag, 0).astype(np.uint64)  # digits before the point
+    fp = np.zeros(col.size, np.uint64)  # and the `point` digits after it
+    point = whole.astype(np.int64)
+    exp = np.zeros(col.size, np.int64)  # of the `d.ddde-05` rows
+    sci = np.zeros(col.size, bool)
+    rest = np.flatnonzero(finite & ~whole)
+    if rest.size:
+        f, e, n = _shortest(mag[rest])
+        decpt = n + e  # the value is 0.f * 10**decpt
+        sci[rest] = (decpt <= -4) | (decpt > 16)
+        point[rest] = np.where(sci[rest], n - 1, -e)
+        exp[rest] = np.where(sci[rest], decpt - 1, 0)
+        p10 = _tables()[2][np.minimum(point[rest], 19)]  # f < 10**17
+        ip[rest] = f // p10
+        fp[rest] = f - ip[rest] * p10
+    parts = [_chars(np.signbit(col) & ~np.isnan(col), b"-"),
+             _digits(ip, finite), _chars(point > 0, b"."),
+             _digits(fp, point)]
+    if sci.any():
+        parts += [_chars(sci & (exp < 0), b"e-") | _chars(sci & (exp >= 0),
+                                                            b"e+"),
+                  _digits(np.abs(exp).astype(np.uint64), 2 * sci)]
+    if not finite.all():
+        parts.append(_chars(np.isnan(col), b"nan")
+                     | _chars(np.isinf(col), b"inf"))
+    return np.concatenate(parts, axis=1)
+
+
+def _chars(rows, text: bytes) -> np.ndarray:
+    """text in the rows a boolean array selects, zero bytes elsewhere, as a
+    (rows x len(text)) matrix."""
+    return np.outer(rows, np.frombuffer(text, np.uint8)).astype(np.uint8)
+
+
+def _digits(mag: np.ndarray, least=1) -> np.ndarray:
+    """The decimal digits of uint64 mag, at least `least` of them (a count,
+    or one per row) with zeros in front, right-aligned in a (rows x width)
+    uint8 matrix with zero bytes for the leading zeros not shown."""
+    least = np.asarray(least, np.int64)
+    top = int(least.max()) if least.size else 0
+    width = max(len(str(int(mag.max()))) if mag.size else 1, top)
     out = np.empty((width, mag.size), np.uint8)
     for i in range(width - 1, -1, -1):
-        q = mag // 10
-        out[i] = mag - q * 10
+        q = mag // _TEN
+        out[i] = mag - q * _TEN
         out[i] += np.uint8(48) * (mag != 0)  # 0 once mag is spent: a lead
         mag = q
-    out[-1] |= 48  # the units digit prints even for 0
+    for i in range(top):
+        out[width - 1 - i] |= np.uint8(48) * (i < least)  # a zero shown
     return out.T
 
 
-def _python_bytes(col: np.ndarray, conv: str, rows: np.ndarray) -> np.ndarray:
-    """Python's own `"%" + conv` text of col's values in rows, as the
-    matrix of _cell_bytes, with zero rows elsewhere."""
-    fmt = repr if conv == "r" else ("%" + conv).__mod__
-    text = np.array(list(map(fmt, col[rows].tolist())), dtype="S")
+# Schubfach (R. Giulietti, "The Schubfach way to render doubles", 2020)
+# over uint64 arrays. Every operand is np.uint64: numpy 1.x promotes a mix
+# of int64 and uint64 to float64.
+_TEN = np.uint64(10)
+_M32 = np.uint64(0xFFFF_FFFF)
+_M63 = np.uint64(2**63 - 1)
+_K_MIN = -324  # the least k of g(k); the greatest is 292
+
+
+@functools.cache
+def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(g1, g0, pow10), made on first use: g(k) = g1 * 2**63 + g0 =
+    floor(10**-k / 2**r) + 1 for k in [-324, 292], r such that 2**125 <=
+    g(k) < 2**126, and 10**i for i in [0, 19], all uint64."""
+    g = []
+    for k in range(_K_MIN, 293):
+        num, den = (10**-k, 1) if k <= 0 else (1, 10**k)
+        r = num.bit_length() - den.bit_length() - 126
+        while (v := (num << max(-r, 0)) // (den << max(r, 0))) >> 126:
+            r += 1
+        g.append(v + 1)
+    return (np.array([v >> 63 for v in g], np.uint64),
+            np.array([v & (2**63 - 1) for v in g], np.uint64),
+            np.array([10**i for i in range(20)], np.uint64))
+
+
+def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The high 64 bits of the 128-bit products of uint64 a and b."""
+    a0, a1, b0, b1 = a & _M32, a >> np.uint64(32), b & _M32, b >> np.uint64(32)
+    m1 = a1 * b0 + ((a0 * b0) >> np.uint64(32))
+    m2 = a0 * b1 + (m1 & _M32)
+    return a1 * b1 + (m1 >> np.uint64(32)) + (m2 >> np.uint64(32))
+
+
+def _rop(g1: np.ndarray, g0: np.ndarray, cp: np.ndarray) -> np.ndarray:
+    """g * cp / 2**127 rounded to odd as Schubfach rounds it: the floor,
+    with the lowest bit set when any of the 63 bits below it is."""
+    z = ((g1 * cp) >> np.uint64(1)) + _mulhi(g0, cp)
+    vbp = _mulhi(g1, cp) + (z >> np.uint64(63))
+    return vbp | (((z & _M63) + _M63) >> np.uint64(63))
+
+
+def _shortest(x: np.ndarray):
+    """The decimal f * 10**e of fewest digits that reads back as each
+    positive finite float64 of x, the closest to x of those when several
+    are, the one with an even last digit on a tie: (f, e, digits of f) as
+    uint64, int64 and int64 arrays, f without trailing zeros."""
+    g1t, g0t, pow10 = _tables()
+    bits = np.ascontiguousarray(x).view(np.uint64)
+    bq = (bits >> np.uint64(52)).astype(np.int64)  # the biased exponent
+    t = bits & np.uint64(2**52 - 1)
+    c = np.where(bq > 0, t | np.uint64(2**52), t)  # x = c * 2**q
+    q = np.maximum(bq, 1) - 1075
+    # at a power of two the gap below x is half the gap above it
+    irregular = (t == np.uint64(0)) & (bq > 1)
+    # k = floor(log10(2**q)), of 3/4 * 2**q when irregular, and h = q +
+    # floor(log2(10**-k)) + 2, by Schubfach's exact fixed-point logarithms
+    k = (q * 661_971_961_083 - irregular * 274_743_187_321) >> 41
+    h = (q + ((-k * 1_741_647) >> 19) + 2).astype(np.uint64)
+    g1, g0 = g1t[k - _K_MIN], g0t[k - _K_MIN]
+    cb = c << np.uint64(2)
+    vbl, vb, vbr = _rop(g1, g0, np.stack([
+        cb - np.where(irregular, np.uint64(1), np.uint64(2)), cb,
+        cb + np.uint64(2)]) << h)
+    odd = c & np.uint64(1)  # x's rounding interval is open, else closed
+    s = vb >> np.uint64(2)
+    # at most one multiple of 10**(k + 1) is in the interval, and when one
+    # is, no decimal in it has fewer digits
+    sp10 = s // _TEN * _TEN
+    tp10 = sp10 + _TEN
+    upin = vbl + odd <= sp10 << np.uint64(2)
+    wpin = (tp10 << np.uint64(2)) + odd <= vbr
+    # else s or s + 1 (times 10**k), whichever is in it, the closer to x
+    # when both are
+    uin = vbl + odd <= s << np.uint64(2)
+    win = ((s + np.uint64(1)) << np.uint64(2)) + odd <= vbr
+    mid = (s << np.uint64(2)) + np.uint64(2)
+    low = np.where(uin != win, uin, (vb < mid) | (
+        (vb == mid) & ((s & np.uint64(1)) == np.uint64(0))))
+    f = np.where(upin | wpin, np.where(upin, sp10, tp10),
+                 np.where(low, s, s + np.uint64(1)))
+    rows = np.flatnonzero(f % _TEN == 0)
+    while rows.size:  # strip trailing zeros
+        f[rows] //= _TEN
+        k[rows] += 1
+        rows = rows[f[rows] % _TEN == 0]
+    return f, k, np.searchsorted(pow10, f, side="right").astype(np.int64)
+
+
+def _python_bytes(col: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """`"%.17g" % value` of col's values in rows, as the matrix of
+    _cell_bytes, with zero rows elsewhere: the one text made a value at a
+    time, for %.17g floats that are not whole, which no world writes."""
+    text = np.array(list(map("%.17g".__mod__, col[rows].tolist())),
+                    dtype="S")
     out = np.zeros((col.size, max(text.itemsize, 1)), np.uint8)
     out[rows] = text.view(np.uint8).reshape(text.size, text.itemsize)
     return out

@@ -48,7 +48,7 @@ from flowgate.trace import (
     write_json,
     write_table,
 )
-from flowgate.wfq import QueueEventLog, read_queue_log
+from flowgate.wfq import QueueEventLog, Schedule, read_queue_log
 from flowgate.worlds import (
     BenignFlowSpec,
     ContentionGraph,
@@ -63,7 +63,7 @@ from flowgate.worlds import (
     load_traffic,
     load_world,
 )
-from support import rebind, recorded
+from support import rebind, recorded, write_csv_rows
 
 
 def tiny_config(path: Path, seed: int = 5) -> Path:
@@ -339,6 +339,24 @@ def test_every_record_binds_the_trace(pipe):
         assert json.loads(record.read_text())["world"] == world
     assert json.loads((pipe["rep"] / "report.json").read_text())[
         "manifest"]["trace_sha256"] == world["trace_sha256"]
+
+
+@pytest.mark.parametrize("stage, name, cls", [
+    ("world", "trace.csv", Trace), ("det", "scores.csv", Scores),
+    ("base", "queue_log.csv", QueueEventLog),
+    ("gated", "queue_log.csv", QueueEventLog),
+    ("gated", "schedule.csv", Schedule)])
+def test_csv_artifacts_are_the_row_oracle_text_of_their_twins(
+        pipe, tmp_path, stage, name, cls):
+    # every CSV the pipeline writes holds `row % values` of its twin's
+    # columns, one line per row, as the per-row writer would print them
+    path = pipe[stage] / name
+    spec = table_columns(cls)
+    cols = twin_columns(path, [dtype for *_, dtype in spec],
+                        hashlib.sha256(path.read_bytes()).digest())
+    write_csv_rows(tmp_path / name, ",".join(n for n, *_ in spec),
+                   ",".join("%" + conv for _, conv, _ in spec) + "\n", cols)
+    assert (tmp_path / name).read_bytes() == path.read_bytes()
 
 
 def test_queue_logs_of_another_world_are_refused(pipe, tmp_path, capsys):

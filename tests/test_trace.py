@@ -1,9 +1,13 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields, make_dataclass
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -463,6 +467,69 @@ def test_write_csv_matches_row_oracle_across_blocks(tmp_path):
                                         cols)
     assert kernel == oracle
     assert kernel.count(b"\n") == n + 1
+
+
+def _repr_sweep(group):
+    """The float64 values of one group of the %r sweep."""
+    if group == "random bits":  # every exponent, both signs, subnormals
+        return np.random.default_rng(28).integers(
+            0, 2**64, 2**20, dtype=np.uint64).view(np.float64)
+    if group == "powers of two":  # c = 2**52: the gap below is the smaller
+        return np.ldexp(1.0, np.arange(-1074, 1024))
+    if group == "powers of ten":
+        p = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        return np.concatenate([p, np.nextafter(p, 0), np.nextafter(p, np.inf)])
+    if group == "notation switches":  # 1e-4 and 1e16, and the decades around
+        rng = np.random.default_rng(16)
+        steps = np.arange(-64, 65)
+        edges = [np.array([x]).view(np.int64) + steps for x in (1e-4, 1e16)]
+        v = np.concatenate([e.view(np.float64) for e in edges] + [
+            10.0 ** rng.uniform(-5.0, -3.0, 4096),
+            10.0 ** rng.uniform(15.0, 17.0, 4096),
+            np.floor(10.0 ** rng.uniform(15.0, 17.0, 4096))])
+        return np.concatenate([v, -v])
+    return np.array([0.0, -0.0, math.inf, -math.inf, math.nan])
+
+
+@pytest.mark.parametrize("group", ["random bits", "powers of two",
+                                   "powers of ten", "notation switches",
+                                   "zeros and non-finite"])
+def test_repr_kernel_is_repr(group):
+    values = _repr_sweep(group)
+    if group == "random bits":  # every sign and exponent field occurs
+        assert len(np.unique(values.view(np.uint64) >> np.uint64(52))) \
+            == 4096
+    # one kernel call per group, but 2**17 random values per call: a
+    # million values in one call would hold some 360 MB at once
+    cells = np.concatenate([trace_module._cell_bytes(values[s:s + 2**17], "r")
+                            for s in range(0, values.size, 2**17)], axis=0) \
+        if group == "random bits" else trace_module._cell_bytes(values, "r")
+    text = np.concatenate([cells, np.full((values.size, 1), 10, np.uint8)],
+                          axis=1)
+    lines = text[text != 0].tobytes().decode().splitlines()
+    expected = list(map(repr, values.tolist()))
+    wrong = [(v, got, want) for v, got, want
+             in zip(values.tolist(), lines, expected) if got != want]
+    assert len(lines) == len(expected)
+    assert not wrong, f"{len(wrong)} values, first {wrong[:3]}"
+
+
+def test_importing_the_cli_builds_no_power_of_ten_table():
+    # g(k) is made on first use, so that a stage's set-up does not pay it
+    code = """if True:
+        import numpy as np
+        import flowgate.cli
+        from flowgate import trace
+        print(trace._tables.cache_info().currsize)
+        trace._cell_bytes(np.array([0.1]), "r")
+        print(trace._tables.cache_info().currsize)
+    """
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).parents[1] / "src"),
+         os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         stdout=subprocess.PIPE, text=True).stdout
+    assert out.split() == ["0", "1"]
 
 
 def test_write_csv_of_empty_columns_is_the_header(tmp_path):
