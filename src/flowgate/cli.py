@@ -5,7 +5,8 @@ flag, else the built-in default) and writes a manifest next to its outputs.
 A world is read through worlds.load_head plus load_traffic (detect, replay)
 or load_outcomes (report), so detection and replay never open
 feasibility.json, from which the episode labels derive; labels enter only
-through the report command.
+through the report command. No stage opens contention.json: detect
+derives the graph from config.json and the seed (worlds.contention_graph).
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ from flowgate.worlds import (
     check_config_flows,
     check_same,
     config_from_json,
+    contention_graph,
     load_head,
     load_outcomes,
     load_traffic,
@@ -210,11 +212,11 @@ def cmd_detect(args) -> int:
         raise ArgumentContractError(str(exc)) from None
 
     config, manifest = load_head(args.world)
-    trace, graph = load_traffic(args.world, config, manifest)
+    trace = load_traffic(args.world, config, manifest)
     burn_in = _burn_in(config)
     print(f"burn_in_windows={burn_in}")
 
-    table = windowize(trace, graph)
+    table = windowize(trace, contention_graph(config, manifest.seed))
     session = DetectorSession(
         params, table.flow_ids,
         [trace.flow_table[f].device_class for f in table.flow_ids],
@@ -271,7 +273,7 @@ def cmd_replay(args) -> int:
         raise ArgumentContractError("--scores is required when --mode=gated")
     gc = _gate_config(args) if args.mode == "gated" else None
     config, manifest = load_head(args.world)
-    trace, _ = load_traffic(args.world, config, manifest)
+    trace = load_traffic(args.world, config, manifest)
 
     schedule = None if gc is None else gate_controller(
         _load_scores(args.scores, config, manifest)[0], gc, config.window_us)
@@ -312,7 +314,7 @@ def _gate_config(args) -> GateConfig:
 
 def cmd_report(args) -> int:
     config, manifest = load_head(args.world)
-    labels, feasibility = load_outcomes(args.world, config)
+    labels, feasibility = load_outcomes(args.world, config, manifest)
     scores, detected = _load_scores(args.scores, config, manifest)
     timing = read_stage_stats(Path(args.scores).parent / "stage_stats.json",
                               scores)

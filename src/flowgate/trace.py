@@ -83,8 +83,9 @@ class EpisodeLabel:
 
 @dataclass(frozen=True)
 class RunManifest:
-    """manifest.json, a world's record. trace_sha256 binds trace.csv:
-    write_world fills it in as it writes the trace."""
+    """manifest.json, a world's record. trace_sha256 binds trace.csv and
+    feasibility_sha256 binds feasibility.json: write_world fills each in as
+    it writes the file."""
 
     world_id: str
     seed: int
@@ -92,6 +93,7 @@ class RunManifest:
     feature_contract: str
     split: tuple[float, float, float]
     trace_sha256: str = ""
+    feasibility_sha256: str = ""
     tool_version: str = TOOL_VERSION
     digest: str = "sha256"
 
@@ -586,17 +588,12 @@ def _python_bytes(col: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def read_table(cls, path, recorded, **riders):
     """The Table cls that write_table wrote to the CSV at path, read from
     its twin (twin_columns), with the other fields given as riders.
-    recorded is the (hex sha256, path) of the record that binds the CSV: a
-    CSV of another sha256 is refused, naming both files. Then refuses,
-    naming the path and the line (data row i is line i + 2), the first
-    value of the first column holding one that write_table cannot have
-    written: a float that is not finite, an integer outside [0, 2**53) or
-    a bool other than 0 or 1."""
-    sha256, record_path = recorded
-    digest = _file_sha256(path)
-    if digest.hex() != sha256:
-        raise ValueError(f"{path}: sha256 {digest.hex()} is not the "
-                         f"{sha256} that {record_path} records")
+    recorded is the (hex sha256, path) of the record that binds the CSV,
+    checked by check_bound. Then refuses, naming the path and the line
+    (data row i is line i + 2), the first value of the first column holding
+    one that write_table cannot have written: a float that is not finite,
+    an integer outside [0, 2**53) or a bool other than 0 or 1."""
+    digest = check_bound(path, recorded)
     spec = table_columns(cls)
     cols = twin_columns(path, [dtype for *_, dtype in spec], digest)
     return cls(**{name: _checked(path, name, col)
@@ -658,6 +655,18 @@ def twin_columns(path, dtypes, digest: bytes) -> list[np.ndarray]:
     return cols
 
 
+def check_bound(path, recorded) -> bytes:
+    """The sha256 of the file at path, refusing, naming both files, a file
+    of another sha256 than the one that recorded, the (hex sha256, path) of
+    the record that binds it, holds."""
+    sha256, record_path = recorded
+    digest = _file_sha256(path)
+    if digest.hex() != sha256:
+        raise ValueError(f"{path}: sha256 {digest.hex()} is not the "
+                         f"{sha256} that {record_path} records")
+    return digest
+
+
 def _file_sha256(path) -> bytes:
     """The sha256 of a file's bytes, read a MiB at a time."""
     digest = hashlib.sha256()
@@ -686,10 +695,12 @@ def load_json(path):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def write_json(path, doc) -> None:
+def write_json(path, doc) -> str:
     """Write a JSON document with sorted keys, indented by two, ending in a
-    newline."""
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    newline; returns the file's sha256."""
+    data = (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+    Path(path).write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def is_number(value, integer: bool = False) -> bool:
@@ -863,10 +874,12 @@ def check_sha256(path, key: str, value: str) -> None:
 def read_manifest(path) -> RunManifest:
     """Load a run manifest, refusing, naming the path and the key, what
     from_json refuses, a split that is not three positive fractions summing
-    to 1 and a trace_sha256 that check_sha256 refuses."""
+    to 1 and a trace_sha256 or feasibility_sha256 that check_sha256
+    refuses."""
     manifest = from_json(RunManifest, load_json(path), path)
     if not split_ok(manifest.split):
         raise ValueError(f"{path}: split = {list(manifest.split)} is not "
                          "three positive fractions summing to 1")
-    check_sha256(path, "trace_sha256", manifest.trace_sha256)
+    for key in ("trace_sha256", "feasibility_sha256"):
+        check_sha256(path, key, getattr(manifest, key))
     return manifest

@@ -44,6 +44,7 @@ from flowgate.trace import (
     PROTO_TCP,
     RunManifest,
     Trace,
+    check_bound,
     config_hash,
     from_json,
     is_number,
@@ -428,17 +429,12 @@ def _gen_overlay(kind: str, params: dict, rng, span_us: tuple[int, int],
 # contention graph
 
 
-# A stored spectral radius may differ from the one recomputed from its
-# blocks by this much, relatively: eigvalsh may differ in the last bits
-# between LAPACK builds, far below it.
-RHO_RTOL = 1e-9
-
-
 class ContentionGraph:
     """Symmetric nonnegative within-clique weights with rho(W) in a band.
 
     W is block-diagonal by clique, so each clique keeps only its own c x c
     block, indexed like its flow list. Graph order is ascending flow id.
+    build_contention_graph is the one producer of a graph's blocks.
     """
 
     def __init__(self, cliques: dict[int, list[int]],
@@ -447,17 +443,8 @@ class ContentionGraph:
                         for c, fs in sorted(cliques.items())}
         self.blocks = {c: np.asarray(blocks[c], dtype=np.float64).reshape(
             len(fs), len(fs)) for c, fs in self.cliques.items()}
-        for c, w in self.blocks.items():
-            if not (np.array_equal(w, w.T) and np.all(w >= 0.0)):
-                raise ValueError(f"cliques.{c}.weights must be symmetric and "
-                                 "nonnegative")
         self.spectral_radius = spectral_radius(self.blocks.values())
         self.clique_of = {f: c for c, fs in self.cliques.items() for f in fs}
-        if len(self.clique_of) < sum(map(len, self.cliques.values())):
-            c, f = next((c, f) for c, fs in self.cliques.items() for f in fs
-                        if self.clique_of[f] != c or fs.count(f) > 1)
-            raise ValueError(f"cliques.{c}.flows: flow {f} is listed twice "
-                             "in the cliques")
         self.flow_ids = sorted(self.clique_of)
         ids = np.asarray(self.flow_ids, dtype=np.int64)
         self._index = [np.searchsorted(ids, fs) for fs in self.cliques.values()]
@@ -478,27 +465,10 @@ class ContentionGraph:
     @classmethod
     def from_dict(cls, d, path="contention.json") -> "ContentionGraph":
         """The graph a parsed contention.json holds, refusing, naming the
-        path and the key, what from_json or the constructor refuses, a
-        weight block that is not c x c for its c flows and a
-        spectral_radius that is not rho of the blocks within RHO_RTOL."""
+        path and the key, what from_json refuses."""
         doc = from_json(_GraphFile, d, path)
-        for c, b in doc.cliques.items():
-            if {len(b.weights), *map(len, b.weights)} != {len(b.flows)}:
-                n = len(b.flows)
-                raise ValueError(f"{path}: cliques.{c}.weights is not a "
-                                 f"{n} x {n} block for the clique's {n} flows")
-        try:
-            graph = cls({c: b.flows for c, b in doc.cliques.items()},
-                        {c: b.weights for c, b in doc.cliques.items()})
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-        if not math.isclose(doc.spectral_radius, graph.spectral_radius,
-                            rel_tol=RHO_RTOL):
-            raise ValueError(f"{path}: spectral_radius = "
-                             f"{doc.spectral_radius!r} is not rho of the "
-                             f"blocks, {graph.spectral_radius!r} (relative "
-                             f"tolerance {RHO_RTOL:g})")
-        return graph
+        return cls({c: b.flows for c, b in doc.cliques.items()},
+                   {c: b.weights for c, b in doc.cliques.items()})
 
 
 @dataclass
@@ -509,7 +479,7 @@ class _CliqueBlock:
 
 @dataclass
 class _GraphFile:
-    """contention.json; spectral_radius must be rho of the blocks."""
+    """contention.json, an export of contention_graph."""
 
     cliques: dict[int, _CliqueBlock]
     spectral_radius: float
@@ -957,10 +927,13 @@ def enforce_contention(episodes, i_max: int) -> list[tuple]:
 
 
 class World:
-    def __init__(self, trace, graph, labels, references, manifest, feasibility,
+    """A world's trace, the records derived from its config and trace, its
+    manifest, feasibility outcomes and config. The contention graph is not
+    among them: contention_graph derives it from the config and the seed."""
+
+    def __init__(self, trace, labels, references, manifest, feasibility,
                  config):
         self.trace = trace
-        self.graph = graph
         self.labels = labels
         self.references = references
         self.manifest = manifest
@@ -978,10 +951,11 @@ def _flow_key(flow_id: int, clique_id: int) -> FlowKey:
     )
 
 
-# A world's flow table, episode labels and IAT references are derived from
-# config.json, feasibility.json and trace.csv by the three functions below,
-# which build_world and the loaders share; flows.csv, labels.csv and
-# references.json are exports of what they return.
+# A world's flow table, episode labels, IAT references and contention graph
+# are derived from config.json, feasibility.json, trace.csv and the seed in
+# manifest.json by the four functions below, which build_world, write_world
+# and the stages share; flows.csv, labels.csv, references.json and
+# contention.json are exports of what they return.
 
 
 def _by_flow(specs):
@@ -1027,6 +1001,16 @@ def iat_references(config: WorldConfig,
             for e in _by_flow(config.episodes)]
 
 
+def contention_graph(config: WorldConfig, seed: int) -> ContentionGraph:
+    """The contention graph of the world of config and seed: each flow in
+    its config clique, the weights drawn from the seed's graph stream and
+    scaled into config's rho_band."""
+    return build_contention_graph(
+        {f.flow_id: f.clique_id
+         for f in config.benign_flows + config.episodes},
+        config.rho_band, np.random.default_rng([seed, _SALT_GRAPH]))
+
+
 def build_world(config: WorldConfig, seed: int) -> World:
     """Deterministically realize a world from its config and seed."""
     config.validate()
@@ -1040,11 +1024,6 @@ def build_world(config: WorldConfig, seed: int) -> World:
             ts, ln = gen_benign_flow(spec.kind, spec.params, rng, horizon_us,
                                      bounds)
         benign_flows.append((spec.flow_id, spec.clique_id, ts, ln))
-
-    graph = build_contention_graph(
-        {f.flow_id: f.clique_id
-         for f in config.benign_flows + config.episodes},
-        config.rho_band, np.random.default_rng([seed, _SALT_GRAPH]))
 
     no_packets = Trace(*[np.empty(0, np.int64)] * 4, flow_table(config),
                        config.horizon_windows, config.window_us)
@@ -1086,8 +1065,8 @@ def build_world(config: WorldConfig, seed: int) -> World:
     manifest = RunManifest(
         world_id=config.world_id, seed=seed, config_hash=config.hash(),
         feature_contract=FEATURE_CONTRACT, split=config.split)
-    return World(trace, graph, episode_labels(config, feasibility),
-                 references, manifest, feasibility, config)
+    return World(trace, episode_labels(config, feasibility), references,
+                 manifest, feasibility, config)
 
 
 # ---------------------------------------------------------------------------
@@ -1106,9 +1085,10 @@ def audit_budgets(world: World) -> list[dict]:
     benign = np.isin(trace.flow_id, np.array(
         sorted(f for f, info in trace.flow_table.items()
                if info.label == BENIGN), dtype=np.int64))
+    clique_of = {e.flow_id: e.clique_id for e in world.config.episodes}
     masks, base, pairs = [], {}, []  # episodes of a clique share its base
     for label in world.labels:
-        cid = world.graph.clique_of[label.flow_id]
+        cid = clique_of[label.flow_id]
         ben_mask = (trace.clique_id == cid) & benign
         if cid not in base:
             base[cid] = len(masks)
@@ -1148,53 +1128,54 @@ def audit_budgets(world: World) -> list[dict]:
 
 
 def write_world(out_dir, world: World) -> None:
-    """Write a world's files; world.manifest gains trace.csv's sha256."""
+    """Write a world's files; world.manifest gains the sha256 of trace.csv
+    and of feasibility.json. The contention graph is derived before any
+    file is written, so a config whose graph misses its band writes
+    none."""
+    graph = contention_graph(world.config, world.manifest.seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    world.manifest = replace(world.manifest, trace_sha256=write_trace_csv(
-        out / "trace.csv", world.trace))
+    world.manifest = replace(
+        world.manifest,
+        trace_sha256=write_trace_csv(out / "trace.csv", world.trace),
+        feasibility_sha256=write_json(out / "feasibility.json", to_json(
+            _FeasibilityFile(world.config.i_max, world.feasibility))))
     write_json(out / "flows.csv", to_json(world.trace.flow_table))
     write_json(out / "labels.csv", to_json(world.labels))
     write_json(out / "manifest.json", to_json(world.manifest))
     write_json(out / "config.json", to_json(world.config))
-    write_json(out / "contention.json", world.graph.to_dict())
-    write_json(out / "feasibility.json", to_json(_FeasibilityFile(
-        world.config.i_max, world.feasibility)))
+    write_json(out / "contention.json", graph.to_dict())
     (out / "references.json").write_text(json.dumps(
         {str(r.flow_id): r.sorted_iats_us.tolist() for r in world.references},
         sort_keys=True) + "\n")
 
 
-def check_trace(trace: Trace, graph: ContentionGraph,
-                len_bounds: tuple[int, int]) -> None:
-    """Refuse a loaded trace that disagrees with its flow table (derived
-    from config.json), graph or config.
+def check_trace(trace: Trace, config: WorldConfig) -> None:
+    """Refuse a loaded trace that disagrees with config.json.
 
-    Every packet's flow must be in both, and its clique tag must be the
-    graph's clique for that flow: replay serves a packet by its tag, while
-    the features read the graph. Arrivals must be nondecreasing, as replay
-    and the inter-arrival features read them in file order, and in [0,
+    Every packet's flow must be one of the config's, and its clique tag
+    must be the config's clique for that flow: replay serves a packet by
+    its tag, while the features read the contention graph, whose cliques
+    are the config's. Arrivals must be nondecreasing, as replay and the
+    inter-arrival features read them in file order, and in [0,
     horizon_us), or windowize would count a packet in another flow's cell.
     Lengths must lie within the config's len_bounds, as generation keeps
     them.
     """
-    if sorted(trace.flow_table) != graph.flow_ids:
-        raise ValueError("config.json and contention.json list different "
-                         "flows")
-    ids = np.asarray(graph.flow_ids, dtype=np.int64)
-    cq = np.array([graph.clique_of[f] for f in graph.flow_ids], dtype=np.int64)
+    specs = _by_flow(config.benign_flows + config.episodes)
+    ids = np.array([f.flow_id for f in specs], dtype=np.int64)
+    cq = np.array([f.clique_id for f in specs], dtype=np.int64)
     pos = np.searchsorted(ids, trace.flow_id).clip(0, ids.size - 1)
     unknown = ids[pos] != trace.flow_id
     if unknown.any():
         f = int(trace.flow_id[unknown.argmax()])
-        raise ValueError(
-            f"trace.csv: flow {f} is not in config.json or contention.json")
+        raise ValueError(f"trace.csv: flow {f} is not in config.json")
     wrong = cq[pos] != trace.clique_id
     if wrong.any():
         i = int(wrong.argmax())
         raise ValueError(
             f"trace.csv: flow {trace.flow_id[i]} is tagged clique "
-            f"{trace.clique_id[i]}, but contention.json puts it in clique "
+            f"{trace.clique_id[i]}, but config.json puts it in clique "
             f"{cq[pos[i]]}")
     outside = (trace.ts_us < 0) | (trace.ts_us >= trace.horizon_us)
     if outside.any():
@@ -1202,7 +1183,7 @@ def check_trace(trace: Trace, graph: ContentionGraph,
         raise ValueError(
             f"trace.csv: packet {k} of flow {trace.flow_id[k]} at ts "
             f"{trace.ts_us[k]} is outside [0, {trace.horizon_us})")
-    lo, hi = len_bounds
+    lo, hi = config.len_bounds
     ln = trace.len_bytes
     if ln.size and not lo <= int(ln.min()) <= int(ln.max()) <= hi:
         k = int(np.flatnonzero((ln < lo) | (ln > hi))[0])
@@ -1239,26 +1220,28 @@ def load_head(world_dir) -> tuple[WorldConfig, RunManifest]:
     return config, manifest
 
 
-def load_traffic(world_dir, config: WorldConfig, manifest: RunManifest
-                 ) -> tuple[Trace, ContentionGraph]:
-    """A world's trace, bound to the manifest's trace_sha256, with config's
-    flow table, and contention graph, checked by check_trace."""
+def load_traffic(world_dir, config: WorldConfig,
+                 manifest: RunManifest) -> Trace:
+    """A world's trace.csv, bound to the manifest's trace_sha256, with
+    config's flow table, checked by check_trace. It is the only world file
+    that load_traffic reads."""
     d = Path(world_dir)
     trace = read_trace_csv(d / "trace.csv",
                            (manifest.trace_sha256, d / "manifest.json"),
                            flow_table(config), config.horizon_windows,
                            config.window_us)
-    graph = ContentionGraph.from_dict(load_json(d / "contention.json"),
-                                      d / "contention.json")
-    check_trace(trace, graph, config.len_bounds)
-    return trace, graph
+    check_trace(trace, config)
+    return trace
 
 
-def load_outcomes(world_dir, config: WorldConfig) -> tuple[
-        list[EpisodeLabel], list[FeasibilityOutcome]]:
-    """A world's feasibility outcomes, checked by check_episode_flows, and
-    the episode labels derived from them."""
+def load_outcomes(world_dir, config: WorldConfig, manifest: RunManifest
+                  ) -> tuple[list[EpisodeLabel], list[FeasibilityOutcome]]:
+    """A world's feasibility outcomes, bound to the manifest's
+    feasibility_sha256 (check_bound) and checked by check_episode_flows,
+    and the episode labels derived from them."""
     d = Path(world_dir)
+    check_bound(d / "feasibility.json",
+                (manifest.feasibility_sha256, d / "manifest.json"))
     feasibility = read_feasibility(d / "feasibility.json", config.i_max)
     check_episode_flows(d / "feasibility.json",
                         [o.flow_id for o in feasibility], config)
@@ -1302,11 +1285,10 @@ def load_world(world_dir) -> World:
     check, and the IAT references derived from trace.csv."""
     d = Path(world_dir)
     config, manifest = load_head(d)
-    trace, graph = load_traffic(d, config, manifest)
-    labels, feasibility = load_outcomes(d, config)
+    trace = load_traffic(d, config, manifest)
+    labels, feasibility = load_outcomes(d, config, manifest)
     try:
         references = iat_references(config, trace)
     except GenerationError as exc:
         raise ValueError(f"{d / 'trace.csv'}: {exc}") from None
-    return World(trace, graph, labels, references, manifest, feasibility,
-                 config)
+    return World(trace, labels, references, manifest, feasibility, config)

@@ -42,6 +42,7 @@ from flowgate.worlds import (
     WorldConfig,
     audit_budgets,
     build_world,
+    contention_graph,
 )
 from support import (
     damping_margin,
@@ -69,9 +70,14 @@ def _score_table(table, world, burn: int, quantile: float, w_min: int):
     return ses, ses.process_window(0, table.x)
 
 
+def _graph(world):
+    """The contention graph that detect derives for world."""
+    return contention_graph(world.config, world.manifest.seed)
+
+
 def _score_world(world, burn: int, quantile: float, w_min: int):
     """Feature table plus a full detector pass over every window."""
-    table = windowize(world.trace, world.graph)
+    table = windowize(world.trace, _graph(world))
     return (table, *_score_table(table, world, burn, quantile, w_min))
 
 
@@ -111,7 +117,7 @@ def test_criterion_1_calibration_fidelity():
     t0 = time.perf_counter()
     burn = 6000
     world = _calibration_world()
-    table = windowize(world.trace, world.graph)
+    table = windowize(world.trace, _graph(world))
     results = {}
     for q in (0.99, 0.999):
         ses, scores = _score_table(table, world, burn, q, w_min=50)

@@ -51,10 +51,10 @@ from flowgate.trace import (
 from flowgate.wfq import QueueEventLog, Schedule, read_queue_log
 from flowgate.worlds import (
     BenignFlowSpec,
-    ContentionGraph,
     EpisodeSpec,
     WorldConfig,
     audit_budgets,
+    contention_graph,
     episode_labels,
     flow_table,
     iat_references,
@@ -170,9 +170,11 @@ def _same_outputs(out: Path, expected: Path) -> None:
         assert (out / f.name).read_bytes() == f.read_bytes(), f.name
 
 
-# the files each reader of a world opens; trace.csv comes with its twin
+# the files each reader of a world opens; trace.csv comes with its twin.
+# contention.json is not among them: detect derives the graph from
+# config.json and the seed
 TRAFFIC_FILES = ("config.json", "manifest.json", "trace.csv",
-                 "trace.csv.cols", "contention.json")
+                 "trace.csv.cols")
 OUTCOME_FILES = ("config.json", "manifest.json", "feasibility.json")
 
 
@@ -257,6 +259,12 @@ def _edit_export(world: Path, artifact: str, edit: str) -> None:
         write_json(path, [{**lab, "start_window": 0, "end_window": 1,
                            "kind": "scan", "feasible": not lab["feasible"]}
                           for lab in json.loads(path.read_text())])
+    elif artifact == "contention.json":  # every weight and rho halved
+        doc = json.loads(path.read_text())
+        write_json(path, {"spectral_radius": doc["spectral_radius"] / 2,
+                          "cliques": {c: {**b, "weights": [
+                              [w / 2 for w in row] for row in b["weights"]]}
+                              for c, b in doc["cliques"].items()}})
     else:
         write_json(path, _own_iat_references(world))
 
@@ -265,10 +273,12 @@ def _edit_export(world: Path, artifact: str, edit: str) -> None:
     ("flows.csv", "truncated"), ("flows.csv", "other flows"),
     ("labels.csv", "truncated"), ("labels.csv", "other labels"),
     ("references.json", "truncated"),
-    ("references.json", "each episode's own IATs")])
+    ("references.json", "each episode's own IATs"),
+    ("contention.json", "truncated"),
+    ("contention.json", "weights and spectral_radius halved")])
 def test_edited_world_exports_are_ignored(pipe, tmp_path, artifact, edit):
-    # flows.csv, labels.csv and references.json are exports: no stage and
-    # no audit reads them back
+    # flows.csv, labels.csv, references.json and contention.json are
+    # exports: no stage and no audit reads them back
     world = _world_copy(pipe, tmp_path)
     audit = audit_budgets(load_world(world))
     _edit_export(world, artifact, edit)
@@ -282,14 +292,17 @@ def test_world_exports_are_the_derived_records(pipe):
     # what gen-world exports is what every stage derives
     world = pipe["world"]
     config, manifest = load_head(world)
-    trace, _ = load_traffic(world, config, manifest)
-    labels, feasibility = load_outcomes(world, config)
+    trace = load_traffic(world, config, manifest)
+    labels, feasibility = load_outcomes(world, config, manifest)
     assert read_flow_table(world / "flows.csv") == flow_table(config)
     assert read_labels(world / "labels.csv") == labels == episode_labels(
         config, feasibility)
     assert json.loads((world / "references.json").read_text()) == {
         str(r.flow_id): r.sorted_iats_us.tolist()
         for r in iat_references(config, trace)}
+    assert (world / "contention.json").read_text() == json.dumps(
+        contention_graph(config, manifest.seed).to_dict(), sort_keys=True,
+        indent=2) + "\n"
 
 
 @pytest.mark.parametrize("command", ["replay", "report"])
@@ -333,6 +346,8 @@ def test_every_record_binds_the_trace(pipe):
     # manifest.json binds trace.csv, and every stage's record holds a copy
     world = json.loads((pipe["world"] / "manifest.json").read_text())
     assert world["trace_sha256"] == _sha256(pipe["world"] / "trace.csv")
+    assert world["feasibility_sha256"] == _sha256(pipe["world"] /
+                                                  "feasibility.json")
     for record in (pipe["det"] / "detect_manifest.json",
                    pipe["base"] / "replay_manifest.json",
                    pipe["gated"] / "replay_manifest.json"):
@@ -835,6 +850,22 @@ def test_missing_config_is_runtime_error(tmp_path):
                  "--out", str(tmp_path / "w")]) == 1
 
 
+def test_world_whose_graph_misses_its_band_is_not_written(tmp_path, capsys):
+    # every clique a singleton: no weights can reach rho_band's [0.4, 0.6]
+    cfg = WorldConfig(world_id="singletons", seed=1, horizon_windows=8,
+                      window_us=250_000, capacity_bps=125_000.0,
+                      benign_flows=[BenignFlowSpec(
+                          f, "telemetry", f, "periodic_telemetry",
+                          {"period_s": 1.0}) for f in (1, 2)])
+    write_json(tmp_path / "config.json", to_json(cfg))
+    out = tmp_path / "w"
+    assert main(["gen-world", "--config", str(tmp_path / "config.json"),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.endswith(
+        "cannot reach rho band [0.4, 0.6]: all cliques are singletons\n")
+    assert not out.exists()
+
+
 def test_corrupt_world_is_runtime_error(pipe, tmp_path):
     broken = tmp_path / "world_broken"
     shutil.copytree(pipe["world"], broken)
@@ -851,7 +882,7 @@ def _edited_world(pipe, tmp_path, name, edit):
     world = tmp_path / name
     shutil.copytree(pipe["world"], world)
     config, manifest = load_head(world)
-    trace = edit(load_traffic(world, config, manifest)[0])
+    trace = edit(load_traffic(world, config, manifest))
     rebind(world / "trace.csv", trace, world / "manifest.json",
            "trace_sha256")
     return world, trace
@@ -889,6 +920,7 @@ def test_clique_tag_disagreeing_with_graph_is_refused(pipe, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "trace.csv" in err and f"flow {flow} " in err and "clique 7" in err
+    assert "config.json puts it in clique" in err
 
 
 def test_unsorted_trace_is_refused(pipe, tmp_path, capsys):
@@ -1573,10 +1605,23 @@ def _world_copy(pipe, tmp_path):
 # load_world reads them all
 WORLD_JSON_READERS = {
     "config.json": ("detect", "replay", "report"),
-    "contention.json": ("detect", "replay"),
     "feasibility.json": ("report",),
     "manifest.json": ("detect", "replay", "report"),
 }
+
+
+def _rewrite(world, artifact, text) -> Path:
+    """Write text as the world's artifact, and return its path. A
+    feasibility.json is bound to manifest.json again, as gen-world binds
+    the one it writes, so that its readers reach the checks after the
+    binding."""
+    path = world / artifact
+    path.write_text(text)
+    if artifact == "feasibility.json":
+        record = world / "manifest.json"
+        write_json(record, {**json.loads(record.read_text()),
+                            "feasibility_sha256": _sha256(path)})
+    return path
 
 
 def _refusal(pipe, tmp_path, capsys, world, reader) -> str:
@@ -1604,9 +1649,8 @@ def _refusal(pipe, tmp_path, capsys, world, reader) -> str:
 def test_truncated_world_json_is_named(pipe, tmp_path, capsys, artifact,
                                        reader):
     world = _world_copy(pipe, tmp_path)
-    path = world / artifact
-    text = path.read_text()
-    path.write_text(text[:len(text) // 2])
+    text = (world / artifact).read_text()
+    path = _rewrite(world, artifact, text[:len(text) // 2])
     assert _refusal(pipe, tmp_path, capsys, world, reader).startswith(
         f"ValueError: {path}: ")
 
@@ -1664,34 +1708,6 @@ def _edit_manifest(doc):
     }
 
 
-def _edit_contention(doc):
-    """Named corruptions of a contention graph, as _edit_config's."""
-    c = sorted(doc["cliques"], key=int)[0]
-    w = doc["cliques"][c]["weights"]
-
-    def with_weights(weights):
-        return {**doc, "cliques": {**doc["cliques"], c: {
-            **doc["cliques"][c], "weights": weights}}}
-
-    return {
-        "missing cliques": (_without(doc, "cliques"),
-                            "missing key 'cliques'"),
-        "string weight": (with_weights([["x", *w[0][1:]], *w[1:]]),
-                          f"cliques.{c}.weights[0][0] = 'x' is not a finite "
-                          "number"),
-        "ragged block": (with_weights([w[0][:-1], *w[1:]]),
-                         f"cliques.{c}.weights is not a {len(w)} x {len(w)} "
-                         "block"),
-        "stored rho of other blocks": (
-            {**doc, "spectral_radius": 99.0},
-            "contention.json: spectral_radius = 99.0 is not rho of the "
-            "blocks"),
-        # the layout whose copy of config.json's band nothing read
-        "band of an earlier layout": ({**doc, "rho_band": [0.0, 99.0]},
-                                      "unknown key 'rho_band'"),
-    }
-
-
 def _edit_feasibility_i_max(doc):
     """A feasibility document written for another config's i_max, as
     _edit_config's; _edit_feasibility holds the report-only cases."""
@@ -1704,7 +1720,6 @@ def _edit_feasibility_i_max(doc):
 
 WORLD_JSON_EDITS = {"config.json": _edit_config,
                     "manifest.json": _edit_manifest,
-                    "contention.json": _edit_contention,
                     "feasibility.json": _edit_feasibility_i_max}
 # the cases; any document on which every edit runs gives their names
 WORLD_JSON_CORRUPTIONS = [
@@ -1712,7 +1727,6 @@ WORLD_JSON_CORRUPTIONS = [
     for artifact, dummy in (
         ("config.json", {"episodes": [{"budgets": {}}]}),
         ("manifest.json", {"config_hash": "", "split": []}),
-        ("contention.json", {"cliques": {"0": {"weights": [[0.0]]}}}),
         ("feasibility.json", {"i_max": 0, "outcomes": [{}]}))
     for corruption in sorted(WORLD_JSON_EDITS[artifact](dummy))
     for reader in (*WORLD_JSON_READERS[artifact], "load_world")]
@@ -1723,10 +1737,9 @@ WORLD_JSON_CORRUPTIONS = [
 def test_corrupt_world_json_is_refused(pipe, tmp_path, capsys, artifact,
                                        corruption, reader):
     world = _world_copy(pipe, tmp_path)
-    path = world / artifact
     bad, message = WORLD_JSON_EDITS[artifact](
-        json.loads(path.read_text()))[corruption]
-    path.write_text(json.dumps(bad))
+        json.loads((world / artifact).read_text()))[corruption]
+    path = _rewrite(world, artifact, json.dumps(bad))
     err = _refusal(pipe, tmp_path, capsys, world, reader)
     assert err.startswith(f"ValueError: {path}: ")
     assert message in err
@@ -2015,14 +2028,32 @@ FEASIBILITY_CORRUPTIONS = sorted(_edit_feasibility(
 @pytest.mark.parametrize("corruption", FEASIBILITY_CORRUPTIONS)
 def test_corrupt_feasibility_is_refused(pipe, tmp_path, capsys, corruption):
     world = _world_copy(pipe, tmp_path)
-    path = world / "feasibility.json"
-    bad, message = _edit_feasibility(json.loads(path.read_text()))[corruption]
-    path.write_text(json.dumps(bad))
+    bad, message = _edit_feasibility(json.loads(
+        (world / "feasibility.json").read_text()))[corruption]
+    path = _rewrite(world, "feasibility.json", json.dumps(bad))
     assert _report(pipe, tmp_path, world=world) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: ValueError: {path}: ")
     assert message in err
     assert not (tmp_path / "r" / "report.json").exists()
+
+
+@pytest.mark.parametrize("reader", ["report", "load_world"])
+def test_feasibility_of_another_run_is_refused(pipe, tmp_path, capsys,
+                                               reader):
+    # manifest.json binds feasibility.json: an outcome flipped, and the
+    # file written as gen-world writes it, is another file
+    world = _world_copy(pipe, tmp_path)
+    path = world / "feasibility.json"
+    doc = json.loads(path.read_text())
+    doc["outcomes"][0]["feasible"] = not doc["outcomes"][0]["feasible"]
+    write_json(path, doc)
+    bound = json.loads((world / "manifest.json").read_text())
+    assert _refusal(pipe, tmp_path, capsys, world, reader).rstrip("\n") == (
+        f"ValueError: {path}: sha256 {_sha256(path)} is not the "
+        f"{bound['feasibility_sha256']} that {world / 'manifest.json'} "
+        "records")
+    assert not (tmp_path / "r").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -2046,8 +2077,8 @@ def test_scores_before_a_cut_ignore_the_rest_of_the_trace(pipe, cut):
     trace = read_trace_csv(world / "trace.csv", recorded(world / "trace.csv"),
                            flow_table(config), config.horizon_windows,
                            config.window_us)
-    graph = ContentionGraph.from_dict(json.loads((world / "contention.json")
-                                                 .read_text()))
+    graph = contention_graph(config, json.loads(
+        (world / "manifest.json").read_text())["seed"])
     burn_in = json.loads((pipe["det"] / "detect_manifest.json")
                          .read_text())["burn_in_windows"]
     keep = trace.ts_us < cut * config.window_us

@@ -209,7 +209,7 @@ def test_labels_round_trip_with_inf_budgets(tmp_path):
 
 def test_manifest_round_trip(tmp_path):
     m = RunManifest("w0", 42, "a" * 64, "timing+contention-v1", (0.6, 0.1, 0.3),
-                    "b" * 64)
+                    "b" * 64, "c" * 64)
     p = tmp_path / "manifest.json"
     write_json(p, to_json(m))
     assert read_manifest(p) == m
@@ -233,7 +233,7 @@ _DETECTOR = st.builds(DetectorParams, **{
     for f in fields(DetectorParams)})
 _MANIFEST = st.builds(RunManifest, _TEXT, _INTS, _TEXT, _TEXT,
                       st.tuples(_FLOATS, _FLOATS, _FLOATS), _TEXT, _TEXT,
-                      _TEXT)
+                      _TEXT, _TEXT)
 RECORDS = {
     "flow table": (dict[int, FlowInfo], st.dictionaries(_INTS, _FLOW_INFO,
                                                         max_size=3)),

@@ -22,14 +22,11 @@ from flowgate.worlds import (
     BenignFlowSpec,
     BenignIatReference,
     CliqueContext,
-    ContentionGraph,
     EpisodeSpec,
     FloorUnreachable,
     GenerationError,
     REF_CAP,
-    RHO_RTOL,
     WorldConfig,
-    _SALT_GRAPH,
     _gen_bulk,
     _gen_overlay,
     _gen_periodic,
@@ -39,6 +36,7 @@ from flowgate.worlds import (
     build_world,
     check_trace,
     clique_baseline_delay,
+    contention_graph,
     enforce_contention,
     gen_benign_flow,
     load_world,
@@ -403,11 +401,7 @@ def test_graph_shape_and_band():
 def test_graph_rho_exact_on_demo_world():
     path = REPO / "configs" / "demo_world.json"
     cfg = from_json(WorldConfig, load_json(path), path)
-    clique_of = {f.flow_id: f.clique_id for f in cfg.benign_flows}
-    clique_of.update({e.flow_id: e.clique_id for e in cfg.episodes})
-    # the graph build_world draws for world seed 1
-    g = build_contention_graph(clique_of, cfg.rho_band,
-                               np.random.default_rng([1, _SALT_GRAPH]))
+    g = contention_graph(cfg, 1)  # the graph of world seed 1
     stored = json.loads(json.dumps(g.to_dict()))["spectral_radius"]
     exact = float(np.linalg.eigvalsh(dense_weights(g))[-1])
     assert stored == pytest.approx(exact, rel=1e-12)
@@ -450,13 +444,6 @@ def test_graph_dict_round_trip():
     assert g2.cliques == g.cliques
     assert all(np.array_equal(g2.blocks[c], g.blocks[c]) for c in g.cliques)
     assert g2.spectral_radius == g.spectral_radius
-    # blocks that break the exact-rho premise, or a flow in two cliques
-    with pytest.raises(ValueError, match="symmetric and nonnegative"):
-        type(g)({0: [1, 2]}, {0: [[0.0, 1.0], [0.5, 0.0]]})
-    with pytest.raises(ValueError, match="symmetric and nonnegative"):
-        type(g)({0: [1, 2]}, {0: [[0.0, -1.0], [-1.0, 0.0]]})
-    with pytest.raises(ValueError, match="listed twice"):
-        type(g)({0: [1, 2], 1: [2]}, {0: np.zeros((2, 2)), 1: [[0.0]]})
     # a world written with a dense W is refused by the codec, naming the key
     with pytest.raises(ValueError, match="^contention.json: unknown key "
                                          "'flow_ids'$"):
@@ -466,24 +453,6 @@ def test_graph_dict_round_trip():
     with pytest.raises(ValueError, match="^contention.json: unknown key "
                                          "'rho_band'$"):
         type(g).from_dict({**d, "rho_band": list(cfg.rho_band)})
-
-
-def test_stored_spectral_radius_must_be_rho_of_the_blocks():
-    g = build_contention_graph({1: 0, 2: 0, 3: 0, 4: 1, 5: 1}, (0.4, 0.6),
-                               np.random.default_rng(11))
-    d = json.loads(json.dumps(g.to_dict()))
-    with pytest.raises(ValueError, match=r"^contention\.json: "
-                       r"spectral_radius = 99\.0 is not rho of the blocks"):
-        ContentionGraph.from_dict({**d, "spectral_radius": 99.0})
-    # another machine's eigvalsh may differ in the last bits
-    rho = d["spectral_radius"]
-    for stored in (np.nextafter(rho, np.inf), np.nextafter(rho, -np.inf),
-                   rho * (1 + 0.5 * RHO_RTOL)):
-        back = ContentionGraph.from_dict({**d, "spectral_radius": stored})
-        assert back.spectral_radius == g.spectral_radius
-    with pytest.raises(ValueError, match="spectral_radius"):
-        ContentionGraph.from_dict({**d,
-                                   "spectral_radius": rho * (1 + 2 * RHO_RTOL)})
 
 
 def test_spectral_radius_known_matrix():
@@ -1033,7 +1002,7 @@ def test_world_labels_and_flow_table(demo_world):
 
 
 def test_world_graph_in_band(demo_world):
-    g = demo_world.graph
+    g = contention_graph(demo_world.config, demo_world.manifest.seed)
     lo, hi = demo_world.config.rho_band
     assert lo <= g.spectral_radius <= hi
     assert set(g.flow_ids) == {1, 2, 3, 4, 5, 100, 101}
@@ -1090,14 +1059,15 @@ def test_audit_replays_each_clique_benign_traffic_once(monkeypatch):
 
     monkeypatch.setattr(worlds_module, "deal", counted)
     rows = audit_budgets(world)
-    cliques = {world.graph.clique_of[l.flow_id] for l in world.labels}
+    clique_of = {e.flow_id: e.clique_id for e in cfg.episodes}
+    cliques = {clique_of[l.flow_id] for l in world.labels}
     assert len(world.labels) == 3 and cliques == {0, 1}
     assert submitted == [len(world.labels) + len(cliques)] == [5]
 
     # every row as the per-episode replays give it
     benign = [f for f, info in trace.flow_table.items() if info.label == BENIGN]
     for row, label in zip(rows, world.labels):
-        cid = world.graph.clique_of[label.flow_id]
+        cid = clique_of[label.flow_id]
         ben = (trace.clique_id == cid) & np.isin(trace.flow_id, benign)
         d = [clique_baseline_delay(trace.take(m), cfg.capacity_bps)
              for m in (ben, ben | (trace.flow_id == label.flow_id))]
@@ -1227,14 +1197,13 @@ def test_world_round_trip(demo_world, tmp_path):
     assert back.labels == demo_world.labels
     assert back.references == demo_world.references
     assert back.manifest == demo_world.manifest
-    assert back.graph.to_dict() == demo_world.graph.to_dict()
     assert to_json(back.feasibility) == to_json(demo_world.feasibility)
     assert to_json(back.config) == to_json(demo_world.config)
 
 
 def test_check_trace_names_the_flow(demo_world):
-    tr, g = demo_world.trace, demo_world.graph
-    check_trace(tr, g, LEN_BOUNDS)
+    tr, cfg = demo_world.trace, demo_world.config
+    check_trace(tr, cfg)
 
     def with_first(flow_id, clique_id):
         fid, cq = tr.flow_id.copy(), tr.clique_id.copy()
@@ -1242,17 +1211,16 @@ def test_check_trace_names_the_flow(demo_world):
         return Trace(tr.ts_us, fid, tr.len_bytes, cq, tr.flow_table,
                      tr.horizon_windows, tr.window_us)
 
-    with pytest.raises(ValueError, match="flow 999 is not in"):
-        check_trace(with_first(999, 0), g, LEN_BOUNDS)
+    with pytest.raises(ValueError, match="^trace.csv: flow 999 is not in "
+                                         "config.json$"):
+        check_trace(with_first(999, 0), cfg)
     f = int(tr.flow_id[0])
-    with pytest.raises(ValueError, match=f"flow {f} is tagged clique 7"):
-        check_trace(with_first(f, 7), g, LEN_BOUNDS)
-    table = dict(tr.flow_table)
-    table[999] = table[f]
-    with pytest.raises(ValueError, match="list different flows"):
-        check_trace(Trace(tr.ts_us, tr.flow_id, tr.len_bytes, tr.clique_id,
-                          table, tr.horizon_windows, tr.window_us), g,
-                    LEN_BOUNDS)
+    c = next(s.clique_id for s in cfg.benign_flows + cfg.episodes
+             if s.flow_id == f)
+    with pytest.raises(ValueError, match=(
+            f"^trace.csv: flow {f} is tagged clique 7, but config.json puts "
+            f"it in clique {c}$")):
+        check_trace(with_first(f, 7), cfg)
     k = int(np.flatnonzero(np.diff(tr.ts_us))[0]) + 1
     order = np.arange(tr.n_packets)
     order[[k - 1, k]] = [k, k - 1]
@@ -1262,7 +1230,7 @@ def test_check_trace_names_the_flow(demo_world):
     with pytest.raises(ValueError, match=(
             f"trace.csv: packet {k} at ts {tr.ts_us[k - 1]} precedes "
             f"packet {k - 1} at ts {tr.ts_us[k]}$")):
-        check_trace(swapped, g, LEN_BOUNDS)
+        check_trace(swapped, cfg)
     # a packet at the horizon would land in the next flow's window 0
     last = tr.n_packets - 1
     ts = tr.ts_us.copy()
@@ -1272,7 +1240,7 @@ def test_check_trace_names_the_flow(demo_world):
     with pytest.raises(ValueError, match=(
             f"trace.csv: packet {last} of flow {tr.flow_id[last]} at ts "
             f"{tr.horizon_us} is outside \\[0, {tr.horizon_us}\\)$")):
-        check_trace(late, g, LEN_BOUNDS)
+        check_trace(late, cfg)
     for k, n_bytes in ((3, LEN_BOUNDS[0] - 1), (tr.n_packets - 1,
                                                LEN_BOUNDS[1] + 1)):
         ln = tr.len_bytes.copy()
@@ -1282,7 +1250,7 @@ def test_check_trace_names_the_flow(demo_world):
         with pytest.raises(ValueError, match=(
                 f"trace.csv: packet {k} of flow {tr.flow_id[k]} has "
                 f"{n_bytes} bytes, outside \\[64, 1500\\]$")):
-            check_trace(bad, g, LEN_BOUNDS)
+            check_trace(bad, cfg)
 
 
 def test_load_world_refuses_length_outside_config_bounds(demo_world,
