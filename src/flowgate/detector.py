@@ -12,8 +12,9 @@ memoryless baseline scores window t's evidence directly.
 
 Layout: the session scores a block of consecutive windows per call, over a
 fixed, ordered set of flows (the rows of each window's feature matrix). The
-normalizer, the evidence and the surrogate work on the whole block, the
-(v, u) step once per window over the flows' arrays. The decisions are two
+normalizer works on the whole block, the evidence and the surrogate are
+one numpy expression each over it, and the (v, u) step runs once per
+window over the flows' arrays. The decisions are two
 array functions: thresholds freezes every flow's thresholds in one call,
 and flags turns a block's alarms into K-of-M flags.
 """
@@ -85,40 +86,21 @@ def f_sat(v, alpha: float, kappa: float):
     return alpha * v2 / (1.0 + kappa * v2)
 
 
-def _each(fn, x):
-    """fn, a function of one float, applied to every element of the array
-    x. The surrogate's exp goes through here (numpy's SIMD exp can differ
-    from libm's by an ulp, which would move the scores' bytes), so each
-    element is its scalar result bit for bit."""
-    x = np.asarray(x)
-    return np.fromiter(map(fn, x.ravel().tolist()), np.float64,
-                       x.size).reshape(x.shape)
-
-
-def _logistic(x: float) -> float:
-    return 0.0 if x > 700.0 else 1.0 / (1.0 + math.exp(x))
-
-
 def event_surrogate(v, k: float, theta: float):
     """Logistic event surrogate S = 1 / (1 + exp(-k (v - theta))),
-    elementwise; 0 where -k (v - theta) > 700."""
-    return _each(_logistic, -k * (v - theta))
-
-
-def _sum_last(a: np.ndarray) -> np.ndarray:
-    """Sum over the last axis from left to right, as Python's sum adds; a
-    numpy reduction may add in pairs, which can move the last bit."""
-    total = np.zeros(a.shape[:-1])
-    for k in range(a.shape[-1]):
-        total = total + a[..., k]
-    return total
+    elementwise; exactly 0 where -k (v - theta) > 700, which also keeps
+    exp from overflowing. numpy's exp may differ from libm's by an ulp or
+    two, so S is within 4 ulp of the libm formula."""
+    x = -k * (v - theta)
+    return np.where(x > 700.0, 0.0,
+                    1.0 / (1.0 + np.exp(np.minimum(x, 700.0))))
 
 
 def evidence(z, zeta: float):
     """Evidence drive zeta * ||z||_2 over the last axis of z: one row's
     vector, or a window's (rows x features) matrix."""
     z = np.asarray(z, dtype=np.float64)
-    return zeta * np.sqrt(_sum_last(z * z))
+    return zeta * np.sqrt(np.sum(z * z, axis=-1))
 
 
 def step(v, u, drive, params: DetectorParams):
@@ -251,7 +233,7 @@ class Scores(Table):
     """scores.csv: one row per (flow, window), with the flow and window,
     the evidence E, the surrogate S, the pre-step state v and u, the score
     s, which is S, the alarm a, the actionable flag z, and baseline_s, the
-    memoryless baseline's score, which is E (and is E when not given)."""
+    memoryless baseline's score, which is E."""
 
     flow_id: np.ndarray = column("d", np.int64)
     window: np.ndarray = column("d", np.int64)
@@ -262,12 +244,7 @@ class Scores(Table):
     s: np.ndarray = column("r", np.float64)
     a: np.ndarray = column("d", bool)
     z: np.ndarray = column("d", bool)
-    baseline_s: np.ndarray = column("r", np.float64, default=None)
-
-    def __post_init__(self):
-        if self.baseline_s is None:
-            object.__setattr__(self, "baseline_s", self.E)
-        super().__post_init__()
+    baseline_s: np.ndarray = column("r", np.float64)
 
 
 # Windows per process_window call in detect and the scoring bench. A call
@@ -393,7 +370,7 @@ class DetectorSession:
         return Scores(np.tile(self._flow_col, n_windows),
                       np.repeat(np.arange(window, window + n_windows), n),
                       e.ravel(), s.ravel(), v.ravel(), u.ravel(), s.ravel(),
-                      alarm.ravel(), actionable.ravel())
+                      alarm.ravel(), actionable.ravel(), e.ravel())
 
     def thresholds(self) -> dict[int, FlowThresholds]:
         """Each flow's thresholds by id: NaN until frozen, and when none."""

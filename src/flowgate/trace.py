@@ -122,7 +122,7 @@ def unique(a, return_counts: bool = False):
 # Tables: the one declaration of every CSV artifact
 
 
-def column(conv: str, dtype, **kw):
+def column(conv: str, dtype):
     """A Table field: a numpy column of dtype, written to CSV under the
     field's name as "%" + conv. The conversion is d for an integer or bool
     dtype and r or .17g for a float one, so that the text reads back as
@@ -132,7 +132,7 @@ def column(conv: str, dtype, **kw):
             dtype.kind, ()):
         raise ValueError(f"column %{conv} of {dtype}: only %d of integers "
                          "or bools and %r or %.17g of floats are supported")
-    return field(**kw, metadata={"column": (conv, dtype)})
+    return field(metadata={"column": (conv, dtype)})
 
 
 @functools.cache

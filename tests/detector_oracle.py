@@ -3,11 +3,14 @@
 Kept as the differential oracle of `flowgate.detector.DetectorSession`: the
 session, its scalar kernels and the per-row normalizer are the old code,
 cut to the detector terms that remain (the graph coupling, drive noise,
-reset, bias, score mixing and norm orders other than 2 are gone from both),
-so the oracle's arithmetic owes nothing to `src`. It shares only
-the parameter type `DetectorParams` and the normalizer's constants, which
-it reads but does not compute with. Rows are (flow_id, bucket, x)
-with x the raw 7-component vector, None marking a missing component.
+reset, bias, score mixing and norm orders other than 2 are gone from both).
+It shares the parameter type `DetectorParams` and the normalizer's
+constants, which it reads but does not compute with, and one kernel: the
+session scores each row with the array surrogate, whose numpy exp may sit
+an ulp or two from libm's, so that its scores stay comparable bit for bit.
+`event_surrogate` here is the libm formula, the surrogate's reference.
+Rows are (flow_id, bucket, x) with x the raw 7-component vector, None
+marking a missing component.
 
 `RowNormalizer` is the window normalizer that the block normalizer
 (`flowgate.features.Normalizer`) replaced: one window's matrix per call,
@@ -27,6 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from flowgate.detector import DetectorParams
+from flowgate.detector import event_surrogate as array_surrogate
 from flowgate.features import (
     CLIP,
     EPS_VAR,
@@ -330,7 +334,7 @@ class DetectorSession:
                              or self.normalizer.bucket_updates(bucket) >= min_bucket)
             z_vec = self.normalizer.score_and_update(bucket, x)
             e = evidence(z_vec, p.zeta)
-            s_val = event_surrogate(st.v, p.k, p.theta)
+            s_val = float(array_surrogate(st.v, p.k, p.theta))
             if burn:
                 alarm = False
                 actionable = False

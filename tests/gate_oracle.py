@@ -143,7 +143,8 @@ def flags(actionable: dict[int, np.ndarray]) -> Scores:
     z = np.concatenate([np.asarray(z, dtype=bool)
                         for z in actionable.values()])
     zero = np.zeros(fid.size)
-    return Scores(fid, window, zero, zero, zero, zero, zero, z & False, z)
+    return Scores(fid, window, zero, zero, zero, zero, zero, z & False, z,
+                  zero)
 
 
 def entries(schedule: Schedule, flow_id: int) -> list[tuple[int, float]]:

@@ -62,7 +62,7 @@ def test_work_counters_read_real_tables(tmp_path):
                   1, 250_000)
     zero = [0.0, 0.0]
     write_scores_csv(tmp_path / "scores.csv", Scores(
-        [0, 0], [0, 1], zero, zero, zero, zero, zero, [0, 0], [0, 0]))
+        [0, 0], [0, 1], zero, zero, zero, zero, zero, [0, 0], [0, 0], zero))
     scores = read_scores_csv(tmp_path / "scores.csv",
                              recorded(tmp_path / "scores.csv"))
     assert tracing._packets((), trace) == 3

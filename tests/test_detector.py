@@ -98,6 +98,44 @@ def test_event_surrogate_monotone():
     assert all(b >= a for a, b in zip(ss, ss[1:]))
 
 
+def ulps(a, b):
+    """The distance in ulps between float64 arrays of one sign."""
+    a, b = np.asarray(a, np.float64), np.asarray(b, np.float64)
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+def libm_surrogate(v, k=4.0, theta=1.0):
+    return np.array([oracle.event_surrogate(x, k, theta)
+                     for x in np.ravel(v).tolist()])
+
+
+def test_event_surrogate_within_4_ulp_of_libm():
+    v = np.random.default_rng(17).uniform(-200.0, 12.0, 2**20)
+    assert ulps(event_surrogate(v, 4.0, 1.0), libm_surrogate(v)).max() <= 4
+
+
+def test_event_surrogate_is_zero_past_700_without_overflow(recwarn):
+    # 700 < -k (v - theta) <= 709.78 is where exp is still finite, and
+    # beyond it exp overflows: both read exactly 0, with no warning
+    x = np.concatenate([np.nextafter(700.0, np.inf) + [0.0, 1e-9],
+                        np.linspace(700.5, 709.78, 50),
+                        [709.79, 710.0, 1e4, 1e308, np.inf]])
+    s = event_surrogate(-x, 1.0, 0.0)
+    assert s.tobytes() == np.zeros(x.size).tobytes()
+    assert event_surrogate(-700.0, 1.0, 0.0) > 0.0
+    assert not recwarn.list
+
+
+def test_event_surrogate_monotone_ulp_by_ulp():
+    # 20,000 ulps either side of 400 points in [-200, 12], each step up
+    # in v a step up or none in S
+    steps = np.arange(-20_000, 20_001)
+    for centre in np.linspace(-200.0, 12.0, 400):
+        up = -steps if centre < 0 else steps
+        v = (np.float64(centre).view(np.int64) + up).view(np.float64)
+        assert (np.diff(event_surrogate(v, 4.0, 1.0)) >= 0.0).all(), centre
+
+
 def test_evidence_frozen():
     assert evidence((3.0, 4.0), 1.0) == 5.0
     assert evidence((0.0, -3.0, 4.0), 0.5) == 2.5
@@ -707,7 +745,8 @@ def test_flags_tail_is_bounded_by_the_windows_seen():
 
 
 def test_array_kernels_match_scalar_kernels_elementwise():
-    # one kernel: a window's arrays give each flow's scalar result
+    # a window's arrays give each flow's scalar result: E, v and u bit for
+    # bit, S within 4 ulp of libm
     rng = np.random.default_rng(3)
     p = DetectorParams()
     v = np.concatenate([rng.uniform(-200.0, 12.0, 200), [0.0, 1.0, -175.0]])
@@ -717,9 +756,9 @@ def test_array_kernels_match_scalar_kernels_elementwise():
     vn, un = step(v, u, e, p)
     z = rng.normal(0.0, 3.0, (v.size, N_FEATURES))
     ev = evidence(z, 0.25)
+    assert ulps(s, libm_surrogate(v, p.k, p.theta)).max() <= 4
     for i in range(v.size):
         assert ev[i] == oracle.evidence(z[i].tolist(), 0.25)
-        assert s[i] == oracle.event_surrogate(float(v[i]), p.k, p.theta)
         assert (vn[i], un[i]) == oracle.step(float(v[i]), float(u[i]),
                                              float(e[i]), p)
 
@@ -732,7 +771,8 @@ def test_scores_csv_round_trip(tmp_path):
     scores = Scores([1, 2, 1, 2], [0, 0, 1, 1], [0.5, 1.25, 1e-17, 2.0],
                     [0.01798, 0.5, 0.9999999, 0.25], [0.0, 1.0, 9.5, 0.0],
                     [0.0, 0.1, 3.3, 0.0], [0.01798, 0.5, 0.9999999, 0.25],
-                    [False, True, True, False], [False, False, True, False])
+                    [False, True, True, False], [False, False, True, False],
+                    [0.5, 1.25, 1e-17, 2.0])
     path = tmp_path / "scores.csv"
     write_scores_csv(path, scores)
     back = read_scores_csv(path, recorded(path))
@@ -743,7 +783,7 @@ def test_scores_csv_round_trip(tmp_path):
 
 
 def test_scores_concat_stacks_rows_and_types_columns():
-    one = Scores([7], [3], [0.5], [0.5], [0.0], [0.0], [0.5], [1], [0])
+    one = Scores([7], [3], [0.5], [0.5], [0.0], [0.0], [0.5], [1], [0], [0.5])
     two = Scores.concat([one, one])
     assert len(two) == 2 and two.window.tolist() == [3, 3]
     assert two.flow_id.dtype == np.int64 and two.a.dtype == bool
@@ -756,7 +796,7 @@ def test_scores_csv_refuses_bad_header_and_short_rows(tmp_path):
     # is refused, naming the copy and the record
     path = tmp_path / "scores.csv"
     write_scores_csv(path, Scores([1], [0], [0.5], [0.5], [0.0], [0.0],
-                                  [0.5], [False], [False]))
+                                  [0.5], [False], [False], [0.5]))
     bound = recorded(path, "detect_manifest.json")
     lines = path.read_text().splitlines()
     swapped = lines[0].replace("S,v", "v,S")
@@ -778,7 +818,7 @@ def test_scores_csv_names_the_first_repeat_and_the_line_it_repeats(
     f = np.array([1, 2, 2, 1, 1])
     zero = np.zeros(5)
     write_scores_csv(path, Scores(f, [0, 0, 1, 0, 0], zero, zero, zero, zero,
-                                  zero, f < 0, f < 0))
+                                  zero, f < 0, f < 0, zero))
     with pytest.raises(ValueError, match=re.escape(
             f"{path}: line 5: flow 1 at window 0 repeats line 2")):
         read_scores_csv(path, recorded(path))
@@ -802,7 +842,7 @@ def test_scores_csv_refuses_values_the_writer_cannot_write(tmp_path, row,
     # and in a twin of its columns, a bool by its byte
     path = tmp_path / "scores.csv"
     write_scores_csv(path, Scores([1], [0], [0.5], [0.5], [0.0], [0.0],
-                                  [0.5], [False], [False]))
+                                  [0.5], [False], [False], [0.5]))
     with open(path, "a") as fh:
         fh.write(row + "\n")
     raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
@@ -828,10 +868,11 @@ def test_scores_csv_refuses_values_the_writer_cannot_write(tmp_path, row,
     + [st.lists(st.booleans(), min_size=n, max_size=n)] * 2))))
 def test_scores_csv_write_read_write_is_byte_identical(tmp_path_factory,
                                                        cols):
-    # columns E, S, v and u; s is S, as the reader requires
+    # columns E, S, v and u; s is S and baseline_s is E, as the reader
+    # requires
     f, w, e, s, v, u, a, z = cols
     d = tmp_path_factory.mktemp("scores")
-    write_scores_csv(d / "a.csv", Scores(f, w, e, s, v, u, s, a, z))
+    write_scores_csv(d / "a.csv", Scores(f, w, e, s, v, u, s, a, z, e))
     write_scores_csv(d / "b.csv", read_scores_csv(d / "a.csv",
                                                   recorded(d / "a.csv")))
     assert (d / "a.csv").read_bytes() == (d / "b.csv").read_bytes()

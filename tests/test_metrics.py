@@ -50,7 +50,7 @@ def rec(flow_id, window, a=False, z=False):
     """A one-row Scores table."""
     s = 1.0 if a else 0.1
     return Scores([flow_id], [window], [0.0], [0.0], [0.0], [0.0], [s], [a],
-                  [z])
+                  [z], [0.0])
 
 
 def table(rows):
@@ -123,7 +123,7 @@ def test_fpr_iid_scores_match_quantile():
     n = test.size
     zero = np.zeros(n)
     scores = Scores(np.ones(n), 10_000 + np.arange(n), zero, zero, zero,
-                     zero, test, test >= th, np.zeros(n, dtype=bool))
+                     zero, test, test >= th, np.zeros(n, dtype=bool), zero)
     alarm, _ = achieved_fpr(scores, [], detect_record(
         10_000, {1: FlowThresholds(th, th)}))
     assert abs(alarm - 0.01) < 0.005
@@ -303,7 +303,8 @@ def test_stage_stats_round_trip(tmp_path):
                                "max_us_per_row": cost[2]}}
     window = np.repeat(np.arange(100), 46)
     scores = Scores(np.tile(np.arange(46), 100), window,
-                    *([np.zeros(4600)] * 5), window < 0, window < 0)
+                    *([np.zeros(4600)] * 5), window < 0, window < 0,
+                    np.zeros(4600))
     assert read_stage_stats(tmp_path / "stage_stats.json", scores) == cost
     assert all(map(math.isnan, read_stage_stats(tmp_path / "absent.json",
                                                 scores)))

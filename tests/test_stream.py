@@ -39,7 +39,7 @@ def scores(n=40):
     rng = np.random.default_rng(11)
     e = rng.random(n) * 4
     return Scores(np.arange(n) % 7, np.arange(n) // 7, e, e / 3, -e,
-                  np.floor(e * 1e16), e * 5e-324, e > 1, e > 3)
+                  np.floor(e * 1e16), e * 5e-324, e > 1, e > 3, e)
 
 
 @settings(max_examples=150, deadline=None)

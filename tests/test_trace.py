@@ -353,7 +353,7 @@ def test_subset_keeps_metadata():
 def _write_scores(path, n):
     f = np.arange(n, dtype=np.float64)
     write_scores_csv(path, Scores(f, f, f / 7, f / 3, f, f, f / 3,
-                                  f % 2 == 1, f % 3 == 1))
+                                  f % 2 == 1, f % 3 == 1, f / 7))
 
 
 def _write_queue_log(path, n):

@@ -240,7 +240,7 @@ def gate_case(draw):
     fid, window, z = (np.array(c, dtype=t) for c, t in zip(
         zip(*rows) if rows else ((), (), ()), (np.int64, np.int64, bool)))
     zero = np.zeros(fid.size)
-    scores = Scores(fid, window, zero, zero, zero, zero, zero, z, z)
+    scores = Scores(fid, window, zero, zero, zero, zero, zero, z, z, zero)
     # half a microsecond short of k windows: a release that rounds up onto
     # the start k windows after the span's own
     t_g_s = draw(st.one_of(st.sampled_from([0.0, 0.4999995, 2.0, 30.0]),
