@@ -11,14 +11,17 @@ example a `git archive` export of the parent commit and this checkout's
 and 0.999 and every other knob at its default.
 
 One line per (world, seed, quantile) says which artifacts are identical
-("="): the world's files, scores.csv (else the columns that moved, with
-the largest move in ulps), the thresholds detect_manifest.json records
-(detector on S, baseline on E), the alarm and flag counts of each tree,
-the (flow, window, a, z) rows, the gate schedule, both queue logs and the
-report (report.json's metrics other than timing, and episodes.csv).
-Scores are read by their header, so a dropped or added column shows as
-such. Exits 1 when a decision differs: a world file, the (flow, window,
-a, z) rows, the schedule, a queue log or the report.
+("="): the world's data files (config.json, trace.csv and its twin,
+feasibility.json and the exports), the run records (manifest.json,
+detect_manifest.json and both replay_manifest.json), scores.csv (else the
+columns that moved, with the largest move in ulps), the thresholds
+detect_manifest.json records (detector on S, baseline on E), the alarm and
+flag counts of each tree, the (flow, window, a, z) rows, the gate
+schedule, both queue logs and the report (report.json's metrics other than
+timing, and episodes.csv). Scores are read by their header, so a dropped
+or added column shows as such. Exits 1 when a decision differs: a world
+data file, the (flow, window, a, z) rows, the schedule, a queue log or the
+report. A record that differs alone is not a decision.
 """
 
 from __future__ import annotations
@@ -122,14 +125,20 @@ def _metrics(rep: Path) -> tuple:
             (rep / "episodes.csv").read_bytes())
 
 
+def _differ(base: Path, head: Path, names) -> list[str]:
+    """The names, paths relative to base and to head, of the files that
+    are not byte-identical at the two, sorted."""
+    return sorted(n for n in names if not _same(base / n, head / n))
+
+
 def compare(base, head, quantiles) -> list[dict]:
     """One row per quantile comparing the run_tree outputs at base and at
     head; each value is "=" or what differs."""
     base, head = Path(base), Path(head)
-    moved = sorted({p.name for t in (base, head)
-                    for p in (t / "world").iterdir()
-                    if not _same(base / "world" / p.name,
-                                 head / "world" / p.name)})
+    # every world file but manifest.json, a record, holds data
+    moved = _differ(base / "world", head / "world", {
+        p.name for t in (base, head) for p in (t / "world").iterdir()
+        if p.name != "manifest.json"})
     base_log = _mark(_same(*(t / "base" / "queue_log.csv"
                              for t in (base, head))))
     rows = []
@@ -141,9 +150,16 @@ def compare(base, head, quantiles) -> list[dict]:
         key = ("flow_id", "window", "a", "z")
         tb, th = (_thresholds(t / "det" / "detect_manifest.json")
                   for t in (b, h))
+        # the records bind the artifacts to the world and to each other;
+        # what else they hold is compared in its own column
+        records = _differ(base, head, [
+            "world/manifest.json", "base/replay_manifest.json",
+            f"q{q}/det/detect_manifest.json",
+            f"q{q}/gated/replay_manifest.json"])
         rows.append({
             "q": q,
             "world": "=" if not moved else " ".join(moved),
+            "records": "=" if not records else " ".join(records),
             "scores": "=" if _same(b / "det" / "scores.csv",
                                    h / "det" / "scores.csv")
             else ", ".join(f"{n} {m}" for n, m in sorted(cols.items())
@@ -171,7 +187,7 @@ def changed(row: dict) -> bool:
     return any(row[k] != "=" for k in DECISIONS)
 
 
-HEADER = ("world", "seed", "q", "world files", "scores.csv",
+HEADER = ("world", "seed", "q", "world files", "records", "scores.csv",
           "thresholds", "alarms", "flags", "(f,w,a,z)", "schedule",
           "base log", "gated log", "report")
 

@@ -112,13 +112,12 @@ def _read_params(path) -> DetectorParams:
 @dataclass
 class ReplayManifest:
     """replay_manifest.json: the world replayed, the mode, the gate and the
-    queue log written, by its rows and its sha256."""
+    sha256 of the queue log written. The capacity is config.json's, and
+    the rows are the trace's packets."""
 
     world: RunManifest
     mode: str
-    capacity_bps: float
     gate: dict
-    packets: int
     queue_log_sha256: str
 
 
@@ -141,34 +140,28 @@ def _burn_in(config) -> int:
 def _load_scores(path, config, manifest: RunManifest):
     """The scores at path and their detect run's record beside them,
     refusing, naming the file, what _recorded_world and read_scores_csv
-    refuse, a record burn-in other than _burn_in's, scores of a sha256 other
-    than the record's, other than n_records rows, and rows or record flows
-    other than one for each of config.json's flows at each window in
-    [0, horizon)."""
+    refuse, record flows other than config.json's, and rows other than the
+    ones detect writes: each window in [0, horizon) in turn, and at each
+    one row for each of config.json's flows in id order. That refusal names
+    the first line that differs."""
     record, record_path = _recorded_world(path, "detect_manifest.json",
                                           read_thresholds, manifest)
     check_config_flows(record_path, record.flows, config)
-    if record.burn_in_windows != _burn_in(config):
-        raise ValueError(f"{record_path}: burn_in_windows = "
-                         f"{record.burn_in_windows} is not {_burn_in(config)}"
-                         ", the train split of config.json's horizon")
     scores = read_scores_csv(path, (record.scores_sha256, record_path))
-    if len(scores) != record.n_records:
-        raise ValueError(f"{path}: {len(scores)} rows, but {record_path} "
-                         f"records n_records = {record.n_records}")
     # the record's flows, which check_config_flows found to be the config's
-    flows, horizon = list(record.flows), config.horizon_windows
-    bad = (scores.window >= horizon) | ~np.isin(scores.flow_id, flows)
-    if bad.any():
-        i = int(np.argmax(bad))
-        f, w = scores.flow_id[i], scores.window[i]
-        raise ValueError(f"{path}: line {i + 2}: " + (
-            f"window {w} is outside [0, {horizon})" if w >= horizon
-            else f"flow {f} is not in config.json"))
-    # the rows are distinct (read_scores_csv): all pairs if as many
-    if len(scores) != len(flows) * horizon:
-        raise ValueError(f"{path}: {len(scores)} rows, not one for each of "
-                         f"config.json's {len(flows)} flows at each window")
+    flows, horizon = np.array(sorted(record.flows)), config.horizon_windows
+    want = np.tile(flows, horizon), np.repeat(np.arange(horizon), flows.size)
+    got = scores.flow_id, scores.window
+    n = min(len(scores), len(want[0]))
+    off = (got[0][:n] != want[0][:n]) | (got[1][:n] != want[1][:n])
+    if off.any() or len(scores) != len(want[0]):
+        i = int(np.argmax(off)) if off.any() else n
+        found, wrote = (f"flow {f[i]} at window {w[i]}" if i < len(f)
+                        else "no row" for f, w in (got, want))
+        raise ValueError(
+            f"{path}: line {i + 2}: {found} where detect writes {wrote}, "
+            f"one row for each of config.json's {flows.size} flows at each "
+            f"window in [0, {horizon}), window by window")
     return scores, record
 
 
@@ -236,16 +229,14 @@ def cmd_detect(args) -> int:
             stream.publish(part)
         scores = write_scores_csv(path, stream)
     session.finalize()
-    n_records = len(scores)
 
     write_stage_stats(out / "stage_stats.json", seconds, rows,
                       table.horizon_windows)
     write_thresholds(out / "detect_manifest.json", DetectManifest(
         **vars(calibration), world=manifest, detector_params=params,
-        burn_in_windows=burn_in, n_records=n_records,
         scores_sha256=stream.sha256, flows=session.thresholds()))
     print(f"flows={n_flows}")
-    print(f"records={n_records}")
+    print(f"records={len(scores)}")
     print(f"alarms={int(scores.a.sum())}")
     print(f"actionable={int(scores.z.sum())}")
     print(f"out={out}")
@@ -285,8 +276,7 @@ def cmd_replay(args) -> int:
         write_schedule(out / "schedule.csv", schedule)
     sha256 = write_queue_log(out / "queue_log.csv", log)
     write_json(out / "replay_manifest.json", to_json(ReplayManifest(
-        manifest, args.mode, config.capacity_bps,
-        {} if gc is None else to_json(gc), log.n, sha256)))
+        manifest, args.mode, {} if gc is None else to_json(gc), sha256)))
     print(f"mode={args.mode}")
     print(f"packets={log.n}")
     print(f"out={out}")
@@ -324,8 +314,8 @@ def cmd_report(args) -> int:
 
     ttds = time_to_detect(scores, labels, detected.m,
                           config.window_us * 1e-6)
-    rep = compute_report(scores, labels, ttds, detected, feasibility,
-                         base_log, gated_log, timing=timing)
+    rep = compute_report(scores, labels, ttds, detected, _burn_in(config),
+                         feasibility, base_log, gated_log, timing=timing)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_report(out / "report.json", rep, manifest)
@@ -339,19 +329,14 @@ def cmd_report(args) -> int:
 def _load_queue_log(path, mode: str, manifest: RunManifest):
     """The queue log at path, bound to the replay manifest beside it,
     refusing, naming the file, what _recorded_world and read_queue_log
-    refuse, a replay manifest of another mode and other than the manifest's
-    packets rows."""
+    refuse and a replay manifest of another mode."""
     replayed, record_path = _recorded_world(
         path, "replay_manifest.json",
         lambda p: from_json(ReplayManifest, _load_json(p), p), manifest)
     if replayed.mode != mode:
         raise ValueError(f"{record_path}: mode = {replayed.mode!r} is not "
                          f"{mode!r}, as --{mode}-log needs")
-    log = read_queue_log(path, (replayed.queue_log_sha256, record_path))
-    if log.n != replayed.packets:
-        raise ValueError(f"{path}: {log.n} rows, but {record_path} records "
-                         f"packets = {replayed.packets}")
-    return log
+    return read_queue_log(path, (replayed.queue_log_sha256, record_path))
 
 
 def _check_same_packets(base_path, base, gated_path, gated) -> None:

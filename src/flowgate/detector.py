@@ -161,15 +161,13 @@ class FlowThresholds:
 @dataclass(kw_only=True)
 class DetectManifest(Calibration):
     """detect_manifest.json, a detect run's one record: its world, knobs,
-    burn-in, rows written, the sha256 of the scores.csv it wrote and flow
-    thresholds, every key required."""
+    the sha256 of the scores.csv it wrote and flow thresholds, every key
+    required. The burn-in and the rows follow from the world's config."""
 
     every_key_required: ClassVar[bool] = True
 
     world: RunManifest
     detector_params: DetectorParams
-    burn_in_windows: int
-    n_records: int
     scores_sha256: str
     flows: dict[int, FlowThresholds]
 
@@ -393,9 +391,9 @@ def write_scores_csv(path, scores: Scores | TableStream) -> Scores:
 
 def read_scores_csv(path, recorded) -> Scores:
     """Load a scores CSV bound to the record recorded names, refusing,
-    naming the path and the lines, what read_table refuses, an s other than
-    S and a baseline_s other than E, bit for bit, and a (flow, window) pair
-    that an earlier line holds (row i is line i + 2)."""
+    naming the path and the line, what read_table refuses, and an s other
+    than S and a baseline_s other than E, bit for bit (row i is line
+    i + 2)."""
     scores = read_table(Scores, path, recorded)
     for name, of in (("s", "S"), ("baseline_s", "E")):
         col = getattr(scores, name)
@@ -404,14 +402,6 @@ def read_scores_csv(path, recorded) -> Scores:
             i = int(np.argmin(same))
             raise ValueError(f"{path}: line {i + 2}: {name} = {col[i]:g} "
                              f"is not {of}")
-    order = np.lexsort((scores.window, scores.flow_id))  # ties by row
-    f, w = scores.flow_id[order], scores.window[order]
-    repeat = np.flatnonzero((f[1:] == f[:-1]) & (w[1:] == w[:-1]))
-    if repeat.size:  # the earliest repeating row, and the row it repeats
-        k = repeat[np.argmin(order[repeat + 1])]
-        raise ValueError(
-            f"{path}: line {order[k + 1] + 2}: flow {f[k]} at window {w[k]} "
-            f"repeats line {order[k] + 2}")
     return scores
 
 
@@ -423,12 +413,9 @@ def read_thresholds(path) -> DetectManifest:
     """Load a detect run's record, refusing, naming the path and the key,
     what from_json refuses (a missing or unknown key, a flow key that is
     not an integer, a threshold that is neither a finite number nor null),
-    what Calibration.check refuses, a negative burn_in_windows and a
-    scores_sha256 that check_sha256 refuses."""
+    what Calibration.check refuses and a scores_sha256 that check_sha256
+    refuses."""
     doc = from_json(DetectManifest, load_json(path), path)
     doc.check(path)
-    if doc.burn_in_windows < 0:
-        raise ValueError(f"{path}: burn_in_windows = {doc.burn_in_windows} "
-                         "is not a nonnegative integer")
     check_sha256(path, "scores_sha256", doc.scores_sha256)
     return doc

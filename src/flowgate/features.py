@@ -1,11 +1,10 @@
 """Windowed per-flow features and the streaming normalizer.
 
-The feature contract "timing+contention-v1" fixes a 7-component vector per
-(flow, window): pkt_rate, byte_rate, iat_mean, iat_cv, pacing, share,
-interference. The packet count N rides along as metadata (it decides IAT
-missingness). IAT fields are missing when a window holds fewer than two
-packets of the flow; missing components normalize to 0 and do not update the
-normalizer state.
+Each (flow, window) gets a 7-component vector: pkt_rate, byte_rate,
+iat_mean, iat_cv, pacing, share, interference. The packet count N rides
+along as metadata (it decides IAT missingness). IAT fields are missing when
+a window holds fewer than two packets of the flow; missing components
+normalize to 0 and do not update the normalizer state.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import numpy as np
 
 from flowgate.trace import unique
 
-FEATURE_CONTRACT = "timing+contention-v1"
 FEATURE_NAMES = ("pkt_rate", "byte_rate", "iat_mean", "iat_cv",
                  "pacing", "share", "interference")
 N_FEATURES = len(FEATURE_NAMES)

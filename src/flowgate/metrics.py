@@ -36,17 +36,19 @@ from flowgate.wfq import delay_percentile
 # detection metrics
 
 
-def achieved_fpr(scores: Scores, labels, record) -> tuple[float, float]:
+def achieved_fpr(scores: Scores, labels, record,
+                 burn_in: int) -> tuple[float, float]:
     """False-positive rates over benign test pairs with a set threshold.
 
-    A pair is one (flow, window) row with window >= the burn_in_windows of
-    record, a detect run's DetectManifest, flow not named by any episode
-    label, and a detector threshold in record that is not NaN. Returns
-    (alarm_rate, actionable_rate); raises if nothing is eligible.
+    A pair is one (flow, window) row with window >= burn_in, the windows
+    the detect run calibrated on, flow not named by any episode label, and
+    a detector threshold in record, the run's DetectManifest, that is not
+    NaN. Returns (alarm_rate, actionable_rate); raises if nothing is
+    eligible.
     """
     rated = [f for f, th in record.flows.items()
              if not math.isnan(th.detector)]
-    pairs = ((scores.window >= record.burn_in_windows)
+    pairs = ((scores.window >= burn_in)
              & np.isin(scores.flow_id, rated)
              & ~np.isin(scores.flow_id, [l.flow_id for l in labels]))
     eligible = int(pairs.sum())
@@ -232,19 +234,20 @@ class MetricsReport:
     timing_us_per_row: RowCost
 
 
-def compute_report(scores: Scores, labels, ttds, record,
+def compute_report(scores: Scores, labels, ttds, record, burn_in: int,
                    feasibility, base_log, gated_log,
                    timing=(math.nan, math.nan, math.nan)) -> MetricsReport:
     """Assemble every detection and queue metric from persisted artifacts.
 
     ttds is each label's time_to_detect; record is the detect run's
-    DetectManifest, as read_thresholds returns it; timing is the (mean,
+    DetectManifest, as read_thresholds returns it, and burn_in the windows
+    it calibrated on, as achieved_fpr takes them; timing is the (mean,
     p90, max) per-row scoring cost, as read_stage_stats returns it, copied
     into the report as is (NaN reads as null). The two p99.9 deltas are
     gated minus base of the tails, in milliseconds; both logs must replay
     the identical trace (the report command refuses two that do not).
     """
-    fpr_a, fpr_z = achieved_fpr(scores, labels, record)
+    fpr_a, fpr_z = achieved_fpr(scores, labels, record, burn_in)
     # (base, gated) tails in us: p99, p99.9 and benign-only p99.9
     (b99, g99), (b999, g999), (bc, gc) = (
         [delay_percentile(log, q, benign) for log in (base_log, gated_log)]

@@ -83,26 +83,16 @@ class EpisodeLabel:
 
 @dataclass(frozen=True)
 class RunManifest:
-    """manifest.json, a world's record. trace_sha256 binds trace.csv and
-    feasibility_sha256 binds feasibility.json: write_world fills each in as
-    it writes the file."""
+    """manifest.json, a world's record: the seed it was realized at, and
+    config_hash binds config.json, which fixes every other fact of the
+    world. trace_sha256 binds trace.csv and feasibility_sha256 binds
+    feasibility.json: write_world fills each in as it writes the file."""
 
-    world_id: str
     seed: int
     config_hash: str
-    feature_contract: str
-    split: tuple[float, float, float]
     trace_sha256: str = ""
     feasibility_sha256: str = ""
     tool_version: str = TOOL_VERSION
-    digest: str = "sha256"
-
-
-def split_ok(split) -> bool:
-    """Whether a train/validation/test split is three positive fractions
-    summing to 1."""
-    return (len(split) == 3 and all(s > 0 for s in split)
-            and abs(sum(split) - 1.0) <= 1e-9)
 
 
 def unique(a, return_counts: bool = False):
@@ -873,13 +863,9 @@ def check_sha256(path, key: str, value: str) -> None:
 
 def read_manifest(path) -> RunManifest:
     """Load a run manifest, refusing, naming the path and the key, what
-    from_json refuses, a split that is not three positive fractions summing
-    to 1 and a trace_sha256 or feasibility_sha256 that check_sha256
-    refuses."""
+    from_json refuses and a trace_sha256 or feasibility_sha256 that
+    check_sha256 refuses."""
     manifest = from_json(RunManifest, load_json(path), path)
-    if not split_ok(manifest.split):
-        raise ValueError(f"{path}: split = {list(manifest.split)} is not "
-                         "three positive fractions summing to 1")
     for key in ("trace_sha256", "feasibility_sha256"):
         check_sha256(path, key, getattr(manifest, key))
     return manifest

@@ -31,7 +31,6 @@ from pathlib import Path
 
 import numpy as np
 
-from flowgate.features import FEATURE_CONTRACT
 from flowgate.forks import deal
 from flowgate.trace import (
     BENIGN,
@@ -51,7 +50,6 @@ from flowgate.trace import (
     load_json,
     read_manifest,
     read_trace_csv,
-    split_ok,
     to_json,
     write_json,
     write_trace_csv,
@@ -205,7 +203,8 @@ class WorldConfig:
         rlo, rhi = self.rho_band
         if not (0 <= rlo <= rhi):
             raise ValueError("need 0 <= rho_lo <= rho_hi")
-        if not split_ok(self.split):
+        if not (len(self.split) == 3 and all(s > 0 for s in self.split)
+                and abs(sum(self.split) - 1.0) <= 1e-9):
             raise ValueError("split must be three positive fractions summing to 1")
         if self.i_max < 0:
             raise ValueError("i_max must be nonnegative")
@@ -1062,9 +1061,7 @@ def build_world(config: WorldConfig, seed: int) -> World:
         (ctx.flow_id, ctx.clique_id, ts, ln)
         for (ts, ln, _), (_, _, ctx, _, _) in zip(enforced, episodes)])
 
-    manifest = RunManifest(
-        world_id=config.world_id, seed=seed, config_hash=config.hash(),
-        feature_contract=FEATURE_CONTRACT, split=config.split)
+    manifest = RunManifest(seed=seed, config_hash=config.hash())
     return World(trace, episode_labels(config, feasibility), references,
                  manifest, feasibility, config)
 
@@ -1204,8 +1201,7 @@ def check_trace(trace: Trace, config: WorldConfig) -> None:
 
 def load_head(world_dir) -> tuple[WorldConfig, RunManifest]:
     """A world's config and manifest, refusing a manifest whose config_hash
-    is not its config's, naming both hashes, or whose split, which sets
-    detect's burn-in, is not the config's."""
+    is not its config's, naming both hashes."""
     d = Path(world_dir)
     config = config_from_json(load_json(d / "config.json"), d / "config.json")
     manifest = read_manifest(d / "manifest.json")
@@ -1213,10 +1209,6 @@ def load_head(world_dir) -> tuple[WorldConfig, RunManifest]:
         raise ValueError(f"{d / 'manifest.json'}: config_hash "
                          f"{manifest.config_hash} is not {config.hash()}, the "
                          "hash of config.json")
-    if manifest.split != config.split:
-        raise ValueError(f"{d / 'manifest.json'}: split = "
-                         f"{list(manifest.split)} is not config.json's split "
-                         f"{list(config.split)}")
     return config, manifest
 
 

@@ -252,15 +252,14 @@ def thresholds_by_flow(thresholds: dict[int, FlowThresholds]) -> dict:
             for f, t in thresholds.items()}
 
 
-def detect_record(session, world, n_records: int = 0,
+def detect_record(session, world,
                   scores_sha256: str = "0" * 64) -> DetectManifest:
     """The detect_manifest.json record of a session that scored world, a
     world's RunManifest, into a scores.csv of that sha256."""
     return DetectManifest(
         **vars(session.calibration), world=world,
-        detector_params=session.params,
-        burn_in_windows=session.burn_in_windows, n_records=n_records,
-        scores_sha256=scores_sha256, flows=session.thresholds())
+        detector_params=session.params, scores_sha256=scores_sha256,
+        flows=session.thresholds())
 
 
 def block_edges(n_windows: int, split, keep=()) -> list[int]:

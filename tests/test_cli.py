@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flowgate.cli import build_parser, main
+from flowgate.cli import _burn_in, build_parser, main
 from flowgate.detector import (
     BLOCK_WINDOWS,
     Calibration,
@@ -137,7 +137,8 @@ def test_pipeline_writes_expected_artifacts(pipe):
 def test_report_json_echoes_manifest_and_metrics(pipe):
     doc = json.loads((pipe["rep"] / "report.json").read_text())
     assert set(doc) == {"manifest", "metrics"}
-    assert doc["manifest"]["world_id"] == "cli-tiny"
+    assert doc["manifest"] == json.loads(
+        (pipe["world"] / "manifest.json").read_text())
     for key in ("achieved_fpr_alarm", "incident_recall", "p999_delay_ms",
                 "p999_collateral_ms", "feasibility_rate", "timing_us_per_row"):
         assert key in doc["metrics"], key
@@ -146,12 +147,34 @@ def test_report_json_echoes_manifest_and_metrics(pipe):
 
 
 def test_detect_manifest_has_no_timing_and_burn_in_from_split(pipe):
+    # the burn-in is config.json's train split of the horizon, not a key
     doc = json.loads((pipe["det"] / "detect_manifest.json").read_text())
-    assert doc["burn_in_windows"] == 72
+    assert _burn_in(load_head(pipe["world"])[0]) == 72
     assert "timestamp" not in json.dumps(doc).lower()
     record = read_thresholds(pipe["det"] / "detect_manifest.json")
     assert record.quantile == 0.99 and record.k == 3 and record.m == 8
     assert sorted(record.flows) == [1, 2, 3, 4, 5, 100]
+
+
+# each record holds only what no other file fixes: config.json, bound by
+# config_hash, fixes the rest of the world, the burn-in, the scores' rows,
+# the capacity and the queue logs' rows
+RECORD_KEYS = {
+    "manifest.json": {"seed", "config_hash", "trace_sha256",
+                      "feasibility_sha256", "tool_version"},
+    "detect_manifest.json": {"quantile", "k", "m", "w_min", "world",
+                             "detector_params", "scores_sha256", "flows"},
+    "replay_manifest.json": {"world", "mode", "gate", "queue_log_sha256"},
+}
+
+
+@pytest.mark.parametrize("stage", ["world", "det", "base", "gated"])
+def test_records_hold_only_what_no_other_file_fixes(pipe, stage):
+    [record] = [p for p in pipe[stage].iterdir() if p.name in RECORD_KEYS]
+    doc = json.loads(record.read_text())
+    assert set(doc) == RECORD_KEYS[record.name]
+    manifest = json.loads((pipe["world"] / "manifest.json").read_text())
+    assert doc.get("world", manifest) == manifest
 
 
 def test_gen_world_deterministic_across_runs(pipe, tmp_path):
@@ -406,9 +429,8 @@ def _read_log(path) -> QueueEventLog:
 
 def _log_copy(pipe, tmp_path, world, mode, edit=None):
     """A copy of a queue log passed through edit, written by write_table
-    beside the pipeline's replay manifest of that mode, bound to the copy
-    and with packets set to its rows: a log of the pipeline's world as far
-    as the manifest tells."""
+    beside the pipeline's replay manifest of that mode and bound to the
+    copy: a log of the pipeline's world as far as the manifest tells."""
     out = tmp_path / f"{world.name}_{mode}"
     out.mkdir()
     log = _read_log((pipe[mode] if world == pipe["world"]
@@ -416,7 +438,7 @@ def _log_copy(pipe, tmp_path, world, mode, edit=None):
     log = edit(log) if edit else log
     shutil.copy(pipe[mode] / "replay_manifest.json", out)
     rebind(out / "queue_log.csv", log, out / "replay_manifest.json",
-           "queue_log_sha256", packets=log.n)
+           "queue_log_sha256")
     return out / "queue_log.csv"
 
 
@@ -1004,13 +1026,22 @@ def test_scores_with_a_short_row_are_refused(pipe, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def _off_grid(scores, line, found, wrote) -> str:
+    """The error with which a reader refuses scores whose line holds found
+    where detect writes wrote, on the pipeline's world."""
+    return (f"ValueError: {scores}: line {line}: {found} where detect writes "
+            f"{wrote}, one row for each of config.json's 6 flows at each "
+            "window in [0, 120), window by window")
+
+
 def test_scores_with_a_repeated_flow_window_pair_are_refused(pipe, tmp_path,
                                                             capsys):
-    # no stage_stats.json lies beside the copy, so no row count catches it
     scores = _rewrite_scores(pipe, tmp_path, "repeated.csv", lambda s:
                              Scores.concat([s, s.take(slice(4, 8))]))
     intact = _scores_of(pipe)
     n, flow, window = len(intact), intact.flow_id[4], intact.window[4]
+    message = _off_grid(scores, n + 2, f"flow {flow} at window {window}",
+                        "no row")
     for argv in (["replay", "--world", str(pipe["world"]), "--mode", "gated",
                   "--scores", str(scores), "--out", str(tmp_path / "g")],
                  ["report", "--world", str(pipe["world"]),
@@ -1019,9 +1050,7 @@ def test_scores_with_a_repeated_flow_window_pair_are_refused(pipe, tmp_path,
                   "--gated-log", str(pipe["gated"] / "queue_log.csv"),
                   "--out", str(tmp_path / "r")]):
         assert main(argv) == 1
-        assert capsys.readouterr().err == (
-            f"error: ValueError: {scores}: line {n + 2}: flow {flow} at "
-            f"window {window} repeats line 6\n")
+        assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "g" / "schedule.csv").exists()
     assert not (tmp_path / "r" / "report.json").exists()
 
@@ -1103,18 +1132,25 @@ def _edit_line(lines, k, column, value):
     return lines[:k + 1] + [",".join(cells)] + lines[k + 2:]
 
 
-@pytest.mark.parametrize("column, value, message", [
+@pytest.mark.parametrize("column, value, fault", [
     (1, 120, "window 120 is outside [0, 120)"),
     (1, -1, "window = -1 is not a nonnegative integer"),
     (0, 999, "flow 999 is not in config.json"),
 ])
 def test_gated_replay_refuses_rows_outside_the_world(pipe, tmp_path, capsys,
-                                                     column, value, message):
-    # an actionable row at window 120 of a 120-window world, at window -1,
-    # or of a flow the world does not have
+                                                     column, value, fault):
+    # an actionable row (line 5) at window 120 of a 120-window world, at
+    # window -1, or of a flow the world does not have: the reader refuses
+    # the negative window, and the others are off the grid detect writes
     name = ("flow_id", "window")[column]
     scores = _rewrite_scores(pipe, tmp_path, "outside.csv", lambda s:
                              _edit_row(s, 3, z=True, **{name: value}))
+    intact = _scores_of(pipe)
+    f, w = int(intact.flow_id[3]), int(intact.window[3])
+    found = {"flow_id": f"flow {value} at window {w}",
+             "window": f"flow {f} at window {value}"}[name]
+    message = (fault if value < 0 else
+               _off_grid(scores, 5, found, f"flow {f} at window {w}"))
     out = tmp_path / "g"
     assert main(["replay", "--world", str(pipe["world"]), "--mode", "gated",
                  "--scores", str(scores), "--out", str(out)]) == 1
@@ -1213,16 +1249,32 @@ def _bad_scores(pipe, tmp_path, case):
                         f"directory: '{record}'")
     if case == "rows missing beside their own record":
         rewrite(intact.take(slice(0, n - 100)))
-        return scores, (f"ValueError: {scores}: {n - 100} rows, but "
-                        f"{record} records n_records = {n}")
+        f, w = intact.flow_id[n - 100], intact.window[n - 100]
+        return scores, _off_grid(scores, n - 98, "no row",
+                                 f"flow {f} at window {w}")
     if case == "window at or past the horizon":
         rewrite(_edit_row(intact, 3, window=5000))
-        return scores, (f"ValueError: {scores}: line 5: window 5000 is "
-                        "outside [0, 120)")
+        return scores, _off_grid(scores, 5, "flow 4 at window 5000",
+                                 "flow 4 at window 0")
     if case == "flow not in config.json":
         rewrite(_edit_row(intact, 3, flow_id=999))
-        return scores, (f"ValueError: {scores}: line 5: flow 999 is not in "
-                        "config.json")
+        return scores, _off_grid(scores, 5, "flow 999 at window 0",
+                                 "flow 4 at window 0")
+    # rows 3-5 are flows 4, 5 and 100 at window 0, on lines 5-7
+    if case == "row repeated":
+        rewrite(Scores.concat([intact.take(slice(0, 5)),
+                               intact.take(slice(4, None))]))
+        return scores, _off_grid(scores, 7, "flow 5 at window 0",
+                                 "flow 100 at window 0")
+    if case == "row missing":
+        rewrite(Scores.concat([intact.take(slice(0, 4)),
+                               intact.take(slice(5, None))]))
+        return scores, _off_grid(scores, 6, "flow 100 at window 0",
+                                 "flow 5 at window 0")
+    if case == "rows swapped":
+        rewrite(intact.take(np.r_[0:3, 4, 3, 5:n]))
+        return scores, _off_grid(scores, 5, "flow 5 at window 0",
+                                 "flow 4 at window 0")
     if case == "scores of another detect run":
         # same world, rows, flows and windows; another quantile
         other = tmp_path / "other"
@@ -1236,10 +1288,11 @@ def _bad_scores(pipe, tmp_path, case):
         return scores, (f"ValueError: {scores}: sha256 {digest} is not the "
                         f"{recorded} that {record} records")
     if case == "burn-in of another split":
+        # the burn-in is config.json's: a record that states one is refused
         doc = json.loads(record.read_text())
         write_json(record, {**doc, "burn_in_windows": 0})
-        return scores, (f"ValueError: {record}: burn_in_windows = 0 is not "
-                        "72, the train split of config.json's horizon")
+        return scores, (f"ValueError: {record}: unknown key "
+                        "'burn_in_windows'")
     assert case == "record of another world"
     doc = json.loads(record.read_text())
     write_json(record, {**doc, "world": {**doc["world"], "seed": 6}})
@@ -1260,10 +1313,10 @@ def _bad_log(pipe, tmp_path, case):
         return mode, log, ("FileNotFoundError: [Errno 2] No such file or "
                            f"directory: '{record}'")
     if case == "replay manifest of other packets":
-        write_json(record, {**doc, "packets": doc["packets"] + 1})
-        return mode, log, (f"ValueError: {log}: {doc['packets']} rows, but "
-                           f"{record} records packets = "
-                           f"{doc['packets'] + 1}")
+        # the rows are the trace's packets: a record that counts them is
+        # refused
+        write_json(record, {**doc, "packets": _read_log(log).n + 1})
+        return mode, log, f"ValueError: {record}: unknown key 'packets'"
     if case == "queue log edited in place, its rows kept":
         lines = log.read_text().splitlines()
         complete = float(lines[1].split(",")[4])
@@ -1288,6 +1341,7 @@ def _bad_log(pipe, tmp_path, case):
 BAD_SCORES = ["no detect_manifest.json",
               "rows missing beside their own record",
               "window at or past the horizon", "flow not in config.json",
+              "row repeated", "row missing", "rows swapped",
               "record of another world", "burn-in of another split",
               "scores of another detect run"]
 BAD_LOGS = ["queue log without replay_manifest.json",
@@ -1563,10 +1617,11 @@ def _edit_thresholds(doc):
         "k above m": ({**doc, "k": 9}, "k = 9 and m = 8"),
         "k zero": ({**doc, "k": 0}, "k = 0 and m = 8"),
         "m not an integer": ({**doc, "m": 8.5}, "m = 8.5"),
+        # the burn-in is config.json's, so the record holds no such key
         "negative burn-in": ({**doc, "burn_in_windows": -1},
-                             "burn_in_windows = -1"),
+                             "unknown key 'burn_in_windows'"),
         "fractional burn-in": ({**doc, "burn_in_windows": 7.5},
-                               "burn_in_windows = 7.5"),
+                               "unknown key 'burn_in_windows'"),
         "scores digest not hex": ({**doc, "scores_sha256": "scores.csv"},
                                   "scores_sha256 = 'scores.csv' is not a "
                                   "sha256 in hex"),
@@ -1703,15 +1758,14 @@ def _edit_manifest(doc):
         "unknown key": ({**doc, "extra": 1}, "unknown key 'extra'"),
         "string for an int": ({**doc, "seed": "5"},
                               "seed = '5' is not an integer"),
+        # the split is config.json's, bound by config_hash, so the record
+        # holds no such key, whatever its value
         "negative split": ({**doc, "split": [2.0, -1, 0]},
-                           "split = [2.0, -1.0, 0.0] is not three positive "
-                           "fractions summing to 1"),
+                           "unknown key 'split'"),
         "short split": ({**doc, "split": [0.5, 0.5]},
-                        "split = [0.5, 0.5] is not a JSON list of 3"),
-        "split of another config": (
-            {**doc, "split": [0.5, 0.25, 0.25]},
-            f"split = [0.5, 0.25, 0.25] is not config.json's split "
-            f"{doc['split']}"),
+                        "unknown key 'split'"),
+        "split of another config": ({**doc, "split": [0.5, 0.25, 0.25]},
+                                    "unknown key 'split'"),
         "hash of another config": (
             {**doc, "config_hash": other},
             f"config_hash {other} is not {doc['config_hash']}, the hash of "
@@ -1740,7 +1794,7 @@ WORLD_JSON_CORRUPTIONS = [
     (artifact, corruption, reader)
     for artifact, dummy in (
         ("config.json", {"episodes": [{"budgets": {}}]}),
-        ("manifest.json", {"config_hash": "", "split": []}),
+        ("manifest.json", {"config_hash": ""}),
         ("feasibility.json", {"i_max": 0, "outcomes": [{}]}))
     for corruption in sorted(WORLD_JSON_EDITS[artifact](dummy))
     for reader in (*WORLD_JSON_READERS[artifact], "load_world")]
@@ -2093,8 +2147,7 @@ def test_scores_before_a_cut_ignore_the_rest_of_the_trace(pipe, cut):
                            config.window_us)
     graph = contention_graph(config, json.loads(
         (world / "manifest.json").read_text())["seed"])
-    burn_in = json.loads((pipe["det"] / "detect_manifest.json")
-                         .read_text())["burn_in_windows"]
+    burn_in = _burn_in(config)
     keep = trace.ts_us < cut * config.window_us
     cut_trace = Trace(trace.ts_us[keep], trace.flow_id[keep],
                       trace.len_bytes[keep], trace.clique_id[keep],

@@ -812,18 +812,6 @@ def test_scores_csv_refuses_bad_header_and_short_rows(tmp_path):
             read_scores_csv(copy, bound)
 
 
-def test_scores_csv_names_the_first_repeat_and_the_line_it_repeats(
-        tmp_path):
-    path = tmp_path / "scores.csv"
-    f = np.array([1, 2, 2, 1, 1])
-    zero = np.zeros(5)
-    write_scores_csv(path, Scores(f, [0, 0, 1, 0, 0], zero, zero, zero, zero,
-                                  zero, f < 0, f < 0, zero))
-    with pytest.raises(ValueError, match=re.escape(
-            f"{path}: line 5: flow 1 at window 0 repeats line 2")):
-        read_scores_csv(path, recorded(path))
-
-
 @pytest.mark.parametrize("row, message", [
     ("1,1,nan,0.5,0,0,0.5,0,0,nan", "line 3: E = nan is not finite"),
     ("1,1,0.5,0.5,0,0,0.5,0,2,0.5", "line 3: z = 2 is not 0 or 1"),
@@ -883,8 +871,7 @@ def test_thresholds_round_trip(tmp_path):
     run_session(session, {1: lambda w: (100.0,) * N_FEATURES,
                           2: lambda w: (None,) * N_FEATURES}, 61)
     path = tmp_path / "detect_manifest.json"
-    record = detect_record(session, RunManifest(
-        "w", 1, "h", "timing+contention-v1", (0.6, 0.2, 0.2)))
+    record = detect_record(session, RunManifest(1, "h"))
     write_thresholds(path, record)
     loaded = read_thresholds(path)
     assert loaded.quantile == 0.9

@@ -62,19 +62,18 @@ def episode(flow_id, start, end, feasible=True):
                         Budgets(0, math.inf, math.inf), feasible)
 
 
-def detect_record(burn_in_windows, flows) -> DetectManifest:
+def detect_record(flows) -> DetectManifest:
     """A detect run's record with these thresholds, of no world."""
     return DetectManifest(
-        quantile=0.99, k=3, m=8, w_min=5,
-        world=RunManifest("w", 1, "h", "timing+contention-v1",
-                          (0.6, 0.2, 0.2)),
-        detector_params=DetectorParams(), burn_in_windows=burn_in_windows,
-        n_records=0, scores_sha256="0" * 64, flows=flows)
+        quantile=0.99, k=3, m=8, w_min=5, world=RunManifest(1, "h"),
+        detector_params=DetectorParams(), scores_sha256="0" * 64,
+        flows=flows)
 
 
-RECORD = detect_record(10, {1: FlowThresholds(0.5, 0.5),
-                            2: FlowThresholds(0.5, 0.5),
-                            3: FlowThresholds(math.nan, math.nan)})
+RECORD = detect_record({1: FlowThresholds(0.5, 0.5),
+                        2: FlowThresholds(0.5, 0.5),
+                        3: FlowThresholds(math.nan, math.nan)})
+BURN_IN = 10  # RECORD's run calibrated on windows [0, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -91,27 +90,27 @@ def test_fpr_counts_test_pairs_only():
         rec(9, 10, a=True, z=True),   # malicious, ignored
     ])
     labels = [episode(9, 5, 20)]
-    alarm, actionable = achieved_fpr(scores, labels, RECORD)
+    alarm, actionable = achieved_fpr(scores, labels, RECORD, BURN_IN)
     assert alarm == pytest.approx(1 / 6)
     assert actionable == pytest.approx(1 / 6)
 
 
 def test_fpr_no_alarms_is_zero():
     scores = table(rec(1, w) for w in range(10, 20))
-    assert achieved_fpr(scores, [], RECORD) == (0.0, 0.0)
+    assert achieved_fpr(scores, [], RECORD, BURN_IN) == (0.0, 0.0)
 
 
 def test_fpr_all_alarmed_is_one():
     scores = table(rec(1, w, a=True) for w in range(10, 20))
-    alarm, actionable = achieved_fpr(scores, [], RECORD)
+    alarm, actionable = achieved_fpr(scores, [], RECORD, BURN_IN)
     assert alarm == 1.0 and actionable == 0.0
 
 
 def test_fpr_zero_eligible_raises():
     with pytest.raises(ValueError):
-        achieved_fpr(rec(3, 10), [], RECORD)
+        achieved_fpr(rec(3, 10), [], RECORD, BURN_IN)
     with pytest.raises(ValueError):
-        achieved_fpr(rec(1, 5), [], RECORD)
+        achieved_fpr(rec(1, 5), [], RECORD, BURN_IN)
 
 
 def test_fpr_iid_scores_match_quantile():
@@ -125,7 +124,7 @@ def test_fpr_iid_scores_match_quantile():
     scores = Scores(np.ones(n), 10_000 + np.arange(n), zero, zero, zero,
                      zero, test, test >= th, np.zeros(n, dtype=bool), zero)
     alarm, _ = achieved_fpr(scores, [], detect_record(
-        10_000, {1: FlowThresholds(th, th)}))
+        {1: FlowThresholds(th, th)}), 10_000)
     assert abs(alarm - 0.01) < 0.005
 
 
@@ -227,7 +226,7 @@ def _deltas(base, gated):
     """The report's two p99.9 deltas, which it derives from its tails: the
     same numbers as each percentile sorted again."""
     rep = compute_report(table(rec(1, w) for w in range(10, 20)), [], [],
-                         RECORD, [], base, gated)
+                         RECORD, BURN_IN, [], base, gated)
     deltas = (rep.delta_p999_delay_ms, rep.delta_p999_collateral_ms)
     assert deltas == queue_impact(base, gated)
     return deltas
@@ -349,7 +348,7 @@ def test_compute_report_fields_and_round_trip(tmp_path):
     gated = _tiny_log(1e6)
     rep = compute_report(scores, labels,
                          time_to_detect(scores, labels, 8, 0.25), RECORD,
-                         feas, base, gated)
+                         BURN_IN, feas, base, gated)
     assert rep.achieved_fpr_alarm == 0.0
     assert rep.incident_recall == 1.0
     assert rep.ttd_s == [pytest.approx(0.75)]
@@ -357,8 +356,7 @@ def test_compute_report_fields_and_round_trip(tmp_path):
     assert rep.delta_p999_delay_ms == 0.0
     assert math.isnan(rep.timing_us_per_row.mean)
 
-    manifest = RunManifest("w", 1, "h", "timing+contention-v1",
-                           (0.6, 0.2, 0.2))
+    manifest = RunManifest(1, "h")
     write_report(tmp_path / "report.json", rep, manifest)
     doc = json.loads((tmp_path / "report.json").read_text())
     assert doc == {"manifest": to_json(manifest), "metrics": to_json(rep)}
@@ -375,7 +373,7 @@ def test_compute_report_fields_and_round_trip(tmp_path):
 def test_compute_report_no_episodes():
     scores = table(rec(1, w) for w in range(10, 20))
     log = _tiny_log(1e6)
-    rep = compute_report(scores, [], [], RECORD, [], log, log)
+    rep = compute_report(scores, [], [], RECORD, BURN_IN, [], log, log)
     assert rep.incident_recall is None
     assert rep.ttd_s == []
     assert rep.feasibility_rate == 1.0

@@ -208,8 +208,7 @@ def test_labels_round_trip_with_inf_budgets(tmp_path):
 
 
 def test_manifest_round_trip(tmp_path):
-    m = RunManifest("w0", 42, "a" * 64, "timing+contention-v1", (0.6, 0.1, 0.3),
-                    "b" * 64, "c" * 64)
+    m = RunManifest(42, "a" * 64, "b" * 64, "c" * 64)
     p = tmp_path / "manifest.json"
     write_json(p, to_json(m))
     assert read_manifest(p) == m
@@ -231,9 +230,7 @@ _FLOW_INFO = st.builds(FlowInfo, st.builds(FlowKey, _TEXT, _TEXT, _INTS,
 _DETECTOR = st.builds(DetectorParams, **{
     f.name: _INTS if f.type == "int" else _FLOATS
     for f in fields(DetectorParams)})
-_MANIFEST = st.builds(RunManifest, _TEXT, _INTS, _TEXT, _TEXT,
-                      st.tuples(_FLOATS, _FLOATS, _FLOATS), _TEXT, _TEXT,
-                      _TEXT, _TEXT)
+_MANIFEST = st.builds(RunManifest, _INTS, _TEXT, _TEXT, _TEXT, _TEXT)
 RECORDS = {
     "flow table": (dict[int, FlowInfo], st.dictionaries(_INTS, _FLOW_INFO,
                                                         max_size=3)),
@@ -256,8 +253,8 @@ RECORDS = {
     # detect_manifest.json, the record read_thresholds reads
     "thresholds": (DetectManifest, st.builds(
         DetectManifest, quantile=_FLOATS, k=_INTS, m=_INTS, w_min=_INTS,
-        world=_MANIFEST, detector_params=_DETECTOR, burn_in_windows=_INTS,
-        n_records=_INTS, scores_sha256=_TEXT, flows=st.dictionaries(_INTS, st.builds(
+        world=_MANIFEST, detector_params=_DETECTOR, scores_sha256=_TEXT,
+        flows=st.dictionaries(_INTS, st.builds(
             FlowThresholds, *[_FLOATS | st.just(math.nan)] * 2),
             max_size=3))),
 }
@@ -303,8 +300,8 @@ def test_codec_refuses_a_non_finite_value_it_cannot_write(record, message):
     (GateConfig, {"t_g_s": False}, "t_g_s = False is not a finite number"),
     (FlowInfo, {"key": [], "device_class": "a", "label": BENIGN},
      "key is not a JSON object"),
-    (RunManifest, {"world_id": "w", "seed": 1, "config_hash": "h",
-                   "feature_contract": "c", "split": [1.0]},
+    (WorldConfig, {"world_id": "w", "seed": 1, "horizon_windows": 1,
+                   "window_us": 1, "capacity_bps": 1.0, "split": [1.0]},
      "split = [1.0] is not a JSON list of 3"),
     (list[EpisodeLabel], {}, "the document is not a JSON list"),
     (dict[int, FlowInfo], {"01": {}}, "key '01' of the document is not an "
