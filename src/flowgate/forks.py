@@ -1,6 +1,6 @@
 """Work in forked children while this process keeps working.
 
-deal runs sized, independent jobs on every CPU; its users are the SCFQ
+deal runs costed, independent jobs on every CPU; its users are the SCFQ
 replays of wfq.replay, worlds.audit_budgets and worlds.enforce_contention.
 trace.TableStream formats a CSV in one child. Both fork under one set of
 rules:
@@ -66,12 +66,13 @@ class Children:
         return ok
 
 
-def deal(jobs, sizes, widths=None) -> np.ndarray:
+def deal(jobs, costs, widths=None) -> np.ndarray:
     """The results of jobs, one after another in job order. Job k is a
     function of no arguments, sharing no state with the others, that
-    returns widths[k] float64s (one by default); sizes[k] is its cost.
-    The jobs are dealt into one share per CPU, largest first (_lpt_shares):
-    this process runs share 0 and a forked child each other one, writing
+    returns widths[k] float64s (one by default); costs[k] is an estimate
+    of its work, in any unit, which only balances the shares. The jobs are
+    dealt into one share per CPU, costliest first (_lpt_shares): this
+    process runs share 0 and a forked child each other one, writing
     into a shared anonymous mapping. If any share fails, every job runs
     again here in job order, so an error is the one a serial run raises."""
     at = np.cumsum([0, *(widths or [1] * len(jobs))]).tolist()
@@ -84,21 +85,21 @@ def deal(jobs, sizes, widths=None) -> np.ndarray:
         for k in share:
             out[at[k]:at[k + 1]] = jobs[k]()
 
-    if n_shares < 2 or not _serve_shares(_lpt_shares(sizes, n_shares), run):
+    if n_shares < 2 or not _serve_shares(_lpt_shares(costs, n_shares), run):
         run(range(len(jobs)))
     return out
 
 
-def _lpt_shares(sizes, n_shares: int) -> list[list[int]]:
-    """Job indices dealt into n_shares shares, largest size first (ties in
-    job order), each to the share with the least size so far (LPT list
-    scheduling, Graham 1969). Share 0 holds the largest job."""
+def _lpt_shares(costs, n_shares: int) -> list[list[int]]:
+    """Job indices dealt into n_shares shares, costliest first (ties in
+    job order), each to the share with the least cost so far (LPT list
+    scheduling, Graham 1969). Share 0 holds the costliest job."""
     shares: list[list[int]] = [[] for _ in range(n_shares)]
     load = [0] * n_shares
-    for k in sorted(range(len(sizes)), key=sizes.__getitem__, reverse=True):
+    for k in sorted(range(len(costs)), key=costs.__getitem__, reverse=True):
         s = load.index(min(load))
         shares[s].append(k)
-        load[s] += sizes[k]
+        load[s] += costs[k]
     return shares
 
 

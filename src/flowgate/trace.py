@@ -217,7 +217,10 @@ def config_hash(config_dict: dict) -> str:
 # ---------------------------------------------------------------------------
 # On-disk formats
 
-_WRITE_BLOCK = 1 << 15  # rows formatted per write
+# Rows formatted per write. Of 1 << 13, 14 and 15, 1 << 14 wrote demo's
+# trace and queue log fastest, with a half to a seventh of the page faults
+# of 1 << 15, whose temporaries pass glibc's mmap threshold.
+_WRITE_BLOCK = 1 << 14
 
 
 def twin_path(path) -> Path:
@@ -261,7 +264,10 @@ class _CsvText:
     for, header first, with the sha256 of every byte written. The bytes of
     a row are those of `row % values`; they are made a column and a block
     of rows at a time, so that memory does not grow with the file, and do
-    not depend on how the rows are split into calls."""
+    not depend on how the rows are split into calls. A column's cells are
+    a matrix with one row per character position (_cell_bytes); a block
+    stacks its columns' matrices, and the transpose of that, in C order
+    without its zero bytes, is the block's text."""
 
     def __init__(self, fh, table: Table):
         spec = table_columns(type(table))
@@ -269,8 +275,7 @@ class _CsvText:
         self.digest = hashlib.sha256()
         self.cols = [getattr(table, name) for name, *_ in spec]
         self.convs = [conv for _, conv, _ in spec]
-        self.seps = [np.frombuffer(b",", np.uint8)] * (len(spec) - 1) + [
-            np.frombuffer(b"\n", np.uint8)]
+        self.seps = [ord(",")] * (len(spec) - 1) + [ord("\n")]
         self._put(",".join(name for name, *_ in spec).encode() + b"\n")
 
     def _put(self, text) -> None:
@@ -281,16 +286,18 @@ class _CsvText:
         """Write rows start to stop - 1."""
         for s in range(start, stop, _WRITE_BLOCK):
             k = min(stop - s, _WRITE_BLOCK)
-            cells = {}  # columns with the same values are formatted once
+            done = []  # columns with the same values are formatted once
             parts = []
             for col, conv, sep in zip(self.cols, self.convs, self.seps):
                 block = col[s:s + k]
-                key = (conv, block.dtype.str, block.tobytes())
-                if key not in cells:
-                    cells[key] = _cell_bytes(block, conv)
-                parts += [cells[key], np.broadcast_to(sep, (k, 1))]
-            text = np.concatenate(parts, axis=1)
-            self._put(text[text != 0])
+                cells = next((c for v, b, c in done if v == conv
+                              and _same_bits(b, block)), None)
+                if cells is None:
+                    cells = _cell_bytes(block, conv)
+                    done.append((conv, block, cells))
+                parts += [cells, np.full((1, k), sep, np.uint8)]
+            text = np.concatenate(parts).T.tobytes()
+            self._put(text.translate(None, b"\0"))
 
 
 class TableStream:
@@ -396,23 +403,30 @@ class TableStream:
         self._digest[:] = np.frombuffer(text.digest.digest(), np.uint8)
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether a and b hold the same values bit for bit, as their text
+    does: -0.0 is not 0.0, and a NaN is its own bits."""
+    return a.dtype == b.dtype and np.array_equal(
+        a.view(f"u{a.itemsize}"), b.view(f"u{b.itemsize}"))
+
+
 def _cell_bytes(col: np.ndarray, conv: str) -> np.ndarray:
     """The text of `"%" + conv` applied to each value of col, as a
-    (rows x width) uint8 matrix padded with zero bytes anywhere in a row."""
+    (width x rows) uint8 matrix, a value's text down its column, padded
+    with zero bytes anywhere in it."""
     if conv == "r":
         return _repr_bytes(col)
-    if conv == "d":
-        neg = col < 0
-        mag = col.astype(np.uint64)
-        return np.concatenate([_chars(neg, b"-"),
-                               _digits(np.where(neg, -mag, mag))], axis=1)
+    if conv == "d":  # abs wraps -2**63 to itself, which is 2**63 in uint64
+        mag = np.abs(col.astype(np.int64, copy=False))  # after any widening
+        return np.concatenate([_chars(col < 0, b"-"),
+                               _digits(mag.astype(np.uint64))])
     mag = np.abs(col)  # %.17g: whole values below 1e17 print their digits
     whole = (mag < 1e17) & (np.floor(mag) == mag)
     parts = [_chars(np.signbit(col) & whole, b"-"),
              _digits(np.where(whole, mag, 0).astype(np.uint64), whole)]
     if not whole.all():
         parts.append(_python_bytes(col, ~whole))
-    return np.concatenate(parts, axis=1)
+    return np.concatenate(parts)
 
 
 def _repr_bytes(col: np.ndarray) -> np.ndarray:
@@ -442,37 +456,45 @@ def _repr_bytes(col: np.ndarray) -> np.ndarray:
              _digits(ip, finite), _chars(point > 0, b"."),
              _digits(fp, point)]
     if sci.any():
-        parts += [_chars(sci & (exp < 0), b"e-") | _chars(sci & (exp >= 0),
-                                                            b"e+"),
+        parts += [_chars(sci, b"e"), _chars(sci & (exp < 0), b"-"),
+                  _chars(sci & (exp >= 0), b"+"),
                   _digits(np.abs(exp).astype(np.uint64), 2 * sci)]
     if not finite.all():
-        parts.append(_chars(np.isnan(col), b"nan")
-                     | _chars(np.isinf(col), b"inf"))
-    return np.concatenate(parts, axis=1)
+        parts += [_chars(np.isnan(col), b"nan"), _chars(np.isinf(col), b"inf")]
+    return np.concatenate(parts)
 
 
 def _chars(rows, text: bytes) -> np.ndarray:
     """text in the rows a boolean array selects, zero bytes elsewhere, as a
-    (rows x len(text)) matrix."""
-    return np.outer(rows, np.frombuffer(text, np.uint8)).astype(np.uint8)
+    (len(text) x rows) matrix; one of no rows when none is selected, so
+    that a sign no value has pads no row of the block."""
+    if not rows.any():
+        return np.zeros((0, rows.size), np.uint8)
+    return np.outer(np.frombuffer(text, np.uint8), rows).astype(np.uint8)
 
 
 def _digits(mag: np.ndarray, least=1) -> np.ndarray:
     """The decimal digits of uint64 mag, at least `least` of them (a count,
-    or one per row) with zeros in front, right-aligned in a (rows x width)
-    uint8 matrix with zero bytes for the leading zeros not shown."""
+    or one per row) with zeros in front, bottom-aligned in a (width x rows)
+    uint8 matrix with zero bytes for the leading zeros not shown. The
+    digits are divided out in uint32, which is faster, when every value
+    fits in it."""
     least = np.asarray(least, np.int64)
     top = int(least.max()) if least.size else 0
-    width = max(len(str(int(mag.max()))) if mag.size else 1, top)
+    big = int(mag.max()) if mag.size else 0
+    width = max(len(str(big)), top)
+    ten = _TEN
+    if big < 2**32:
+        mag, ten = mag.astype(np.uint32), np.uint32(10)
     out = np.empty((width, mag.size), np.uint8)
     for i in range(width - 1, -1, -1):
-        q = mag // _TEN
-        out[i] = mag - q * _TEN
+        q = mag // ten
+        out[i] = mag - q * ten
         out[i] += np.uint8(48) * (mag != 0)  # 0 once mag is spent: a lead
         mag = q
     for i in range(top):
         out[width - 1 - i] |= np.uint8(48) * (i < least)  # a zero shown
-    return out.T
+    return out
 
 
 # Schubfach (R. Giulietti, "The Schubfach way to render doubles", 2020)
@@ -570,8 +592,8 @@ def _python_bytes(col: np.ndarray, rows: np.ndarray) -> np.ndarray:
     time, for %.17g floats that are not whole, which no world writes."""
     text = np.array(list(map("%.17g".__mod__, col[rows].tolist())),
                     dtype="S")
-    out = np.zeros((col.size, max(text.itemsize, 1)), np.uint8)
-    out[rows] = text.view(np.uint8).reshape(text.size, text.itemsize)
+    out = np.zeros((max(text.itemsize, 1), col.size), np.uint8)
+    out[:, rows] = text.view(np.uint8).reshape(text.size, text.itemsize).T
     return out
 
 

@@ -21,12 +21,13 @@ tag ties in arrival order. A packet that finds the heap empty, with no
 other arrival by the time the server frees, is served at once without the
 heap, which would pop that same packet, and needs no per-flow tag: with
 the heap empty every flow's last tag is at most V. Cliques are independent
-servers, so replay deals them to forks.deal as one job each, largest
-first into one share per CPU it may run on. Outputs do not depend on the
-share count. Precondition: arrival times are
-nondecreasing within each clique (worlds.check_trace refuses a trace.csv
-that is not sorted); otherwise the loop gives wrong delays without an
-error.
+servers, so replay deals them to forks.deal as one job each, into one
+share per CPU it may run on, by estimated work (_load_costs): a packet
+that queues costs the heap loop more than one served alone. Outputs do
+not depend on the estimate or the share count. Precondition: arrival
+times are nondecreasing within each clique (worlds.check_trace refuses a
+trace.csv that is not sorted); otherwise the loop gives wrong delays
+without an error.
 """
 
 from __future__ import annotations
@@ -136,7 +137,7 @@ def replay(trace: Trace, capacity_bps: float,
 
     capacity_bps is in bytes per second. Returns a log whose rows align with
     the trace's packet order. The cliques are dealt to forks.deal, one
-    job each.
+    job each, at the costs _load_costs estimates.
     """
     if capacity_bps <= 0:
         raise ValueError("capacity must be positive")
@@ -153,17 +154,30 @@ def replay(trace: Trace, capacity_bps: float,
     def serve(idx):
         return _replay_clique(ts[idx], fid[idx], ln[idx], cap, schedule)
 
-    sizes = [idx.size for idx in cliques]
     dequeue = np.empty(trace.n_packets)
     # deal gives the cliques' dequeue instants one clique after another
     dequeue[np.concatenate([np.empty(0, np.int64), *cliques])] = deal(
-        [partial(serve, idx) for idx in cliques], sizes, sizes)
+        [partial(serve, idx) for idx in cliques],
+        _load_costs(ts, ln, cliques, cap), [idx.size for idx in cliques])
     # the kernel advanced t_free by these same additions, so completions
     # are exact
     complete = dequeue + ln * (1e6 / cap)
     benign = np.isin(fid, [f for f, info in trace.flow_table.items()
                            if info.label == BENIGN])
     return QueueEventLog(fid, cq, ts, dequeue, complete, benign)
+
+
+def _load_costs(ts, ln, cliques, cap) -> list[float]:
+    """Each clique's packets times 1 + its load, scaled by the trace's
+    span: an estimate of the SCFQ loop's work. The loop heaps only a
+    packet that finds the server busy, and about a share rho of arrivals
+    do (PASTA), rho being the clique's service time over the span, at
+    most 1. No output depends on the costs. Python floats overflow to inf
+    without a warning, so _replay_clique is the one that refuses service
+    times whose sum is not finite."""
+    span = float(ts.max() - ts.min()) if ts.size else 0.0
+    return [idx.size * (span + min(span, int(ln[idx].sum()) * 1e6 / cap))
+            for idx in cliques]
 
 
 def _replay_clique(t, f, l, cap, schedule) -> np.ndarray:

@@ -397,29 +397,38 @@ def test_readers_refuse_corrupt_files(tmp_path_factory, reader, n, corruption,
 # ---------------------------------------------------------------------------
 # the column kernel writes the bytes of the row-at-a-time writer it replaced
 
+# magnitudes around a tenth digit and around 2**32, where the digits of a
+# column are divided out in uint32 when all of its values fit
+EDGE_32 = [999_999_999, 10**9, 2**32 - 1, 2**32]
 # signed zeros, subnormals, and whole values at and around the magnitudes
 # where %r (1e16) and %.17g (1e17) switch to an exponent
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 0.5,
                -2.5, 1e15, 1e15 + 1, -1e15, 1e16 - 2, 1e16, 1e16 + 2, -1e16,
                1e17 - 16, 1e17, 1e17 + 16, -1e17, 2.0**53 - 1, 2.0**53,
                2.0**53 + 2, -(2.0**53 + 2), 1e300, math.inf, -math.inf,
-               math.nan]
-EDGE_INTS = [0, -1, 1, 9, 10, -10, 2**63 - 1, -2**63, 10**18, -10**18]
+               math.nan, *map(float, EDGE_32), -float(2**32)]
+EDGE_INTS = [0, -1, 1, 9, 10, -10, 2**63 - 1, -2**63, 10**18, -10**18,
+             *EDGE_32, -2**32]
 
 FLOATS = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS),
                    st.integers(-10**17, 10**17).map(float))
+# values of which whole columns fit in 32 bits, or just do not
+NARROW_INTS = st.one_of(st.integers(-2**33, 2**33), st.sampled_from(EDGE_32))
 
 
 def _column(conv, n):
     """n values for a column under conv: ints or bools under %d, floats
-    under %r and %.17g."""
+    under %r and %.17g; some columns draw only narrow whole values."""
     if conv != "d":
-        return st.lists(FLOATS, min_size=n, max_size=n).map(
+        return st.lists(st.one_of(FLOATS, NARROW_INTS.map(float)),
+                        min_size=n, max_size=n).map(
             lambda v: np.array(v, dtype=np.float64))
     return st.one_of(
         st.lists(st.one_of(st.integers(-2**63, 2**63 - 1),
                            st.sampled_from(EDGE_INTS)),
                  min_size=n, max_size=n).map(
+            lambda v: np.array(v, dtype=np.int64)),
+        st.lists(NARROW_INTS, min_size=n, max_size=n).map(
             lambda v: np.array(v, dtype=np.int64)),
         st.lists(st.booleans(), min_size=n, max_size=n).map(
             lambda v: np.array(v, dtype=bool)))
@@ -453,6 +462,28 @@ def test_write_csv_matches_row_oracle(tmp_path_factory, convs, n, block,
         kernel, oracle = _kernel_and_oracle(
             tmp_path_factory.mktemp("csv"), convs, cols)
     assert kernel == oracle
+
+
+@pytest.mark.parametrize("values", [
+    [2**32 - 1, 0], [2**32, 0], [999_999_999, 1], [10**9, 1],
+    [-(2**32 - 1), 7], [-2**32, 7]])
+@pytest.mark.parametrize("conv", ["d", "r", ".17g"])
+def test_write_csv_digits_either_side_of_32_bits(tmp_path, conv, values):
+    # the largest magnitude picks 32- or 64-bit division for the column
+    col = np.array(values, np.float64 if conv != "d" else np.int64)
+    kernel, oracle = _kernel_and_oracle(tmp_path, [conv], [col])
+    assert kernel == oracle
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32])
+def test_write_csv_integers_narrower_than_64_bits(tmp_path, dtype):
+    # the least value of a narrow dtype is its own abs; widened first, it
+    # prints its digits and not those of a sign-extended uint64
+    info = np.iinfo(dtype)
+    col = np.array([info.min, info.max, -1, 0], dtype)
+    kernel, oracle = _kernel_and_oracle(tmp_path, ["d"], [col])
+    assert kernel == oracle
+    assert kernel.splitlines()[1] == str(info.min).encode()
 
 
 def test_write_csv_matches_row_oracle_across_blocks(tmp_path):
@@ -491,19 +522,16 @@ def _repr_sweep(group):
 @pytest.mark.parametrize("group", ["random bits", "powers of two",
                                    "powers of ten", "notation switches",
                                    "zeros and non-finite"])
-def test_repr_kernel_is_repr(group):
+def test_repr_kernel_is_repr(tmp_path, group):
     values = _repr_sweep(group)
     if group == "random bits":  # every sign and exponent field occurs
         assert len(np.unique(values.view(np.uint64) >> np.uint64(52))) \
             == 4096
-    # one kernel call per group, but 2**17 random values per call: a
-    # million values in one call would hold some 360 MB at once
-    cells = np.concatenate([trace_module._cell_bytes(values[s:s + 2**17], "r")
-                            for s in range(0, values.size, 2**17)], axis=0) \
-        if group == "random bits" else trace_module._cell_bytes(values, "r")
-    text = np.concatenate([cells, np.full((values.size, 1), 10, np.uint8)],
-                          axis=1)
-    lines = text[text != 0].tobytes().decode().splitlines()
+    # the text write_table writes for a column of them, a block of rows
+    # at a time, so that a million values are not formatted at once
+    write_table(tmp_path / "r.csv", table_class(["r"], [np.float64])(values))
+    header, *lines = (tmp_path / "r.csv").read_bytes().decode().splitlines()
+    assert header == "a"
     expected = list(map(repr, values.tolist()))
     wrong = [(v, got, want) for v, got, want
              in zip(values.tolist(), lines, expected) if got != want]

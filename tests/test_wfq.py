@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowgate import forks as forks_module
 from flowgate import wfq
 from flowgate.detector import Scores
 from flowgate.trace import BENIGN, MALICIOUS, FlowInfo, FlowKey, Trace
@@ -596,4 +597,68 @@ def test_share_of_a_dead_child_is_served_again(monkeypatch):
     forks = cpus(monkeypatch, 3)
     assert log_bytes(replay(trace, 100_000)) == expected
     assert len(forks) == 2
+    assert_no_child_left()
+
+
+# ---------------------------------------------------------------------------
+# the cost each clique is dealt at: an estimate of the kernel's work
+
+
+def saturated_small_clique():
+    """Clique 1 holds the fewest packets, and at 10,000 B/s their service
+    outlasts the trace's 900,000 us span, so nearly all of them queue;
+    cliques 0 and 2 never queue."""
+    spread = np.arange(10, dtype=np.int64) * 100_000
+    parts = [(spread, 0, 100), (np.zeros(8, np.int64), 1, 1500),
+             (spread[:9] + 7, 2, 100)]
+    ts = np.concatenate([t for t, _, _ in parts])
+    cq = np.concatenate([np.full(t.size, c) for t, c, _ in parts])
+    ln = np.concatenate([np.full(t.size, n) for t, _, n in parts])
+    order = np.argsort(ts, kind="stable")
+    ts, cq, ln = ts[order], cq[order], ln[order]
+    return Trace(ts, cq.copy(), ln, cq, flow_table(3), 4000, 250_000)
+
+
+def test_load_costs_weigh_packets_by_load():
+    trace = saturated_small_clique()
+    cliques = [np.flatnonzero(trace.clique_id == c) for c in range(3)]
+    span = 900_000
+    # loads 10 * 10,000 us, all of span (at most 1) and 9 * 10,000 us
+    assert wfq._load_costs(trace.ts_us, trace.len_bytes, cliques,
+                           10_000) == [10 * (span + 100_000), 8 * 2 * span,
+                                       9 * (span + 90_000)]
+    assert wfq._load_costs(trace.ts_us[:0], trace.len_bytes[:0], [],
+                           10_000) == []
+
+
+def test_queue_log_does_not_depend_on_the_costs(monkeypatch):
+    trace = saturated_small_clique()
+    dealt = []
+    lpt = forks_module._lpt_shares
+
+    def recorded(costs, n_shares):
+        dealt.append(lpt(costs, n_shares))
+        return dealt[-1]
+
+    monkeypatch.setattr(forks_module, "_lpt_shares", recorded)
+    forks = cpus(monkeypatch, 2)
+    estimated = replay(trace, 10_000)
+    monkeypatch.setattr(wfq, "_load_costs",
+                        lambda ts, ln, cliques, cap: [c.size for c in cliques])
+    counted = replay(trace, 10_000)
+    assert len(forks) == 2
+    # packet counts deal clique 0 alone; the estimate deals clique 1 alone
+    assert dealt == [[[1], [0, 2]], [[0], [2, 1]]]
+    assert log_bytes(estimated) == log_bytes(counted)
+    assert_no_child_left()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_costs_of_service_past_the_largest_double_are_no_warning(monkeypatch):
+    # the estimate meets infinite service times before the kernel refuses
+    # them, and must neither warn nor raise first
+    cpus(monkeypatch, 2)
+    with pytest.raises(ValueError, match="capacity_bps = 1e-300 gives "
+                       "service times whose sum is not finite"):
+        replay(saturated_small_clique(), 1e-300)
     assert_no_child_left()
