@@ -42,8 +42,10 @@ from flowgate.metrics import (
     write_stage_stats,
 )
 from flowgate.trace import (
-    RunManifest,
+    Sha256,
     TableStream,
+    check_bound,
+    file_sha256,
     from_json,
     load_json,
     to_json,
@@ -61,7 +63,6 @@ from flowgate.worlds import (
     GenerationError,
     build_world,
     check_config_flows,
-    check_same,
     config_from_json,
     contention_graph,
     load_head,
@@ -111,24 +112,25 @@ def _read_params(path) -> DetectorParams:
 
 @dataclass
 class ReplayManifest:
-    """replay_manifest.json: the world replayed, the mode, the gate and the
-    sha256 of the queue log written. The capacity is config.json's, and
-    the rows are the trace's packets."""
+    """replay_manifest.json: the sha256 of the replayed world's
+    manifest.json, the mode, the gate and the sha256 of the queue log
+    written. The capacity is config.json's, and the rows are the trace's
+    packets."""
 
-    world: RunManifest
+    manifest_sha256: Sha256
     mode: str
     gate: dict
-    queue_log_sha256: str
+    queue_log_sha256: Sha256
 
 
-def _recorded_world(artifact, name: str, read, manifest: RunManifest):
+def _recorded_world(artifact, name: str, read, world_dir):
     """The record `name` that must lie beside the artifact, as read(path)
-    returns it, and its path, refusing one whose `world` is not the given
-    world manifest, naming the path and the first key that differs."""
+    returns it, and its path, refusing one whose manifest_sha256 is not
+    the sha256 of the manifest.json in world_dir (check_bound)."""
     path = Path(artifact).parent / name
     doc = read(path)
-    check_same(path, "world.", doc.world, manifest,
-               [f.name for f in fields(RunManifest)], "manifest.json")
+    check_bound(Path(world_dir) / "manifest.json",
+                (doc.manifest_sha256, path))
     return doc, path
 
 
@@ -137,15 +139,15 @@ def _burn_in(config) -> int:
     return int(round(config.split[0] * config.horizon_windows))
 
 
-def _load_scores(path, config, manifest: RunManifest):
-    """The scores at path and their detect run's record beside them,
-    refusing, naming the file, what _recorded_world and read_scores_csv
-    refuse, record flows other than config.json's, and rows other than the
-    ones detect writes: each window in [0, horizon) in turn, and at each
-    one row for each of config.json's flows in id order. That refusal names
-    the first line that differs."""
+def _load_scores(path, config, world_dir):
+    """The scores at path and their detect run's record beside them, of
+    the world in world_dir, refusing, naming the file, what _recorded_world
+    and read_scores_csv refuse, record flows other than config.json's, and
+    rows other than the ones detect writes: each window in [0, horizon) in
+    turn, and at each one row for each of config.json's flows in id order.
+    That refusal names the first line that differs."""
     record, record_path = _recorded_world(path, "detect_manifest.json",
-                                          read_thresholds, manifest)
+                                          read_thresholds, world_dir)
     check_config_flows(record_path, record.flows, config)
     scores = read_scores_csv(path, (record.scores_sha256, record_path))
     # the record's flows, which check_config_flows found to be the config's
@@ -182,7 +184,7 @@ def cmd_gen_world(args) -> int:
     write_world(out, world)
     n_feasible = sum(1 for o in world.feasibility if o.feasible)
     print(f"world_id={config.world_id}")
-    print(f"config_hash={config.hash()}")
+    print(f"config_sha256={world.manifest.config_sha256}")
     print(f"packets={world.trace.n_packets}")
     print(f"episodes={len(world.labels)}")
     print(f"feasible_episodes={n_feasible}")
@@ -233,8 +235,10 @@ def cmd_detect(args) -> int:
     write_stage_stats(out / "stage_stats.json", seconds, rows,
                       table.horizon_windows)
     write_thresholds(out / "detect_manifest.json", DetectManifest(
-        **vars(calibration), world=manifest, detector_params=params,
-        scores_sha256=stream.sha256, flows=session.thresholds()))
+        **vars(calibration),
+        manifest_sha256=file_sha256(Path(args.world) / "manifest.json"),
+        detector_params=params, scores_sha256=stream.sha256,
+        flows=session.thresholds()))
     print(f"flows={n_flows}")
     print(f"records={len(scores)}")
     print(f"alarms={int(scores.a.sum())}")
@@ -267,7 +271,8 @@ def cmd_replay(args) -> int:
     trace = load_traffic(args.world, config, manifest)
 
     schedule = None if gc is None else gate_controller(
-        _load_scores(args.scores, config, manifest)[0], gc, config.window_us)
+        _load_scores(args.scores, config, args.world)[0], gc,
+        config.window_us)
 
     log = replay(trace, config.capacity_bps, schedule)
     out = Path(args.out)
@@ -276,7 +281,8 @@ def cmd_replay(args) -> int:
         write_schedule(out / "schedule.csv", schedule)
     sha256 = write_queue_log(out / "queue_log.csv", log)
     write_json(out / "replay_manifest.json", to_json(ReplayManifest(
-        manifest, args.mode, {} if gc is None else to_json(gc), sha256)))
+        file_sha256(Path(args.world) / "manifest.json"), args.mode,
+        {} if gc is None else to_json(gc), sha256)))
     print(f"mode={args.mode}")
     print(f"packets={log.n}")
     print(f"out={out}")
@@ -305,11 +311,11 @@ def _gate_config(args) -> GateConfig:
 def cmd_report(args) -> int:
     config, manifest = load_head(args.world)
     labels, feasibility = load_outcomes(args.world, config, manifest)
-    scores, detected = _load_scores(args.scores, config, manifest)
+    scores, detected = _load_scores(args.scores, config, args.world)
     timing = read_stage_stats(Path(args.scores).parent / "stage_stats.json",
                               scores)
-    base_log = _load_queue_log(args.base_log, "base", manifest)
-    gated_log = _load_queue_log(args.gated_log, "gated", manifest)
+    base_log = _load_queue_log(args.base_log, "base", args.world)
+    gated_log = _load_queue_log(args.gated_log, "gated", args.world)
     _check_same_packets(args.base_log, base_log, args.gated_log, gated_log)
 
     ttds = time_to_detect(scores, labels, detected.m,
@@ -326,13 +332,14 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _load_queue_log(path, mode: str, manifest: RunManifest):
-    """The queue log at path, bound to the replay manifest beside it,
-    refusing, naming the file, what _recorded_world and read_queue_log
-    refuse and a replay manifest of another mode."""
+def _load_queue_log(path, mode: str, world_dir):
+    """The queue log at path of the world in world_dir, bound to the
+    replay manifest beside it, refusing, naming the file, what
+    _recorded_world and read_queue_log refuse and a replay manifest of
+    another mode."""
     replayed, record_path = _recorded_world(
         path, "replay_manifest.json",
-        lambda p: from_json(ReplayManifest, _load_json(p), p), manifest)
+        lambda p: from_json(ReplayManifest, _load_json(p), p), world_dir)
     if replayed.mode != mode:
         raise ValueError(f"{record_path}: mode = {replayed.mode!r} is not "
                          f"{mode!r}, as --{mode}-log needs")

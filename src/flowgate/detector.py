@@ -29,10 +29,9 @@ import numpy as np
 
 from flowgate.features import N_FEATURES, Normalizer
 from flowgate.trace import (
-    RunManifest,
+    Sha256,
     Table,
     TableStream,
-    check_sha256,
     column,
     from_json,
     load_json,
@@ -160,15 +159,16 @@ class FlowThresholds:
 
 @dataclass(kw_only=True)
 class DetectManifest(Calibration):
-    """detect_manifest.json, a detect run's one record: its world, knobs,
-    the sha256 of the scores.csv it wrote and flow thresholds, every key
-    required. The burn-in and the rows follow from the world's config."""
+    """detect_manifest.json, a detect run's one record: the sha256 of its
+    world's manifest.json, its knobs, the sha256 of the scores.csv it wrote
+    and flow thresholds, every key required. The burn-in and the rows
+    follow from the world's config."""
 
     every_key_required: ClassVar[bool] = True
 
-    world: RunManifest
+    manifest_sha256: Sha256
     detector_params: DetectorParams
-    scores_sha256: str
+    scores_sha256: Sha256
     flows: dict[int, FlowThresholds]
 
 
@@ -411,11 +411,10 @@ def write_thresholds(path, record: DetectManifest) -> None:
 
 def read_thresholds(path) -> DetectManifest:
     """Load a detect run's record, refusing, naming the path and the key,
-    what from_json refuses (a missing or unknown key, a flow key that is
-    not an integer, a threshold that is neither a finite number nor null),
-    what Calibration.check refuses and a scores_sha256 that check_sha256
+    what from_json refuses (a missing or unknown key, a sha256 that is not
+    64 lowercase hex digits, a flow key that is not an integer, a threshold
+    that is neither a finite number nor null) and what Calibration.check
     refuses."""
     doc = from_json(DetectManifest, load_json(path), path)
     doc.check(path)
-    check_sha256(path, "scores_sha256", doc.scores_sha256)
     return doc

@@ -81,17 +81,24 @@ class EpisodeLabel:
     feasible: bool
 
 
+# A record's key that binds a file: the sha256 of the file's bytes, in
+# lowercase hex, which check_bound compares and from_json checks.
+Sha256 = typing.NewType("Sha256", str)
+
+
 @dataclass(frozen=True)
 class RunManifest:
-    """manifest.json, a world's record: the seed it was realized at, and
-    config_hash binds config.json, which fixes every other fact of the
-    world. trace_sha256 binds trace.csv and feasibility_sha256 binds
-    feasibility.json: write_world fills each in as it writes the file."""
+    """manifest.json, a world's record, every key required: the seed it
+    was realized at and the sha256 of config.json (which fixes every other
+    fact of the world), trace.csv and feasibility.json. write_world fills
+    each sha256 in as it writes the file."""
+
+    every_key_required: typing.ClassVar[bool] = True
 
     seed: int
-    config_hash: str
-    trace_sha256: str = ""
-    feasibility_sha256: str = ""
+    config_sha256: Sha256 = ""
+    trace_sha256: Sha256 = ""
+    feasibility_sha256: Sha256 = ""
     tool_version: str = TOOL_VERSION
 
 
@@ -197,21 +204,6 @@ class Trace(Table):
     @property
     def horizon_us(self) -> int:
         return self.horizon_windows * self.window_us
-
-
-def canonical_json(obj) -> bytes:
-    """Stable JSON encoding: sorted keys, compact separators, no NaN/inf."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                      allow_nan=False).encode("utf-8")
-
-
-def manifest_hash(payload: bytes) -> str:
-    """Hex digest binding a manifest to its exact input bytes."""
-    return hashlib.sha256(payload).hexdigest()
-
-
-def config_hash(config_dict: dict) -> str:
-    return manifest_hash(canonical_json(config_dict))
 
 
 # ---------------------------------------------------------------------------
@@ -672,20 +664,20 @@ def check_bound(path, recorded) -> bytes:
     of another sha256 than the one that recorded, the (hex sha256, path) of
     the record that binds it, holds."""
     sha256, record_path = recorded
-    digest = _file_sha256(path)
-    if digest.hex() != sha256:
-        raise ValueError(f"{path}: sha256 {digest.hex()} is not the "
+    digest = file_sha256(path)
+    if digest != sha256:
+        raise ValueError(f"{path}: sha256 {digest} is not the "
                          f"{sha256} that {record_path} records")
-    return digest
+    return bytes.fromhex(digest)
 
 
-def _file_sha256(path) -> bytes:
-    """The sha256 of a file's bytes, read a MiB at a time."""
+def file_sha256(path) -> Sha256:
+    """The hex sha256 of a file's bytes, read a MiB at a time."""
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         while chunk := fh.read(1 << 20):
             digest.update(chunk)
-    return digest.digest()
+    return digest.hexdigest()
 
 
 def load_json(path):
@@ -749,15 +741,15 @@ def from_json(cls, doc, path, where: str = ""):
     """The value of type cls that the parsed JSON document doc (found at the
     dotted name `where`) holds, as to_json writes it.
 
-    cls is a dataclass, bool, int, float, str, a fixed-length tuple[...],
-    list[T], dict[int, T] (integer-string keys) or a free-form dict or
-    list (values left unchecked). A dataclass field with a default may be
-    absent, unless the class sets every_key_required (a record the program
-    writes whole), and one with a "null" sentinel may be null. Refuses,
-    naming the path and the key, a missing or unknown key, a bool given as
-    a number, a number that is not finite, a non-integer for an int and any
-    other value of another type. An int given for a float is stored as a
-    float.
+    cls is a dataclass, bool, int, float, str, Sha256 (64 lowercase hex
+    digits), a fixed-length tuple[...], list[T], dict[int, T]
+    (integer-string keys) or a free-form dict or list (values left
+    unchecked). A dataclass field with a default may be absent, unless the
+    class sets every_key_required (a record the program writes whole), and
+    one with a "null" sentinel may be null. Refuses, naming the path and
+    the key, a missing or unknown key, a bool given as a number, a number
+    that is not finite, a non-integer for an int and any other value of
+    another type. An int given for a float is stored as a float.
     """
     return _decode(cls, doc, path, where, None)
 
@@ -765,7 +757,10 @@ def from_json(cls, doc, path, where: str = ""):
 _SCALARS = {bool: (lambda v: isinstance(v, bool), "true or false"),
             int: (functools.partial(is_number, integer=True), "an integer"),
             float: (is_number, "a finite number"),
-            str: (lambda v: isinstance(v, str), "a string")}
+            str: (lambda v: isinstance(v, str), "a string"),
+            Sha256: (lambda v: isinstance(v, str)
+                     and re.fullmatch("[0-9a-f]{64}", v) is not None,
+                     "a sha256 in hex")}
 INT_KEY = re.compile(r"0|-?[1-9][0-9]*")  # a JSON object key for an int
 
 
@@ -876,18 +871,7 @@ def read_labels(path) -> list[EpisodeLabel]:
     return labels
 
 
-def check_sha256(path, key: str, value: str) -> None:
-    """Refuse the value of a record's key that should hold a sha256 when it
-    is not 64 lowercase hex digits, naming the path and the key."""
-    if not re.fullmatch("[0-9a-f]{64}", value):
-        raise ValueError(f"{path}: {key} = {value!r} is not a sha256 in hex")
-
-
 def read_manifest(path) -> RunManifest:
     """Load a run manifest, refusing, naming the path and the key, what
-    from_json refuses and a trace_sha256 or feasibility_sha256 that
-    check_sha256 refuses."""
-    manifest = from_json(RunManifest, load_json(path), path)
-    for key in ("trace_sha256", "feasibility_sha256"):
-        check_sha256(path, key, getattr(manifest, key))
-    return manifest
+    from_json refuses."""
+    return from_json(RunManifest, load_json(path), path)

@@ -44,7 +44,6 @@ from flowgate.trace import (
     RunManifest,
     Trace,
     check_bound,
-    config_hash,
     from_json,
     is_number,
     load_json,
@@ -237,9 +236,6 @@ class WorldConfig:
                 raise ValueError(
                     f"episode flow {e.flow_id} mimics class {e.device_class!r} "
                     "with no benign flows to pool a reference from")
-
-    def hash(self) -> str:
-        return config_hash(to_json(self))
 
 
 def config_from_json(doc, path) -> WorldConfig:
@@ -1061,7 +1057,7 @@ def build_world(config: WorldConfig, seed: int) -> World:
         (ctx.flow_id, ctx.clique_id, ts, ln)
         for (ts, ln, _), (_, _, ctx, _, _) in zip(enforced, episodes)])
 
-    manifest = RunManifest(seed=seed, config_hash=config.hash())
+    manifest = RunManifest(seed=seed)
     return World(trace, episode_labels(config, feasibility), references,
                  manifest, feasibility, config)
 
@@ -1125,26 +1121,27 @@ def audit_budgets(world: World) -> list[dict]:
 
 
 def write_world(out_dir, world: World) -> None:
-    """Write a world's files; world.manifest gains the sha256 of trace.csv
-    and of feasibility.json. The contention graph is derived before any
-    file is written, so a config whose graph misses its band writes
-    none."""
+    """Write a world's files; world.manifest gains the sha256 of
+    config.json, trace.csv and feasibility.json. The contention graph is
+    derived before any file is written, so a config whose graph misses its
+    band writes none, and manifest.json is written last, so a directory
+    whose writes stopped short holds no world that a stage would read."""
     graph = contention_graph(world.config, world.manifest.seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     world.manifest = replace(
         world.manifest,
+        config_sha256=write_json(out / "config.json", to_json(world.config)),
         trace_sha256=write_trace_csv(out / "trace.csv", world.trace),
         feasibility_sha256=write_json(out / "feasibility.json", to_json(
             _FeasibilityFile(world.config.i_max, world.feasibility))))
     write_json(out / "flows.csv", to_json(world.trace.flow_table))
     write_json(out / "labels.csv", to_json(world.labels))
-    write_json(out / "manifest.json", to_json(world.manifest))
-    write_json(out / "config.json", to_json(world.config))
     write_json(out / "contention.json", graph.to_dict())
     (out / "references.json").write_text(json.dumps(
         {str(r.flow_id): r.sorted_iats_us.tolist() for r in world.references},
         sort_keys=True) + "\n")
+    write_json(out / "manifest.json", to_json(world.manifest))
 
 
 def check_trace(trace: Trace, config: WorldConfig) -> None:
@@ -1200,15 +1197,14 @@ def check_trace(trace: Trace, config: WorldConfig) -> None:
 
 
 def load_head(world_dir) -> tuple[WorldConfig, RunManifest]:
-    """A world's config and manifest, refusing a manifest whose config_hash
-    is not its config's, naming both hashes."""
+    """A world's config and manifest, refusing, naming the file, what
+    config_from_json and read_manifest refuse, and then a config.json of
+    another sha256 than the manifest's config_sha256 (check_bound)."""
     d = Path(world_dir)
     config = config_from_json(load_json(d / "config.json"), d / "config.json")
     manifest = read_manifest(d / "manifest.json")
-    if manifest.config_hash != config.hash():
-        raise ValueError(f"{d / 'manifest.json'}: config_hash "
-                         f"{manifest.config_hash} is not {config.hash()}, the "
-                         "hash of config.json")
+    check_bound(d / "config.json",
+                (manifest.config_sha256, d / "manifest.json"))
     return config, manifest
 
 
@@ -1238,17 +1234,6 @@ def load_outcomes(world_dir, config: WorldConfig, manifest: RunManifest
     check_episode_flows(d / "feasibility.json",
                         [o.flow_id for o in feasibility], config)
     return episode_labels(config, feasibility), feasibility
-
-
-def check_same(path, where: str, found, recorded, names, other: str) -> None:
-    """Refuse the record found, read from path at the dotted name where,
-    when one of the fields names holds another value than in the record
-    that the file `other` holds, naming the first such key."""
-    for name in names:
-        mine, theirs = getattr(found, name), getattr(recorded, name)
-        if mine != theirs:
-            raise ValueError(f"{path}: {where}{name} = {mine!r} is not "
-                             f"{other}'s {name} {theirs!r}")
 
 
 def check_config_flows(path, flow_ids, config: WorldConfig) -> None:

@@ -252,12 +252,13 @@ def thresholds_by_flow(thresholds: dict[int, FlowThresholds]) -> dict:
             for f, t in thresholds.items()}
 
 
-def detect_record(session, world,
+def detect_record(session, manifest_sha256: str = "0" * 64,
                   scores_sha256: str = "0" * 64) -> DetectManifest:
-    """The detect_manifest.json record of a session that scored world, a
-    world's RunManifest, into a scores.csv of that sha256."""
+    """The detect_manifest.json record of a session that scored the world
+    whose manifest.json has the sha256 manifest_sha256 into a scores.csv of
+    the sha256 scores_sha256."""
     return DetectManifest(
-        **vars(session.calibration), world=world,
+        **vars(session.calibration), manifest_sha256=manifest_sha256,
         detector_params=session.params, scores_sha256=scores_sha256,
         flows=session.thresholds())
 

@@ -126,7 +126,7 @@ def test_criterion_1_calibration_fidelity():
         eligible = int(((scores.window >= burn)
                         & np.isin(scores.flow_id, rated)).sum())
         fpr_alarm, _ = achieved_fpr(scores, world.labels,
-                                    detect_record(ses, world.manifest), burn)
+                                    detect_record(ses), burn)
         results[q] = (fpr_alarm, eligible)
     elapsed = time.perf_counter() - t0
     fpr99, elig = results[0.99]

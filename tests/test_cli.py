@@ -49,6 +49,7 @@ from flowgate.trace import (
     write_table,
 )
 from flowgate.wfq import QueueEventLog, Schedule, read_queue_log
+from flowgate import worlds
 from flowgate.worlds import (
     BenignFlowSpec,
     EpisodeSpec,
@@ -157,14 +158,15 @@ def test_detect_manifest_has_no_timing_and_burn_in_from_split(pipe):
 
 
 # each record holds only what no other file fixes: config.json, bound by
-# config_hash, fixes the rest of the world, the burn-in, the scores' rows,
+# config_sha256, fixes the rest of the world, the burn-in, the scores' rows,
 # the capacity and the queue logs' rows
 RECORD_KEYS = {
-    "manifest.json": {"seed", "config_hash", "trace_sha256",
+    "manifest.json": {"seed", "config_sha256", "trace_sha256",
                       "feasibility_sha256", "tool_version"},
-    "detect_manifest.json": {"quantile", "k", "m", "w_min", "world",
+    "detect_manifest.json": {"quantile", "k", "m", "w_min", "manifest_sha256",
                              "detector_params", "scores_sha256", "flows"},
-    "replay_manifest.json": {"world", "mode", "gate", "queue_log_sha256"},
+    "replay_manifest.json": {"manifest_sha256", "mode", "gate",
+                             "queue_log_sha256"},
 }
 
 
@@ -173,8 +175,6 @@ def test_records_hold_only_what_no_other_file_fixes(pipe, stage):
     [record] = [p for p in pipe[stage].iterdir() if p.name in RECORD_KEYS]
     doc = json.loads(record.read_text())
     assert set(doc) == RECORD_KEYS[record.name]
-    manifest = json.loads((pipe["world"] / "manifest.json").read_text())
-    assert doc.get("world", manifest) == manifest
 
 
 def test_gen_world_deterministic_across_runs(pipe, tmp_path):
@@ -183,6 +183,33 @@ def test_gen_world_deterministic_across_runs(pipe, tmp_path):
                  "--out", str(out2)]) == 0
     for name in ("trace.csv", "labels.csv", "flows.csv", "contention.json"):
         assert (out2 / name).read_bytes() == (pipe["world"] / name).read_bytes()
+
+
+def _keys_reversed(doc):
+    """doc with the keys of every object in reverse order."""
+    if isinstance(doc, dict):
+        return {k: _keys_reversed(doc[k]) for k in reversed(list(doc))}
+    if isinstance(doc, list):
+        return [_keys_reversed(x) for x in doc]
+    return doc
+
+
+def test_config_json_is_the_config_not_its_text(tmp_path):
+    # manifest.json binds config.json by its bytes, which gen-world writes
+    # from the parsed config: a config given with every object's keys in
+    # reverse order and indented otherwise gives the same config.json and
+    # so the same manifest.json
+    demo = Path(__file__).parents[1] / "configs" / "demo_world.json"
+    doc = json.loads(demo.read_text())
+    given = tmp_path / "reversed.json"
+    given.write_text(json.dumps(_keys_reversed(doc), indent=5))
+    assert list(json.loads(given.read_text())) == list(reversed(list(doc)))
+    for name, config in (("plain", demo), ("reversed", given)):
+        assert main(["gen-world", "--config", str(config),
+                     "--out", str(tmp_path / name)]) == 0
+    for name in ("config.json", "manifest.json"):
+        assert (tmp_path / "reversed" / name).read_bytes() == (
+            tmp_path / "plain" / name).read_bytes(), name
 
 
 def _same_outputs(out: Path, expected: Path) -> None:
@@ -344,9 +371,9 @@ def test_scores_of_another_world_are_refused(pipe, tmp_path, capsys,
     else:
         rc = _report(pipe, tmp_path, world=other)
     assert rc == 1
-    assert capsys.readouterr().err.startswith(
-        f"error: ValueError: {pipe['det'] / 'detect_manifest.json'}: "
-        "world.seed = 5 is not manifest.json's seed 6")
+    assert capsys.readouterr().err == "error: " + _unbound(
+        other / "manifest.json", pipe["world"] / "manifest.json",
+        pipe["det"] / "detect_manifest.json") + "\n"
     assert not (tmp_path / "g" / "queue_log.csv").exists()
     assert not (tmp_path / "r" / "report.json").exists()
 
@@ -355,28 +382,38 @@ def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _unbound(path, recorded, record) -> str:
+    """The error with which check_bound refuses the file at path when
+    record holds the sha256 of the file at recorded."""
+    return (f"ValueError: {path}: sha256 {_sha256(path)} is not the "
+            f"{_sha256(recorded)} that {record} records")
+
+
 def test_replay_manifest_records_the_world(pipe):
-    world = json.loads((pipe["world"] / "manifest.json").read_text())
+    world = _sha256(pipe["world"] / "manifest.json")
     for mode in ("base", "gated"):
         doc = json.loads((pipe[mode] / "replay_manifest.json").read_text())
-        assert doc["world"] == world
+        assert doc["manifest_sha256"] == world
         assert doc["mode"] == mode
         assert doc["queue_log_sha256"] == _sha256(pipe[mode] /
                                                   "queue_log.csv")
 
 
 def test_every_record_binds_the_trace(pipe):
-    # manifest.json binds trace.csv, and every stage's record holds a copy
+    # manifest.json binds config.json, trace.csv and feasibility.json by
+    # their bytes, and every stage's record binds manifest.json so
     world = json.loads((pipe["world"] / "manifest.json").read_text())
-    assert world["trace_sha256"] == _sha256(pipe["world"] / "trace.csv")
-    assert world["feasibility_sha256"] == _sha256(pipe["world"] /
-                                                  "feasibility.json")
+    for key, name in (("config_sha256", "config.json"),
+                      ("trace_sha256", "trace.csv"),
+                      ("feasibility_sha256", "feasibility.json")):
+        assert world[key] == _sha256(pipe["world"] / name), key
     for record in (pipe["det"] / "detect_manifest.json",
                    pipe["base"] / "replay_manifest.json",
                    pipe["gated"] / "replay_manifest.json"):
-        assert json.loads(record.read_text())["world"] == world
+        assert json.loads(record.read_text())["manifest_sha256"] == _sha256(
+            pipe["world"] / "manifest.json")
     assert json.loads((pipe["rep"] / "report.json").read_text())[
-        "manifest"]["trace_sha256"] == world["trace_sha256"]
+        "manifest"] == world
 
 
 @pytest.mark.parametrize("stage, name, cls", [
@@ -407,9 +444,9 @@ def test_queue_logs_of_another_world_are_refused(pipe, tmp_path, capsys):
     capsys.readouterr()
     assert _report(pipe, tmp_path, world=other,
                    scores=tmp_path / "det6" / "scores.csv") == 1
-    assert capsys.readouterr().err.startswith(
-        f"error: ValueError: {pipe['base'] / 'replay_manifest.json'}: "
-        "world.seed = 5 is not manifest.json's seed 6")
+    assert capsys.readouterr().err == "error: " + _unbound(
+        other / "manifest.json", pipe["world"] / "manifest.json",
+        pipe["base"] / "replay_manifest.json") + "\n"
     assert not (tmp_path / "r" / "report.json").exists()
 
 
@@ -888,6 +925,35 @@ def test_world_whose_graph_misses_its_band_is_not_written(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("export", ["flows.csv", "labels.csv",
+                                    "contention.json"])
+def test_a_world_whose_writes_stop_short_has_no_manifest(
+        tmp_path, capsys, monkeypatch, export):
+    # manifest.json is written last, so a gen-world that fails on an
+    # export leaves a directory that no stage takes for a world
+    write = worlds.write_json
+
+    def failing(path, doc):
+        if Path(path).name == export:
+            raise OSError(28, "No space left on device")
+        return write(path, doc)
+
+    monkeypatch.setattr(worlds, "write_json", failing)
+    out = tmp_path / "w"
+    assert main(["gen-world", "--config", str(tiny_config(tmp_path / "c")),
+                 "--out", str(out)]) == 1
+    monkeypatch.undo()
+    assert (out / "config.json").exists()
+    assert not (out / "manifest.json").exists()
+    capsys.readouterr()
+    assert main(["detect", "--world", str(out),
+                 "--out", str(tmp_path / "d")]) == 1
+    assert capsys.readouterr().err == (
+        "error: FileNotFoundError: [Errno 2] No such file or directory: "
+        f"'{out / 'manifest.json'}'\n")
+    assert not (tmp_path / "d").exists()
+
+
 def test_corrupt_world_is_runtime_error(pipe, tmp_path):
     broken = tmp_path / "world_broken"
     shutil.copytree(pipe["world"], broken)
@@ -1294,10 +1360,12 @@ def _bad_scores(pipe, tmp_path, case):
         return scores, (f"ValueError: {record}: unknown key "
                         "'burn_in_windows'")
     assert case == "record of another world"
-    doc = json.loads(record.read_text())
-    write_json(record, {**doc, "world": {**doc["world"], "seed": 6}})
-    return scores, (f"ValueError: {record}: world.seed = 6 is not "
-                    "manifest.json's seed 5")
+    other = "0" * 64  # the sha256 of another world's manifest.json
+    write_json(record, {**json.loads(record.read_text()),
+                        "manifest_sha256": other})
+    manifest = pipe["world"] / "manifest.json"
+    return scores, (f"ValueError: {manifest}: sha256 {_sha256(manifest)} "
+                    f"is not the {other} that {record} records")
 
 
 def _bad_log(pipe, tmp_path, case):
@@ -1693,6 +1761,25 @@ def _rewrite(world, artifact, text) -> Path:
     return path
 
 
+def _run_on(pipe, tmp_path, command, world=None, det=None, base=None):
+    """Exit code of command, one of detect, base, gated and report, run on
+    the pipeline's outputs with the world, the detect output or the base
+    replay output replaced by a copy; it writes to tmp_path / "out"."""
+    world, det, base = (world or pipe["world"], det or pipe["det"],
+                        base or pipe["base"])
+    argv = {
+        "detect": ["detect", "--world", str(world)],
+        "base": ["replay", "--world", str(world), "--mode", "base"],
+        "gated": ["replay", "--world", str(world), "--mode", "gated",
+                  "--scores", str(det / "scores.csv")],
+        "report": ["report", "--world", str(world),
+                   "--scores", str(det / "scores.csv"),
+                   "--base-log", str(base / "queue_log.csv"),
+                   "--gated-log", str(pipe["gated"] / "queue_log.csv")],
+    }[command]
+    return main([*argv, "--out", str(tmp_path / "out")])
+
+
 def _refusal(pipe, tmp_path, capsys, world, reader) -> str:
     """The error with which reader, a command or load_world, refuses the
     world, as "<type>: <message>"; a command must exit 1 with an error:
@@ -1701,12 +1788,8 @@ def _refusal(pipe, tmp_path, capsys, world, reader) -> str:
         with pytest.raises(ValueError) as exc:
             load_world(world)
         return f"ValueError: {exc.value}"
-    rc = {"detect": lambda: main(["detect", "--world", str(world),
-                                  "--out", str(tmp_path / "d")]),
-          "replay": lambda: main(["replay", "--world", str(world), "--mode",
-                                  "base", "--out", str(tmp_path / "b")]),
-          "report": lambda: _report(pipe, tmp_path, world=world)}[reader]()
-    assert rc == 1
+    command = "base" if reader == "replay" else reader
+    assert _run_on(pipe, tmp_path, command, world=world) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     return err[len("error: "):]
@@ -1753,23 +1836,23 @@ def _edit_manifest(doc):
     """Named corruptions of a world manifest, as _edit_config's."""
     other = "0" * 64
     return {
-        "missing key": (_without(doc, "config_hash"),
-                        "missing key 'config_hash'"),
+        "missing key": (_without(doc, "config_sha256"),
+                        "missing key 'config_sha256'"),
         "unknown key": ({**doc, "extra": 1}, "unknown key 'extra'"),
         "string for an int": ({**doc, "seed": "5"},
                               "seed = '5' is not an integer"),
-        # the split is config.json's, bound by config_hash, so the record
-        # holds no such key, whatever its value
+        # the split is config.json's, bound by config_sha256, so the
+        # record holds no such key, whatever its value
         "negative split": ({**doc, "split": [2.0, -1, 0]},
                            "unknown key 'split'"),
         "short split": ({**doc, "split": [0.5, 0.5]},
                         "unknown key 'split'"),
         "split of another config": ({**doc, "split": [0.5, 0.25, 0.25]},
                                     "unknown key 'split'"),
+        # refused by check_bound, whose message starts with config.json
         "hash of another config": (
-            {**doc, "config_hash": other},
-            f"config_hash {other} is not {doc['config_hash']}, the hash of "
-            "config.json"),
+            {**doc, "config_sha256": other},
+            f"sha256 {doc['config_sha256']} is not the {other} that "),
         "trace digest not hex": ({**doc, "trace_sha256": "trace.csv"},
                                  "trace_sha256 = 'trace.csv' is not a "
                                  "sha256 in hex"),
@@ -1794,7 +1877,7 @@ WORLD_JSON_CORRUPTIONS = [
     (artifact, corruption, reader)
     for artifact, dummy in (
         ("config.json", {"episodes": [{"budgets": {}}]}),
-        ("manifest.json", {"config_hash": ""}),
+        ("manifest.json", {"config_sha256": ""}),
         ("feasibility.json", {"i_max": 0, "outcomes": [{}]}))
     for corruption in sorted(WORLD_JSON_EDITS[artifact](dummy))
     for reader in (*WORLD_JSON_READERS[artifact], "load_world")]
@@ -1809,7 +1892,9 @@ def test_corrupt_world_json_is_refused(pipe, tmp_path, capsys, artifact,
         json.loads((world / artifact).read_text()))[corruption]
     path = _rewrite(world, artifact, json.dumps(bad))
     err = _refusal(pipe, tmp_path, capsys, world, reader)
-    assert err.startswith(f"ValueError: {path}: ")
+    named = (world / "config.json" if corruption == "hash of another config"
+             else path)
+    assert err.startswith(f"ValueError: {named}: ")
     assert message in err
 
 
@@ -1818,16 +1903,62 @@ def test_corrupt_world_json_is_refused(pipe, tmp_path, capsys, artifact,
 def test_manifest_of_another_config_is_refused(pipe, tmp_path, capsys,
                                                reader):
     world = _world_copy(pipe, tmp_path)
-    recorded = json.loads((world / "manifest.json").read_text())
-    doc = json.loads((world / "config.json").read_text())
-    doc["world_id"] = "elsewhere"
-    (world / "config.json").write_text(json.dumps(doc))
-    edited = from_json(WorldConfig, doc, "config.json").hash()
-    assert edited != recorded["config_hash"]
+    config = world / "config.json"
+    write_json(config, {**json.loads(config.read_text()),
+                        "world_id": "elsewhere"})
     err = _refusal(pipe, tmp_path, capsys, world, reader)
-    assert err.startswith(
-        f"ValueError: {world / 'manifest.json'}: config_hash "
-        f"{recorded['config_hash']} is not {edited}, the hash of config.json")
+    assert err.rstrip("\n") == _unbound(
+        config, pipe["world"] / "config.json", world / "manifest.json")
+
+
+@pytest.mark.parametrize("name, command", [
+    ("config.json", "detect"), ("config.json", "base"),
+    ("config.json", "gated"), ("config.json", "report"),
+    ("manifest.json", "gated"), ("manifest.json", "report")])
+def test_a_space_appended_to_the_world_head_is_refused(pipe, tmp_path, capsys,
+                                                       name, command):
+    # a record binds config.json and manifest.json by their bytes, not by
+    # what they parse to. manifest.json heads the world, so it is bound by
+    # the records of the stages that ran on it: detect's and the replays'
+    world = _world_copy(pipe, tmp_path)
+    path = world / name
+    path.write_bytes(path.read_bytes() + b" ")
+    record = (world / "manifest.json" if name == "config.json"
+              else pipe["det"] / "detect_manifest.json")
+    assert _run_on(pipe, tmp_path, command, world=world) == 1
+    assert capsys.readouterr().err == "error: " + _unbound(
+        path, pipe["world"] / name, record) + "\n"
+    assert not (tmp_path / "out").exists()
+
+
+# every record key that holds a sha256, by the pipeline output whose
+# record holds it, and the command that reads that record
+SHA256_KEYS = [
+    *[("world", "manifest.json", key, "detect") for key in
+      ("config_sha256", "trace_sha256", "feasibility_sha256")],
+    *[("det", "detect_manifest.json", key, "gated") for key in
+      ("manifest_sha256", "scores_sha256")],
+    *[("base", "replay_manifest.json", key, "report") for key in
+      ("manifest_sha256", "queue_log_sha256")]]
+
+
+@pytest.mark.parametrize("bad", ["upper case", "a digit short"])
+@pytest.mark.parametrize("stage, name, key, command", SHA256_KEYS)
+def test_a_sha256_that_is_not_64_lowercase_hex_is_refused(
+        pipe, tmp_path, capsys, stage, name, key, command, bad):
+    # refused as the record is read, before any file it binds is hashed
+    copy = tmp_path / stage
+    shutil.copytree(pipe[stage], copy)
+    record = copy / name
+    doc = json.loads(record.read_text())
+    value = doc[key].upper() if bad == "upper case" else doc[key][:-1]
+    assert value != doc[key]
+    write_json(record, {**doc, key: value})
+    assert _run_on(pipe, tmp_path, command, **{stage: copy}) == 1
+    assert capsys.readouterr().err == (
+        f"error: ValueError: {record}: {key} = {value!r} is not a sha256 "
+        "in hex\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["detect"])

@@ -39,7 +39,6 @@ from flowgate.detector import (
 )
 from flowgate.features import N_FEATURES
 from flowgate.trace import (
-    RunManifest,
     from_json,
     table_columns,
     to_json,
@@ -871,7 +870,7 @@ def test_thresholds_round_trip(tmp_path):
     run_session(session, {1: lambda w: (100.0,) * N_FEATURES,
                           2: lambda w: (None,) * N_FEATURES}, 61)
     path = tmp_path / "detect_manifest.json"
-    record = detect_record(session, RunManifest(1, "h"))
+    record = detect_record(session)
     write_thresholds(path, record)
     loaded = read_thresholds(path)
     assert loaded.quantile == 0.9

@@ -65,7 +65,7 @@ def episode(flow_id, start, end, feasible=True):
 def detect_record(flows) -> DetectManifest:
     """A detect run's record with these thresholds, of no world."""
     return DetectManifest(
-        quantile=0.99, k=3, m=8, w_min=5, world=RunManifest(1, "h"),
+        quantile=0.99, k=3, m=8, w_min=5, manifest_sha256="0" * 64,
         detector_params=DetectorParams(), scores_sha256="0" * 64,
         flows=flows)
 

@@ -34,12 +34,9 @@ from flowgate.trace import (
     RunManifest,
     Table,
     Trace,
-    canonical_json,
     column,
-    config_hash,
     from_json,
     load_json,
-    manifest_hash,
     read_flow_table,
     read_labels,
     read_manifest,
@@ -74,35 +71,12 @@ from support import (
 )
 from trace_validation import validate_trace
 
-# Frozen reference: SHA-256 of the empty byte string.
-SHA256_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-
-
 def make_flow_table(n=2):
     return {
         i: FlowInfo(FlowKey(f"10.0.0.{i}", "10.0.1.1", 40000 + i, 443, 6),
                     "periodic_telemetry", BENIGN)
         for i in range(n)
     }
-
-
-def test_manifest_hash_empty_input():
-    assert manifest_hash(b"") == SHA256_EMPTY
-
-
-def test_manifest_hash_key_order_invariant():
-    a = {"b": 1, "a": [1, 2, 3], "c": {"y": 0.5, "x": "s"}}
-    b = {"c": {"x": "s", "y": 0.5}, "a": [1, 2, 3], "b": 1}
-    assert config_hash(a) == config_hash(b)
-    # any change to content changes the digest
-    c = dict(a)
-    c["b"] = 2
-    assert config_hash(c) != config_hash(a)
-
-
-def test_canonical_json_rejects_nan():
-    with pytest.raises(ValueError):
-        canonical_json({"x": float("nan")})
 
 
 @pytest.mark.parametrize("raw, message", [
@@ -221,6 +195,7 @@ _INTS = st.integers(-2**63, 2**63)
 _FLOATS = (st.floats(allow_nan=False, allow_infinity=False)
            | st.integers(-2**53, 2**53).map(float))  # int-valued floats
 _TEXT = st.text(max_size=6)
+_SHA256 = st.text("0123456789abcdef", min_size=64, max_size=64)
 _FREE = st.dictionaries(_TEXT, st.none() | st.booleans() | _INTS | _FLOATS
                         | _TEXT | st.lists(_INTS, max_size=3), max_size=3)
 _BUDGETS = st.builds(Budgets, _INTS, _FLOATS | st.just(math.inf),
@@ -230,7 +205,8 @@ _FLOW_INFO = st.builds(FlowInfo, st.builds(FlowKey, _TEXT, _TEXT, _INTS,
 _DETECTOR = st.builds(DetectorParams, **{
     f.name: _INTS if f.type == "int" else _FLOATS
     for f in fields(DetectorParams)})
-_MANIFEST = st.builds(RunManifest, _INTS, _TEXT, _TEXT, _TEXT, _TEXT)
+_MANIFEST = st.builds(RunManifest, _INTS, _SHA256, _SHA256, _SHA256,
+                      _TEXT)
 RECORDS = {
     "flow table": (dict[int, FlowInfo], st.dictionaries(_INTS, _FLOW_INFO,
                                                         max_size=3)),
@@ -253,7 +229,8 @@ RECORDS = {
     # detect_manifest.json, the record read_thresholds reads
     "thresholds": (DetectManifest, st.builds(
         DetectManifest, quantile=_FLOATS, k=_INTS, m=_INTS, w_min=_INTS,
-        world=_MANIFEST, detector_params=_DETECTOR, scores_sha256=_TEXT,
+        manifest_sha256=_SHA256, detector_params=_DETECTOR,
+        scores_sha256=_SHA256,
         flows=st.dictionaries(_INTS, st.builds(
             FlowThresholds, *[_FLOATS | st.just(math.nan)] * 2),
             max_size=3))),

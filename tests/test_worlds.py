@@ -1,6 +1,7 @@
 """Tests for synthetic world generation and budget enforcement."""
 
 import bisect
+import hashlib
 import json
 import math
 import os
@@ -1168,10 +1169,15 @@ def test_replays_of_a_dead_worker_are_run_again(monkeypatch):
     assert_no_child_left()
 
 
-def test_world_manifest(demo_world):
+def test_world_manifest(demo_world, tmp_path):
+    assert demo_world.manifest.seed == 7
+    write_world(tmp_path, demo_world)
     m = demo_world.manifest
-    assert m.seed == 7
-    assert m.config_hash == _demo_config().hash()
+    for key, name in (("config_sha256", "config.json"),
+                      ("trace_sha256", "trace.csv"),
+                      ("feasibility_sha256", "feasibility.json")):
+        assert getattr(m, key) == hashlib.sha256(
+            (tmp_path / name).read_bytes()).hexdigest(), key
 
 
 def test_world_deterministic_and_seed_sensitive(tmp_path):
@@ -1314,5 +1320,4 @@ def test_config_json_round_trip(tmp_path):
     write_json(tmp_path / "c.json", to_json(cfg))
     back = from_json(WorldConfig, load_json(tmp_path / "c.json"), "c.json")
     assert to_json(back) == to_json(cfg)
-    assert back.hash() == cfg.hash()
     assert back.episodes[1].budgets.epsilon_s == math.inf
