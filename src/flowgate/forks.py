@@ -1,6 +1,7 @@
 """Work in forked children while this process keeps working.
 
-deal runs costed, independent jobs on every CPU; its users are the SCFQ
+deal runs independent jobs on every CPU, each process taking the next
+largest whenever it is free; its users are the SCFQ
 replays of wfq.replay, worlds.audit_budgets and worlds.enforce_contention.
 trace.TableStream formats a CSV in one child. Both fork under one set of
 rules:
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import mmap
 import os
-from functools import partial
 
 import numpy as np
 
@@ -66,51 +66,57 @@ class Children:
         return ok
 
 
-def deal(jobs, costs, widths=None) -> np.ndarray:
+def deal(jobs, sizes, widths=None) -> np.ndarray:
     """The results of jobs, one after another in job order. Job k is a
     function of no arguments, sharing no state with the others, that
-    returns widths[k] float64s (one by default); costs[k] is an estimate
-    of its work, in any unit, which only balances the shares. The jobs are
-    dealt into one share per CPU, costliest first (_lpt_shares): this
-    process runs share 0 and a forked child each other one, writing
-    into a shared anonymous mapping. If any share fails, every job runs
-    again here in job order, so an error is the one a serial run raises."""
+    returns widths[k] float64s (one by default); sizes[k], in any unit,
+    only sets the order in which the jobs are taken, largest first, ties
+    in job order. This process and a forked child per other CPU each take
+    the next job whenever they are free (_claim), writing into a shared
+    anonymous mapping. If any process fails, every job runs again here in
+    job order, so an error is the one a serial run raises."""
     at = np.cumsum([0, *(widths or [1] * len(jobs))]).tolist()
-    n_shares = min(cpus(), len(jobs))
-    # a shared anonymous mapping, so that a forked share's writes reach it
+    n_procs = min(cpus(), len(jobs))
+    # a shared anonymous mapping, so that a forked child's writes reach it
     out = (np.frombuffer(mmap.mmap(-1, 8 * max(at[-1], 1)), np.float64)
-           [:at[-1]] if n_shares > 1 else np.empty(at[-1]))
+           [:at[-1]] if n_procs > 1 else np.empty(at[-1]))
 
-    def run(share):
-        for k in share:
+    def run(ks):
+        for k in ks:
             out[at[k]:at[k + 1]] = jobs[k]()
 
-    if n_shares < 2 or not _serve_shares(_lpt_shares(costs, n_shares), run):
+    if n_procs < 2 or not _claim(sizes, run, n_procs):
         run(range(len(jobs)))
     return out
 
 
-def _lpt_shares(costs, n_shares: int) -> list[list[int]]:
-    """Job indices dealt into n_shares shares, costliest first (ties in
-    job order), each to the share with the least cost so far (LPT list
-    scheduling, Graham 1969). Share 0 holds the costliest job."""
-    shares: list[list[int]] = [[] for _ in range(n_shares)]
-    load = [0] * n_shares
-    for k in sorted(range(len(costs)), key=costs.__getitem__, reverse=True):
-        s = load.index(min(load))
-        shares[s].append(k)
-        load[s] += costs[k]
-    return shares
+def _claim(sizes, run, n_procs: int) -> bool:
+    """run(ks) over every job index once, in this process and n_procs - 1
+    forked children (Children) at once, each taking the next jobs whenever
+    it is free (self-scheduling, Polychronopoulos and Kuck 1987). A pipe
+    holds one 2-byte token per run of ceil(n / 2048) jobs, largest first
+    (ties in job order), written before any fork in one write of at most
+    PIPE_BUF (4,096) bytes, which never blocks; each process reads tokens
+    until end of file. False if any process failed."""
+    order = sorted(range(len(sizes)), key=sizes.__getitem__, reverse=True)
+    step = -(-len(order) // 2048)
+    runs = [order[i:i + step] for i in range(0, len(order), step)]
+    r, w = os.pipe()
+    try:
+        with os.fdopen(w, "wb", buffering=0) as tokens:
+            tokens.write(np.arange(len(runs), dtype="<u2").tobytes())
 
+        def take():
+            while token := os.read(r, 2):
+                run(runs[int.from_bytes(token, "little")])
 
-def _serve_shares(shares: list[list], serve) -> bool:
-    """serve(share) for every share, at once: shares[0] in this process and
-    each other one in a forked child (Children). False if any share
-    failed."""
-    with Children() as children:
-        forked = [children.fork(partial(serve, share)) for share in shares[1:]]
-        try:
-            serve(shares[0])
-        except Exception:
-            return False
-        return children.reap() and all(forked)
+        with Children() as children:
+            for _ in range(n_procs - 1):
+                children.fork(take)
+            try:
+                take()
+            except Exception:
+                return False
+            return children.reap()
+    finally:
+        os.close(r)

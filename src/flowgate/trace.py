@@ -35,7 +35,6 @@ from flowgate.forks import Children, cpus
 TOOL_VERSION = "0.1.0"
 
 PROTO_TCP = 6
-PROTO_UDP = 17
 
 BENIGN = "benign"
 MALICIOUS = "malicious"

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowgate import forks as forks_module
 from flowgate import wfq
 from flowgate.detector import Scores
+from flowgate.forks import deal
 from flowgate.trace import BENIGN, MALICIOUS, FlowInfo, FlowKey, Trace
 from flowgate.wfq import (
     GateConfig,
@@ -527,7 +527,7 @@ def test_kernel_matches_oracle_on_audit_world(audit_world):
 
 
 # ---------------------------------------------------------------------------
-# shares: cliques dealt by forks.deal, one share per CPU
+# cliques handed to forks.deal, taken largest first by each CPU when free
 
 
 def log_bytes(log):
@@ -552,8 +552,8 @@ def test_one_cpu_forks_nothing_and_matches_the_shares(monkeypatch,
 
 
 def three_cliques():
-    # clique 2 holds the most packets, so the parent serves it and the
-    # children serve cliques 0 and 1
+    # clique 2 holds the most packets, so the first process free takes it,
+    # and cliques 0 and 1 go to whichever processes are free next
     ts = np.arange(12, dtype=np.int64) * 100
     cq = np.array([2, 0, 2, 1, 2, 0, 2, 1, 2, 2, 2, 2])
     return Trace(ts, cq.copy(), np.full(12, 500), cq, flow_table(3), 4000,
@@ -601,7 +601,7 @@ def test_share_of_a_dead_child_is_served_again(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the cost each clique is dealt at: an estimate of the kernel's work
+# the order cliques are taken in
 
 
 def saturated_small_clique():
@@ -619,44 +619,30 @@ def saturated_small_clique():
     return Trace(ts, cq.copy(), ln, cq, flow_table(3), 4000, 250_000)
 
 
-def test_load_costs_weigh_packets_by_load():
-    trace = saturated_small_clique()
-    cliques = [np.flatnonzero(trace.clique_id == c) for c in range(3)]
-    span = 900_000
-    # loads 10 * 10,000 us, all of span (at most 1) and 9 * 10,000 us
-    assert wfq._load_costs(trace.ts_us, trace.len_bytes, cliques,
-                           10_000) == [10 * (span + 100_000), 8 * 2 * span,
-                                       9 * (span + 90_000)]
-    assert wfq._load_costs(trace.ts_us[:0], trace.len_bytes[:0], [],
-                           10_000) == []
-
-
 def test_queue_log_does_not_depend_on_the_costs(monkeypatch):
+    # the cliques' packet counts only order them; reversing that order
+    # (smallest first) moves no byte of the log
     trace = saturated_small_clique()
-    dealt = []
-    lpt = forks_module._lpt_shares
-
-    def recorded(costs, n_shares):
-        dealt.append(lpt(costs, n_shares))
-        return dealt[-1]
-
-    monkeypatch.setattr(forks_module, "_lpt_shares", recorded)
     forks = cpus(monkeypatch, 2)
-    estimated = replay(trace, 10_000)
-    monkeypatch.setattr(wfq, "_load_costs",
-                        lambda ts, ln, cliques, cap: [c.size for c in cliques])
-    counted = replay(trace, 10_000)
+    largest_first = replay(trace, 10_000)
+    dealt = []
+
+    def smallest_first(jobs, sizes, widths):
+        dealt.append((list(sizes), list(widths)))
+        return deal(jobs, [-s for s in sizes], widths)
+
+    monkeypatch.setattr(wfq, "deal", smallest_first)
+    reversed_order = replay(trace, 10_000)
     assert len(forks) == 2
-    # packet counts deal clique 0 alone; the estimate deals clique 1 alone
-    assert dealt == [[[1], [0, 2]], [[0], [2, 1]]]
-    assert log_bytes(estimated) == log_bytes(counted)
+    assert dealt == [([10, 8, 9], [10, 8, 9])]
+    assert log_bytes(largest_first) == log_bytes(reversed_order)
     assert_no_child_left()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_costs_of_service_past_the_largest_double_are_no_warning(monkeypatch):
-    # the estimate meets infinite service times before the kernel refuses
-    # them, and must neither warn nor raise first
+    # the kernel refuses infinite service times in whichever process takes
+    # the clique, and the error comes back as the serial one, with no warning
     cpus(monkeypatch, 2)
     with pytest.raises(ValueError, match="capacity_bps = 1e-300 gives "
                        "service times whose sum is not finite"):

@@ -56,7 +56,6 @@ from flowgate.forks import deal
 from test_forks import assert_no_child_left, cpus
 from support import rebind
 from test_acceptance import _audit_config
-from trace_validation import validate_trace
 
 LEN_BOUNDS = (64, 1500)
 REPO = Path(__file__).resolve().parents[1]
@@ -989,8 +988,7 @@ def demo_world():
 
 
 def test_world_trace_valid(demo_world):
-    rep = validate_trace(demo_world.trace, LEN_BOUNDS)
-    assert rep.ok, rep.issues
+    check_trace(demo_world.trace, demo_world.config)
 
 
 def test_world_labels_and_flow_table(demo_world):
@@ -1293,7 +1291,7 @@ def test_world_no_episodes_all_benign():
     w = build_world(cfg, 1)
     assert w.labels == [] and w.feasibility == [] and w.references == []
     assert all(info.label == BENIGN for info in w.trace.flow_table.values())
-    assert validate_trace(w.trace, LEN_BOUNDS).ok
+    check_trace(w.trace, cfg)
 
 
 def test_config_validation_errors():
